@@ -3,11 +3,12 @@ equal arena bytes, and the weight-quantization accuracy headline.
 
 Claims checked: an int8 KV cache holds >= 3x the tokens of fp32 in the
 same arena (per-row scales included in the accounting), quantized decode
-emits bit-identical tokens on seeded replay while staying within a small
-factor of fp32 throughput (pure numpy has no real int8 speedup; the cost
-model's ``int8_gemm_speedup`` models the hardware win), and per-channel
-weight quantization moves the tiny decoder's logits by at most the
-accuracy contract's bound."""
+emits bit-identical tokens on seeded replay at more than half of fp32
+throughput (the int8 GEMM runs exactly through BLAS on float-held
+operands; every number in the table is measured wall-clock — the cost
+model's ``int8_gemm_speedup`` is a modelled constant and appears
+nowhere here), and per-channel weight quantization moves the tiny
+decoder's logits by at most the accuracy contract's bound."""
 
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from repro.genai import (
     KVCacheConfig,
     SamplingParams,
 )
+from repro.kernels import prepack_int8, qconv2d
 from repro.models.text import tiny_decoder
 from repro.quant import max_abs_error, quantize_graph
 
@@ -72,6 +74,19 @@ def _run(config, prompts):
         engine.close()
 
 
+def _int8_conv_ms():
+    """One int8 conv layer past the float32 exactness depth (float64 GEMM)."""
+    rng = np.random.default_rng(SEED)
+    x = rng.standard_normal((1, 128, 28, 28)).astype(np.float32)
+    wq = prepack_int8(rng.integers(-127, 128, (128, 128, 3, 3)).astype(np.int8), 1152)
+    scales = np.full(128, 0.01, np.float32)
+
+    def conv():
+        return qconv2d(x, wq, scales, 0.03, None, (1, 1), (1, 1, 1, 1))
+
+    return time_callable(conv, repeats=5).median_ms
+
+
 def test_quant_decode_throughput(report_table):
     """int8 KV (+ int8 weights) vs fp32 decode, identical request mix."""
     prompts = _prompts(6)
@@ -92,17 +107,22 @@ def test_quant_decode_throughput(report_table):
             round(run["timing"].median_ms, 2),
             round(run["tps"], 1),
             int(run["stats"]["kv_bytes_per_token"]),
+            "measured",
         ])
+    rows.append(["int8 conv 3x3 128->128 @28x28 (K=1152, ms per call)",
+                 round(_int8_conv_ms(), 2), "-", "-", "measured"])
+    ratio = q_full["tps"] / fp["tps"]
     report_table(
         "Quant — decode throughput, int8 vs fp32 (same request mix)",
-        ["variant", "ms", "tokens/s", "KV B/token"],
+        ["variant", "ms", "tokens/s", "KV B/token", "source"],
         rows,
         config={"model": f"tiny_decoder L{LAYERS} D{D_MODEL}",
                 "requests": len(prompts), "max_tokens": MAX_TOKENS},
         timing=q_full["timing"],
+        headline={"int8_over_fp32_tokens_per_sec": {
+            "value": round(ratio, 3), "direction": "higher", "source": "measured"}},
     )
-    # numpy emulation: int8 must stay within an order of magnitude
-    assert q_full["tps"] > fp["tps"] / 10.0
+    assert q_full["tps"] > fp["tps"] / 2.0, f"int8/fp32 tokens/s = {ratio:.2f}"
 
 
 def test_quant_kv_slab_capacity(report_table):

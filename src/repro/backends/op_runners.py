@@ -109,12 +109,11 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 raise BackendError(
                     f"{node.name!r}: int8 weights need input_scale/weight_scales attrs"
                 )
-            from ..kernels.quantized import qconv2d
-
             scales = np.asarray(weight_scales, dtype=np.float32)
+            packed = K.prepack_int8(weights, int(np.prod(weights.shape[1:])))
 
-            def fn(inputs, *, _w=weights, _b=bias, _s=scales, _is=float(input_scale)):
-                y = qconv2d(inputs[0], _w, _s, _is, _b, stride, pads, dilation, groups)
+            def fn(inputs, *, _w=packed, _b=bias, _s=scales, _is=float(input_scale)):
+                y = K.qconv2d(inputs[0], _w, _s, _is, _b, stride, pads, dilation, groups)
                 return [K.apply_activation(y, activation)]
 
             return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls)
@@ -168,7 +167,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         if w is not None and w.dtype == np.int8:
             # Quantized path: int8 weights + per-output-channel scales;
             # activations quantize dynamically per row inside qmatmul.
-            # Exact int32 accumulation makes the batched kernel bitwise
+            # Exact integer accumulation makes the batched kernel bitwise
             # token-invariant, so the rowwise contract needs no row loop.
             weight_scales = attrs.get("weight_scales")
             if weight_scales is None:
@@ -176,7 +175,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                     f"{node.name!r}: int8 MatMul weights need weight_scales "
                     "(run repro.quant.quantize_graph to attach them)"
                 )
-            wq = np.ascontiguousarray(w.T if tb else w)
+            wq = w.T if tb else w
             scales = np.asarray(weight_scales, dtype=np.float32)
             if scales.shape != (wq.shape[1],):
                 raise BackendError(
@@ -184,7 +183,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                     f"{wq.shape[1]} output channels"
                 )
 
-            def fn(inputs, *, _wq=wq, _s=scales):
+            def fn(inputs, *, _wq=K.prepack_int8(wq, wq.shape[0]), _s=scales):
                 a = const_or_input(node.inputs[0], inputs)
                 a = np.swapaxes(a, -1, -2) if ta else a
                 return [K.qmatmul(a, _wq, _s)]
@@ -213,17 +212,15 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 raise BackendError(
                     f"{node.name!r}: int8 FC weights need input_scale/weight_scales"
                 )
-            from ..kernels.quantized import quantize_tensor
-
             scales = np.asarray(weight_scales, dtype=np.float32)
 
-            def fn(inputs, *, _w=weights.astype(np.int32), _b=bias,
+            def fn(inputs, *, _w=K.prepack_int8(weights.T, weights.shape[1]), _b=bias,
                    _s=scales, _is=float(input_scale)):
-                xq = quantize_tensor(inputs[0].reshape(inputs[0].shape[0], -1), _is)
-                acc = xq.astype(np.int32) @ _w.T
-                out = acc.astype(np.float32) * (_is * _s)
+                x = inputs[0].reshape(inputs[0].shape[0], -1)
+                out = K.exact_int_gemm(K.quantize_float(x, _is), _w).astype(np.float32, copy=False)
+                out *= _is * _s
                 if _b is not None:
-                    out = out + _b
+                    out += _b
                 return [out]
         else:
             def fn(inputs, *, _w=weights, _b=bias):

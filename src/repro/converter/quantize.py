@@ -7,7 +7,7 @@ Pipeline (all offline, matching Figure 2's "Model Compressor" stage):
 2. **Quantize** — per-output-channel symmetric int8 weights plus one
    activation scale per conv; weights in the model file shrink ~4x.
 3. At inference the conv runner detects int8 weights and takes the exact
-   int32-accumulation path (:mod:`repro.kernels.quantized`).
+   integer-accumulation path (:mod:`repro.kernels.quantized`).
 
 Depthwise convolutions are left in float: they are memory-bound (no GEMM
 to accelerate) and quantization there costs accuracy for no speedup.

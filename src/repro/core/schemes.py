@@ -57,7 +57,7 @@ class SchemeConfig:
             micro-kernel over fp32 (4 lanes of 4x-narrower operands).
             Divides the *direct* scheme costs for quantized layers;
             Winograd/Strassen stay fp-only (their float transforms would
-            forfeit exact int32 accumulation), so their entries remain at
+            forfeit exact integer accumulation), so their entries remain at
             fp cost in the ranking — which is exactly why direct wins.
     """
 
@@ -244,7 +244,7 @@ def _search_conv_scheme(
 
     stride_dilation_ok = stride == (1, 1) and dilation == (1, 1) and groups == 1
     if quantized:
-        # Winograd's float transforms would forfeit the exact-int32
+        # Winograd's float transforms would forfeit the exact-integer
         # contract: cost every flavour for the report, select none.
         if kh == kw and kh > 1 and stride_dilation_ok:
             for n in cfg.winograd_candidates:

@@ -31,6 +31,7 @@ from ..faults.plan import FaultPlan, get_fault_plan
 from ..ir.graph import Graph
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.tracer import Tracer, get_tracer
+from ..quant.kv import quantize_rows
 from ..serving.cache import PreInferenceCache
 from .kvcache import KVSlab
 from .prefill import cached_session
@@ -144,8 +145,8 @@ class DecodeRunner:
             k_feed = np.zeros((batch, cfg.heads, capacity, cfg.d_head), np.float32)
             v_feed = np.zeros_like(k_feed)
             for i, slab in enumerate(slabs):
-                k_feed[i] = slab.k_read(layer)
-                v_feed[i] = slab.v_read(layer)
+                slab.k_read(layer, out=k_feed[i])
+                slab.v_read(layer, out=v_feed[i])
             feeds[f"l{layer}_k_cache"] = k_feed
             feeds[f"l{layer}_v_cache"] = v_feed
 
@@ -154,12 +155,25 @@ class DecodeRunner:
         ):
             out = self._session(batch, capacity).run(feeds)
 
-        for i, slab in enumerate(slabs):
-            row = slab.length
+        if cfg.quantized:
+            # One codec call per K/V plane covers every live sequence (a
+            # row's bytes never depend on its neighbours in the call);
+            # payload and scales then scatter to the slabs verbatim.
             for layer in range(self.layers):
-                slab.write_k(layer, row, out[f"l{layer}_k"][i, :, 0:1, :])
-                slab.write_v(layer, row, out[f"l{layer}_v"][i, :, 0:1, :])
-            slab.length = row + 1
+                for which, name in enumerate("kv"):
+                    rows = out[f"l{layer}_{name}"][:n, :, 0, :]     # (n, heads, d_head)
+                    q, scales = quantize_rows(rows.transpose(1, 0, 2))
+                    for i, slab in enumerate(slabs):
+                        slab.write_quantized(
+                            layer, which, slab.length, q[:, i : i + 1], scales[i : i + 1]
+                        )
+        else:
+            for i, slab in enumerate(slabs):
+                for layer in range(self.layers):
+                    slab.write_k(layer, slab.length, out[f"l{layer}_k"][i, :, 0:1, :])
+                    slab.write_v(layer, slab.length, out[f"l{layer}_v"][i, :, 0:1, :])
+        for slab in slabs:
+            slab.length += 1
         self.metrics.counter("genai.decode_tokens").inc(n)
         return out["logits"][:n, 0, :]
 

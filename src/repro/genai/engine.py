@@ -11,6 +11,7 @@ decode loop).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -174,6 +175,7 @@ class GenerationEngine:
             if config.prefix_cache else None
         )
         self.requests = resolve_request_tracker(config.requests, self.metrics)
+        self._raw_ids = itertools.count()     # ids for raw-prompt requests
         # KV/arena counter tracks for Perfetto and BENCH series, sampled
         # by the scheduler at every decode-step boundary; only built when
         # a tracker or tracer is actually watching.
@@ -224,8 +226,8 @@ class GenerationEngine:
             return graph
         # Both the full and decode variants are built from the same seed,
         # so their shared weight constants quantize to identical int8
-        # bytes and scales — and because the int8 GEMM accumulates in
-        # exact int32, decode-vs-full bit-identity survives quantization.
+        # bytes and scales — and because the int8 GEMM accumulates
+        # exactly, decode-vs-full bit-identity survives quantization.
         from ..quant import quantize_graph
 
         return quantize_graph(graph)
@@ -249,16 +251,20 @@ class GenerationEngine:
         """Generate for every prompt; results in input order.
 
         ``prompts`` may be raw token lists (wrapped as requests
-        ``req-0``, ``req-1``... sharing ``params``) or pre-built
+        ``req-0``, ``req-1``... sharing ``params``; the numbering runs
+        on across calls, so a later call never reuses the id of a
+        sequence whose KV slab is still retained) or pre-built
         :class:`GenRequest` objects for per-request control.
         """
         shared = params if params is not None else SamplingParams()
         requests: List[GenRequest] = []
-        for i, p in enumerate(prompts):
+        for p in prompts:
             if isinstance(p, GenRequest):
                 requests.append(p)
             else:
-                requests.append(GenRequest(f"req-{i}", list(p), shared))
+                requests.append(
+                    GenRequest(f"req-{next(self._raw_ids)}", list(p), shared)
+                )
         with self.tracer.span("genai.generate", "genai", requests=len(requests)):
             return self.scheduler.run(requests)
 

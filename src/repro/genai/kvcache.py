@@ -279,31 +279,42 @@ class KVSlab:
         return self._view(layer, 1)
 
     # -- typed accessors (the decode/prefill API) ---------------------------
-    def _read(self, layer: int, which: int) -> np.ndarray:
+    def _read(self, layer: int, which: int, out: Optional[np.ndarray]) -> np.ndarray:
         view = self._view(layer, which)
-        if not self.config.quantized:
+        if self.config.quantized:
+            return dequantize_rows(view, self._scales_view(layer, which), out)
+        if out is None:
             return view
-        return dequantize_rows(view, self._scales_view(layer, which))
+        out[...] = view
+        return out
 
-    def k_read(self, layer: int) -> np.ndarray:
-        """Float32 ``(heads, capacity, d_head)`` K rows (dequant-on-read)."""
-        return self._read(layer, 0)
+    def k_read(self, layer: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Float32 ``(heads, capacity, d_head)`` K rows (dequant-on-read),
+        written into ``out`` when given (fp32 without ``out``: zero-copy)."""
+        return self._read(layer, 0, out)
 
-    def v_read(self, layer: int) -> np.ndarray:
-        """Float32 ``(heads, capacity, d_head)`` V rows (dequant-on-read)."""
-        return self._read(layer, 1)
+    def v_read(self, layer: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Float32 ``(heads, capacity, d_head)`` V rows; see :meth:`k_read`."""
+        return self._read(layer, 1, out)
 
     def _write(self, layer: int, which: int, start: int, values: np.ndarray) -> None:
         values = np.asarray(values, np.float32)
         if values.ndim != 3:
             raise ValueError(f"expected (heads, rows, d_head) rows, got {values.shape}")
-        rows = values.shape[1]
-        view = self._view(layer, which)
-        if not self.config.quantized:
-            view[:, start : start + rows] = values
-            return
-        q, scales = quantize_rows(values)
-        view[:, start : start + rows] = q
+        if self.config.quantized:
+            self.write_quantized(layer, which, start, *quantize_rows(values))
+        else:
+            self._view(layer, which)[:, start : start + values.shape[1]] = values
+
+    def write_quantized(
+        self, layer: int, which: int, start: int, q: np.ndarray, scales: np.ndarray
+    ) -> None:
+        """Store rows :func:`~repro.quant.kv.quantize_rows` already coded:
+        ``(heads, rows, d_head)`` payload plus its per-row scales, verbatim
+        (``which``: 0 = K, 1 = V).  Decode quantizes a whole step's rows in
+        one call and scatters them here."""
+        rows = q.shape[1]
+        self._view(layer, which)[:, start : start + rows] = q
         self._scales_view(layer, which)[start : start + rows] = scales
 
     def write_k(self, layer: int, start: int, values: np.ndarray) -> None:
@@ -477,7 +488,7 @@ class KVCacheAllocator:
             return slab
         with self.sanitizer.locked(self._lock, "kvcache.lock"):
             length = slab.length
-            self._forget(slab.seq_id)
+            self._forget(slab)
             try:
                 bigger = self.alloc(slab.seq_id, tokens)
             except KVCacheOOM:
@@ -563,7 +574,7 @@ class KVCacheAllocator:
             return slab
         with self.sanitizer.locked(self._lock, "kvcache.lock"):
             length = slab.length
-            self._forget(slab.seq_id)
+            self._forget(slab)
             try:
                 own = self.alloc(slab.seq_id, max(tokens, length, 1))
             except KVCacheOOM:
@@ -600,7 +611,7 @@ class KVCacheAllocator:
         """Give the slab up: free its pages now, or retire it for lazy
         reclamation under pressure (LRU)."""
         with self.sanitizer.locked(self._lock, "kvcache.lock"):
-            self._forget(slab.seq_id)
+            self._forget(slab)
             if slab.freed:
                 return
             if evictable:
@@ -617,21 +628,30 @@ class KVCacheAllocator:
                 self.sanitizer.probe(self, "tables", "w")
             self._update_gauges()
 
-    def _forget(self, seq_id: str) -> None:
-        """Drop the sequence from both tables.  Called with the lock held."""
-        self._live.pop(seq_id, None)
-        self._retired.pop(seq_id, None)
+    def _forget(self, slab: KVSlab) -> None:
+        """Drop ``slab``'s sequence from both tables.  Called with the lock held.
 
-    def _evict_one(self) -> bool:
-        """Reclaim the least-recently-retired slab; False when none left."""
-        if not self._retired:
-            return False
-        _, slab = self._retired.popitem(last=False)
+        An *older* retired slab under the same id (ids can be reused
+        across ``generate`` calls) is displaced for good: nothing could
+        reach it by id again, so its pages are reclaimed now.
+        """
+        self._live.pop(slab.seq_id, None)
+        displaced = self._retired.pop(slab.seq_id, None)
+        if displaced is not None and displaced is not slab:
+            self._evict(displaced)
+
+    def _evict(self, slab: KVSlab) -> None:
         self._drop_ref(slab.page_start, slab.pages)
         slab.freed = True
         if self.sanitizer.enabled:
             self.sanitizer.free_extent(self.scope, slab.lifecycle_key)
         self.metrics.counter("kvcache.evictions").inc()
+
+    def _evict_one(self) -> bool:
+        """Reclaim the least-recently-retired slab; False when none left."""
+        if not self._retired:
+            return False
+        self._evict(self._retired.popitem(last=False)[1])
         return True
 
     # -- teardown ------------------------------------------------------------

@@ -39,8 +39,19 @@ from .elementwise import (
 )
 from .misc import conv_transpose2d, fully_connected, pad_nd, reduce_mean, resize2d
 from .sequence import attention, attention_step, gelu, layer_norm, lstm_forward
-from .qgemm import QGEMM_TILE, qgemm, qmatmul, quantize_rowwise
-from .quantized import qconv2d, quantize_tensor, quantize_weights_per_channel
+from .qgemm import (
+    exact_int_gemm,
+    prepack_int8,
+    qmatmul,
+    quantize_rowwise,
+    quantize_symmetric,
+)
+from .quantized import (
+    qconv2d,
+    quantize_float,
+    quantize_tensor,
+    quantize_weights_per_channel,
+)
 
 
 def nonfinite_count(arrays) -> int:
@@ -107,11 +118,13 @@ __all__ = [
     "gelu",
     "layer_norm",
     "lstm_forward",
-    "QGEMM_TILE",
+    "exact_int_gemm",
+    "prepack_int8",
     "qconv2d",
-    "qgemm",
     "qmatmul",
+    "quantize_float",
     "quantize_rowwise",
+    "quantize_symmetric",
     "quantize_tensor",
     "quantize_weights_per_channel",
 ]

@@ -1,123 +1,118 @@
-"""Int8 GEMM/MatMul micro-kernels, beside the fp family on one substrate.
+"""Int8 GEMM/MatMul kernels: exact integer arithmetic through BLAS.
 
-MNN registers its int8 kernels on the same packed-layout substrate as
-the fp path so scheme selection keeps ranking schemes correctly; this
-module does the python equivalent: the int8 GEMM is the same blocked
-tile walk as :func:`repro.kernels.matmul.tiled_matmul` (tile edges stay
-multiples of ``SIMD_WIDTH`` — the NC4HW4 lane count), records into the
-same :class:`~repro.kernels.matmul.GemmStats`, and differs only in the
-arithmetic contract:
+int8 is the *at-rest* form (weights in the ``.rmnn`` file, K/V rows in
+the arena); the multiply runs on integer-valued **float** operands,
+because NumPy's integer ``@`` is a scalar loop and its float ``@`` is
+``sgemm``/``dgemm``.  That is exact, not approximate:
 
-* activations quantize **dynamically per row** (symmetric, zero-point
-  0) — the MNN-LLM weight-only recipe, no calibration pass needed;
-* accumulation is **exact int32**, which buys a property the fp GEMM
-  has to work for: the int sum is associative, so row ``t`` of a batched
-  product is *bitwise* equal to the single-row product.  A ``rowwise``
-  MatMul therefore needs no per-row loop on the int8 path — the batched
-  kernel already has decode's token-invariance for free;
-* dequantization multiplies each int32 cell by ``row_scale x col_scale``
-  in float32, element-wise (no float reductions anywhere).
+* operands are integers with ``|v| <= 127``, so every partial sum of a
+  depth-``K`` reduction is an integer ``<= K * 127 * 127``;
+* float32 holds every integer up to ``2**24``, so while
+  ``K * 127 * 127 < 2**24`` (``K <= 1040``) no addition ever rounds;
+  deeper reductions run in float64 (exact to ``2**53``).  ``K`` is the
+  only thing that selects the dtype;
+* exact sums are order-independent, so BLAS may block and reorder
+  freely: row ``t`` of a batched product is *bitwise* the single-row
+  product, and a ``rowwise`` MatMul needs no per-row loop on this path.
 
-Winograd/Strassen stay fp-only: their transforms are float arithmetic,
-which would forfeit the exact-int32 contract — the scheme selector
-(:mod:`repro.core.schemes`) excludes them for int8 layers.
+Activations quantize **dynamically per row** (symmetric, zero-point 0 —
+the MNN-LLM weight-only recipe) straight into the float operand;
+dequantization multiplies each cell by ``row_scale x col_scale`` in
+float32, element-wise, in place.  Constant weights are converted to the
+compute dtype once, at pre-inference (:func:`prepack_int8`).
+Winograd/Strassen stay fp-only: their float transforms would forfeit
+exactness, so :mod:`repro.core.schemes` excludes them for int8 layers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import threading
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .matmul import GemmStats
 
-__all__ = ["QGEMM_TILE", "quantize_rowwise", "qgemm", "qmatmul"]
+__all__ = ["exact_int_gemm", "prepack_int8", "quantize_symmetric",
+           "quantize_rowwise", "qmatmul"]
 
-#: Micro-kernel tile edge for the int8 GEMM.  int8 operands pack 4x more
-#: elements per cache line than float32, so the cache-resident tile edge
-#: doubles relative to the fp kernel's 256 while staying a SIMD_WIDTH
-#: multiple.
-QGEMM_TILE = 512
+_PACKED: "weakref.WeakValueDictionary[tuple, np.ndarray]" = weakref.WeakValueDictionary()
+_PACKED_LOCK = threading.Lock()
+
+
+def _exact_dtype(k: int) -> type:
+    return np.float32 if k * 127 * 127 < 2**24 else np.float64
+
+
+def exact_int_gemm(a: np.ndarray, b: np.ndarray, stats: Optional[GemmStats] = None) -> np.ndarray:
+    """``a @ b`` for integer-valued operands (int8 or float-held), exactly.
+
+    The product comes back in the compute dtype (float32 for
+    ``K <= 1040``, else float64) with every cell an exact integer.
+    """
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
+    dtype = _exact_dtype(a.shape[1])
+    if stats is not None:
+        stats.record_base(a.shape[0], a.shape[1], b.shape[1])
+    return np.asarray(a, dtype) @ np.asarray(b, dtype)
+
+
+def prepack_int8(wq: np.ndarray, k: int) -> np.ndarray:
+    """Read-only float-held copy of int8 weights for depth-``k`` GEMMs.
+
+    Runners call this once when they are built.  Copies are interned by
+    content — every session over the same constant (decode prepares one
+    per batch x capacity cell) shares one copy per process — and held
+    weakly, so a copy dies with its last runner.
+    """
+    dtype = np.dtype(_exact_dtype(k))
+    key = (wq.shape, dtype.char, hashlib.sha1(np.ascontiguousarray(wq)).digest())
+    with _PACKED_LOCK:
+        packed = _PACKED.get(key)
+        if packed is None:
+            packed = wq.astype(dtype)
+            packed.flags.writeable = False
+            _PACKED[key] = packed
+    return packed
+
+
+def quantize_symmetric(x: np.ndarray, axis) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetric int8 codes of float32 ``x``, float-held, one scale per ``axis`` slice.
+
+    Returns ``q = clip(rint(x / scale), +-127)`` as float32 (``astype(int8)``
+    is the at-rest form) and ``scales = max_abs / 127`` with the reduced
+    axes kept; all-zero slices get scale 0.0 and zero codes.  A pure
+    function of ``x``, and max/rint/clip are order-independent, so a
+    slice's codes never depend on what else shares the call.
+    """
+    scales = np.abs(x).max(axis=axis, keepdims=True, initial=0) / np.float32(127.0)
+    q = x / np.where(scales > 0, scales, np.float32(1.0))
+    np.rint(q, out=q)
+    np.maximum(q, -127, out=q)      # min/max pair: np.clip's wrapper costs more
+    return np.minimum(q, 127, out=q), scales
 
 
 def quantize_rowwise(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Dynamic per-row symmetric int8 quantization of a 2-D activation.
-
-    Returns ``(xq, scales)`` with one float32 scale per row
-    (``max_abs / 127``; all-zero rows get scale 0.0 and quantize to
-    zeros).  Pure function of ``x`` — no calibration state — so the
-    quantized bytes are identical on every execution path.
-    """
+    """Dynamic per-row quantization of a 2-D activation: int8 codes, (rows,) scales."""
     x = np.asarray(x, np.float32)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-D activation, got shape {x.shape}")
-    max_abs = np.max(np.abs(x), axis=1) if x.size else np.zeros(x.shape[0], np.float32)
-    scales = (max_abs / 127.0).astype(np.float32)
-    safe = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
-    xq = np.clip(np.rint(x / safe.reshape(-1, 1)), -127, 127).astype(np.int8)
-    return xq, scales
+    q, scales = quantize_symmetric(x, 1)
+    return q.astype(np.int8), scales.reshape(-1)
 
 
-def qgemm(
-    xq: np.ndarray,
-    wq: np.ndarray,
-    row_scales: np.ndarray,
-    col_scales: np.ndarray,
-    tile: int = QGEMM_TILE,
-    stats: Optional[GemmStats] = None,
-) -> np.ndarray:
-    """Blocked int8 GEMM: exact int32 accumulation, float32 dequant.
-
-    ``C[i, j] = (sum_k xq[i, k] * wq[k, j]) * row_scales[i] * col_scales[j]``
-
-    The k-loop runs entirely in int32 (worst-case ``k * 127 * 127`` fits
-    int32 for any k this engine meets; the guard below enforces it), so
-    the accumulator is exact and batch-invariant.
-    """
-    if xq.dtype != np.int8 or wq.dtype != np.int8:
-        raise ValueError(
-            f"qgemm wants int8 operands, got {xq.dtype} x {wq.dtype}"
-        )
-    if xq.ndim != 2 or wq.ndim != 2 or xq.shape[1] != wq.shape[0]:
-        raise ValueError(f"bad GEMM shapes {xq.shape} x {wq.shape}")
-    n, k = xq.shape
-    _, m = wq.shape
-    if k * 127 * 127 >= 2**31:
-        raise ValueError(f"reduction depth {k} overflows the int32 accumulator")
-    acc = np.zeros((n, m), dtype=np.int32)
-    a32 = xq.astype(np.int32)
-    b32 = wq.astype(np.int32)
-    for i0 in range(0, n, tile):
-        i1 = min(i0 + tile, n)
-        for j0 in range(0, m, tile):
-            j1 = min(j0 + tile, m)
-            block = acc[i0:i1, j0:j1]
-            for p0 in range(0, k, tile):
-                p1 = min(p0 + tile, k)
-                block += a32[i0:i1, p0:p1] @ b32[p0:p1, j0:j1]
-                if stats is not None:
-                    stats.record_base(i1 - i0, p1 - p0, j1 - j0)
-    scale = np.asarray(row_scales, np.float32).reshape(-1, 1) * np.asarray(
-        col_scales, np.float32
-    ).reshape(1, -1)
-    return acc.astype(np.float32) * scale
-
-
-def qmatmul(
-    x: np.ndarray,
-    wq: np.ndarray,
-    col_scales: np.ndarray,
-    tile: int = QGEMM_TILE,
-    stats: Optional[GemmStats] = None,
-) -> np.ndarray:
+def qmatmul(x: np.ndarray, wq: np.ndarray, col_scales: np.ndarray,
+            stats: Optional[GemmStats] = None) -> np.ndarray:
     """Float-in/float-out MatMul over int8 weights (the op-runner entry).
 
     Flattens leading axes to rows, quantizes each row dynamically, runs
-    the int32 GEMM and dequantizes — the drop-in int8 twin of
-    :func:`repro.kernels.matmul.matmul` for a constant rhs.  Because the
-    int32 accumulation is exact, the result for row ``t`` is bitwise
-    identical whether ``x`` carries one token or a whole sequence, which
-    is the property decode-step pre-inference relies on.
+    the exact GEMM and dequantizes.  ``wq`` is the int8 matrix or its
+    :func:`prepack_int8` copy.  Row ``t`` of the result is bitwise the
+    same whether ``x`` carries one token or a whole sequence, which
+    decode-step pre-inference relies on.
     """
     wq = np.asarray(wq)
     if wq.ndim != 2:
@@ -128,7 +123,7 @@ def qmatmul(
             f"weight_scales shape {cs.shape} != output channels ({wq.shape[1]},)"
         )
     x = np.asarray(x, np.float32)
-    rows = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-    xq, row_scales = quantize_rowwise(rows)
-    out = qgemm(xq, np.ascontiguousarray(wq), row_scales, cs, tile, stats)
+    xq, row_scales = quantize_symmetric(x.reshape(-1, x.shape[-1]), 1)
+    out = exact_int_gemm(xq, wq, stats).astype(np.float32, copy=False)
+    out *= row_scales * cs          # (rows, 1) x (cols,): float32, element-wise
     return out.reshape(*x.shape[:-1], wq.shape[1])

@@ -1,9 +1,10 @@
 """Int8 quantized convolution (the converter's model-compression path).
 
 Symmetric linear quantization: activations use one scale per tensor,
-weights one scale per output channel.  Accumulation is exact int32 — the
-same arithmetic contract as MNN's int8 kernels — and the result is
-dequantized back to float32.
+weights one scale per output channel.  Accumulation is exact integer
+arithmetic through BLAS (:func:`repro.kernels.qgemm.exact_int_gemm`) —
+the same contract as MNN's int8 kernels — and the result is dequantized
+back to float32.
 """
 
 from __future__ import annotations
@@ -13,15 +14,21 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .conv import im2col
+from .qgemm import exact_int_gemm
 
-__all__ = ["quantize_tensor", "quantize_weights_per_channel", "qconv2d"]
+__all__ = ["quantize_float", "quantize_tensor", "quantize_weights_per_channel", "qconv2d"]
+
+
+def quantize_float(x: np.ndarray, scale: float) -> np.ndarray:
+    """Symmetric int8 codes (zero point 0), float-held for the exact GEMM."""
+    if scale <= 0:
+        raise ValueError(f"quantization scale must be positive, got {scale}")
+    return np.clip(np.round(x / scale), -127, 127)
 
 
 def quantize_tensor(x: np.ndarray, scale: float) -> np.ndarray:
     """Quantize to int8 with a symmetric scale (zero point 0)."""
-    if scale <= 0:
-        raise ValueError(f"quantization scale must be positive, got {scale}")
-    return np.clip(np.round(x / scale), -127, 127).astype(np.int8)
+    return quantize_float(x, scale).astype(np.int8)
 
 
 def quantize_weights_per_channel(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -52,25 +59,23 @@ def qconv2d(
     dilation: Tuple[int, int] = (1, 1),
     groups: int = 1,
 ) -> np.ndarray:
-    """Quantized conv: int8 inputs/weights, int32 accumulation, float output."""
+    """Quantized conv over int8 (or ``prepack_int8``-ed) weights: exact
+    integer accumulation at depth ``icg * kh * kw``, float32 output."""
     n, ic = x.shape[:2]
     oc = weights_q.shape[0]
     kh, kw = weights_q.shape[2], weights_q.shape[3]
-    xq = quantize_tensor(x, input_scale).astype(np.int32)
-    cols = im2col(xq, (kh, kw), stride, pads, dilation)  # (N, oh, ow, C, kh, kw)
-    _, oh, ow, _, _, _ = cols.shape
+    cols = im2col(quantize_float(x, input_scale), (kh, kw), stride, pads, dilation)
+    _, oh, ow, _, _, _ = cols.shape  # (N, oh, ow, C, kh, kw)
     icg, ocg = ic // groups, oc // groups
-    acc = np.empty((n, oc, oh, ow), dtype=np.int32)
-    wq = weights_q.astype(np.int32)
+    out = np.empty((n, oc, oh, ow), dtype=np.float32)
     for g in range(groups):
         lhs = np.ascontiguousarray(
             cols[:, :, :, g * icg : (g + 1) * icg]
         ).reshape(n * oh * ow, icg * kh * kw)
-        rhs = wq[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
-        prod = lhs @ rhs  # exact int32 accumulation
-        acc[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
-    dequant = input_scale * weight_scales.reshape(1, -1, 1, 1)
-    out = acc.astype(np.float32) * dequant
+        rhs = weights_q[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
+        prod = exact_int_gemm(lhs, rhs)
+        out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
+    out *= input_scale * weight_scales.reshape(1, -1, 1, 1)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out

@@ -23,9 +23,11 @@ so rows at or past a sequence's length are never attended.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
+
+from ..kernels.qgemm import quantize_symmetric
 
 __all__ = ["KV_DTYPES", "kv_itemsize", "quantize_rows", "dequantize_rows"]
 
@@ -59,25 +61,24 @@ def quantize_rows(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Returns:
         ``(q, scales)``: int8 payload of the same shape and one float32
         scale per row (``max_abs / 127``; all-zero rows get scale 0.0).
+        The codes come from the float32-rounded scale the table will
+        store, so a later dequant multiplies by bit-identically the same
+        value; a row's bytes never depend on the other rows in the call.
     """
     vals = np.asarray(values, dtype=np.float32)
     if vals.ndim != 3:
         raise ValueError(f"expected (heads, rows, d_head), got shape {vals.shape}")
-    max_abs = np.max(np.abs(vals), axis=(0, 2)) if vals.size else np.zeros(
-        vals.shape[1], np.float32
-    )
-    scales = (max_abs / 127.0).astype(np.float32)
-    # Quantize with the float32-rounded scale the table will store, so a
-    # later dequant multiplies by bit-identically the same value.
-    safe = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
-    q = np.clip(np.rint(vals / safe.reshape(1, -1, 1)), -127, 127).astype(np.int8)
-    return q, scales
+    q, scales = quantize_symmetric(vals, (0, 2))
+    return q.astype(np.int8), scales.reshape(-1)
 
 
-def dequantize_rows(q: np.ndarray, scales: np.ndarray) -> np.ndarray:
+def dequantize_rows(
+    q: np.ndarray, scales: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`quantize_rows`: int8 payload back to float32.
 
     ``scales`` broadcasts over axis 1 (the token-row axis); scale-0.0
-    rows come back as exact zeros.
+    rows come back as exact zeros.  ``out`` receives the rows in place
+    (the decode feed buffer) instead of a fresh array.
     """
-    return q.astype(np.float32) * np.asarray(scales, np.float32).reshape(1, -1, 1)
+    return np.multiply(q, np.asarray(scales, np.float32).reshape(1, -1, 1), out=out)

@@ -159,25 +159,43 @@ def cmd_quantize(args) -> int:
 
 
 def _quantize_selftest() -> int:
-    """The int8 stack's three contracts, checked end to end.
+    """The int8 stack's four contracts, checked end to end.
 
-    1. Accuracy: quantizing the tiny decoder's MatMul weights moves its
+    1. Exactness: the BLAS-backed integer GEMM equals an int64 reference
+       on worst-case operands on both sides of the float32/float64
+       switch (K = 1040 and 1041).
+    2. Accuracy: quantizing the tiny decoder's MatMul weights moves its
        logits by at most a small bound (and the quantized graph is
        Q-rule clean).
-    2. Determinism: two same-seed generations over int8 weights *and*
+    3. Determinism: two same-seed generations over int8 weights *and*
        an int8 KV cache emit bit-identical token streams.
-    3. Capacity: the int8 KV layout holds at least 3x the tokens of the
+    4. Capacity: the int8 KV layout holds at least 3x the tokens of the
        fp32 layout in the same arena bytes.
+
+    Also prints (never asserts) the in-process int8/fp32 decode
+    tokens/s ratio, labelled as measured.
     """
+    import time
     from dataclasses import replace as _replace
 
     from ..analysis import lint_graph
     from ..genai import GenerationConfig, GenerationEngine, SamplingParams
+    from ..kernels import exact_int_gemm
     from ..models.text import tiny_decoder
     from ..quant import max_abs_error, quantize_graph
 
     failures = 0
     bound = 0.15
+
+    for k in (1040, 1041):
+        a = np.full((2, k), 127, np.int8)
+        a[1, ::2] = -127
+        b = np.full((k, 2), 127, np.int8)
+        got = exact_int_gemm(a, b)
+        ok = np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
+        print(f"[{'ok' if ok else 'FAIL'}] exact_int_gemm == int64 reference at "
+              f"K={k} ({got.dtype}, worst-case sum {k * 127 * 127})")
+        failures += 0 if ok else 1
 
     graph = tiny_decoder(mode="full", seq_len=16, batch=1, vocab=64,
                          max_seq=16, d_model=32, heads=2, layers=2, seed=7)
@@ -196,14 +214,14 @@ def _quantize_selftest() -> int:
     err = max_abs_error(graph, quantized, feeds, outputs=["logits"])
     ok = err <= bound
     print(f"[{'ok' if ok else 'FAIL'}] logits max-abs-error {err:.4f} "
-          f"<= {bound} (per-channel int8 weights, exact int32 GEMM)")
+          f"<= {bound} (per-channel int8 weights, exact integer GEMM)")
     failures += 0 if ok else 1
 
-    def _generate():
+    def _generate(**quant):
         engine = GenerationEngine(GenerationConfig(
             vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
             max_batch=2, page_tokens=4, capacity_tokens=64,
-            smallest_bucket=8, kv_dtype="int8", quantize_weights=True,
+            smallest_bucket=8, **quant,
         ))
         try:
             gen = np.random.default_rng(11)
@@ -211,17 +229,25 @@ def _quantize_selftest() -> int:
                 [int(t) for t in gen.integers(0, 64, size=int(n))]
                 for n in gen.integers(2, 7, size=4)
             ]
-            results = engine.generate(prompts, SamplingParams(max_tokens=8))
-            return [r.tokens for r in results], engine.kv_config
+            params = SamplingParams(max_tokens=8)
+            results = engine.generate(prompts, params)
+            start = time.perf_counter()     # second pass: every cell is prepared
+            timed = engine.generate(prompts, params)
+            tps = sum(len(r.tokens) for r in timed) / (time.perf_counter() - start)
+            return [r.tokens for r in results], engine.kv_config, tps
         finally:
             engine.close()
 
-    tokens_a, kv_config = _generate()
-    tokens_b, _ = _generate()
+    int8 = dict(kv_dtype="int8", quantize_weights=True)
+    tokens_a, kv_config, tps_int8 = _generate(**int8)
+    tokens_b, _, _ = _generate(**int8)
     ok = tokens_a == tokens_b
     print(f"[{'ok' if ok else 'FAIL'}] seeded replay of quantized decode is "
           f"bit-identical ({sum(len(t) for t in tokens_a)} tokens)")
     failures += 0 if ok else 1
+    tps_fp32 = _generate()[2]
+    print(f"[info] int8/fp32 decode tokens/s = {tps_int8 / tps_fp32:.2f} "
+          f"({tps_int8:.0f} / {tps_fp32:.0f}, measured in-process)")
 
     fp_config = _replace(kv_config, kv_dtype="float32")
     ratio = fp_config.per_token_bytes / kv_config.per_token_bytes

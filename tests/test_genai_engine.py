@@ -256,6 +256,24 @@ class TestEngineFrontDoor:
         engine.generate(prompts(3, seed=99), SamplingParams(max_tokens=4))
         assert set(engine.decode.prepared) == first  # no new cells
 
+    def test_repeated_raw_prompt_calls_orphan_no_kv_pages(self):
+        """Raw prompts used to be ``req-0..`` again on every call, and the
+        reused id dropped the earlier retired slab with its pages held."""
+        engine = small_engine(sanitize=True, retain_kv=True)
+        alloc = engine.allocator
+        total = alloc.config.total_pages
+        first = engine.generate(prompts(3), SamplingParams(max_tokens=4))
+        second = engine.generate(prompts(3), SamplingParams(max_tokens=4))
+        assert [r.tokens for r in first] == [r.tokens for r in second]
+        assert not {r.request_id for r in first} & {r.request_id for r in second}
+        retained = list(alloc._retired.values())
+        assert alloc.free_pages == total - sum(s.pages for s in retained)
+        for slab in retained:               # what memory pressure would do
+            alloc.release(slab)
+        assert alloc.free_pages == total
+        engine.close()
+        assert engine.sanitizer.report().lifecycle == []
+
     def test_kv_layout_stays_sanitizer_clean_mid_flight(self):
         engine = small_engine()
         engine.generate(prompts(3), SamplingParams(max_tokens=4))

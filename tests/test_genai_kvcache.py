@@ -12,6 +12,7 @@ from repro.core.memory import ALIGNMENT, ExtentFreeList
 from repro.faults import FaultPlan, FaultRule
 from repro.genai import KVCacheAllocator, KVCacheConfig, KVCacheOOM
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.sanitize import Sanitizer
 
 pytestmark = pytest.mark.genai
 
@@ -199,6 +200,24 @@ class TestKVCacheAllocator:
             alloc.grow(a, 32)
         assert not a.freed
         assert alloc.grow(a, 16) is a  # still owned and usable
+
+    def test_reused_id_frees_the_displaced_retired_slab(self):
+        # A retired slab whose id is taken again can never be reached by
+        # id; it used to drop out of the tables with its pages still held.
+        sanitizer = Sanitizer(metrics=get_metrics())
+        alloc = KVCacheAllocator(make_config(), sanitizer=sanitizer)
+        total = alloc.free_pages
+        first = alloc.alloc("s", 16)
+        alloc.release(first, evictable=True)
+        second = alloc.alloc("s", 16)
+        assert not first.freed              # still the warm copy while "s" runs
+        alloc.release(second, evictable=True)
+        assert first.freed and not second.freed
+        assert get_metrics().value("kvcache.evictions") == 1
+        assert alloc.free_pages == total - second.pages
+        alloc.release(second)
+        assert alloc.free_pages == total
+        assert alloc.close() == []
 
     def test_thread_safety_under_churn(self):
         alloc = KVCacheAllocator(make_config(capacity_tokens=256, max_seq=32))

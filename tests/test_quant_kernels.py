@@ -1,13 +1,17 @@
 """Int8 GEMM kernels (:mod:`repro.kernels.qgemm`), their op-runner
 dispatch, and the quantized entries in the scheme-selection cost model.
 
-The load-bearing property is *exact int32 accumulation*: it makes the
-batched product bitwise equal to the per-row product (decode's
-token-invariance for free) and the result independent of tile size.
+The load-bearing property is *exact integer accumulation*: the GEMM runs
+through BLAS on integer-valued float operands (float32 while every
+partial sum stays below 2**24, float64 past that), so it equals an
+int64 reference bitwise and the batched product is bitwise the per-row
+product (decode's token-invariance for free).  The pre-BLAS int32
+formula is kept here as the oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backends import BackendError
 from repro.core.schemes import (
@@ -18,7 +22,16 @@ from repro.core.schemes import (
 )
 from repro.core.session import Session
 from repro.ir import GraphBuilder
-from repro.kernels import GemmStats, matmul, qgemm, qmatmul, quantize_rowwise
+from repro.kernels import (
+    GemmStats,
+    exact_int_gemm,
+    im2col,
+    matmul,
+    prepack_int8,
+    qconv2d,
+    qmatmul,
+    quantize_rowwise,
+)
 from repro.quant import quantize_graph
 
 pytestmark = pytest.mark.quant
@@ -31,6 +44,95 @@ def quantize_weights(w):
     safe = np.where(scales > 0, scales, 1.0).astype(np.float32)
     wq = np.clip(np.rint(w / safe), -127, 127).astype(np.int8)
     return wq, scales
+
+
+def qmatmul_int32_reference(x, wq, cs):
+    """The int32 kernel qmatmul replaced, kept as the oracle."""
+    rows = x.reshape(-1, x.shape[-1])
+    scales = (np.max(np.abs(rows), axis=1) / 127.0).astype(np.float32)
+    safe = np.where(scales > 0, scales, np.float32(1.0)).astype(np.float32)
+    xq = np.clip(np.rint(rows / safe.reshape(-1, 1)), -127, 127).astype(np.int8)
+    acc = xq.astype(np.int32) @ wq.astype(np.int32)
+    out = acc.astype(np.float32) * (scales.reshape(-1, 1) * cs.reshape(1, -1))
+    return out.reshape(*x.shape[:-1], wq.shape[1])
+
+
+def static_codes(x, input_scale):
+    return np.clip(np.round(x / input_scale), -127, 127).astype(np.int64)
+
+
+class TestExactIntGemm:
+    # 1040 is the last depth whose worst-case sum (k * 127 * 127) stays
+    # below 2**24; 1041's is odd and above it, so float32 would round.
+    @pytest.mark.parametrize("k", [1, 64, 1040, 1041, 4608])
+    def test_worst_case_operands_match_int64(self, k):
+        sign = np.where(np.arange(k) % 2 == 0, 1, -1)
+        a = np.stack([np.full(k, 127), 127 * sign, np.full(k, -127)]).astype(np.int8)
+        b = np.stack([np.full(k, 127), 127 * sign, -127 * sign], axis=1).astype(np.int8)
+        want = a.astype(np.int64) @ b.astype(np.int64)
+        assert abs(want).max() == k * 127 * 127
+        for lhs, rhs in ((a, b), (a.astype(np.float32), prepack_int8(b, k))):
+            got = exact_int_gemm(lhs, rhs)
+            assert got.dtype == (np.float32 if k <= 1040 else np.float64)
+            np.testing.assert_array_equal(got, want)
+
+    def test_prepack_shares_one_copy_per_constant(self):
+        wq = RNG.integers(-127, 128, (16, 8)).astype(np.int8)
+        packed = prepack_int8(wq, 16)
+        assert prepack_int8(wq.copy(), 16) is packed
+        assert not packed.flags.writeable
+        np.testing.assert_array_equal(packed, wq)
+
+    @given(m=st.integers(1, 6), k=st.integers(1, 1100), n=st.integers(1, 12),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_qmatmul_is_row_invariant_and_equals_the_int32_kernel(self, m, k, n, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((m, k)) * 10 ** rng.uniform(-3, 3)).astype(np.float32)
+        wq, cs = quantize_weights(rng.standard_normal((k, n)).astype(np.float32))
+        full = qmatmul(x, wq, cs)
+        np.testing.assert_array_equal(full, qmatmul_int32_reference(x, wq, cs))
+        np.testing.assert_array_equal(full, qmatmul(x, prepack_int8(wq, k), cs))
+        for t in range(m):
+            np.testing.assert_array_equal(full[t : t + 1], qmatmul(x[t : t + 1], wq, cs))
+
+    @pytest.mark.parametrize("ic,groups", [(8, 1), (8, 2), (128, 1)])  # 128*9 > 1040
+    def test_qconv2d_matches_int64_reference(self, ic, groups):
+        oc, stride, pads = 4, (1, 1), (1, 1, 1, 1)
+        x = RNG.standard_normal((2, ic, 5, 5)).astype(np.float32)
+        wq = RNG.integers(-127, 128, (oc, ic // groups, 3, 3)).astype(np.int8)
+        w_scales = RNG.uniform(0.01, 0.1, oc).astype(np.float32)
+        bias = RNG.standard_normal(oc).astype(np.float32)
+        input_scale = float(np.abs(x).max() / 127.0)
+        cols = im2col(static_codes(x, input_scale), (3, 3), stride, pads)
+        icg, ocg = ic // groups, oc // groups
+        acc = np.concatenate([
+            np.einsum("nhwckl,ockl->nohw", cols[:, :, :, g * icg : (g + 1) * icg],
+                      wq[g * ocg : (g + 1) * ocg].astype(np.int64))
+            for g in range(groups)
+        ], axis=1)
+        want = acc.astype(np.float32) * (input_scale * w_scales.reshape(1, -1, 1, 1))
+        want += bias.reshape(1, -1, 1, 1)
+        for weights in (wq, prepack_int8(wq, icg * 9)):
+            got = qconv2d(x, weights, w_scales, input_scale, bias, stride, pads,
+                          groups=groups)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("features", [32, 1200])
+    def test_int8_fully_connected_matches_int64_reference(self, features):
+        b = GraphBuilder("fc", seed=3)
+        b.output(b.fc(b.input("x", (3, features)), units=5))
+        feeds = {"x": RNG.standard_normal((3, features)).astype(np.float32)}
+        q = quantize_graph(b.finish(), [feeds])
+        (node,) = [n for n in q.nodes if n.op_type == "FullyConnected"]
+        wq, bias = q.constants[node.inputs[1]], q.constants[node.inputs[2]]
+        assert wq.dtype == np.int8
+        input_scale = node.attrs["input_scale"]
+        acc = static_codes(feeds["x"], input_scale) @ wq.astype(np.int64).T
+        want = acc.astype(np.float32) * (
+            input_scale * np.asarray(node.attrs["weight_scales"], np.float32))
+        (got,) = Session(q).run(feeds).values()
+        np.testing.assert_array_equal(got, want + bias)
 
 
 class TestQuantizeRowwise:
@@ -54,7 +156,7 @@ class TestQuantizeRowwise:
             quantize_rowwise(np.zeros((2, 2, 2), np.float32))
 
 
-class TestQgemm:
+class TestQmatmul:
     def test_matches_fp_matmul_within_quant_error(self):
         x = RNG.standard_normal((6, 32)).astype(np.float32)
         w = RNG.standard_normal((32, 10)).astype(np.float32)
@@ -67,8 +169,8 @@ class TestQgemm:
         assert np.max(np.abs(out - ref)) <= bound
 
     def test_batched_equals_rowwise_bitwise(self):
-        # THE decode contract: int32 accumulation is associative, so row
-        # t of the batched product is bitwise the single-row product.
+        # THE decode contract: exact integer sums are order-independent,
+        # so row t of the batched product is bitwise the single-row one.
         x = RNG.standard_normal((8, 24)).astype(np.float32)
         w = RNG.standard_normal((24, 12)).astype(np.float32)
         wq, cs = quantize_weights(w)
@@ -76,14 +178,6 @@ class TestQgemm:
         for t in range(x.shape[0]):
             row = qmatmul(x[t : t + 1], wq, cs)
             np.testing.assert_array_equal(full[t : t + 1], row)
-
-    def test_tile_size_never_changes_the_result(self):
-        x = RNG.standard_normal((5, 40)).astype(np.float32)
-        w = RNG.standard_normal((40, 9)).astype(np.float32)
-        wq, cs = quantize_weights(w)
-        outs = [qmatmul(x, wq, cs, tile=t) for t in (4, 16, 512)]
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
 
     def test_leading_axes_flatten_and_restore(self):
         x = RNG.standard_normal((2, 3, 16)).astype(np.float32)
@@ -103,17 +197,6 @@ class TestQgemm:
         qmatmul(x, wq, cs, stats=stats)
         assert stats.mul_elements == 4 * 8 * 4
         assert stats.base_multiplies >= 1
-
-    def test_rejects_float_operands(self):
-        with pytest.raises(ValueError):
-            qgemm(np.zeros((2, 2), np.float32), np.zeros((2, 2), np.int8),
-                  np.ones(2, np.float32), np.ones(2, np.float32))
-
-    def test_int32_overflow_guard(self):
-        k = 1 << 18  # 127 * 127 * 2**18 > 2**31
-        with pytest.raises(ValueError):
-            qgemm(np.zeros((1, k), np.int8), np.zeros((k, 1), np.int8),
-                  np.ones(1, np.float32), np.ones(1, np.float32))
 
     def test_mismatched_scale_shape_rejected(self):
         wq = np.zeros((8, 4), np.int8)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis import check_slab_plan, has_errors
 from repro.genai import (
+    DecodeRunner,
     GenerationConfig,
     GenerationEngine,
     KVCacheAllocator,
@@ -19,6 +20,7 @@ from repro.genai import (
     SamplingParams,
 )
 from repro.genai.kvcache import KVCacheUseAfterFree
+from repro.models import tiny_decoder
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.quant import dequantize_rows, quantize_rows
 
@@ -160,6 +162,83 @@ class TestSlab:
         alloc.release(slab, evictable=False)
         with pytest.raises(KVCacheUseAfterFree):
             slab.k_read(0)
+
+
+class TestBatchedDecodeCodec:
+    """``DecodeRunner.step`` quantizes a whole step's new rows in one codec
+    call; the bytes must be what per-sequence ``write_k``/``write_v`` store."""
+
+    LAYERS, CAPACITY = 2, 16
+
+    def config(self):
+        return make_config(layers=self.LAYERS, capacity_tokens=256, max_seq=32)
+
+    def seed_rows(self, slab, n, seed):
+        for layer in range(self.LAYERS):
+            slab.write_k(layer, 0, rows(2, n, 8, seed=seed + layer))
+            slab.write_v(layer, 0, rows(2, n, 8, seed=seed + 10 + layer))
+        slab.length = n
+
+    def test_step_bytes_equal_per_sequence_writes(self):
+        alloc, mirror = KVCacheAllocator(self.config()), KVCacheAllocator(self.config())
+        lengths = {"plain-a": 3, "plain-b": 6, "grown": 8, "cow": 5}
+        slabs, refs = [], []
+        for seed, (name, n) in enumerate(lengths.items()):
+            if name == "cow":       # materialized out of a shared parent
+                parent = alloc.alloc("parent", n)
+                self.seed_rows(parent, n, 100 * seed)
+                alloc.release(parent, evictable=True)
+                slab = alloc.grow(alloc.share(parent, name, n), n + 1)
+                assert not slab.shared
+            else:
+                slab = alloc.alloc(name, n)
+                self.seed_rows(slab, n, 100 * seed)
+            slab = alloc.grow(slab, self.CAPACITY)   # "grown" re-buckets 8 -> 16
+            assert slab.capacity == self.CAPACITY
+            ref = mirror.alloc(name, self.CAPACITY)
+            self.seed_rows(ref, n, 100 * seed)
+            slabs.append(slab)
+            refs.append(ref)
+
+        runner = DecodeRunner(
+            lambda batch, cap: tiny_decoder(
+                mode="decode", batch=batch, cache_len=cap, vocab=32, max_seq=32,
+                d_model=16, heads=2, layers=self.LAYERS, seed=5),
+            layers=self.LAYERS, max_batch=4,
+        )
+        outputs = []
+        prepared = runner._session
+
+        class Recording:
+            def __init__(self, session):
+                self.session = session
+
+            def run(self, feeds):
+                outputs.append({k: v.copy() for k, v in self.session.run(feeds).items()})
+                return outputs[-1]
+
+        runner._session = lambda batch, cap: Recording(prepared(batch, cap))
+
+        for step in range(5):
+            runner.step([1 + step, 2, 3, 4], slabs)
+            for i, ref in enumerate(refs):
+                for layer in range(self.LAYERS):
+                    ref.write_k(layer, ref.length, outputs[-1][f"l{layer}_k"][i, :, 0:1, :])
+                    ref.write_v(layer, ref.length, outputs[-1][f"l{layer}_v"][i, :, 0:1, :])
+                ref.length += 1
+
+        for slab, ref in zip(slabs, refs):
+            n = ref.length
+            assert slab.length == n == lengths[slab.seq_id] + 5
+            for layer in range(self.LAYERS):
+                for which in (0, 1):
+                    payload, want = slab._view(layer, which), ref._view(layer, which)
+                    assert payload.dtype == np.int8
+                    assert payload[:, :n].tobytes() == want[:, :n].tobytes()
+                    assert (slab._scales_view(layer, which)[:n].tobytes()
+                            == ref._scales_view(layer, which)[:n].tobytes())
+                np.testing.assert_array_equal(slab.k_read(layer), ref.k_read(layer))
+                np.testing.assert_array_equal(slab.v_read(layer), ref.v_read(layer))
 
 
 class TestMemcheck:
