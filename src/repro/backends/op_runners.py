@@ -432,24 +432,22 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
 
 
 def _rowwise_matmul(node: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Token-invariant matmul: one GEMV per output row.
+    """Token-invariant matmul: one GEMV per output row, in one call.
 
     BLAS GEMM picks different kernels (and summation orders) for different
     ``M``, so ``(A @ B)[t]`` is not bitwise equal to ``A[t:t+1] @ B`` in
     general.  Decode-step pre-inference needs exactly that equality, so a
-    ``rowwise`` MatMul computes every output row as an independent
-    ``(K,) @ (K, N)`` product — identical calls whether the activation
-    carries 1 token or the whole sequence.
+    ``rowwise`` MatMul stacks the rows as ``(M, 1, K)`` items: NumPy's
+    stacked matmul issues one ``(1, K) @ (K, N)`` GEMV per item — the same
+    BLAS call for row ``i`` whether the activation carries 1 token or the
+    whole sequence, and the same call a Python loop over rows would make.
     """
     if b.ndim != 2:
         raise BackendError(
             f"{node.name!r}: rowwise matmul requires a 2-D rhs, got {b.shape}"
         )
     rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]))
-    out = np.empty((rows.shape[0], b.shape[1]), dtype=rows.dtype)
-    for i in range(rows.shape[0]):
-        out[i] = rows[i] @ b
-    return out.reshape(*a.shape[:-1], b.shape[1])
+    return np.matmul(rows[:, None, :], b).reshape(*a.shape[:-1], b.shape[1])
 
 
 def _default_conv_scheme(kernel, stride, dilation, groups) -> str:

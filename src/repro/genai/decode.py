@@ -1,22 +1,26 @@
 """Decode-step pre-inference: one prepared graph per (batch, capacity).
 
 A decode step is the engine's steady state: every live sequence advances
-by exactly one token against its cached K/V.  The step's shape is fully
-determined by two bucketed quantities — how many sequences share the
-batch (padded up to a power-of-two batch bucket) and the common KV-slab
-capacity bucket — so the whole shape space is a small grid, and each
-cell's session is prepared exactly once (scheme search, placement,
-memory plan) then reused for millions of steps: the paper's
-prepare/execute split stretched over dynamic sequence lengths.
+by exactly one token against its cached K/V, all of them in **one** step
+per token boundary.  The step's shape is fully determined by two
+bucketed quantities — how many sequences share the batch (padded up to
+a power-of-two batch bucket) and the largest KV-slab capacity bucket
+among them — so the whole shape space is a small grid, and each cell's
+session is prepared exactly once (scheme search, placement, memory
+plan) then reused for millions of steps: the paper's prepare/execute
+split stretched over dynamic sequence lengths.  A slab smaller than the
+cell feeds only its written rows; attention masks by true ``lengths``,
+so the extra capacity is never read.
 
 Bit-identity contract: the decode graph's kernels are per-row (rowwise
-MatMul, the fused row-loop Attention, per-row LayerNorm/GELU), so the
-new token's logits are bitwise equal to the same position's logits in a
-``full``-mode recompute of the whole sequence — padding rows and batch
-composition cannot perturb a neighbour's arithmetic.  Feed validation is
-the one per-run overhead turned off (``check_feeds=False``): feeds here
-are machine-built from already-validated slabs, and a decode step is
-short enough for the check to matter.
+MatMul and head-batched Attention as stacked GEMVs, per-row
+LayerNorm/GELU), so the new token's logits are bitwise equal to the same
+position's logits in a ``full``-mode recompute of the whole sequence —
+padding rows, cell capacity and batch composition cannot perturb a
+neighbour's arithmetic.  Feed validation is the one per-run overhead
+turned off (``check_feeds=False``): feeds here are machine-built from
+already-validated slabs, and a decode step is short enough for the check
+to matter.
 """
 
 from __future__ import annotations
@@ -106,9 +110,11 @@ class DecodeRunner:
 
         Args:
             tokens: the last sampled token of each live sequence.
-            slabs: the sequences' KV slabs; all must share one capacity
-                bucket (the scheduler groups them), each with room for
-                one more row.
+            slabs: the sequences' KV slabs, each with room for one more
+                row.  Capacities may differ: the step runs the cell of
+                the largest, and each slab feeds only its ``length``
+                written rows (the rest of its feed stays zero and is
+                never attended).
 
         Returns:
             ``(len(tokens), vocab)`` logits for the new positions.  As a
@@ -118,35 +124,31 @@ class DecodeRunner:
         n = len(tokens)
         if n == 0 or n != len(slabs):
             raise ValueError(f"tokens/slabs mismatch: {n} vs {len(slabs)}")
-        capacity = slabs[0].capacity
-        cfg = slabs[0].config
         for slab in slabs:
-            if slab.capacity != capacity:
-                raise ValueError("decode group mixes capacity buckets")
-            if slab.length >= capacity:
+            if slab.length >= slab.capacity:
                 raise ValueError(
-                    f"slab {slab.seq_id!r} full at {slab.length}/{capacity}; grow first"
+                    f"slab {slab.seq_id!r} full at {slab.length}/{slab.capacity}; "
+                    "grow first"
                 )
+        capacity = max(slab.capacity for slab in slabs)
+        cfg = slabs[0].config
         batch = bucket_for_batch(n, self.buckets)
 
         feed_tokens = np.zeros((batch, 1), np.int32)
-        feed_tokens[:n, 0] = np.asarray(tokens, np.int32)
-        positions = np.zeros((batch, 1), np.int32)
+        feed_tokens[:n, 0] = tokens
         lengths = np.zeros((batch,), np.int32)
-        for i, slab in enumerate(slabs):
-            positions[i, 0] = slab.length
-            lengths[i] = slab.length
+        lengths[:n] = [slab.length for slab in slabs]
         feeds: Dict[str, np.ndarray] = {
             "tokens": feed_tokens,
-            "positions": positions,
+            "positions": lengths[:, None].copy(),
             "lengths": lengths,
         }
         for layer in range(self.layers):
             k_feed = np.zeros((batch, cfg.heads, capacity, cfg.d_head), np.float32)
             v_feed = np.zeros_like(k_feed)
             for i, slab in enumerate(slabs):
-                slab.k_read(layer, out=k_feed[i])
-                slab.v_read(layer, out=v_feed[i])
+                slab.k_read(layer, out=k_feed[i], rows=slab.length)
+                slab.v_read(layer, out=v_feed[i], rows=slab.length)
             feeds[f"l{layer}_k_cache"] = k_feed
             feeds[f"l{layer}_v_cache"] = v_feed
 

@@ -180,7 +180,8 @@ class KVSlab:
     tail.  The typed accessors are the decode/prefill API:
 
     * :meth:`k_read` / :meth:`v_read` — float32 rows, dequantized on
-      read when quantized (zero-copy passthrough for fp32);
+      read when quantized (zero-copy passthrough for fp32), optionally
+      bounded to the first ``rows`` (decode reads only ``length``);
     * :meth:`write_k` / :meth:`write_v` — float32 rows in, quantized on
       write (scale stored alongside) when quantized.
 
@@ -207,6 +208,14 @@ class KVSlab:
     #: :meth:`KVCacheAllocator.materialize` first (``grow`` does this
     #: automatically, and the scheduler grows before every decode step).
     shared: bool = False
+    #: ``(payload, scales)`` views per ``2 * layer + which``, carved on
+    #: first access.  A slab's extent, capacity and ``shared`` flag never
+    #: change (grow/materialize hand out a *new* slab), so the views stay
+    #: valid for the object's life; :meth:`_guard` still runs on every
+    #: access, so a freed slab raises before a cached view escapes.
+    _planes: Optional[List[Tuple[np.ndarray, Optional[np.ndarray]]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def lifecycle_key(self) -> str:
@@ -241,36 +250,50 @@ class KVSlab:
         cfg = self.config
         return cfg.heads * self.capacity * cfg.d_head * cfg.kv_itemsize
 
-    def _view(self, layer: int, which: int) -> np.ndarray:
-        cfg = self.config
-        self._guard(layer)
-        plane = self._plane_bytes
-        start = self.offset_bytes + (2 * layer + which) * plane
-        dtype = np.int8 if cfg.quantized else np.float32
-        flat = self.buffer[start : start + plane].view(dtype)
-        view = flat.reshape(cfg.heads, self.capacity, cfg.d_head)
-        if self.shared:
-            # Hard guard: writing through a COW child would corrupt the
-            # parent (and every sibling) silently.  NumPy turns such a
-            # write into an immediate ValueError instead.
-            view.flags.writeable = False
-        return view
+    def _carve_planes(self) -> List[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Every plane's ``(payload, scales)`` views (scales ``None`` for fp32).
 
-    def _scales_view(self, layer: int, which: int) -> np.ndarray:
-        """Float32 ``(capacity,)`` per-row scales for one K/V plane.
-
-        Lives after the last payload plane; the payload region is a
-        float32 multiple (``d_head % 4 == 0`` is enforced for int8), so
-        the table starts 4-byte aligned within the 64-byte-aligned slab.
+        Per-row scales live after the last payload plane; the payload
+        region is a float32 multiple (``d_head % 4 == 0`` is enforced for
+        int8), so the table starts 4-byte aligned within the
+        64-byte-aligned slab.
         """
         cfg = self.config
+        plane = self._plane_bytes
+        dtype = np.int8 if cfg.quantized else np.float32
+        scales_base = self.offset_bytes + 2 * cfg.layers * plane
+        planes = []
+        for index in range(2 * cfg.layers):
+            start = self.offset_bytes + index * plane
+            payload = self.buffer[start : start + plane].view(dtype).reshape(
+                cfg.heads, self.capacity, cfg.d_head
+            )
+            scales = None
+            if cfg.quantized:
+                start = scales_base + index * self.capacity * 4
+                scales = self.buffer[start : start + self.capacity * 4].view(np.float32)
+            if self.shared:
+                # Hard guard: writing through a COW child would corrupt the
+                # parent (and every sibling) silently.  NumPy turns such a
+                # write into an immediate ValueError instead.
+                payload.flags.writeable = False
+                if scales is not None:
+                    scales.flags.writeable = False
+            planes.append((payload, scales))
+        return planes
+
+    def _plane(self, layer: int, which: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         self._guard(layer)
-        base = self.offset_bytes + 2 * cfg.layers * self._plane_bytes
-        start = base + (2 * layer + which) * self.capacity * 4
-        view = self.buffer[start : start + self.capacity * 4].view(np.float32)
-        if self.shared:
-            view.flags.writeable = False
-        return view
+        if self._planes is None:
+            self._planes = self._carve_planes()
+        return self._planes[2 * layer + which]
+
+    def _view(self, layer: int, which: int) -> np.ndarray:
+        return self._plane(layer, which)[0]
+
+    def _scales_view(self, layer: int, which: int) -> np.ndarray:
+        """Float32 ``(capacity,)`` per-row scales for one K/V plane."""
+        return self._plane(layer, which)[1]
 
     def k(self, layer: int) -> np.ndarray:
         return self._view(layer, 0)
@@ -279,23 +302,35 @@ class KVSlab:
         return self._view(layer, 1)
 
     # -- typed accessors (the decode/prefill API) ---------------------------
-    def _read(self, layer: int, which: int, out: Optional[np.ndarray]) -> np.ndarray:
-        view = self._view(layer, which)
-        if self.config.quantized:
-            return dequantize_rows(view, self._scales_view(layer, which), out)
+    def _read(
+        self, layer: int, which: int, out: Optional[np.ndarray], rows: Optional[int]
+    ) -> np.ndarray:
+        payload, scales = self._plane(layer, which)
+        n = self.capacity if rows is None else rows
         if out is None:
-            return view
-        out[...] = view
+            if scales is None:
+                return payload[:, :n]
+            return dequantize_rows(payload[:, :n], scales[:n])
+        if scales is None:
+            out[:, :n] = payload[:, :n]
+        else:
+            dequantize_rows(payload[:, :n], scales[:n], out[:, :n])
         return out
 
-    def k_read(self, layer: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Float32 ``(heads, capacity, d_head)`` K rows (dequant-on-read),
-        written into ``out`` when given (fp32 without ``out``: zero-copy)."""
-        return self._read(layer, 0, out)
+    def k_read(
+        self, layer: int, out: Optional[np.ndarray] = None, rows: Optional[int] = None
+    ) -> np.ndarray:
+        """Float32 K rows ``[:rows]`` (default: all ``capacity``), dequantized
+        on read.  With ``out`` (``(heads, >= rows, d_head)``) the rows land
+        in ``out[:, :rows]``, the rest of ``out`` is untouched, and ``out``
+        is returned; fp32 without ``out`` is a zero-copy view."""
+        return self._read(layer, 0, out, rows)
 
-    def v_read(self, layer: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Float32 ``(heads, capacity, d_head)`` V rows; see :meth:`k_read`."""
-        return self._read(layer, 1, out)
+    def v_read(
+        self, layer: int, out: Optional[np.ndarray] = None, rows: Optional[int] = None
+    ) -> np.ndarray:
+        """Float32 V rows; see :meth:`k_read`."""
+        return self._read(layer, 1, out, rows)
 
     def _write(self, layer: int, which: int, start: int, values: np.ndarray) -> None:
         values = np.asarray(values, np.float32)

@@ -8,8 +8,9 @@ continuous scheduler instead re-forms the batch **every decode step** —
 * **admission** happens whenever the running set has room *and* the KV
   allocator can stake the sequence a slab (admission control is memory
   control; an OOM just leaves the request queued);
-* each step, live sequences are grouped by KV-capacity bucket and
-  advanced one token through the matching prepared decode session;
+* each token boundary runs **one** decode step that advances every
+  live sequence by one token, whatever mix of KV-capacity buckets they
+  hold (the step runs the prepared cell of the largest);
 * a sequence that hits its token budget or a stop token **leaves
   immediately**, its pages return (or retire for lazy eviction), and a
   queued request takes the seat at the very next boundary.
@@ -423,18 +424,14 @@ class ContinuousBatchScheduler:
                     waiting.appendleft(victim.request)
                 continue
 
-            # 3. One decode step per capacity-bucket group.
+            # 3. One decode step advances every active sequence.
             active = [s for s in running if s not in stalled]
-            groups: Dict[int, List[_Sequence]] = {}
-            for seq in active:
-                groups.setdefault(seq.slab.capacity, []).append(seq)
-            for capacity in sorted(groups):
-                group = groups[capacity]
+            if active:
                 logits = self.decode.step(
-                    [seq.tokens[-1] for seq in group],
-                    [seq.slab for seq in group],
+                    [seq.tokens[-1] for seq in active],
+                    [seq.slab for seq in active],
                 )
-                for seq, row in zip(group, logits):
+                for seq, row in zip(active, logits):
                     seq.steps += 1
                     seq.take(seq.sampler.sample(row))
                     if self._timelines:

@@ -114,8 +114,9 @@ def tiny_decoder(
       (N, H, cache_len, dh); outputs the new token's logits and K/V rows.
 
     Every projection is a ``rowwise`` MatMul and attention is the fused
-    row-loop op, so token ``t`` of a full run and decode step ``t`` issue
-    identical per-row kernels — decode is *bit-identical* to recompute.
+    per-query-row op (both stacked GEMVs), so token ``t`` of a full run
+    and decode step ``t`` issue identical per-row BLAS calls — decode is
+    *bit-identical* to recompute.
     Weights depend only on ``seed`` and the architecture (the RNG draw
     order is the same in both modes), and the position table always has
     ``max_seq`` rows gathered by an explicit ``positions`` input, so both

@@ -7,9 +7,13 @@ same row inside a full-sequence recompute, because the genai subsystem
 reuses that equality to serve autoregressive decoding on prepared
 fixed-shape graphs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.backends.op_runners import _rowwise_matmul
 from repro.core import Session, SessionConfig
 from repro.genai import (
     DecodeRunner,
@@ -42,7 +46,120 @@ def qkv(n=1, h=2, t=6, dh=8):
     return (RNG.standard_normal((n, h, t, dh)).astype(np.float32) for _ in range(3))
 
 
+# -- the parent's loop kernels, kept as bitwise oracles -----------------------------
+def _attend_row_reference(q_row, keys, values, scale):
+    scores = (keys @ q_row) * scale
+    scores = scores - scores.max()
+    weights = np.exp(scores)
+    weights /= weights.sum(dtype=weights.dtype)
+    return weights @ values
+
+
+def _merged_kv_reference(cache, new, base):
+    if cache is None or base == 0:
+        return new if cache is None else np.ascontiguousarray(new)
+    return np.concatenate([cache[:base], new], axis=0)
+
+
+def attention_reference(q, k, v, lengths=None, k_cache=None, v_cache=None,
+                        causal=True):
+    """Per-sequence, per-head, per-row loop: one GEMV per (head, row)."""
+    n, h, tq, dh = q.shape
+    scale = np.float32(dh**-0.5)
+    out = np.empty_like(q)
+    for ni in range(n):
+        base = 0 if lengths is None else int(lengths[ni])
+        for hi in range(h):
+            keys = _merged_kv_reference(
+                None if k_cache is None else k_cache[ni, hi], k[ni, hi], base)
+            values = _merged_kv_reference(
+                None if v_cache is None else v_cache[ni, hi], v[ni, hi], base)
+            for t in range(tq):
+                valid = base + t + 1 if causal else base + tq
+                out[ni, hi, t] = _attend_row_reference(
+                    q[ni, hi, t], keys[:valid], values[:valid], scale)
+    return out
+
+
+def rowwise_matmul_reference(a, b):
+    """One ``(K,) @ (K, N)`` call per output row."""
+    rows = np.ascontiguousarray(a.reshape(-1, a.shape[-1]))
+    out = np.empty((rows.shape[0], b.shape[1]), dtype=rows.dtype)
+    for i in range(rows.shape[0]):
+        out[i] = rows[i] @ b
+    return out.reshape(*a.shape[:-1], b.shape[1])
+
+
+_NODE = SimpleNamespace(name="rowwise")
+
+
+@st.composite
+def attention_cases(draw):
+    n = draw(st.integers(1, 6))
+    cap = draw(st.integers(8, 128))
+    return dict(
+        n=n, h=draw(st.integers(1, 8)), dh=draw(st.sampled_from([4, 8, 16, 32])),
+        tq=draw(st.integers(1, 40)), cap=cap,
+        lengths=draw(st.lists(st.integers(0, cap - 1), min_size=n, max_size=n)),
+        cached=draw(st.booleans()), causal=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def rowwise_cases(draw):
+    m, k, n = draw(st.integers(1, 64)), draw(st.integers(1, 512)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed", "stacked"]))
+    if layout == "strided":
+        a = rng.standard_normal((m, 2 * k)).astype(np.float32)[:, ::2]
+    elif layout == "transposed":
+        a = rng.standard_normal((k, m)).astype(np.float32).T
+    elif layout == "stacked":
+        a = rng.standard_normal((1, m, k)).astype(np.float32)
+    else:
+        a = rng.standard_normal((m, k)).astype(np.float32)
+    if draw(st.booleans()):   # transpose_b: the runner swaps the rhs axes
+        b = np.swapaxes(rng.standard_normal((n, k)).astype(np.float32), -1, -2)
+    else:
+        b = rng.standard_normal((k, n)).astype(np.float32)
+    return a, b
+
+
 class TestAttentionKernel:
+    # The head-batched attention and stacked-GEMV rowwise MatMul are
+    # bitwise equal to the per-head / per-row loops they replaced.
+    @given(attention_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_attention_matches_per_head_row_loop(self, case):
+        rng = np.random.default_rng(case["seed"])
+        n, h, tq, dh, cap = (case[key] for key in ("n", "h", "tq", "dh", "cap"))
+        q, k, v = (rng.standard_normal((n, h, tq, dh)).astype(np.float32)
+                   for _ in range(3))
+        cache = {}
+        if case["cached"]:
+            cache = dict(
+                lengths=np.asarray(case["lengths"], np.int32),
+                k_cache=rng.standard_normal((n, h, cap, dh)).astype(np.float32),
+                v_cache=rng.standard_normal((n, h, cap, dh)).astype(np.float32),
+            )
+        got = attention(q, k, v, causal=case["causal"], **cache)
+        want = attention_reference(q, k, v, causal=case["causal"], **cache)
+        np.testing.assert_array_equal(got, want)
+
+    @given(rowwise_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_rowwise_matmul_matches_per_row_loop(self, case):
+        a, b = case
+        got = _rowwise_matmul(_NODE, a, b)
+        np.testing.assert_array_equal(got, rowwise_matmul_reference(a, b))
+        # Row i of the M-row call is the 1-row call: M never leaks in.
+        rows = a.reshape(-1, a.shape[-1])
+        flat = got.reshape(rows.shape[0], -1)
+        for i in range(rows.shape[0]):
+            np.testing.assert_array_equal(
+                flat[i], _rowwise_matmul(_NODE, rows[i : i + 1], b)[0])
+
     def test_causal_masks_the_future(self):
         q, k, v = qkv()
         out = attention(q, k, v, causal=True)
@@ -383,20 +500,52 @@ class TestRunners:
         # 3 sequences pad up to the 4-batch bucket; one prepared session.
         assert decode.prepared == [(4, 8)]
 
-    def test_decode_rejects_mixed_buckets_and_full_slabs(self):
+    def test_decode_rejects_full_slabs_and_mismatches(self):
         alloc = KVCacheAllocator(_kv_config())
         decode = DecodeRunner(_decode_graph, layers=1, max_batch=4)
         small = alloc.alloc("small", 8)
-        big = alloc.alloc("big", 16)
-        small.length, big.length = 4, 9
-        with pytest.raises(ValueError, match="mixes capacity"):
-            decode.step([1, 2], [small, big])
-        full = alloc.alloc("full", 8)
-        full.length = 8
+        small.length = 4
+        full = alloc.alloc("full", 16)
+        full.length = 16
         with pytest.raises(ValueError, match="grow first"):
-            decode.step([1], [full])
+            decode.step([1, 2], [small, full])
         with pytest.raises(ValueError, match="mismatch"):
             decode.step([1, 2], [small])
+        with pytest.raises(ValueError, match="mismatch"):
+            decode.step([], [])
+
+    @pytest.mark.parametrize("kv_dtype", ["float32", "int8"])
+    def test_decode_step_mixes_capacity_buckets(self, kv_dtype):
+        """One step over slabs of capacity 8 and 16 equals stepping each
+        alone: same logits, same written K/V payload and scale bytes."""
+        prompts = {"small": [int(t) for t in RNG.integers(0, 32, 5)],
+                   "big": [int(t) for t in RNG.integers(0, 32, 11)]}
+
+        def setup():
+            alloc = KVCacheAllocator(_kv_config(kv_dtype=kv_dtype))
+            prefill = PrefillRunner(_full_graph, max_seq=32, layers=1)
+            slabs = []
+            for name, prompt in prompts.items():
+                slab = alloc.alloc(name, len(prompt) + 1)
+                prefill.run(prompt, slab)
+                slabs.append(slab)
+            return slabs, DecodeRunner(_decode_graph, layers=1, max_batch=4)
+
+        def slab_bytes(slab):
+            return slab.buffer[slab.offset_bytes : slab.offset_bytes + slab.nbytes]
+
+        joint_slabs, joint = setup()
+        solo_slabs, solo = setup()
+        assert [s.capacity for s in joint_slabs] == [8, 16]
+        for tokens in ([3, 4], [5, 6]):
+            together = joint.step(tokens, joint_slabs)
+            alone = np.concatenate(
+                [solo.step([t], [s]) for t, s in zip(tokens, solo_slabs)])
+            np.testing.assert_array_equal(together, alone)
+        assert joint.prepared == [(2, 16)]
+        for a, b in zip(joint_slabs, solo_slabs):
+            assert a.length == b.length
+            np.testing.assert_array_equal(slab_bytes(a), slab_bytes(b))
 
     def test_decode_batch_composition_invariance(self):
         """A sequence's logits must not depend on its batch neighbours —

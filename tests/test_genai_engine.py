@@ -146,6 +146,29 @@ class TestScheduler:
         b = [r.tokens for r in narrow.generate(reqs, params)]
         assert a == b
 
+    def test_one_decode_step_per_token_boundary(self):
+        """A wave straddling capacity buckets still advances every live
+        sequence in a single DecodeRunner.step per boundary, with the
+        tokens of a one-seat engine."""
+        reqs = [[1, 2], [3, 4, 5, 6, 7, 8, 9, 10, 11]]   # slabs of 4 and 16
+        params = SamplingParams(max_tokens=6)
+        engine = small_engine(max_batch=4)
+        calls = []
+        step = engine.decode.step
+
+        def counting_step(tokens, slabs):
+            calls.append(sorted(s.capacity for s in slabs))
+            return step(tokens, slabs)
+
+        engine.decode.step = counting_step
+        got = [r.tokens for r in engine.generate(reqs, params)]
+        # Both admitted at the first boundary, first token from prefill.
+        assert len(calls) == params.max_tokens - 1
+        assert all(len(caps) == 2 for caps in calls)
+        assert any(caps[0] != caps[1] for caps in calls)
+        want = [r.tokens for r in small_engine(max_batch=1).generate(reqs, params)]
+        assert got == want
+
     def test_sampled_generations_replay(self):
         reqs = prompts(3)
         params = SamplingParams(max_tokens=6, temperature=0.9, top_k=6, seed=2)

@@ -11,6 +11,7 @@ from repro.analysis import check_slab_plan, has_errors
 from repro.core.memory import ALIGNMENT, ExtentFreeList
 from repro.faults import FaultPlan, FaultRule
 from repro.genai import KVCacheAllocator, KVCacheConfig, KVCacheOOM
+from repro.genai.kvcache import KVCacheUseAfterFree
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.sanitize import Sanitizer
 
@@ -243,6 +244,59 @@ class TestKVCacheAllocator:
         assert not errors
         report = alloc.check()
         assert not has_errors(report.diagnostics)
+
+
+class TestSlabViewCache:
+    """Plane views are carved once per slab object; the lifecycle guard
+    still runs on every access."""
+
+    @pytest.mark.parametrize("kv_dtype", ["float32", "int8"])
+    @pytest.mark.parametrize("how", ["release", "evict", "grow"])
+    def test_freed_slab_raises_through_cached_views(self, how, kv_dtype):
+        sanitizer = Sanitizer(metrics=get_metrics())
+        alloc = KVCacheAllocator(
+            make_config(capacity_tokens=32, kv_dtype=kv_dtype), sanitizer=sanitizer)
+        slab = alloc.alloc("s", 8)
+        slab.write_k(0, 0, RNG.standard_normal((2, 4, 8)).astype(np.float32))
+        slab.length = 4
+        slab.k_read(0, rows=4)
+        slab.v(1)                                 # every plane's views cached
+        if how == "release":
+            alloc.release(slab)
+        elif how == "evict":
+            alloc.release(slab, evictable=True)
+            alloc.alloc("big", 32)                # needs the whole arena
+        else:
+            alloc.grow(slab, slab.capacity + 1)
+        assert slab.freed
+        for read in (lambda: slab.k_read(0), lambda: slab.v(1),
+                     lambda: slab.write_v(1, 0, np.zeros((2, 1, 8), np.float32))):
+            with pytest.raises(KVCacheUseAfterFree):
+                read()
+        assert any(f.rule == "use-after-free" for f in sanitizer.report().lifecycle)
+
+    def test_cow_child_cached_views_stay_read_only(self):
+        alloc = KVCacheAllocator(make_config(kv_dtype="int8"))
+        parent = alloc.alloc("p", 8)
+        prefix = RNG.standard_normal((2, 6, 8)).astype(np.float32)
+        parent.write_k(0, 0, prefix)
+        parent.length = 6
+        before = parent.k(0).copy()
+        child = alloc.share(parent, "c", 4)
+        child.k_read(0, rows=4)                   # cache the shared views
+        row = RNG.standard_normal((2, 1, 8)).astype(np.float32)
+        with pytest.raises(ValueError, match="read-only"):
+            child.write_k(0, 4, row)
+        with pytest.raises(ValueError, match="read-only"):
+            child.k(0)[:, 0] = 0
+        assert not child._scales_view(0, 0).flags.writeable
+        own = alloc.materialize(child)
+        own.write_k(0, 4, row)                    # the private copy is writable
+        assert own._scales_view(0, 0).flags.writeable
+        np.testing.assert_array_equal(own.k(0)[:, :4], before[:, :4])
+        np.testing.assert_array_equal(parent.k(0), before)
+        with pytest.raises(KVCacheUseAfterFree):
+            child.k(0)
 
 
 class TestSlabPlanSanitizer:

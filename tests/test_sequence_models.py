@@ -23,6 +23,17 @@ class TestSequenceKernels:
         # GELU(1) ~ 0.8412
         assert gelu(np.array([1.0]))[0] == pytest.approx(0.8412, abs=1e-3)
 
+    def test_gelu_matches_float64_formula(self):
+        """float32 GELU within 1e-6 of the same tanh formula in float64,
+        densely over [-10, 10]."""
+        x = np.linspace(-10.0, 10.0, 200_001, dtype=np.float32)
+        got = gelu(x)
+        assert got.dtype == np.float32
+        x64 = x.astype(np.float64)
+        want = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                          * (x64 + 0.044715 * x64**3)))
+        assert np.abs(got - want).max() <= 1e-6
+
     def test_gelu_monotone_near_origin(self):
         x = np.linspace(-0.5, 3.0, 100)
         assert (np.diff(gelu(x)) > 0).all()
