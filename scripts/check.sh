@@ -3,7 +3,7 @@
 #
 #   ./scripts/check.sh
 #
-# Eleven stages, each of which must pass:
+# Twelve stages, each of which must pass:
 #
 #   1. Static concurrency lint (rule family C0xx) over src/repro itself,
 #      in strict mode — warnings fail too.
@@ -42,6 +42,10 @@
 #      straddle KV-capacity buckets (4-token pages), so the one-step-per-
 #      token-boundary decode runs mixed-capacity steps; every token must
 #      equal a token-by-token full-sequence recompute.
+#  12. Benchmark smoke: perfbench's decode_unshared and cnn_stream smoke
+#      tests.  perfbench wraps Session.__init__/run from outside and
+#      replays sessions through run_profiled, so an executor change can
+#      break the benchmark without failing any unit test.
 #
 # Total runtime is a few minutes on a laptop.
 
@@ -52,11 +56,11 @@ export PYTHONPATH=src
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== [1/11] static concurrency lint (C0xx, strict) =="
+echo "== [1/12] static concurrency lint (C0xx, strict) =="
 python -m repro.tools.cli sanitize --static-only --strict
 
 echo
-echo "== [2/11] strict model lint over the registered zoo =="
+echo "== [2/12] strict model lint over the registered zoo =="
 models=$(python -c "from repro.models import MODEL_REGISTRY; print(' '.join(sorted(MODEL_REGISTRY)))")
 for name in $models; do
     echo "-- $name"
@@ -65,15 +69,15 @@ for name in $models; do
 done
 
 echo
-echo "== [3/11] lint_self + sanitize pytest markers =="
+echo "== [3/12] lint_self + sanitize pytest markers =="
 python -m pytest -q -m "lint_self or sanitize"
 
 echo
-echo "== [4/11] 50-fault sanitized chaos storm =="
+echo "== [4/12] 50-fault sanitized chaos storm =="
 python -m repro.tools.cli chaos --faults 50 --sanitize
 
 echo
-echo "== [5/11] cold-start guard (incremental cold < 2x warm) =="
+echo "== [5/12] cold-start guard (incremental cold < 2x warm) =="
 python - <<'PY'
 from repro.converter import optimize
 from repro.core import SessionConfig
@@ -110,16 +114,16 @@ assert cold_ms < 2.0 * warm_ms, (
 PY
 
 echo
-echo "== [6/11] prometheus export self-test =="
+echo "== [6/12] prometheus export self-test =="
 python -m repro.tools.cli metrics --prom --selftest >/dev/null
 python -m repro.tools.cli metrics --prom --selftest | tail -n 1
 
 echo
-echo "== [7/11] request-timeline overhead guard (<5% disabled) =="
+echo "== [7/12] request-timeline overhead guard (<5% disabled) =="
 python -m pytest -q tests/test_obs_requests.py -k overhead
 
 echo
-echo "== [8/11] bench-regression gate (two-run trajectory) =="
+echo "== [8/12] bench-regression gate (two-run trajectory) =="
 export REPRO_BENCH_DIR="$tmpdir/bench"
 python -m pytest -q benchmarks/bench_prefix_cache.py
 python -m pytest -q benchmarks/bench_prefix_cache.py
@@ -127,16 +131,20 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/11] cluster supervision self-test (kill a worker, stay bit-identical) =="
+echo "== [9/12] cluster supervision self-test (kill a worker, stay bit-identical) =="
 python -m repro.tools.cli cluster --selftest
 
 echo
-echo "== [10/11] quantization self-test (accuracy, determinism, capacity) =="
+echo "== [10/12] quantization self-test (accuracy, determinism, capacity) =="
 python -m repro.tools.cli quantize --selftest
 
 echo
-echo "== [11/11] greedy decode == full recompute (mixed-capacity steps) =="
+echo "== [11/12] greedy decode == full recompute (mixed-capacity steps) =="
 python -m repro.tools.cli generate --selftest --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
+
+echo
+echo "== [12/12] benchmark smoke (perfbench decode_unshared + cnn_stream) =="
+python -m pytest -q perfbench/tests/test_smoke.py -k "decode_unshared or cnn_stream"
 
 echo
 echo "check.sh: all gates passed"

@@ -379,21 +379,23 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
             return [np.take(data, indices.astype(np.int64), axis=axis)]
 
     elif op == Op.LAYER_NORM:
-        gamma = const_arrays[node.inputs[1]]
-        beta = const_arrays[node.inputs[2]]
-        axis = int(attrs["axis"])
+        # Normalized axis, broadcast-shaped affine parameters and the
+        # reduce count are all static: bind them here, not per call.
+        x_shape = graph.desc(node.inputs[0]).shape
+        axis = int(attrs["axis"]) % len(x_shape)
+        shape = [1] * len(x_shape)
+        shape[axis] = x_shape[axis]
+        gamma = const_arrays[node.inputs[1]].reshape(shape)
+        beta = const_arrays[node.inputs[2]].reshape(shape)
+        count = np.intp(x_shape[axis])
         eps = float(attrs["epsilon"])
 
         def fn(inputs):
-            from ..kernels.sequence import layer_norm
-
-            return [layer_norm(inputs[0], gamma, beta, axis, eps)]
+            return [K.layer_norm_bound(inputs[0], gamma, beta, axis, count, eps)]
 
     elif op == Op.GELU:
         def fn(inputs):
-            from ..kernels.sequence import gelu
-
-            return [gelu(inputs[0])]
+            return [K.gelu(inputs[0])]
 
     elif op == Op.ATTENTION:
         causal = bool(attrs["causal"])
@@ -401,8 +403,6 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         has_cache = len(node.inputs) > 3
 
         def fn(inputs):
-            from ..kernels.sequence import attention
-
             q = const_or_input(node.inputs[0], inputs)
             k = const_or_input(node.inputs[1], inputs)
             v = const_or_input(node.inputs[2], inputs)
@@ -411,8 +411,8 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 lengths = const_or_input(node.inputs[3], inputs)
                 k_cache = const_or_input(node.inputs[4], inputs)
                 v_cache = const_or_input(node.inputs[5], inputs)
-            return [attention(q, k, v, lengths, k_cache, v_cache,
-                              causal=causal, scale=scale)]
+            return [K.attention(q, k, v, lengths, k_cache, v_cache,
+                                causal=causal, scale=scale)]
 
     elif op == Op.LSTM:
         w_ih = const_arrays[node.inputs[1]]
@@ -421,9 +421,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         return_sequences = bool(attrs["return_sequences"])
 
         def fn(inputs):
-            from ..kernels.sequence import lstm_forward
-
-            return [lstm_forward(inputs[0], w_ih, w_hh, bias, return_sequences)]
+            return [K.lstm_forward(inputs[0], w_ih, w_hh, bias, return_sequences)]
 
     else:
         raise BackendError(f"no runner for operator {op!r}")

@@ -12,9 +12,21 @@
    prepared (Winograd kernels pre-transformed, GPU command buffers
    pre-recorded), and the memory planner lays every activation into one
    pre-allocated arena (Figure 3).
+4. **Step plan** — the run itself is compiled: every feed, activation and
+   output gets an integer slot, and each operator becomes a step holding
+   its callable, its input/output slots and whatever else is decidable
+   before the first feed (copy edges, arena landings, interleaved
+   acquire/release, the parallel scheduler's indegrees and dependents).
 
 ``run`` is then pure compute: no scheme search, no allocation, no command
-recording.
+recording, no graph analysis.  One walker executes the plan.  With nothing
+switched on it is a plain loop over ``fn([env[i] for i in ins])``;
+otherwise the same steps run through per-step wrappers composed once per
+run from the concerns that are active (deadline, lazy prepare, copies,
+interleaved memory, arena landing, tracing, fault injection and
+resilience).  ``parallel_branches`` walks the same steps with a
+ready-queue scheduler, and ``run_profiled`` is ``run`` with an ephemeral
+tracer.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends.base import Backend, BackendError, BackendTransientError, StorageType
+from ..backends.base import Backend, BackendError, BackendTransientError
 from ..backends.cpu import CPUBackend
 from ..devices.specs import DeviceSpec, GpuApi
 from ..faults import FaultPlan, InjectedFault, TransientFault, get_fault_plan, retry_transient
@@ -40,6 +52,10 @@ from ..sanitize import Sanitizer, resolve_sanitizer
 from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
 from .memory import Arena, MemoryPlan, adapt_plan, compute_lifetimes, plan_memory
+from .plan import (
+    StepFn, StepPlan, bounded, build_plan, copying, ensuring, interleaved, landed,
+    traced, walk, walk_parallel,
+)
 from .schemes import SchemeConfig, SchemeDecision, select_graph_schemes
 
 __all__ = [
@@ -79,13 +95,17 @@ class SessionConfig:
             on a thread pool (real CPU backend only; NumPy's BLAS releases
             the GIL, so Inception-style parallel branches genuinely
             overlap).  Ignored for simulated backends, whose virtual
-            clock is inherently sequential.
+            clock is inherently sequential.  Cannot be combined with
+            ``arena_execution`` (``ValueError`` at construction).
         arena_execution: land every activation in its planned arena slot
             at run time, making the memory plan load-bearing end-to-end.
             Off by default: MNN's kernels write into pre-allocated outputs
             for free, but NumPy kernels allocate internally, so landing
             costs one extra memcpy per op on this substrate (the plan is
             still built, validated, and used for Table 2's accounting).
+            Cannot be combined with ``parallel_branches`` (``ValueError``
+            at construction): arena slots are alias-free only in
+            topological order, which a dataflow schedule does not keep.
         paranoid: run the independent memory-plan sanitizer
             (:func:`repro.analysis.check_memory_plan`) on every plan this
             session builds, and bounds/alignment-check every arena view
@@ -282,6 +302,12 @@ class Session:
     ) -> None:
         self.graph = graph
         self.config = config or SessionConfig()
+        if self.config.arena_execution and self.config.parallel_branches:
+            raise ValueError(
+                "SessionConfig.arena_execution and SessionConfig.parallel_branches "
+                "cannot be combined: arena slots are alias-free only in "
+                "topological order"
+            )
         self.tracer = self.config.trace if self.config.trace is not None else get_tracer()
         self.faults = (
             self.config.faults if self.config.faults is not None else get_fault_plan()
@@ -294,6 +320,7 @@ class Session:
         self.schemes: Dict[str, SchemeDecision] = {}
         self.memory_plan: Optional[MemoryPlan] = None
         self._arena: Optional[Arena] = None
+        self._plan: Optional[StepPlan] = None
         self._artifacts = artifacts
         # Donor plan for adjacent-bucket adaptation: seeded from the
         # artifacts, refreshed by every plan this session builds (so a
@@ -495,6 +522,19 @@ class Session:
                 self._arena = Arena(self.memory_plan, paranoid=cfg.paranoid)
                 if self.sanitizer.enabled:
                     self._arena.sanitizer = self.sanitizer
+            self._plan = build_plan(
+                self.graph, self._order, self._placement, self._executions,
+                decouple=cfg.decouple,
+                landing=(
+                    self._arena.plan.offsets
+                    if cfg.arena_execution and self._arena is not None else {}
+                ),
+                lazy=lazy,
+                parallel=(
+                    cfg.parallel_branches and cfg.decouple
+                    and self.primary.forward_type == "cpu"
+                ),
+            )
             self.prepare_wall_ms = (time.perf_counter() - start) * 1000.0
             prep.set(wall_ms=self.prepare_wall_ms)
         metrics = get_metrics()
@@ -633,7 +673,7 @@ class Session:
             self._fallback_execs, self._direct_runners, self._recovery,
             self._breaker,
             self._prepared, self._prepare_lock, self._lazy_active,
-            self._lazy_ensure, self._plan_donor,
+            self._lazy_ensure, self._plan_donor, self._plan,
         )
         self.graph = new_graph
         self._placement = {}
@@ -655,7 +695,7 @@ class Session:
              self._fallback_execs, self._direct_runners, self._recovery,
              self._breaker,
              self._prepared, self._prepare_lock, self._lazy_active,
-             self._lazy_ensure, self._plan_donor) = snapshot
+             self._lazy_ensure, self._plan_donor, self._plan) = snapshot
             raise
 
     def export_artifacts(self) -> SessionArtifacts:
@@ -833,7 +873,7 @@ class Session:
         return clean
 
     def _run_resilient(
-        self, node: Node, execution, inputs: List[np.ndarray]
+        self, node: Node, execution, inputs: List[np.ndarray], defended: bool = True
     ) -> List[np.ndarray]:
         """Run one op under the full resilience stack.
 
@@ -843,6 +883,11 @@ class Session:
         numeric guard on the outputs.  The fallback path itself is not
         fault-injected: it is the trusted last resort, as in the paper's
         hybrid scheduling where CPU is assumed always-viable.
+
+        ``defended=False`` (a fault plan on a ``resilience=False``
+        session) fires the per-op fault points with every defense off:
+        injected failures escape to the caller undefended — exactly what
+        a test asserting raw failure modes wants.
         """
         plan = self.faults
         cfg = self.config
@@ -868,6 +913,8 @@ class Session:
                 outputs = _poison_outputs(outputs)
             return outputs
 
+        if not defended:
+            return attempt()
         if breaker is not None and not breaker.allow():
             return self._fallback_op(node, inputs, reason="breaker_open")
         try:
@@ -890,38 +937,6 @@ class Session:
                     node, execution, inputs, outputs, injected=nan_fault[0]
                 )
         return outputs
-
-    def _run_injected(
-        self, node: Node, execution, inputs: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Fire the per-op fault points with every defense disabled.
-
-        Used when a fault plan is enabled but the session was configured
-        with ``resilience=False``: injected failures escape to the
-        caller undefended — exactly what a test asserting raw failure
-        modes wants.
-        """
-        plan = self.faults
-        scheme = self.schemes.get(node.name)
-        ctx = dict(
-            op=node.op_type, node=node.name,
-            backend=self._placement[node.name].forward_type,
-            scheme=scheme.kind if scheme is not None else None,
-        )
-        plan.fire("backend.dispatch", **ctx)
-        fault = plan.fire("kernel.execute", **ctx)
-        outputs = execution.run(inputs)
-        if fault is not None and fault.kind == "nan":
-            outputs = _poison_outputs(outputs)
-        return outputs
-
-    def _op_executor(self):
-        """The per-op run function, or ``None`` for the plain fast path."""
-        if self._resilient:
-            return self._run_resilient
-        if self.faults.enabled:
-            return self._run_injected
-        return None
 
     def run(
         self,
@@ -947,186 +962,7 @@ class Session:
             GraphError: on missing inputs or shape/dtype mismatches.
             DeadlineExceeded: when ``deadline``'s budget runs out.
         """
-        if self.sanitizer.enabled:
-            # A session is single-checkout state: concurrent (or merely
-            # unsynchronized cross-thread) run/run and run/resize pairs
-            # clobber the clock, arena and last_run.  One write probe per
-            # run makes the detector prove the checkout discipline — the
-            # pool's queue handoff provides the ordering edge.
-            self.sanitizer.probe(self, "run_state", "w")
-        if self._parallel_active():
-            return self._execute_parallel(feeds, self.tracer, deadline)
-        return self._execute(feeds, self.tracer, deadline)
-
-    def _parallel_active(self) -> bool:
-        """Whether ``run`` takes the thread-pool dataflow path."""
-        return (
-            self.config.parallel_branches
-            and self.primary.forward_type == "cpu"
-            and self.config.decouple
-        )
-
-    def _execute_parallel(
-        self,
-        feeds: Dict[str, np.ndarray],
-        tracer: Tracer,
-        deadline: Optional[Deadline] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Dataflow execution on a thread pool (independent branches overlap).
-
-        Concurrency contract: ``env`` (the tensor environment) is only read
-        and written while holding ``lock``; a first failure sets ``failed``
-        so in-flight and queued nodes drain without doing further work, and
-        *every* worker error is collected — multiple simultaneous failures
-        raise one aggregate ``GraphError`` instead of silently dropping all
-        but the first.
-        """
-        import concurrent.futures
-        import threading
-
-        graph = self.graph
-        if self.config.check_feeds:
-            self._check_feeds(feeds)
-        run_op = self._op_executor()
-        trace_on = tracer.enabled
-        lazy_ensure = self._lazy_ensure if self._lazy_active else None
-        sanitizer = self.sanitizer
-        sanitize_on = sanitizer.enabled
-        start_wall = time.perf_counter()
-        env: Dict[str, np.ndarray] = dict(feeds)
-        lock = threading.Lock()
-        producers = graph.producer_map()
-        pending: Dict[str, int] = {}
-        dependents: Dict[str, List[Node]] = {}
-        for node in self._order:
-            deps = {
-                inp for inp in node.inputs
-                if inp in producers and inp not in graph.constants
-            }
-            pending[node.name] = len(deps)
-            for dep in deps:
-                dependents.setdefault(dep, []).append(node)
-
-        errors: List[BaseException] = []
-        done = threading.Event()
-        failed = threading.Event()
-        remaining = [len(self._order)]
-
-        def run_node(node: Node, pool) -> None:
-            if failed.is_set():  # drain: a sibling already failed
-                return
-            try:
-                if sanitize_on:
-                    # Executor submit happens-before the task runs; the
-                    # channel carries the submitter's clock (main for the
-                    # initial wave, the producing worker afterwards).
-                    sanitizer.hb_recv(("session.parallel", id(self)))
-                if deadline is not None:
-                    deadline.check(node.name)
-                if lazy_ensure is not None:
-                    lazy_ensure(node)
-                execution = self._executions[node.name]
-                with lock:  # producers write env under this lock
-                    if sanitize_on:
-                        for name in execution.runner.dynamic_inputs:
-                            sanitizer.probe(
-                                self, f"env.{name}", "r",
-                                lockset=("session.env_lock",),
-                            )
-                    inputs = [env[name] for name in execution.runner.dynamic_inputs]
-                if trace_on:
-                    # Per-op span from inside the worker: the recording
-                    # thread id gives the trace its parallel lanes.
-                    op_start = time.perf_counter()
-                    outputs = (
-                        run_op(node, execution, inputs)
-                        if run_op is not None else execution.run(inputs)
-                    )
-                    tracer.record(
-                        node.name, "op", op_start, time.perf_counter(),
-                        op=node.op_type,
-                        backend=self._placement[node.name].forward_type,
-                        virtual_ms=0.0,
-                    )
-                else:
-                    outputs = (
-                        run_op(node, execution, inputs)
-                        if run_op is not None else execution.run(inputs)
-                    )
-                ready: List[Node] = []
-                with lock:
-                    for name, value in zip(node.outputs, outputs):
-                        if sanitize_on:
-                            sanitizer.probe(
-                                self, f"env.{name}", "w",
-                                lockset=("session.env_lock",),
-                            )
-                        env[name] = value
-                        for consumer in dependents.get(name, ()):  # unlock consumers
-                            pending[consumer.name] -= 1
-                            if pending[consumer.name] == 0:
-                                ready.append(consumer)
-                    remaining[0] -= 1
-                    if remaining[0] == 0:
-                        done.set()
-                if failed.is_set():
-                    return
-                if sanitize_on:
-                    sanitizer.hb_send(("session.parallel", id(self)))
-                for consumer in ready:
-                    pool.submit(run_node, consumer, pool)
-            except BaseException as exc:  # propagate to the caller
-                with lock:
-                    errors.append(exc)
-                failed.set()
-                done.set()
-
-        # Named workers so short-lived executor threads land on labeled
-        # "exec-worker" lanes in the Chrome trace, not ThreadPoolExecutor-N.
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.config.threads, thread_name_prefix="exec-worker"
-        ) as pool:
-            initial = [n for n in self._order if pending[n.name] == 0]
-            if not initial and self._order:
-                raise GraphError("no runnable node; graph inputs unresolved")
-            if sanitize_on:
-                sanitizer.hb_send(("session.parallel", id(self)))
-            for node in initial:
-                pool.submit(run_node, node, pool)
-            done.wait()
-        if sanitize_on:
-            # The executor shutdown joined every worker: their writes
-            # happen-before anything the caller does next.
-            sanitizer.hb_recv(("session.parallel", id(self)))
-        if errors:
-            if len(errors) == 1:
-                raise errors[0]
-            aggregate = GraphError(
-                f"parallel execution failed with {len(errors)} worker errors: "
-                + "; ".join(f"{type(e).__name__}: {e}" for e in errors)
-            )
-            aggregate.errors = list(errors)
-            raise aggregate from errors[0]
-        end_wall = time.perf_counter()
-        if trace_on:
-            tracer.record(
-                "session.run", "session", start_wall, end_wall,
-                backend=self.backend_kind, parallel=True,
-                threads=self.config.threads,
-            )
-        self.last_run = RunStats(
-            wall_ms=(end_wall - start_wall) * 1000.0,
-            virtual_ms=0.0,
-            copies=0,
-            copy_bytes=0,
-        )
-        metrics = get_metrics()
-        metrics.counter("session.runs").inc()
-        metrics.histogram("session.run_ms").observe(self.last_run.wall_ms)
-        missing = [name for name in graph.outputs if name not in env]
-        if missing:
-            raise GraphError(f"outputs never produced: {missing}")
-        return {name: env[name] for name in graph.outputs}
+        return self._run(feeds, self.tracer, deadline)
 
     def run_profiled(
         self, feeds: Dict[str, np.ndarray]
@@ -1142,10 +978,7 @@ class Session:
         """
         tracer = self.tracer if self.tracer.enabled else Tracer()
         mark = tracer.mark()
-        if self._parallel_active():
-            outputs = self._execute_parallel(feeds, tracer)
-        else:
-            outputs = self._execute(feeds, tracer)
+        outputs = self._run(feeds, tracer, None)
         profile = [
             OpProfile(
                 node=span.name,
@@ -1160,115 +993,52 @@ class Session:
         ]
         return outputs, profile
 
-    def _execute(
+    def _run(
         self,
         feeds: Dict[str, np.ndarray],
         tracer: Tracer,
-        deadline: Optional[Deadline] = None,
+        deadline: Optional[Deadline],
     ) -> Dict[str, np.ndarray]:
-        graph = self.graph
+        """Walk the step plan once: the body of :meth:`run` and :meth:`run_profiled`."""
+        if self.sanitizer.enabled:
+            # A session is single-checkout state: concurrent (or merely
+            # unsynchronized cross-thread) run/run and run/resize pairs
+            # clobber the clock, arena and last_run.  One write probe per
+            # run makes the detector prove the checkout discipline — the
+            # pool's queue handoff provides the ordering edge.
+            self.sanitizer.probe(self, "run_state", "w")
         if self.config.check_feeds:
             self._check_feeds(feeds)
-
-        run_op = self._op_executor()
-        trace_on = tracer.enabled
+        plan = self._plan
         start_wall = time.perf_counter()
         start_virtual = self.clock.now_ms
-        copies = 0
-        copy_bytes = 0
-        decouple = self.config.decouple
+        env: List[Optional[np.ndarray]] = [feeds[name] for name in plan.feeds]
+        env.extend([None] * (len(plan.names) - len(env)))
+        counts = [0, 0]  # copies, copy bytes
+        step_fn = self._step_fn(plan, tracer, deadline, counts)
 
-        env: Dict[str, np.ndarray] = dict(feeds)
-        location: Dict[str, Backend] = {}
-        remaining_uses: Dict[str, int] = {}
-        for node in self._order:
-            for name in node.inputs:
-                if name not in graph.constants:
-                    remaining_uses[name] = remaining_uses.get(name, 0) + 1
-
-        for backend in {id(b): b for b in self._placement.values()}.values():
+        for backend in plan.hooks:
             backend.on_execute_begin()
-
-        lazy_ensure = self._lazy_ensure if self._lazy_active else None
-        for node in self._order:
-            if deadline is not None:
-                deadline.check(node.name)
-            backend = self._placement[node.name]
-            if lazy_ensure is not None:
-                lazy_ensure(node)
-            execution = self._executions[node.name]
-            runner = execution.runner
-            inputs = []
-            for name in runner.dynamic_inputs:
-                array = env[name]
-                producer = location.get(name)
-                if producer is not None and producer is not backend:
-                    array = producer.on_copy_buffer(array, backend)
-                    copies += 1
-                    copy_bytes += array.nbytes
-                inputs.append(array)
-            if not decouple:
-                # Interleaved memory management (left-hand side of Figure 3).
-                for out in node.outputs:
-                    backend.on_acquire_buffer(graph.desc(out), StorageType.DYNAMIC)
-            if trace_on:
-                op_wall = time.perf_counter()
-                op_virtual = self.clock.now_ms
-                outputs = (
-                    run_op(node, execution, inputs)
-                    if run_op is not None else execution.run(inputs)
-                )
-                tracer.record(
-                    node.name, "op", op_wall, time.perf_counter(),
-                    op=node.op_type,
-                    backend=backend.forward_type,
-                    virtual_ms=self.clock.now_ms - op_virtual,
-                )
-            else:
-                outputs = (
-                    run_op(node, execution, inputs)
-                    if run_op is not None else execution.run(inputs)
-                )
-            for name, value in zip(node.outputs, outputs):
-                if (
-                    self.config.arena_execution
-                    and self._arena is not None
-                    and name in self._arena.plan.offsets
-                ):
-                    # Land the activation in its planned arena slot: the
-                    # memory plan is load-bearing, not just accounting.
-                    # Lifetime soundness (plan.validate) guarantees the slot
-                    # is not aliased by any still-live tensor.
-                    desc = graph.desc(name)
-                    if (
-                        value.shape == desc.shape
-                        and value.dtype == desc.dtype.np_dtype
-                    ):
-                        slot = self._arena.view(desc)
-                        if np.may_share_memory(slot, value):
-                            # view-producing op (reshape/slice/...) whose
-                            # input's now-dead slot overlaps the destination
-                            value = value.copy()
-                        np.copyto(slot, value)
-                        value = slot
-                env[name] = value
-                location[name] = backend
-            if not decouple:
-                for name in node.inputs:
-                    if name in remaining_uses:
-                        remaining_uses[name] -= 1
-                        if remaining_uses[name] == 0 and name not in graph.inputs:
-                            backend.on_release_buffer(graph.desc(name), StorageType.DYNAMIC)
-
-        for backend in {id(b): b for b in self._placement.values()}.values():
+        if plan.parallel:
+            walk_parallel(
+                plan, env, step_fn, threads=self.config.threads,
+                sanitizer=self.sanitizer, owner=self,
+            )
+        else:
+            walk(plan, env, step_fn)
+        for backend in plan.hooks:
             backend.on_execute_end()
 
         end_wall = time.perf_counter()
-        if trace_on:
+        copies, copy_bytes = counts
+        if tracer.enabled:
+            span_args = (
+                dict(parallel=True, threads=self.config.threads) if plan.parallel
+                else dict(parallel=False, copies=copies)
+            )
             tracer.record(
                 "session.run", "session", start_wall, end_wall,
-                backend=self.backend_kind, parallel=False,
-                copies=copies,
+                backend=self.backend_kind, **span_args,
             )
         self.last_run = RunStats(
             wall_ms=(end_wall - start_wall) * 1000.0,
@@ -1279,17 +1049,62 @@ class Session:
         metrics = get_metrics()
         metrics.counter("session.runs").inc()
         metrics.histogram("session.run_ms").observe(self.last_run.wall_ms)
-        missing = [name for name in graph.outputs if name not in env]
-        if missing:
-            raise GraphError(f"outputs never produced: {missing}")
         results = {}
-        for name in graph.outputs:
-            value = env[name]
-            if (
-                self.config.arena_execution
-                and self._arena is not None
-                and name in self._arena.plan.offsets
-            ):
-                value = value.copy()  # detach from the arena: the next run reuses it
-            results[name] = value
+        for name, slot, detach in plan.outputs:
+            value = None if slot is None else env[slot]
+            if value is not None:
+                # Detach arena-landed outputs: the next run reuses the slot.
+                results[name] = value.copy() if detach else value
+        if len(results) < len(plan.outputs):
+            missing = [name for name, _, _ in plan.outputs if name not in results]
+            raise GraphError(f"outputs never produced: {missing}")
         return results
+
+    def _step_fn(
+        self,
+        plan: StepPlan,
+        tracer: Tracer,
+        deadline: Optional[Deadline],
+        counts: List[int],
+    ) -> Optional[StepFn]:
+        """Compose this run's per-step function; ``None`` selects the plain loop.
+
+        The flags are read here, once per run — a tracer or fault plan
+        can be switched on between runs.  Each active concern wraps the
+        one inside it, outermost first: deadline check, lazy ensure, copy
+        edges, acquire/release, arena landing, trace record, run_op.
+        """
+        resilient = self._resilient
+        faulted = self.faults.enabled
+        ensure = self._lazy_ensure if self._lazy_active else None
+        if plan.plain is not None and not (
+            plan.parallel or tracer.enabled or resilient or faulted
+            or deadline is not None
+        ):
+            return None
+        # Resolved per step, not bound: lazy prepare creates executions
+        # while runs are already walking the plan.
+        executions = self._executions
+        if resilient or faulted:
+            run_resilient = self._run_resilient
+
+            def step_fn(step, inputs):
+                node = step.node
+                return run_resilient(node, executions[node.name], inputs, resilient)
+        else:
+            def step_fn(step, inputs):
+                return executions[step.node.name].run(inputs)
+
+        if tracer.enabled:
+            step_fn = traced(step_fn, tracer, self.clock)
+        if self.config.arena_execution and self._arena is not None:
+            step_fn = landed(step_fn, self._arena)
+        if not self.config.decouple:
+            step_fn = interleaved(step_fn)
+        if plan.copies:
+            step_fn = copying(step_fn, counts)
+        if ensure is not None:
+            step_fn = ensuring(step_fn, ensure)
+        if deadline is not None:
+            step_fn = bounded(step_fn, deadline)
+        return step_fn

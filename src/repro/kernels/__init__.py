@@ -38,7 +38,7 @@ from .elementwise import (
     tanh,
 )
 from .misc import conv_transpose2d, fully_connected, pad_nd, reduce_mean, resize2d
-from .sequence import attention, attention_step, gelu, layer_norm, lstm_forward
+from .sequence import attention, attention_step, gelu, layer_norm, layer_norm_bound, lstm_forward
 from .qgemm import (
     exact_int_gemm,
     prepack_int8,
@@ -117,6 +117,7 @@ __all__ = [
     "attention_step",
     "gelu",
     "layer_norm",
+    "layer_norm_bound",
     "lstm_forward",
     "exact_int_gemm",
     "prepack_int8",

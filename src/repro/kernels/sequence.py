@@ -27,7 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["gelu", "layer_norm", "lstm_forward", "attention", "attention_step"]
+__all__ = [
+    "gelu", "layer_norm", "layer_norm_bound", "lstm_forward", "attention", "attention_step",
+]
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -52,12 +54,53 @@ def layer_norm(
 ) -> np.ndarray:
     """Layer normalization over one axis with affine parameters."""
     axis = axis % x.ndim
-    mean = x.mean(axis=axis, keepdims=True)
-    var = x.var(axis=axis, keepdims=True)
-    normed = (x - mean) / np.sqrt(var + epsilon)
     shape = [1] * x.ndim
     shape[axis] = x.shape[axis]
-    return normed * gamma.reshape(shape) + beta.reshape(shape)
+    return layer_norm_bound(
+        x, gamma.reshape(shape), beta.reshape(shape), axis,
+        np.intp(x.shape[axis]), epsilon,
+    )
+
+
+def layer_norm_bound(
+    x: np.ndarray,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    axis: int,
+    n: np.intp,
+    epsilon: float,
+) -> np.ndarray:
+    """:func:`layer_norm` with its static work done by the caller.
+
+    ``axis`` is non-negative, ``gamma``/``beta`` are already shaped to
+    broadcast along it and ``n`` is ``np.intp(x.shape[axis])`` — all fixed
+    at pre-inference.  The reductions are the arithmetic of NumPy's own
+    ``mean``/``var`` (``add.reduce``, then a true divide by the intp
+    count with ``casting="unsafe"``) without their Python-level
+    wrappers, so the result is bitwise that of ``x.mean``/``x.var``.
+    ``epsilon`` is a Python float, which never widens ``var``.  The
+    affine step works in place only where the dtypes already match, so
+    mixed float32/float64 parameters promote as ``normed * gamma + beta``
+    does.
+    """
+    mean = np.add.reduce(x, axis=axis, keepdims=True)
+    np.true_divide(mean, n, out=mean, casting="unsafe")
+    centered = x - mean
+    var = np.add.reduce(np.square(centered), axis=axis, keepdims=True)
+    np.true_divide(var, n, out=var, casting="unsafe")
+    var += epsilon
+    np.sqrt(var, out=var)
+    centered /= var
+    out = centered
+    if gamma.dtype == out.dtype:
+        out *= gamma
+    else:
+        out = out * gamma
+    if beta.dtype == out.dtype:
+        out += beta
+    else:
+        out = out + beta
+    return out
 
 
 def _attend(

@@ -18,11 +18,11 @@ Design constraints, in order:
 
 1. **Disabled must be (almost) free.**  The process-wide default tracer is
    disabled; ``span()`` on it returns one shared no-op context manager and
-   hot loops additionally guard on ``tracer.enabled`` so per-op work is a
-   single attribute check.  The overhead guard in
+   a session reads ``tracer.enabled`` once per run, adding its per-op
+   span wrapper only when it is set.  The overhead guard in
    ``tests/test_obs_integration.py`` holds this to <5% of a small-model
    run loop.
-2. **Thread-safe recording.**  Workers in ``_execute_parallel`` and the
+2. **Thread-safe recording.**  Workers of the parallel step walker and the
    micro-batcher thread record concurrently; appends happen under one
    lock, and nesting depth is tracked per-thread.
 3. **No global mutation by default.**  Sessions/engines take a tracer via

@@ -59,6 +59,12 @@ class TestArenaExecution:
         out = list(session.run(feed).values())[0]
         assert out.sum() == pytest.approx(1.0, abs=1e-4)
 
+    def test_rejected_with_parallel_branches(self):
+        """Arena slots are alias-free only in topological order; a dataflow
+        schedule would land into slots still live on another branch."""
+        with pytest.raises(ValueError, match="arena_execution.*parallel_branches"):
+            Session(net(), SessionConfig(arena_execution=True, parallel_branches=True))
+
     def test_many_runs_stable(self):
         session = Session(net(), SessionConfig(arena_execution=True))
         feed = {"in": RNG.standard_normal((1, 4, 16, 16)).astype(np.float32)}

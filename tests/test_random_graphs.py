@@ -10,7 +10,11 @@ global invariants on each:
 * simulated GPU backends compute exactly what the CPU computes,
 * the graph optimizer never changes results,
 * every generated graph lints clean and its memory plan survives the
-  independent sanitizer.
+  independent sanitizer,
+* every way of running a session (traced, parallel, arena-landing,
+  interleaved, lazy, resilient, deadline-bounded) reproduces the plain
+  run bit for bit, and a hybrid session's copies and virtual time stay
+  pinned.
 """
 
 import numpy as np
@@ -22,9 +26,17 @@ from repro.core import Session, SessionConfig, plan_memory
 from repro.core.reference import execute_reference
 from repro.converter import optimize
 from repro.devices import get_device
+from repro.faults import FaultPlan
+from repro.faults.resilience import Deadline
 from repro.ir import GraphBuilder, dumps, loads
+from repro.obs import Tracer
 
 RNG = np.random.default_rng(101)
+
+#: (copies, copy_bytes, virtual_ms) of hybrid_net's first run and of the
+#: run_profiled pass after it, as read from the pre-plan executor.
+HYBRID_RUN = (3, 24576, 0.2035289868421304)
+HYBRID_PROFILED = (3, 24576, 0.2035289868421304)
 
 
 @st.composite
@@ -150,10 +162,61 @@ def test_optimizer_never_changes_results(graph):
                                                 - np.sort(want.ravel())[-2]) < 0.05
 
 
-@given(graph=random_cnn())
-@settings(max_examples=10, deadline=None)
-def test_decoupled_and_interleaved_agree(graph):
+#: Every way of running a session: each walks the same step plan, so each
+#: must reproduce the plain run bit for bit.
+EXECUTOR_VARIANTS = {
+    "plain": lambda: SessionConfig(),
+    "traced": lambda: SessionConfig(trace=Tracer()),
+    "parallel_branches": lambda: SessionConfig(parallel_branches=True, threads=2),
+    "arena_execution": lambda: SessionConfig(arena_execution=True),
+    "interleaved": lambda: SessionConfig(decouple=False),
+    "lazy_prepare": lambda: SessionConfig(lazy_prepare=True),
+    "resilient": lambda: SessionConfig(resilience=True, faults=FaultPlan()),
+    "far_deadline": lambda: SessionConfig(),
+}
+
+
+@given(graph=random_cnn(), variant=st.sampled_from(sorted(EXECUTOR_VARIANTS)))
+@settings(max_examples=24, deadline=None)
+def test_decoupled_and_interleaved_agree(graph, variant):
     feed = _feed(graph)
-    a = list(Session(graph, SessionConfig(decouple=True)).run(feed).values())[0]
-    b = list(Session(graph, SessionConfig(decouple=False)).run(feed).values())[0]
-    np.testing.assert_allclose(a, b, atol=1e-6)
+    want = execute_reference(graph, feed)[graph.outputs[0]]
+    plain = list(Session(graph).run(feed).values())[0]
+    np.testing.assert_allclose(plain, want, atol=1e-4)
+    session = Session(graph, EXECUTOR_VARIANTS[variant]())
+    deadline = Deadline(60_000.0) if variant == "far_deadline" else None
+    for _ in range(2):  # a second run reuses the plan (and the arena)
+        got = list(session.run(feed, deadline=deadline).values())[0]
+        assert got.dtype == plain.dtype
+        assert got.tobytes() == plain.tobytes(), variant
+
+
+def hybrid_net():
+    """Conv layers the sparse OpenGL backend runs, with BN, pooling, FC and
+    softmax it lacks: three cross-backend copies per run."""
+    b = GraphBuilder("hybrid", seed=0)
+    x = b.input("in", (1, 3, 16, 16))
+    x = b.conv(x, oc=8, kernel=3, pad_mode="same", activation="relu")
+    x = b.conv(b.batch_norm(x), oc=8, kernel=1)
+    b.output(b.softmax(b.fc(b.global_avg_pool(x), units=4)))
+    return b.finish()
+
+
+def test_hybrid_copies_and_virtual_time_pinned():
+    """Copy edges and virtual time of an OpenGL + CPU-fallback session,
+    under ``run`` and ``run_profiled`` (the profiled pass runs second on
+    the same clock); the numbers are pinned from the pre-plan executor."""
+    graph = hybrid_net()
+    feed = {"in": np.random.default_rng(5).standard_normal((1, 3, 16, 16)).astype(np.float32)}
+    want = list(Session(graph).run(feed).values())[0]
+    session = Session(graph, SessionConfig(backend="opengl", device=get_device("MI6")))
+    assert session.placement_summary() == {"opengl": 2, "sim_cpu": 4}
+    got = list(session.run(feed).values())[0]
+    assert got.tobytes() == want.tobytes()
+    stats = session.last_run
+    assert (stats.copies, stats.copy_bytes, stats.virtual_ms) == HYBRID_RUN
+    outputs, profile = session.run_profiled(feed)
+    assert list(outputs.values())[0].tobytes() == want.tobytes()
+    stats = session.last_run
+    assert (stats.copies, stats.copy_bytes, stats.virtual_ms) == HYBRID_PROFILED
+    assert len(profile) == 6

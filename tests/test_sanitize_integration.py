@@ -75,11 +75,13 @@ class TestSanitizedSession:
         for k in gold:
             np.testing.assert_array_equal(gold[k], out[k])
 
-    def test_concurrent_runs_on_one_session_are_a_detected_race(self):
+    @pytest.mark.parametrize("entry", ["run", "run_profiled"])
+    def test_concurrent_runs_on_one_session_are_a_detected_race(self, entry):
         """One Session is documented single-checkout; two threads running
         it concurrently is the bug the ``run_state`` probe exists for.
         The vector clocks never order the two runs (no handoff edge), so
-        detection is deterministic — even if the GIL serializes them."""
+        detection is deterministic — even if the GIL serializes them.
+        ``run_profiled`` enters through the same path, probe included."""
         g = small_net()
         session = Session(g, SessionConfig(sanitize=True))
         feeds = feed(g)
@@ -89,7 +91,7 @@ class TestSanitizedSession:
         def worker():
             barrier.wait()
             try:
-                session.run(feeds)
+                getattr(session, entry)(feeds)
             except Exception as exc:  # a crash would mask the finding
                 errors.append(exc)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backends.op_runners import build_runner
 from repro.core import Session, SessionConfig, node_muls
 from repro.core.reference import execute_reference
 from repro.devices import get_device
@@ -13,6 +14,18 @@ from repro.kernels import gelu, layer_norm, lstm_forward
 from repro.models import lstm_classifier, tiny_transformer
 
 RNG = np.random.default_rng(55)
+
+
+def _layer_norm_mean_var(x, gamma, beta, axis=-1, epsilon=1e-5):
+    """Reference LayerNorm through ``ndarray.mean``/``ndarray.var`` (the
+    kernel's former implementation)."""
+    axis = axis % x.ndim
+    mean = x.mean(axis=axis, keepdims=True)
+    var = x.var(axis=axis, keepdims=True)
+    normed = (x - mean) / np.sqrt(var + epsilon)
+    shape = [1] * x.ndim
+    shape[axis] = x.shape[axis]
+    return normed * gamma.reshape(shape) + beta.reshape(shape)
 
 
 class TestSequenceKernels:
@@ -50,6 +63,51 @@ class TestSequenceKernels:
         beta = np.full(8, 5.0, np.float32)
         out = layer_norm(x, gamma, beta)
         np.testing.assert_allclose(out.mean(axis=-1), 5.0, atol=1e-4)
+
+    @given(
+        data=st.data(),
+        rank=st.integers(1, 4),
+        last=st.sampled_from([1, 3, 7, 16, 64, 128]),
+        magnitude=st.floats(1e-3, 1e3),
+        x_dtype=st.sampled_from([np.float32, np.float64]),
+        gamma_dtype=st.sampled_from([np.float32, np.float64]),
+        beta_dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_layer_norm_bitwise_equals_numpy_mean_var(
+        self, data, rank, last, magnitude, x_dtype, gamma_dtype, beta_dtype
+    ):
+        """The wrapper-free reductions are NumPy's own mean/var arithmetic:
+        every axis (negative included), mixed parameter dtypes, bit for bit."""
+        shape = tuple(data.draw(st.lists(st.integers(1, 5), min_size=rank - 1,
+                                         max_size=rank - 1))) + (last,)
+        axis = data.draw(st.integers(-rank, rank - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = (rng.standard_normal(shape) * magnitude).astype(x_dtype)
+        n = shape[axis]
+        gamma = rng.standard_normal(n).astype(gamma_dtype)
+        beta = rng.standard_normal(n).astype(beta_dtype)
+        want = _layer_norm_mean_var(x, gamma, beta, axis, 1e-5)
+        got = layer_norm(x, gamma, beta, axis, 1e-5)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("axis", [-3, -1, 0, 1, 2])
+    def test_layer_norm_runner_binds_the_same_bits(self, axis):
+        """The op runner's build-time binding (normalized axis, reshaped
+        affine, reduce count) gives the kernel's bits."""
+        shape = (3, 5, 16)
+        n = shape[axis]
+        g = Graph()
+        g.add_input("x", shape)
+        g.add_constant("gamma", RNG.standard_normal(n).astype(np.float32))
+        g.add_constant("beta", RNG.standard_normal(n).astype(np.float32))
+        node = g.add_node(Op.LAYER_NORM, ["x", "gamma", "beta"], ["y"],
+                          {"axis": axis, "epsilon": 1e-5})
+        x = RNG.standard_normal(shape).astype(np.float32)
+        got = build_runner(node, g).fn([x])[0]
+        want = _layer_norm_mean_var(x, g.constants["gamma"], g.constants["beta"], axis, 1e-5)
+        assert got.tobytes() == want.tobytes()
 
     def test_lstm_matches_step_by_step_reference(self):
         n, t, features, hidden = 2, 5, 3, 4
