@@ -22,7 +22,7 @@ continuous-batching engine, asserting that memory-pressure faults degrade
 to eviction/retry without moving a single output token.
 
 A fourth pre-flight (``_sanitize_or_fail``) runs each benchmark graph
-once under the concurrency sanitizer (``SessionConfig(sanitize=True)``)
+once under the concurrency sanitizer (``Runtime.resolve(sanitize=True)``)
 with parallel branch execution: the race/lock-order/lifecycle report must
 come back clean, so BENCH records are only ever produced by code the
 sanitizer vouches for.  The ``sanitize.*`` counters are pre-registered on
@@ -64,9 +64,12 @@ def _trace_or_fail(name, graph):
     from repro.analysis.verify_passes import random_feeds
     from repro.core import Session, SessionConfig
     from repro.obs import Tracer
+    from repro.runtime import Runtime
 
     tracer = Tracer()
-    session = Session(graph, SessionConfig(threads=2, trace=tracer))
+    session = Session(
+        graph, SessionConfig(threads=2), runtime=Runtime.resolve(trace=tracer)
+    )
     session.run(random_feeds(graph))
     names = {span.name for span in tracer.spans}
     missing = {"session.prepare", "session.run"} - names
@@ -99,6 +102,7 @@ def _chaos_or_fail(name, graph):
     from repro.analysis.verify_passes import random_feeds
     from repro.core import Session, SessionConfig
     from repro.faults import FaultPlan, FaultRule
+    from repro.runtime import Runtime
 
     feeds = random_feeds(graph)
     gold = Session(graph, SessionConfig(threads=2)).run(feeds)
@@ -107,7 +111,9 @@ def _chaos_or_fail(name, graph):
                   match={"scheme": ("winograd", "winograd_rect")}),
         FaultRule("kernel.execute", "transient", p=0.1, times=8),
     ], seed=0)
-    session = Session(graph, SessionConfig(threads=2, faults=plan))
+    session = Session(
+        graph, SessionConfig(threads=2), runtime=Runtime.resolve(faults=plan)
+    )
     out = session.run(feeds)
     for key, arr in out.items():
         if not np.isfinite(arr).all():
@@ -134,9 +140,12 @@ def _sanitize_or_fail(name, graph):
     """
     from repro.analysis.verify_passes import random_feeds
     from repro.core import Session, SessionConfig
+    from repro.runtime import Runtime
 
-    session = Session(graph, SessionConfig(threads=2, decouple=True,
-                                           sanitize=True))
+    session = Session(
+        graph, SessionConfig(threads=2, decouple=True),
+        runtime=Runtime.resolve(sanitize=True),
+    )
     session.run(random_feeds(graph))
     report = session.sanitizer.report()
     if not report.ok:

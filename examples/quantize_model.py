@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Post-training int8 quantization — the converter's model compressor.
 
-Calibrates on synthetic data, quantizes conv weights to per-channel int8,
-and compares model size, output drift and top-1 agreement against float.
+Calibrates on synthetic data, quantizes conv/FC weights to per-channel
+int8 with the same converter ``cli quantize`` runs, and compares model
+size, output drift and top-1 agreement against float.
 
 Run:  python examples/quantize_model.py
 """
@@ -10,9 +11,10 @@ Run:  python examples/quantize_model.py
 import numpy as np
 
 from repro import Session
-from repro.converter import optimize, quantize_model, weight_bytes
+from repro.converter import optimize
 from repro.core.reference import execute_reference
 from repro.models import mobilenet_v1
+from repro.quant import quantize_graph, weight_bytes
 
 
 def main():
@@ -26,7 +28,7 @@ def main():
         {"data": rng.standard_normal((1, 3, size, size)).astype(np.float32)}
         for _ in range(8)
     ]
-    quantized = quantize_model(graph, calibration)
+    quantized = quantize_graph(graph, calibration)
     print(f"int8 model: {weight_bytes(quantized) / 2**20:.2f} MiB of weights "
           f"({weight_bytes(graph) / weight_bytes(quantized):.2f}x smaller)")
 

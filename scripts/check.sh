@@ -42,10 +42,12 @@
 #      straddle KV-capacity buckets (4-token pages), so the one-step-per-
 #      token-boundary decode runs mixed-capacity steps; every token must
 #      equal a token-by-token full-sequence recompute.
-#  12. Benchmark smoke: perfbench's decode_unshared and cnn_stream smoke
-#      tests.  perfbench wraps Session.__init__/run from outside and
-#      replays sessions through run_profiled, so an executor change can
-#      break the benchmark without failing any unit test.
+#  12. Benchmark smoke: perfbench's smoke tests, all six workloads, each
+#      untraced and traced.  perfbench wraps Session.__init__/run and the
+#      serving/genai/cluster entry points from outside, builds every
+#      front door from its config, and replays sessions through
+#      run_profiled, so an executor or config change can break the
+#      benchmark without failing any unit test.
 #
 # Total runtime is a few minutes on a laptop.
 
@@ -143,8 +145,8 @@ echo "== [11/12] greedy decode == full recompute (mixed-capacity steps) =="
 python -m repro.tools.cli generate --selftest --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
 
 echo
-echo "== [12/12] benchmark smoke (perfbench decode_unshared + cnn_stream) =="
-python -m pytest -q perfbench/tests/test_smoke.py -k "decode_unshared or cnn_stream"
+echo "== [12/12] benchmark smoke (perfbench, all six workloads, traced and untraced) =="
+python -m pytest -q perfbench/tests/test_smoke.py
 
 echo
 echo "check.sh: all gates passed"

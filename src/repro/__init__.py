@@ -10,9 +10,11 @@ Public API tour::
 Subpackages:
 
 * :mod:`repro.ir`         — tensors, operators, graphs, the .rmnn format
-* :mod:`repro.converter`  — frontends, graph optimizer, int8 quantization
+* :mod:`repro.converter`  — frontends, graph optimizer, pruning, fp16
+* :mod:`repro.quant`      — int8 quantization, KV codec, accuracy contract
 * :mod:`repro.kernels`    — Winograd / Strassen / im2col / NC4HW4 kernels
 * :mod:`repro.core`       — pre-inference, cost model, memory planner, sessions
+* :mod:`repro.runtime`    — the tracer/metrics/faults/sanitizer/requests bundle
 * :mod:`repro.backends`   — the Backend abstraction + CPU & simulated GPUs
 * :mod:`repro.devices`    — phone capability catalog (paper Appendix C)
 * :mod:`repro.models`     — MobileNet/SqueezeNet/ResNet/Inception zoo
@@ -24,6 +26,7 @@ Subpackages:
 from . import backends, baselines, bench, converter, core, devices, ir, kernels, models, sim
 from .core import Session, SessionConfig
 from .ir import Graph, GraphBuilder, load_model, save_model
+from .runtime import Runtime
 
 __version__ = "1.0.0"
 
@@ -40,6 +43,7 @@ __all__ = [
     "sim",
     "Session",
     "SessionConfig",
+    "Runtime",
     "Graph",
     "GraphBuilder",
     "load_model",

@@ -516,7 +516,7 @@ def _quant_boundary(ctx: LintContext) -> Iterator[Diagnostic]:
                         f"int8 weights {node.inputs[1]!r} without input_scale "
                         "(quantized weights need calibration scales)",
                         node=node.name, tensor=node.inputs[1],
-                        hint="run repro.converter.quantize_model to attach scales",
+                        hint="run repro.quant.quantize_graph with calibration feeds",
                     )
             d = ctx.desc(node.inputs[0]) if node.inputs else None
             if d is not None and d.dtype in _QUANT_DTYPES:

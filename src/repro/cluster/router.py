@@ -67,12 +67,13 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from ..faults.errors import DeadlineExceeded, FatalFault, TransientFault
-from ..faults.plan import FaultPlan, get_fault_plan
+from ..faults.plan import FaultPlan
 from ..faults.resilience import Deadline
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.requests import RequestTracker, resolve_request_tracker
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, resolve_sanitizer
+from ..obs.requests import RequestTracker
+from ..obs.tracer import Tracer
+from ..runtime import Runtime
+from ..sanitize import Sanitizer
 from .errors import Backpressure, Overloaded, WorkerError, WorkerLost
 from .ring import HashRing
 from .shm import ShmSegment, payload_bytes
@@ -112,8 +113,9 @@ class ClusterConfig:
         heartbeat_interval_s / hang_timeout_s / start_timeout_s:
             supervision timing (see :class:`Supervisor`).
         metrics / trace / faults / requests / sanitize: the usual
-            observability and fault-injection plumbing, resolved exactly
-            like ``EngineConfig`` resolves them.
+            observability and fault-injection plumbing, resolved once
+            into the router's :class:`repro.Runtime` (``metrics=None``
+            is the process-wide registry).
     """
 
     workers: int = 2
@@ -183,17 +185,16 @@ class Cluster:
         if self.config.on_worker_lost not in ("replay", "error"):
             raise ValueError(
                 f"unknown on_worker_lost policy {self.config.on_worker_lost!r}")
-        self.metrics = (
-            self.config.metrics if self.config.metrics is not None else get_metrics()
+        c = self.config
+        runtime = Runtime.resolve(
+            trace=c.trace, metrics=c.metrics, faults=c.faults,
+            sanitize=c.sanitize, requests=c.requests,
         )
-        self.tracer = (
-            self.config.trace if self.config.trace is not None else get_tracer()
-        )
-        self.faults = (
-            self.config.faults if self.config.faults is not None else get_fault_plan()
-        )
-        self.sanitizer = resolve_sanitizer(self.config.sanitize, metrics=self.metrics)
-        self.requests = resolve_request_tracker(self.config.requests, self.metrics)
+        self.metrics = runtime.metrics
+        self.tracer = runtime.tracer
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
+        self.requests = runtime.requests
 
         self._model_dir: Optional[str] = None
         self._model_path: Optional[str] = None

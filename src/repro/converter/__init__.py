@@ -1,4 +1,8 @@
-"""Offline conversion: frontends, graph optimizer, quantization (Figure 2)."""
+"""Offline conversion: frontends, graph optimizer, pruning, fp16 (Figure 2).
+
+Int8 quantization, the converter's model compressor, lives in
+:mod:`repro.quant` (:func:`repro.quant.quantize_graph`).
+"""
 
 from .frontends.onnx_like import ConversionError, convert_onnx_like
 from .frontends.caffe_like import convert_caffe_like
@@ -14,7 +18,6 @@ from .optimizer.passes import (
     default_passes,
     optimize,
 )
-from .quantize import CalibrationResult, calibrate, quantize_model, weight_bytes
 from .prune import PruneReport, prune_model, sparsity_report
 from .fp16 import convert_to_fp16, fp16_savings
 
@@ -37,8 +40,4 @@ __all__ = [
     "ReplaceOps",
     "default_passes",
     "optimize",
-    "CalibrationResult",
-    "calibrate",
-    "quantize_model",
-    "weight_bytes",
 ]

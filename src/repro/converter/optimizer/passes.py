@@ -11,7 +11,7 @@ manager and the structural passes:
 * ``ReplaceOps``         — operator replacement (ReduceMean(2,3) -> GlobalAvgPool,
                            Flatten-like Reshape -> Flatten).
 
-Quantization lives in :mod:`repro.converter.quantize`.
+Quantization lives in :mod:`repro.quant`.
 """
 
 from __future__ import annotations

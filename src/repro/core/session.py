@@ -41,14 +41,14 @@ import numpy as np
 from ..backends.base import Backend, BackendError, BackendTransientError
 from ..backends.cpu import CPUBackend
 from ..devices.specs import DeviceSpec, GpuApi
-from ..faults import FaultPlan, InjectedFault, TransientFault, get_fault_plan, retry_transient
+from ..faults import InjectedFault, TransientFault, retry_transient
 from ..faults.resilience import CircuitBreaker, Deadline
 from ..ir.graph import Graph, GraphError, Node
 from ..ir.ops import Op
 from ..kernels import nonfinite_count
 from ..obs.metrics import get_metrics
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, resolve_sanitizer
+from ..obs.tracer import Tracer
+from ..runtime import Runtime
 from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
 from .memory import Arena, MemoryPlan, adapt_plan, compute_lifetimes, plan_memory
@@ -111,31 +111,14 @@ class SessionConfig:
             session builds, and bounds/alignment-check every arena view
             handed out during execution.  A planner bug then fails loudly
             at prepare time instead of corrupting activations silently.
-        trace: a :class:`repro.obs.Tracer` receiving spans for every
-            pre-inference stage and every executed operator (serial and
-            parallel paths, with worker-thread ids).  ``None`` falls back
-            to the process-wide tracer, which defaults to a no-op — so an
-            untraced session pays only an ``enabled`` check per run.
-        faults: a :class:`repro.faults.FaultPlan` evaluated at this
-            session's fault points (``session.prepare``,
-            ``backend.dispatch``, ``kernel.execute``).  ``None`` falls
-            back to the process-wide plan (``$REPRO_FAULTS``, default
-            disabled — one ``enabled`` check per run).
         resilience: route every op through the resilient executor (retry
             with backoff, circuit breaker, per-op CPU fallback, numeric
-            guards).  ``None`` = auto: on exactly when the fault plan is
-            enabled; ``True`` forces it on for real backend failures
+            guards).  ``None`` = auto: on exactly when the runtime's fault
+            plan is enabled; ``True`` forces it on for real backend failures
             (:class:`~repro.backends.BackendTransientError` and friends).
         numeric_guards: under the resilient executor, re-run an op whose
             output came back non-finite via its direct scheme
             (sliding-window conv / non-Strassen GEMM), once.
-        sanitize: a :class:`repro.sanitize.Sanitizer` receiving data-race
-            probes (session run/resize state, the parallel executor's
-            tensor environment, arena slots), lock-order events and
-            lifecycle events from this session.  ``True`` builds a fresh
-            enabled sanitizer; ``None``/``False`` falls back to the
-            process-wide one, which defaults to a no-op — an unsanitized
-            run pays one ``enabled`` check.
         check_feeds: validate every feed's shape and dtype against the
             input descriptors on each run.  On by default; tight serving
             loops that construct feeds programmatically from already-
@@ -174,9 +157,6 @@ class SessionConfig:
     parallel_branches: bool = False
     arena_execution: bool = False
     paranoid: bool = False
-    trace: Optional[Tracer] = None
-    faults: Optional[FaultPlan] = None
-    sanitize: Union[bool, Sanitizer] = False
     resilience: Optional[bool] = None
     numeric_guards: bool = True
     check_feeds: bool = True
@@ -292,13 +272,22 @@ def _poison_outputs(outputs: List[np.ndarray]) -> List[np.ndarray]:
 
 
 class Session:
-    """A prepared inference instance over one graph (see module docstring)."""
+    """A prepared inference instance over one graph (see module docstring).
+
+    ``runtime`` supplies the tracer (pre-inference and per-op spans), the
+    fault plan (``session.prepare``/``backend.dispatch``/``kernel.execute``)
+    and the sanitizer; ``None`` is ``Runtime.resolve()``, whose defaults
+    cost one ``enabled`` check per run.  The session's own ``session.*``
+    counters always land in the process-wide registry.
+    """
 
     def __init__(
         self,
         graph: Graph,
         config: Optional[SessionConfig] = None,
         artifacts: Optional[SessionArtifacts] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         self.graph = graph
         self.config = config or SessionConfig()
@@ -308,11 +297,10 @@ class Session:
                 "cannot be combined: arena slots are alias-free only in "
                 "topological order"
             )
-        self.tracer = self.config.trace if self.config.trace is not None else get_tracer()
-        self.faults = (
-            self.config.faults if self.config.faults is not None else get_fault_plan()
-        )
-        self.sanitizer = resolve_sanitizer(self.config.sanitize)
+        runtime = runtime if runtime is not None else Runtime.resolve()
+        self.tracer = runtime.tracer
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
         self.clock = VirtualClock()
         self._order: List[Node] = []
         self._executions = {}

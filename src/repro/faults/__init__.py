@@ -5,7 +5,7 @@ Two halves:
 * **Injection** (:mod:`repro.faults.plan`): a deterministic, seedable
   :class:`FaultPlan` evaluated at named fault points compiled into the
   engine (:data:`FAULT_SITES`).  Activated per session/engine via
-  ``SessionConfig(faults=)`` / ``EngineConfig(faults=)``, process-wide
+  ``Runtime.resolve(faults=)`` / ``EngineConfig(faults=)``, process-wide
   via ``$REPRO_FAULTS``, or from the CLI with ``cli chaos``.
 * **Resilience** (:mod:`repro.faults.resilience` + the typed errors):
   deadlines, retry-with-backoff, a per-backend circuit breaker, per-op

@@ -83,6 +83,7 @@ from ..ir.ops import Op
 from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from ..obs.recorder import FlightRecorder
 from ..obs.requests import RequestTracker
+from ..runtime import Runtime
 from ..sanitize import Sanitizer
 from .errors import DeadlineExceeded, ResilienceError
 from .plan import FaultPlan, FaultRule, set_fault_plan
@@ -400,10 +401,11 @@ def _phase_numeric(graph, feeds, gold_direct, seed, overrides, report, sanitizer
         ),
     ], seed=seed)
     result = PhaseResult("numeric")
-    session = Session(graph, SessionConfig(
-        scheme_overrides=overrides, faults=plan, breaker_cooldown_s=0.0,
-        sanitize=sanitizer,
-    ))
+    session = Session(
+        graph,
+        SessionConfig(scheme_overrides=overrides, breaker_cooldown_s=0.0),
+        runtime=Runtime.resolve(faults=plan, sanitize=sanitizer),
+    )
     for _ in range(10):
         result.requests += 1
         try:

@@ -20,9 +20,11 @@ function of the seed and that site's call order — independent of thread
 interleaving *across* sites.  The full sequence is recorded in
 :attr:`FaultPlan.log` for replay tests.
 
-Activation: ``SessionConfig(faults=...)`` / ``EngineConfig(faults=...)``
-pin a plan per session/engine; otherwise components fall back to the
-process-wide plan, which is parsed once from ``$REPRO_FAULTS`` (see
+Activation: ``Runtime.resolve(faults=...)`` / ``EngineConfig(faults=...)``
+pin a plan per session/engine (an engine's :class:`repro.Runtime`
+carries it to every component and worker session); otherwise
+:meth:`repro.Runtime.resolve` falls back to the process-wide plan, which
+is parsed once from ``$REPRO_FAULTS`` (see
 :func:`parse_fault_spec` for the grammar) and defaults to a disabled
 no-op — a disabled plan costs one attribute check per guarded site.
 """

@@ -28,7 +28,7 @@ per-row), which the acceptance tests assert for 32-token generations.
 from .decode import DecodeRunner, batch_buckets, bucket_for_batch
 from .engine import GenerationConfig, GenerationEngine
 from .kvcache import KVCacheAllocator, KVCacheConfig, KVCacheOOM, KVSlab
-from .prefill import PrefillRunner, bucket_for_length, cached_session, length_buckets
+from .prefill import PrefillRunner, bucket_for_length, length_buckets
 from .prefix import PrefixCache
 from .sampling import Sampler, SamplingParams, greedy
 from .scheduler import ContinuousBatchScheduler, GenRequest, GenResult
@@ -44,7 +44,6 @@ __all__ = [
     "bucket_for_length",
     "batch_buckets",
     "bucket_for_batch",
-    "cached_session",
     "PrefixCache",
     "Sampler",
     "SamplingParams",

@@ -31,14 +31,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.session import Session, SessionConfig
-from ..faults.plan import FaultPlan, get_fault_plan
 from ..ir.graph import Graph
-from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.tracer import Tracer, get_tracer
 from ..quant.kv import quantize_rows
-from ..serving.cache import PreInferenceCache
+from ..runtime import Runtime
+from ..serving.cache import PreInferenceCache, warm_session
 from .kvcache import KVSlab
-from .prefill import cached_session
 
 __all__ = ["batch_buckets", "bucket_for_batch", "DecodeRunner"]
 
@@ -71,10 +68,9 @@ class DecodeRunner:
         max_batch: int,
         session_config: Optional[SessionConfig] = None,
         cache: Optional[PreInferenceCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultPlan] = None,
         retries: int = 3,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         self.build_graph = build_graph        # (batch, capacity) -> Graph
         self.layers = layers
@@ -82,9 +78,9 @@ class DecodeRunner:
         base = session_config if session_config is not None else SessionConfig()
         self.session_config = replace(base, check_feeds=False)
         self.cache = cache
-        self.metrics = metrics if metrics is not None else get_metrics()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.faults = faults if faults is not None else get_fault_plan()
+        self.runtime = runtime if runtime is not None else Runtime.resolve()
+        self.metrics = self.runtime.metrics
+        self.tracer = self.runtime.tracer
         self.retries = retries
         self._sessions: Dict[Tuple[int, int], Session] = {}
 
@@ -93,9 +89,10 @@ class DecodeRunner:
         session = self._sessions.get(key)
         if session is None:
             graph = self.build_graph(batch, capacity)
-            config = replace(self.session_config, faults=self.faults)
-            session = cached_session(
-                graph, config, self.cache, self.tracer, self.faults, self.retries
+            config = self.session_config
+            cache_key = self.cache.key(graph, config) if self.cache is not None else None
+            session, _ = warm_session(
+                graph, config, self.cache, cache_key, self.runtime, self.retries
             )
             self._sessions[key] = session
         return session

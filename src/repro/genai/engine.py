@@ -12,18 +12,19 @@ decode loop).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.session import SessionConfig
-from ..faults.plan import FaultPlan, get_fault_plan
+from ..faults.plan import FaultPlan
 from ..ir.graph import Graph
 from ..models.text import tiny_decoder
-from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.requests import RequestTracker, resolve_request_tracker
+from ..obs.metrics import MetricsRegistry
+from ..obs.requests import RequestTracker
 from ..obs.resources import ResourceSampler
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, resolve_sanitizer
+from ..obs.tracer import Tracer
+from ..runtime import Runtime
+from ..sanitize import Sanitizer
 from ..serving.cache import PreInferenceCache
 from .decode import DecodeRunner
 from .kvcache import KVCacheAllocator, KVCacheConfig
@@ -109,16 +110,17 @@ class GenerationEngine:
         elif overrides:
             raise ValueError("pass either a config or keyword overrides, not both")
         self.config = config
-        self.metrics = config.metrics if config.metrics is not None else get_metrics()
-        self.tracer = config.trace if config.trace is not None else get_tracer()
-        self.faults = config.faults if config.faults is not None else get_fault_plan()
-        self.sanitizer = resolve_sanitizer(config.sanitize, metrics=self.metrics)
-        session_config = config.session
-        if self.sanitizer.enabled and session_config.sanitize is False:
-            # One detector spans the allocator, the scheduler and every
-            # prefill/decode worker session — cross-component findings
-            # need one shared vector-clock space.
-            session_config = replace(session_config, sanitize=self.sanitizer)
+        # One runtime spans every component and worker session, so
+        # cross-component sanitizer findings share one vector-clock space.
+        self.runtime = Runtime.resolve(
+            trace=config.trace, metrics=config.metrics, faults=config.faults,
+            sanitize=config.sanitize, requests=config.requests,
+        )
+        self.metrics = self.runtime.metrics
+        self.tracer = self.runtime.tracer
+        self.faults = self.runtime.faults
+        self.sanitizer = self.runtime.sanitizer
+        self.requests = self.runtime.requests
         capacity = (
             config.capacity_tokens
             if config.capacity_tokens is not None
@@ -134,15 +136,9 @@ class GenerationEngine:
             retries=config.retries,
             kv_dtype=config.kv_dtype,
         )
-        self.allocator = KVCacheAllocator(
-            self.kv_config, metrics=self.metrics, faults=self.faults,
-            sanitizer=self.sanitizer,
-        )
+        self.allocator = KVCacheAllocator(self.kv_config, runtime=self.runtime)
         cache = (
-            PreInferenceCache(
-                config.cache_dir, metrics=self.metrics, faults=self.faults,
-                sanitizer=self.sanitizer,
-            )
+            PreInferenceCache(config.cache_dir, runtime=self.runtime)
             if config.use_cache else None
         )
         self.cache = cache
@@ -152,29 +148,24 @@ class GenerationEngine:
             layers=config.layers,
             pool_size=config.prefill_pool,
             smallest_bucket=config.smallest_bucket,
-            session_config=session_config,
+            session_config=config.session,
             cache=cache,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            faults=self.faults,
             retries=config.retries,
+            runtime=self.runtime,
         )
         self.decode = DecodeRunner(
             self._decode_graph,
             layers=config.layers,
             max_batch=config.max_batch,
-            session_config=session_config,
+            session_config=config.session,
             cache=cache,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            faults=self.faults,
             retries=config.retries,
+            runtime=self.runtime,
         )
         self.prefix_cache = (
             PrefixCache(min_prefix=config.min_prefix_tokens)
             if config.prefix_cache else None
         )
-        self.requests = resolve_request_tracker(config.requests, self.metrics)
         self._raw_ids = itertools.count()     # ids for raw-prompt requests
         # KV/arena counter tracks for Perfetto and BENCH series, sampled
         # by the scheduler at every decode-step boundary; only built when
@@ -200,12 +191,9 @@ class GenerationEngine:
             max_batch=config.max_batch,
             max_seq=config.max_seq,
             retain_kv=config.retain_kv,
-            metrics=self.metrics,
-            tracer=self.tracer,
-            sanitizer=self.sanitizer,
             prefix_cache=self.prefix_cache,
-            requests=self.requests,
             sampler=self.sampler,
+            runtime=self.runtime,
         )
 
     def _prefix_hit_rate(self) -> float:

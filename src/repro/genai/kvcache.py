@@ -40,11 +40,10 @@ import numpy as np
 
 from ..core.memory import ALIGNMENT, ExtentFreeList, MemoryPlan, TensorLifetime
 from ..faults.errors import FatalFault, ResilienceError, TransientFault, mark_isolated
-from ..faults.plan import FaultPlan, get_fault_plan
 from ..faults.resilience import retry_transient
-from ..obs.metrics import MetricsRegistry, get_metrics
 from ..quant.kv import KV_DTYPES, dequantize_rows, kv_itemsize, quantize_rows
-from ..sanitize import LifecycleFinding, Sanitizer, get_sanitizer
+from ..runtime import Runtime
+from ..sanitize import LifecycleFinding, Sanitizer
 
 __all__ = [
     "KVCacheConfig",
@@ -415,9 +414,8 @@ class KVCacheAllocator:
     def __init__(
         self,
         config: KVCacheConfig,
-        metrics: Optional[MetricsRegistry] = None,
-        faults: Optional[FaultPlan] = None,
-        sanitizer: Optional[Sanitizer] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         if config.total_pages <= 0:
             raise ValueError(
@@ -425,9 +423,10 @@ class KVCacheAllocator:
                 f"{config.page_tokens}-token page"
             )
         self.config = config
-        self.metrics = metrics if metrics is not None else get_metrics()
-        self.faults = faults if faults is not None else get_fault_plan()
-        self.sanitizer = sanitizer if sanitizer is not None else get_sanitizer()
+        runtime = runtime if runtime is not None else Runtime.resolve()
+        self.metrics = runtime.metrics
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
         self.scope = f"kvcache#{id(self):x}"
         self._buffer = np.zeros(config.total_pages * config.page_bytes, np.uint8)
         self._pages = ExtentFreeList(config.total_pages)

@@ -16,24 +16,19 @@ through a :class:`~repro.serving.SessionPool`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..core.memory import MemoryPlan
-from ..core.session import Session, SessionArtifacts, SessionConfig
-from ..faults.errors import TransientFault
-from ..faults.plan import FaultPlan, get_fault_plan
-from ..faults.resilience import retry_transient
+from ..core.session import Session, SessionConfig
 from ..ir.graph import Graph
-from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.tracer import Tracer, get_tracer
-from ..serving.cache import PreInferenceArtifacts, PreInferenceCache
+from ..runtime import Runtime
+from ..serving.cache import PreInferenceCache, warm_session
 from ..serving.pool import SessionPool
 from .kvcache import KVSlab
 
-__all__ = ["length_buckets", "bucket_for_length", "PrefillRunner", "cached_session"]
+__all__ = ["length_buckets", "bucket_for_length", "PrefillRunner"]
 
 
 def length_buckets(max_seq: int, smallest: int = 8) -> List[int]:
@@ -55,60 +50,6 @@ def bucket_for_length(length: int, buckets: List[int]) -> int:
     raise ValueError(f"length {length} exceeds largest bucket {buckets[-1]}")
 
 
-def cached_session(
-    graph: Graph,
-    config: SessionConfig,
-    cache: Optional[PreInferenceCache],
-    tracer: Tracer,
-    faults: FaultPlan,
-    retries: int = 3,
-    donor: Optional[MemoryPlan] = None,
-) -> Session:
-    """Build one session, warmed through the pre-inference cache.
-
-    A per-bucket copy of ``Engine._create_session``'s contract: look the
-    artifacts up by (graph, config) key, apply on hit, persist on miss,
-    and degrade to cacheless on persistent cache IO faults
-    (``fallback.cache``) — the cache can never take down preparation.
-
-    ``donor`` optionally seeds the session with an adjacent bucket's
-    memory plan: on a cache miss the session tries
-    :func:`repro.core.memory.adapt_plan` (re-proven by memcheck) before
-    planning from scratch, so sibling buckets share one arena layout.
-    """
-
-    def cache_io(fn, label: str):
-        try:
-            return retry_transient(
-                fn, retries=retries, rng=faults.rng_for(label), label=label
-            )
-        except TransientFault:
-            get_metrics().counter("fallback.cache").inc()
-            return None
-
-    artifacts = None
-    hit = False
-    if cache is not None:
-        key = cache.key(graph, config)
-        cached = cache_io(lambda: cache.load(key), "cache.load")
-        if cached is not None:
-            artifacts = cached.apply()
-            hit = True
-        tracer.instant("cache.hit" if hit else "cache.miss", "genai", key=key)
-    if donor is not None:
-        if artifacts is None:
-            artifacts = SessionArtifacts(plan_donor=donor)
-        elif artifacts.plan_donor is None:
-            artifacts.plan_donor = donor
-    session = Session(graph, config, artifacts=artifacts)
-    if cache is not None and not hit:
-        cache_io(
-            lambda: cache.store(key, PreInferenceArtifacts.from_session(session)),
-            "cache.store",
-        )
-    return session
-
-
 class PrefillRunner:
     """Bucketed prompt execution writing K/V rows straight into a slab."""
 
@@ -121,10 +62,9 @@ class PrefillRunner:
         smallest_bucket: int = 8,
         session_config: Optional[SessionConfig] = None,
         cache: Optional[PreInferenceCache] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultPlan] = None,
         retries: int = 3,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         self.build_graph = build_graph
         self.layers = layers
@@ -132,9 +72,9 @@ class PrefillRunner:
         self.pool_size = pool_size
         self.session_config = session_config if session_config is not None else SessionConfig()
         self.cache = cache
-        self.metrics = metrics if metrics is not None else get_metrics()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.faults = faults if faults is not None else get_fault_plan()
+        self.runtime = runtime if runtime is not None else Runtime.resolve()
+        self.metrics = self.runtime.metrics
+        self.tracer = self.runtime.tracer
         self.retries = retries
         self._pools: Dict[int, SessionPool] = {}
         # Largest memory plan built by any bucket so far: donated to the
@@ -152,23 +92,19 @@ class PrefillRunner:
         pool = self._pools.get(bucket)
         if pool is None:
             graph = self.build_graph(bucket)
-            config = replace(self.session_config, faults=self.faults)
+            config = self.session_config
+            key = self.cache.key(graph, config) if self.cache is not None else None
 
-            def factory(graph=graph, config=config) -> Session:
-                session = cached_session(
-                    graph, config, self.cache, self.tracer, self.faults,
+            def factory() -> Session:
+                session, _ = warm_session(
+                    graph, config, self.cache, key, self.runtime,
                     self.retries, donor=self._donor_plan,
                 )
                 self._offer_donor(session.memory_plan)
                 return session
 
             pool = SessionPool(
-                factory,
-                self.pool_size,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                faults=self.faults,
-                retries=self.retries,
+                factory, self.pool_size, self.retries, runtime=self.runtime
             )
             self._pools[bucket] = pool
         return pool

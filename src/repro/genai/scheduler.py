@@ -34,11 +34,8 @@ from typing import Deque, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..faults.errors import ResilienceError
-from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.requests import RequestTracker
 from ..obs.resources import ResourceSampler
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, get_sanitizer
+from ..runtime import Runtime
 from .decode import DecodeRunner
 from .kvcache import KVCacheAllocator, KVCacheOOM, KVCacheUseAfterFree, KVSlab
 from .prefill import PrefillRunner
@@ -108,12 +105,10 @@ class ContinuousBatchScheduler:
         max_seq: int,
         retain_kv: bool = True,
         max_preemptions: int = 2,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        sanitizer: Optional[Sanitizer] = None,
         prefix_cache: Optional[PrefixCache] = None,
-        requests: Optional[RequestTracker] = None,
         sampler: Optional[ResourceSampler] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         self.prefill = prefill
         self.decode = decode
@@ -127,13 +122,14 @@ class ContinuousBatchScheduler:
         #: them copy-on-write instead of re-prefilling (requires
         #: ``retain_kv`` for entries to outlive their sequence).
         self.prefix_cache = prefix_cache
-        self.metrics = metrics if metrics is not None else get_metrics()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.sanitizer = sanitizer if sanitizer is not None else get_sanitizer()
-        #: Request-timeline tracker; ``None``/disabled costs one check
-        #: per stamp site.  Timelines live in ``_timelines`` only for
-        #: the duration of one ``run()`` (the loop is single-threaded).
-        self.requests = requests
+        runtime = runtime if runtime is not None else Runtime.resolve()
+        self.metrics = runtime.metrics
+        self.tracer = runtime.tracer
+        self.sanitizer = runtime.sanitizer
+        #: Request-timeline tracker; disabled costs one check per stamp
+        #: site.  Timelines live in ``_timelines`` only for the duration
+        #: of one ``run()`` (the loop is single-threaded).
+        self.requests = runtime.requests
         self.sampler = sampler
         self._timelines: Dict[str, object] = {}
 
@@ -298,7 +294,7 @@ class ContinuousBatchScheduler:
         if len(set(order)) != len(order):
             raise ValueError("duplicate request_id in batch")
         tracker = self.requests
-        if tracker is not None and tracker.enabled:
+        if tracker.enabled:
             # Every request's queue-wait clock starts now: entering the
             # scheduler's admission queue is the "enqueued" milestone.
             self._timelines = {

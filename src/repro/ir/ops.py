@@ -216,7 +216,7 @@ _CONV_ATTRS = {
     "groups": 1,
     "has_bias": True,
     "activation": None,      # fused activation: None | "relu" | "relu6"
-    # int8 post-training quantization (set by repro.converter.quantize):
+    # int8 post-training quantization (set by repro.quant.quantize_graph):
     "input_scale": None,     # activation scale; weights are int8 when set
     "weight_scales": None,   # per-output-channel weight scales
 }

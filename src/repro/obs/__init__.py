@@ -5,7 +5,7 @@ execution time — is only checkable with end-to-end measurement.  This
 package provides the pieces:
 
 * :mod:`repro.obs.tracer` — a low-overhead, thread-safe span tracer with
-  a process-wide no-op default (``SessionConfig(trace=...)`` /
+  a process-wide no-op default (``Runtime.resolve(trace=...)`` /
   ``EngineConfig(trace=...)`` opt in per session/engine), including
   counter samples for Perfetto counter tracks;
 * :mod:`repro.obs.metrics` — counters, gauges and p50/p90/p99 histograms

@@ -46,7 +46,6 @@ __all__ = [
     "RequestTracker",
     "TimelineEvent",
     "get_request_tracker",
-    "resolve_request_tracker",
     "set_request_tracker",
 ]
 
@@ -308,21 +307,6 @@ class RequestTracker:
             live_requests=self.live(),
             **extra,
         )
-
-
-def resolve_request_tracker(spec, metrics: Optional[MetricsRegistry] = None):
-    """Resolve an engine-config ``requests`` field into a tracker.
-
-    ``spec`` may be a :class:`RequestTracker` (used as-is), ``True``
-    (build a fresh enabled tracker observing into ``metrics``), or
-    ``None``/``False`` (fall back to the process-wide tracker, which is
-    disabled unless :func:`set_request_tracker` installed one).
-    """
-    if isinstance(spec, RequestTracker):
-        return spec
-    if spec:
-        return RequestTracker(metrics=metrics)
-    return get_request_tracker()
 
 
 #: Process-wide default: a disabled tracker, so un-configured engines pay

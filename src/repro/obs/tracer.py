@@ -25,10 +25,11 @@ Design constraints, in order:
 2. **Thread-safe recording.**  Workers of the parallel step walker and the
    micro-batcher thread record concurrently; appends happen under one
    lock, and nesting depth is tracked per-thread.
-3. **No global mutation by default.**  Sessions/engines take a tracer via
-   config (``SessionConfig(trace=...)``, ``EngineConfig(trace=...)``); the
-   process-wide tracer (:func:`get_tracer`/:func:`set_tracer`) is only the
-   fallback, so two engines can trace independently.
+3. **No global mutation by default.**  Sessions/engines take a tracer
+   through their :class:`repro.Runtime` (``Runtime.resolve(trace=...)``,
+   ``EngineConfig(trace=...)``); the process-wide tracer
+   (:func:`get_tracer`/:func:`set_tracer`) is only the fallback, so two
+   engines can trace independently.
 """
 
 from __future__ import annotations

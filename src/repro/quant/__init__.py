@@ -5,7 +5,8 @@ One package threading a second dtype through every layer of the engine
 substrate, and MNN-LLM's int8 weights + quantized KV cache):
 
 * :mod:`repro.quant.convert` — converter-time per-channel symmetric int8
-  weight quantization (:func:`quantize_graph`) stamping scale metadata
+  weight quantization (:func:`quantize_graph`, with :func:`calibrate` for
+  the activation scales conv/FC layers need) stamping scale metadata
   into node attrs, plus :func:`quantization_fingerprint`, the per-tensor
   dtype/scale digest the pre-inference cache keys on.
 * :mod:`repro.quant.kv` — the deterministic KV-cache codec: per-row
@@ -21,7 +22,13 @@ conversion, codec and contract pieces that tie them together.
 """
 
 from .accuracy import max_abs_error
-from .convert import quantization_fingerprint, quantize_graph
+from .convert import (
+    CalibrationResult,
+    calibrate,
+    quantization_fingerprint,
+    quantize_graph,
+    weight_bytes,
+)
 from .kv import (
     KV_DTYPES,
     dequantize_rows,
@@ -30,11 +37,14 @@ from .kv import (
 )
 
 __all__ = [
+    "CalibrationResult",
     "KV_DTYPES",
+    "calibrate",
     "dequantize_rows",
     "kv_itemsize",
     "max_abs_error",
     "quantization_fingerprint",
     "quantize_graph",
     "quantize_rows",
+    "weight_bytes",
 ]

@@ -1,15 +1,18 @@
 """Converter-time weight quantization and the quantization fingerprint.
 
 :func:`quantize_graph` is the one entry point for producing an int8
-model: per-channel symmetric weight quantization for ``MatMul`` (the
+model (Figure 2's "Model Compressor" stage, behind ``cli quantize``):
+per-channel symmetric weight quantization for ``MatMul`` (the
 decoder/GEMM path — weight-only, activations are quantized dynamically
 per row inside :mod:`repro.kernels.qgemm`) and, when calibration feeds
 are supplied, for ``Conv2D``/``FullyConnected`` (which need a static
-activation scale).  Scale metadata is stamped into node attrs
-(``weight_scales``, and ``input_scale`` for the calibrated ops) and the
-result is pushed through a full serialization round-trip, so every
-quantized graph is by construction one the RMNN format can persist and
-reload losslessly.
+activation scale, measured by :func:`calibrate`).  Depthwise
+convolutions stay float: they are memory-bound (no GEMM to accelerate)
+and quantizing them costs accuracy for no speedup.  Scale metadata is
+stamped into node attrs (``weight_scales``, and ``input_scale`` for the
+calibrated ops) and the result is pushed through a full serialization
+round-trip, so every quantized graph is by construction one the RMNN
+format can persist and reload losslessly.
 
 :func:`quantization_fingerprint` summarizes exactly the facts that make
 a quantized graph a *different computation* from its fp twin — every
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +34,55 @@ from ..ir.ops import Op
 from ..ir.serialization import dumps, loads
 from ..ir.tensor import DataType, TensorDesc
 
-__all__ = ["quantize_graph", "quantization_fingerprint"]
+__all__ = [
+    "CalibrationResult",
+    "calibrate",
+    "quantization_fingerprint",
+    "quantize_graph",
+    "weight_bytes",
+]
+
+
+@dataclass
+class CalibrationResult:
+    """Per-tensor activation scales measured on calibration data."""
+
+    scales: Dict[str, float]
+
+    def scale_for(self, tensor: str) -> float:
+        try:
+            return self.scales[tensor]
+        except KeyError:
+            raise GraphError(f"tensor {tensor!r} was not calibrated") from None
+
+
+def calibrate(graph: Graph, feeds_batches: Sequence[Dict[str, np.ndarray]]) -> CalibrationResult:
+    """Measure activation ranges by running the float graph.
+
+    Args:
+        feeds_batches: one feed dict per calibration sample (>= 1 required).
+    """
+    from ..core.reference import execute_reference  # late: keep repro.quant import-light
+
+    if not feeds_batches:
+        raise ValueError("calibration requires at least one input batch")
+    max_abs: Dict[str, float] = {}
+    for feeds in feeds_batches:
+        env = execute_reference(graph, feeds)
+        for name, value in env.items():
+            if not np.issubdtype(np.asarray(value).dtype, np.floating):
+                continue
+            peak = float(np.abs(value).max()) if value.size else 0.0
+            max_abs[name] = max(max_abs.get(name, 0.0), peak)
+    scales = {
+        name: (peak / 127.0 if peak > 0 else 1.0) for name, peak in max_abs.items()
+    }
+    return CalibrationResult(scales)
+
+
+def weight_bytes(graph: Graph) -> int:
+    """Total bytes of all constants — the model-size metric quantization shrinks."""
+    return sum(int(v.nbytes) for v in graph.constants.values())
 
 
 def _quantize_matmul_weights(graph: Graph) -> int:
@@ -86,7 +138,6 @@ def _quantize_matmul_weights(graph: Graph) -> int:
 def _quantize_calibrated(graph: Graph, original: Graph,
                          feeds_batches: Sequence[Dict[str, np.ndarray]]) -> int:
     """Conv2D/FullyConnected weight quantization (needs activation scales)."""
-    from ..converter.quantize import calibrate
     from ..kernels.quantized import quantize_weights_per_channel
 
     calibration = calibrate(original, feeds_batches)
@@ -133,11 +184,12 @@ def quantize_graph(
     survive the model format.
 
     Raises:
+        ValueError: ``feeds_batches`` is given but empty.
         GraphError: nothing in the graph was quantizable.
     """
     quantized = loads(dumps(graph))  # deep copy through the model format
     count = _quantize_matmul_weights(quantized)
-    if feeds_batches:
+    if feeds_batches is not None:
         count += _quantize_calibrated(quantized, graph, feeds_batches)
     if count == 0:
         raise GraphError(

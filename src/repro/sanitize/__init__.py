@@ -14,9 +14,11 @@ package proves the *dynamic* ones those layers now depend on:
   arena extents and KV slabs: leaks at close, double-free and
   generation-counter use-after-free.
 
-Enable per layer with ``SessionConfig(sanitize=True)``,
-``EngineConfig(sanitize=True)`` or ``GenerationConfig(sanitize=True)``;
-run everything at once with ``python -m repro.tools.cli sanitize``.  The
+Enable it for a whole engine with ``EngineConfig(sanitize=True)`` or
+``GenerationConfig(sanitize=True)`` (the engine's :class:`repro.Runtime`
+carries the one detector to every layer it builds), or for one session
+with ``Session(graph, runtime=Runtime.resolve(sanitize=True))``; run
+everything at once with ``python -m repro.tools.cli sanitize``.  The
 static companion pass (rule family ``C0xx`` over ``src/repro`` itself)
 lives in :mod:`repro.analysis.concurrency`.
 """
@@ -29,7 +31,6 @@ from .sanitizer import (
     SanitizeReport,
     Sanitizer,
     get_sanitizer,
-    resolve_sanitizer,
     set_sanitizer,
 )
 
@@ -46,6 +47,5 @@ __all__ = [
     "SanitizeReport",
     "Sanitizer",
     "get_sanitizer",
-    "resolve_sanitizer",
     "set_sanitizer",
 ]

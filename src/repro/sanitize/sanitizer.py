@@ -24,9 +24,9 @@ Design constraints mirror the tracer's (:mod:`repro.obs.tracer`):
    while acquiring user locks, so instrumentation cannot introduce the
    deadlocks it is hunting.
 3. **No global mutation by default.**  Sessions/engines take a sanitizer
-   via config (``SessionConfig(sanitize=True)``); the process-wide
-   default (:func:`get_sanitizer`/:func:`set_sanitizer`) is only the
-   fallback.
+   through their :class:`repro.Runtime` (``EngineConfig(sanitize=True)``,
+   ``Runtime.resolve(sanitize=True)``); the process-wide default
+   (:func:`get_sanitizer`/:func:`set_sanitizer`) is only the fallback.
 
 Findings surface three ways: :meth:`Sanitizer.report` (a structured
 :class:`SanitizeReport` with ``analysis.diagnostics`` conversion), the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Union
+from typing import Hashable, Iterable, List, Optional
 
 from ..obs.metrics import MetricsRegistry, get_metrics
 from .lifecycle import LifecycleFinding, LifecycleTracker
@@ -51,7 +51,6 @@ __all__ = [
     "Sanitizer",
     "get_sanitizer",
     "set_sanitizer",
-    "resolve_sanitizer",
 ]
 
 #: Counters every enabled sanitizer registers (at zero) in its metrics
@@ -345,20 +344,3 @@ def set_sanitizer(sanitizer: Sanitizer) -> Sanitizer:
     _GLOBAL_SANITIZER = sanitizer
     return previous
 
-
-def resolve_sanitizer(
-    value: Union[bool, Sanitizer, None],
-    metrics: Optional[MetricsRegistry] = None,
-) -> Sanitizer:
-    """Config-field semantics shared by every layer.
-
-    ``False``/``None`` -> the process-wide default (usually disabled);
-    ``True`` -> a fresh enabled sanitizer bound to ``metrics``;
-    a :class:`Sanitizer` instance -> itself (so one detector can span an
-    engine, its pool, its batcher and every worker session).
-    """
-    if isinstance(value, Sanitizer):
-        return value
-    if value:
-        return Sanitizer(enabled=True, metrics=metrics)
-    return get_sanitizer()

@@ -31,11 +31,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.session import Session
-from ..faults import FaultPlan, get_fault_plan, mark_isolated
+from ..faults import mark_isolated
 from ..ir.graph import GraphError
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, get_sanitizer
+from ..runtime import Runtime
 
 __all__ = ["BatchStats", "MicroBatcher"]
 
@@ -115,10 +114,8 @@ class MicroBatcher:
         session_factory: Callable[[], Session],
         max_batch: int = 8,
         timeout_ms: float = 2.0,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultPlan] = None,
-        sanitizer: Optional[Sanitizer] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         """Args:
             session_factory: builds a batch-execution session at the
@@ -128,20 +125,23 @@ class MicroBatcher:
             max_batch: dispatch as soon as this many samples are pending.
             timeout_ms: how long the first request in a bucket waits for
                 company before running alone.
-            metrics: registry backing :class:`BatchStats` (the engine
-                passes its own so all serving stats share one snapshot).
-            tracer: receives batch assembly/run spans on the dispatcher
-                thread; defaults to the process-wide tracer.
+            runtime: the engine's instruments; its registry backs
+                :class:`BatchStats` (so all serving stats share one
+                snapshot) and its tracer receives batch assembly/run spans
+                on the dispatcher thread.  ``None`` resolves the
+                process-wide defaults with a private registry.
         """
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._factory = session_factory
         self.max_batch = max_batch
         self.timeout_ms = timeout_ms
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.faults = faults if faults is not None else get_fault_plan()
-        self.sanitizer = sanitizer if sanitizer is not None else get_sanitizer()
-        self.stats = BatchStats(metrics)
+        if runtime is None:
+            runtime = Runtime.resolve(metrics=MetricsRegistry())
+        self.tracer = runtime.tracer
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
+        self.stats = BatchStats(runtime.metrics)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._pending: Dict[Tuple, List[_Pending]] = {}

@@ -42,12 +42,12 @@ from ..backends.base import Backend
 from ..core.memory import MemoryPlan
 from ..core.schemes import SchemeDecision
 from ..core.session import Session, SessionArtifacts, SessionConfig
-from ..faults import FaultPlan, get_fault_plan
+from ..faults import TransientFault, retry_transient
 from ..ir.graph import Graph
 from ..ir.serialization import graph_signature
 from ..kernels import winograd as winograd_mod
-from ..obs.metrics import MetricsRegistry, get_metrics
-from ..sanitize import Sanitizer, get_sanitizer
+from ..obs.metrics import get_metrics
+from ..runtime import Runtime
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -55,6 +55,7 @@ __all__ = [
     "PreInferenceArtifacts",
     "PreInferenceCache",
     "default_cache_dir",
+    "warm_session",
 ]
 
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
@@ -201,20 +202,14 @@ class PreInferenceCache:
     def __init__(
         self,
         root: Optional[Union[str, Path]] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        faults: Optional[FaultPlan] = None,
-        sanitizer: Optional[Sanitizer] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        # Resilience counters default to the process-wide registry (the
-        # one the fault plan increments), so reconciliation sees them all.
-        self._metrics = metrics
-        self.faults = faults if faults is not None else get_fault_plan()
-        self.sanitizer = sanitizer if sanitizer is not None else get_sanitizer()
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._metrics if self._metrics is not None else get_metrics()
+        runtime = runtime if runtime is not None else Runtime.resolve()
+        self.metrics = runtime.metrics
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
 
     # -- keying ------------------------------------------------------------
     def key(
@@ -348,3 +343,55 @@ class PreInferenceCache:
             except OSError:
                 pass
         return removed
+
+
+def warm_session(
+    graph: Graph,
+    config: SessionConfig,
+    cache: Optional[PreInferenceCache],
+    key: Optional[str],
+    runtime: Runtime,
+    retries: int = 3,
+    donor: Optional[MemoryPlan] = None,
+) -> Tuple[Session, bool]:
+    """Build one session, warmed through ``cache`` under the caller's ``key``.
+
+    Applies the cached artifacts on a hit and stores the new session's on
+    a miss.  Persistent transient cache IO degrades to cacheless for this
+    call (``fallback.cache``): the cache can never take down session
+    creation.  ``donor`` is an adjacent bucket's memory plan the session
+    adapts (re-proven by memcheck) before planning from scratch.  Returns
+    the session and whether the cache hit.
+    """
+    tracer = runtime.tracer
+
+    def cache_io(fn, label: str):
+        try:
+            return retry_transient(
+                fn, retries=retries, rng=runtime.faults.rng_for(label), label=label
+            )
+        except TransientFault:
+            # Like every reconciliation counter, this lands in the
+            # process-wide registry (the one the fault plan itself
+            # increments ``faults.injected`` in).
+            get_metrics().counter("fallback.cache").inc()
+            return None
+
+    artifacts = SessionArtifacts()
+    hit = False
+    if cache is not None:
+        with tracer.span("cache.lookup", "serving"):
+            cached = cache_io(lambda: cache.load(key), "cache.load")
+        if cached is not None:
+            artifacts = cached.apply()
+            hit = True
+        tracer.instant("cache.hit" if hit else "cache.miss", "serving", key=key)
+    artifacts.plan_donor = donor
+    session = Session(graph, config, artifacts, runtime=runtime)
+    if cache is not None and not hit:
+        with tracer.span("cache.store", "serving"):
+            cache_io(
+                lambda: cache.store(key, PreInferenceArtifacts.from_session(session)),
+                "cache.store",
+            )
+    return session, hit

@@ -18,7 +18,6 @@ Typical use::
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
@@ -27,24 +26,17 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..core.session import Session, SessionConfig
-from ..faults import (
-    DeadlineExceeded,
-    FaultPlan,
-    InjectedFault,
-    TransientFault,
-    get_fault_plan,
-    mark_isolated,
-    retry_transient,
-)
+from ..faults import DeadlineExceeded, FaultPlan, InjectedFault, mark_isolated
 from ..faults.resilience import Deadline
 from ..ir.graph import Graph
-from ..obs.metrics import MetricsRegistry
-from ..obs.requests import RequestTracker, resolve_request_tracker
+from ..obs.metrics import MetricsRegistry, get_metrics
+from ..obs.requests import RequestTracker
 from ..obs.resources import ResourceSampler
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, resolve_sanitizer
+from ..obs.tracer import Tracer
+from ..runtime import Runtime
+from ..sanitize import Sanitizer
 from .batching import MicroBatcher
-from .cache import PreInferenceArtifacts, PreInferenceCache
+from .cache import PreInferenceCache, warm_session
 from .pool import SessionPool
 
 __all__ = ["EngineConfig", "EngineStats", "Engine"]
@@ -66,17 +58,16 @@ class EngineConfig:
         batch_timeout_ms: how long a lone request waits for company.
         trace: a :class:`repro.obs.Tracer` receiving serving spans (cache
             hit/miss, session creation, pool checkout waits, batch
-            assembly) and — unless the session config carries its own
-            tracer — every worker session's pre-inference and per-op
-            spans.  ``None`` falls back to the process-wide tracer.
+            assembly) and every worker session's pre-inference and
+            per-op spans.  ``None`` falls back to the process-wide tracer.
         metrics: the :class:`repro.obs.MetricsRegistry` backing this
             engine's :class:`EngineStats`, pool and batcher counters.
             ``None`` creates a private registry per engine.
         faults: a :class:`repro.faults.FaultPlan` injected at every
             serving-layer fault point (cache load/store, pool checkout,
-            batch assembly) and — unless the session config pins its own
-            — into every worker session.  ``None`` falls back to the
-            process-wide plan (``$REPRO_FAULTS``, default disabled).
+            batch assembly) and into every worker session.  ``None``
+            falls back to the process-wide plan (``$REPRO_FAULTS``,
+            default disabled).
         deadline_ms: default per-request deadline budget for
             :meth:`Engine.infer`; ``None`` means no deadline.
         retries: extra attempts for transient failures (cache IO, pool
@@ -90,9 +81,13 @@ class EngineConfig:
             request cost is one attribute check).
         sanitize: a :class:`repro.sanitize.Sanitizer` (or ``True`` for a
             fresh one) spanning the whole serving stack: pool checkout
-            handoffs, batcher lock discipline, cache entries and — unless
-            the session config pins its own — every worker session's
-            probes, so one detector sees every layer's events.
+            handoffs, batcher lock discipline, cache entries and every
+            worker session's probes, so one detector sees every layer's
+            events.
+
+    The five instrument fields resolve once, in :class:`Engine`, into one
+    :class:`repro.Runtime` that the engine hands to its pool, batcher,
+    cache and every worker session.
     """
 
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -180,56 +175,43 @@ class Engine:
     def __init__(self, graph: Graph, config: Optional[EngineConfig] = None) -> None:
         self.graph = graph
         self.config = config or EngineConfig()
-        self.tracer = (
-            self.config.trace if self.config.trace is not None else get_tracer()
+        c = self.config
+        self.runtime = Runtime.resolve(
+            trace=c.trace,
+            metrics=c.metrics if c.metrics is not None else MetricsRegistry(),
+            faults=c.faults, sanitize=c.sanitize, requests=c.requests,
         )
-        self.metrics = (
-            self.config.metrics if self.config.metrics is not None
-            else MetricsRegistry()
-        )
+        self.tracer = self.runtime.tracer
+        self.metrics = self.runtime.metrics
+        self.faults = self.runtime.faults
+        self.sanitizer = self.runtime.sanitizer
+        self.requests = self.runtime.requests
         self.stats = EngineStats(self.metrics)
-        self.faults = (
-            self.config.faults if self.config.faults is not None
-            else get_fault_plan()
-        )
-        self.sanitizer = resolve_sanitizer(self.config.sanitize, metrics=self.metrics)
+        # The cache's own counters (corrupt/quarantined entries and the
+        # fallback.cache reconciliation counter) live in the process-wide
+        # registry, not the engine's private one.
         self.cache = (
-            PreInferenceCache(self.config.cache_dir, faults=self.faults,
-                              sanitizer=self.sanitizer)
-            if self.config.use_cache else None
-        )
-        self._cache_key: Optional[str] = None
-        # Worker sessions inherit the engine's tracer, fault plan and
-        # sanitizer unless the session config pins its own, so one trace
-        # shows serving + execution and one detector covers every layer.
-        self._session_config = self.config.session
-        if self.tracer.enabled and self._session_config.trace is None:
-            self._session_config = replace(self._session_config, trace=self.tracer)
-        if self.config.faults is not None and self._session_config.faults is None:
-            self._session_config = replace(self._session_config, faults=self.faults)
-        if self.sanitizer.enabled and self._session_config.sanitize is False:
-            self._session_config = replace(
-                self._session_config, sanitize=self.sanitizer
+            PreInferenceCache(
+                c.cache_dir, runtime=replace(self.runtime, metrics=get_metrics())
             )
+            if c.use_cache else None
+        )
+        #: The engine's pre-inference cache key (``None`` when uncached).
+        self.cache_key = (
+            self.cache.key(graph, c.session) if self.cache is not None else None
+        )
         self.pool = SessionPool(
-            self._create_session, self.config.pool_size,
-            metrics=self.metrics, tracer=self.tracer,
-            faults=self.faults, retries=self.config.retries,
-            sanitizer=self.sanitizer,
+            self._create_session, c.pool_size, c.retries, runtime=self.runtime
         )
         self.batcher = (
             MicroBatcher(
                 self._create_session,
-                max_batch=self.config.max_batch,
-                timeout_ms=self.config.batch_timeout_ms,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                faults=self.faults,
-                sanitizer=self.sanitizer,
+                max_batch=c.max_batch,
+                timeout_ms=c.batch_timeout_ms,
+                runtime=self.runtime,
             )
-            if self.config.batching else None
+            if c.batching else None
         )
-        self.requests = resolve_request_tracker(self.config.requests, self.metrics)
         # Resource counter tracks (pool idle seats, in-flight requests,
         # cache hit rate) are only worth their samples when someone is
         # watching — a request tracker or an enabled tracer.
@@ -256,66 +238,13 @@ class Engine:
         remaining pool workers — and every future process — come up warm.
         """
         with self.tracer.span("engine.create_session", "serving") as span:
-            artifacts = None
-            hit = False
-            if self.cache is not None:
-                if self._cache_key is None:
-                    self._cache_key = self.cache.key(self.graph, self.config.session)
-                with self.tracer.span("cache.lookup", "serving"):
-                    cached = self._cache_io(
-                        lambda: self.cache.load(self._cache_key), "cache.load"
-                    )
-                if cached is not None:
-                    artifacts = cached.apply()
-                    hit = True
-                self.tracer.instant(
-                    "cache.hit" if hit else "cache.miss", "serving",
-                    key=self._cache_key,
-                )
-            start = time.perf_counter()
-            session = Session(self.graph, self._session_config, artifacts=artifacts)
-            prepare_ms = (time.perf_counter() - start) * 1000.0
-            self.stats.record_prepare(hit, prepare_ms)
-            span.set(cache_hit=hit, prepare_ms=prepare_ms)
-            if self.cache is not None and not hit:
-                with self.tracer.span("cache.store", "serving"):
-                    self._cache_io(
-                        lambda: self.cache.store(
-                            self._cache_key,
-                            PreInferenceArtifacts.from_session(session),
-                        ),
-                        "cache.store",
-                    )
-        return session
-
-    def _cache_io(self, fn, label: str):
-        """Run a cache operation with transient-retry, degrading on failure.
-
-        Transient IO faults are retried with backoff; if they persist the
-        engine falls back to running cacheless for this call (a miss /
-        skipped store), counted in ``fallback.cache`` — the cache must
-        never be able to take down session creation.
-        """
-        try:
-            return retry_transient(
-                fn,
-                retries=self.config.retries,
-                rng=self.faults.rng_for(label),
-                label=label,
+            session, hit = warm_session(
+                self.graph, self.config.session, self.cache, self.cache_key,
+                self.runtime, self.config.retries,
             )
-        except TransientFault:
-            # Like every reconciliation counter, this lands in the
-            # process-wide registry (the one the fault plan itself
-            # increments ``faults.injected`` in).
-            from ..obs.metrics import get_metrics
-
-            get_metrics().counter("fallback.cache").inc()
-            return None
-
-    @property
-    def cache_key(self) -> Optional[str]:
-        """The engine's pre-inference cache key (``None`` when uncached)."""
-        return self._cache_key
+            self.stats.record_prepare(hit, session.prepare_wall_ms)
+            span.set(cache_hit=hit, prepare_ms=session.prepare_wall_ms)
+        return session
 
     # -- inference ----------------------------------------------------------
     def infer(

@@ -18,11 +18,10 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional
 
 from ..core.session import Session
-from ..faults import FaultPlan, PoolTimeout, get_fault_plan, retry_transient
+from ..faults import PoolTimeout, retry_transient
 from ..faults.resilience import Deadline
 from ..obs.metrics import MetricsRegistry
-from ..obs.tracer import Tracer, get_tracer
-from ..sanitize import Sanitizer, get_sanitizer
+from ..runtime import Runtime
 
 __all__ = ["SessionPool"]
 
@@ -42,25 +41,26 @@ class SessionPool:
         self,
         factory: Callable[[], Session],
         size: int,
-        metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        faults: Optional[FaultPlan] = None,
         retries: int = 3,
-        sanitizer: Optional[Sanitizer] = None,
+        *,
+        runtime: Optional[Runtime] = None,
     ) -> None:
         """Build ``size`` sessions eagerly via ``factory``.
 
         Eager construction keeps the failure mode simple (a broken model
         fails at pool creation, not mid-traffic) and lets the serving
         cache amortize pre-inference across all workers: the first
-        ``factory()`` call is the only potentially cold one.
+        ``factory()`` call is the only potentially cold one.  Without a
+        ``runtime`` the pool counts into a private registry.
         """
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.faults = faults if faults is not None else get_fault_plan()
-        self.sanitizer = sanitizer if sanitizer is not None else get_sanitizer()
+        if runtime is None:
+            runtime = Runtime.resolve(metrics=MetricsRegistry())
+        self.metrics = runtime.metrics
+        self.tracer = runtime.tracer
+        self.faults = runtime.faults
+        self.sanitizer = runtime.sanitizer
         self.retries = retries
         self._sessions: List[Session] = [factory() for _ in range(size)]
         self._free: "queue.Queue[Session]" = queue.Queue()

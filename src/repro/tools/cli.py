@@ -55,7 +55,7 @@ def _random_feeds(graph, seed: int = 0):
 
 
 def cmd_info(args) -> int:
-    from ..converter import weight_bytes
+    from ..quant import weight_bytes
     from ..core import node_muls
 
     graph = _load(args.model)
@@ -141,8 +141,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    from ..converter import quantize_model, weight_bytes
     from ..ir import save_model
+    from ..quant import quantize_graph, weight_bytes
 
     if args.selftest:
         return _quantize_selftest()
@@ -151,7 +151,7 @@ def cmd_quantize(args) -> int:
         return 2
     graph = _load(args.model)
     feeds = [_random_feeds(graph, seed) for seed in range(args.calibration_batches)]
-    quantized = quantize_model(graph, feeds)
+    quantized = quantize_graph(graph, feeds)
     save_model(quantized, args.output)
     print(f"quantized: {weight_bytes(graph) / 2**20:.2f} MiB -> "
           f"{weight_bytes(quantized) / 2**20:.2f} MiB; wrote {args.output}")
@@ -317,12 +317,14 @@ def cmd_trace(args) -> int:
     """Record a Chrome trace of pre-inference + execution (serial and parallel)."""
     from ..core import Session, SessionConfig
     from ..obs import Tracer, save_chrome_trace, top_ops_report, waterfall_report
+    from ..runtime import Runtime
 
     graph = _load(args.model)
     tracer = Tracer()
+    runtime = Runtime.resolve(trace=tracer)
     feeds = _random_feeds(graph)
     # Serial session: pre-inference stage spans + per-op spans on one lane.
-    session = Session(graph, SessionConfig(threads=args.threads, trace=tracer))
+    session = Session(graph, SessionConfig(threads=args.threads), runtime=runtime)
     for _ in range(args.runs):
         session.run(feeds)
     if not args.no_parallel:
@@ -330,9 +332,8 @@ def cmd_trace(args) -> int:
         # the trace shows independent branches overlapping on worker lanes.
         parallel = Session(
             graph,
-            SessionConfig(
-                threads=args.threads, trace=tracer, parallel_branches=True
-            ),
+            SessionConfig(threads=args.threads, parallel_branches=True),
+            runtime=runtime,
         )
         for _ in range(args.runs):
             parallel.run(feeds)
@@ -378,10 +379,12 @@ def cmd_metrics(args) -> int:
     try:
         if args.model:
             from ..core import Session, SessionConfig
+            from ..runtime import Runtime
 
             graph = _load(args.model)
             session = Session(
-                graph, SessionConfig(threads=args.threads, sanitize=args.sanitize)
+                graph, SessionConfig(threads=args.threads),
+                runtime=Runtime.resolve(sanitize=args.sanitize),
             )
             feeds = _random_feeds(graph)
             for _ in range(args.runs):

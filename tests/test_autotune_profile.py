@@ -74,10 +74,10 @@ class TestAutotune:
         assert t_tuned <= t_base * 1.2  # never meaningfully worse
 
     def test_skips_quantized_convs(self):
-        from repro.converter import quantize_model
+        from repro.quant import quantize_graph
 
         g = conv_net()
-        q = quantize_model(
+        q = quantize_graph(
             g, [{"in": RNG.standard_normal((1, 8, 32, 32)).astype(np.float32)}]
         )
         report = autotune_schemes(q, repeats=1)

@@ -13,12 +13,11 @@ from repro.converter import (
     convert_caffe_like,
     convert_onnx_like,
     optimize,
-    quantize_model,
-    weight_bytes,
 )
 from repro.core import Session
 from repro.core.reference import execute_reference
 from repro.ir import GraphBuilder, GraphError, Op
+from repro.quant import quantize_graph, weight_bytes
 
 RNG = np.random.default_rng(31)
 
@@ -286,7 +285,7 @@ class TestQuantization:
 
     def test_quantized_weights_are_int8(self):
         g = self._model()
-        q = quantize_model(g, self._feeds())
+        q = quantize_graph(g, self._feeds())
         convs = [n for n in q.nodes if n.op_type == Op.CONV2D]
         assert convs
         for conv in convs:
@@ -296,13 +295,13 @@ class TestQuantization:
 
     def test_model_size_shrinks(self):
         g = self._model()
-        q = quantize_model(g, self._feeds())
+        q = quantize_graph(g, self._feeds())
         # conv weights dominate this model; total weight bytes must drop a lot
         assert weight_bytes(q) < weight_bytes(g) * 0.65
 
     def test_outputs_close_to_float(self):
         g = self._model()
-        q = quantize_model(g, self._feeds())
+        q = quantize_graph(g, self._feeds())
         feeds = self._feeds(1)[0]
         ref = execute_reference(g, feeds)[g.outputs[0]]
         got = execute_reference(q, feeds)[q.outputs[0]]
@@ -310,43 +309,37 @@ class TestQuantization:
 
     def test_original_untouched(self):
         g = self._model()
-        quantize_model(g, self._feeds())
+        quantize_graph(g, self._feeds())
         for value in g.constants.values():
             assert value.dtype != np.int8
 
     def test_runs_in_session(self):
-        q = quantize_model(self._model(), self._feeds())
+        q = quantize_graph(self._model(), self._feeds())
         session = Session(q)
         out = list(session.run(self._feeds(1)[0]).values())[0]
         assert out.sum() == pytest.approx(1.0, abs=1e-4)
 
     def test_no_calibration_data_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            quantize_model(self._model(), [])
+            quantize_graph(self._model(), [])
 
     def test_no_convs_rejected(self):
         b = GraphBuilder("noconv", seed=0)
         x = b.input("in", (1, 4))
         b.output(b.relu(x))
         with pytest.raises(GraphError, match="no quantizable"):
-            quantize_model(b.finish(), [{"in": np.ones((1, 4), np.float32)}])
+            quantize_graph(b.finish(), [{"in": np.ones((1, 4), np.float32)}])
 
     def test_fc_quantized_too(self):
         g = self._model()
-        q = quantize_model(g, self._feeds())
+        q = quantize_graph(g, self._feeds())
         fc = next(n for n in q.nodes if n.op_type == Op.FULLY_CONNECTED)
         assert q.constants[fc.inputs[1]].dtype == np.int8
         assert len(fc.attrs["weight_scales"]) == fc.attrs["units"]
 
-    def test_fc_quantization_opt_out(self):
-        g = self._model()
-        q = quantize_model(g, self._feeds(), quantize_fc=False)
-        fc = next(n for n in q.nodes if n.op_type == Op.FULLY_CONNECTED)
-        assert q.constants[fc.inputs[1]].dtype == np.float32
-
     def test_fc_quantized_output_close(self):
         g = self._model()
-        q = quantize_model(g, self._feeds())
+        q = quantize_graph(g, self._feeds())
         feeds = self._feeds(1)[0]
         ref = execute_reference(g, feeds)[g.outputs[0]]
         got = execute_reference(q, feeds)[q.outputs[0]]
@@ -354,7 +347,7 @@ class TestQuantization:
 
     def test_quantized_model_serializes(self):
         from repro.ir import dumps, loads
-        q = quantize_model(self._model(), self._feeds())
+        q = quantize_graph(self._model(), self._feeds())
         q2 = loads(dumps(q))
         feeds = self._feeds(1)[0]
         a = execute_reference(q, feeds)[q.outputs[0]]

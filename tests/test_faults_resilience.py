@@ -31,6 +31,7 @@ from repro.faults import (
 from repro.ir import GraphBuilder
 from repro.obs import Tracer
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.runtime import Runtime
 
 RNG = np.random.default_rng(0)
 
@@ -239,7 +240,7 @@ class TestSessionResilience:
         plan = FaultPlan([FaultRule("backend.dispatch", "fatal", times=1)])
         tracer = Tracer()
         out = Session(
-            graph, SessionConfig(faults=plan, trace=tracer)
+            graph, runtime=Runtime.resolve(trace=tracer, faults=plan)
         ).run(feeds)
         assert plan.injected == 1
         assert get_metrics().value("fallback.ops") == 1
@@ -253,7 +254,7 @@ class TestSessionResilience:
         gold = Session(graph).run(feeds)
 
         plan = FaultPlan([FaultRule("kernel.execute", "transient", times=2)])
-        out = Session(graph, SessionConfig(faults=plan)).run(feeds)
+        out = Session(graph, runtime=Runtime.resolve(faults=plan)).run(feeds)
         assert plan.injected == 2
         assert get_metrics().value("retry.attempts") == 2
         assert get_metrics().value("fallback.ops") == 0
@@ -266,9 +267,10 @@ class TestSessionResilience:
         gold = Session(graph).run(feeds)
 
         plan = FaultPlan([FaultRule("backend.dispatch", "fatal", times=8)])
-        session = Session(graph, SessionConfig(
-            faults=plan, breaker_threshold=2, breaker_cooldown_s=0.0,
-        ))
+        session = Session(
+            graph, SessionConfig(breaker_threshold=2, breaker_cooldown_s=0.0),
+            runtime=Runtime.resolve(faults=plan),
+        )
         out = session.run(feeds)
         assert get_metrics().value("breaker.opens") >= 1
         for key in gold:
@@ -290,9 +292,10 @@ class TestSessionResilience:
             match={"scheme": ("winograd", "winograd_rect")}, times=1,
         )])
         tracer = Tracer()
-        out = Session(graph, SessionConfig(
-            scheme_overrides=wino, faults=plan, trace=tracer,
-        )).run(feeds)
+        out = Session(
+            graph, SessionConfig(scheme_overrides=wino),
+            runtime=Runtime.resolve(trace=tracer, faults=plan),
+        ).run(feeds)
         assert plan.injected == 1
         assert get_metrics().value("fallback.numeric") == 1
         for key in gold:
@@ -312,7 +315,7 @@ class TestSessionResilience:
         plan = FaultPlan([FaultRule(
             "kernel.execute", "nan", match={"op": "FullyConnected"}, times=1,
         )])
-        out = Session(graph, SessionConfig(faults=plan)).run(feeds)
+        out = Session(graph, runtime=Runtime.resolve(faults=plan)).run(feeds)
         assert plan.injected == 1
         assert get_metrics().value("fallback.numeric") == 1
         for key in gold:
@@ -321,7 +324,8 @@ class TestSessionResilience:
     def test_resilience_off_lets_faults_escape(self):
         plan = FaultPlan([FaultRule("kernel.execute", "fatal", times=1)])
         session = Session(
-            tiny_net(), SessionConfig(faults=plan, resilience=False)
+            tiny_net(), SessionConfig(resilience=False),
+            runtime=Runtime.resolve(faults=plan),
         )
         with pytest.raises(FatalFault):
             session.run(tiny_feed())
@@ -331,7 +335,7 @@ class TestSessionResilience:
         feeds = tiny_feed()
         # skip=1 spares construction; the first resize hits the fault.
         plan = FaultPlan([FaultRule("session.prepare", "fatal", skip=1, times=1)])
-        session = Session(graph, SessionConfig(faults=plan))
+        session = Session(graph, runtime=Runtime.resolve(faults=plan))
         gold = session.run(feeds)
 
         with pytest.raises(FatalFault):
@@ -356,7 +360,9 @@ class TestPoolResilience:
 
         graph = tiny_net()
         plan = FaultPlan([FaultRule("pool.checkout", "transient", times=2)])
-        pool = SessionPool(lambda: Session(graph), size=1, faults=plan)
+        pool = SessionPool(
+            lambda: Session(graph), size=1, runtime=Runtime.resolve(faults=plan)
+        )
         with pool.acquire() as session:
             assert session is not None
         assert plan.injected == 2
@@ -367,7 +373,10 @@ class TestPoolResilience:
 
         graph = tiny_net()
         plan = FaultPlan([FaultRule("pool.checkout", "transient")])
-        pool = SessionPool(lambda: Session(graph), size=1, faults=plan, retries=2)
+        pool = SessionPool(
+            lambda: Session(graph), size=1, retries=2,
+            runtime=Runtime.resolve(faults=plan),
+        )
         with pytest.raises(TransientFault):
             with pool.acquire():
                 pass

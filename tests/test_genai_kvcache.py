@@ -13,6 +13,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.genai import KVCacheAllocator, KVCacheConfig, KVCacheOOM
 from repro.genai.kvcache import KVCacheUseAfterFree
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.runtime import Runtime
 from repro.sanitize import Sanitizer
 
 pytestmark = pytest.mark.genai
@@ -206,7 +207,8 @@ class TestKVCacheAllocator:
         # A retired slab whose id is taken again can never be reached by
         # id; it used to drop out of the tables with its pages still held.
         sanitizer = Sanitizer(metrics=get_metrics())
-        alloc = KVCacheAllocator(make_config(), sanitizer=sanitizer)
+        alloc = KVCacheAllocator(
+            make_config(), runtime=Runtime.resolve(sanitize=sanitizer))
         total = alloc.free_pages
         first = alloc.alloc("s", 16)
         alloc.release(first, evictable=True)
@@ -255,7 +257,8 @@ class TestSlabViewCache:
     def test_freed_slab_raises_through_cached_views(self, how, kv_dtype):
         sanitizer = Sanitizer(metrics=get_metrics())
         alloc = KVCacheAllocator(
-            make_config(capacity_tokens=32, kv_dtype=kv_dtype), sanitizer=sanitizer)
+            make_config(capacity_tokens=32, kv_dtype=kv_dtype),
+            runtime=Runtime.resolve(sanitize=sanitizer))
         slab = alloc.alloc("s", 8)
         slab.write_k(0, 0, RNG.standard_normal((2, 4, 8)).astype(np.float32))
         slab.length = 4
@@ -340,7 +343,8 @@ class TestSlabPlanSanitizer:
 class TestAllocFaults:
     def test_transient_alloc_faults_are_retried(self):
         plan = FaultPlan([FaultRule("kvcache.alloc", "transient", times=2)], seed=1)
-        alloc = KVCacheAllocator(make_config(), faults=plan)
+        alloc = KVCacheAllocator(make_config(),
+                                 runtime=Runtime.resolve(faults=plan))
         slab = alloc.alloc("s", 8)  # retries absorb both transients
         assert slab.capacity == 8
         assert plan.injected == 2
@@ -350,7 +354,8 @@ class TestAllocFaults:
         # skip=1 spares the setup allocation; the fatal hits "new".
         plan = FaultPlan([FaultRule("kvcache.alloc", "fatal", times=1, skip=1)],
                          seed=1)
-        alloc = KVCacheAllocator(make_config(capacity_tokens=32), faults=plan)
+        alloc = KVCacheAllocator(make_config(capacity_tokens=32),
+                                 runtime=Runtime.resolve(faults=plan))
         victim = alloc.alloc("old", 16)
         alloc.release(victim, evictable=True)
         # The injected fatal is absorbed by evicting the retired slab and
@@ -363,7 +368,8 @@ class TestAllocFaults:
 
     def test_fatal_with_nothing_evictable_is_isolated_oom(self):
         plan = FaultPlan([FaultRule("kvcache.alloc", "fatal", times=1)], seed=1)
-        alloc = KVCacheAllocator(make_config(), faults=plan)
+        alloc = KVCacheAllocator(make_config(),
+                                 runtime=Runtime.resolve(faults=plan))
         with pytest.raises(KVCacheOOM, match="nothing left to evict"):
             alloc.alloc("s", 8)
         # The fault is accounted as isolated (typed failure, no crash) and
@@ -376,7 +382,8 @@ class TestAllocFaults:
         # attempts, each absorbed by evicting one more retired slab.
         plan = FaultPlan([FaultRule("kvcache.alloc", "fatal", times=3, skip=4)],
                          seed=1)
-        alloc = KVCacheAllocator(make_config(capacity_tokens=64), faults=plan)
+        alloc = KVCacheAllocator(make_config(capacity_tokens=64),
+                                 runtime=Runtime.resolve(faults=plan))
         slabs = [alloc.alloc(f"s{i}", 16) for i in range(4)]
         for s in slabs:
             alloc.release(s, evictable=True)

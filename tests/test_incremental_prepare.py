@@ -23,6 +23,7 @@ from repro.core.schemes import (
 from repro.faults import FaultPlan, FaultRule
 from repro.ir import GraphBuilder
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.runtime import Runtime
 from repro.serving import (
     MicroBatcher,
     PreInferenceArtifacts,
@@ -248,7 +249,7 @@ class TestBatcherDeadlines:
 class TestCacheQuarantine:
     def test_corrupt_entry_unlinked_on_load(self, tmp_path):
         metrics = MetricsRegistry()
-        cache = PreInferenceCache(tmp_path, metrics=metrics)
+        cache = PreInferenceCache(tmp_path, runtime=Runtime.resolve(metrics=metrics))
         key = "deadbeef" * 8
         cache.root.mkdir(parents=True, exist_ok=True)
         cache.path(key).write_text("{torn", encoding="utf-8")
@@ -264,13 +265,13 @@ class TestCacheQuarantine:
         session = Session(conv_net(16))
         artifacts = PreInferenceArtifacts.from_session(session)
         plan = FaultPlan([FaultRule("cache.store", "torn", times=1)])
-        torn_writer = PreInferenceCache(tmp_path, faults=plan)
+        torn_writer = PreInferenceCache(tmp_path, runtime=Runtime.resolve(faults=plan))
         key = torn_writer.key(session.graph, SessionConfig())
         torn_writer.store(key, artifacts)
         assert torn_writer.path(key).exists()
 
         metrics = MetricsRegistry()
-        reader = PreInferenceCache(tmp_path, metrics=metrics)
+        reader = PreInferenceCache(tmp_path, runtime=Runtime.resolve(metrics=metrics))
         assert reader.load(key) is None          # truncated JSON
         assert not reader.path(key).exists()     # and now quarantined
         assert metrics.value("cache.quarantined") == 1

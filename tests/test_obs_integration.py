@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import Session, SessionConfig
+from repro.runtime import Runtime
 from repro.ir import GraphBuilder
 from repro.obs import (
     MetricsRegistry,
@@ -75,7 +76,7 @@ def branchy_feed(hw=16, branches=4):
 class TestSessionTracing:
     def test_pre_inference_stages_covered(self):
         tracer = Tracer()
-        Session(chain_net(), SessionConfig(trace=tracer))
+        Session(chain_net(), runtime=Runtime.resolve(trace=tracer))
         names = {s.name for s in tracer.spans}
         assert "session.prepare" in names
         assert PRE_INFERENCE_STAGES <= names
@@ -90,7 +91,7 @@ class TestSessionTracing:
 
     def test_every_op_traced_serial(self):
         tracer = Tracer()
-        session = Session(chain_net(), SessionConfig(trace=tracer))
+        session = Session(chain_net(), runtime=Runtime.resolve(trace=tracer))
         session.run(chain_feed())
         op_spans = [s for s in tracer.spans if s.category == "op"]
         assert {s.name for s in op_spans} == {n.name for n in session._order}
@@ -104,7 +105,8 @@ class TestSessionTracing:
         tracer = Tracer()
         session = Session(
             branchy_net(),
-            SessionConfig(trace=tracer, parallel_branches=True, threads=4),
+            SessionConfig(parallel_branches=True, threads=4),
+            runtime=Runtime.resolve(trace=tracer),
         )
         session.run(branchy_feed())
         op_spans = [s for s in tracer.spans if s.category == "op"]
@@ -152,7 +154,7 @@ class TestRunProfiled:
 
     def test_profiled_run_uses_session_tracer_when_enabled(self):
         tracer = Tracer()
-        session = Session(chain_net(), SessionConfig(trace=tracer))
+        session = Session(chain_net(), runtime=Runtime.resolve(trace=tracer))
         mark = tracer.mark()
         _, profile = session.run_profiled(chain_feed())
         assert profile
@@ -164,7 +166,8 @@ class TestChromeTraceExport:
         tracer = Tracer()
         session = Session(
             branchy_net(),
-            SessionConfig(trace=tracer, parallel_branches=True, threads=4),
+            SessionConfig(parallel_branches=True, threads=4),
+            runtime=Runtime.resolve(trace=tracer),
         )
         session.run(branchy_feed())
         return tracer
@@ -240,7 +243,8 @@ class TestChromeTraceExport:
         tracer = Tracer()
         session = Session(
             branchy_net(),
-            SessionConfig(trace=tracer, threads=4),
+            SessionConfig(threads=4),
+            runtime=Runtime.resolve(trace=tracer),
         )
         session.run(branchy_feed())
         names = set(tracer.thread_names.values())
@@ -454,7 +458,9 @@ class TestTraceSelf:
 
         graph = build_model(name, input_size=32)
         tracer = Tracer()
-        session = Session(graph, SessionConfig(trace=tracer, threads=2))
+        session = Session(
+            graph, SessionConfig(threads=2), runtime=Runtime.resolve(trace=tracer)
+        )
         session.run(random_feeds(graph))
         names = {s.name for s in tracer.spans}
         assert "session.prepare" in names and "session.run" in names

@@ -11,7 +11,6 @@ from repro.obs.prom import parse_prometheus, prom_name, to_prometheus
 from repro.obs.requests import (
     RequestTracker,
     get_request_tracker,
-    resolve_request_tracker,
     set_request_tracker,
 )
 from repro.obs.resources import ResourceSampler
@@ -121,13 +120,15 @@ class TestTrackerToggle:
             set_request_tracker(prev)
 
     def test_resolve_spec_forms(self):
+        from repro.runtime import Runtime
+
         reg = MetricsRegistry()
         mine = RequestTracker(metrics=reg)
-        assert resolve_request_tracker(mine, None) is mine
-        fresh = resolve_request_tracker(True, reg)
+        assert Runtime.resolve(requests=mine).requests is mine
+        fresh = Runtime.resolve(metrics=reg, requests=True).requests
         assert fresh.enabled and fresh.metrics is reg
-        assert resolve_request_tracker(None, reg) is get_request_tracker()
-        assert resolve_request_tracker(False, reg) is get_request_tracker()
+        assert Runtime.resolve(metrics=reg).requests is get_request_tracker()
+        assert Runtime.resolve(requests=False).requests is get_request_tracker()
 
     def test_disabled_tracker_overhead_under_5_percent(self):
         """The per-request cost of disabled request tracking must stay

@@ -30,6 +30,7 @@ from repro.faults import FaultPlan
 from repro.faults.resilience import Deadline
 from repro.ir import GraphBuilder, dumps, loads
 from repro.obs import Tracer
+from repro.runtime import Runtime
 
 RNG = np.random.default_rng(101)
 
@@ -164,15 +165,20 @@ def test_optimizer_never_changes_results(graph):
 
 #: Every way of running a session: each walks the same step plan, so each
 #: must reproduce the plain run bit for bit.
+#: Each variant builds a (config, runtime) pair.
 EXECUTOR_VARIANTS = {
-    "plain": lambda: SessionConfig(),
-    "traced": lambda: SessionConfig(trace=Tracer()),
-    "parallel_branches": lambda: SessionConfig(parallel_branches=True, threads=2),
-    "arena_execution": lambda: SessionConfig(arena_execution=True),
-    "interleaved": lambda: SessionConfig(decouple=False),
-    "lazy_prepare": lambda: SessionConfig(lazy_prepare=True),
-    "resilient": lambda: SessionConfig(resilience=True, faults=FaultPlan()),
-    "far_deadline": lambda: SessionConfig(),
+    "plain": lambda: (SessionConfig(), None),
+    "traced": lambda: (SessionConfig(), Runtime.resolve(trace=Tracer())),
+    "parallel_branches": lambda: (
+        SessionConfig(parallel_branches=True, threads=2), None
+    ),
+    "arena_execution": lambda: (SessionConfig(arena_execution=True), None),
+    "interleaved": lambda: (SessionConfig(decouple=False), None),
+    "lazy_prepare": lambda: (SessionConfig(lazy_prepare=True), None),
+    "resilient": lambda: (
+        SessionConfig(resilience=True), Runtime.resolve(faults=FaultPlan())
+    ),
+    "far_deadline": lambda: (SessionConfig(), None),
 }
 
 
@@ -183,7 +189,8 @@ def test_decoupled_and_interleaved_agree(graph, variant):
     want = execute_reference(graph, feed)[graph.outputs[0]]
     plain = list(Session(graph).run(feed).values())[0]
     np.testing.assert_allclose(plain, want, atol=1e-4)
-    session = Session(graph, EXECUTOR_VARIANTS[variant]())
+    config, runtime = EXECUTOR_VARIANTS[variant]()
+    session = Session(graph, config, runtime=runtime)
     deadline = Deadline(60_000.0) if variant == "far_deadline" else None
     for _ in range(2):  # a second run reuses the plan (and the arena)
         got = list(session.run(feed, deadline=deadline).values())[0]

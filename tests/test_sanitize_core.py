@@ -18,7 +18,6 @@ from repro.sanitize import (
     SanitizeError,
     Sanitizer,
     get_sanitizer,
-    resolve_sanitizer,
     set_sanitizer,
 )
 
@@ -266,12 +265,14 @@ class TestSanitizerFacade:
             assert snapshot[name] == 0
 
     def test_resolve_semantics(self):
+        from repro.runtime import Runtime
+
         default = get_sanitizer()
-        assert resolve_sanitizer(False) is default
-        assert resolve_sanitizer(None) is default
-        fresh = resolve_sanitizer(True)
+        assert Runtime.resolve(sanitize=False).sanitizer is default
+        assert Runtime.resolve(sanitize=None).sanitizer is default
+        fresh = Runtime.resolve(sanitize=True).sanitizer
         assert fresh.enabled and fresh is not default
-        assert resolve_sanitizer(fresh) is fresh
+        assert Runtime.resolve(sanitize=fresh).sanitizer is fresh
 
     def test_set_sanitizer_roundtrip(self):
         mine = Sanitizer()

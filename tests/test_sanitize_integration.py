@@ -23,6 +23,7 @@ import pytest
 from repro.core import Session, SessionConfig
 from repro.ir import GraphBuilder
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime import Runtime
 from repro.sanitize import Sanitizer
 
 pytestmark = pytest.mark.sanitize
@@ -60,7 +61,10 @@ def feed(graph, seed=0):
 class TestSanitizedSession:
     def test_parallel_branch_session_is_clean(self):
         g = branchy_net()
-        session = Session(g, SessionConfig(decouple=True, threads=2, sanitize=True))
+        session = Session(
+            g, SessionConfig(decouple=True, threads=2),
+            runtime=Runtime.resolve(sanitize=True),
+        )
         feeds = feed(g)
         for _ in range(3):
             session.run(feeds)
@@ -71,7 +75,7 @@ class TestSanitizedSession:
         g = small_net()
         feeds = feed(g)
         gold = Session(g).run(feeds)
-        out = Session(g, SessionConfig(sanitize=True)).run(feeds)
+        out = Session(g, runtime=Runtime.resolve(sanitize=True)).run(feeds)
         for k in gold:
             np.testing.assert_array_equal(gold[k], out[k])
 
@@ -83,7 +87,7 @@ class TestSanitizedSession:
         detection is deterministic — even if the GIL serializes them.
         ``run_profiled`` enters through the same path, probe included."""
         g = small_net()
-        session = Session(g, SessionConfig(sanitize=True))
+        session = Session(g, runtime=Runtime.resolve(sanitize=True))
         feeds = feed(g)
         barrier = threading.Barrier(2)
         errors = []
@@ -143,7 +147,9 @@ class TestSanitizedServing:
 
         g = small_net()
         metrics = MetricsRegistry()
-        pool = SessionPool(lambda: Session(g), size=3, metrics=metrics)
+        pool = SessionPool(
+            lambda: Session(g), size=3, runtime=Runtime.resolve(metrics=metrics)
+        )
 
         def churn():
             for _ in range(25):
@@ -240,7 +246,7 @@ class TestSanitizedGenai:
         alloc = KVCacheAllocator(
             KVCacheConfig(layers=1, heads=2, d_head=4, page_tokens=4,
                           capacity_tokens=64, max_seq=32),
-            metrics=metrics, sanitizer=san,
+            runtime=Runtime.resolve(metrics=metrics, sanitize=san),
         )
         old = alloc.alloc("s", 4)
         old.k(0)[:] = 1.0
@@ -306,7 +312,9 @@ class TestSlabPlanUnderChurn:
             layers=1, heads=2, d_head=4, page_tokens=4,
             capacity_tokens=128, max_seq=32,
         )
-        alloc = KVCacheAllocator(config, metrics=metrics, sanitizer=san)
+        alloc = KVCacheAllocator(
+            config, runtime=Runtime.resolve(metrics=metrics, sanitize=san)
+        )
         rng = np.random.default_rng(0)
         for cycle in range(100):
             seq = f"seq-{cycle}"
