@@ -2,9 +2,9 @@
 batching vs serial per-request decode, and KV-slab utilization.
 
 The paper's prepare/execute split (Section 3.2) is stretched over
-dynamic shapes by bucketed pre-inference: every (prompt-bucket) prefill
-graph and every (batch-bucket, capacity-bucket) decode graph is prepared
-once and reused for every token that lands in the cell.  Claims checked:
+dynamic shapes by bucketed pre-inference: every (batch-bucket,
+token-bucket, capacity-bucket) cell of the one cached-attention graph is
+prepared once and reused for every prompt or token that lands in it.  Claims checked:
 decode-step reuse keeps single-token steps cheap relative to prefill;
 continuous batching beats serial per-request decode by >= 1.5x aggregate
 tokens/sec *without changing any request's tokens*; and capacity
@@ -73,14 +73,14 @@ def test_prefill_vs_decode_tokens_per_sec(warm_engine, report_table):
     def prefill_only():
         slab = alloc.alloc("bench-prefill", len(prompt) + 1)
         try:
-            engine.prefill.run(prompt, slab)
+            engine.decode.run(prompt, slab)
         finally:
             alloc.release(slab)
 
     t_prefill = time_callable(prefill_only, repeats=5).median_ms
 
     slab = alloc.alloc("bench-decode", len(prompt) + 1)
-    engine.prefill.run(prompt, slab)
+    engine.decode.run(prompt, slab)
 
     def one_step():
         if slab.length >= slab.capacity:

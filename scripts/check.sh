@@ -38,10 +38,13 @@
 #      logits max-abs-error contract and pass the Q-rule lint, seeded
 #      replay over int8 weights + int8 KV must be bit-identical, and
 #      the int8 KV layout must fit >= 3x the tokens per arena byte.
-#  11. Greedy decode == full recompute: eight generations whose slabs
-#      straddle KV-capacity buckets (4-token pages), so the one-step-per-
-#      token-boundary decode runs mixed-capacity steps; every token must
-#      equal a token-by-token full-sequence recompute.
+#  11. Greedy decode == full recompute, twice.  First, eight generations
+#      whose slabs straddle KV-capacity buckets (4-token pages), so the
+#      one-step-per-token-boundary decode runs mixed-capacity steps.
+#      Second, a two-layer model with the prefix cache on and a shared
+#      12-token prefix, so prefix hits run their multi-token suffix from
+#      cached rows in one call.  Every token must equal a token-by-token
+#      full-sequence recompute.
 #  12. Benchmark smoke: perfbench's smoke tests, all six workloads, each
 #      untraced and traced.  perfbench wraps Session.__init__/run and the
 #      serving/genai/cluster entry points from outside, builds every
@@ -141,8 +144,10 @@ echo "== [10/12] quantization self-test (accuracy, determinism, capacity) =="
 python -m repro.tools.cli quantize --selftest
 
 echo
-echo "== [11/12] greedy decode == full recompute (mixed-capacity steps) =="
+echo "== [11/12] greedy decode == full recompute (mixed-capacity steps, prefix-hit runs) =="
 python -m repro.tools.cli generate --selftest --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
+python -m repro.tools.cli generate --selftest --layers 2 --prefix-cache --shared-prefix 12 \
+    --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
 
 echo
 echo "== [12/12] benchmark smoke (perfbench, all six workloads, traced and untraced) =="

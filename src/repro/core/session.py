@@ -112,13 +112,13 @@ class SessionConfig:
             handed out during execution.  A planner bug then fails loudly
             at prepare time instead of corrupting activations silently.
         resilience: route every op through the resilient executor (retry
-            with backoff, circuit breaker, per-op CPU fallback, numeric
-            guards).  ``None`` = auto: on exactly when the runtime's fault
-            plan is enabled; ``True`` forces it on for real backend failures
+            with backoff, circuit breaker, per-op CPU fallback, and a
+            numeric guard that re-runs an op whose output came back
+            non-finite via its direct scheme — sliding-window conv /
+            non-Strassen GEMM — once).  ``None`` = auto: on exactly
+            when the runtime's fault plan is enabled; ``True`` forces it
+            on for real backend failures
             (:class:`~repro.backends.BackendTransientError` and friends).
-        numeric_guards: under the resilient executor, re-run an op whose
-            output came back non-finite via its direct scheme
-            (sliding-window conv / non-Strassen GEMM), once.
         check_feeds: validate every feed's shape and dtype against the
             input descriptors on each run.  On by default; tight serving
             loops that construct feeds programmatically from already-
@@ -158,7 +158,6 @@ class SessionConfig:
     arena_execution: bool = False
     paranoid: bool = False
     resilience: Optional[bool] = None
-    numeric_guards: bool = True
     check_feeds: bool = True
     retries: int = 3
     breaker_threshold: int = 3
@@ -920,7 +919,7 @@ class Session:
         else:
             if breaker is not None:
                 breaker.record_success()
-            if cfg.numeric_guards and nonfinite_count(outputs):
+            if nonfinite_count(outputs):
                 outputs = self._numeric_fallback(
                     node, execution, inputs, outputs, injected=nan_fault[0]
                 )

@@ -10,10 +10,12 @@ module:
   one pre-allocated arena, allocated best-fit and reclaimed by LRU
   eviction under pressure — the dynamic sibling of the static arena
   planner, provable by the same memory sanitizer.
-* **Decode-step pre-inference** (:mod:`~repro.genai.prefill` /
-  :mod:`~repro.genai.decode`): bucket every shape the loop can see
-  (prompt length, batch size, KV capacity) and prepare one session per
-  bucket, so the paper's prepare/execute split survives dynamic lengths.
+* **One token path** (:mod:`~repro.genai.decode`): prompts, prefix-hit
+  suffixes and decode steps all append rows to KV slabs through one
+  cached-attention graph.  Every shape the loop can see (batch size,
+  new tokens per sequence, KV capacity) is bucketed and each bucket's
+  session is prepared once, so the paper's prepare/execute split
+  survives dynamic lengths.
 * **Continuous batching** (:mod:`~repro.genai.scheduler`): requests
   join and leave the running batch at token boundaries, admitted only
   when the KV allocator can stake them a slab.
@@ -25,13 +27,23 @@ is *bit-identical* to full-sequence recompute (the kernels are strictly
 per-row), which the acceptance tests assert for 32-token generations.
 """
 
-from .decode import DecodeRunner, batch_buckets, bucket_for_batch
+from .decode import (
+    DecodeRunner,
+    batch_buckets,
+    bucket_for_batch,
+    bucket_for_length,
+    length_buckets,
+)
 from .engine import GenerationConfig, GenerationEngine
 from .kvcache import KVCacheAllocator, KVCacheConfig, KVCacheOOM, KVSlab
-from .prefill import PrefillRunner, bucket_for_length, length_buckets
 from .prefix import PrefixCache
 from .sampling import Sampler, SamplingParams, greedy
 from .scheduler import ContinuousBatchScheduler, GenRequest, GenResult
+
+#: Prompts run through ``DecodeRunner.run``; the old name stays importable
+#: because tooling that instruments ``PrefillRunner.run`` (perfbench's
+#: ``genai.prefill_run`` span) keeps working unchanged through it.
+PrefillRunner = DecodeRunner
 
 __all__ = [
     "KVCacheAllocator",

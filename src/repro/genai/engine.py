@@ -3,10 +3,12 @@
 Mirrors :class:`repro.serving.Engine`'s shape — one config object, one
 entry point, shared observability/fault plumbing — but swaps the
 request-in/logits-out contract for prompt-in/tokens-out.  Construction
-is the prepare phase: the KV arena, the bucketed prefill pools and the
-(batch, capacity) decode grid all come up before the first prompt, so
-``generate`` is pure execute (paper Figure 3, stretched across the
-decode loop).
+is the prepare phase: the KV arena and the runner come up before the
+first prompt, and :meth:`GenerationEngine.warm` prepares the cold prompt
+cell of every length bucket, so ``generate`` is pure execute (paper
+Figure 3, stretched across the decode loop).  Every session the engine
+builds runs the one cached-attention ``decode`` graph; ``full`` mode is
+only the recompute oracle of the tests and selftests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from ..sanitize import Sanitizer
 from ..serving.cache import PreInferenceCache
 from .decode import DecodeRunner
 from .kvcache import KVCacheAllocator, KVCacheConfig
-from .prefill import PrefillRunner
 from .prefix import PrefixCache
 from .sampling import SamplingParams
 from .scheduler import ContinuousBatchScheduler, GenRequest, GenResult
@@ -56,7 +57,6 @@ class GenerationConfig:
     max_batch: int = 4
     page_tokens: int = 8
     capacity_tokens: Optional[int] = None
-    prefill_pool: int = 1
     smallest_bucket: int = 8
     retain_kv: bool = True
     #: Serve common prompt prefixes from retired sequences' KV slabs
@@ -71,8 +71,8 @@ class GenerationConfig:
     #: ~3-4x more tokens per arena byte; see :mod:`repro.quant.kv`).
     #: Quantized decode stays deterministic and seeded-replayable: the
     #: quantized bytes are a pure function of each row, and admission
-    #: routes every sampled logit through the decode path so execution
-    #: provenance is identical on every scheduling/fault path.
+    #: samples the first token from a one-token step over dequantized
+    #: rows, as every later step does.
     kv_dtype: str = "float32"
     #: Quantize the decoder's MatMul weights to int8 at build time via
     #: :func:`repro.quant.quantize_graph` (weight-only; activations
@@ -142,21 +142,12 @@ class GenerationEngine:
             if config.use_cache else None
         )
         self.cache = cache
-        self.prefill = PrefillRunner(
-            self._full_graph,
-            max_seq=config.max_seq,
-            layers=config.layers,
-            pool_size=config.prefill_pool,
-            smallest_bucket=config.smallest_bucket,
-            session_config=config.session,
-            cache=cache,
-            retries=config.retries,
-            runtime=self.runtime,
-        )
         self.decode = DecodeRunner(
             self._decode_graph,
             layers=config.layers,
             max_batch=config.max_batch,
+            max_seq=config.max_seq,
+            smallest_bucket=config.smallest_bucket,
             session_config=config.session,
             cache=cache,
             retries=config.retries,
@@ -185,7 +176,6 @@ class GenerationEngine:
                 metrics=self.metrics,
             )
         self.scheduler = ContinuousBatchScheduler(
-            self.prefill,
             self.decode,
             self.allocator,
             max_batch=config.max_batch,
@@ -212,22 +202,18 @@ class GenerationEngine:
     def _maybe_quantize(self, graph: Graph) -> Graph:
         if not self.config.quantize_weights:
             return graph
-        # Both the full and decode variants are built from the same seed,
-        # so their shared weight constants quantize to identical int8
-        # bytes and scales — and because the int8 GEMM accumulates
-        # exactly, decode-vs-full bit-identity survives quantization.
+        # Every cell is built from the same seed, so the shared weight
+        # constants quantize to identical int8 bytes and scales — and
+        # because the int8 GEMM accumulates exactly, a row's bits never
+        # depend on the cell that computed it.
         from ..quant import quantize_graph
 
         return quantize_graph(graph)
 
-    def _full_graph(self, seq_len: int) -> Graph:
-        return self._maybe_quantize(
-            tiny_decoder(mode="full", seq_len=seq_len, batch=1, **self._model_kwargs())
-        )
-
-    def _decode_graph(self, batch: int, capacity: int) -> Graph:
+    def _decode_graph(self, batch: int, tokens: int, capacity: int) -> Graph:
         return self._maybe_quantize(tiny_decoder(
-            mode="decode", batch=batch, cache_len=capacity, **self._model_kwargs()
+            mode="decode", batch=batch, seq_len=tokens, cache_len=capacity,
+            **self._model_kwargs()
         ))
 
     # -- the front door ------------------------------------------------------
@@ -257,12 +243,21 @@ class GenerationEngine:
             return self.scheduler.run(requests)
 
     def warm(self) -> None:
-        """Prepare every prefill bucket eagerly (decode cells prepare on
-        first use, since the grid depends on observed lengths)."""
-        self.prefill.warm()
+        """Prepare the cold prompt cell of every length bucket eagerly
+        (step and prefix-hit cells prepare on first use, since they
+        depend on observed batch sizes and capacities)."""
+        self.decode.warm()
 
     def stats(self) -> Dict[str, float]:
-        """KV-arena and throughput counters for dashboards/benchmarks."""
+        """KV-arena and throughput counters for dashboards/benchmarks.
+
+        ``prefill_tokens`` counts every prompt token the runner computed,
+        the suffix of a prefix hit included; the shared prefix itself is
+        ``prefix_hit_tokens``.  ``decode_tokens`` counts one-token steps
+        (under int8 KV, each prompt's last token is one).
+        ``decode_sessions`` counts every prepared cell, cold prompt cells
+        included.
+        """
         return {
             "kv_page_utilization": self.allocator.page_utilization(),
             "kv_token_utilization": self.allocator.token_utilization(),
@@ -280,7 +275,6 @@ class GenerationEngine:
         }
 
     def close(self) -> None:
-        self.prefill.close()
         self.decode.close()
         # Leak check last: any slab still *live* here was allocated and
         # never released.  Findings land in self.sanitizer.report().

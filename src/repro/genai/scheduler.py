@@ -7,7 +7,9 @@ continuous scheduler instead re-forms the batch **every decode step** —
 
 * **admission** happens whenever the running set has room *and* the KV
   allocator can stake the sequence a slab (admission control is memory
-  control; an OOM just leaves the request queued);
+  control; an OOM just leaves the request queued).  The admitted prompt
+  — or, on a prefix-cache hit, just its unshared suffix — extends the
+  slab in one :meth:`~repro.genai.DecodeRunner.run`;
 * each token boundary runs **one** decode step that advances every
   live sequence by one token, whatever mix of KV-capacity buckets they
   hold (the step runs the prepared cell of the largest);
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from ..obs.resources import ResourceSampler
 from ..runtime import Runtime
 from .decode import DecodeRunner
 from .kvcache import KVCacheAllocator, KVCacheOOM, KVCacheUseAfterFree, KVSlab
-from .prefill import PrefillRunner
 from .prefix import PrefixCache
 from .sampling import Sampler, SamplingParams
 
@@ -94,11 +95,10 @@ class _Sequence:
 
 
 class ContinuousBatchScheduler:
-    """The token-boundary loop tying allocator, prefill and decode together."""
+    """The token-boundary loop tying the allocator and the runner together."""
 
     def __init__(
         self,
-        prefill: PrefillRunner,
         decode: DecodeRunner,
         allocator: KVCacheAllocator,
         max_batch: int,
@@ -110,7 +110,6 @@ class ContinuousBatchScheduler:
         *,
         runtime: Optional[Runtime] = None,
     ) -> None:
-        self.prefill = prefill
         self.decode = decode
         self.allocator = allocator
         self.max_batch = max_batch
@@ -179,109 +178,101 @@ class ContinuousBatchScheduler:
     def _evictions(self) -> float:
         return self.metrics.value("kvcache.evictions")
 
-    def _admit(self, request: GenRequest, batch_size: int) -> Optional[_Sequence]:
-        """Stake the request a slab and prefill it; None when memory says wait."""
+    def _admit(self, request: GenRequest, batch_size: int) -> _Sequence:
+        """Stake the request a slab and run its prompt through it.
+
+        A prefix-cache hit stakes a copy-on-write share of the cached
+        rows and runs only the prompt's suffix; a miss allocates a fresh
+        slab and runs the whole prompt.  K/V rows are a deterministic
+        function of the token prefix and the runner is bitwise equal to
+        full recompute, so both routes emit the same tokens.
+
+        Raises:
+            KVCacheOOM: no room for the slab; the caller queues the
+                request until a leaver returns pages.
+        """
         prompt = list(request.prompt)
         timeline = self._tl(request.request_id)
-        if self.prefix_cache is not None:
-            seq = self._admit_with_prefix(request, prompt, batch_size)
-            if seq is not None:
-                return seq
         evictions_before = self._evictions() if timeline is not None else 0
-        slab = self.allocator.alloc(request.request_id, len(prompt) + 1)
+        slab, plen = None, 0
+        if self.prefix_cache is not None:
+            slab, plen = self._share_prefix(request, prompt)
+        if slab is None:
+            slab = self.allocator.alloc(request.request_id, len(prompt) + 1)
         self.tracer.instant(
             "genai.batch_join", "genai",
             request=request.request_id, prompt_tokens=len(prompt), batch=batch_size,
         )
+        if plen:
+            self.tracer.instant(
+                "genai.prefix_hit", "genai",
+                request=request.request_id, prefix_tokens=plen,
+                prompt_tokens=len(prompt),
+            )
+            self.metrics.counter("genai.prefix_hits").inc()
+            self.metrics.counter("genai.prefix_hit_tokens").inc(plen)
         if timeline is not None:
             evicted = self._evictions() - evictions_before
             if evicted:
                 timeline.event("kv_eviction", evictions=int(evicted), at="alloc")
+            if plen:
+                timeline.event(
+                    "prefix_hit", prefix_tokens=plen, prompt_tokens=len(prompt)
+                )
             timeline.admitted(batch=batch_size, prompt_tokens=len(prompt))
         budget = min(request.params.max_tokens, self.max_seq - len(prompt))
         seq = _Sequence(request, Sampler(request.params), slab, budget)
         try:
-            if self.allocator.config.quantized:
-                # Quantized KV: the last prompt token's logits must come
-                # from a *decode* step (attention over dequantized rows),
-                # because that is what every other admission path — prefix
-                # hit, preemption replay — produces.  Prefill's internal
-                # fp attention would give the first sampled token a
-                # different distribution, and determinism across
-                # scheduling/fault paths is the contract.
-                if len(prompt) > 1:
-                    self.prefill.run(prompt[:-1], slab)
-                logits = self.decode.step([prompt[-1]], [slab])[0]
-            else:
-                logits = self.prefill.run(prompt, slab)
+            logits = self._extend(prompt[plen:], slab)
         except Exception:
             self.allocator.release(slab)
             raise
         seq.take(seq.sampler.sample(logits))
         if timeline is not None:
-            timeline.token()  # prefill's sample is the first token (TTFT)
+            timeline.token()  # the prompt's sample is the first token (TTFT)
         return seq
 
-    def _admit_with_prefix(
-        self, request: GenRequest, prompt: List[int], batch_size: int
-    ) -> Optional[_Sequence]:
-        """Admit via the KV prefix cache; ``None`` falls back to prefill.
+    def _share_prefix(
+        self, request: GenRequest, prompt: List[int]
+    ) -> Tuple[Optional[KVSlab], int]:
+        """A slab sharing the deepest cached prefix, and that prefix's length.
 
         On a trie hit the matched slab's prefix rows are shared
-        copy-on-write, materialized into private pages (the grow call is
-        the write barrier), and only the prompt's suffix is decoded
-        token by token.  K/V rows are a deterministic function of the
-        token prefix and decode-equals-full is the proven bit-identity
-        contract, so the resulting tokens equal a cold generation's
-        exactly.  A racing eviction of the matched slab just falls back.
+        copy-on-write and materialized into private pages with room for
+        the prompt (the grow call is the write barrier).  A miss — or a
+        racing eviction of the matched slab — returns ``(None, 0)``.
 
         Raises:
-            KVCacheOOM: no room to materialize; the caller's admission
-                handling queues the request, same as a cold alloc OOM.
+            KVCacheOOM: no room to materialize.
         """
         match = self.prefix_cache.match(prompt)
         if match is None:
-            return None
+            return None, 0
         parent, plen = match
         try:
             slab = self.allocator.share(parent, request.request_id, plen)
         except (KVCacheUseAfterFree, ValueError):
-            return None  # evicted or already-owned: recompute instead
+            return None, 0  # evicted or already-owned: recompute instead
         try:
-            slab = self.allocator.grow(slab, len(prompt) + 1)
+            return self.allocator.grow(slab, len(prompt) + 1), plen
         except KVCacheOOM:
             self.allocator.release(slab)
             raise
-        self.tracer.instant(
-            "genai.batch_join", "genai",
-            request=request.request_id, prompt_tokens=len(prompt), batch=batch_size,
-        )
-        self.tracer.instant(
-            "genai.prefix_hit", "genai",
-            request=request.request_id, prefix_tokens=plen,
-            prompt_tokens=len(prompt),
-        )
-        self.metrics.counter("genai.prefix_hits").inc()
-        self.metrics.counter("genai.prefix_hit_tokens").inc(plen)
-        timeline = self._tl(request.request_id)
-        if timeline is not None:
-            timeline.event(
-                "prefix_hit", prefix_tokens=plen, prompt_tokens=len(prompt)
-            )
-            timeline.admitted(batch=batch_size, prompt_tokens=len(prompt))
-        budget = min(request.params.max_tokens, self.max_seq - len(prompt))
-        seq = _Sequence(request, Sampler(request.params), slab, budget)
-        try:
-            logits = None
-            for i in range(plen, len(prompt)):
-                logits = self.decode.step([prompt[i]], [slab])[0]
-        except Exception:
-            self.allocator.release(slab)
-            raise
-        seq.take(seq.sampler.sample(logits))
-        if timeline is not None:
-            timeline.token()
-        return seq
+
+    def _extend(self, tokens: List[int], slab: KVSlab) -> np.ndarray:
+        """Append the prompt's uncached ``tokens``; the last one's logits.
+
+        fp32 runs them in one call.  Quantized KV runs the last token in
+        its own step, so the logits it samples from attend over every
+        earlier prompt row *dequantized* — as each later decode step
+        does, and whatever route (cold, prefix hit, preemption replay)
+        admitted the sequence.
+        """
+        if not self.allocator.config.quantized:
+            return self.decode.run(tokens, slab)
+        if len(tokens) > 1:
+            self.decode.run(tokens[:-1], slab)
+        return self.decode.step([tokens[-1]], [slab])[0]
 
     # -- the loop ------------------------------------------------------------
     def run(self, requests: Sequence[GenRequest]) -> List[GenResult]:

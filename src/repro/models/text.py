@@ -104,18 +104,20 @@ def tiny_decoder(
 
     The same builder produces the two graph variants ``repro.genai`` needs:
 
-    * ``mode="full"`` — run ``seq_len`` tokens at once (prefill / the
+    * ``mode="full"`` — run ``seq_len`` tokens at once with no cache (the
       full-recompute reference).  Outputs ``logits`` (N, T, vocab) plus
-      per-layer K/V rows ``l{i}_k`` / ``l{i}_v`` (N, H, T, dh) for the
-      host to stash into the KV cache.
-    * ``mode="decode"`` — run exactly one new token per sequence against
-      cached K/V.  Extra inputs: ``lengths`` (N,) int32 cached-token
-      counts and per-layer ``l{i}_k_cache`` / ``l{i}_v_cache``
-      (N, H, cache_len, dh); outputs the new token's logits and K/V rows.
+      per-layer K/V rows ``l{i}_k`` / ``l{i}_v`` (N, H, T, dh).
+    * ``mode="decode"`` — append ``seq_len`` (default 1) new tokens per
+      sequence to cached K/V.  Extra inputs: ``lengths`` (N,) int32
+      cached-token counts and per-layer ``l{i}_k_cache`` /
+      ``l{i}_v_cache`` (N, H, cache_len, dh); outputs the new tokens'
+      logits and K/V rows.  New rows attend to the valid cache rows and,
+      causally, to each other.
 
     Every projection is a ``rowwise`` MatMul and attention is the fused
-    per-query-row op (both stacked GEMVs), so token ``t`` of a full run
-    and decode step ``t`` issue identical per-row BLAS calls — decode is
+    per-query-row op (both stacked GEMVs), so token ``t`` issues the same
+    per-row BLAS calls whether it runs in a full recompute, in a
+    multi-token decode call or as a one-token step — decode is
     *bit-identical* to recompute.
     Weights depend only on ``seed`` and the architecture (the RNG draw
     order is the same in both modes), and the position table always has
@@ -127,14 +129,14 @@ def tiny_decoder(
     if mode not in ("full", "decode"):
         raise ValueError(f"mode must be 'full' or 'decode', got {mode!r}")
     decode = mode == "decode"
-    t = 1 if decode else (seq_len or max_seq)
+    t = seq_len or (1 if decode else max_seq)
     if t > max_seq:
         raise ValueError(f"seq_len {t} exceeds max_seq {max_seq}")
     cap = cache_len if cache_len is not None else max_seq
     d_head = d_model // heads
 
-    b = GraphBuilder(f"tiny_decoder_L{layers}_D{d_model}_{mode}{t if not decode else cap}",
-                     seed=seed)
+    name = f"tiny_decoder_L{layers}_D{d_model}_{mode}{t}" + (f"x{cap}" if decode else "")
+    b = GraphBuilder(name, seed=seed)
     tokens = b.input("tokens", (batch, t), DataType.INT32)
     positions = b.input("positions", (batch, t), DataType.INT32)
     lengths = b.input("lengths", (batch,), DataType.INT32) if decode else None

@@ -1,12 +1,13 @@
 """The concurrent serving engine: cache + pool + batcher in one front door.
 
-``Engine`` is what a model server embeds.  On construction it builds a
-pool of worker sessions over one graph, consulting the persistent
-pre-inference cache so that every process after the first creates its
-sessions warm (a fraction of the cold ``prepare_wall_ms``); at request
-time it either checks a session out of the pool (isolation: each worker
-owns its clock/arena/executions) or routes single-sample requests through
-the dynamic micro-batcher.
+``Engine`` is what a model server embeds.  On construction it builds
+either a pool of worker sessions over one graph or, with ``batching``,
+the dynamic micro-batcher, consulting the persistent pre-inference cache
+so that every process after the first creates its sessions warm (a
+fraction of the cold ``prepare_wall_ms``).  At request time it checks a
+session out of the pool (isolation: each worker owns its
+clock/arena/executions) or routes single-sample requests through the
+batcher.
 
 Typical use::
 
@@ -48,7 +49,8 @@ class EngineConfig:
 
     Attributes:
         session: configuration applied to every pooled session.
-        pool_size: number of concurrently runnable worker sessions.
+        pool_size: number of concurrently runnable worker sessions
+            (unused with ``batching``, which builds no pool).
         use_cache: consult/populate the persistent pre-inference cache.
         cache_dir: cache location override (default: ``$REPRO_CACHE_DIR``
             or ``~/.cache/repro``).
@@ -200,33 +202,34 @@ class Engine:
         self.cache_key = (
             self.cache.key(graph, c.session) if self.cache is not None else None
         )
-        self.pool = SessionPool(
-            self._create_session, c.pool_size, c.retries, runtime=self.runtime
-        )
-        self.batcher = (
-            MicroBatcher(
+        # Exactly one request path gets sessions: batched requests never
+        # check a pooled session out, so batching builds no pool.
+        self.pool: Optional[SessionPool] = None
+        self.batcher: Optional[MicroBatcher] = None
+        if c.batching:
+            self.batcher = MicroBatcher(
                 self._create_session,
                 max_batch=c.max_batch,
                 timeout_ms=c.batch_timeout_ms,
                 runtime=self.runtime,
             )
-            if c.batching else None
-        )
+        else:
+            self.pool = SessionPool(
+                self._create_session, c.pool_size, c.retries, runtime=self.runtime
+            )
         # Resource counter tracks (pool idle seats, in-flight requests,
         # cache hit rate) are only worth their samples when someone is
         # watching — a request tracker or an enabled tracer.
         self.sampler: Optional[ResourceSampler] = None
         if self.requests.enabled or self.tracer.enabled:
+            sources = {
+                "res.engine.inflight": lambda: self.metrics.gauge("engine.inflight").value,
+                "res.engine.cache_hit_rate": lambda: self.stats.hit_rate,
+            }
+            if self.pool is not None:
+                sources["res.pool.idle"] = lambda: self.metrics.gauge("pool.idle").value
             self.sampler = ResourceSampler(
-                sources={
-                    "res.pool.idle": lambda: self.metrics.gauge("pool.idle").value,
-                    "res.engine.inflight": lambda: self.metrics.gauge(
-                        "engine.inflight"
-                    ).value,
-                    "res.engine.cache_hit_rate": lambda: self.stats.hit_rate,
-                },
-                tracer=self.tracer,
-                metrics=self.metrics,
+                sources=sources, tracer=self.tracer, metrics=self.metrics
             )
 
     # -- session creation (the cache-warmed factory) -------------------------
@@ -235,7 +238,7 @@ class Engine:
 
         The first creation in a cold process is the only one paying full
         pre-inference; it immediately persists its artifacts, so the
-        remaining pool workers — and every future process — come up warm.
+        remaining workers — and every future process — come up warm.
         """
         with self.tracer.span("engine.create_session", "serving") as span:
             session, hit = warm_session(

@@ -506,7 +506,11 @@ def cmd_serve(args) -> int:
         outputs = engine.infer_many(requests, clients=args.clients)
         elapsed = _time.perf_counter() - start
         throughput = len(requests) / elapsed if elapsed else float("inf")
-        print(f"pool:       {engine.pool.size} sessions, {args.clients} clients")
+        if engine.pool is not None:
+            print(f"pool:       {engine.pool.size} sessions, {args.clients} clients")
+        else:
+            print(f"batcher:    max batch {config.max_batch}, "
+                  f"{config.batch_timeout_ms:g} ms window, {args.clients} clients")
         print(f"cache:      {engine.stats.describe()}")
         if engine.batcher is not None:
             bs = engine.batcher.stats

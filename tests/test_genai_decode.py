@@ -1,5 +1,5 @@
 """Incremental attention, the decoder-only model builder, and the
-bucketed prefill/decode runners.
+bucketed runner that appends prompts and decode steps to KV slabs.
 
 The load-bearing contract everywhere here is *bit-identity*: attending
 one query row against cached K/V must reproduce the exact bits of the
@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.backends.op_runners import _rowwise_matmul
 from repro.core import Session, SessionConfig
@@ -19,7 +19,6 @@ from repro.genai import (
     DecodeRunner,
     KVCacheAllocator,
     KVCacheConfig,
-    PrefillRunner,
     batch_buckets,
     bucket_for_batch,
     bucket_for_length,
@@ -436,24 +435,33 @@ def _kv_config(**overrides):
 MODEL = dict(vocab=32, max_seq=32, d_model=16, heads=2, layers=1, seed=3)
 
 
-def _full_graph(seq_len):
-    return tiny_decoder(mode="full", seq_len=seq_len, batch=1, **MODEL)
+def _full_graph(seq_len, **model):
+    return tiny_decoder(mode="full", seq_len=seq_len, batch=1, **{**MODEL, **model})
 
 
-def _decode_graph(batch, capacity):
-    return tiny_decoder(mode="decode", batch=batch, cache_len=capacity, **MODEL)
+def _decode_graph(batch, tokens, capacity):
+    return tiny_decoder(mode="decode", batch=batch, seq_len=tokens,
+                        cache_len=capacity, **MODEL)
+
+
+def _runner(**kwargs):
+    return DecodeRunner(_decode_graph, layers=1, max_batch=4, max_seq=32, **kwargs)
+
+
+def _slab_bytes(slab):
+    return slab.buffer[slab.offset_bytes : slab.offset_bytes + slab.nbytes]
 
 
 class TestRunners:
     def test_prefill_fills_slab_and_pads_freely(self):
         """Bucket padding must not change the prompt's logits or K/V."""
         alloc = KVCacheAllocator(_kv_config())
-        runner = PrefillRunner(_full_graph, max_seq=32, layers=1,
-                               smallest_bucket=8)
+        runner = _runner(smallest_bucket=8)
         prompt = [int(t) for t in RNG.integers(0, 32, 5)]
         slab = alloc.alloc("s", len(prompt) + 1)
         logits = runner.run(prompt, slab)  # bucket 8, 3 rows of padding
         assert slab.length == len(prompt)
+        assert runner.prepared == [(1, 8, 8)]  # the cold cell
 
         # Reference: an exact-length graph, no padding at all.
         ref = Session(_full_graph(len(prompt))).run({
@@ -464,45 +472,73 @@ class TestRunners:
         np.testing.assert_array_equal(
             slab.k(0)[:, : len(prompt)], ref["l0_k"][0][:, : len(prompt)]
         )
+        np.testing.assert_array_equal(
+            slab.v(0)[:, : len(prompt)], ref["l0_v"][0][:, : len(prompt)]
+        )
 
     def test_prefill_rejects_oversized_prompt(self):
         alloc = KVCacheAllocator(_kv_config())
-        runner = PrefillRunner(_full_graph, max_seq=32, layers=1)
+        runner = _runner()
         slab = alloc.alloc("s", 4)
         with pytest.raises(ValueError, match="cannot hold"):
             runner.run(list(range(10)), slab)
         with pytest.raises(ValueError, match="empty"):
             runner.run([], slab)
+        runner.run([1, 2, 3], slab)
+        with pytest.raises(ValueError, match="cannot hold"):   # 3 + 6 > 8
+            runner.run([1] * 6, slab)
+        assert slab.length == 3
 
     def test_prefill_prepares_each_bucket_once(self):
         alloc = KVCacheAllocator(_kv_config())
-        runner = PrefillRunner(_full_graph, max_seq=32, layers=1,
-                               smallest_bucket=8)
+        runner = _runner(smallest_bucket=8)
         for i, n in enumerate((3, 5, 8)):  # all land in the 8-bucket
             slab = alloc.alloc(f"s{i}", n + 1)
             runner.run([1] * n, slab)
-        assert list(runner._pools) == [8]
-        runner.warm()
-        assert sorted(runner._pools) == [8, 16, 32]
+        assert runner.prepared == [(1, 8, 8)]
+        runner.warm()   # one cold cell per length bucket, nothing else
+        assert runner.prepared == [(1, 8, 8), (1, 16, 16), (1, 32, 32)]
+        assert runner.token_buckets == [8, 16, 32]
+
+    def test_run_from_cached_rows_uses_slab_capacity(self):
+        """A run over a non-empty slab reads its rows, so it runs the cell
+        of the slab's capacity; one run equals the same tokens stepped."""
+        prompt = [int(t) for t in RNG.integers(0, 32, 12)]
+
+        def setup():
+            alloc = KVCacheAllocator(_kv_config())
+            slab = alloc.alloc("s", 16)
+            runner = _runner()
+            runner.run(prompt[:7], slab)
+            return slab, runner
+
+        slab, runner = setup()
+        logits = runner.run(prompt[7:], slab)
+        assert runner.prepared == [(1, 8, 8), (1, 8, 16)]
+        stepped, stepper = setup()
+        for token in prompt[7:]:
+            want = stepper.step([token], [stepped])[0]
+        np.testing.assert_array_equal(logits, want)
+        assert slab.length == stepped.length == 12
+        np.testing.assert_array_equal(_slab_bytes(slab), _slab_bytes(stepped))
 
     def test_decode_step_advances_all_slabs(self):
         alloc = KVCacheAllocator(_kv_config())
-        prefill = PrefillRunner(_full_graph, max_seq=32, layers=1)
-        decode = DecodeRunner(_decode_graph, layers=1, max_batch=4)
+        decode = _runner()
         slabs = []
         for i in range(3):
             slab = alloc.alloc(f"s{i}", 4)
-            prefill.run([int(t) for t in RNG.integers(0, 32, 3)], slab)
+            decode.run([int(t) for t in RNG.integers(0, 32, 3)], slab)
             slabs.append(slab)
         logits = decode.step([1, 2, 3], slabs)
         assert logits.shape == (3, 32)
         assert all(s.length == 4 for s in slabs)
-        # 3 sequences pad up to the 4-batch bucket; one prepared session.
-        assert decode.prepared == [(4, 8)]
+        # 3 sequences pad up to the 4-batch bucket; one prepared step cell.
+        assert decode.prepared == [(1, 8, 8), (4, 1, 8)]
 
     def test_decode_rejects_full_slabs_and_mismatches(self):
         alloc = KVCacheAllocator(_kv_config())
-        decode = DecodeRunner(_decode_graph, layers=1, max_batch=4)
+        decode = _runner()
         small = alloc.alloc("small", 8)
         small.length = 4
         full = alloc.alloc("full", 16)
@@ -523,16 +559,13 @@ class TestRunners:
 
         def setup():
             alloc = KVCacheAllocator(_kv_config(kv_dtype=kv_dtype))
-            prefill = PrefillRunner(_full_graph, max_seq=32, layers=1)
+            runner = _runner()
             slabs = []
             for name, prompt in prompts.items():
                 slab = alloc.alloc(name, len(prompt) + 1)
-                prefill.run(prompt, slab)
+                runner.run(prompt, slab)
                 slabs.append(slab)
-            return slabs, DecodeRunner(_decode_graph, layers=1, max_batch=4)
-
-        def slab_bytes(slab):
-            return slab.buffer[slab.offset_bytes : slab.offset_bytes + slab.nbytes]
+            return slabs, runner
 
         joint_slabs, joint = setup()
         solo_slabs, solo = setup()
@@ -542,22 +575,21 @@ class TestRunners:
             alone = np.concatenate(
                 [solo.step([t], [s]) for t, s in zip(tokens, solo_slabs)])
             np.testing.assert_array_equal(together, alone)
-        assert joint.prepared == [(2, 16)]
+        assert [cell for cell in joint.prepared if cell[1] == 1] == [(2, 1, 16)]
         for a, b in zip(joint_slabs, solo_slabs):
             assert a.length == b.length
-            np.testing.assert_array_equal(slab_bytes(a), slab_bytes(b))
+            np.testing.assert_array_equal(_slab_bytes(a), _slab_bytes(b))
 
     def test_decode_batch_composition_invariance(self):
         """A sequence's logits must not depend on its batch neighbours —
         the property that makes continuous batching output-transparent."""
         def run_pair(tokens, lengths, together):
             alloc = KVCacheAllocator(_kv_config())
-            prefill = PrefillRunner(_full_graph, max_seq=32, layers=1)
-            decode = DecodeRunner(_decode_graph, layers=1, max_batch=4)
+            decode = _runner()
             slabs = []
             for i, (tok, ln) in enumerate(zip(tokens, lengths)):
                 slab = alloc.alloc(f"s{i}", ln + 1)
-                prefill.run(tok[:ln], slab)
+                decode.run(tok[:ln], slab)
                 slabs.append(slab)
             if together:
                 return decode.step([5, 6], slabs)
@@ -570,3 +602,51 @@ class TestRunners:
         joint = run_pair(toks, lens, together=True)
         solo = run_pair(toks, lens, together=False)
         np.testing.assert_array_equal(joint, solo)
+
+
+@st.composite
+def extend_cases(draw):
+    layers = draw(st.integers(1, 3))
+    max_seq = 32
+    prefix = draw(st.integers(1, max_seq - 1))
+    suffix = draw(st.integers(1, max_seq - prefix))
+    return dict(layers=layers, prefix=prefix, suffix=suffix,
+                seed=draw(st.integers(0, 2**16)))
+
+
+class TestRunFromCache:
+    @given(extend_cases())
+    @example(dict(layers=3, prefix=31, suffix=1, seed=1))    # last position
+    @example(dict(layers=2, prefix=27, suffix=3, seed=2))    # pads past max_seq
+    @example(dict(layers=1, prefix=4, suffix=1, seed=3))
+    @settings(max_examples=25, deadline=None)
+    def test_run_from_slab_bitwise_equals_full_recompute(self, case):
+        """fp32 ``run`` over a non-empty slab — any depth, suffix 1
+        included, pad positions clamped near ``max_seq`` — gives logits and
+        slab bytes bitwise equal to a ``full``-mode recompute."""
+        layers, prefix, suffix = case["layers"], case["prefix"], case["suffix"]
+        model = dict(MODEL, layers=layers)
+        tokens = [int(t) for t in
+                  np.random.default_rng(case["seed"]).integers(0, 32, prefix + suffix)]
+        n = prefix + suffix
+        alloc = KVCacheAllocator(_kv_config(layers=layers, max_seq=32, capacity_tokens=64))
+        slab = alloc.alloc("s", n)
+        runner = DecodeRunner(
+            lambda b, t, c: tiny_decoder(mode="decode", batch=b, seq_len=t,
+                                         cache_len=c, **model),
+            layers=layers, max_batch=1, max_seq=32,
+        )
+        runner.run(tokens[:prefix], slab)
+        logits = runner.run(tokens[prefix:], slab)
+        assert slab.length == n
+
+        full = Session(_full_graph(n, layers=layers)).run({
+            "tokens": np.asarray(tokens, np.int32)[None],
+            "positions": np.arange(n, dtype=np.int32)[None],
+        })
+        np.testing.assert_array_equal(logits, full["logits"][0, -1])
+        ref = alloc.alloc("ref", n)
+        for layer in range(layers):
+            ref.write_k(layer, 0, full[f"l{layer}_k"][0])
+            ref.write_v(layer, 0, full[f"l{layer}_v"][0])
+        assert _slab_bytes(slab).tobytes() == _slab_bytes(ref).tobytes()

@@ -270,7 +270,29 @@ class TestEngineFrontDoor:
     def test_warm_prepares_prefill_buckets(self):
         engine = small_engine()
         engine.warm()
-        assert sorted(engine.prefill._pools) == [8, 16, 24]
+        # One cold prompt cell (1, T, T) per length bucket, nothing else.
+        assert engine.decode.prepared == [(1, 8, 8), (1, 16, 16), (1, 24, 24)]
+
+    @pytest.mark.parametrize("kv_dtype", ["float32", "int8"])
+    def test_every_session_runs_the_cached_graph(self, kv_dtype, monkeypatch):
+        """One graph family: no session the engine builds is a ``full``-mode
+        graph — each one takes the cached-attention ``lengths`` input."""
+        created = []
+        init = Session.__init__
+
+        def recording_init(self, graph, *args, **kwargs):
+            init(self, graph, *args, **kwargs)
+            created.append(graph)
+
+        monkeypatch.setattr(Session, "__init__", recording_init)
+        engine = small_engine(prefix_cache=True, kv_dtype=kv_dtype)
+        engine.warm()
+        shared = [5, 6, 7, 8, 9, 10]
+        engine.generate([shared + [1], shared + [2, 3]], SamplingParams(max_tokens=4))
+        engine.generate([shared + [4, 5, 6]], SamplingParams(max_tokens=4))
+        assert engine.stats()["prefix_hits"] >= 1
+        assert len(created) == len(engine.decode.prepared) > 3
+        assert all("lengths" in graph.inputs for graph in created)
 
     def test_decode_grid_reused_across_requests(self):
         engine = small_engine()

@@ -273,3 +273,35 @@ class TestPrefixBitIdentity:
         engine = small_engine(prefix_cache=True)
         self._tokens(engine, prompts, SamplingParams(max_tokens=4))
         assert engine.stats()["prefix_hits"] == 0
+
+
+class TestPrefixHitRouting:
+    @pytest.mark.parametrize("kv_dtype, want", [
+        # fp32: the whole suffix extends the shared rows in one run.
+        ("float32", [("run", 4, 10)]),
+        # int8: the last prompt token still samples from its own step.
+        ("int8", [("run", 3, 10), ("step", 1, 13)]),
+    ])
+    def test_prefix_hit_runs_the_suffix_once(self, kv_dtype, want):
+        engine = small_engine(prefix_cache=True, kv_dtype=kv_dtype)
+        shared = list(range(1, 11))
+        engine.generate([shared + [20]], SamplingParams(max_tokens=3))
+        calls = []
+        run, step = engine.decode.run, engine.decode.step
+
+        def counting_run(tokens, slab):
+            calls.append(("run", len(tokens), slab.length))
+            return run(tokens, slab)
+
+        def counting_step(tokens, slabs):
+            calls.append(("step", len(tokens), slabs[0].length))
+            return step(tokens, slabs)
+
+        engine.decode.run, engine.decode.step = counting_run, counting_step
+        [result] = engine.generate(
+            [shared + [30, 31, 32, 33]], SamplingParams(max_tokens=1)
+        )
+        assert result.finish_reason == "length"
+        assert engine.stats()["prefix_hits"] == 1
+        assert calls == want
+        engine.close()

@@ -201,10 +201,10 @@ class TestBatchedDecodeCodec:
             refs.append(ref)
 
         runner = DecodeRunner(
-            lambda batch, cap: tiny_decoder(
-                mode="decode", batch=batch, cache_len=cap, vocab=32, max_seq=32,
-                d_model=16, heads=2, layers=self.LAYERS, seed=5),
-            layers=self.LAYERS, max_batch=4,
+            lambda batch, tokens, cap: tiny_decoder(
+                mode="decode", batch=batch, seq_len=tokens, cache_len=cap, vocab=32,
+                max_seq=32, d_model=16, heads=2, layers=self.LAYERS, seed=5),
+            layers=self.LAYERS, max_batch=4, max_seq=32,
         )
         outputs = []
         prepared = runner._session
@@ -217,7 +217,7 @@ class TestBatchedDecodeCodec:
                 outputs.append({k: v.copy() for k, v in self.session.run(feeds).items()})
                 return outputs[-1]
 
-        runner._session = lambda batch, cap: Recording(prepared(batch, cap))
+        runner._session = lambda *cell: Recording(prepared(*cell))
 
         for step in range(5):
             runner.step([1 + step, 2, 3, 4], slabs)
@@ -314,8 +314,9 @@ class TestEngine:
         assert generate(engine_config(**cfg)) == generate(engine_config(**cfg))
 
     def test_prefix_cache_on_off_identity(self):
-        # single-layer: decode-written and prefill-written rows agree
-        # bitwise, so the prefix cache cannot perturb quantized tokens
+        # single-layer: rows written by a multi-token run and by one-token
+        # steps agree bitwise, so the prefix cache cannot perturb
+        # quantized tokens
         off = generate(engine_config())
         on = generate(engine_config(prefix_cache=True, retain_kv=True))
         assert off == on

@@ -67,21 +67,19 @@ def test_one_runtime_reaches_every_layer(front_door, tmp_path, monkeypatch):
         ))
         engine.generate([[1, 2, 3], [4, 5]], SamplingParams(max_tokens=3))
         engine.close()
-        pools = list(engine.prefill._pools.values())
         components = [
-            engine, engine.allocator, engine.cache, engine.prefill,
-            engine.decode, engine.scheduler, *pools,
+            engine, engine.allocator, engine.cache, engine.decode, engine.scheduler,
         ]
-        assert engine.prefill.runtime is engine.decode.runtime is engine.runtime
+        assert engine.decode.runtime is engine.runtime
     else:
         batching = front_door == "engine_batching"
         with Engine(chain_net(), EngineConfig(
             pool_size=2, cache_dir=str(tmp_path), batching=batching, **inst,
         )) as engine:
             engine.infer(chain_feed())
-        components = [engine, engine.pool, engine.cache]
-        if batching:
-            components.append(engine.batcher)
+        # Batching builds the batcher instead of a pool, never both.
+        assert (engine.pool is None) == batching == (engine.batcher is not None)
+        components = [engine, engine.pool or engine.batcher, engine.cache]
     assert created
     want = {
         "tracer": inst["trace"], "faults": inst["faults"],
@@ -102,10 +100,11 @@ def test_counters_land_where_they_did(tmp_path):
     existed, plus the pre-inference cache keys (which never held an
     instrument, so warm caches stay warm)."""
     m = MetricsRegistry()
-    with Engine(chain_net(), EngineConfig(
-        metrics=m, batching=True, cache_dir=str(tmp_path),
-    )) as engine:
-        engine.infer(chain_feed())
+    for _ in range(2):   # cold, then warm from the entry the first one wrote
+        with Engine(chain_net(), EngineConfig(
+            metrics=m, batching=True, cache_dir=str(tmp_path),
+        )) as engine:
+            engine.infer(chain_feed())
     assert _names(m) == (
         {"batch.batches", "batch.requests", "engine.cache.hits",
          "engine.cache.misses", "engine.requests"},
@@ -123,9 +122,8 @@ def test_counters_land_where_they_did(tmp_path):
     engine.generate([[1, 2, 3], [4, 5, 6, 7]], SamplingParams(max_tokens=4))
     engine.close()
     assert _names(m) == (
-        {"genai.decode_tokens", "genai.prefill_tokens", "genai.requests",
-         "pool.checkouts"},
-        {"genai.batch_size", "pool.wait_ms"},
+        {"genai.decode_tokens", "genai.prefill_tokens", "genai.requests"},
+        {"genai.batch_size"},
     )
     assert _names(get_metrics()) == session_names
 
