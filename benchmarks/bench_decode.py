@@ -38,7 +38,6 @@ def _config(**overrides):
     base = dict(
         vocab=VOCAB, max_seq=MAX_SEQ, d_model=D_MODEL, heads=HEADS,
         layers=LAYERS, seed=SEED, max_batch=SEATS, page_tokens=8,
-        smallest_bucket=8,
     )
     base.update(overrides)
     return GenerationConfig(**base)

@@ -31,7 +31,7 @@ MAX_TOKENS = 4
 def _config(prefix_cache, sanitize=False):
     return GenerationConfig(
         vocab=128, max_seq=96, d_model=32, heads=4, layers=2, seed=6,
-        max_batch=2, page_tokens=8, smallest_bucket=8,
+        max_batch=2, page_tokens=8,
         prefix_cache=prefix_cache, min_prefix_tokens=8,
         metrics=MetricsRegistry(), sanitize=sanitize,
         # Track requests: SLO histograms (TTFT/TPOT) and the KV/prefix

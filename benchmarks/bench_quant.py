@@ -40,7 +40,6 @@ def _config(**overrides):
     base = dict(
         vocab=VOCAB, max_seq=MAX_SEQ, d_model=D_MODEL, heads=HEADS,
         layers=LAYERS, seed=SEED, max_batch=4, page_tokens=8,
-        smallest_bucket=8,
     )
     base.update(overrides)
     return GenerationConfig(**base)

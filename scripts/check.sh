@@ -3,7 +3,7 @@
 #
 #   ./scripts/check.sh
 #
-# Twelve stages, each of which must pass:
+# Thirteen stages, each of which must pass:
 #
 #   1. Static concurrency lint (rule family C0xx) over src/repro itself,
 #      in strict mode — warnings fail too.
@@ -51,6 +51,9 @@
 #      front door from its config, and replays sessions through
 #      run_profiled, so an executor or config change can break the
 #      benchmark without failing any unit test.
+#  13. Examples: every examples/*.py runs to exit 0 from a temporary
+#      directory.  They are the documented front doors of the config
+#      API, and no unit test imports them.
 #
 # Total runtime is a few minutes on a laptop.
 
@@ -61,11 +64,11 @@ export PYTHONPATH=src
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-echo "== [1/12] static concurrency lint (C0xx, strict) =="
+echo "== [1/13] static concurrency lint (C0xx, strict) =="
 python -m repro.tools.cli sanitize --static-only --strict
 
 echo
-echo "== [2/12] strict model lint over the registered zoo =="
+echo "== [2/13] strict model lint over the registered zoo =="
 models=$(python -c "from repro.models import MODEL_REGISTRY; print(' '.join(sorted(MODEL_REGISTRY)))")
 for name in $models; do
     echo "-- $name"
@@ -74,15 +77,15 @@ for name in $models; do
 done
 
 echo
-echo "== [3/12] lint_self + sanitize pytest markers =="
+echo "== [3/13] lint_self + sanitize pytest markers =="
 python -m pytest -q -m "lint_self or sanitize"
 
 echo
-echo "== [4/12] 50-fault sanitized chaos storm =="
+echo "== [4/13] 50-fault sanitized chaos storm =="
 python -m repro.tools.cli chaos --faults 50 --sanitize
 
 echo
-echo "== [5/12] cold-start guard (incremental cold < 2x warm) =="
+echo "== [5/13] cold-start guard (incremental cold < 2x warm) =="
 python - <<'PY'
 from repro.converter import optimize
 from repro.core import SessionConfig
@@ -119,16 +122,16 @@ assert cold_ms < 2.0 * warm_ms, (
 PY
 
 echo
-echo "== [6/12] prometheus export self-test =="
+echo "== [6/13] prometheus export self-test =="
 python -m repro.tools.cli metrics --prom --selftest >/dev/null
 python -m repro.tools.cli metrics --prom --selftest | tail -n 1
 
 echo
-echo "== [7/12] request-timeline overhead guard (<5% disabled) =="
+echo "== [7/13] request-timeline overhead guard (<5% disabled) =="
 python -m pytest -q tests/test_obs_requests.py -k overhead
 
 echo
-echo "== [8/12] bench-regression gate (two-run trajectory) =="
+echo "== [8/13] bench-regression gate (two-run trajectory) =="
 export REPRO_BENCH_DIR="$tmpdir/bench"
 python -m pytest -q benchmarks/bench_prefix_cache.py
 python -m pytest -q benchmarks/bench_prefix_cache.py
@@ -136,22 +139,30 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/12] cluster supervision self-test (kill a worker, stay bit-identical) =="
+echo "== [9/13] cluster supervision self-test (kill a worker, stay bit-identical) =="
 python -m repro.tools.cli cluster --selftest
 
 echo
-echo "== [10/12] quantization self-test (accuracy, determinism, capacity) =="
+echo "== [10/13] quantization self-test (accuracy, determinism, capacity) =="
 python -m repro.tools.cli quantize --selftest
 
 echo
-echo "== [11/12] greedy decode == full recompute (mixed-capacity steps, prefix-hit runs) =="
+echo "== [11/13] greedy decode == full recompute (mixed-capacity steps, prefix-hit runs) =="
 python -m repro.tools.cli generate --selftest --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
 python -m repro.tools.cli generate --selftest --layers 2 --prefix-cache --shared-prefix 12 \
     --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
 
 echo
-echo "== [12/12] benchmark smoke (perfbench, all six workloads, traced and untraced) =="
+echo "== [12/13] benchmark smoke (perfbench, all six workloads, traced and untraced) =="
 python -m pytest -q perfbench/tests/test_smoke.py
+
+echo
+echo "== [13/13] examples (every examples/*.py exits 0) =="
+root=$PWD
+for example in examples/*.py; do
+    echo "-- $example"
+    (cd "$tmpdir" && PYTHONPATH="$root/src" python "$root/$example" >/dev/null)
+done
 
 echo
 echo "check.sh: all gates passed"

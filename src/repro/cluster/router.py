@@ -83,6 +83,10 @@ __all__ = ["Cluster", "ClusterConfig", "RemoteGenResult"]
 
 _STOP = object()
 
+#: Initial size of each request/response shm segment; a payload that
+#: does not fit grows its segment.
+SEGMENT_BYTES = 1 << 20
+
 
 class _WorkerDied(Exception):
     """Internal: the RPC's worker died before answering."""
@@ -101,8 +105,6 @@ class ClusterConfig:
         on_worker_lost: default per-request loss policy, ``"replay"`` or
             ``"error"``.
         deadline_ms: default per-request deadline (``None`` = none).
-        segment_bytes: initial size of each request/response shm segment.
-        vnodes: virtual nodes per worker on the hash ring.
         device_dwell_ms: per-request simulated accelerator dwell inside
             the worker (models an offloaded backend's device wait; this
             is what makes multi-worker scaling observable on a
@@ -110,12 +112,16 @@ class ClusterConfig:
         genai: ``GenerationConfig`` kwargs for generation-mode workers
             (``None`` = infer-only cluster).
         use_cache / cache_dir: worker engine cache settings.
-        heartbeat_interval_s / hang_timeout_s / start_timeout_s:
-            supervision timing (see :class:`Supervisor`).
         metrics / trace / faults / requests / sanitize: the usual
             observability and fault-injection plumbing, resolved once
             into the router's :class:`repro.Runtime` (``metrics=None``
             is the process-wide registry).
+
+    Transport sizing, ring balance and supervision timing are module
+    constants, not settings: 1 MiB initial shm segments
+    (``SEGMENT_BYTES``), the ring's default 64 virtual nodes per worker,
+    and the :mod:`~repro.cluster.supervisor` heartbeat, hang and start
+    timeouts.
     """
 
     workers: int = 2
@@ -124,15 +130,10 @@ class ClusterConfig:
     replay_budget: int = 2
     on_worker_lost: str = "replay"
     deadline_ms: Optional[float] = None
-    segment_bytes: int = 1 << 20
-    vnodes: int = 64
     device_dwell_ms: float = 0.0
     genai: Optional[Dict[str, object]] = None
     use_cache: bool = False
     cache_dir: Optional[str] = None
-    heartbeat_interval_s: float = 0.05
-    hang_timeout_s: float = 5.0
-    start_timeout_s: float = 120.0
     metrics: Optional[MetricsRegistry] = None
     trace: Optional[Tracer] = None
     faults: Optional[FaultPlan] = None
@@ -211,7 +212,7 @@ class Cluster:
 
         n = self.config.workers
         self._uid = f"rc{os.getpid():x}-{id(self) & 0xFFFF:x}"
-        self._ring = HashRing(range(n), vnodes=self.config.vnodes)
+        self._ring = HashRing(range(n))
         self._admission = threading.Lock()
         self._depths: Dict[int, int] = {s: 0 for s in range(n)}
         self._slot_locks: Dict[int, threading.Lock] = {s: threading.Lock() for s in range(n)}
@@ -221,20 +222,13 @@ class Cluster:
         self._grow_seq = itertools.count(1)
         self._req_seq = itertools.count(1)
         self._seg_bytes: Dict[int, Dict[str, int]] = {
-            s: {"req": self.config.segment_bytes, "resp": self.config.segment_bytes}
+            s: {"req": SEGMENT_BYTES, "resp": SEGMENT_BYTES}
             for s in range(n)
         }
         self._queues: Dict[int, "queue.Queue"] = {s: queue.Queue() for s in range(n)}
         self._closed = False
 
-        self.supervisor = Supervisor(
-            self._spawn_cfg,
-            n,
-            metrics=self.metrics,
-            heartbeat_interval_s=self.config.heartbeat_interval_s,
-            hang_timeout_s=self.config.hang_timeout_s,
-            start_timeout_s=self.config.start_timeout_s,
-        )
+        self.supervisor = Supervisor(self._spawn_cfg, n, metrics=self.metrics)
         self._threads: List[threading.Thread] = []
         try:
             self.supervisor.start()
@@ -259,7 +253,6 @@ class Cluster:
             "use_cache": self.config.use_cache,
             "cache_dir": self.config.cache_dir,
             "genai": self.config.genai,
-            "heartbeat_interval_s": self.config.heartbeat_interval_s,
             "device_dwell_ms": self.config.device_dwell_ms,
         }
         if self._model_path is not None:

@@ -14,11 +14,11 @@ machine per slot (DESIGN §14):
   paths funnel into the idempotent :meth:`report_down`).
 * **Hang** detection is a stale heartbeat: each worker stamps
   ``time.monotonic()`` into a shared ``Value`` from a daemon thread; a
-  stamp older than ``hang_timeout_s`` gets the worker SIGKILLed and
+  stamp older than ``HANG_TIMEOUT_S`` gets the worker SIGKILLed and
   replaced.  Hangs are counted separately from crashes.
 * **Slow start** is a worker that does not report ready within
-  ``start_timeout_s``; it is killed and respawned up to
-  ``start_retries`` times before the slot is declared failed.
+  ``START_TIMEOUT_S``; it is killed and respawned up to
+  ``START_RETRIES`` times before the slot is declared failed.
 
 Epochs make replacement unambiguous: every spawn of a slot gets a fresh
 monotonically-increasing epoch, ``report_down(slot, epoch)`` is a no-op
@@ -42,9 +42,16 @@ from typing import Callable, Dict, List, Optional
 
 import multiprocessing
 
-from .worker import worker_main
+from .worker import HEARTBEAT_INTERVAL_S, worker_main
 
 __all__ = ["Supervisor", "WorkerHandle", "fork_available"]
+
+#: A heartbeat older than this marks a live worker as hung.
+HANG_TIMEOUT_S = 5.0
+#: How long a spawned worker may take to report ready.
+START_TIMEOUT_S = 120.0
+#: Respawns of a worker that failed to start before its slot is given up.
+START_RETRIES = 2
 
 
 def fork_available() -> bool:
@@ -79,10 +86,6 @@ class Supervisor:
         slots: int,
         *,
         metrics=None,
-        heartbeat_interval_s: float = 0.05,
-        hang_timeout_s: float = 5.0,
-        start_timeout_s: float = 60.0,
-        start_retries: int = 2,
         on_down: Optional[Callable[[int, int, str], None]] = None,
         on_up: Optional[Callable[[int, "WorkerHandle"], None]] = None,
     ) -> None:
@@ -94,10 +97,6 @@ class Supervisor:
         self.spawn_cfg = spawn_cfg
         self.slots = int(slots)
         self.metrics = metrics
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.hang_timeout_s = float(hang_timeout_s)
-        self.start_timeout_s = float(start_timeout_s)
-        self.start_retries = int(start_retries)
         self.on_down = on_down
         self.on_up = on_up
         self._ctx = multiprocessing.get_context("fork")
@@ -223,7 +222,7 @@ class Supervisor:
     def _spawn(self, slot: int) -> WorkerHandle:
         """Spawn ``slot``'s worker and wait for its ready message."""
         last_error = "unknown"
-        for attempt in range(self.start_retries + 1):
+        for attempt in range(START_RETRIES + 1):
             with self._lock:
                 self._epochs[slot] += 1
                 epoch = self._epochs[slot]
@@ -238,7 +237,7 @@ class Supervisor:
             )
             proc.start()
             child_conn.close()
-            deadline = time.monotonic() + self.start_timeout_s
+            deadline = time.monotonic() + START_TIMEOUT_S
             msg = None
             while time.monotonic() < deadline:
                 if parent_conn.poll(0.02):
@@ -272,7 +271,7 @@ class Supervisor:
                 last_error = f"{msg[2]}: {msg[3]}"
                 self._count("cluster.start_failed")
             elif proc.is_alive():
-                last_error = f"no ready within {self.start_timeout_s:.1f}s"
+                last_error = f"no ready within {START_TIMEOUT_S:.1f}s"
                 self._count("cluster.slow_starts")
             else:
                 last_error = f"exited with code {proc.exitcode} before ready"
@@ -285,13 +284,12 @@ class Supervisor:
                 pass
         raise RuntimeError(
             f"worker slot {slot} failed to start after "
-            f"{self.start_retries + 1} attempts: {last_error}"
+            f"{START_RETRIES + 1} attempts: {last_error}"
         )
 
     def _monitor_loop(self) -> None:
-        interval = min(self.heartbeat_interval_s, 0.05)
         while not self._stopping.is_set():
-            self._wake.wait(timeout=interval)
+            self._wake.wait(timeout=HEARTBEAT_INTERVAL_S)
             self._wake.clear()  # sanitize: monitor thread is the only clearer
             if self._stopping.is_set():
                 return
@@ -303,7 +301,7 @@ class Supervisor:
                     continue
                 if not h.proc.is_alive():
                     self.report_down(h.slot, h.epoch, reason="crash")
-                elif now - h.hb.value > self.hang_timeout_s:
+                elif now - h.hb.value > HANG_TIMEOUT_S:
                     # Hung: heartbeats stopped but the process lives.
                     if h.pid is not None:
                         try:

@@ -52,6 +52,9 @@ __all__ = ["worker_main", "CRASH_EXIT_CODE"]
 #: supervisor logs; the supervisor replaces the worker either way).
 CRASH_EXIT_CODE = 13
 
+#: Heartbeat period the supervisor polls at; workers stamp twice as often.
+HEARTBEAT_INTERVAL_S = 0.05
+
 
 class _Heartbeat(threading.Thread):
     """Stamps the shared heartbeat value until told to play dead."""
@@ -119,7 +122,7 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
             pass
         return
 
-    beat = _Heartbeat(hb, float(cfg.get("heartbeat_interval_s", 0.05)) / 2.0)
+    beat = _Heartbeat(hb, HEARTBEAT_INTERVAL_S / 2.0)
     beat.start()
     dwell_ms = float(cfg.get("device_dwell_ms", 0.0))
     conn.send(("ready", slot, os.getpid()))

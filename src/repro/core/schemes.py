@@ -296,22 +296,17 @@ def _search_conv_scheme(
 
 
 def select_graph_schemes(
-    graph: Graph, config: Optional[SchemeConfig] = None, workers: int = 0
+    graph: Graph, config: Optional[SchemeConfig] = None
 ) -> Dict[str, SchemeDecision]:
-    """Run scheme selection for every Conv2D node; keyed by node name.
-
-    Per-layer searches are independent (embarrassingly parallel), so with
-    ``workers > 1`` they fan out over a thread pool; results are merged
-    by node name, making the output identical to the serial walk.
-    """
-    jobs = []
+    """Run scheme selection for every Conv2D node; keyed by node name."""
+    decisions = {}
     for node in graph.nodes:
         if node.op_type != Op.CONV2D:
             continue
         x = graph.desc(node.inputs[0])
         y = graph.desc(node.outputs[0])
         weights = graph.constants.get(node.inputs[1]) if len(node.inputs) > 1 else None
-        jobs.append((node.name, dict(
+        decisions[node.name] = select_conv_scheme(
             kernel=tuple(node.attrs["kernel"]),
             ic=x.shape[1],
             oc=y.shape[1],
@@ -321,13 +316,5 @@ def select_graph_schemes(
             groups=int(node.attrs["groups"]),
             config=config,
             quantized=weights is not None and weights.dtype == np.int8,
-        )))
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="prepare-scheme"
-        ) as pool:
-            picked = pool.map(lambda j: select_conv_scheme(**j[1]), jobs)
-            return {name: d for (name, _), d in zip(jobs, picked)}
-    return {name: select_conv_scheme(**kwargs) for name, kwargs in jobs}
+        )
+    return decisions

@@ -124,25 +124,21 @@ class SessionConfig:
             loops that construct feeds programmatically from already-
             validated buffers (``repro.genai``'s per-token decode steps)
             may turn it off to shave fixed overhead from ~ms-scale runs.
-        retries: extra attempts for transient per-op failures before
-            escalating to the backend fallback.
-        breaker_threshold: consecutive op failures on the primary
-            backend before its circuit breaker opens.
         breaker_cooldown_s: how long an open breaker short-circuits the
-            primary before probing it again.
-        prepare_workers: fan per-op scheme selection out over this many
-            threads (the Eq. 2/3 searches are independent, so the result
-            is identical to the serial walk).  ``0``/``1`` keeps the
-            serial path.  Neither this nor ``lazy_prepare`` changes any
-            pre-inference *decision*, so both are excluded from the
-            serving cache's config fingerprint.
+            primary before probing it again.  The resilient executor
+            retries a transient op failure 3 times before falling back,
+            and the breaker opens after 3 consecutive failures (the
+            :func:`~repro.faults.retry_transient` and
+            :class:`~repro.faults.resilience.CircuitBreaker` defaults).
         lazy_prepare: defer per-execution preparation (Winograd weight
             pre-transform and friends) off the critical path of session
             creation: a background thread prepares executions in order
             while the first ``run`` prepares any op it reaches first
             on demand.  Cold time-to-first-inference drops because
             early ops execute while deep ops are still preparing; every
-            run is bit-identical to the eager path.
+            run is bit-identical to the eager path.  It changes no
+            pre-inference *decision*, so the serving cache's config
+            fingerprint leaves it out.
     """
 
     backend: Union[str, Backend] = "cpu"
@@ -159,10 +155,7 @@ class SessionConfig:
     paranoid: bool = False
     resilience: Optional[bool] = None
     check_feeds: bool = True
-    retries: int = 3
-    breaker_threshold: int = 3
     breaker_cooldown_s: float = 0.25
-    prepare_workers: int = 0
     lazy_prepare: bool = False
 
 
@@ -388,18 +381,6 @@ class Session:
                 if cached_schemes is not None and conv_nodes <= set(cached_schemes):
                     self.schemes = dict(cached_schemes)
                     sp.set(cached=True)
-                elif cfg.prepare_workers > 1 and len(conv_nodes) > 1:
-                    # Per-layer Eq. 2/3 searches are independent; fan them
-                    # out.  Identical output to the serial walk.
-                    with tracer.span(
-                        "prepare.parallel", "pre_inference",
-                        workers=cfg.prepare_workers, convs=len(conv_nodes),
-                    ):
-                        self.schemes = select_graph_schemes(
-                            self.graph, cfg.scheme_config,
-                            workers=cfg.prepare_workers,
-                        )
-                    sp.set(cached=False, parallel=True)
                 else:
                     self.schemes = select_graph_schemes(self.graph, cfg.scheme_config)
                     sp.set(cached=False)
@@ -441,7 +422,7 @@ class Session:
                         self.fallback = self._make_backend("cpu")
                 sp.set(primary=self.primary.forward_type)
                 self._breaker = CircuitBreaker(
-                    cfg.breaker_threshold, cfg.breaker_cooldown_s,
+                    cooldown_s=cfg.breaker_cooldown_s,
                     name=self.primary.forward_type,
                 )
 
@@ -877,7 +858,6 @@ class Session:
         a test asserting raw failure modes wants.
         """
         plan = self.faults
-        cfg = self.config
         backend = self._placement[node.name]
         scheme = self.schemes.get(node.name)
         scheme_kind = scheme.kind if scheme is not None else None
@@ -907,7 +887,6 @@ class Session:
         try:
             outputs = retry_transient(
                 attempt,
-                retries=cfg.retries,
                 rng=plan.rng_for("kernel.execute"),
                 label=node.name,
                 transient=(TransientFault, BackendTransientError),

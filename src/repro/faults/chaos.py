@@ -438,7 +438,7 @@ def _generation_config(
 
     return GenerationConfig(
         vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
-        max_batch=2, page_tokens=4, capacity_tokens=64, smallest_bucket=8,
+        max_batch=2, page_tokens=4, capacity_tokens=64,
         prefix_cache=prefix,
         session=SessionConfig(breaker_cooldown_s=0.0),
         metrics=get_metrics(), faults=plan, retain_kv=True,
@@ -447,7 +447,8 @@ def _generation_config(
 
 
 def _phase_generate(
-    prompts, gold_tokens, seed, report, sanitizer, tracker, kv_dtype="float32"
+    prompts, gold_tokens, seed, report, sanitizer, tracker, kv_dtype="float32",
+    prefix=False,
 ) -> None:
     """Generation storm: flaky and OOM-ing KV-slab allocations.
 
@@ -455,20 +456,29 @@ def _phase_generate(
     slabs (or preemption+requeue when nothing is evictable).  None of it
     touches arithmetic, so every *completed* request's tokens must equal
     the fault-free gold generation exactly.
+
+    ``prefix=True`` is the prefix storm: the engine serves the prompts'
+    long shared prefix copy-on-write from retired slabs, so the faults
+    also land inside ``share``/``materialize`` allocations.  A fault
+    there may evict a COW parent (the trie prunes it and the request
+    falls back to cold prefill) or abort a half-built child — either way
+    completed requests must emit the *cold* fault-free gold tokens, and
+    the refcounted pages must all come back.
     """
     from ..genai import GenerationEngine, GenRequest, SamplingParams
 
+    name, tag = ("prefix", "pfx") if prefix else ("generate", "gen")
     plan = FaultPlan([
         FaultRule("kvcache.alloc", "transient", times=3),
         FaultRule("kvcache.alloc", "fatal", p=0.5, times=3),
     ], seed=seed)
-    result = PhaseResult("generate")
+    result = PhaseResult(name)
     engine = GenerationEngine(_generation_config(
-        plan, sanitizer, tracker=tracker, kv_dtype=kv_dtype
+        plan, sanitizer, prefix=prefix, tracker=tracker, kv_dtype=kv_dtype
     ))
     params = SamplingParams(max_tokens=8)
     requests = [
-        GenRequest(f"gen-{i}", prompt, params) for i, prompt in enumerate(prompts)
+        GenRequest(f"{tag}-{i}", prompt, params) for i, prompt in enumerate(prompts)
     ]
     try:
         outcomes = engine.generate(requests)
@@ -489,57 +499,13 @@ def _phase_generate(
     _finish_phase(result, plan, report)
 
 
-def _phase_prefix(
-    prompts, gold_tokens, seed, report, sanitizer, tracker, kv_dtype="float32"
-) -> None:
-    """Prefix storm: COW prefix sharing under flaky/fatal slab allocs.
-
-    Same fault site as the generate phase (``kvcache.alloc``), but the
-    engine serves the prompts' long shared prefix copy-on-write from
-    retired slabs, so faults also land inside ``share``/``materialize``
-    allocations.  A fault there may evict a COW parent (the trie prunes
-    it and the request falls back to cold prefill) or abort a half-built
-    child — either way completed requests must emit the *cold*
-    fault-free gold tokens, and the refcounted pages must all come back.
-    """
-    from ..genai import GenerationEngine, GenRequest, SamplingParams
-
-    plan = FaultPlan([
-        FaultRule("kvcache.alloc", "transient", times=3),
-        FaultRule("kvcache.alloc", "fatal", p=0.5, times=3),
-    ], seed=seed)
-    result = PhaseResult("prefix")
-    engine = GenerationEngine(_generation_config(
-        plan, sanitizer, prefix=True, tracker=tracker, kv_dtype=kv_dtype
-    ))
-    params = SamplingParams(max_tokens=8)
-    requests = [
-        GenRequest(f"pfx-{i}", prompt, params) for i, prompt in enumerate(prompts)
-    ]
-    try:
-        outcomes = engine.generate(requests)
-    except Exception:
-        result.requests += len(requests)
-        result.crashes += 1
-    else:
-        for outcome, gold in zip(outcomes, gold_tokens):
-            result.requests += 1
-            if outcome.finish_reason == "error":
-                result.failed += 1  # typed, isolated to this request
-            elif outcome.tokens != gold:
-                result.mismatched += 1
-    finally:
-        engine.close()
-    _finish_phase(result, plan, report)
-
-
 #: Worker-side generation config for the cluster phase (plain kwargs —
 #: it crosses the process boundary).  The phase's gold engine is built
 #: from the *same* dict, so "bit-identical" compares a cross-process,
 #: shared-memory-transported generation against a local in-process one.
 _CLUSTER_GENAI: Dict[str, object] = dict(
     vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
-    max_batch=2, page_tokens=4, capacity_tokens=64, smallest_bucket=8,
+    max_batch=2, page_tokens=4, capacity_tokens=64,
 )
 
 
@@ -809,9 +775,9 @@ def run_chaos_storm(
                 prompts, gold_tokens, base + 5, report, sanitizer, tracker,
                 kv_dtype=kv_dtype,
             )
-            _phase_prefix(
+            _phase_generate(
                 prefix_prompts, gold_prefix, base + 6, report, sanitizer, tracker,
-                kv_dtype=kv_dtype,
+                kv_dtype=kv_dtype, prefix=True,
             )
             _phase_cluster(
                 cluster, cluster_prompts, gold_cluster, base + 7, report

@@ -27,15 +27,16 @@ is *bit-identical* to full-sequence recompute (the kernels are strictly
 per-row), which the acceptance tests assert for 32-token generations.
 """
 
-from .decode import (
-    DecodeRunner,
-    batch_buckets,
-    bucket_for_batch,
-    bucket_for_length,
-    length_buckets,
-)
+from .decode import DecodeRunner
 from .engine import GenerationConfig, GenerationEngine
-from .kvcache import KVCacheAllocator, KVCacheConfig, KVCacheOOM, KVSlab
+from .kvcache import (
+    KVCacheAllocator,
+    KVCacheConfig,
+    KVCacheOOM,
+    KVSlab,
+    bucket_for,
+    doubling_buckets,
+)
 from .prefix import PrefixCache
 from .sampling import Sampler, SamplingParams, greedy
 from .scheduler import ContinuousBatchScheduler, GenRequest, GenResult
@@ -52,10 +53,8 @@ __all__ = [
     "KVSlab",
     "PrefillRunner",
     "DecodeRunner",
-    "length_buckets",
-    "bucket_for_length",
-    "batch_buckets",
-    "bucket_for_batch",
+    "doubling_buckets",
+    "bucket_for",
     "PrefixCache",
     "Sampler",
     "SamplingParams",

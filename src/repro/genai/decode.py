@@ -52,49 +52,12 @@ from ..ir.graph import Graph
 from ..quant.kv import quantize_rows
 from ..runtime import Runtime
 from ..serving.cache import PreInferenceCache, warm_session
-from .kvcache import KVSlab
+from .kvcache import KVSlab, bucket_for, doubling_buckets
 
-__all__ = [
-    "batch_buckets", "bucket_for_batch", "length_buckets", "bucket_for_length",
-    "DecodeRunner",
-]
+__all__ = ["SMALLEST_TOKEN_BUCKET", "DecodeRunner"]
 
-
-def batch_buckets(max_batch: int) -> List[int]:
-    """Power-of-two batch buckets ending exactly at ``max_batch``."""
-    buckets: List[int] = []
-    cap = 1
-    while cap < max_batch:
-        buckets.append(cap)
-        cap *= 2
-    buckets.append(max_batch)
-    return buckets
-
-
-def bucket_for_batch(n: int, buckets: List[int]) -> int:
-    for cap in buckets:
-        if cap >= n:
-            return cap
-    raise ValueError(f"batch {n} exceeds largest bucket {buckets[-1]}")
-
-
-def length_buckets(max_seq: int, smallest: int = 8) -> List[int]:
-    """Doubling prompt-length buckets ending exactly at ``max_seq``."""
-    buckets: List[int] = []
-    cap = min(smallest, max_seq)
-    while cap < max_seq:
-        buckets.append(cap)
-        cap *= 2
-    buckets.append(max_seq)
-    return buckets
-
-
-def bucket_for_length(length: int, buckets: List[int]) -> int:
-    """Smallest bucket >= ``length``; raises past the largest."""
-    for cap in buckets:
-        if cap >= length:
-            return cap
-    raise ValueError(f"length {length} exceeds largest bucket {buckets[-1]}")
+#: The smallest prompt-length bucket: shorter prompts pad up to 8 tokens.
+SMALLEST_TOKEN_BUCKET = 8
 
 
 class DecodeRunner:
@@ -106,25 +69,22 @@ class DecodeRunner:
         layers: int,
         max_batch: int,
         max_seq: int,
-        smallest_bucket: int = 8,
         session_config: Optional[SessionConfig] = None,
         cache: Optional[PreInferenceCache] = None,
-        retries: int = 3,
         *,
         runtime: Optional[Runtime] = None,
     ) -> None:
         self.build_graph = build_graph        # (batch, tokens, capacity) -> Graph
         self.layers = layers
         self.max_seq = max_seq
-        self.buckets = batch_buckets(max_batch)
-        self.token_buckets = length_buckets(max_seq, smallest_bucket)
+        self.buckets = doubling_buckets(max_batch, 1)
+        self.token_buckets = doubling_buckets(max_seq, SMALLEST_TOKEN_BUCKET)
         base = session_config if session_config is not None else SessionConfig()
         self.session_config = replace(base, check_feeds=False)
         self.cache = cache
         self.runtime = runtime if runtime is not None else Runtime.resolve()
         self.metrics = self.runtime.metrics
         self.tracer = self.runtime.tracer
-        self.retries = retries
         self._sessions: Dict[Tuple[int, int, int], Session] = {}
 
     def _session(self, batch: int, tokens: int, capacity: int) -> Session:
@@ -134,9 +94,7 @@ class DecodeRunner:
             graph = self.build_graph(batch, tokens, capacity)
             config = self.session_config
             cache_key = self.cache.key(graph, config) if self.cache is not None else None
-            session, _ = warm_session(
-                graph, config, self.cache, cache_key, self.runtime, self.retries
-            )
+            session, _ = warm_session(graph, config, self.cache, cache_key, self.runtime)
             self._sessions[key] = session
         return session
 
@@ -168,7 +126,7 @@ class DecodeRunner:
                 f"slab capacity {slab.capacity} cannot hold {n} more tokens "
                 f"after {slab.length}"
             )
-        t = bucket_for_length(n, self.token_buckets)
+        t = bucket_for(n, self.token_buckets)
         feed = np.zeros((1, t), np.int32)
         feed[0, :n] = tokens
         # An empty slab reads no cache rows: the cold cell's capacity is T.
@@ -202,7 +160,7 @@ class DecodeRunner:
                     f"slab {slab.seq_id!r} full at {slab.length}/{slab.capacity}; "
                     "grow first"
                 )
-        feed = np.zeros((bucket_for_batch(n, self.buckets), 1), np.int32)
+        feed = np.zeros((bucket_for(n, self.buckets), 1), np.int32)
         feed[:n, 0] = tokens
         capacity = max(slab.capacity for slab in slabs)
         logits = self._forward(feed, 1, slabs, capacity, "genai.decode_step")

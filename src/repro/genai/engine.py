@@ -45,6 +45,8 @@ class GenerationConfig:
     serving fields mirror :class:`repro.serving.EngineConfig`.
     ``capacity_tokens`` defaults to two full batches of ``max_seq`` —
     enough that admission control, not raw capacity, is the common case.
+    Prompts pad up to length buckets doubling from 8 tokens, and
+    transient KV-allocation and cache-IO faults are retried 3 times.
     """
 
     vocab: int = 256
@@ -57,7 +59,6 @@ class GenerationConfig:
     max_batch: int = 4
     page_tokens: int = 8
     capacity_tokens: Optional[int] = None
-    smallest_bucket: int = 8
     retain_kv: bool = True
     #: Serve common prompt prefixes from retired sequences' KV slabs
     #: (copy-on-write) instead of re-prefilling.  Opt-in; requires
@@ -86,7 +87,6 @@ class GenerationConfig:
     trace: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
-    retries: int = 3
     #: ``True`` builds one enabled :class:`repro.sanitize.Sanitizer` and
     #: threads it through the allocator, scheduler, cache and every
     #: worker session, so races/lock cycles/KV lifecycle bugs across the
@@ -133,7 +133,6 @@ class GenerationEngine:
             page_tokens=config.page_tokens,
             capacity_tokens=capacity,
             max_seq=config.max_seq,
-            retries=config.retries,
             kv_dtype=config.kv_dtype,
         )
         self.allocator = KVCacheAllocator(self.kv_config, runtime=self.runtime)
@@ -147,10 +146,8 @@ class GenerationEngine:
             layers=config.layers,
             max_batch=config.max_batch,
             max_seq=config.max_seq,
-            smallest_bucket=config.smallest_bucket,
             session_config=config.session,
             cache=cache,
-            retries=config.retries,
             runtime=self.runtime,
         )
         self.prefix_cache = (

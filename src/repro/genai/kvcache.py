@@ -46,6 +46,8 @@ from ..runtime import Runtime
 from ..sanitize import LifecycleFinding, Sanitizer
 
 __all__ = [
+    "doubling_buckets",
+    "bucket_for",
     "KVCacheConfig",
     "KVCacheOOM",
     "KVCacheUseAfterFree",
@@ -56,6 +58,32 @@ __all__ = [
 
 def _align(n: int) -> int:
     return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
+
+
+def doubling_buckets(top: int, smallest: int) -> List[int]:
+    """Buckets doubling from ``smallest`` and ending exactly at ``top``.
+
+    The one bucketing rule of the token path: decode batches (smallest
+    1), prompt lengths (smallest 8) and KV-slab capacities (smallest
+    ``page_tokens``) each get one prepared shape per bucket.
+    """
+    if smallest < 1:
+        raise ValueError(f"smallest bucket must be >= 1, got {smallest}")
+    buckets: List[int] = []
+    cap = smallest
+    while cap < top:
+        buckets.append(cap)
+        cap *= 2
+    buckets.append(top)
+    return buckets
+
+
+def bucket_for(n: int, buckets: List[int]) -> int:
+    """Smallest bucket >= ``n``; raises ``ValueError`` past the largest."""
+    for cap in buckets:
+        if cap >= n:
+            return cap
+    raise ValueError(f"{n} exceeds the largest bucket {buckets[-1]}")
 
 
 class KVCacheOOM(ResilienceError):
@@ -80,11 +108,10 @@ class KVCacheConfig:
     Attributes:
         layers/heads/d_head: the decoder architecture the cache serves.
         page_tokens: tokens per page — the allocation granule and the
-            smallest capacity bucket.
+            smallest capacity bucket (>= 1).
         capacity_tokens: total arena capacity in tokens across all
             resident sequences (rounded down to whole pages).
         max_seq: the longest supported sequence; the largest bucket.
-        retries: extra attempts for transient allocation faults.
         kv_dtype: storage dtype of the cached K/V rows.  ``"float32"``
             (default) stores rows verbatim; ``"int8"`` stores each row
             quantized per-row symmetric (one float32 scale per
@@ -99,10 +126,11 @@ class KVCacheConfig:
     page_tokens: int = 16
     capacity_tokens: int = 512
     max_seq: int = 64
-    retries: int = 3
     kv_dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        if self.page_tokens < 1:
+            raise ValueError(f"page_tokens must be >= 1, got {self.page_tokens}")
         kv_itemsize(self.kv_dtype)  # raises ValueError on unknown dtypes
         if self.quantized and self.d_head % 4 != 0:
             raise ValueError(
@@ -145,25 +173,6 @@ class KVCacheConfig:
     @property
     def total_pages(self) -> int:
         return self.capacity_tokens // self.page_tokens
-
-    def buckets(self) -> List[int]:
-        """Capacity buckets in tokens: doubling pages up to ``max_seq``."""
-        out: List[int] = []
-        cap = self.page_tokens
-        while cap < self.max_seq:
-            out.append(cap)
-            cap *= 2
-        out.append(self.max_seq)
-        return out
-
-    def bucket_for(self, tokens: int) -> int:
-        """Smallest bucket holding ``tokens``; raises past ``max_seq``."""
-        if tokens > self.max_seq:
-            raise ValueError(f"sequence of {tokens} tokens exceeds max_seq {self.max_seq}")
-        for cap in self.buckets():
-            if cap >= tokens:
-                return cap
-        raise AssertionError("unreachable: buckets() ends at max_seq")
 
 
 @dataclass
@@ -423,6 +432,8 @@ class KVCacheAllocator:
                 f"{config.page_tokens}-token page"
             )
         self.config = config
+        #: Slab capacities in tokens: doubling pages up to ``max_seq``.
+        self.buckets = doubling_buckets(config.max_seq, config.page_tokens)
         runtime = runtime if runtime is not None else Runtime.resolve()
         self.metrics = runtime.metrics
         self.faults = runtime.faults
@@ -462,7 +473,7 @@ class KVCacheAllocator:
             KVCacheOOM: when no extent fits even with every retired slab
                 evicted (admission control catches this and queues).
         """
-        capacity = self.config.bucket_for(max(1, tokens))
+        capacity = bucket_for(max(1, tokens), self.buckets)
         pages = self._pages_for(capacity)
         with self.sanitizer.locked(self._lock, "kvcache.lock"):
             if seq_id in self._live:
@@ -471,7 +482,6 @@ class KVCacheAllocator:
                 try:
                     start = retry_transient(
                         lambda: self._try_alloc(seq_id, pages),
-                        retries=self.config.retries,
                         rng=self.faults.rng_for("kvcache.alloc"),
                         label="kvcache.alloc",
                         transient=(TransientFault,),

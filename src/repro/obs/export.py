@@ -10,8 +10,8 @@ idents are remapped to small stable lane numbers (main thread first,
 then by first appearance) and labelled with ``thread_name`` metadata
 (``"ph": "M"``) so parallel-branch execution shows as genuinely
 overlapping lanes; executor pools name their workers
-(``exec-worker``, ``prepare-scheme``) so short-lived prepare/decode
-lanes are labeled, not bare tids.
+(``exec-worker``, ``serve-client``) so short-lived execution and
+client lanes are labeled, not bare tids.
 
 Text views for terminals:
 

@@ -351,7 +351,6 @@ def warm_session(
     cache: Optional[PreInferenceCache],
     key: Optional[str],
     runtime: Runtime,
-    retries: int = 3,
     donor: Optional[MemoryPlan] = None,
 ) -> Tuple[Session, bool]:
     """Build one session, warmed through ``cache`` under the caller's ``key``.
@@ -367,9 +366,7 @@ def warm_session(
 
     def cache_io(fn, label: str):
         try:
-            return retry_transient(
-                fn, retries=retries, rng=runtime.faults.rng_for(label), label=label
-            )
+            return retry_transient(fn, rng=runtime.faults.rng_for(label), label=label)
         except TransientFault:
             # Like every reconciliation counter, this lands in the
             # process-wide registry (the one the fault plan itself

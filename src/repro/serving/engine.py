@@ -71,9 +71,9 @@ class EngineConfig:
             falls back to the process-wide plan (``$REPRO_FAULTS``,
             default disabled).
         deadline_ms: default per-request deadline budget for
-            :meth:`Engine.infer`; ``None`` means no deadline.
-        retries: extra attempts for transient failures (cache IO, pool
-            checkout) before escalating.
+            :meth:`Engine.infer`; ``None`` means no deadline.  Transient
+            cache-IO and pool-checkout faults are retried 3 times before
+            escalating.
         requests: request-level observability.  A
             :class:`repro.obs.RequestTracker` (used as-is — attach a
             :class:`repro.obs.FlightRecorder` to it for postmortem
@@ -103,7 +103,6 @@ class EngineConfig:
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
     deadline_ms: Optional[float] = None
-    retries: int = 3
     sanitize: Union[bool, Sanitizer] = False
     requests: Union[bool, RequestTracker, None] = None
 
@@ -215,7 +214,7 @@ class Engine:
             )
         else:
             self.pool = SessionPool(
-                self._create_session, c.pool_size, c.retries, runtime=self.runtime
+                self._create_session, c.pool_size, runtime=self.runtime
             )
         # Resource counter tracks (pool idle seats, in-flight requests,
         # cache hit rate) are only worth their samples when someone is
@@ -243,7 +242,7 @@ class Engine:
         with self.tracer.span("engine.create_session", "serving") as span:
             session, hit = warm_session(
                 self.graph, self.config.session, self.cache, self.cache_key,
-                self.runtime, self.config.retries,
+                self.runtime,
             )
             self.stats.record_prepare(hit, session.prepare_wall_ms)
             span.set(cache_hit=hit, prepare_ms=session.prepare_wall_ms)

@@ -41,7 +41,6 @@ class SessionPool:
         self,
         factory: Callable[[], Session],
         size: int,
-        retries: int = 3,
         *,
         runtime: Optional[Runtime] = None,
     ) -> None:
@@ -61,7 +60,6 @@ class SessionPool:
         self.tracer = runtime.tracer
         self.faults = runtime.faults
         self.sanitizer = runtime.sanitizer
-        self.retries = retries
         self._sessions: List[Session] = [factory() for _ in range(size)]
         self._free: "queue.Queue[Session]" = queue.Queue()
         for session in self._sessions:
@@ -106,7 +104,6 @@ class SessionPool:
             # exhaustion escalates the TransientFault to the caller.
             retry_transient(
                 lambda: plan.fire("pool.checkout"),
-                retries=self.retries,
                 rng=plan.rng_for("pool.checkout"),
                 deadline=deadline,
                 label="pool.checkout",

@@ -220,8 +220,7 @@ def _quantize_selftest() -> int:
     def _generate(**quant):
         engine = GenerationEngine(GenerationConfig(
             vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
-            max_batch=2, page_tokens=4, capacity_tokens=64,
-            smallest_bucket=8, **quant,
+            max_batch=2, page_tokens=4, capacity_tokens=64, **quant,
         ))
         try:
             gen = np.random.default_rng(11)

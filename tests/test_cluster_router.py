@@ -40,8 +40,7 @@ pytestmark = [
 RNG = np.random.default_rng(17)
 
 GENAI = dict(vocab=48, max_seq=24, d_model=16, heads=2, layers=1, seed=7,
-             max_batch=2, page_tokens=4, capacity_tokens=64,
-             smallest_bucket=8)
+             max_batch=2, page_tokens=4, capacity_tokens=64)
 
 
 @pytest.fixture(scope="module")

@@ -268,7 +268,7 @@ class TestSessionResilience:
 
         plan = FaultPlan([FaultRule("backend.dispatch", "fatal", times=8)])
         session = Session(
-            graph, SessionConfig(breaker_threshold=2, breaker_cooldown_s=0.0),
+            graph, SessionConfig(breaker_cooldown_s=0.0),
             runtime=Runtime.resolve(faults=plan),
         )
         out = session.run(feeds)
@@ -374,8 +374,7 @@ class TestPoolResilience:
         graph = tiny_net()
         plan = FaultPlan([FaultRule("pool.checkout", "transient")])
         pool = SessionPool(
-            lambda: Session(graph), size=1, retries=2,
-            runtime=Runtime.resolve(faults=plan),
+            lambda: Session(graph), size=1, runtime=Runtime.resolve(faults=plan)
         )
         with pytest.raises(TransientFault):
             with pool.acquire():

@@ -19,10 +19,8 @@ from repro.genai import (
     DecodeRunner,
     KVCacheAllocator,
     KVCacheConfig,
-    batch_buckets,
-    bucket_for_batch,
-    bucket_for_length,
-    length_buckets,
+    bucket_for,
+    doubling_buckets,
 )
 from repro.ir import DataType, GraphBuilder, GraphError, Op
 from repro.kernels import attention, attention_step
@@ -315,23 +313,70 @@ class TestAttentionOp:
             b.finish()
 
 
+# -- the three bucketing rules doubling_buckets replaced, kept as oracles ------------
+def batch_buckets_reference(max_batch):
+    buckets, cap = [], 1
+    while cap < max_batch:
+        buckets.append(cap)
+        cap *= 2
+    buckets.append(max_batch)
+    return buckets
+
+
+def length_buckets_reference(max_seq, smallest):
+    buckets, cap = [], min(smallest, max_seq)
+    while cap < max_seq:
+        buckets.append(cap)
+        cap *= 2
+    buckets.append(max_seq)
+    return buckets
+
+
+def kv_buckets_reference(page_tokens, max_seq):
+    out, cap = [], page_tokens
+    while cap < max_seq:
+        out.append(cap)
+        cap *= 2
+    out.append(max_seq)
+    return out
+
+
 class TestBuckets:
     def test_length_buckets_end_at_max(self):
-        assert length_buckets(48, smallest=8) == [8, 16, 32, 48]
-        assert length_buckets(8, smallest=8) == [8]
-        assert length_buckets(6, smallest=8) == [6]
+        assert doubling_buckets(48, 8) == [8, 16, 32, 48]
+        assert doubling_buckets(8, 8) == [8]
+        assert doubling_buckets(6, 8) == [6]
 
     def test_bucket_for_length(self):
-        buckets = length_buckets(64)
-        assert bucket_for_length(1, buckets) == 8
-        assert bucket_for_length(9, buckets) == 16
-        assert bucket_for_length(64, buckets) == 64
+        buckets = doubling_buckets(64, 8)
+        assert bucket_for(1, buckets) == 8
+        assert bucket_for(9, buckets) == 16
+        assert bucket_for(64, buckets) == 64
         with pytest.raises(ValueError, match="exceeds"):
-            bucket_for_length(65, buckets)
+            bucket_for(65, buckets)
 
     def test_batch_buckets(self):
-        assert batch_buckets(6) == [1, 2, 4, 6]
-        assert bucket_for_batch(3, batch_buckets(6)) == 4
+        assert doubling_buckets(6, 1) == [1, 2, 4, 6]
+        assert bucket_for(3, doubling_buckets(6, 1)) == 4
+
+    def test_smallest_below_one_rejected(self):
+        with pytest.raises(ValueError, match="smallest"):
+            doubling_buckets(8, 0)
+
+    @given(top=st.integers(1, 4096), smallest=st.integers(1, 512), n=st.integers(0, 4200))
+    @settings(max_examples=300, deadline=None)
+    def test_doubling_buckets_match_the_three_old_rules(self, top, smallest, n):
+        buckets = doubling_buckets(top, smallest)
+        assert buckets == length_buckets_reference(top, smallest)
+        assert buckets == kv_buckets_reference(smallest, top)
+        assert doubling_buckets(top, 1) == batch_buckets_reference(top)
+        assert buckets[-1] == top
+        assert all(a < b for a, b in zip(buckets, buckets[1:]))
+        if n > top:
+            with pytest.raises(ValueError, match="exceeds"):
+                bucket_for(n, buckets)
+        else:
+            assert bucket_for(n, buckets) == min(b for b in buckets if b >= n)
 
 
 class TestTinyDecoder:
@@ -456,7 +501,7 @@ class TestRunners:
     def test_prefill_fills_slab_and_pads_freely(self):
         """Bucket padding must not change the prompt's logits or K/V."""
         alloc = KVCacheAllocator(_kv_config())
-        runner = _runner(smallest_bucket=8)
+        runner = _runner()
         prompt = [int(t) for t in RNG.integers(0, 32, 5)]
         slab = alloc.alloc("s", len(prompt) + 1)
         logits = runner.run(prompt, slab)  # bucket 8, 3 rows of padding
@@ -491,7 +536,7 @@ class TestRunners:
 
     def test_prefill_prepares_each_bucket_once(self):
         alloc = KVCacheAllocator(_kv_config())
-        runner = _runner(smallest_bucket=8)
+        runner = _runner()
         for i, n in enumerate((3, 5, 8)):  # all land in the 8-bucket
             slab = alloc.alloc(f"s{i}", n + 1)
             runner.run([1] * n, slab)

@@ -36,7 +36,7 @@ def _fresh_metrics():
 
 
 SMALL = dict(vocab=48, max_seq=24, d_model=16, heads=2, layers=1, seed=4,
-             max_batch=2, page_tokens=4, capacity_tokens=64, smallest_bucket=8)
+             max_batch=2, page_tokens=4, capacity_tokens=64)
 
 
 def small_engine(**overrides):
@@ -382,3 +382,13 @@ class TestCliGenerate:
         assert "reproducible under reseeded replay" in out
         events = json.load(open(trace))["traceEvents"]
         assert any(e.get("name") == "genai.decode_step" for e in events)
+
+    def test_zero_page_tokens_is_a_typed_error(self, capsys):
+        """``page_tokens=0`` used to crash engine construction with a
+        ZeroDivisionError traceback; it is now a ValueError up front."""
+        from repro.tools.cli import main
+
+        with pytest.raises(ValueError, match="page_tokens"):
+            small_engine(page_tokens=0)
+        assert main(["generate", "--page-tokens", "0"]) == 1
+        assert "page_tokens must be >= 1" in capsys.readouterr().err

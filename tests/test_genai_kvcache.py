@@ -102,13 +102,20 @@ class TestExtentFreeList:
 
 class TestKVCacheConfig:
     def test_buckets_double_to_max_seq(self):
-        cfg = make_config(page_tokens=8, max_seq=48)
-        assert cfg.buckets() == [8, 16, 32, 48]
-        assert cfg.bucket_for(1) == 8
-        assert cfg.bucket_for(17) == 32
-        assert cfg.bucket_for(48) == 48
-        with pytest.raises(ValueError, match="exceeds max_seq"):
-            cfg.bucket_for(49)
+        alloc = KVCacheAllocator(make_config(page_tokens=8, max_seq=48))
+        assert alloc.buckets == [8, 16, 32, 48]
+        assert alloc.alloc("a", 1).capacity == 8
+        assert alloc.alloc("b", 17).capacity == 32
+        assert alloc.alloc("c", 48).capacity == 48
+        with pytest.raises(ValueError, match="exceeds"):
+            alloc.alloc("d", 49)
+
+    @pytest.mark.parametrize("page_tokens", [0, -4])
+    def test_page_tokens_below_one_rejected(self, page_tokens):
+        # Zero used to be accepted: bucketing then looped forever and the
+        # allocator divided by zero.
+        with pytest.raises(ValueError, match="page_tokens"):
+            make_config(page_tokens=page_tokens)
 
     def test_page_bytes_aligned(self):
         cfg = make_config()

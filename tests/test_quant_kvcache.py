@@ -286,7 +286,7 @@ class TestMemcheck:
 def engine_config(**overrides):
     base = dict(vocab=64, max_seq=24, d_model=16, heads=2, layers=1,
                 seed=11, max_batch=2, page_tokens=4, capacity_tokens=64,
-                smallest_bucket=8, kv_dtype="int8")
+                kv_dtype="int8")
     base.update(overrides)
     return GenerationConfig(**base)
 

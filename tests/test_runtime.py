@@ -20,7 +20,7 @@ from repro.serving import Engine, EngineConfig, PreInferenceCache
 from tests.test_obs_integration import chain_feed, chain_net
 
 GENAI = dict(vocab=48, max_seq=24, d_model=16, heads=2, layers=1, seed=4,
-             max_batch=2, page_tokens=4, capacity_tokens=64, smallest_bucket=8)
+             max_batch=2, page_tokens=4, capacity_tokens=64)
 
 
 @pytest.fixture(autouse=True)

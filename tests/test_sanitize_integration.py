@@ -214,7 +214,7 @@ class TestSanitizedGenai:
 
         kwargs = dict(
             vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
-            max_batch=2, page_tokens=4, capacity_tokens=64, smallest_bucket=8,
+            max_batch=2, page_tokens=4, capacity_tokens=64,
             metrics=MetricsRegistry(), sanitize=True,
         )
         kwargs.update(overrides)
