@@ -15,7 +15,6 @@ import pytest
 from repro.bench import time_callable
 from repro.converter import optimize
 from repro.core import Session, SessionConfig
-from repro.core.schemes import clear_scheme_memo
 from repro.kernels.winograd import clear_transform_cache
 from repro.serving import Engine, EngineConfig, PreInferenceCache
 
@@ -44,36 +43,36 @@ def _feeds(n):
     ]
 
 
+def _prepare_ms(engine, kind):
+    return engine.metrics.histogram(f"engine.prepare.{kind}_ms").values[0]
+
+
 def test_cold_vs_warm_prepare(net, cache_dir, report_table, benchmark):
     clear_transform_cache()
-    clear_scheme_memo()
     cold = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
-    cold_ms = cold.stats.cold_prepare_ms[0]
+    cold_ms = _prepare_ms(cold, "cold")
 
     # Incremental prepare on a fully cold process (no disk cache, no
     # in-memory caches): execution creation — including Winograd
     # transform generation — is deferred off the prepare critical path
-    # and finished by a background thread.  (The parallel scheme fan-out
-    # is off here: under the GIL, fanning out 26 sub-millisecond
-    # pure-Python searches costs more than it saves at this scale.)
+    # and finished by a background thread.
     clear_transform_cache()
-    clear_scheme_memo()
     incremental = Engine(net, EngineConfig(
         pool_size=1, cache_dir=cache_dir + "-incremental",
         session=SessionConfig(lazy_prepare=True),
     ))
-    incremental_ms = incremental.stats.cold_prepare_ms[0]
+    incremental_ms = _prepare_ms(incremental, "cold")
 
     # simulate a fresh process: in-memory transform cache gone, disk warm
     clear_transform_cache()
     warm = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
-    warm_ms = warm.stats.warm_prepare_ms[0]
+    warm_ms = _prepare_ms(warm, "warm")
 
     cache = PreInferenceCache(cache_dir)
     entry = cache.load(warm.cache_key)
 
     def warm_session():
-        return Session(net, artifacts=entry.apply())
+        return Session(net, artifacts=entry)
 
     benchmark(warm_session)
     steady = time_callable(warm_session, repeats=8).median_ms

@@ -20,7 +20,10 @@
 #   5. The cold-start guard: on the serving bench graph, an incremental
 #      (lazy-prepare) cold session must come up in under 2x the warm
 #      (artifact-replay) time — the regression that motivated the
-#      incremental-prepare work.
+#      incremental-prepare work.  Prepare times come from the engine's
+#      metrics registry.  The warm engine must hit the cache (digest
+#      check and full decode of the entry), and the warm and incremental
+#      engines must answer bitwise equal to the cold one.
 #   6. Prometheus self-test: a tracked generation workload is exported
 #      as text exposition and re-ingested by the validating parser; the
 #      SLO and resource families must all be present and well-formed.
@@ -87,31 +90,47 @@ python -m repro.tools.cli chaos --faults 50 --sanitize
 echo
 echo "== [5/13] cold-start guard (incremental cold < 2x warm) =="
 python - <<'PY'
+import tempfile
+
+import numpy as np
+
 from repro.converter import optimize
 from repro.core import SessionConfig
-from repro.core.schemes import clear_scheme_memo
 from repro.kernels.winograd import clear_transform_cache
 from repro.models import squeezenet_v1_1
 from repro.serving import Engine, EngineConfig
 
-import tempfile
+
+def prepare_ms(engine, kind):
+    return engine.metrics.histogram(f"engine.prepare.{kind}_ms").values[0]
+
 
 net = optimize(squeezenet_v1_1(input_size=96, classes=10))
 with tempfile.TemporaryDirectory() as cache_dir:
-    clear_transform_cache(); clear_scheme_memo()
+    clear_transform_cache()
     seeder = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
 
-    clear_transform_cache(); clear_scheme_memo()
+    clear_transform_cache()
     warm = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
-    warm_ms = warm.stats.warm_prepare_ms[0]
+    assert warm.metrics.value("engine.cache.hits") == 1, "warm engine missed the cache"
+    warm_ms = prepare_ms(warm, "warm")
 
 with tempfile.TemporaryDirectory() as cold_dir:
-    clear_transform_cache(); clear_scheme_memo()
+    clear_transform_cache()
     cold = Engine(net, EngineConfig(
         pool_size=1, cache_dir=cold_dir,
         session=SessionConfig(lazy_prepare=True),
     ))
-    cold_ms = cold.stats.cold_prepare_ms[0]
+    cold_ms = prepare_ms(cold, "cold")
+
+name = net.inputs[0]
+x = {name: np.random.default_rng(0).standard_normal(net.desc(name).shape).astype(np.float32)}
+gold = seeder.infer(x)
+for label, engine in (("warm", warm), ("incremental", cold)):
+    out = engine.infer(x)
+    assert all(np.array_equal(out[k], gold[k]) for k in gold), (
+        f"{label} engine diverges from the cold one"
+    )
 
 print(f"incremental cold prepare: {cold_ms:.1f} ms, warm: {warm_ms:.1f} ms "
       f"(ratio {cold_ms / max(warm_ms, 1e-9):.2f}x, budget 2x)")

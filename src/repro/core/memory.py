@@ -13,8 +13,8 @@ already-placed tensor with an intersecting lifetime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "TensorLifetime",
     "MemoryPlan",
     "plan_memory",
-    "adapt_plan",
     "Arena",
     "ExtentFreeList",
     "FreeListError",
@@ -226,41 +225,6 @@ def plan_memory(
     arena = max((off + _align(life.nbytes) for off, life in placed), default=0)
     total = sum(t.nbytes for t in lifetimes.values())
     return MemoryPlan(offsets, arena, total, lifetimes)
-
-
-def adapt_plan(
-    donor: MemoryPlan, lifetimes: Dict[str, TensorLifetime]
-) -> Optional[MemoryPlan]:
-    """Reuse a donor plan's offsets for an adjacent shape bucket.
-
-    Serving layers prepare one session per shape bucket (micro-batch
-    sizes, prompt-length buckets).  Adjacent buckets share graph
-    structure — same tensors, same execution order, only sizes differ —
-    so the largest bucket's plan can back the smaller ones directly: keep
-    every offset, swap in the new (smaller-or-equal) lifetimes.
-
-    Soundness carries over from the donor: identical liveness intervals
-    with ``nbytes`` no larger than the donor's cannot introduce a new
-    overlap.  Any mismatch — different tensor set, shifted intervals, a
-    tensor that *grew* past its donor slot (the aligned donor extent is
-    the reuse budget) — returns ``None`` and the caller re-plans from
-    scratch.  Callers are expected to re-prove the adapted plan with
-    :func:`repro.analysis.check_memory_plan` before trusting it.
-    """
-    if set(donor.offsets) != set(lifetimes):
-        return None
-    for name, life in lifetimes.items():
-        old = donor.lifetimes.get(name)
-        if old is None or old.first != life.first or old.last != life.last:
-            return None
-        if life.nbytes > _align(old.nbytes):
-            return None
-    return MemoryPlan(
-        offsets=dict(donor.offsets),
-        arena_bytes=donor.arena_bytes,
-        total_tensor_bytes=sum(t.nbytes for t in lifetimes.values()),
-        lifetimes=dict(lifetimes),
-    )
 
 
 class FreeListError(ValueError):

@@ -17,9 +17,8 @@ interpretation and shows it reproduces every Table 1 winner.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +32,6 @@ __all__ = [
     "winograd_plane_cost",
     "select_conv_scheme",
     "select_graph_schemes",
-    "clear_scheme_memo",
-    "scheme_memo_size",
 ]
 
 
@@ -162,26 +159,6 @@ def winograd_rect_plane_cost(
     return tiles * (cfg.transform_weight * transform + hadamard)
 
 
-#: Memo of geometry -> decision.  The Eq. 2/3 search is a pure function
-#: of (layer geometry, tunables), and real networks repeat a handful of
-#: geometries dozens of times (every fire/bottleneck block), so cold
-#: scheme selection collapses to one genuine search per distinct layer
-#: shape.  Decisions are frozen dataclasses, safe to share across
-#: sessions and threads.
-_SCHEME_MEMO: Dict[Tuple, SchemeDecision] = {}
-_SCHEME_MEMO_LOCK = threading.Lock()
-
-
-def clear_scheme_memo() -> None:
-    """Drop every memoized decision (cold-start benchmarks/tests)."""
-    with _SCHEME_MEMO_LOCK:
-        _SCHEME_MEMO.clear()
-
-
-def scheme_memo_size() -> int:
-    return len(_SCHEME_MEMO)
-
-
 def select_conv_scheme(
     kernel: Tuple[int, int],
     ic: int,
@@ -193,7 +170,7 @@ def select_conv_scheme(
     config: Optional[SchemeConfig] = None,
     quantized: bool = False,
 ) -> SchemeDecision:
-    """Pick the cheapest convolution scheme for one layer (memoized).
+    """Pick the cheapest convolution scheme for one layer.
 
     Follows Eq. 2/3 with total-cost normalization (see module docstring).
     Winograd is only legal for square kernels, stride 1, dilation 1 and
@@ -206,30 +183,6 @@ def select_conv_scheme(
     int8 contract) so reports show the ranking, but are never selected.
     """
     cfg = config or SchemeConfig()
-    memo_key = (
-        tuple(kernel), ic, oc, tuple(out_hw), tuple(stride),
-        tuple(dilation), groups, cfg, quantized,
-    )
-    cached = _SCHEME_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    decision = _search_conv_scheme(kernel, ic, oc, out_hw, stride, dilation,
-                                   groups, cfg, quantized)
-    with _SCHEME_MEMO_LOCK:
-        return _SCHEME_MEMO.setdefault(memo_key, decision)
-
-
-def _search_conv_scheme(
-    kernel: Tuple[int, int],
-    ic: int,
-    oc: int,
-    out_hw: Tuple[int, int],
-    stride: Tuple[int, int],
-    dilation: Tuple[int, int],
-    groups: int,
-    cfg: SchemeConfig,
-    quantized: bool = False,
-) -> SchemeDecision:
     kh, kw = kernel
     oh, ow = out_hw
 

@@ -46,12 +46,16 @@ from ..faults.resilience import CircuitBreaker, Deadline
 from ..ir.graph import Graph, GraphError, Node
 from ..ir.ops import Op
 from ..kernels import nonfinite_count
+from ..kernels.winograd import (
+    WinogradTransforms, generate_transforms, preload_transforms,
+    transform_cache_entries, transforms_from_json, transforms_to_json,
+)
 from ..obs.metrics import get_metrics
 from ..obs.tracer import Tracer
 from ..runtime import Runtime
 from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
-from .memory import Arena, MemoryPlan, adapt_plan, compute_lifetimes, plan_memory
+from .memory import Arena, MemoryPlan, compute_lifetimes, plan_memory
 from .plan import (
     StepFn, StepPlan, bounded, build_plan, copying, ensuring, interleaved, landed,
     traced, walk, walk_parallel,
@@ -166,10 +170,11 @@ class SessionArtifacts:
     Everything here is a pure function of (graph structure, shapes,
     config) — not of weight values or run-time feeds — so it can be
     computed once, persisted, and replayed to skip the scheme search,
-    Eq. 4 backend selection and memory planning on the next session over
-    the same graph.  Produced by :meth:`Session.export_artifacts`,
-    persisted/keyed by :class:`repro.serving.PreInferenceCache`, consumed
-    via ``Session(graph, config, artifacts=...)``.
+    Eq. 4 backend selection, Winograd transform generation and memory
+    planning on the next session over the same graph.  Produced by
+    :meth:`Session.export_artifacts`, persisted/keyed by
+    :class:`repro.serving.PreInferenceCache`, consumed via
+    ``Session(graph, config, artifacts=...)``.
 
     A session never trusts artifacts blindly: scheme coverage and the
     memory plan are cheaply re-validated against the live graph, and any
@@ -177,15 +182,55 @@ class SessionArtifacts:
     """
 
     backend_kind: Optional[str] = None
+    #: ``None`` means *absent* (never captured — the session re-runs the
+    #: scheme search); ``{}`` means *captured and empty* (a conv-free graph
+    #: needs no schemes, and that is full coverage).  The distinction
+    #: survives JSON (``null`` vs ``{}``).
     schemes: Optional[Dict[str, SchemeDecision]] = None
     memory_plan: Optional[MemoryPlan] = None
-    #: A *donor* plan from an adjacent shape bucket (same graph
-    #: structure, larger-or-equal tensor sizes).  Unlike ``memory_plan``
-    #: it need not match this session's shapes exactly: the session
-    #: tries :func:`repro.core.memory.adapt_plan` and re-proves the
-    #: result with the independent memcheck before trusting it, falling
-    #: back to planning from scratch on any mismatch.  Never persisted.
-    plan_donor: Optional[MemoryPlan] = None
+    #: The Winograd transforms the schemes use, keyed like the kernel-level
+    #: transform cache (``(n, k, f_num, f_den)``); the session preloads them
+    #: so building a Winograd runner is a dict lookup, not rational
+    #: Gaussian elimination.
+    winograd: Dict[Tuple[int, int, int, int], WinogradTransforms] = field(
+        default_factory=dict
+    )
+
+    def to_json(self) -> Dict[str, object]:
+        """JSON-serializable form (persisted by the serving cache)."""
+        return {
+            "backend_kind": self.backend_kind,
+            "schemes": (
+                None if self.schemes is None
+                else {name: d.to_json() for name, d in self.schemes.items()}
+            ),
+            "memory_plan": (
+                self.memory_plan.to_json() if self.memory_plan is not None else None
+            ),
+            "winograd": transforms_to_json(self.winograd),
+        }
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "SessionArtifacts":
+        """Inverse of :meth:`to_json`; decodes every field.
+
+        Raises:
+            ValueError, KeyError, TypeError: on a malformed payload.
+        """
+        raw_schemes = data["schemes"]
+        plan = data["memory_plan"]
+        return cls(
+            backend_kind=data["backend_kind"],
+            schemes=(
+                None if raw_schemes is None
+                else {
+                    str(name): SchemeDecision.from_json(d)
+                    for name, d in dict(raw_schemes).items()
+                }
+            ),
+            memory_plan=MemoryPlan.from_json(plan) if plan is not None else None,
+            winograd=transforms_from_json(data["winograd"]),
+        )
 
 
 @dataclass
@@ -302,12 +347,6 @@ class Session:
         self._arena: Optional[Arena] = None
         self._plan: Optional[StepPlan] = None
         self._artifacts = artifacts
-        # Donor plan for adjacent-bucket adaptation: seeded from the
-        # artifacts, refreshed by every plan this session builds (so a
-        # resized session donates to itself across bucket changes).
-        self._plan_donor: Optional[MemoryPlan] = (
-            artifacts.plan_donor if artifacts is not None else None
-        )
         # Lazy-prepare state (see _ensure_prepared): generation-local
         # objects shared between the background preparer and the run
         # path; replaced wholesale on resize so stale threads only ever
@@ -371,6 +410,10 @@ class Session:
                 ]
 
             artifacts = self._artifacts
+            if artifacts is not None and artifacts.winograd:
+                # Cached transforms: building a Winograd runner below (or
+                # lazily) becomes a lookup.  In-process entries win.
+                preload_transforms(artifacts.winograd)
 
             # (1) computation scheme selection (auto-tuned overrides win).
             # Cached decisions replace the Eq. 2/3 search when they cover every
@@ -465,21 +508,15 @@ class Session:
                     cached_plan = (
                         artifacts.memory_plan if artifacts is not None else None
                     )
-                    lifetimes = compute_lifetimes(self.graph, self._order)
-                    if cached_plan is not None and cached_plan.matches(lifetimes):
+                    if cached_plan is not None and cached_plan.matches(
+                        compute_lifetimes(self.graph, self._order)
+                    ):
                         self.memory_plan = cached_plan
                         sp.set(cached=True)
                     else:
-                        self.memory_plan = self._adapt_or_plan(lifetimes, sp)
+                        self.memory_plan = plan_memory(self.graph, self._order)
+                        sp.set(cached=False)
                     sp.set(arena_bytes=self.memory_plan.arena_bytes)
-                # The biggest plan seen becomes the donor for later
-                # resizes of this session (and, via offer_plan_donor,
-                # for sibling sessions in adjacent shape buckets).
-                if (
-                    self._plan_donor is None
-                    or self.memory_plan.arena_bytes >= self._plan_donor.arena_bytes
-                ):
-                    self._plan_donor = self.memory_plan
                 if cfg.paranoid:
                     from ..analysis.memcheck import check_memory_plan
 
@@ -557,39 +594,6 @@ class Session:
             target=background, name="session-lazy-prepare", daemon=True
         ).start()
 
-    def _adapt_or_plan(self, lifetimes, sp) -> MemoryPlan:
-        """Adapt a donor plan from an adjacent bucket, or plan from scratch.
-
-        The adapted plan is never trusted on the donor's word alone: it
-        is re-proven by the independent memcheck sanitizer, and any
-        failure falls through to :func:`plan_memory`.
-        """
-        donor = self._plan_donor
-        if donor is not None:
-            adapted = adapt_plan(donor, lifetimes)
-            if adapted is not None:
-                from ..analysis.memcheck import check_memory_plan
-
-                if check_memory_plan(self.graph, adapted, self._order).ok:
-                    sp.set(cached=False, adapted=True)
-                    get_metrics().counter("session.plan_adapted").inc()
-                    return adapted
-        sp.set(cached=False)
-        return plan_memory(self.graph, self._order)
-
-    def offer_plan_donor(self, plan: Optional[MemoryPlan]) -> None:
-        """Offer a sibling bucket's memory plan as an adaptation donor.
-
-        Serving layers call this before :meth:`resize` so the next
-        re-prepare can reuse the donor's offsets (re-proven by memcheck)
-        instead of re-planning.  The largest-arena donor seen wins;
-        ``None`` is ignored.
-        """
-        if plan is None:
-            return
-        if self._plan_donor is None or plan.arena_bytes > self._plan_donor.arena_bytes:
-            self._plan_donor = plan
-
     # -- resizing ----------------------------------------------------------------
     def resize(self, input_shapes: Dict[str, Sequence[int]]) -> None:
         """Change input shapes and re-run pre-inference (MNN's resizeSession).
@@ -641,7 +645,7 @@ class Session:
             self._fallback_execs, self._direct_runners, self._recovery,
             self._breaker,
             self._prepared, self._prepare_lock, self._lazy_active,
-            self._lazy_ensure, self._plan_donor, self._plan,
+            self._lazy_ensure, self._plan,
         )
         self.graph = new_graph
         self._placement = {}
@@ -663,7 +667,7 @@ class Session:
              self._fallback_execs, self._direct_runners, self._recovery,
              self._breaker,
              self._prepared, self._prepare_lock, self._lazy_active,
-             self._lazy_ensure, self._plan_donor, self._plan) = snapshot
+             self._lazy_ensure, self._plan) = snapshot
             raise
 
     def export_artifacts(self) -> SessionArtifacts:
@@ -671,9 +675,17 @@ class Session:
 
         The returned :class:`SessionArtifacts` can be passed to a new
         ``Session`` over the same graph/config to skip the scheme search,
-        backend selection and memory planning (the serving cache persists
-        it to disk; see :mod:`repro.serving.cache`).
+        backend selection, Winograd transform generation and memory
+        planning (the serving cache persists it to disk; see
+        :mod:`repro.serving.cache`).
         """
+        used = set()
+        for node in self._order:
+            decision = self.schemes.get(node.name)
+            if decision is not None and decision.kind == "winograd":
+                n, k = decision.winograd_n, node.attrs["kernel"][0]
+                generate_transforms(n, k)  # a lookup unless lazy prepare lags
+                used.add((n, k))
         return SessionArtifacts(
             backend_kind=(
                 None if isinstance(self.config.backend, Backend)
@@ -681,6 +693,10 @@ class Session:
             ),
             schemes=dict(self.schemes),
             memory_plan=self.memory_plan,
+            winograd={
+                key: tr for key, tr in transform_cache_entries().items()
+                if key[:2] in used
+            },
         )
 
     # -- queries ---------------------------------------------------------------

@@ -146,6 +146,19 @@ def transform_cache_entries() -> Dict[Tuple[int, int, int, int], WinogradTransfo
     return dict(_TRANSFORM_CACHE)
 
 
+def _check_transform(key: Tuple[int, int, int, int], tr: WinogradTransforms) -> None:
+    """Raise ``ValueError`` unless ``tr``'s sizes and matrix shapes fit ``key``."""
+    n, k, _, _ = key
+    t = n + k - 1
+    if (
+        (tr.n, tr.k, tr.t) != (n, k, t)
+        or tr.at.shape != (n, t)
+        or tr.g.shape != (t, k)
+        or tr.bt.shape != (t, t)
+    ):
+        raise ValueError(f"transform entry {key} does not match its matrices")
+
+
 def preload_transforms(
     entries: Mapping[Tuple[int, int, int, int], WinogradTransforms],
 ) -> int:
@@ -153,12 +166,15 @@ def preload_transforms(
 
     Returns the number of entries actually inserted (existing keys win —
     an in-process transform is never replaced by a deserialized one).
+
+    Raises:
+        ValueError: if an entry's matrices do not have the shapes its key
+            implies; nothing is inserted then.
     """
+    for key, tr in entries.items():
+        _check_transform(key, tr)
     inserted = 0
     for key, tr in entries.items():
-        n, k, _, _ = key
-        if tr.n != n or tr.k != k or tr.t != n + k - 1:
-            raise ValueError(f"transform entry {key} does not match its matrices")
         if key not in _TRANSFORM_CACHE:
             _TRANSFORM_CACHE[key] = tr
             inserted += 1
@@ -190,17 +206,25 @@ def transforms_to_json(
 def transforms_from_json(
     data: Iterable[Mapping[str, Any]],
 ) -> Dict[Tuple[int, int, int, int], WinogradTransforms]:
-    """Inverse of :func:`transforms_to_json`."""
+    """Inverse of :func:`transforms_to_json`.
+
+    Raises:
+        ValueError: if an entry's matrices do not have the shapes its key
+            implies (``KeyError``/``TypeError`` for missing or mistyped
+            fields).
+    """
     entries: Dict[Tuple[int, int, int, int], WinogradTransforms] = {}
     for item in data:
         n, k = int(item["n"]), int(item["k"])
         key = (n, k, int(item["f_num"]), int(item["f_den"]))
-        entries[key] = WinogradTransforms(
+        tr = WinogradTransforms(
             n=n, k=k, t=n + k - 1,
             at=np.asarray(item["at"], dtype=np.float64),
             g=np.asarray(item["g"], dtype=np.float64),
             bt=np.asarray(item["bt"], dtype=np.float64),
         )
+        _check_transform(key, tr)
+        entries[key] = tr
     return entries
 
 

@@ -3,9 +3,10 @@
 Where the tracer (:mod:`repro.obs.tracer`) answers *"what happened when"*,
 the registry answers *"how much / how often / how slow"*: cache hit/miss
 counts, pool checkout waits, batch sizes, prepare and run latencies.  The
-serving layer's ``EngineStats`` / ``BatchStats`` are thin views over one
-of these registries, so the counters a test asserts on and the snapshot
-``cli metrics`` exports are the same numbers.
+serving ``Engine`` records straight into one of these registries
+(``engine.metrics``), and the batcher's ``BatchStats`` is a thin view over
+it, so the counters a test asserts on and the snapshot ``cli metrics``
+exports are the same numbers.
 
 Everything is thread-safe.  Histograms keep exact count/sum/min/max over
 all observations plus a bounded window of recent raw values (default

@@ -13,11 +13,10 @@ from .batching import BatchStats, MicroBatcher
 from .cache import (
     CACHE_ENV_VAR,
     CACHE_VERSION,
-    PreInferenceArtifacts,
     PreInferenceCache,
     default_cache_dir,
 )
-from .engine import Engine, EngineConfig, EngineStats
+from .engine import Engine, EngineConfig
 from .pool import SessionPool
 
 __all__ = [
@@ -25,11 +24,9 @@ __all__ = [
     "MicroBatcher",
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
-    "PreInferenceArtifacts",
     "PreInferenceCache",
     "default_cache_dir",
     "Engine",
     "EngineConfig",
-    "EngineStats",
     "SessionPool",
 ]

@@ -151,11 +151,6 @@ class MicroBatcher:
         #: sibling.  Guarded by ``_lock``.
         self._deadlines: Dict[Tuple, float] = {}
         self._sessions: Dict[Tuple, Session] = {}
-        # Largest memory plan any bucket session has built: offered to
-        # sibling sessions before resize so adjacent shape buckets adapt
-        # one shared arena layout instead of re-planning (dispatcher-
-        # thread-only, like the sessions themselves).
-        self._donor_plan = None
         self._running = True
         self._thread = threading.Thread(
             target=self._dispatch_loop, name="repro-microbatcher", daemon=True
@@ -342,14 +337,6 @@ class MicroBatcher:
                 for item, result in zip(half, results):
                     item.future.set_result(result)
 
-    def _harvest_donor(self, session: Session) -> None:
-        """Keep the largest plan any bucket session built as the donor."""
-        plan = session.memory_plan
-        if plan is None:
-            return
-        if self._donor_plan is None or plan.arena_bytes > self._donor_plan.arena_bytes:
-            self._donor_plan = plan
-
     def _run_batch(
         self, sig: Tuple, items: List[_Pending]
     ) -> List[Dict[str, np.ndarray]]:
@@ -366,7 +353,6 @@ class MicroBatcher:
                 # Bucket sessions are owned by the dispatcher thread; no
                 # other thread ever touches them.
                 session = self._sessions[sig] = self._factory()  # sanitize: single-thread
-                self._harvest_donor(session)
             with tracer.span("batch.assemble", "serving"):
                 if self.faults.enabled:
                     self.faults.fire(
@@ -389,11 +375,9 @@ class MicroBatcher:
             }
             wanted = {name: tuple(arr.shape) for name, arr in feeds.items()}
             if current != wanted:
-                session.offer_plan_donor(self._donor_plan)
                 with tracer.span("batch.resize", "serving"):
                     session.resize(wanted)
                 self.stats.record_resize()
-                self._harvest_donor(session)
                 batch_span.set(resized=True)
             outputs = session.run(feeds)
             self.stats.record_batch(len(items), total)

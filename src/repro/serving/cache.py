@@ -19,13 +19,20 @@ Cache key
 * a config fingerprint — every ``SessionConfig`` field that influences
   pre-inference decisions (backend, device, threads, decoupling,
   Strassen, scheme tunables, auto-backend candidates);
-* optional extra input shapes (used by the batcher: one entry per
-  micro-batch bucket).
+* optional extra input shapes (no caller passes any: a session resized
+  away from the graph's native shapes re-plans instead of consulting the
+  cache).
 
-Entries are single JSON files written atomically (tmp + rename), so
-concurrent warmers cannot corrupt each other; a corrupt or stale entry
-deserializes to a miss, never an error.  The cache directory defaults to
-``$REPRO_CACHE_DIR``, then ``~/.cache/repro``.
+Entry
+-----
+One JSON file per key: :meth:`repro.core.SessionArtifacts.to_json` plus
+the format ``version`` and a ``sha256`` digest of everything else.  Files
+are written atomically (tmp + rename), so concurrent warmers cannot
+corrupt each other.  ``load`` checks the digest and decodes every field,
+Winograd matrices included, before returning: a torn, stale, edited or
+otherwise corrupt entry is a miss, never an error and never wrong
+numbers.  The cache directory defaults to ``$REPRO_CACHE_DIR``, then
+``~/.cache/repro``.
 """
 
 from __future__ import annotations
@@ -34,25 +41,20 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backends.base import Backend
-from ..core.memory import MemoryPlan
-from ..core.schemes import SchemeDecision
 from ..core.session import Session, SessionArtifacts, SessionConfig
 from ..faults import TransientFault, retry_transient
 from ..ir.graph import Graph
 from ..ir.serialization import graph_signature
-from ..kernels import winograd as winograd_mod
 from ..obs.metrics import get_metrics
 from ..runtime import Runtime
 
 __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
-    "PreInferenceArtifacts",
     "PreInferenceCache",
     "default_cache_dir",
     "warm_session",
@@ -72,91 +74,10 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-@dataclass
-class PreInferenceArtifacts:
-    """Everything a warm process needs to skip pre-inference work.
-
-    Extends :class:`repro.core.SessionArtifacts` (the in-process form)
-    with the globally cached Winograd transform matrices and bookkeeping
-    for cache-hit statistics.
-    """
-
-    backend_kind: Optional[str] = None
-    #: ``None`` means *absent* (never captured — the warm session must
-    #: re-run the scheme search); ``{}`` means *captured and empty* (a
-    #: conv-free graph needs no schemes, and that is full coverage).  The
-    #: distinction survives JSON (``null`` vs ``{}``) and ``apply()``.
-    schemes: Optional[Dict[str, SchemeDecision]] = None
-    memory_plan: Optional[MemoryPlan] = None
-    winograd: List[Dict[str, Any]] = field(default_factory=list)
-    cold_prepare_ms: float = 0.0
-
-    @classmethod
-    def from_session(cls, session: Session) -> "PreInferenceArtifacts":
-        """Snapshot a (typically cold) session's pre-inference results."""
-        base = session.export_artifacts()
-        return cls(
-            backend_kind=base.backend_kind,
-            schemes=dict(base.schemes) if base.schemes is not None else None,
-            memory_plan=base.memory_plan,
-            winograd=winograd_mod.transforms_to_json(
-                winograd_mod.transform_cache_entries()
-            ),
-            cold_prepare_ms=session.prepare_wall_ms,
-        )
-
-    def apply(self) -> SessionArtifacts:
-        """Pre-seed process-global state and return per-session artifacts.
-
-        Loads the persisted Winograd matrices into the kernel-level
-        transform cache (so ``generate_transforms`` is a dict lookup, not
-        rational Gaussian elimination), then hands back the session-level
-        artifacts for ``Session(graph, config, artifacts=...)``.
-        """
-        if self.winograd:
-            winograd_mod.preload_transforms(
-                winograd_mod.transforms_from_json(self.winograd)
-            )
-        return SessionArtifacts(
-            backend_kind=self.backend_kind,
-            schemes=dict(self.schemes) if self.schemes is not None else None,
-            memory_plan=self.memory_plan,
-        )
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "version": CACHE_VERSION,
-            "backend_kind": self.backend_kind,
-            "schemes": (
-                None if self.schemes is None
-                else {name: d.to_json() for name, d in self.schemes.items()}
-            ),
-            "memory_plan": (
-                self.memory_plan.to_json() if self.memory_plan is not None else None
-            ),
-            "winograd": self.winograd,
-            "cold_prepare_ms": self.cold_prepare_ms,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "PreInferenceArtifacts":
-        if data.get("version") != CACHE_VERSION:
-            raise ValueError(f"cache entry version {data.get('version')!r} != {CACHE_VERSION}")
-        plan = data.get("memory_plan")
-        raw_schemes = data.get("schemes")
-        return cls(
-            backend_kind=data.get("backend_kind"),
-            schemes=(
-                None if raw_schemes is None
-                else {
-                    str(name): SchemeDecision.from_json(d)
-                    for name, d in dict(raw_schemes).items()
-                }
-            ),
-            memory_plan=MemoryPlan.from_json(plan) if plan is not None else None,
-            winograd=list(data.get("winograd", [])),
-            cold_prepare_ms=float(data.get("cold_prepare_ms", 0.0)),
-        )
+def _digest(entry: Dict[str, Any]) -> str:
+    """sha256 over an entry's canonical JSON (what ``sha256`` must equal)."""
+    text = json.dumps(entry, separators=(",", ":"), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _config_fingerprint(config: SessionConfig) -> Dict[str, Any]:
@@ -186,11 +107,12 @@ def _config_fingerprint(config: SessionConfig) -> Dict[str, Any]:
 
 
 class PreInferenceCache:
-    """File-backed store of :class:`PreInferenceArtifacts`, one JSON per key.
+    """File-backed store of :class:`~repro.core.SessionArtifacts`, one JSON per key.
 
     Failure semantics (the resilience contract): a *missing* entry is a
-    miss; an *unreadable* entry (truncated JSON, wrong signature, torn
-    write) is also a miss but additionally counts in ``cache.corrupt``
+    miss; an *unreadable* entry (truncated JSON, missing or mismatched
+    digest, wrong version, a field that does not decode, torn write) is
+    also a miss but additionally counts in ``cache.corrupt``
     and is unlinked on the spot (``cache.quarantined``), so later loads
     miss cleanly instead of re-parsing the same carcass — the cache
     degrades to recompute, never errors.  An active
@@ -246,8 +168,11 @@ class PreInferenceCache:
         return self.root / f"{key}.json"
 
     # -- IO ----------------------------------------------------------------
-    def load(self, key: str) -> Optional[PreInferenceArtifacts]:
+    def load(self, key: str) -> Optional[SessionArtifacts]:
         """The artifacts for ``key``, or ``None`` (missing/corrupt/stale).
+
+        The digest is checked and every field decoded here, so a hit
+        cannot fail, or compute wrong numbers, in the session that uses it.
 
         Raises:
             TransientFault: only under an active fault plan injecting a
@@ -270,11 +195,15 @@ class PreInferenceCache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            return PreInferenceArtifacts.from_json(data)
+            if data.pop("sha256", None) != _digest(data):
+                raise ValueError("cache entry digest mismatch")
+            if data.pop("version") != CACHE_VERSION:
+                raise ValueError("cache entry version mismatch")
+            return SessionArtifacts.from_json(data)
         except FileNotFoundError:
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Present but unreadable: truncated/torn/stale entry.  Purely
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            # Present but unreadable: truncated/torn/edited/stale entry.  Purely
             # observational (outside the fault reconciliation equation —
             # an injected *torn* write was already accounted at the
             # store-side fire).  Unlink it so every later load is a clean
@@ -290,7 +219,7 @@ class PreInferenceCache:
                 pass  # raced with a healing store or no permission
             return None
 
-    def store(self, key: str, artifacts: PreInferenceArtifacts) -> Path:
+    def store(self, key: str, artifacts: SessionArtifacts) -> Path:
         """Atomically persist ``artifacts`` under ``key``; returns the path.
 
         Raises:
@@ -301,7 +230,9 @@ class PreInferenceCache:
             self.sanitizer.probe(self, f"entry.{key}", "w", lockset=("fs.atomic",))
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(key)
-        payload = json.dumps(artifacts.to_json(), separators=(",", ":"))
+        entry = {"version": CACHE_VERSION, **artifacts.to_json()}
+        entry["sha256"] = _digest(entry)
+        payload = json.dumps(entry, separators=(",", ":"))
         if self.faults.enabled:
             fault = self.faults.fire("cache.store", key=key)
             if fault is not None and fault.kind == "torn":
@@ -351,16 +282,13 @@ def warm_session(
     cache: Optional[PreInferenceCache],
     key: Optional[str],
     runtime: Runtime,
-    donor: Optional[MemoryPlan] = None,
 ) -> Tuple[Session, bool]:
     """Build one session, warmed through ``cache`` under the caller's ``key``.
 
-    Applies the cached artifacts on a hit and stores the new session's on
-    a miss.  Persistent transient cache IO degrades to cacheless for this
-    call (``fallback.cache``): the cache can never take down session
-    creation.  ``donor`` is an adjacent bucket's memory plan the session
-    adapts (re-proven by memcheck) before planning from scratch.  Returns
-    the session and whether the cache hit.
+    Hands the cached artifacts to the session on a hit and stores the new
+    session's on a miss.  Persistent transient cache IO degrades to
+    cacheless for this call (``fallback.cache``): the cache can never take
+    down session creation.  Returns the session and whether the cache hit.
     """
     tracer = runtime.tracer
 
@@ -374,21 +302,16 @@ def warm_session(
             get_metrics().counter("fallback.cache").inc()
             return None
 
-    artifacts = SessionArtifacts()
-    hit = False
+    artifacts = None
     if cache is not None:
         with tracer.span("cache.lookup", "serving"):
-            cached = cache_io(lambda: cache.load(key), "cache.load")
-        if cached is not None:
-            artifacts = cached.apply()
-            hit = True
-        tracer.instant("cache.hit" if hit else "cache.miss", "serving", key=key)
-    artifacts.plan_donor = donor
+            artifacts = cache_io(lambda: cache.load(key), "cache.load")
+        tracer.instant(
+            "cache.miss" if artifacts is None else "cache.hit", "serving", key=key
+        )
+    hit = artifacts is not None
     session = Session(graph, config, artifacts, runtime=runtime)
     if cache is not None and not hit:
         with tracer.span("cache.store", "serving"):
-            cache_io(
-                lambda: cache.store(key, PreInferenceArtifacts.from_session(session)),
-                "cache.store",
-            )
+            cache_io(lambda: cache.store(key, session.export_artifacts()), "cache.store")
     return session, hit

@@ -14,7 +14,7 @@ Typical use::
     engine = Engine(graph, EngineConfig(pool_size=4))
     with engine:
         out = engine.infer({"data": x})          # thread-safe
-    print(engine.stats.describe())
+    print(engine.metrics.describe())             # cache hits, prepare ms, requests
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .batching import MicroBatcher
 from .cache import PreInferenceCache, warm_session
 from .pool import SessionPool
 
-__all__ = ["EngineConfig", "EngineStats", "Engine"]
+__all__ = ["EngineConfig", "Engine"]
 
 
 @dataclass
@@ -62,9 +62,12 @@ class EngineConfig:
             hit/miss, session creation, pool checkout waits, batch
             assembly) and every worker session's pre-inference and
             per-op spans.  ``None`` falls back to the process-wide tracer.
-        metrics: the :class:`repro.obs.MetricsRegistry` backing this
-            engine's :class:`EngineStats`, pool and batcher counters.
-            ``None`` creates a private registry per engine.
+        metrics: the :class:`repro.obs.MetricsRegistry` receiving this
+            engine's counters (``engine.cache.hits``/``engine.cache.misses``,
+            ``engine.requests``), prepare histograms
+            (``engine.prepare.cold_ms``/``engine.prepare.warm_ms``) and its
+            pool and batcher counters.  ``None`` creates a private
+            registry per engine.
         faults: a :class:`repro.faults.FaultPlan` injected at every
             serving-layer fault point (cache load/store, pool checkout,
             batch assembly) and into every worker session.  ``None``
@@ -107,69 +110,6 @@ class EngineConfig:
     requests: Union[bool, RequestTracker, None] = None
 
 
-class EngineStats:
-    """Cache and traffic stats: a thin view over the engine's metrics.
-
-    Historically a plain dataclass of counters; now every number lives in
-    a :class:`repro.obs.MetricsRegistry` (counters ``engine.cache.hits``/
-    ``engine.cache.misses``/``engine.requests``, histograms
-    ``engine.prepare.cold_ms``/``engine.prepare.warm_ms``) and this class
-    keeps the old attribute API as read-only properties, so
-    ``engine.stats.cache_hits`` and ``cli metrics``' snapshot can never
-    disagree.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self.metrics.counter("engine.cache.hits").value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self.metrics.counter("engine.cache.misses").value)
-
-    @property
-    def cold_prepare_ms(self) -> List[float]:
-        return self.metrics.histogram("engine.prepare.cold_ms").values
-
-    @property
-    def warm_prepare_ms(self) -> List[float]:
-        return self.metrics.histogram("engine.prepare.warm_ms").values
-
-    @property
-    def requests(self) -> int:
-        return int(self.metrics.counter("engine.requests").value)
-
-    def record_prepare(self, hit: bool, prepare_ms: float) -> None:
-        if hit:
-            self.metrics.counter("engine.cache.hits").inc()
-            self.metrics.histogram("engine.prepare.warm_ms").observe(prepare_ms)
-        else:
-            self.metrics.counter("engine.cache.misses").inc()
-            self.metrics.histogram("engine.prepare.cold_ms").observe(prepare_ms)
-
-    def record_request(self) -> None:
-        self.metrics.counter("engine.requests").inc()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def describe(self) -> str:
-        cold = np.mean(self.cold_prepare_ms) if self.cold_prepare_ms else 0.0
-        warm = np.mean(self.warm_prepare_ms) if self.warm_prepare_ms else 0.0
-        parts = [
-            f"cache {self.cache_hits} hits / {self.cache_misses} misses "
-            f"({self.hit_rate * 100:.0f}% hit rate)",
-            f"prepare cold {cold:.1f} ms / warm {warm:.1f} ms",
-            f"{self.requests} requests served",
-        ]
-        return "; ".join(parts)
-
-
 class Engine:
     """A thread-safe, cache-warmed, optionally batching inference server."""
 
@@ -187,7 +127,6 @@ class Engine:
         self.faults = self.runtime.faults
         self.sanitizer = self.runtime.sanitizer
         self.requests = self.runtime.requests
-        self.stats = EngineStats(self.metrics)
         # The cache's own counters (corrupt/quarantined entries and the
         # fallback.cache reconciliation counter) live in the process-wide
         # registry, not the engine's private one.
@@ -223,7 +162,7 @@ class Engine:
         if self.requests.enabled or self.tracer.enabled:
             sources = {
                 "res.engine.inflight": lambda: self.metrics.gauge("engine.inflight").value,
-                "res.engine.cache_hit_rate": lambda: self.stats.hit_rate,
+                "res.engine.cache_hit_rate": self._cache_hit_rate,
             }
             if self.pool is not None:
                 sources["res.pool.idle"] = lambda: self.metrics.gauge("pool.idle").value
@@ -244,9 +183,19 @@ class Engine:
                 self.graph, self.config.session, self.cache, self.cache_key,
                 self.runtime,
             )
-            self.stats.record_prepare(hit, session.prepare_wall_ms)
+            self.metrics.counter(
+                "engine.cache.hits" if hit else "engine.cache.misses"
+            ).inc()
+            self.metrics.histogram(
+                "engine.prepare.warm_ms" if hit else "engine.prepare.cold_ms"
+            ).observe(session.prepare_wall_ms)
             span.set(cache_hit=hit, prepare_ms=session.prepare_wall_ms)
         return session
+
+    def _cache_hit_rate(self) -> float:
+        hits = self.metrics.value("engine.cache.hits")
+        total = hits + self.metrics.value("engine.cache.misses")
+        return hits / total if total else 0.0
 
     # -- inference ----------------------------------------------------------
     def infer(
@@ -268,7 +217,7 @@ class Engine:
                 path; this request failed alone (``faults.isolated``) —
                 the engine itself keeps serving.
         """
-        self.stats.record_request()
+        self.metrics.counter("engine.requests").inc()
         if deadline_ms is None:
             deadline_ms = self.config.deadline_ms
         deadline = Deadline.from_ms(deadline_ms)

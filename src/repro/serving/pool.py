@@ -6,8 +6,8 @@ calls — each run mutates per-session state (the virtual ``clock``,
 :class:`~repro.core.Arena`).  The pool therefore checks out a *whole
 session* per in-flight request: every worker owns its own executions,
 clock and arena, while the immutable inputs (the graph's nodes, the
-constant table) are shared, and warm pool construction shares one cached
-:class:`~repro.serving.PreInferenceArtifacts` across all workers.
+constant table) are shared, and every worker of a warm pool replays the
+same cached :class:`~repro.core.SessionArtifacts` entry.
 """
 
 from __future__ import annotations

@@ -448,7 +448,7 @@ def cmd_warm(args) -> int:
 
     from ..core import Session, SessionConfig
     from ..kernels.winograd import clear_transform_cache
-    from ..serving import Engine, EngineConfig, PreInferenceCache
+    from ..serving import Engine, EngineConfig
 
     graph = _load(args.model)
     config = EngineConfig(
@@ -460,18 +460,18 @@ def cmd_warm(args) -> int:
     cache = engine.cache
     print(f"cache dir: {cache.root}")
     print(f"cache key: {engine.cache_key}")
-    if engine.stats.cache_misses:
-        cold = engine.stats.cold_prepare_ms[0]
+    if engine.metrics.value("engine.cache.misses"):
+        cold = engine.metrics.histogram("engine.prepare.cold_ms").values[0]
         print(f"cold prepare: {cold:.1f} ms (entry written)")
         # Verify the warm path immediately, from a cleared transform cache.
         clear_transform_cache()
-        artifacts = cache.load(engine.cache_key).apply()
+        artifacts = cache.load(engine.cache_key)
         start = _time.perf_counter()
         Session(graph, config.session, artifacts=artifacts)
         warm = (_time.perf_counter() - start) * 1000.0
         print(f"warm prepare: {warm:.1f} ms ({cold / max(warm, 1e-9):.1f}x faster)")
     else:
-        warm = engine.stats.warm_prepare_ms[0]
+        warm = engine.metrics.histogram("engine.prepare.warm_ms").values[0]
         print(f"already warm: prepare {warm:.1f} ms (cache hit)")
     return 0
 
@@ -510,7 +510,15 @@ def cmd_serve(args) -> int:
         else:
             print(f"batcher:    max batch {config.max_batch}, "
                   f"{config.batch_timeout_ms:g} ms window, {args.clients} clients")
-        print(f"cache:      {engine.stats.describe()}")
+        m = engine.metrics
+        hits = int(m.value("engine.cache.hits"))
+        misses = int(m.value("engine.cache.misses"))
+        rate = hits / (hits + misses) if hits + misses else 0.0
+        print(f"cache:      cache {hits} hits / {misses} misses "
+              f"({rate * 100:.0f}% hit rate); prepare cold "
+              f"{m.histogram('engine.prepare.cold_ms').mean:.1f} ms / warm "
+              f"{m.histogram('engine.prepare.warm_ms').mean:.1f} ms; "
+              f"{int(m.value('engine.requests'))} requests served")
         if engine.batcher is not None:
             bs = engine.batcher.stats
             print(f"batching:   {bs.requests} requests in {bs.batches} batches "

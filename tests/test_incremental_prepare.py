@@ -1,10 +1,9 @@
 """Incremental prepare and the serving-side bugfixes riding with it.
 
-Covers the cold-start tentpole — the scheme-selection memo, lazy
-execution preparation off the first ``run()``'s critical path, and
-memory-plan adaptation across adjacent shape buckets — plus the batcher
-EDF starvation fix, the cache corrupt-entry quarantine and the
-empty-vs-absent schemes round-trip.
+Covers lazy execution preparation off the first ``run()``'s critical
+path, fresh memory planning on every resize, the batcher EDF starvation
+fix, the cache corrupt-entry quarantine and the empty-vs-absent schemes
+round-trip of :class:`~repro.core.SessionArtifacts`.
 """
 
 import json
@@ -13,22 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import Session, SessionConfig
-from repro.core.memory import adapt_plan, compute_lifetimes, plan_memory
-from repro.core.schemes import (
-    clear_scheme_memo,
-    scheme_memo_size,
-    select_graph_schemes,
-)
+from repro.core import Session, SessionArtifacts, SessionConfig
 from repro.faults import FaultPlan, FaultRule
 from repro.ir import GraphBuilder
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.runtime import Runtime
-from repro.serving import (
-    MicroBatcher,
-    PreInferenceArtifacts,
-    PreInferenceCache,
-)
+from repro.serving import MicroBatcher, PreInferenceCache
 
 
 @pytest.fixture(autouse=True)
@@ -63,16 +52,6 @@ def conv_free_net():
 def feed(hw=32, batch=1, seed=0):
     rng = np.random.default_rng(seed)
     return {"data": rng.standard_normal((batch, 3, hw, hw)).astype(np.float32)}
-
-
-class TestParallelSchemeSelection:
-    def test_memo_populates_and_clears(self):
-        clear_scheme_memo()
-        assert scheme_memo_size() == 0
-        select_graph_schemes(conv_net())
-        assert scheme_memo_size() > 0
-        clear_scheme_memo()
-        assert scheme_memo_size() == 0
 
 
 class TestLazyPrepare:
@@ -112,54 +91,17 @@ class TestLazyPrepare:
             np.testing.assert_array_equal(out[name], want[name])
 
 
-class TestPlanAdaptation:
-    def test_adapt_plan_reuses_offsets_when_sizes_shrink(self):
-        g = conv_net(48)
-        session = Session(g)
-        donor = session.memory_plan
-        assert donor is not None
-        small = conv_net(48)
-        shrunk = Session(small)
-        shrunk.resize({"data": (1, 3, 32, 32)})
-        lifetimes = compute_lifetimes(shrunk.graph, shrunk._order)
-        adapted = adapt_plan(donor, lifetimes)
-        assert adapted is not None
-        assert adapted.arena_bytes == donor.arena_bytes
-        assert set(adapted.offsets) == set(donor.offsets)
-
-    def test_adapt_plan_rejects_growth(self):
-        g = conv_net(32)
-        donor = Session(g).memory_plan
-        big = Session(conv_net(32))
-        big.resize({"data": (4, 3, 48, 48)})
-        lifetimes = compute_lifetimes(big.graph, big._order)
-        assert adapt_plan(donor, lifetimes) is None
-
-    def test_shrink_resize_adapts_instead_of_replanning(self):
+class TestResizePlanning:
+    def test_shrink_resize_plans_fresh(self):
+        """A resize plans memory for the new shapes: shrinking back keeps
+        no arena sized for the larger ones."""
         session = Session(conv_net())
-        x48 = {"data": (1, 3, 48, 48)}
-        session.resize(x48)
-        grown_arena = session.memory_plan.arena_bytes
+        session.resize({"data": (1, 3, 48, 48)})
         session.resize({"data": (1, 3, 32, 32)})
-        # The big plan was kept as donor and re-proven for the small
-        # shapes: same arena, no fresh planning pass.
-        assert get_metrics().value("session.plan_adapted") >= 1
-        assert session.memory_plan.arena_bytes == grown_arena
+        fresh = Session(conv_net(32))
+        assert session.memory_plan.arena_bytes == fresh.memory_plan.arena_bytes
         out = session.run(feed())
-        want = Session(conv_net()).run(feed())
-        for name in want:
-            np.testing.assert_array_equal(out[name], want[name])
-
-    def test_offer_plan_donor_feeds_next_resize(self):
-        big = Session(conv_net())
-        big.resize({"data": (1, 3, 48, 48)})
-        fresh = Session(conv_net())
-        fresh.offer_plan_donor(big.memory_plan)
-        before = get_metrics().value("session.plan_adapted")
-        fresh.resize({"data": (1, 3, 16, 16)})
-        assert get_metrics().value("session.plan_adapted") == before + 1
-        out = fresh.run(feed(hw=16))
-        want = Session(conv_net(16)).run(feed(hw=16))
+        want = fresh.run(feed())
         for name in want:
             np.testing.assert_array_equal(out[name], want[name])
 
@@ -210,16 +152,15 @@ class TestBatcherDeadlines:
         assert batcher.stats.batches == 1
         assert batcher.stats.batched_requests == 2
 
-    def test_bucket_sessions_share_one_donor_arena(self):
-        """Adjacent micro-batch sizes adapt the largest plan instead of
-        re-planning: resize 1 -> 4 plans fresh, 4 -> 2 adapts."""
+    def test_bucket_sessions_match_serial_across_resizes(self):
+        """One bucket session resized 1 -> 4 -> 2 answers bitwise like a
+        serial session at each micro-batch size."""
         g = conv_net(16)
         with MicroBatcher(lambda: Session(g), max_batch=4,
                           timeout_ms=20.0) as batcher:
             out4 = batcher.infer(feed(hw=16, batch=4, seed=3))
-            assert get_metrics().value("session.plan_adapted") == 0
             out2 = batcher.infer(feed(hw=16, batch=2, seed=4))
-            assert get_metrics().value("session.plan_adapted") >= 1
+            assert batcher.stats.resizes == 2
         assert list(out4.values())[0].shape == (4, 10)
         assert list(out2.values())[0].shape == (2, 10)
         serial = Session(conv_net(16))
@@ -247,7 +188,7 @@ class TestCacheQuarantine:
 
     def test_torn_store_quarantined_at_next_load(self, tmp_path):
         session = Session(conv_net(16))
-        artifacts = PreInferenceArtifacts.from_session(session)
+        artifacts = session.export_artifacts()
         plan = FaultPlan([FaultRule("cache.store", "torn", times=1)])
         torn_writer = PreInferenceCache(tmp_path, runtime=Runtime.resolve(faults=plan))
         key = torn_writer.key(session.graph, SessionConfig())
@@ -269,27 +210,25 @@ class TestCacheQuarantine:
 class TestEmptySchemesRoundTrip:
     def test_captured_empty_schemes_stay_present(self):
         session = Session(conv_free_net())
-        artifacts = PreInferenceArtifacts.from_session(session)
+        artifacts = session.export_artifacts()
         assert artifacts.schemes == {}  # captured, and correctly empty
         wire = json.loads(json.dumps(artifacts.to_json()))
         assert wire["schemes"] == {}    # not null: coverage, not absence
-        restored = PreInferenceArtifacts.from_json(wire)
+        restored = SessionArtifacts.from_json(wire)
         assert restored.schemes == {}
-        assert restored.apply().schemes == {}
 
     def test_absent_schemes_stay_absent(self):
-        artifacts = PreInferenceArtifacts()
+        artifacts = SessionArtifacts()
         assert artifacts.schemes is None
         wire = json.loads(json.dumps(artifacts.to_json()))
         assert wire["schemes"] is None
-        restored = PreInferenceArtifacts.from_json(wire)
+        restored = SessionArtifacts.from_json(wire)
         assert restored.schemes is None
-        assert restored.apply().schemes is None
 
     def test_warm_session_honours_empty_coverage(self):
         g = conv_free_net()
-        artifacts = PreInferenceArtifacts.from_session(Session(g))
-        warm = Session(conv_free_net(), artifacts=artifacts.apply())
+        artifacts = Session(g).export_artifacts()
+        warm = Session(conv_free_net(), artifacts=artifacts)
         assert warm.schemes == {}
         x = {"data": np.ones((2, 12), np.float32)}
         want = Session(conv_free_net()).run(x)

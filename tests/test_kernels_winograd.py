@@ -1,5 +1,6 @@
 """Tests for the Winograd generator and Winograd convolution."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernels import generate_transforms, transform_kernel, winograd_conv2d
-from repro.kernels.winograd import interpolation_points
+from repro.kernels.winograd import (
+    interpolation_points,
+    preload_transforms,
+    transform_cache_entries,
+)
 
 from .gold import conv2d_naive
 
@@ -74,6 +79,13 @@ class TestGenerator:
         a = generate_transforms(2, 3)
         b = generate_transforms(2, 3)
         assert a is b
+
+    def test_preload_rejects_misshapen_matrices(self):
+        good = generate_transforms(2, 3)
+        bad = dataclasses.replace(good, at=good.at[:-1])  # (1, 4), not (2, 4)
+        with pytest.raises(ValueError, match="does not match"):
+            preload_transforms({(2, 3, 7, 1): bad})
+        assert (2, 3, 7, 1) not in transform_cache_entries()
 
     @given(st.integers(1, 6), st.integers(2, 5))
     @settings(max_examples=20, deadline=None)

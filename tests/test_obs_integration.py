@@ -313,10 +313,9 @@ class TestServingObservability:
         assert "pool.checkout_wait" in names
         # worker sessions inherit the engine tracer: op spans present
         assert any(s.category == "op" for s in tracer.spans)
-        # EngineStats is a live view over the registry
-        assert engine.stats.metrics is metrics
-        assert engine.stats.requests == 1
-        assert engine.stats.requests == metrics.counter("engine.requests").value
+        # the engine records straight into the registry it was given
+        assert engine.metrics is metrics
+        assert metrics.value("engine.requests") == 1
         assert metrics.counter("pool.checkouts").value == 1
         assert metrics.histogram("pool.wait_ms").count == 1
 
@@ -332,10 +331,10 @@ class TestServingObservability:
         events = {s.name for s in tracer.spans if s.instant}
         assert "cache.miss" in events  # first worker cold
         assert "cache.hit" in events   # second worker warm
-        assert engine.stats.cache_hits == 1
-        assert engine.stats.cache_misses == 1
-        assert engine.stats.hit_rate == 0.5
-        assert "prepare" in engine.stats.describe()
+        assert engine.metrics.value("engine.cache.hits") == 1
+        assert engine.metrics.value("engine.cache.misses") == 1
+        assert engine.metrics.histogram("engine.prepare.cold_ms").count == 1
+        assert engine.metrics.histogram("engine.prepare.warm_ms").count == 1
 
     def test_batcher_spans_and_stats_view(self):
         engine, tracer, metrics = self._engine(

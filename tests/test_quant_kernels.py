@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.backends import BackendError
 from repro.core.schemes import (
     SchemeConfig,
-    clear_scheme_memo,
     select_conv_scheme,
     select_graph_schemes,
 )
@@ -230,9 +229,6 @@ class TestOpRunnerDispatch:
 
 
 class TestSchemeSelection:
-    def setup_method(self):
-        clear_scheme_memo()
-
     def test_quantized_divides_direct_cost(self):
         cfg = SchemeConfig(int8_gemm_speedup=4.0)
         fp = select_conv_scheme((3, 3), 16, 16, (4, 4), config=cfg)

@@ -2,14 +2,24 @@
 
 The loader's contract is that any malformed input raises FormatError (or a
 clean GraphError/ValueError from validation) — never a segfault-ish numpy
-error, KeyError leak, or silent wrong model.
+error, KeyError leak, or silent wrong model.  Pre-inference cache entries
+get the same treatment: a damaged entry is a miss, never wrong numbers.
 """
+
+import copy
+import functools
+import json
+import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Session, SessionConfig
 from repro.ir import FormatError, GraphBuilder, GraphError, dumps, loads
+from repro.kernels.winograd import clear_transform_cache
+from repro.serving import Engine, EngineConfig, PreInferenceCache
 
 ACCEPTABLE = (FormatError, GraphError, ValueError, KeyError)
 
@@ -165,3 +175,111 @@ class TestQuantizedSerializationFuzz:
             node.attrs["weight_scales"] = None
         diags = [d for d in lint_graph(graph) if d.rule == "Q003"]
         assert len(diags) == len(scaled)
+
+
+@functools.lru_cache(maxsize=None)
+def _cache_case():
+    """One stored cache entry of a graph whose only conv runs Winograd, plus
+    the uncached session's answer it must reproduce."""
+    b = GraphBuilder("fuzzcache", seed=1)
+    x = b.input("in", (1, 3, 16, 16))
+    x = b.conv(x, oc=16, kernel=3, pad_mode="same", activation="relu")
+    b.output(b.fc(b.global_avg_pool(x), units=3))
+    graph = b.finish()
+    feed = {"in": np.random.default_rng(0).standard_normal((1, 3, 16, 16)).astype(np.float32)}
+    session = Session(graph)
+    stored = session.export_artifacts()
+    assert stored.winograd, "the fuzz graph must exercise Winograd transforms"
+    with tempfile.TemporaryDirectory() as root:
+        cache = PreInferenceCache(root)
+        key = cache.key(graph, SessionConfig())
+        entry = json.loads(cache.store(key, stored).read_text())
+    return SimpleNamespace(graph=graph, feed=feed, gold=session.run(feed),
+                           key=key, stored=stored, entry=entry)
+
+
+MUTATIONS = ("drop", "retype", "perturb", "truncate", "reshape", "flip")
+RETYPES = (None, "x", 7, 1.5, True, [], {})
+FITS = {
+    "drop": lambda v: True,
+    "retype": lambda v: True,
+    "perturb": lambda v: isinstance(v, float),
+    "truncate": lambda v: isinstance(v, list) and bool(v),
+    "reshape": lambda v: isinstance(v, list) and bool(v)
+    and all(isinstance(row, list) for row in v),
+}
+
+
+def _nodes(node, path=()):
+    """``(path, value)`` for every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate(entry, kind, pick, value):
+    """The bytes of ``entry`` after one ``kind`` mutation chosen by ``pick``."""
+    if kind == "flip":
+        raw = bytearray(json.dumps(entry).encode())
+        i = pick % len(raw)
+        raw[i] = value if raw[i] != value else (value + 1) % 256
+        return bytes(raw)
+    entry = copy.deepcopy(entry)
+    candidates = [(p, v) for p, v in _nodes(entry) if FITS[kind](v)]
+    path, old = candidates[pick % len(candidates)]
+    container = entry
+    for key in path[:-1]:
+        container = container[key]
+    key = path[-1]
+    if kind == "drop":
+        del container[key]
+    elif kind == "retype":
+        container[key] = RETYPES[value % len(RETYPES)]
+    elif kind == "perturb":
+        container[key] = float(np.nextafter(old, np.inf))
+    elif kind == "truncate":
+        container[key] = old[:-1]
+    else:  # reshape: flatten a matrix into one row
+        container[key] = [x for row in old for x in row]
+    return json.dumps(entry).encode()
+
+
+def _assert_bitwise(got, want):
+    assert set(got) == set(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+class TestCacheEntryFuzz:
+    """A stored pre-inference entry, mutated on disk: ``load`` returns
+    ``None`` or the stored artifacts; an engine over the mutated entry
+    answers bitwise like an uncached session; and so does an uncached
+    session built afterwards, so nothing the entry held leaked into
+    process-wide state."""
+
+    @given(
+        kind=st.sampled_from(MUTATIONS),
+        pick=st.integers(0, 10**6),
+        value=st.integers(0, 255),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_entry_loads_equal_or_misses(self, kind, pick, value):
+        case = _cache_case()
+        blob = _mutate(case.entry, kind, pick, value)
+        with tempfile.TemporaryDirectory() as root:
+            cache = PreInferenceCache(root)
+            path = cache.path(case.key)
+            path.write_bytes(blob)
+            loaded = cache.load(case.key)
+            assert loaded is None or loaded.to_json() == case.stored.to_json()
+            path.write_bytes(blob)  # load quarantines what it rejects
+            clear_transform_cache()  # as in a fresh process
+            engine = Engine(case.graph, EngineConfig(pool_size=1, cache_dir=root))
+            _assert_bitwise(engine.infer(case.feed), case.gold)
+        _assert_bitwise(Session(case.graph).run(case.feed), case.gold)

@@ -6,8 +6,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import Session, SessionConfig
+from repro.core import Session, SessionArtifacts, SessionConfig
 from repro.ir import GraphBuilder, save_model
+from repro.obs.metrics import get_metrics
 from repro.kernels.winograd import (
     clear_transform_cache,
     transform_cache_entries,
@@ -17,7 +18,6 @@ from repro.serving import (
     Engine,
     EngineConfig,
     MicroBatcher,
-    PreInferenceArtifacts,
     PreInferenceCache,
     SessionPool,
     default_cache_dir,
@@ -54,11 +54,13 @@ def cache_dir(tmp_path):
 class TestPreInferenceCache:
     def test_artifacts_roundtrip_through_json(self):
         session = Session(serving_net())
-        artifacts = PreInferenceArtifacts.from_session(session)
+        artifacts = session.export_artifacts()
         assert artifacts.schemes  # the 3x3 convs got scheme decisions
+        assert artifacts.winograd  # ...and Winograd transforms
         wire = json.loads(json.dumps(artifacts.to_json()))
-        restored = PreInferenceArtifacts.from_json(wire)
-        warm = Session(serving_net(), artifacts=restored.apply())
+        restored = SessionArtifacts.from_json(wire)
+        assert restored.to_json() == artifacts.to_json()
+        warm = Session(serving_net(), artifacts=restored)
         x = feed()
         np.testing.assert_array_equal(
             list(warm.run(x).values())[0], list(session.run(x).values())[0]
@@ -79,7 +81,7 @@ class TestPreInferenceCache:
         session = Session(serving_net())
         key = cache.key(session.graph, SessionConfig())
         assert cache.load(key) is None
-        cache.store(key, PreInferenceArtifacts.from_session(session))
+        cache.store(key, session.export_artifacts())
         assert cache.entries() == [key]
         loaded = cache.load(key)
         assert loaded is not None
@@ -94,14 +96,14 @@ class TestPreInferenceCache:
         # the engine shrugs it off too: miss, recompute, overwrite
         engine = Engine(serving_net(), EngineConfig(
             pool_size=1, cache_dir=cache_dir))
-        assert engine.stats.cache_misses == 1
+        assert engine.metrics.value("engine.cache.misses") == 1
         assert cache.load(key) is not None
 
     def test_version_mismatch_is_a_miss(self, cache_dir):
         cache = PreInferenceCache(cache_dir)
         session = Session(serving_net())
         key = cache.key(session.graph, SessionConfig())
-        cache.store(key, PreInferenceArtifacts.from_session(session))
+        cache.store(key, session.export_artifacts())
         data = json.loads(cache.path(key).read_text())
         data["version"] = 999
         cache.path(key).write_text(json.dumps(data))
@@ -119,12 +121,55 @@ class TestPreInferenceCache:
         other = Session(serving_net(16))  # different shapes => alien plan
         g = serving_net(32)
         key = cache.key(g, SessionConfig())
-        cache.store(key, PreInferenceArtifacts.from_session(other))
+        cache.store(key, other.export_artifacts())
         engine = Engine(g, EngineConfig(pool_size=1, cache_dir=cache_dir))
-        assert engine.stats.cache_hits == 1  # it *was* applied...
+        assert engine.metrics.value("engine.cache.hits") == 1  # it *was* applied...
         out = engine.infer(feed())  # ...but inference is still correct
         gold = list(Session(serving_net(32)).run(feed()).values())[0]
         np.testing.assert_array_equal(list(out.values())[0], gold)
+
+
+class TestDamagedEntryIsAMiss:
+    """A parseable entry whose Winograd transforms were damaged on disk is
+    an unreadable entry: counted in ``cache.corrupt``, quarantined and
+    recomputed.  The warm engine answers bitwise like an uncached session,
+    and so does an uncached session built afterwards in the same process
+    (the damage never reaches the process-wide transform cache)."""
+
+    def _check(self, cache_dir, damage):
+        x = feed(seed=5)
+        gold = list(Session(serving_net()).run(x).values())[0]
+        clear_transform_cache()
+        cold = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        path = cold.cache.path(cold.cache_key)
+        data = json.loads(path.read_text())
+        damage(data["winograd"][0])
+        path.write_text(json.dumps(data))
+
+        clear_transform_cache()  # a fresh process
+        corrupt = get_metrics().value("cache.corrupt")
+        warm = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        assert warm.metrics.value("engine.cache.misses") == 1
+        assert get_metrics().value("cache.corrupt") == corrupt + 1
+        np.testing.assert_array_equal(list(warm.infer(x).values())[0], gold)
+        later = list(Session(serving_net()).run(x).values())[0]
+        np.testing.assert_array_equal(later, gold)
+        assert warm.cache.load(warm.cache_key) is not None  # healed by the store
+
+    def test_missing_transform_field(self, cache_dir):
+        self._check(cache_dir, lambda item: item.pop("f_num"))
+
+    def test_scaled_transform(self, cache_dir):
+        def scale(item):
+            item["bt"] = (np.asarray(item["bt"]) * 1.5).tolist()
+
+        self._check(cache_dir, scale)
+
+    def test_misshapen_transform(self, cache_dir):
+        def drop_row(item):
+            item["at"] = item["at"][:-1]
+
+        self._check(cache_dir, drop_row)
 
 
 class TestEngineWarmup:
@@ -132,14 +177,14 @@ class TestEngineWarmup:
         g = serving_net()
         cold = Engine(g, EngineConfig(pool_size=2, cache_dir=cache_dir))
         # first worker cold, second already warm from the fresh entry
-        assert cold.stats.cache_misses == 1
-        assert cold.stats.cache_hits == 1
+        assert cold.metrics.value("engine.cache.misses") == 1
+        assert cold.metrics.value("engine.cache.hits") == 1
 
         # simulate a new process: blow away the in-memory transform cache
         clear_transform_cache()
         warm = Engine(g, EngineConfig(pool_size=2, cache_dir=cache_dir))
-        assert warm.stats.cache_misses == 0
-        assert warm.stats.cache_hits == 2
+        assert warm.metrics.value("engine.cache.misses") == 0
+        assert warm.metrics.value("engine.cache.hits") == 2
         assert transform_cache_entries()  # preloaded from disk
         x = feed()
         np.testing.assert_array_equal(
@@ -152,15 +197,16 @@ class TestEngineWarmup:
         cold = Engine(g, EngineConfig(pool_size=1, cache_dir=cache_dir))
         clear_transform_cache()
         warm = Engine(g, EngineConfig(pool_size=1, cache_dir=cache_dir))
-        assert warm.stats.warm_prepare_ms[0] < cold.stats.cold_prepare_ms[0]
+        warm_ms = warm.metrics.histogram("engine.prepare.warm_ms").values[0]
+        assert warm_ms < cold.metrics.histogram("engine.prepare.cold_ms").values[0]
 
     def test_cache_disabled(self, cache_dir):
         engine = Engine(serving_net(), EngineConfig(
             pool_size=2, use_cache=False, cache_dir=cache_dir))
         assert engine.cache is None and engine.cache_key is None
         # uncached prepares all count as cold
-        assert engine.stats.cache_hits == 0
-        assert engine.stats.cache_misses == 2
+        assert engine.metrics.value("engine.cache.hits") == 0
+        assert engine.metrics.value("engine.cache.misses") == 2
         assert list(engine.infer(feed()).values())[0].shape == (1, 10)
 
 
@@ -203,7 +249,7 @@ class TestConcurrentStress:
 
         engine = Engine(g, EngineConfig(pool_size=3, cache_dir=cache_dir))
         results = engine.infer_many(requests, clients=6)
-        assert engine.stats.requests == len(requests)
+        assert engine.metrics.value("engine.requests") == len(requests)
         for got, want in zip(results, gold):
             np.testing.assert_array_equal(list(got.values())[0], want)
 
