@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench import time_callable
 from repro.converter import optimize
-from repro.core import Session, SessionConfig
+from repro.core import Session
 from repro.kernels.winograd import clear_transform_cache
 from repro.serving import Engine, EngineConfig, PreInferenceCache
 
@@ -52,17 +52,6 @@ def test_cold_vs_warm_prepare(net, cache_dir, report_table, benchmark):
     cold = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
     cold_ms = _prepare_ms(cold, "cold")
 
-    # Incremental prepare on a fully cold process (no disk cache, no
-    # in-memory caches): execution creation — including Winograd
-    # transform generation — is deferred off the prepare critical path
-    # and finished by a background thread.
-    clear_transform_cache()
-    incremental = Engine(net, EngineConfig(
-        pool_size=1, cache_dir=cache_dir + "-incremental",
-        session=SessionConfig(lazy_prepare=True),
-    ))
-    incremental_ms = _prepare_ms(incremental, "cold")
-
     # simulate a fresh process: in-memory transform cache gone, disk warm
     clear_transform_cache()
     warm = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
@@ -82,18 +71,14 @@ def test_cold_vs_warm_prepare(net, cache_dir, report_table, benchmark):
         ["metric", "value"],
         [
             ["cold prepare (ms)", round(cold_ms, 1)],
-            ["cold prepare, incremental (ms)", round(incremental_ms, 1)],
             ["warm prepare, first (ms)", round(warm_ms, 1)],
             ["warm prepare, steady (ms)", round(steady, 1)],
             ["cold/warm speedup", f"{cold_ms / max(warm_ms, 1e-9):.1f}x"],
-            ["cold/incremental speedup",
-             f"{cold_ms / max(incremental_ms, 1e-9):.1f}x"],
             ["winograd entries replayed", len(entry.winograd)],
             ["cached schemes", len(entry.schemes)],
         ],
         config={"model": "squeezenet_v1.1", "input_size": SIZE,
                 "cold_prepare_ms": cold_ms,
-                "incremental_cold_prepare_ms": incremental_ms,
                 "warm_prepare_ms": warm_ms},
         metrics=warm.metrics.snapshot(),
     )
@@ -101,14 +86,9 @@ def test_cold_vs_warm_prepare(net, cache_dir, report_table, benchmark):
     # number: the *first* warm create pays the one-time JSON cache read,
     # which can edge above cold when a prior test warmed the process.
     assert steady < cold_ms
-    # Incremental prepare must shrink the *cold* critical path too.
-    assert incremental_ms < cold_ms
     x = _feeds(1)[0]
     np.testing.assert_array_equal(
         list(cold.infer(x).values())[0], list(warm.infer(x).values())[0]
-    )
-    np.testing.assert_array_equal(
-        list(cold.infer(x).values())[0], list(incremental.infer(x).values())[0]
     )
 
 

@@ -22,9 +22,8 @@ continuous-batching engine, asserting that memory-pressure faults degrade
 to eviction/retry without moving a single output token.
 
 A fourth pre-flight (``_sanitize_or_fail``) runs each benchmark graph
-once under the concurrency sanitizer (``Runtime.resolve(sanitize=True)``)
-with parallel branch execution: the race/lock-order/lifecycle report must
-come back clean, so BENCH records are only ever produced by code the
+once under the concurrency sanitizer (``Runtime.resolve(sanitize=True)``):
+the race/lock-order/lifecycle report must come back clean, so BENCH records are only ever produced by code the
 sanitizer vouches for.  The ``sanitize.*`` counters are pre-registered on
 the process-wide registry, so every snapshot embedded in a BENCH record
 carries them (zeros, unless something rotted).

@@ -1,7 +1,7 @@
 """Core engine: pre-inference, cost model, memory planning, sessions."""
 
 from .cost import BackendCostModel, node_muls, strassen_mul_factor, winograd_tile_cost
-from .memory import Arena, MemoryPlan, TensorLifetime, compute_lifetimes, plan_memory
+from .memory import MemoryPlan, TensorLifetime, compute_lifetimes, plan_memory
 from .autotune import TuneReport, autotune_schemes
 from .schemes import (
     SchemeConfig,
@@ -24,7 +24,6 @@ __all__ = [
     "node_muls",
     "strassen_mul_factor",
     "winograd_tile_cost",
-    "Arena",
     "MemoryPlan",
     "TensorLifetime",
     "compute_lifetimes",

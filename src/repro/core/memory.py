@@ -1,10 +1,11 @@
-"""Static memory planning and the pre-allocated arena (paper Figure 3).
+"""Static memory planning (paper Figure 3).
 
 Because input sizes are fixed, pre-inference can virtually walk the graph,
 compute every tensor's lifetime, and lay all activations out in one arena
-with aggressive reuse.  Inference then performs *pure compute* — no
-allocation or freeing interleaved with kernels (the right-hand side of
-Figure 3).
+with aggressive reuse (the right-hand side of Figure 3).  NumPy kernels
+allocate their own outputs, so here the plan is the arena's size and
+layout — Table 2's accounting, proven alias-free by
+:func:`repro.analysis.check_memory_plan` — not a buffer runs write into.
 
 The planner is a classic greedy offset assigner: process tensors largest
 first; place each at the lowest offset that does not overlap any
@@ -16,16 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..ir.graph import Graph, Node
-from ..ir.tensor import TensorDesc
 
 __all__ = [
     "TensorLifetime",
     "MemoryPlan",
     "plan_memory",
-    "Arena",
     "ExtentFreeList",
     "FreeListError",
 ]
@@ -359,56 +356,3 @@ class ExtentFreeList:
     def extents(self) -> List[Tuple[int, int]]:
         """The sorted free extents (introspection/tests)."""
         return list(self._free)
-
-
-class Arena:
-    """One pre-allocated byte buffer backing all planned tensors.
-
-    ``view`` hands out numpy views into the buffer — acquiring a tensor
-    during inference is pointer arithmetic, not allocation.
-    """
-
-    def __init__(self, plan: MemoryPlan, paranoid: bool = False) -> None:
-        self.plan = plan
-        self.paranoid = paranoid
-        #: Optional repro.sanitize.Sanitizer; the owning session installs
-        #: its own when sanitizing, so concurrent slot handouts from
-        #: unsynchronized threads surface as races.
-        self.sanitizer = None
-        self._buffer = np.zeros(max(plan.arena_bytes, 1), dtype=np.uint8)
-
-    def view(self, desc: TensorDesc) -> np.ndarray:
-        """A writable array view for ``desc`` at its planned offset.
-
-        Raises:
-            KeyError: if the tensor was not part of the plan.
-            GraphError: in paranoid mode, if the slot is misaligned or
-                falls outside the arena.
-        """
-        offset = self.plan.offsets[desc.name]
-        sanitizer = self.sanitizer
-        if sanitizer is not None and sanitizer.enabled:
-            # Each slot has exactly one producer per run; a second
-            # unordered writer means two runs share this arena.
-            sanitizer.probe(self, f"slot.{desc.name}", "w")
-        if self.paranoid:
-            from ..ir.graph import GraphError
-
-            if offset % ALIGNMENT != 0:
-                raise GraphError(
-                    f"arena slot for {desc.name!r} at offset {offset} "
-                    f"is not {ALIGNMENT}-byte aligned"
-                )
-            if offset < 0 or offset + desc.nbytes > self.plan.arena_bytes:
-                raise GraphError(
-                    f"arena slot for {desc.name!r} spans "
-                    f"[{offset}, {offset + desc.nbytes}) outside arena "
-                    f"of {self.plan.arena_bytes} bytes"
-                )
-        count = desc.size
-        flat = self._buffer[offset : offset + desc.nbytes].view(desc.dtype.np_dtype)
-        return flat[:count].reshape(desc.shape)
-
-    @property
-    def nbytes(self) -> int:
-        return self.plan.arena_bytes

@@ -10,23 +10,20 @@
    inter-backend copies inserted automatically.
 3. **Preparation/execution decoupling** — executions are created and
    prepared (Winograd kernels pre-transformed, GPU command buffers
-   pre-recorded), and the memory planner lays every activation into one
-   pre-allocated arena (Figure 3).
+   pre-recorded), and the memory planner lays every activation out in one
+   arena (Figure 3): the plan's ``arena_bytes`` is Table 2's accounting.
 4. **Step plan** — the run itself is compiled: every feed, activation and
    output gets an integer slot, and each operator becomes a step holding
    its callable, its input/output slots and whatever else is decidable
-   before the first feed (copy edges, arena landings, interleaved
-   acquire/release, the parallel scheduler's indegrees and dependents).
+   before the first feed (copy edges, interleaved acquire/release).
 
 ``run`` is then pure compute: no scheme search, no allocation, no command
-recording, no graph analysis.  One walker executes the plan.  With nothing
-switched on it is a plain loop over ``fn([env[i] for i in ins])``;
-otherwise the same steps run through per-step wrappers composed once per
-run from the concerns that are active (deadline, lazy prepare, copies,
-interleaved memory, arena landing, tracing, fault injection and
-resilience).  ``parallel_branches`` walks the same steps with a
-ready-queue scheduler, and ``run_profiled`` is ``run`` with an ephemeral
-tracer.
+recording, no graph analysis.  One walker executes the plan, serially in
+topological order.  With nothing switched on it is a plain loop over
+``fn([env[i] for i in ins])``; otherwise the same steps run through
+per-step wrappers composed once per run from the concerns that are active
+(deadline, copies, interleaved memory, tracing, fault injection and
+resilience).  ``run_profiled`` is ``run`` with an ephemeral tracer.
 """
 
 from __future__ import annotations
@@ -55,11 +52,8 @@ from ..obs.tracer import Tracer
 from ..runtime import Runtime
 from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
-from .memory import Arena, MemoryPlan, compute_lifetimes, plan_memory
-from .plan import (
-    StepFn, StepPlan, bounded, build_plan, copying, ensuring, interleaved, landed,
-    traced, walk, walk_parallel,
-)
+from .memory import MemoryPlan, compute_lifetimes, plan_memory
+from .plan import StepFn, StepPlan, bounded, build_plan, copying, interleaved, traced, walk
 from .schemes import SchemeConfig, SchemeDecision, select_graph_schemes
 
 __all__ = [
@@ -95,26 +89,9 @@ class SessionConfig:
         scheme_overrides: per-conv-node scheme decisions that take
             precedence over the cost-model search — typically the output
             of :func:`repro.core.autotune.autotune_schemes`.
-        parallel_branches: execute independent graph branches concurrently
-            on a thread pool (real CPU backend only; NumPy's BLAS releases
-            the GIL, so Inception-style parallel branches genuinely
-            overlap).  Ignored for simulated backends, whose virtual
-            clock is inherently sequential.  Cannot be combined with
-            ``arena_execution`` (``ValueError`` at construction).
-        arena_execution: land every activation in its planned arena slot
-            at run time, making the memory plan load-bearing end-to-end.
-            Off by default: MNN's kernels write into pre-allocated outputs
-            for free, but NumPy kernels allocate internally, so landing
-            costs one extra memcpy per op on this substrate (the plan is
-            still built, validated, and used for Table 2's accounting).
-            Cannot be combined with ``parallel_branches`` (``ValueError``
-            at construction): arena slots are alias-free only in
-            topological order, which a dataflow schedule does not keep.
         paranoid: run the independent memory-plan sanitizer
             (:func:`repro.analysis.check_memory_plan`) on every plan this
-            session builds, and bounds/alignment-check every arena view
-            handed out during execution.  A planner bug then fails loudly
-            at prepare time instead of corrupting activations silently.
+            session builds, so a planner bug fails loudly at prepare time.
         resilience: route every op through the resilient executor (retry
             with backoff, circuit breaker, per-op CPU fallback, and a
             numeric guard that re-runs an op whose output came back
@@ -134,15 +111,6 @@ class SessionConfig:
             and the breaker opens after 3 consecutive failures (the
             :func:`~repro.faults.retry_transient` and
             :class:`~repro.faults.resilience.CircuitBreaker` defaults).
-        lazy_prepare: defer per-execution preparation (Winograd weight
-            pre-transform and friends) off the critical path of session
-            creation: a background thread prepares executions in order
-            while the first ``run`` prepares any op it reaches first
-            on demand.  Cold time-to-first-inference drops because
-            early ops execute while deep ops are still preparing; every
-            run is bit-identical to the eager path.  It changes no
-            pre-inference *decision*, so the serving cache's config
-            fingerprint leaves it out.
     """
 
     backend: Union[str, Backend] = "cpu"
@@ -154,13 +122,10 @@ class SessionConfig:
     candidate_backends: Tuple[str, ...] = ()
     scheme_config: SchemeConfig = field(default_factory=SchemeConfig)
     scheme_overrides: Optional[Dict[str, SchemeDecision]] = None
-    parallel_branches: bool = False
-    arena_execution: bool = False
     paranoid: bool = False
     resilience: Optional[bool] = None
     check_feeds: bool = True
     breaker_cooldown_s: float = 0.25
-    lazy_prepare: bool = False
 
 
 @dataclass
@@ -253,8 +218,7 @@ class OpProfile:
     """Per-operator timing from :meth:`Session.run_profiled`.
 
     A thin view over the run's ``"op"``-category trace spans: one row per
-    recorded operator span, in recording order (execution order on the
-    serial path, completion order on the parallel path).
+    operator, in execution order.
     """
 
     node: str
@@ -328,12 +292,6 @@ class Session:
     ) -> None:
         self.graph = graph
         self.config = config or SessionConfig()
-        if self.config.arena_execution and self.config.parallel_branches:
-            raise ValueError(
-                "SessionConfig.arena_execution and SessionConfig.parallel_branches "
-                "cannot be combined: arena slots are alias-free only in "
-                "topological order"
-            )
         runtime = runtime if runtime is not None else Runtime.resolve()
         self.tracer = runtime.tracer
         self.faults = runtime.faults
@@ -344,17 +302,8 @@ class Session:
         self._placement: Dict[str, Backend] = {}
         self.schemes: Dict[str, SchemeDecision] = {}
         self.memory_plan: Optional[MemoryPlan] = None
-        self._arena: Optional[Arena] = None
         self._plan: Optional[StepPlan] = None
         self._artifacts = artifacts
-        # Lazy-prepare state (see _ensure_prepared): generation-local
-        # objects shared between the background preparer and the run
-        # path; replaced wholesale on resize so stale threads only ever
-        # touch discarded executions.
-        self._prepared: set = set()
-        self._prepare_lock = threading.Lock()
-        self._lazy_active = False
-        self._lazy_ensure = None
         self.prepare_wall_ms = 0.0
         self.last_run: Optional[RunStats] = None
         # Resilient-executor state (see _run_resilient): lazily created
@@ -411,8 +360,8 @@ class Session:
 
             artifacts = self._artifacts
             if artifacts is not None and artifacts.winograd:
-                # Cached transforms: building a Winograd runner below (or
-                # lazily) becomes a lookup.  In-process entries win.
+                # Cached transforms: building a Winograd runner below
+                # becomes a lookup.  In-process entries win.
                 preload_transforms(artifacts.winograd)
 
             # (1) computation scheme selection (auto-tuned overrides win).
@@ -469,11 +418,7 @@ class Session:
                     name=self.primary.forward_type,
                 )
 
-            lazy = cfg.lazy_prepare and cfg.decouple
-            with tracer.span(
-                "create_executions", "pre_inference",
-                ops=len(self._order), deferred=lazy,
-            ):
+            with tracer.span("create_executions", "pre_inference", ops=len(self._order)):
                 for node in self._order:
                     backend = (
                         self.primary if self.primary.supports(node.op_type)
@@ -485,25 +430,18 @@ class Session:
                             f"on every backend"
                         )
                     self._placement[node.name] = backend
-                    if not lazy:
-                        # Creation is where the real cold work lives on the
-                        # CPU backend (Winograd weight pre-transform happens
-                        # in build_runner); the lazy path defers it per op.
-                        scheme = self.schemes.get(node.name)
-                        self._executions[node.name] = backend.on_create(
-                            node, self.graph, scheme
-                        )
+                    # Creation is where the real cold work lives on the CPU
+                    # backend (Winograd weight pre-transform happens in
+                    # build_runner).
+                    self._executions[node.name] = backend.on_create(
+                        node, self.graph, self.schemes.get(node.name)
+                    )
 
             # (3) decoupling: prepare executions + plan memory up front
             if cfg.decouple:
-                if lazy:
-                    self._start_lazy_prepare(tracer)
-                else:
-                    self._lazy_active = False
-                    self._lazy_ensure = None
-                    with tracer.span("prepare_executions", "pre_inference"):
-                        for node in self._order:
-                            self._executions[node.name].prepare(self.graph)
+                with tracer.span("prepare_executions", "pre_inference"):
+                    for node in self._order:
+                        self._executions[node.name].prepare(self.graph)
                 with tracer.span("memory_plan", "pre_inference") as sp:
                     cached_plan = (
                         artifacts.memory_plan if artifacts is not None else None
@@ -524,75 +462,15 @@ class Session:
                         check_memory_plan(
                             self.graph, self.memory_plan, self._order
                         ).raise_if_failed()
-                self._arena = Arena(self.memory_plan, paranoid=cfg.paranoid)
-                if self.sanitizer.enabled:
-                    self._arena.sanitizer = self.sanitizer
             self._plan = build_plan(
                 self.graph, self._order, self._placement, self._executions,
                 decouple=cfg.decouple,
-                landing=(
-                    self._arena.plan.offsets
-                    if cfg.arena_execution and self._arena is not None else {}
-                ),
-                lazy=lazy,
-                parallel=(
-                    cfg.parallel_branches and cfg.decouple
-                    and self.primary.forward_type == "cpu"
-                ),
             )
             self.prepare_wall_ms = (time.perf_counter() - start) * 1000.0
             prep.set(wall_ms=self.prepare_wall_ms)
         metrics = get_metrics()
         metrics.counter("session.prepares").inc()
         metrics.histogram("session.prepare_ms").observe(self.prepare_wall_ms)
-
-    def _start_lazy_prepare(self, tracer: Tracer) -> None:
-        """Kick off deferred execution creation (``lazy_prepare``).
-
-        A background daemon thread creates+prepares executions in
-        topological order while the first ``run`` creates any op it
-        reaches first on demand; both sides share one double-checked
-        lock, so each op is built exactly once and every run is
-        bit-identical to the eager path.  All state is captured in
-        locals (generation-local): a thread that outlives a ``resize``
-        keeps preparing only the discarded generation's objects.
-        """
-        executions = self._executions
-        placement = self._placement
-        schemes = self.schemes
-        graph = self.graph
-        order = list(self._order)
-        prepared: set = set()
-        lock = threading.Lock()
-
-        def ensure(node: Node) -> None:
-            name = node.name
-            if name in prepared:
-                return
-            with lock:
-                if name in prepared:
-                    return
-                execution = placement[name].on_create(
-                    node, graph, schemes.get(name)
-                )
-                execution.prepare(graph)
-                executions[name] = execution
-                prepared.add(name)
-
-        self._prepared = prepared
-        self._prepare_lock = lock
-        self._lazy_ensure = ensure
-        self._lazy_active = True
-
-        def background() -> None:
-            for node in order:
-                ensure(node)
-
-        if tracer.enabled:
-            tracer.instant("prepare.lazy", "pre_inference", ops=len(order))
-        threading.Thread(
-            target=background, name="session-lazy-prepare", daemon=True
-        ).start()
 
     # -- resizing ----------------------------------------------------------------
     def resize(self, input_shapes: Dict[str, Sequence[int]]) -> None:
@@ -639,13 +517,11 @@ class Session:
         # Cached artifacts describe the old shapes; drop them for re-prepare.
         snapshot = (
             self._order, self._executions, self._placement, self.schemes,
-            self.memory_plan, self._arena, self._artifacts,
+            self.memory_plan, self._artifacts,
             self.prepare_wall_ms, getattr(self, "primary", None),
             getattr(self, "fallback", None),
             self._fallback_execs, self._direct_runners, self._recovery,
-            self._breaker,
-            self._prepared, self._prepare_lock, self._lazy_active,
-            self._lazy_ensure, self._plan,
+            self._breaker, self._plan,
         )
         self.graph = new_graph
         self._placement = {}
@@ -662,12 +538,10 @@ class Session:
             # keeps serving at the old shapes.
             self.graph = old_graph
             (self._order, self._executions, self._placement, self.schemes,
-             self.memory_plan, self._arena, self._artifacts,
+             self.memory_plan, self._artifacts,
              self.prepare_wall_ms, self.primary, self.fallback,
              self._fallback_execs, self._direct_runners, self._recovery,
-             self._breaker,
-             self._prepared, self._prepare_lock, self._lazy_active,
-             self._lazy_ensure, self._plan) = snapshot
+             self._breaker, self._plan) = snapshot
             raise
 
     def export_artifacts(self) -> SessionArtifacts:
@@ -684,7 +558,7 @@ class Session:
             decision = self.schemes.get(node.name)
             if decision is not None and decision.kind == "winograd":
                 n, k = decision.winograd_n, node.attrs["kernel"][0]
-                generate_transforms(n, k)  # a lookup unless lazy prepare lags
+                generate_transforms(n, k)  # memoized: normally a lookup
                 used.add((n, k))
         return SessionArtifacts(
             backend_kind=(
@@ -725,8 +599,6 @@ class Session:
         model = BackendCostModel(self.config.device, self.config.threads)
         total = 0.0
         for node in self._order:
-            if self._lazy_active and self._lazy_ensure is not None:
-                self._lazy_ensure(node)
             runner = getattr(self._executions.get(node.name), "runner", None)
             muls = runner.muls if runner is not None else node_muls(node, self.graph)
             backend = self._placement[node.name]
@@ -952,15 +824,16 @@ class Session:
         """Like :meth:`run` but also returns a per-operator time profile.
 
         The profile is a thin view over the run's ``"op"``-category trace
-        spans.  With ``parallel_branches`` active, the run goes through
-        the thread-pool path and every profile row carries the worker
-        thread id that executed the operator (``OpProfile.thread``).
-        When the session has no enabled tracer configured, an ephemeral
-        one records just this run.
+        spans.  When the session has no enabled tracer configured, an
+        ephemeral one records just this run.  A shared tracer (every
+        session of an :class:`~repro.serving.Engine` gets one) also holds
+        other threads' spans from the same window; the run records its
+        op spans on the calling thread, so only that thread's rows count.
         """
         tracer = self.tracer if self.tracer.enabled else Tracer()
         mark = tracer.mark()
         outputs = self._run(feeds, tracer, None)
+        tid = threading.get_ident()
         profile = [
             OpProfile(
                 node=span.name,
@@ -971,7 +844,7 @@ class Session:
                 thread=span.tid,
             )
             for span in tracer.spans_since(mark)
-            if span.category == "op"
+            if span.category == "op" and span.tid == tid
         ]
         return outputs, profile
 
@@ -985,7 +858,7 @@ class Session:
         if self.sanitizer.enabled:
             # A session is single-checkout state: concurrent (or merely
             # unsynchronized cross-thread) run/run and run/resize pairs
-            # clobber the clock, arena and last_run.  One write probe per
+            # clobber the clock and last_run.  One write probe per
             # run makes the detector prove the checkout discipline — the
             # pool's queue handoff provides the ordering edge.
             self.sanitizer.probe(self, "run_state", "w")
@@ -1001,26 +874,16 @@ class Session:
 
         for backend in plan.hooks:
             backend.on_execute_begin()
-        if plan.parallel:
-            walk_parallel(
-                plan, env, step_fn, threads=self.config.threads,
-                sanitizer=self.sanitizer, owner=self,
-            )
-        else:
-            walk(plan, env, step_fn)
+        walk(plan, env, step_fn)
         for backend in plan.hooks:
             backend.on_execute_end()
 
         end_wall = time.perf_counter()
         copies, copy_bytes = counts
         if tracer.enabled:
-            span_args = (
-                dict(parallel=True, threads=self.config.threads) if plan.parallel
-                else dict(parallel=False, copies=copies)
-            )
             tracer.record(
                 "session.run", "session", start_wall, end_wall,
-                backend=self.backend_kind, **span_args,
+                backend=self.backend_kind, copies=copies,
             )
         self.last_run = RunStats(
             wall_ms=(end_wall - start_wall) * 1000.0,
@@ -1032,13 +895,12 @@ class Session:
         metrics.counter("session.runs").inc()
         metrics.histogram("session.run_ms").observe(self.last_run.wall_ms)
         results = {}
-        for name, slot, detach in plan.outputs:
+        for name, slot in plan.outputs:
             value = None if slot is None else env[slot]
             if value is not None:
-                # Detach arena-landed outputs: the next run reuses the slot.
-                results[name] = value.copy() if detach else value
+                results[name] = value
         if len(results) < len(plan.outputs):
-            missing = [name for name, _, _ in plan.outputs if name not in results]
+            missing = [name for name, _ in plan.outputs if name not in results]
             raise GraphError(f"outputs never produced: {missing}")
         return results
 
@@ -1053,19 +915,17 @@ class Session:
 
         The flags are read here, once per run — a tracer or fault plan
         can be switched on between runs.  Each active concern wraps the
-        one inside it, outermost first: deadline check, lazy ensure, copy
-        edges, acquire/release, arena landing, trace record, run_op.
+        one inside it, outermost first: deadline check, copy edges,
+        acquire/release, trace record, run_op.
         """
         resilient = self._resilient
         faulted = self.faults.enabled
-        ensure = self._lazy_ensure if self._lazy_active else None
         if plan.plain is not None and not (
-            plan.parallel or tracer.enabled or resilient or faulted
-            or deadline is not None
+            tracer.enabled or resilient or faulted or deadline is not None
         ):
             return None
-        # Resolved per step, not bound: lazy prepare creates executions
-        # while runs are already walking the plan.
+        # Resolved per step, not bound, so a patched ``execution.run`` or
+        # ``runner.fn`` takes effect on every wrapped path.
         executions = self._executions
         if resilient or faulted:
             run_resilient = self._run_resilient
@@ -1079,14 +939,10 @@ class Session:
 
         if tracer.enabled:
             step_fn = traced(step_fn, tracer, self.clock)
-        if self.config.arena_execution and self._arena is not None:
-            step_fn = landed(step_fn, self._arena)
         if not self.config.decouple:
             step_fn = interleaved(step_fn)
         if plan.copies:
             step_fn = copying(step_fn, counts)
-        if ensure is not None:
-            step_fn = ensuring(step_fn, ensure)
         if deadline is not None:
             step_fn = bounded(step_fn, deadline)
         return step_fn

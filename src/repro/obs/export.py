@@ -8,10 +8,10 @@ into Perfetto or ``chrome://tracing``; every span becomes a complete
 (KV utilization, batch occupancy) under the span lanes.  Real thread
 idents are remapped to small stable lane numbers (main thread first,
 then by first appearance) and labelled with ``thread_name`` metadata
-(``"ph": "M"``) so parallel-branch execution shows as genuinely
-overlapping lanes; executor pools name their workers
-(``exec-worker``, ``serve-client``) so short-lived execution and
-client lanes are labeled, not bare tids.
+(``"ph": "M"``) so concurrent sessions, serving clients and batcher
+threads show as genuinely overlapping lanes; executor pools name their
+workers (``serve-client``) so short-lived client lanes are labeled, not
+bare tids.
 
 Text views for terminals:
 

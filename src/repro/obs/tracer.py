@@ -3,12 +3,12 @@
 A :class:`Tracer` collects :class:`Span` records — named, categorised wall
 -clock intervals with the recording thread's id and a nesting depth — from
 every layer of the engine: converter passes, the pre-inference pipeline,
-per-operator kernel execution (serial *and* parallel paths) and the
-serving stack.  The same spans feed three consumers:
+per-operator kernel execution and the serving stack.  The same spans
+feed three consumers:
 
 * Chrome trace-event JSON (:func:`repro.obs.save_chrome_trace`) for
-  Perfetto / ``chrome://tracing``, with one lane per thread so branch
-  parallelism is visible;
+  Perfetto / ``chrome://tracing``, with one lane per thread so
+  concurrent sessions and serving threads are visible;
 * text reports (:func:`repro.obs.top_ops_report`,
   :func:`repro.obs.waterfall_report`);
 * the thin legacy views — ``RunStats`` / ``OpProfile`` rows are derived
@@ -22,7 +22,7 @@ Design constraints, in order:
    span wrapper only when it is set.  The overhead guard in
    ``tests/test_obs_integration.py`` holds this to <5% of a small-model
    run loop.
-2. **Thread-safe recording.**  Workers of the parallel step walker and the
+2. **Thread-safe recording.**  Pooled sessions, serving clients and the
    micro-batcher thread record concurrently; appends happen under one
    lock, and nesting depth is tracked per-thread.
 3. **No global mutation by default.**  Sessions/engines take a tracer

@@ -1,8 +1,8 @@
 """Concurrency and lifecycle sanitizers for the runtime (TSan/ASan analogue).
 
-PRs 2–5 made nearly every hot path multithreaded — the parallel branch
-executor, :class:`~repro.serving.SessionPool` checkout, micro-batching,
-the continuous-batching scheduler and the KV allocator.  ``repro.analysis``
+Nearly every serving hot path is multithreaded —
+:class:`~repro.serving.SessionPool` checkout, micro-batching, the
+continuous-batching scheduler and the KV allocator.  ``repro.analysis``
 proves *static* properties (graph shapes, memory-plan aliasing); this
 package proves the *dynamic* ones those layers now depend on:
 

@@ -6,7 +6,7 @@ the dynamic micro-batcher, consulting the persistent pre-inference cache
 so that every process after the first creates its sessions warm (a
 fraction of the cold ``prepare_wall_ms``).  At request time it checks a
 session out of the pool (isolation: each worker owns its
-clock/arena/executions) or routes single-sample requests through the
+clock/executions) or routes single-sample requests through the
 batcher.
 
 Typical use::

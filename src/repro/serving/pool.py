@@ -1,11 +1,10 @@
 """Session pool: N independently prepared sessions over one shared graph.
 
 A single :class:`~repro.core.Session` is not safe for concurrent ``run``
-calls — each run mutates per-session state (the virtual ``clock``,
-``last_run``, and in ``arena_execution`` mode the one pre-allocated
-:class:`~repro.core.Arena`).  The pool therefore checks out a *whole
-session* per in-flight request: every worker owns its own executions,
-clock and arena, while the immutable inputs (the graph's nodes, the
+calls — each run mutates per-session state (the virtual ``clock`` and
+``last_run``).  The pool therefore checks out a *whole session* per
+in-flight request: every worker owns its own executions and clock, while
+the immutable inputs (the graph's nodes, the
 constant table) are shared, and every worker of a warm pool replays the
 same cached :class:`~repro.core.SessionArtifacts` entry.
 """

@@ -313,7 +313,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    """Record a Chrome trace of pre-inference + execution (serial and parallel)."""
+    """Record a Chrome trace of pre-inference + execution."""
     from ..core import Session, SessionConfig
     from ..obs import Tracer, save_chrome_trace, top_ops_report, waterfall_report
     from ..runtime import Runtime
@@ -322,20 +322,10 @@ def cmd_trace(args) -> int:
     tracer = Tracer()
     runtime = Runtime.resolve(trace=tracer)
     feeds = _random_feeds(graph)
-    # Serial session: pre-inference stage spans + per-op spans on one lane.
+    # Pre-inference stage spans, then per-op spans on one lane.
     session = Session(graph, SessionConfig(threads=args.threads), runtime=runtime)
     for _ in range(args.runs):
         session.run(feeds)
-    if not args.no_parallel:
-        # Parallel session: same graph on the thread-pool dataflow path, so
-        # the trace shows independent branches overlapping on worker lanes.
-        parallel = Session(
-            graph,
-            SessionConfig(threads=args.threads, parallel_branches=True),
-            runtime=runtime,
-        )
-        for _ in range(args.runs):
-            parallel.run(feeds)
     save_chrome_trace(tracer, args.output)
     lanes = len({s.tid for s in tracer.spans})
     print(f"wrote {args.output}: {len(tracer.spans)} spans on {lanes} thread lanes "
@@ -961,8 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--top", type=int, default=10, metavar="K",
                    help="print the K most expensive operators")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="skip the parallel-branches session")
     p.add_argument("--waterfall", action="store_true",
                    help="also print a per-lane text waterfall")
     p.add_argument("--waterfall-min-ms", type=float, default=0.05)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import check_memory_plan, derive_lifetimes
-from repro.core.memory import ALIGNMENT, Arena, MemoryPlan, plan_memory
+from repro.core.memory import ALIGNMENT, MemoryPlan, plan_memory
 from repro.core.session import Session, SessionConfig
 from repro.ir import GraphBuilder
 from repro.ir.graph import GraphError
@@ -187,25 +187,3 @@ class TestParanoidMode:
         out = session.run({"in": np.random.default_rng(0)
                           .standard_normal((1, 8, 16, 16)).astype(np.float32)})
         assert set(out) == set(GRAPH.outputs)
-
-    def test_paranoid_arena_rejects_misaligned_view(self):
-        plan = mutated(PLAN)
-        name = max(PLAN.offsets, key=PLAN.offsets.get)
-        plan.offsets[name] += 1
-        arena = Arena(plan, paranoid=True)
-        with pytest.raises(GraphError, match="aligned"):
-            arena.view(GRAPH.desc(name))
-
-    def test_paranoid_arena_rejects_out_of_bounds_view(self):
-        plan = mutated(PLAN, arena_bytes=ALIGNMENT)
-        name = max(PLAN.offsets, key=PLAN.offsets.get)
-        arena = Arena(plan, paranoid=True)
-        with pytest.raises(GraphError, match="outside arena"):
-            arena.view(GRAPH.desc(name))
-
-    def test_default_arena_stays_fast_path(self):
-        # Without paranoid mode a bad offset is not policed by view().
-        arena = Arena(PLAN, paranoid=False)
-        name = next(iter(PLAN.offsets))
-        view = arena.view(GRAPH.desc(name))
-        assert view.shape == GRAPH.desc(name).shape

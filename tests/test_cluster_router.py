@@ -112,7 +112,7 @@ class TestAffinity:
             admitted = [e for e in recorder.events(rid) if e.name == "admitted"]
             assert admitted, f"no admitted event for {rid}"
             workers.add(admitted[0].args["worker"])
-        assert len(workers) == 1  # every request landed on the same slot
+        assert len(workers) == 1  # every request went to the same slot
 
     def test_keyless_requests_spread(self, net, feeds):
         # Two keyless requests held in flight must occupy two workers

@@ -1,10 +1,9 @@
-"""Tests for memory planning and the pre-allocated arena (Figure 3)."""
+"""Tests for memory planning (Figure 3) and the extent free list."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Arena, compute_lifetimes, plan_memory
+from repro.core import compute_lifetimes, plan_memory
 from repro.core.memory import ALIGNMENT
 from repro.ir import GraphBuilder
 
@@ -93,36 +92,6 @@ class TestPlanMemory:
         plan = plan_memory(b.finish())
         plan.validate()
         assert plan.arena_bytes >= 3 * 16 * 4
-
-
-class TestArena:
-    def test_views_have_planned_shapes(self):
-        g = chain_graph(3)
-        plan = plan_memory(g)
-        arena = Arena(plan)
-        for name in plan.offsets:
-            view = arena.view(g.desc(name))
-            assert view.shape == g.desc(name).shape
-            view[:] = 1.0  # writable
-
-    def test_disjoint_live_views_do_not_alias(self):
-        g = diamond_graph()
-        plan = plan_memory(g)
-        arena = Arena(plan)
-        order = g.toposort()
-        left, right = order[0].outputs[0], order[1].outputs[0]
-        view_l = arena.view(g.desc(left))
-        view_r = arena.view(g.desc(right))
-        view_l[:] = 7.0
-        view_r[:] = 9.0
-        assert (view_l == 7.0).all()  # writing right did not clobber left
-
-    def test_unplanned_tensor_raises(self):
-        plan = plan_memory(chain_graph(2))
-        arena = Arena(plan)
-        from repro.ir import TensorDesc
-        with pytest.raises(KeyError):
-            arena.view(TensorDesc("ghost", (1, 1)))
 
 
 class TestExtentFreeListGuards:

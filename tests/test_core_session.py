@@ -71,6 +71,23 @@ class TestCpuSession:
         # no memory plan is built without decoupling
         assert Session(build_net(), SessionConfig(decouple=False)).memory_plan is None
 
+    def test_non_decoupled_run_has_no_memory_plan(self):
+        """Interleaved acquire/release around view-producing reshapes
+        answers bitwise like the decoupled run."""
+        b = GraphBuilder("views", seed=6)
+        x = b.input("in", (1, 4, 16, 16))
+        x = b.conv(x, oc=8, kernel=3, activation="relu")
+        y = b.reshape(b.reshape(x, (1, 8 * 16 * 16)), (1, 8, 16, 16))
+        x = b.fc(b.global_avg_pool(b.add(x, y)), units=3)
+        b.output(b.softmax(x))
+        g = b.finish()
+        session = Session(g, SessionConfig(decouple=False))
+        assert session.memory_plan is None
+        f = {"in": RNG.standard_normal((1, 4, 16, 16)).astype(np.float32)}
+        out = list(session.run(f).values())[0]
+        assert out.sum() == pytest.approx(1.0, abs=1e-4)
+        assert out.tobytes() == list(Session(g).run(f).values())[0].tobytes()
+
 
 class TestSimulatedBackends:
     @pytest.mark.parametrize("api", ["vulkan", "opencl", "opengl", "metal"])

@@ -1,7 +1,6 @@
-"""Incremental prepare and the serving-side bugfixes riding with it.
+"""Prepare-path and serving-side fixes.
 
-Covers lazy execution preparation off the first ``run()``'s critical
-path, fresh memory planning on every resize, the batcher EDF starvation
+Covers fresh memory planning on every resize, the batcher EDF starvation
 fix, the cache corrupt-entry quarantine and the empty-vs-absent schemes
 round-trip of :class:`~repro.core.SessionArtifacts`.
 """
@@ -52,43 +51,6 @@ def conv_free_net():
 def feed(hw=32, batch=1, seed=0):
     rng = np.random.default_rng(seed)
     return {"data": rng.standard_normal((batch, 3, hw, hw)).astype(np.float32)}
-
-
-class TestLazyPrepare:
-    def test_lazy_run_bit_identical(self):
-        g = conv_net()
-        x = feed()
-        gold = Session(g).run(x)
-        lazy = Session(g, SessionConfig(lazy_prepare=True))
-        out = lazy.run(x)
-        for name in gold:
-            np.testing.assert_array_equal(out[name], gold[name])
-        # Second run reuses the now-fully-prepared executions.
-        again = lazy.run(x)
-        for name in gold:
-            np.testing.assert_array_equal(again[name], gold[name])
-
-    def test_lazy_survives_resize(self):
-        g = conv_net()
-        lazy = Session(g, SessionConfig(lazy_prepare=True))
-        lazy.run(feed())
-        lazy.resize({"data": (2, 3, 48, 48)})
-        out = lazy.run(feed(hw=48, batch=2))
-        gold = Session(conv_net(48))
-        gold.resize({"data": (2, 3, 48, 48)})
-        want = gold.run(feed(hw=48, batch=2))
-        for name in want:
-            np.testing.assert_array_equal(out[name], want[name])
-
-    def test_lazy_without_decouple_is_eager(self):
-        # lazy_prepare rides the prepare/execute split; with decoupling
-        # off it quietly degrades to the eager path.
-        g = conv_net()
-        session = Session(g, SessionConfig(lazy_prepare=True, decouple=False))
-        out = session.run(feed())
-        want = Session(g, SessionConfig(decouple=False)).run(feed())
-        for name in want:
-            np.testing.assert_array_equal(out[name], want[name])
 
 
 class TestResizePlanning:

@@ -1,15 +1,17 @@
 """End-to-end observability tests: spans through the whole engine.
 
 Covers the acceptance criteria of the observability subsystem: Chrome
-trace export is schema-valid and properly nested, a traced run covers
-every pre-inference stage and every executed operator (serial *and*
-parallel, on distinct thread lanes), ``run_profiled`` works on the
-parallel path, serving spans cover cache/pool/batching, the stats
-classes are live views over the metrics registry, the CLI surfaces all
-of it, and a disabled tracer costs < 5% of a small-model run loop.
+trace export is schema-valid and properly nested (sessions running on
+two threads land on two lanes), a traced run covers every pre-inference
+stage and every executed operator, ``run_profiled`` reports only its own
+run's operators on a shared tracer, serving spans cover
+cache/pool/batching, the stats classes are live views over the metrics
+registry, the CLI surfaces all of it, and a disabled tracer costs < 5%
+of a small-model run loop.
 """
 
 import json
+import threading
 import time
 
 import numpy as np
@@ -54,7 +56,7 @@ def chain_net(hw=16):
 
 
 def branchy_net(hw=16, branches=4):
-    """Independent conv branches off one split — real branch parallelism."""
+    """Independent conv branches off one split."""
     b = GraphBuilder("branchy", seed=4)
     x = b.input("data", (1, 4 * branches, hw, hw))
     parts = b.split(x, sizes=(4,) * branches, axis=1)
@@ -99,22 +101,7 @@ class TestSessionTracing:
             assert span.args["op"]
             assert span.args["backend"]
         run = next(s for s in tracer.spans if s.name == "session.run")
-        assert run.args["parallel"] is False
-
-    def test_every_op_traced_parallel_with_distinct_lanes(self):
-        tracer = Tracer()
-        session = Session(
-            branchy_net(),
-            SessionConfig(parallel_branches=True, threads=4),
-            runtime=Runtime.resolve(trace=tracer),
-        )
-        session.run(branchy_feed())
-        op_spans = [s for s in tracer.spans if s.category == "op"]
-        assert {s.name for s in op_spans} == {n.name for n in session._order}
-        # genuine parallelism: ops recorded from >= 2 worker threads
-        assert len({s.tid for s in op_spans}) >= 2
-        run = next(s for s in tracer.spans if s.name == "session.run")
-        assert run.args["parallel"] is True
+        assert run.args["copies"] == 0
 
     def test_untraced_session_records_nothing(self):
         session = Session(chain_net())
@@ -131,22 +118,6 @@ class TestRunProfiled:
         assert {p.node for p in profile} == {n.name for n in session._order}
         assert all(p.wall_ms >= 0 for p in profile)
 
-    def test_parallel_profile_has_per_op_rows_and_threads(self):
-        """The historical gap: parallel_branches yielded no per-op data."""
-        session = Session(
-            branchy_net(), SessionConfig(parallel_branches=True, threads=4)
-        )
-        serial = Session(branchy_net())
-        feeds = branchy_feed()
-        outputs, profile = session.run_profiled(feeds)
-        assert {p.node for p in profile} == {n.name for n in session._order}
-        assert all(p.thread is not None for p in profile)
-        assert len({p.thread for p in profile}) >= 2
-        # and the outputs are still the real outputs
-        want = serial.run(feeds)
-        for name in want:
-            np.testing.assert_allclose(outputs[name], want[name], atol=1e-5)
-
     def test_profiled_run_leaves_no_trace_when_untraced(self):
         session = Session(chain_net())
         session.run_profiled(chain_feed())
@@ -160,16 +131,58 @@ class TestRunProfiled:
         assert profile
         assert any(s.category == "op" for s in tracer.spans_since(mark))
 
+    def test_profile_keeps_only_this_runs_rows(self):
+        """A shared tracer (an Engine gives one to every pooled session)
+        also records other threads' op spans while this run is in flight;
+        the profile must not adopt them."""
+        b = GraphBuilder("pair", seed=0)
+        x = b.input("in", (1, 4, 8, 8))
+        mid = b.conv(x, oc=4, kernel=1, name="mid")
+        b.output(b.relu(mid, name="tail"))
+        graph = b.finish()
+        runtime = Runtime.resolve(trace=Tracer())
+        session = Session(graph, runtime=runtime)
+        neighbour = Session(graph, runtime=runtime)
+        feeds = {"in": RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)}
+        runner = session._executions["mid"].runner
+        mid_fn = runner.fn
+
+        def mid_beside_neighbour(inputs):
+            thread = threading.Thread(target=neighbour.run, args=(feeds,))
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            return mid_fn(inputs)
+
+        runner.fn = mid_beside_neighbour
+        _, profile = session.run_profiled(feeds)
+        assert [p.node for p in profile] == ["mid", "tail"]
+
 
 class TestChromeTraceExport:
     def _traced(self):
+        """Two threads, each running its own session on one tracer."""
         tracer = Tracer()
-        session = Session(
-            branchy_net(),
-            SessionConfig(parallel_branches=True, threads=4),
-            runtime=Runtime.resolve(trace=tracer),
-        )
-        session.run(branchy_feed())
+        runtime = Runtime.resolve(trace=tracer)
+        graph = branchy_net()
+        sessions = [Session(graph, runtime=runtime) for _ in range(2)]
+        feeds = branchy_feed()
+        # Both threads alive at once, so their idents (the lanes) differ.
+        both_alive = threading.Barrier(2, timeout=30)
+
+        def client(session):
+            both_alive.wait()
+            session.run(feeds)
+
+        threads = [
+            threading.Thread(target=client, args=(s,), name=f"trace-client-{i}")
+            for i, s in enumerate(sessions)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
         return tracer
 
     def test_schema_well_formed(self):
@@ -202,7 +215,7 @@ class TestChromeTraceExport:
         assert ts == sorted(ts)
         # lanes are small stable numbers, not raw thread idents
         assert max(lanes) < len(lanes)
-        assert len(lanes) >= 2  # parallel run spreads over multiple lanes
+        assert len(lanes) >= 2  # one lane per running thread
 
     def test_spans_nest_properly_per_lane(self):
         """Complete events on one lane either nest or are disjoint."""
@@ -227,15 +240,13 @@ class TestChromeTraceExport:
                         assert nested, (a["name"], b["name"])
 
     def test_worker_lanes_carry_executor_names(self):
-        """Short-lived executor threads must land on labelled lanes: the
-        parallel path names its workers ``exec-worker`` so the trace
-        shows "exec-worker_0", not "ThreadPoolExecutor-3_0"."""
+        """Each lane is labelled with the name of the thread that recorded
+        it, so the trace shows "trace-client-0", not a bare tid."""
         events = chrome_trace_events(self._traced())
         names = [
             e["args"]["name"] for e in events if e["ph"] == "M"
         ]
-        workers = [n for n in names if n.startswith("exec-worker")]
-        assert len(workers) >= 2, names
+        assert {"trace-client-0", "trace-client-1"} <= set(names), names
         assert not any("ThreadPoolExecutor" in n for n in names), names
 
     def test_prepare_scheme_lanes_carry_executor_names(self):

@@ -169,12 +169,7 @@ def test_optimizer_never_changes_results(graph):
 EXECUTOR_VARIANTS = {
     "plain": lambda: (SessionConfig(), None),
     "traced": lambda: (SessionConfig(), Runtime.resolve(trace=Tracer())),
-    "parallel_branches": lambda: (
-        SessionConfig(parallel_branches=True, threads=2), None
-    ),
-    "arena_execution": lambda: (SessionConfig(arena_execution=True), None),
     "interleaved": lambda: (SessionConfig(decouple=False), None),
-    "lazy_prepare": lambda: (SessionConfig(lazy_prepare=True), None),
     "resilient": lambda: (
         SessionConfig(resilience=True), Runtime.resolve(faults=FaultPlan())
     ),
@@ -192,7 +187,7 @@ def test_decoupled_and_interleaved_agree(graph, variant):
     config, runtime = EXECUTOR_VARIANTS[variant]()
     session = Session(graph, config, runtime=runtime)
     deadline = Deadline(60_000.0) if variant == "far_deadline" else None
-    for _ in range(2):  # a second run reuses the plan (and the arena)
+    for _ in range(2):  # a second run reuses the plan
         got = list(session.run(feed, deadline=deadline).values())[0]
         assert got.dtype == plain.dtype
         assert got.tobytes() == plain.tobytes(), variant

@@ -1,9 +1,9 @@
-"""Tests for the multi-output Split op and parallel branch execution."""
+"""Tests for the multi-output Split op."""
 
 import numpy as np
 import pytest
 
-from repro.core import Session, SessionConfig
+from repro.core import Session
 from repro.core.reference import execute_reference
 from repro.converter import convert_onnx_like
 from repro.ir import GraphBuilder, GraphError, Op, dumps, loads
@@ -65,99 +65,3 @@ class TestSplitOp:
         g = convert_onnx_like(model)
         assert g.desc("a").shape == (1, 2, 4, 4)
         assert g.desc("b").shape == (1, 4, 4, 4)
-
-
-def branchy_net(seed=9):
-    """An inception-ish block with four independent branches."""
-    b = GraphBuilder("branchy", seed=seed)
-    x = b.input("in", (1, 16, 32, 32))
-    b1 = b.conv(x, oc=8, kernel=1, activation="relu")
-    b2 = b.conv(x, oc=8, kernel=3, activation="relu")
-    b3 = b.conv(x, oc=8, kernel=5, activation="relu")
-    b4 = b.relu(b.conv(b.avg_pool(x, 3, stride=1, pad_mode="same"), oc=8, kernel=1))
-    x = b.concat([b1, b2, b3, b4])
-    x = b.fc(b.global_avg_pool(x), units=6)
-    b.output(b.softmax(x))
-    return b.finish()
-
-
-class TestParallelExecution:
-    def test_matches_sequential(self):
-        g = branchy_net()
-        feed = {"in": RNG.standard_normal((1, 16, 32, 32)).astype(np.float32)}
-        want = list(Session(g).run(feed).values())[0]
-        parallel = Session(g, SessionConfig(parallel_branches=True, threads=4))
-        got = list(parallel.run(feed).values())[0]
-        np.testing.assert_allclose(got, want, atol=1e-5)
-
-    def test_repeated_runs_stable(self):
-        g = branchy_net()
-        session = Session(g, SessionConfig(parallel_branches=True, threads=4))
-        feed = {"in": RNG.standard_normal((1, 16, 32, 32)).astype(np.float32)}
-        a = list(session.run(feed).values())[0]
-        for _ in range(5):
-            np.testing.assert_array_equal(
-                list(session.run(feed).values())[0], a
-            )
-
-    def test_diamond_dependencies_respected(self):
-        b = GraphBuilder(seed=0)
-        x = b.input("in", (1, 4, 8, 8))
-        left = b.conv(x, oc=4, kernel=3)
-        right = b.conv(x, oc=4, kernel=1)
-        joined = b.add(left, right)
-        b.output(b.relu(joined))
-        g = b.finish()
-        feed = {"in": RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)}
-        want = list(Session(g).run(feed).values())[0]
-        got = list(
-            Session(g, SessionConfig(parallel_branches=True)).run(feed).values()
-        )[0]
-        np.testing.assert_allclose(got, want, atol=1e-6)
-
-    def test_input_validation_still_applies(self):
-        session = Session(branchy_net(), SessionConfig(parallel_branches=True))
-        with pytest.raises(GraphError, match="missing input"):
-            session.run({})
-        with pytest.raises(GraphError, match="expected shape"):
-            session.run({"in": np.zeros((1, 1, 1, 1), np.float32)})
-
-    def test_errors_propagate_from_workers(self):
-        g = branchy_net()
-        session = Session(g, SessionConfig(parallel_branches=True))
-        # poison one execution to throw
-        name = next(iter(session._executions))
-        class Boom(Exception):
-            pass
-
-        def explode(inputs):
-            raise Boom("kernel failure")
-
-        session._executions[name].runner.fn = explode
-        with pytest.raises(Boom):
-            session.run({"in": np.zeros((1, 16, 32, 32), np.float32)})
-
-    def test_simulated_backend_ignores_flag(self):
-        from repro.devices import get_device
-
-        g = branchy_net()
-        session = Session(
-            g,
-            SessionConfig(parallel_branches=True, backend="vulkan",
-                          device=get_device("MI6")),
-        )
-        feed = {"in": RNG.standard_normal((1, 16, 32, 32)).astype(np.float32)}
-        session.run(feed)
-        assert session.last_run.virtual_ms > 0  # sequential virtual path ran
-
-    def test_random_graph_parity(self):
-        """Parallel executor agrees with sequential on assorted topologies."""
-        for seed in range(5):
-            g = branchy_net(seed=seed)
-            feed = {"in": RNG.standard_normal((1, 16, 32, 32)).astype(np.float32)}
-            want = list(Session(g).run(feed).values())[0]
-            got = list(
-                Session(g, SessionConfig(parallel_branches=True, threads=3))
-                .run(feed).values()
-            )[0]
-            np.testing.assert_allclose(got, want, atol=1e-5)
