@@ -15,11 +15,9 @@ stopped recording would otherwise rot unnoticed — and once by a seeded
 fault-storm session (``_chaos_or_fail``) that injects transient kernel
 failures and NaN-poisons every Winograd convolution, asserting the
 resilience layer still produces finite outputs matching a fault-free run.
-
-The generation stack gets the same treatment once per benchmark session
-(``_genai_storm``): a seeded ``kvcache.alloc`` fault storm over a small
-continuous-batching engine, asserting that memory-pressure faults degrade
-to eviction/retry without moving a single output token.
+The engine-level storms (serving, generation, cluster) are not repeated
+here: ``repro.faults.chaos`` runs them, from ``tests/test_faults_chaos.py``
+and ``cli chaos --sanitize``.
 
 A fourth pre-flight (``_sanitize_or_fail``) runs each benchmark graph
 once under the concurrency sanitizer (``Runtime.resolve(sanitize=True)``):
@@ -153,114 +151,6 @@ def _sanitize_or_fail(name, graph):
             f"findings:\n{report.describe()}",
             pytrace=False,
         )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _genai_storm():
-    """One seeded generation storm per benchmark session.
-
-    KV-slab allocation faults (flaky arena + hard OOM) must be absorbed
-    by retry, LRU eviction or preemption: every request that completes
-    has to emit exactly the fault-free tokens, and failures must be
-    typed per-request errors, never crashes.
-    """
-    import numpy as np
-
-    from repro.faults import FaultPlan, FaultRule
-    from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
-
-    def build(faults=None):
-        return GenerationEngine(GenerationConfig(
-            vocab=32, max_seq=16, d_model=16, heads=2, layers=1, seed=8,
-            max_batch=2, page_tokens=4, capacity_tokens=48, faults=faults,
-        ))
-
-    rng = np.random.default_rng(8)
-    prompts = [[int(t) for t in rng.integers(0, 32, size=int(n))]
-               for n in rng.integers(2, 6, size=4)]
-    params = SamplingParams(max_tokens=4)
-    gold = [r.tokens for r in build().generate(prompts, params)]
-    plan = FaultPlan([
-        FaultRule("kvcache.alloc", "transient", times=2),
-        FaultRule("kvcache.alloc", "fatal", p=0.5, times=3),
-    ], seed=8)
-    results = build(plan).generate(prompts, params)
-    if plan.injected == 0:
-        pytest.fail("generation storm injected no kvcache.alloc faults",
-                    pytrace=False)
-    for got, want in zip(results, gold):
-        if got.finish_reason != "error" and got.tokens != want:
-            pytest.fail(
-                f"generation storm moved tokens for {got.request_id!r}: "
-                f"{got.tokens} != {want} — alloc faults must only shuffle "
-                f"memory, never arithmetic",
-                pytrace=False,
-            )
-    yield
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _cluster_storm():
-    """One seeded router-level chaos storm per benchmark session.
-
-    A 2-worker generation cluster takes ``worker.crash`` faults at the
-    router's dispatch point: one worker killed before starting, one
-    mid-decode.  The router must absorb both — transparent replay on
-    the ring's next live worker, supervisor replacement of every corpse
-    — with zero untyped errors and every completed generation
-    bit-identical to a local, in-process fault-free engine.
-    """
-    from repro.cluster import Cluster, ClusterConfig, WorkerLost
-    from repro.faults import FaultPlan, FaultRule
-    from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
-    from repro.obs import MetricsRegistry
-
-    import numpy as np
-
-    genai = dict(vocab=32, max_seq=16, d_model=16, heads=2, layers=1, seed=8,
-                 max_batch=2, page_tokens=4, capacity_tokens=48)
-    rng = np.random.default_rng(9)
-    prompts = [[int(t) for t in rng.integers(0, 32, size=int(n))]
-               for n in rng.integers(2, 6, size=4)]
-    gold_engine = GenerationEngine(GenerationConfig(**genai))
-    gold = [r.tokens
-            for r in gold_engine.generate(prompts, SamplingParams(max_tokens=4))]
-    gold_engine.close()
-
-    plan = FaultPlan([
-        FaultRule("worker.crash", "transient", times=1),
-        FaultRule("worker.crash", "fatal", times=1, skip=1),
-    ], seed=9)
-    metrics = MetricsRegistry()
-    cluster = Cluster(config=ClusterConfig(
-        workers=2, genai=genai, metrics=metrics, faults=plan,
-    ))
-    try:
-        for i, prompt in enumerate(prompts):
-            try:
-                out = cluster.generate(prompt, {"max_tokens": 4},
-                                       session_key=f"bench-{i}")
-            except WorkerLost:
-                continue  # typed, isolated — acceptable under "error" paths
-            if out.tokens != gold[i]:
-                pytest.fail(
-                    f"router storm moved tokens for prompt {i}: "
-                    f"{out.tokens} != {gold[i]} — a worker crash must "
-                    f"never change surviving outputs",
-                    pytrace=False,
-                )
-        if plan.injected == 0:
-            pytest.fail("router storm injected no worker.crash faults",
-                        pytrace=False)
-        if metrics.value("cluster.replacements") < 1:
-            pytest.fail(
-                "router storm killed workers but the supervisor recorded "
-                "no replacements — supervision has rotted",
-                pytrace=False,
-            )
-    finally:
-        cluster.close()
-    yield
 
 
 @pytest.fixture

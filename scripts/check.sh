@@ -5,33 +5,37 @@
 #
 # Thirteen stages, each of which must pass:
 #
-#   1. Static concurrency lint (rule family C0xx) over src/repro itself,
-#      in strict mode — warnings fail too.
+#   1. Static concurrency lint (rule family C0xx) over src/repro itself
+#      (`cli sanitize --strict`) — warnings fail too.
 #   2. Strict graph lint + memory-plan sanitizer over every registered
 #      zoo model (each one is built fresh, then linted).
 #   3. The lint_self and sanitize pytest markers: the repo lints its own
 #      fixtures, the race / lock-order / lifecycle detectors prove they
 #      both catch seeded defects and come up clean on real code, and the
 #      prefix-cache bit-identity properties run under the sanitizer.
-#   4. A 50-fault sanitized chaos storm: fault injection with the
-#      dynamic sanitizer live across serving, batching, generation and
-#      COW prefix sharing — any race, lock cycle or leaked slab fails
-#      the storm.
+#   4. A 50-fault sanitized chaos storm (`cli chaos --sanitize`): the
+#      seven phases of repro.faults.chaos — cache, pool+dispatch, batch,
+#      numeric, generation, COW prefix sharing, cluster — with the
+#      dynamic sanitizer live; any race, lock cycle, leaked slab or
+#      shared-memory segment fails the storm.
 #   5. Pre-inference cache guard: on the serving bench graph, a traced
 #      warm engine must hit the cache once (digest check and full decode
 #      of the entry), its scheme_selection and memory_plan spans must say
 #      cached=True, and it must answer bitwise equal to the cold engine.
 #      Cold and warm prepare times from the engine's metrics registry are
 #      printed for information only.
-#   6. Prometheus self-test: a tracked generation workload is exported
-#      as text exposition and re-ingested by the validating parser; the
-#      SLO and resource families must all be present and well-formed.
+#   6. Prometheus self-test, run once with its verdict line shown: a
+#      tracked generation workload is exported as text exposition and
+#      re-ingested by the validating parser; the SLO and resource
+#      families must all be present and well-formed.
 #   7. Request-timeline overhead guard: disabled request tracking must
 #      cost under 5% of a small-model run.
 #   8. Bench-regression gate: a micro-benchmark writes two consecutive
 #      BENCH records into a scratch trajectory and `cli regress` must
 #      pass it — exercising the stamp, headline extraction and the
-#      noise threshold end to end.
+#      noise threshold end to end.  Each run pre-flights its graph
+#      (lint, trace, a per-graph fault storm, sanitizer); the engine
+#      storms are stage 4's and are not repeated.
 #   9. Cluster supervision self-test: spawn the multi-process serving
 #      tier, SIGKILL a worker mid-run, and require the supervisor to
 #      replace it with the post-recovery response bit-identical to the
@@ -67,7 +71,7 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
 echo "== [1/13] static concurrency lint (C0xx, strict) =="
-python -m repro.tools.cli sanitize --static-only --strict
+python -m repro.tools.cli sanitize --strict
 
 echo
 echo "== [2/13] strict model lint over the registered zoo =="
@@ -134,7 +138,6 @@ PY
 
 echo
 echo "== [6/13] prometheus export self-test =="
-python -m repro.tools.cli metrics --prom --selftest >/dev/null
 python -m repro.tools.cli metrics --prom --selftest | tail -n 1
 
 echo

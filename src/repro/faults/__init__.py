@@ -39,7 +39,7 @@ from .plan import (
     parse_fault_spec,
     set_fault_plan,
 )
-from .resilience import CircuitBreaker, Deadline, retry_transient
+from .resilience import ABSORBERS, CircuitBreaker, Deadline, retry_transient
 
 __all__ = [
     # errors
@@ -62,6 +62,7 @@ __all__ = [
     "get_fault_plan",
     "set_fault_plan",
     # resilience
+    "ABSORBERS",
     "Deadline",
     "retry_transient",
     "CircuitBreaker",

@@ -25,9 +25,25 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 from ..obs.metrics import get_metrics
 from .errors import DeadlineExceeded, TransientFault
 
-__all__ = ["Deadline", "retry_transient", "CircuitBreaker"]
+__all__ = ["ABSORBERS", "Deadline", "retry_transient", "CircuitBreaker"]
 
 T = TypeVar("T")
+
+#: The right-hand side of the fault-accounting equation: every injected
+#: fault (``faults.injected``) is absorbed by exactly one of these
+#: counters.  Each term is ``(counter, ChaosReport field, label)``; the
+#: chaos report, its verdict and every postmortem's ``fault_state`` read
+#: the equation from here.
+ABSORBERS: Tuple[Tuple[str, str, str], ...] = (
+    ("retry.attempts", "retries", "retries"),
+    ("fallback.ops", "fallback_ops", "op fallbacks"),
+    ("fallback.numeric", "fallback_numeric", "numeric fallbacks"),
+    ("fallback.cache", "fallback_cache", "cache fallbacks"),
+    ("fallback.evict", "fallback_evict", "evictions"),
+    ("faults.isolated", "isolated", "isolated"),
+    ("fallback.replay", "replays", "crash replays"),
+    ("cluster.worker_lost", "worker_lost", "workers lost"),
+)
 
 
 class Deadline:

@@ -13,8 +13,9 @@ postmortem JSON artifact containing:
 * the set of requests live at dump time,
 * a counters-only metrics snapshot (deterministic mode) or the full
   snapshot including gauges and latency histograms,
-* the active fault-injection state (``faults.injected`` /
-  ``faults.isolated`` / retry and fallback tallies), and
+* the active fault-injection state (``faults.injected``, every
+  absorbing counter in :data:`repro.faults.ABSORBERS`, and
+  ``breaker.opens``), and
 * any extra context the caller attaches (sanitizer findings, exception
   detail).
 
@@ -39,18 +40,6 @@ __all__ = ["FlightRecorder", "POSTMORTEM_SCHEMA"]
 
 #: Bumped when the postmortem JSON layout changes shape.
 POSTMORTEM_SCHEMA = 1
-
-#: Counters summarizing fault-injection state, copied into every dump.
-_FAULT_COUNTERS = (
-    "faults.injected",
-    "faults.isolated",
-    "retry.attempts",
-    "fallback.ops",
-    "fallback.numeric",
-    "fallback.cache",
-    "fallback.evict",
-    "breaker.opens",
-)
 
 
 def _safe_name(text: str) -> str:
@@ -133,10 +122,16 @@ class FlightRecorder:
                 rings = {request_id: list(self._rings.get(request_id, ()))}
             else:
                 rings = {rid: list(ring) for rid, ring in self._rings.items()}
+        # Imported here: repro.faults imports repro.obs.metrics, so a
+        # module-level import would cycle through repro.obs.
+        from ..faults import ABSORBERS
+
         snap = self._registry().snapshot()
+        # Both sides of the fault-accounting equation, then the breaker.
+        names = ("faults.injected", *(c for c, _, _ in ABSORBERS), "breaker.opens")
         fault_state = {
             name: snap["counters"][name]
-            for name in _FAULT_COUNTERS
+            for name in names
             if name in snap["counters"]
         }
         payload: Dict[str, object] = {

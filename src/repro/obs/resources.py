@@ -1,4 +1,4 @@
-"""Periodic resource sampling: counter tracks for Perfetto and BENCH.
+"""Resource sampling: counter tracks for Perfetto and BENCH.
 
 A :class:`ResourceSampler` polls a set of named sources — callables
 returning the current value of a resource counter (KV-slab page/token
@@ -12,10 +12,9 @@ hit rate) — and fans each sample out three ways:
 * a bounded in-memory history, exported by :meth:`series` as parallel
   lists for the ``BENCH_*.json`` trajectories.
 
-Sampling is driven either explicitly (``sample()`` at natural ticks —
-the continuous-batching scheduler calls it once per decode step) or by a
-background thread (``start(interval_ms)`` / ``stop()``) for the serving
-engine, where there is no single loop to hook.
+Sampling is explicit, at natural ticks: the continuous-batching
+scheduler calls :meth:`~ResourceSampler.sample` once per decode step,
+and ``Engine.infer`` once per request as it finishes.
 """
 
 from __future__ import annotations
@@ -48,13 +47,7 @@ class ResourceSampler:
         self._history: Dict[str, Deque[float]] = {}
         self._max_samples = max_samples
         self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self.samples = 0
-
-    def add_source(self, name: str, fn: Callable[[], float]) -> None:
-        with self._lock:
-            self.sources[name] = fn
 
     def _tracer_or_default(self) -> Tracer:
         return self._tracer if self._tracer is not None else get_tracer()
@@ -67,7 +60,7 @@ class ResourceSampler:
         """Take one sample of every source (plus ad-hoc ``extra`` values).
 
         Sources that raise are skipped for that tick — a closing engine
-        must not take the sampler thread down with it.
+        must not fail the request that samples it.
         """
         with self._lock:
             sources = list(self.sources.items())
@@ -99,30 +92,3 @@ class ResourceSampler:
         """Per-counter sample history, oldest first (for BENCH records)."""
         with self._lock:
             return {name: list(h) for name, h in sorted(self._history.items())}
-
-    # -- background mode ----------------------------------------------------
-    def start(self, interval_ms: float = 100.0) -> None:
-        """Sample on a background thread every ``interval_ms`` until stop()."""
-
-        def _loop() -> None:
-            while not self._stop.wait(interval_ms / 1000.0):
-                self.sample()
-
-        with self._lock:
-            if self._thread is not None:
-                return
-            self._stop.clear()
-            thread = threading.Thread(
-                target=_loop, name="resource-sampler", daemon=True
-            )
-            self._thread = thread
-        thread.start()
-
-    def stop(self) -> None:
-        # Join outside the lock: the sampler loop takes it in sample().
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            self._stop.set()
-        if thread is not None:
-            thread.join(timeout=5.0)

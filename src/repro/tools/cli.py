@@ -20,7 +20,7 @@ Usage::
     python -m repro.tools.cli devices
     python -m repro.tools.cli schemes model.rmnn
     python -m repro.tools.cli chaos [model.rmnn] --seed 0 --faults 200 [--sanitize]
-    python -m repro.tools.cli sanitize [--static-only] [--faults 50]
+    python -m repro.tools.cli sanitize [--strict]
     python -m repro.tools.cli regress BENCH_decode.json [--threshold 0.5]
 
 Every command returns 0 on success and prints human-readable output; the
@@ -716,9 +716,9 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_sanitize(args) -> int:
-    """Concurrency/lifecycle correctness gate: static C0xx lint over the
-    source tree, then a sanitized dynamic self-check (a small fault storm
-    with the race/lock-order/lifecycle detectors live)."""
+    """Static concurrency lint (C0xx) over the source tree.  The dynamic
+    half is ``chaos --sanitize``: the fault storm with the race /
+    lock-order / lifecycle detectors live."""
     from pathlib import Path
 
     from ..analysis import (
@@ -740,18 +740,7 @@ def cmd_sanitize(args) -> int:
         if d.severity is Severity.ERROR
         or (args.strict and d.severity is Severity.WARNING)
     ]
-    rc = 1 if failing else 0
-
-    if not args.static_only:
-        from ..faults.chaos import run_chaos_storm
-
-        report = run_chaos_storm(
-            seed=args.seed, target_faults=args.faults, sanitize=True
-        )
-        print(report.describe())
-        if not report.ok:
-            rc = 1
-    return rc
+    return 1 if failing else 0
 
 
 def cmd_generate(args) -> int:
@@ -1068,18 +1057,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "gate with a note")
     p.set_defaults(fn=cmd_regress)
 
-    p = sub.add_parser("sanitize", help="concurrency lint (C0xx) + sanitized "
-                                        "dynamic self-check")
+    p = sub.add_parser("sanitize", help="static concurrency lint (C0xx) over "
+                                        "the source tree")
     p.add_argument("--root", default=None,
                    help="source tree to lint (default: the installed repro "
                         "package)")
     p.add_argument("--strict", action="store_true",
                    help="treat C0xx warnings as failures (exit 1)")
-    p.add_argument("--static-only", action="store_true",
-                   help="skip the sanitized dynamic storm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", type=int, default=50,
-                   help="fault budget for the sanitized dynamic storm")
     p.set_defaults(fn=cmd_sanitize)
 
     p = sub.add_parser("generate", help="continuous-batching autoregressive "

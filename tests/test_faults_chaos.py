@@ -3,9 +3,13 @@
 Marked ``chaos`` so they can be selected with ``-m chaos``; they run in
 the default suite too (the storm is sub-second on this substrate)."""
 
+import hashlib
+import json
+from dataclasses import replace
+
 import pytest
 
-from repro.faults.chaos import STORM_SITES, run_chaos_storm
+from repro.faults.chaos import PHASES, STORM_SITES, run_chaos_storm
 
 pytestmark = pytest.mark.chaos
 
@@ -49,6 +53,25 @@ class TestChaosStorm:
         text = report.describe()
         assert "verdict OK" in text
         assert "reconciled yes" in text
+
+    def test_verdict_needs_a_replacement_once_a_worker_crashed(self, report):
+        assert report.site_counts["worker.crash"] > 0
+        assert report.replacements >= 1
+        assert not replace(report, replacements=0).ok
+
+    def test_injection_sequence_is_pinned(self, report):
+        # Every fault of the seed-0 storm, in order: a refactor of the
+        # phase table must not add, drop or reorder a single one.
+        digest = hashlib.sha256(json.dumps(report.events).encode()).hexdigest()
+        assert len(report.events) == 249
+        assert digest == (
+            "c7ae40f3459be3705b2975f0fc03cb8e09c7d52accb527dbc37364610c966925"
+        )
+
+
+def test_every_storm_site_is_named_by_a_phase_rule():
+    named = {rule.site for phase in PHASES for rule in phase.rules}
+    assert set(STORM_SITES) <= named
 
 
 class TestChaosDeterminism:

@@ -66,6 +66,17 @@ class TestDump:
         assert [e["name"] for e in events] == ["enqueued", "deadline_exceeded"]
         assert reg.value("recorder.dumps") == 1
 
+    def test_fault_state_carries_every_absorbing_counter(self, tmp_path):
+        # A WorkerLost postmortem must show the counter that resolved it.
+        _, recorder, reg = _tracker(tmp_path)
+        reg.counter("faults.injected").inc(2)
+        reg.counter("fallback.replay").inc()
+        reg.counter("cluster.worker_lost").inc()
+        state = recorder.payload("WorkerLost", "r0")["fault_state"]
+        assert state == {
+            "faults.injected": 2, "fallback.replay": 1, "cluster.worker_lost": 1,
+        }
+
     def test_dump_filenames_are_deterministic_and_ordered(self, tmp_path):
         tracker, recorder, _ = _tracker(tmp_path)
         tracker.start("req-7").event("tick")

@@ -342,6 +342,6 @@ class TestQuantizedChaos:
 
         report = run_chaos_storm(seed=5, target_faults=12, max_rounds=12,
                                  kv_dtype="int8")
-        assert report.ok, report.summary()
+        assert report.ok, report.describe()
         assert report.injected >= 12
         assert report.mismatched == 0 and report.crashes == 0

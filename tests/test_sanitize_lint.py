@@ -400,10 +400,10 @@ class TestSelfLint:
             f"{d.rule} {d.node}: {d.message}" for d in diags
         )
 
-    def test_cli_sanitize_static_only_passes(self, capsys):
+    def test_cli_sanitize_strict_passes(self, capsys):
         from repro.tools.cli import main
 
-        rc = main(["sanitize", "--static-only", "--strict"])
+        rc = main(["sanitize", "--strict"])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "no problems" in out
