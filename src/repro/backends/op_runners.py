@@ -10,7 +10,9 @@ up front:
 * padding is resolved from the static shapes (pre-inference!),
 * Winograd kernels are pre-transformed (the "pre-computed constants" of
   Figure 2),
-* GEMM-shaped weights are pre-reshaped.
+* GEMM-shaped weights are pre-reshaped — as views: no constant is ever
+  copied or transposed, at build time or per run,
+* average-pool divisors are computed from the static shapes.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                     y = K.winograd_conv2d_with_kernel(inputs[0], _p, _t, _b, pads, stride)
                     return [K.apply_activation(y, activation)]
             elif kind == "gemm1x1":
-                def fn(inputs, *, _w=weights, _b=bias):
+                # A reshape view of the constant: the GEMM's W(oc, ic).
+                def fn(inputs, *, _w=weights.reshape(weights.shape[0], -1), _b=bias):
                     y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen)
                     return [K.apply_activation(y, activation)]
             else:
@@ -224,7 +227,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 return [out]
         else:
             def fn(inputs, *, _w=weights, _b=bias):
-                return [K.fully_connected(inputs[0], _w, _b, use_strassen)]
+                return [K.fully_connected(inputs[0], _w, _b)]
 
     elif op == Op.BATCH_NORM:
         gamma, beta, mean, var = (const_arrays[name] for name in node.inputs[1:5])
@@ -272,9 +275,13 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 return [K.max_pool2d(inputs[0], kernel, stride, pads, out_hw)]
         else:
             include_pad = bool(attrs["count_include_pad"])
+            counts = None if include_pad else K.pool_counts(
+                x_desc.shape[2:], kernel, stride, pads, out_hw, x_desc.dtype.np_dtype
+            )
 
             def fn(inputs):
-                return [K.avg_pool2d(inputs[0], kernel, stride, pads, out_hw, include_pad)]
+                return [K.avg_pool2d(inputs[0], kernel, stride, pads, out_hw, include_pad,
+                                     counts)]
 
     elif op in (Op.ADD, Op.SUB, Op.MUL, Op.ELTWISE_MAX):
         binary = {Op.ADD: K.add, Op.SUB: K.sub, Op.MUL: K.mul, Op.ELTWISE_MAX: K.eltwise_max}[op]

@@ -674,10 +674,10 @@ class Session:
     def _direct_runner(self, node: Node):
         """The direct-scheme alternative for ``node`` (``None`` if none).
 
-        Convolutions running Winograd/Strassen-flavoured schemes get a
-        sliding-window (im2col) runner; Strassen GEMM/FC ops get a plain
-        tiled GEMM.  Built on first use, cached (including the negative
-        answer) per node.
+        Winograd convolutions get a sliding-window (im2col) runner;
+        Strassen GEMM ops — 1x1 convolutions and MatMul — get the same
+        GEMM as a plain tiled one (FC never runs Strassen).  Built on first use, cached (including
+        the negative answer) per node.
         """
         if node.name in self._direct_runners:
             return self._direct_runners[node.name]
@@ -687,13 +687,9 @@ class Session:
         if node.op_type == Op.CONV2D:
             scheme = self.schemes.get(node.name)
             if scheme is not None and scheme.kind != "sliding":
-                runner = build_runner(
-                    node, self.graph, SchemeDecision(kind="sliding"),
-                    use_strassen=False,
-                )
-        elif self.config.use_strassen and node.op_type in (
-            Op.MATMUL, Op.FULLY_CONNECTED
-        ):
+                direct = scheme if scheme.kind == "gemm1x1" else SchemeDecision(kind="sliding")
+                runner = build_runner(node, self.graph, direct, use_strassen=False)
+        elif self.config.use_strassen and node.op_type == Op.MATMUL:
             runner = build_runner(node, self.graph, None, use_strassen=False)
         self._direct_runners[node.name] = runner
         return runner

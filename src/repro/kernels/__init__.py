@@ -22,7 +22,7 @@ from .winograd import (
 )
 from .conv import apply_activation, conv2d, conv2d_1x1, conv2d_im2col, im2col
 from .depthwise import depthwise_conv2d
-from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d
+from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d, pool_counts
 from .elementwise import (
     add,
     batch_norm,
@@ -96,6 +96,7 @@ __all__ = [
     "avg_pool2d",
     "global_avg_pool2d",
     "max_pool2d",
+    "pool_counts",
     "add",
     "batch_norm",
     "eltwise_max",

@@ -90,8 +90,10 @@ def conv2d_im2col(
     for g in range(groups):
         group_cols = cols[:, :, :, g * icg : (g + 1) * icg]
         lhs = np.ascontiguousarray(group_cols).reshape(n * oh * ow, icg * kh * kw)
+        # A transposed view: BLAS reads it through its transpose flag, so
+        # the constant weights are never copied per call.
         rhs = weights[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
-        prod = tiled_matmul(lhs, np.ascontiguousarray(rhs), stats=stats)
+        prod = tiled_matmul(lhs, rhs, stats=stats)
         out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
@@ -106,20 +108,31 @@ def conv2d_1x1(
     use_strassen: bool = True,
     stats: Optional[GemmStats] = None,
 ) -> np.ndarray:
-    """1x1 convolution as one large GEMM, Strassen-accelerated (Section 3.3.2)."""
-    if weights.shape[2:] != (1, 1):
+    """1x1 convolution as a GEMM, Strassen-accelerated (Section 3.3.2).
+
+    Computed straight in NCHW: each sample is ``W(oc, ic) @ X(ic, h*w)``,
+    so neither the activation, the weights nor the result is transposed.
+    Eq. 9 and the tile count are symmetric in the outer dimensions, so the
+    Strassen decision and :class:`GemmStats` match the NHWC orientation
+    ``X^T @ W^T``.  One GEMM per sample makes row ``i`` of a batched call
+    bitwise equal to the single-sample call.
+
+    ``weights`` is ``(oc, ic, 1, 1)`` or its ``(oc, ic)`` reshape, which a
+    runner binds once as a view of the graph constant.
+    """
+    if weights.shape[2:] not in ((), (1, 1)) or weights.ndim not in (2, 4):
         raise ValueError(f"conv2d_1x1 needs a 1x1 kernel, got {weights.shape}")
     if stride != (1, 1):
         x = x[:, :, :: stride[0], :: stride[1]]
     n, ic, h, w = x.shape
     oc = weights.shape[0]
-    lhs = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, ic)
-    rhs = np.ascontiguousarray(weights.reshape(oc, ic).T)
-    out = matmul(lhs, rhs, use_strassen=use_strassen, stats=stats)
-    out = out.reshape(n, h, w, oc).transpose(0, 3, 1, 2)
+    w2d = weights.reshape(oc, ic)
+    prods = [matmul(w2d, xi.reshape(ic, h * w), use_strassen=use_strassen, stats=stats)
+             for xi in x]
+    out = (prods[0] if n == 1 else np.stack(prods)).reshape(n, oc, h, w)
     if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    return np.ascontiguousarray(out)
+        out += bias.reshape(1, -1, 1, 1)
+    return out
 
 
 def conv2d(

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .matmul import GemmStats, matmul
+from .matmul import GemmStats, tiled_matmul
 
 __all__ = ["fully_connected", "conv_transpose2d", "resize2d", "pad_nd", "reduce_mean"]
 
@@ -15,20 +15,26 @@ def fully_connected(
     x: np.ndarray,
     weights: np.ndarray,
     bias: Optional[np.ndarray] = None,
-    use_strassen: bool = True,
     stats: Optional[GemmStats] = None,
 ) -> np.ndarray:
     """FC layer: flatten trailing dims, then ``x @ W^T + b``.
+
+    ``W^T`` is a view that BLAS reads through its transpose flag, so the
+    weights are copied neither per call nor when a runner is built.  Each
+    row is its own tiled GEMM: BLAS sums a 1-row and an n-row product in
+    different orders, and row ``i`` of a batch must be bitwise the
+    single-sample call (as in :func:`~repro.kernels.conv.conv2d_1x1`).
+    A one-row product is below Eq. 9's reach, so FC never runs Strassen.
 
     Args:
         x: (N, ...) input, flattened to (N, in_features).
         weights: (units, in_features).
     """
-    n = x.shape[0]
-    flat = np.ascontiguousarray(x.reshape(n, -1))
-    out = matmul(flat, np.ascontiguousarray(weights.T), use_strassen=use_strassen, stats=stats)
+    rows = [tiled_matmul(row[None], weights.T, stats=stats)
+            for row in x.reshape(x.shape[0], -1)]
+    out = rows[0] if len(rows) == 1 else np.concatenate(rows)
     if bias is not None:
-        out = out + bias
+        out += bias
     return out
 
 

@@ -309,6 +309,13 @@ def cmd_benchmark(args) -> int:
         print("slowest operators:")
         for p in profile[:args.profile]:
             print(f"  {p.node:24s} {p.op_type:16s} {p.wall_ms:7.2f} ms")
+        by_type = {}
+        for p in profile:
+            by_type[p.op_type] = by_type.get(p.op_type, 0.0) + p.wall_ms
+        total = sum(by_type.values()) or 1.0
+        print("time by operator type:")
+        for op_type, ms in sorted(by_type.items(), key=lambda kv: -kv[1]):
+            print(f"  {op_type:24s} {ms:7.2f} ms {ms / total:6.1%}")
     return 0
 
 
@@ -929,7 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--profile", type=int, default=0, metavar="N",
-                   help="also print the N slowest operators")
+                   help="also print the N slowest operators and the time per "
+                        "operator type")
     p.set_defaults(fn=cmd_benchmark)
 
     p = sub.add_parser("trace", help="record a Chrome trace of pre-inference "

@@ -61,6 +61,13 @@ class TestCli:
                      "--profile", "3"]) == 0
         out = capsys.readouterr().out
         assert "latency:" in out and "slowest operators:" in out
+        # One row per operator type of the run, largest share first.
+        totals = out.split("time by operator type:\n")[1].splitlines()
+        shares = [float(line.split()[-1].rstrip("%")) for line in totals]
+        assert shares == sorted(shares, reverse=True)
+        assert sum(shares) == pytest.approx(100.0, abs=0.5)
+        graph = load_model(model_path)
+        assert {line.split()[0] for line in totals} == {n.op_type for n in graph.nodes}
 
     def test_estimate(self, model_path, capsys):
         assert main(["estimate", model_path, "--device", "Mate20",

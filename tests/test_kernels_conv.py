@@ -11,11 +11,28 @@ from repro.kernels import (
     conv2d_im2col,
     depthwise_conv2d,
     im2col,
+    matmul,
 )
 
 from .gold import conv2d_naive, depthwise_conv2d_naive
 
 RNG = np.random.default_rng(11)
+
+
+def _conv1x1_nhwc(x, weights, bias=None, stride=(1, 1), use_strassen=True, stats=None):
+    """The previous ``conv2d_1x1``, kept as an oracle: one GEMM over the
+    NHWC-transposed activation and the transposed weights."""
+    if stride != (1, 1):
+        x = x[:, :, :: stride[0], :: stride[1]]
+    n, ic, h, w = x.shape
+    oc = weights.shape[0]
+    lhs = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(n * h * w, ic)
+    rhs = np.ascontiguousarray(weights.reshape(oc, ic).T)
+    out = matmul(lhs, rhs, use_strassen=use_strassen, stats=stats)
+    out = out.reshape(n, h, w, oc).transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    return np.ascontiguousarray(out)
 
 
 class TestIm2col:
@@ -114,6 +131,57 @@ class TestConv1x1:
         assert stats.max_depth >= 1  # Strassen actually recursed
         direct = 576 * 512 * 512
         assert stats.mul_elements < direct
+        old = GemmStats()
+        _conv1x1_nhwc(x, w, stats=old)
+        assert stats == old
+
+    def test_accepts_the_runner_bound_2d_view(self):
+        x = RNG.standard_normal((2, 8, 5, 5)).astype(np.float32)
+        w = RNG.standard_normal((16, 8, 1, 1)).astype(np.float32)
+        np.testing.assert_array_equal(conv2d_1x1(x, w.reshape(16, 8)), conv2d_1x1(x, w))
+
+    @given(
+        n=st.integers(1, 3),
+        ic=st.integers(1, 40),
+        oc=st.integers(1, 40),
+        h=st.integers(1, 12),
+        w=st.integers(1, 12),
+        stride=st.sampled_from([(1, 1), (2, 2), (1, 2)]),
+        bias=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_nchw_matches_nhwc_and_rows_match_single_calls(
+        self, n, ic, oc, h, w, stride, bias, seed
+    ):
+        """Within 1e-5 of the NHWC formulation; batch row i is bitwise the
+        single-sample call."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, ic, h, w)).astype(np.float32)
+        wt = rng.standard_normal((oc, ic, 1, 1)).astype(np.float32)
+        b = rng.standard_normal(oc).astype(np.float32) if bias else None
+        got = conv2d_1x1(x, wt, b, stride)
+        want = _conv1x1_nhwc(x, wt, b, stride)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+        for i in range(n):
+            np.testing.assert_array_equal(got[i : i + 1], conv2d_1x1(x[i : i + 1], wt, b, stride))
+
+    @given(
+        ic=st.integers(1, 600),
+        oc=st.integers(1, 600),
+        hw=st.integers(1, 24),
+        use_strassen=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_gemm_stats_match_the_nhwc_orientation(self, ic, oc, hw, use_strassen):
+        """Eq. 9 and the tile count are symmetric in the outer dimensions."""
+        x = np.ones((1, ic, hw, hw), np.float32)
+        w = np.ones((oc, ic, 1, 1), np.float32)
+        new, old = GemmStats(), GemmStats()
+        conv2d_1x1(x, w, use_strassen=use_strassen, stats=new)
+        _conv1x1_nhwc(x, w, use_strassen=use_strassen, stats=old)
+        assert new == old
 
 
 class TestDepthwise:

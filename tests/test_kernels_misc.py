@@ -121,12 +121,124 @@ class TestPooling:
         got = max_pool2d(x, (3, 3), (1, 1), (1, 1, 1, 1), (4, 4))
         np.testing.assert_array_equal(got, -np.ones((1, 1, 4, 4), np.float32))
 
+    def test_max_pool_pads_with_minus_inf(self):
+        """A border window of real -inf values pools to -inf, not float32's min."""
+        x = np.full((1, 2, 4, 4), -np.inf, np.float32)
+        got = max_pool2d(x, (3, 3), (1, 1), (1, 1, 1, 1), (4, 4))
+        np.testing.assert_array_equal(got, x)
+        np.testing.assert_array_equal(got, max_pool2d_naive(x, (3, 3), (1, 1), (1, 1, 1, 1), (4, 4)))
+
+    def test_int_max_pool_pads_with_dtype_min(self):
+        x = np.full((1, 1, 3, 3), np.iinfo(np.int32).min, np.int32)
+        got = max_pool2d(x, (3, 3), (1, 1), (1, 1, 1, 1), (3, 3))
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, x)
+
+    @given(
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
+        sh=st.integers(1, 3),
+        sw=st.integers(1, 3),
+        pad=st.tuples(*[st.integers(0, 3)] * 4),
+        ceil_mode=st.booleans(),
+        specials=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_running_maximum_is_bitwise_the_window_reduction(
+        self, n, c, h, w, kh, kw, sh, sw, pad, ceil_mode, specials, seed
+    ):
+        """Oracle: the kernel's previous formulation, one reduction over a
+        6-D sliding-window view (with the -inf padding the docstring states)."""
+        top, bottom, left, right = (min(p, k - 1) for p, k in zip(pad, (kh, kh, kw, kw)))
+        span_h, span_w = h + top + bottom - kh, w + left + right - kw
+        if span_h < 0 or span_w < 0:
+            return
+        if ceil_mode:  # may grow the padded extent on the bottom/right
+            out_hw = (-(-span_h // sh) + 1, -(-span_w // sw) + 1)
+        else:
+            out_hw = (span_h // sh + 1, span_w // sw + 1)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        mask = rng.random(x.shape) < specials
+        x[mask] = rng.choice(
+            np.array([np.inf, -np.inf, np.nan, 0.0, -0.0], np.float32), size=int(mask.sum())
+        )
+        pads = (top, bottom, left, right)
+
+        oh, ow = out_hw
+        grow_h = max(0, (oh - 1) * sh + kh - (h + top + bottom))
+        grow_w = max(0, (ow - 1) * sw + kw - (w + left + right))
+        xp = np.pad(x, ((0, 0), (0, 0), (top, bottom + grow_h), (left, right + grow_w)),
+                    constant_values=-np.inf)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        want = windows[:, :, ::sh, ::sw][:, :, :oh, :ow].max(axis=(4, 5))
+
+        got = max_pool2d(x, (kh, kw), (sh, sw), pads, out_hw)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("count_include_pad", [False, True])
     def test_avg_pool_matches_naive(self, count_include_pad):
         x = RNG.standard_normal((1, 2, 9, 9)).astype(np.float32)
         got = avg_pool2d(x, (3, 3), (2, 2), (1, 1, 1, 1), (5, 5), count_include_pad)
         want = avg_pool2d_naive(x, (3, 3), (2, 2), (1, 1, 1, 1), (5, 5), count_include_pad)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "hw,kernel,stride,pads,out_hw,pad_mode,ceil_mode",
+        [((17, 17), (3, 3), (1, 1), (1, 1, 1, 1), (17, 17), "same", False),  # Inception-v3
+         ((9, 9), (3, 3), (2, 2), (1, 1, 1, 1), (5, 5), "explicit", False),
+         ((7, 7), (2, 2), (2, 2), (0, 0, 0, 0), (4, 4), "valid", True)],      # growth
+    )
+    def test_avg_pool_divisor_bound_once_is_bitwise_per_call(
+        self, hw, kernel, stride, pads, out_hw, pad_mode, ceil_mode
+    ):
+        """The runner's build-time divisor equals rebuilding it every call.
+
+        Oracle: the kernel's previous per-call formulation — zero-padded
+        window sums divided by a padded ``ones`` tensor summed over the
+        same windows.
+        """
+        from repro.backends.op_runners import build_runner
+        from repro.ir import GraphBuilder, Op
+        from repro.kernels import pool_counts
+
+        (kh, kw), (sh, sw), (top, bottom, left, right) = kernel, stride, pads
+        grow_h = max(0, (out_hw[0] - 1) * sh + kh - (hw[0] + top + bottom))
+        grow_w = max(0, (out_hw[1] - 1) * sw + kw - (hw[1] + left + right))
+
+        def window_sums(t):
+            t = np.pad(t, ((0, 0), (0, 0), (top, bottom + grow_h), (left, right + grow_w)))
+            windows = np.lib.stride_tricks.sliding_window_view(t, kernel, axis=(2, 3))
+            return windows[:, :, ::sh, ::sw][:, :, :out_hw[0], :out_hw[1]].sum(axis=(4, 5))
+
+        x = RNG.standard_normal((2, 3, *hw)).astype(np.float32)
+        counts = window_sums(np.ones((1, 1, *hw), np.float32))
+        want = window_sums(x) / counts
+
+        bound = pool_counts(hw, kernel, stride, pads, out_hw)
+        np.testing.assert_array_equal(bound, counts)
+        assert bound.dtype == counts.dtype
+        for got in (
+            avg_pool2d(x, kernel, stride, pads, out_hw),
+            avg_pool2d(x, kernel, stride, pads, out_hw, counts=bound),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+        b = GraphBuilder("avgpool")
+        y = b.avg_pool(b.input("x", x.shape), kernel, stride, pad_mode=pad_mode, pad=pads,
+                       ceil_mode=ceil_mode)
+        b.output(y)
+        g = b.finish()
+        node = next(n for n in g.nodes if n.op_type == Op.AVG_POOL)
+        assert g.desc(node.outputs[0]).shape[2:] == out_hw
+        np.testing.assert_array_equal(build_runner(node, g).fn([x])[0], want)
 
     def test_ceil_mode_growth_region(self):
         # output larger than exact coverage: pooling must grow pad on the right
@@ -193,6 +305,15 @@ class TestMisc:
         got = fully_connected(x, w, b)
         want = x.reshape(3, -1) @ w.T + b
         np.testing.assert_allclose(got, want, atol=1e-4)
+
+    @pytest.mark.parametrize("n,k,units", [(4, 16, 10), (3, 1024, 1000), (5, 300, 7)])
+    def test_fc_batch_rows_match_single_calls(self, n, k, units):
+        x = RNG.standard_normal((n, k)).astype(np.float32)
+        w = RNG.standard_normal((units, k)).astype(np.float32)
+        b = RNG.standard_normal(units).astype(np.float32)
+        got = fully_connected(x, w, b)
+        for i in range(n):
+            np.testing.assert_array_equal(got[i : i + 1], fully_connected(x[i : i + 1], w, b))
 
     @pytest.mark.parametrize(
         "stride,pads,output_padding",

@@ -131,3 +131,19 @@ class TestExecution:
         mix = session.scheme_summary()
         assert mix.get("gemm1x1", 0) > 0     # fire squeeze/expand 1x1s
         assert mix.get("winograd", 0) > 0    # 3x3 expands
+
+    def test_gemm_runners_bind_their_weights_as_views(self):
+        """No FC or 1x1-conv runner holds a copy of its weights: a copy per
+        layer is a copy of most of the model (the ``peak_rss_mb`` fence)."""
+        bound = {Op.FULLY_CONNECTED: 0, "gemm1x1": 0}
+        for name in ("mobilenet_v1", "squeezenet_v1.1"):
+            session = Session(build_model(name, input_size=64))
+            for node in session.graph.nodes:
+                kind = session.schemes[node.name].kind if node.name in session.schemes else None
+                key = node.op_type if node.op_type == Op.FULLY_CONNECTED else kind
+                if key not in bound:
+                    continue
+                operand = session._executions[node.name].runner.fn.__kwdefaults__["_w"]
+                assert np.shares_memory(operand, session.graph.constants[node.inputs[1]]), node.name
+                bound[key] += 1
+        assert bound[Op.FULLY_CONNECTED] >= 1 and bound["gemm1x1"] >= 20
