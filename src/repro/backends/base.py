@@ -30,21 +30,11 @@ from ..ir.tensor import TensorDesc
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.schemes import SchemeDecision
 
-__all__ = ["StorageType", "Execution", "Backend", "BackendError", "BackendTransientError"]
+__all__ = ["StorageType", "Execution", "Backend", "BackendError"]
 
 
 class BackendError(RuntimeError):
     """Raised for unsupported operators or misused backend APIs."""
-
-
-class BackendTransientError(BackendError):
-    """A backend failure that is expected to clear on retry.
-
-    Real backends raise this for recoverable conditions (device busy,
-    queue full, transient allocation pressure); the session's resilient
-    executor treats it like an injected transient fault — bounded retry
-    with backoff before escalating to the per-op CPU fallback.
-    """
 
 
 class StorageType(enum.Enum):

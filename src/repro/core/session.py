@@ -35,10 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..backends.base import Backend, BackendError, BackendTransientError
+from ..backends.base import Backend, BackendError
 from ..backends.cpu import CPUBackend
 from ..devices.specs import DeviceSpec, GpuApi
-from ..faults import InjectedFault, TransientFault, retry_transient
+from ..faults import InjectedFault, retry_transient
 from ..faults.resilience import CircuitBreaker, Deadline
 from ..ir.graph import Graph, GraphError, Node
 from ..ir.ops import Op
@@ -54,7 +54,7 @@ from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
 from .memory import MemoryPlan, compute_lifetimes, plan_memory
 from .plan import StepFn, StepPlan, bounded, build_plan, copying, interleaved, traced, walk
-from .schemes import SchemeConfig, SchemeDecision, select_graph_schemes
+from .schemes import SchemeDecision, select_graph_schemes
 
 __all__ = [
     "SessionConfig",
@@ -85,21 +85,12 @@ class SessionConfig:
         auto_backend: pick the cheapest backend by Eq. 4 among
             ``candidate_backends`` instead of ``backend``.
         candidate_backends: pool for auto selection.
-        scheme_config: conv scheme-search tunables.
         scheme_overrides: per-conv-node scheme decisions that take
             precedence over the cost-model search — typically the output
             of :func:`repro.core.autotune.autotune_schemes`.
         paranoid: run the independent memory-plan sanitizer
             (:func:`repro.analysis.check_memory_plan`) on every plan this
             session builds, so a planner bug fails loudly at prepare time.
-        resilience: route every op through the resilient executor (retry
-            with backoff, circuit breaker, per-op CPU fallback, and a
-            numeric guard that re-runs an op whose output came back
-            non-finite via its direct scheme — sliding-window conv /
-            non-Strassen GEMM — once).  ``None`` = auto: on exactly
-            when the runtime's fault plan is enabled; ``True`` forces it
-            on for real backend failures
-            (:class:`~repro.backends.BackendTransientError` and friends).
         check_feeds: validate every feed's shape and dtype against the
             input descriptors on each run.  On by default; tight serving
             loops that construct feeds programmatically from already-
@@ -120,10 +111,8 @@ class SessionConfig:
     use_strassen: bool = True
     auto_backend: bool = False
     candidate_backends: Tuple[str, ...] = ()
-    scheme_config: SchemeConfig = field(default_factory=SchemeConfig)
     scheme_overrides: Optional[Dict[str, SchemeDecision]] = None
     paranoid: bool = False
-    resilience: Optional[bool] = None
     check_feeds: bool = True
     breaker_cooldown_s: float = 0.25
 
@@ -313,10 +302,6 @@ class Session:
         self._direct_runners: Dict[str, object] = {}
         self._recovery: Optional[Backend] = None
         self._breaker: Optional[CircuitBreaker] = None
-        self._resilient = (
-            self.config.resilience if self.config.resilience is not None
-            else self.faults.enabled
-        )
         self._prepare()
 
     # -- pre-inference -----------------------------------------------------
@@ -374,7 +359,7 @@ class Session:
                     self.schemes = dict(cached_schemes)
                     sp.set(cached=True)
                 else:
-                    self.schemes = select_graph_schemes(self.graph, cfg.scheme_config)
+                    self.schemes = select_graph_schemes(self.graph)
                     sp.set(cached=False)
                 if cfg.scheme_overrides:
                     self.schemes.update(cfg.scheme_overrides)
@@ -725,7 +710,7 @@ class Session:
         return clean
 
     def _run_resilient(
-        self, node: Node, execution, inputs: List[np.ndarray], defended: bool = True
+        self, node: Node, execution, inputs: List[np.ndarray]
     ) -> List[np.ndarray]:
         """Run one op under the full resilience stack.
 
@@ -735,11 +720,6 @@ class Session:
         numeric guard on the outputs.  The fallback path itself is not
         fault-injected: it is the trusted last resort, as in the paper's
         hybrid scheduling where CPU is assumed always-viable.
-
-        ``defended=False`` (a fault plan on a ``resilience=False``
-        session) fires the per-op fault points with every defense off:
-        injected failures escape to the caller undefended — exactly what
-        a test asserting raw failure modes wants.
         """
         plan = self.faults
         backend = self._placement[node.name]
@@ -750,22 +730,18 @@ class Session:
 
         def attempt() -> List[np.ndarray]:
             nan_fault[0] = False
-            fault = None
-            if plan.enabled:
-                ctx = dict(
-                    op=node.op_type, node=node.name,
-                    backend=backend.forward_type, scheme=scheme_kind,
-                )
-                plan.fire("backend.dispatch", **ctx)
-                fault = plan.fire("kernel.execute", **ctx)
+            ctx = dict(
+                op=node.op_type, node=node.name,
+                backend=backend.forward_type, scheme=scheme_kind,
+            )
+            plan.fire("backend.dispatch", **ctx)
+            fault = plan.fire("kernel.execute", **ctx)
             outputs = execution.run(inputs)
             if fault is not None and fault.kind == "nan":
                 nan_fault[0] = True
                 outputs = _poison_outputs(outputs)
             return outputs
 
-        if not defended:
-            return attempt()
         if breaker is not None and not breaker.allow():
             return self._fallback_op(node, inputs, reason="breaker_open")
         try:
@@ -773,7 +749,6 @@ class Session:
                 attempt,
                 rng=plan.rng_for("kernel.execute"),
                 label=node.name,
-                transient=(TransientFault, BackendTransientError),
             )
         except (InjectedFault, BackendError) as exc:
             if breaker is not None:
@@ -914,21 +889,20 @@ class Session:
         one inside it, outermost first: deadline check, copy edges,
         acquire/release, trace record, run_op.
         """
-        resilient = self._resilient
-        faulted = self.faults.enabled
+        resilient = self.faults.enabled
         if plan.plain is not None and not (
-            tracer.enabled or resilient or faulted or deadline is not None
+            tracer.enabled or resilient or deadline is not None
         ):
             return None
         # Resolved per step, not bound, so a patched ``execution.run`` or
         # ``runner.fn`` takes effect on every wrapped path.
         executions = self._executions
-        if resilient or faulted:
+        if resilient:
             run_resilient = self._run_resilient
 
             def step_fn(step, inputs):
                 node = step.node
-                return run_resilient(node, executions[node.name], inputs, resilient)
+                return run_resilient(node, executions[node.name], inputs)
         else:
             def step_fn(step, inputs):
                 return executions[step.node.name].run(inputs)

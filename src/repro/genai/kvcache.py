@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.memory import ALIGNMENT, ExtentFreeList, MemoryPlan, TensorLifetime
+from ..core.memory import ExtentFreeList, MemoryPlan, TensorLifetime, _align
 from ..faults.errors import FatalFault, ResilienceError, TransientFault, mark_isolated
 from ..faults.resilience import retry_transient
 from ..quant.kv import KV_DTYPES, dequantize_rows, kv_itemsize, quantize_rows
@@ -54,10 +54,6 @@ __all__ = [
     "KVSlab",
     "KVCacheAllocator",
 ]
-
-
-def _align(n: int) -> int:
-    return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
 def doubling_buckets(top: int, smallest: int) -> List[int]:

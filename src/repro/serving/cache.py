@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..backends.base import Backend
+from ..core.schemes import SchemeConfig
 from ..core.session import Session, SessionArtifacts, SessionConfig
 from ..faults import TransientFault, retry_transient
 from ..ir.graph import Graph
@@ -83,7 +84,7 @@ def _digest(entry: Dict[str, Any]) -> str:
 def _config_fingerprint(config: SessionConfig) -> Dict[str, Any]:
     """The SessionConfig fields that influence pre-inference decisions."""
     backend = config.backend
-    sc = config.scheme_config
+    sc = SchemeConfig()
     return {
         "backend": (
             f"instance:{backend.forward_type}" if isinstance(backend, Backend)

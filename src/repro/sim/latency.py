@@ -20,11 +20,11 @@ not from transcribed numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..baselines.profiles import SIMD_LANES, EngineProfile
 from ..core.cost import node_muls
-from ..core.schemes import SchemeConfig, select_graph_schemes, winograd_plane_cost
+from ..core.schemes import select_graph_schemes, winograd_plane_cost
 from ..devices.specs import DeviceSpec
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op
@@ -100,7 +100,6 @@ def _tensor_bytes(graph: Graph, names) -> int:
 
 def _conv_algorithm(
     node: Node, graph: Graph, profile: EngineProfile, schemes,
-    scheme_config: Optional[SchemeConfig],
 ) -> Tuple[float, str, bool]:
     """(effective weighted MULs, algorithm label, is_optimized) for a Conv2D.
 
@@ -142,9 +141,7 @@ def _conv_algorithm(
         n = profile.winograd_fixed_n
         x = graph.desc(node.inputs[0])
         y = graph.desc(node.outputs[0])
-        cost = winograd_plane_cost(
-            n, kernel[0], x.shape[1], y.shape[1], y.shape[2:], scheme_config
-        )
+        cost = winograd_plane_cost(n, kernel[0], x.shape[1], y.shape[1], y.shape[2:])
         return batch * cost, f"winograd_n{n}", True
     return direct, "direct", True
 
@@ -155,7 +152,6 @@ def estimate_latency(
     device: DeviceSpec,
     backend: str = "cpu",
     threads: int = 4,
-    scheme_config: Optional[SchemeConfig] = None,
 ) -> LatencyEstimate:
     """Model one engine running one graph on one device.
 
@@ -180,9 +176,7 @@ def estimate_latency(
     else:
         cpu_peak_base = device.cpu_flops(threads) * SIMD_LANES * device.cpu_ipc
 
-    schemes = (
-        select_graph_schemes(graph, scheme_config) if profile.scheme_search else {}
-    )
+    schemes = select_graph_schemes(graph) if profile.scheme_search else {}
 
     per_op: List[OpLatency] = []
     for node in graph.toposort():
@@ -194,9 +188,7 @@ def estimate_latency(
 
         if node.op_type in _COMPUTE_BOUND:
             if node.op_type == Op.CONV2D:
-                muls, algorithm, optimized = _conv_algorithm(
-                    node, graph, profile, schemes, scheme_config
-                )
+                muls, algorithm, optimized = _conv_algorithm(node, graph, profile, schemes)
             else:
                 muls, algorithm, optimized = node_muls(node, graph), "direct", True
             if is_gpu:

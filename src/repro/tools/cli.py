@@ -4,10 +4,10 @@ user convenience").
 Usage::
 
     python -m repro.tools.cli info model.rmnn
-    python -m repro.tools.cli lint model.rmnn [--strict]
     python -m repro.tools.cli build mobilenet_v1 -o model.rmnn --input-size 224
+    python -m repro.tools.cli lint model.rmnn [--strict]
     python -m repro.tools.cli optimize model.rmnn -o optimized.rmnn [--verify]
-    python -m repro.tools.cli quantize model.rmnn -o int8.rmnn
+    python -m repro.tools.cli quantize model.rmnn -o int8.rmnn [--selftest]
     python -m repro.tools.cli prune model.rmnn -o pruned.rmnn --sparsity 0.6
     python -m repro.tools.cli fp16 model.rmnn -o half.rmnn
     python -m repro.tools.cli benchmark model.rmnn --threads 4 --repeats 10
@@ -18,47 +18,70 @@ Usage::
     python -m repro.tools.cli cluster [model.rmnn] --workers 2 --requests 32 [--selftest]
     python -m repro.tools.cli estimate model.rmnn --device Mate20 --engine MNN
     python -m repro.tools.cli devices
-    python -m repro.tools.cli schemes model.rmnn
     python -m repro.tools.cli chaos [model.rmnn] --seed 0 --faults 200 [--sanitize]
-    python -m repro.tools.cli sanitize [--strict]
     python -m repro.tools.cli regress BENCH_decode.json [--threshold 0.5]
+    python -m repro.tools.cli sanitize [--strict]
+    python -m repro.tools.cli generate --prompts 4 --max-tokens 12 [--selftest] [--trace FILE]
+    python -m repro.tools.cli schemes model.rmnn
+    python -m repro.tools.cli autotune model.rmnn [--repeats 2]
+    python -m repro.tools.cli dot model.rmnn [-o graph.dot] [--schemes]
 
-Every command returns 0 on success and prints human-readable output; the
-module-level :func:`main` takes an argv list for testability.
+Each subcommand is one row of :data:`COMMANDS`: name, help, handler and
+argument specs, where an argument several commands share is defined once.
+The dispatcher loads the row's model into ``args.graph``, records a
+``--trace FILE`` run into ``args.tracer`` and writes the Chrome trace
+once the handler returns 0.  Every command returns 0 on success and
+prints human-readable output; :func:`main` takes an argv list for
+testability.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from typing import List, Optional
 
 import numpy as np
 
+from ..analysis import (
+    C_RULES, Severity, check_memory_plan, format_diagnostics, lint_graph,
+    lint_source_tree, summarize,
+)
+from ..analysis.verify_passes import random_feeds
+from ..baselines import ENGINES
+from ..bench import run_closed_loop, time_callable
+from ..converter import convert_to_fp16, fp16_savings, optimize, prune_model
+from ..core import (
+    Session, SessionConfig, autotune_schemes, node_muls, plan_memory, select_graph_schemes,
+)
+from ..devices import DEVICES, get_device
+from ..ir import load_model, save_model
+from ..ir.graph import GraphError
+from ..kernels.winograd import clear_transform_cache
+from ..models import MODEL_REGISTRY, build_model
+from ..obs import (
+    MetricsRegistry, Tracer, parse_prometheus, save_chrome_trace, set_metrics,
+    to_prometheus, top_ops_report, waterfall_report,
+)
+from ..obs.regress import check_trajectory
+from ..runtime import Runtime
+from ..sim import estimate_latency
 
-def _load(path: str):
-    from ..ir import load_model
 
-    return load_model(path)
-
-
-def _random_feeds(graph, seed: int = 0):
-    rng = np.random.default_rng(seed)
-    feeds = {}
-    for name in graph.inputs:
-        desc = graph.desc(name)
-        if np.issubdtype(desc.dtype.np_dtype, np.integer):
-            feeds[name] = rng.integers(0, 100, desc.shape).astype(desc.dtype.np_dtype)
-        else:
-            feeds[name] = rng.standard_normal(desc.shape).astype(desc.dtype.np_dtype)
-    return feeds
+def _fails(diags, strict: bool) -> bool:
+    """Whether ``diags`` hold an error, or with ``strict`` a warning."""
+    return any(
+        d.severity is Severity.ERROR or (strict and d.severity is Severity.WARNING)
+        for d in diags
+    )
 
 
 def cmd_info(args) -> int:
     from ..quant import weight_bytes
-    from ..core import node_muls
 
-    graph = _load(args.model)
+    graph = args.graph
     muls = sum(node_muls(node, graph) for node in graph.nodes)
     print(f"model:     {graph.name}")
     print(f"inputs:    "
@@ -75,17 +98,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from ..analysis import (
-        Severity,
-        check_memory_plan,
-        format_diagnostics,
-        lint_graph,
-        summarize,
-    )
-    from ..core import plan_memory
-    from ..ir.graph import GraphError
-
-    graph = _load(args.model)
+    graph = args.graph
     diags = list(lint_graph(graph))
     structural_errors = any(d.severity is Severity.ERROR for d in diags)
     if not structural_errors and not args.no_memcheck:
@@ -101,19 +114,12 @@ def cmd_lint(args) -> int:
             diags.extend(exc.diagnostics or [error("memcheck-failed", str(exc))])
     if diags:
         print(format_diagnostics(diags))
-    failing = [
-        d for d in diags
-        if d.severity is Severity.ERROR or (args.strict and d.severity is Severity.WARNING)
-    ]
     print(f"lint: {summarize(diags)}"
           + (" (strict)" if args.strict else ""))
-    return 1 if failing else 0
+    return 1 if _fails(diags, args.strict) else 0
 
 
 def cmd_build(args) -> int:
-    from ..ir import save_model
-    from ..models import MODEL_REGISTRY, build_model
-
     if args.model_name not in MODEL_REGISTRY:
         print(f"unknown model {args.model_name!r}; available: "
               f"{', '.join(sorted(MODEL_REGISTRY))}", file=sys.stderr)
@@ -128,10 +134,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from ..converter import optimize
-    from ..ir import save_model
-
-    graph = _load(args.model)
+    graph = args.graph
     before = len(graph.nodes)
     optimize(graph, verify=args.verify)
     save_model(graph, args.output)
@@ -141,7 +144,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    from ..ir import save_model
     from ..quant import quantize_graph, weight_bytes
 
     if args.selftest:
@@ -149,8 +151,8 @@ def cmd_quantize(args) -> int:
     if not args.model or not args.output:
         print("quantize: MODEL and -o/--output are required without --selftest")
         return 2
-    graph = _load(args.model)
-    feeds = [_random_feeds(graph, seed) for seed in range(args.calibration_batches)]
+    graph = args.graph
+    feeds = [random_feeds(graph, seed) for seed in range(args.calibration_batches)]
     quantized = quantize_graph(graph, feeds)
     save_model(quantized, args.output)
     print(f"quantized: {weight_bytes(graph) / 2**20:.2f} MiB -> "
@@ -175,10 +177,8 @@ def _quantize_selftest() -> int:
     Also prints (never asserts) the in-process int8/fp32 decode
     tokens/s ratio, labelled as measured.
     """
-    import time
     from dataclasses import replace as _replace
 
-    from ..analysis import lint_graph
     from ..genai import GenerationConfig, GenerationEngine, SamplingParams
     from ..kernels import exact_int_gemm
     from ..models.text import tiny_decoder
@@ -261,11 +261,7 @@ def _quantize_selftest() -> int:
 
 
 def cmd_prune(args) -> int:
-    from ..converter import prune_model
-    from ..ir import save_model
-
-    graph = _load(args.model)
-    pruned, report = prune_model(graph, args.sparsity)
+    pruned, report = prune_model(args.graph, args.sparsity)
     save_model(pruned, args.output)
     print(f"pruned to {report.achieved_sparsity * 100:.1f}% sparsity "
           f"(target {report.target_sparsity * 100:.0f}%); "
@@ -276,12 +272,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_fp16(args) -> int:
-    from ..converter import convert_to_fp16, fp16_savings
-    from ..ir import save_model
-
-    graph = _load(args.model)
-    converted = convert_to_fp16(graph)
-    before, after = fp16_savings(graph, converted)
+    converted = convert_to_fp16(args.graph)
+    before, after = fp16_savings(args.graph, converted)
     save_model(converted, args.output)
     print(f"fp16 weights: {before / 2**20:.2f} MiB -> {after / 2**20:.2f} MiB; "
           f"wrote {args.output}")
@@ -289,12 +281,8 @@ def cmd_fp16(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    from ..bench import time_callable
-    from ..core import Session, SessionConfig
-
-    graph = _load(args.model)
-    session = Session(graph, SessionConfig(threads=args.threads))
-    feeds = _random_feeds(graph)
+    session = Session(args.graph, SessionConfig(threads=args.threads))
+    feeds = random_feeds(args.graph)
     timing = time_callable(lambda: session.run(feeds), repeats=args.repeats)
     print(f"schemes: {session.scheme_summary()}")
     plan = session.memory_plan
@@ -321,16 +309,11 @@ def cmd_benchmark(args) -> int:
 
 def cmd_trace(args) -> int:
     """Record a Chrome trace of pre-inference + execution."""
-    from ..core import Session, SessionConfig
-    from ..obs import Tracer, save_chrome_trace, top_ops_report, waterfall_report
-    from ..runtime import Runtime
-
-    graph = _load(args.model)
     tracer = Tracer()
-    runtime = Runtime.resolve(trace=tracer)
-    feeds = _random_feeds(graph)
+    feeds = random_feeds(args.graph)
     # Pre-inference stage spans, then per-op spans on one lane.
-    session = Session(graph, SessionConfig(threads=args.threads), runtime=runtime)
+    session = Session(args.graph, SessionConfig(threads=args.threads),
+                      runtime=Runtime.resolve(trace=tracer))
     for _ in range(args.runs):
         session.run(feeds)
     save_chrome_trace(tracer, args.output)
@@ -366,29 +349,21 @@ def cmd_metrics(args) -> int:
     ``--selftest`` re-parses that export through the validating parser
     and (on the generation workload) requires the SLO families.
     """
-    import json as _json
-
-    from ..obs import MetricsRegistry, set_metrics
-
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        if args.model:
-            from ..core import Session, SessionConfig
-            from ..runtime import Runtime
-
-            graph = _load(args.model)
+        if args.graph is not None:
             session = Session(
-                graph, SessionConfig(threads=args.threads),
+                args.graph, SessionConfig(threads=args.threads),
                 runtime=Runtime.resolve(sanitize=args.sanitize),
             )
-            feeds = _random_feeds(graph)
+            feeds = random_feeds(args.graph)
             for _ in range(args.runs):
                 session.run(feeds)
             if args.sanitize:
                 # Flush lock-cycle detection so sanitize.* counters are final.
                 session.sanitizer.report()
-            workload = f"{args.runs} runs of {graph.name}"
+            workload = f"{args.runs} runs of {args.graph.name}"
         else:
             from ..genai import GenerationConfig, GenerationEngine, SamplingParams
 
@@ -412,11 +387,9 @@ def cmd_metrics(args) -> int:
     print(registry.describe())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
+            json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.output}")
     if args.prom or args.selftest:
-        from ..obs import parse_prometheus, to_prometheus
-
         text = to_prometheus(registry)
         if args.prom:
             print(text, end="")
@@ -441,19 +414,14 @@ def cmd_metrics(args) -> int:
 
 def cmd_warm(args) -> int:
     """Populate the pre-inference cache for a model (cold once, warm after)."""
-    import time as _time
-
-    from ..core import Session, SessionConfig
-    from ..kernels.winograd import clear_transform_cache
     from ..serving import Engine, EngineConfig
 
-    graph = _load(args.model)
     config = EngineConfig(
         session=SessionConfig(threads=args.threads),
         pool_size=1,
         cache_dir=args.cache_dir,
     )
-    engine = Engine(graph, config)
+    engine = Engine(args.graph, config)
     cache = engine.cache
     print(f"cache dir: {cache.root}")
     print(f"cache key: {engine.cache_key}")
@@ -463,9 +431,9 @@ def cmd_warm(args) -> int:
         # Verify the warm path immediately, from a cleared transform cache.
         clear_transform_cache()
         artifacts = cache.load(engine.cache_key)
-        start = _time.perf_counter()
-        Session(graph, config.session, artifacts=artifacts)
-        warm = (_time.perf_counter() - start) * 1000.0
+        start = time.perf_counter()
+        Session(args.graph, config.session, artifacts=artifacts)
+        warm = (time.perf_counter() - start) * 1000.0
         print(f"warm prepare: {warm:.1f} ms ({cold / max(warm, 1e-9):.1f}x faster)")
     else:
         warm = engine.metrics.histogram("engine.prepare.warm_ms").values[0]
@@ -475,17 +443,9 @@ def cmd_warm(args) -> int:
 
 def cmd_serve(args) -> int:
     """Drive concurrent traffic through a pooled engine and report stats."""
-    import time as _time
-
-    from ..core import Session, SessionConfig
     from ..serving import Engine, EngineConfig
 
-    graph = _load(args.model)
-    tracer = None
-    if args.trace:
-        from ..obs import Tracer
-
-        tracer = Tracer()
+    graph = args.graph
     config = EngineConfig(
         session=SessionConfig(threads=args.threads),
         pool_size=args.pool,
@@ -494,13 +454,13 @@ def cmd_serve(args) -> int:
         batching=args.batch > 0,
         max_batch=max(args.batch, 1),
         batch_timeout_ms=args.batch_timeout_ms,
-        trace=tracer,
+        trace=args.tracer,
     )
-    requests = [_random_feeds(graph, seed) for seed in range(args.requests)]
+    requests = [random_feeds(graph, seed) for seed in range(args.requests)]
     with Engine(graph, config) as engine:
-        start = _time.perf_counter()
+        start = time.perf_counter()
         outputs = engine.infer_many(requests, clients=args.clients)
-        elapsed = _time.perf_counter() - start
+        elapsed = time.perf_counter() - start
         throughput = len(requests) / elapsed if elapsed else float("inf")
         if engine.pool is not None:
             print(f"pool:       {engine.pool.size} sessions, {args.clients} clients")
@@ -543,13 +503,6 @@ def cmd_serve(args) -> int:
                   f"{mode} vs serial")
             print("metrics:")
             print(engine.metrics.describe())
-    if tracer is not None:
-        from ..obs import save_chrome_trace
-
-        save_chrome_trace(tracer, args.trace)
-        lanes = len({s.tid for s in tracer.spans})
-        print(f"trace:      wrote {args.trace} "
-              f"({len(tracer.spans)} spans, {lanes} lanes)")
     return 0
 
 
@@ -557,19 +510,11 @@ def cmd_cluster(args) -> int:
     """Multi-process router/worker tier: load drive, or crash-recovery
     selftest (spawn workers, SIGKILL one mid-session, assert supervised
     replacement and bit-identical post-recovery serving)."""
-    import time as _time
-
-    from ..bench import run_closed_loop
     from ..cluster import Backpressure, Cluster, ClusterConfig, Overloaded
-    from ..obs import MetricsRegistry, to_prometheus
+    from ..faults.chaos import default_chaos_graph
 
-    if args.model:
-        graph = _load(args.model)
-    else:
-        from ..faults.chaos import default_chaos_graph
-
-        graph = default_chaos_graph()
-    feeds = _random_feeds(graph)
+    graph = args.graph if args.graph is not None else default_chaos_graph()
+    feeds = random_feeds(graph)
     metrics = MetricsRegistry()
     cluster = Cluster(graph, ClusterConfig(
         workers=args.workers,
@@ -591,12 +536,12 @@ def cmd_cluster(args) -> int:
                   f"gold response recorded")
             pid = cluster.supervisor.kill(0)
             print(f"selftest: SIGKILLed worker 0 (pid {pid})")
-            deadline = _time.monotonic() + 60.0
-            while _time.monotonic() < deadline:
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
                 if (cluster.supervisor.restarts(0) >= 1
                         and cluster.supervisor.is_up(0)):
                     break
-                _time.sleep(0.02)
+                time.sleep(0.02)
             else:
                 print("selftest: FAILED — supervisor never replaced worker 0")
                 return 1
@@ -639,11 +584,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from ..baselines import ENGINES
-    from ..devices import DEVICES, get_device
-    from ..sim import estimate_latency
-
-    graph = _load(args.model)
     if args.device not in DEVICES:
         print(f"unknown device {args.device!r}; see `devices` command", file=sys.stderr)
         return 1
@@ -652,7 +592,7 @@ def cmd_estimate(args) -> int:
               file=sys.stderr)
         return 1
     device = get_device(args.device)
-    est = estimate_latency(graph, ENGINES[args.engine], device,
+    est = estimate_latency(args.graph, ENGINES[args.engine], device,
                            args.backend, args.threads)
     print(f"{args.engine} on {args.device} ({est.mode}): {est.total_ms:.1f} ms modeled")
     for op in est.slowest(5):
@@ -661,8 +601,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_devices(args) -> int:
-    from ..devices import DEVICES
-
     for name, spec in sorted(DEVICES.items()):
         freqs = "x".join(f"{f:g}" for f in sorted(set(spec.cpu_core_ghz), reverse=True))
         print(f"{name:10s} {spec.soc:16s} CPU {freqs} GHz  GPU {spec.gpu} "
@@ -671,10 +609,7 @@ def cmd_devices(args) -> int:
 
 
 def cmd_autotune(args) -> int:
-    from ..core import autotune_schemes
-
-    graph = _load(args.model)
-    report = autotune_schemes(graph, repeats=args.repeats)
+    report = autotune_schemes(args.graph, repeats=args.repeats)
     print(f"auto-tuned {len(report.decisions)} convolutions "
           f"in {report.tuning_ms:.0f} ms; cost-model agreement "
           f"{report.agreement_with_model() * 100:.0f}%")
@@ -689,12 +624,10 @@ def cmd_autotune(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    from ..core import select_graph_schemes
     from .visualize import to_dot
 
-    graph = _load(args.model)
-    schemes = select_graph_schemes(graph) if args.schemes else None
-    text = to_dot(graph, schemes)
+    schemes = select_graph_schemes(args.graph) if args.schemes else None
+    text = to_dot(args.graph, schemes)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -708,9 +641,8 @@ def cmd_chaos(args) -> int:
     """Run the seeded fault-injection self-test storm (see repro.faults.chaos)."""
     from ..faults.chaos import run_chaos_storm
 
-    graph = _load(args.model) if args.model else None
     report = run_chaos_storm(
-        graph=graph, seed=args.seed, target_faults=args.faults,
+        graph=args.graph, seed=args.seed, target_faults=args.faults,
         sanitize=args.sanitize, postmortem_dir=args.postmortem_dir,
         kv_dtype=args.kv_dtype,
     )
@@ -728,44 +660,27 @@ def cmd_sanitize(args) -> int:
     lock-order / lifecycle detectors live."""
     from pathlib import Path
 
-    from ..analysis import (
-        C_RULES,
-        Severity,
-        format_diagnostics,
-        lint_source_tree,
-        summarize,
-    )
-
     root = Path(args.root) if args.root else Path(__file__).resolve().parents[1]
     diags = lint_source_tree(root)
     print(f"static lint over {root}: {len(C_RULES)} rules (C001..C005)")
     if diags:
         print(format_diagnostics(diags))
     print(f"static: {summarize(diags)}")
-    failing = [
-        d for d in diags
-        if d.severity is Severity.ERROR
-        or (args.strict and d.severity is Severity.WARNING)
-    ]
-    return 1 if failing else 0
+    return 1 if _fails(diags, args.strict) else 0
 
 
 def cmd_generate(args) -> int:
     """Continuous-batching generation demo over the tiny decoder."""
-    import time as _time
-
     from ..genai import GenerationConfig, GenerationEngine, SamplingParams
 
-    tracer = None
-    if args.trace:
-        from ..obs import Tracer
-
-        tracer = Tracer()
-    config = GenerationConfig(
+    # What the sampled selftest's replay engine shares with this one.
+    replayed = dict(
         max_seq=args.max_seq, d_model=args.d_model, heads=args.heads,
         layers=args.layers, seed=args.seed, max_batch=args.batch,
-        page_tokens=args.page_tokens, trace=tracer,
-        prefix_cache=args.prefix_cache,
+        page_tokens=args.page_tokens,
+    )
+    config = GenerationConfig(
+        **replayed, trace=args.tracer, prefix_cache=args.prefix_cache,
     )
     engine = GenerationEngine(config)
     rng = np.random.default_rng(args.seed)
@@ -781,9 +696,9 @@ def cmd_generate(args) -> int:
         max_tokens=args.max_tokens, temperature=args.temperature,
         top_k=args.top_k, seed=args.seed,
     )
-    start = _time.perf_counter()
+    start = time.perf_counter()
     results = engine.generate(prompts, params)
-    elapsed = _time.perf_counter() - start
+    elapsed = time.perf_counter() - start
     generated = sum(len(r.tokens) for r in results)
     for r in results:
         shown = " ".join(str(t) for t in r.tokens[:12])
@@ -800,68 +715,53 @@ def cmd_generate(args) -> int:
         print(f"prefix:     {stats['prefix_hits']:.0f} hits, "
               f"{stats['prefix_hit_tokens']:.0f} tokens served from shared "
               f"KV, {stats['cow_materializes']:.0f} COW materializes")
+    if not args.selftest:
+        return 0
 
-    if args.selftest:
-        failures = 0
-        if args.temperature == 0.0:
-            # Greedy: decode-with-cache must be bit-identical to a
-            # token-by-token full recompute of the whole sequence.
-            from ..core import Session
-            from ..models import build_model
-
-            for prompt, r in zip(prompts, results):
-                toks = list(prompt)
-                for _ in range(len(r.tokens)):
-                    g = build_model(
-                        "tiny_decoder", mode="full", seq_len=len(toks),
-                        vocab=config.vocab, max_seq=config.max_seq,
-                        d_model=config.d_model, heads=config.heads,
-                        layers=config.layers, seed=config.seed,
-                    )
-                    out = Session(g).run({
-                        "tokens": np.array([toks], np.int32),
-                        "positions": np.arange(len(toks), dtype=np.int32)[None],
-                    })
-                    toks.append(int(np.argmax(out["logits"][0, -1])))
-                if toks[len(prompt):] != r.tokens:
-                    failures += 1
-                    print(f"selftest FAILED: {r.request_id} diverges from "
-                          f"full recompute", file=sys.stderr)
-            mode = "bit-identical vs full recompute"
-        else:
-            # Sampled: a fresh engine must reproduce every token stream.
-            replay = GenerationEngine(GenerationConfig(
-                max_seq=args.max_seq, d_model=args.d_model, heads=args.heads,
-                layers=args.layers, seed=args.seed, max_batch=args.batch,
-                page_tokens=args.page_tokens,
-            )).generate(prompts, params)
-            for a, b in zip(results, replay):
-                if a.tokens != b.tokens:
-                    failures += 1
-                    print(f"selftest FAILED: {a.request_id} not reproducible",
-                          file=sys.stderr)
-            mode = "reproducible under reseeded replay"
-        if failures:
-            return 1
-        print(f"selftest:   ok — {len(results)} generations {mode}")
-
-    if tracer is not None:
-        from ..obs import save_chrome_trace
-
-        save_chrome_trace(tracer, args.trace)
-        print(f"trace:      wrote {args.trace} ({len(tracer.spans)} spans)")
+    failures = 0
+    if args.temperature == 0.0:
+        # Greedy: decode-with-cache must be bit-identical to a
+        # token-by-token full recompute of the whole sequence.
+        for prompt, r in zip(prompts, results):
+            toks = list(prompt)
+            for _ in range(len(r.tokens)):
+                g = build_model(
+                    "tiny_decoder", mode="full", seq_len=len(toks),
+                    vocab=config.vocab, max_seq=config.max_seq,
+                    d_model=config.d_model, heads=config.heads,
+                    layers=config.layers, seed=config.seed,
+                )
+                out = Session(g).run({
+                    "tokens": np.array([toks], np.int32),
+                    "positions": np.arange(len(toks), dtype=np.int32)[None],
+                })
+                toks.append(int(np.argmax(out["logits"][0, -1])))
+            if toks[len(prompt):] != r.tokens:
+                failures += 1
+                print(f"selftest FAILED: {r.request_id} diverges from "
+                      f"full recompute", file=sys.stderr)
+        mode = "bit-identical vs full recompute"
+    else:
+        # Sampled: a fresh engine must reproduce every token stream.
+        replay = GenerationEngine(GenerationConfig(**replayed)).generate(prompts, params)
+        for a, b in zip(results, replay):
+            if a.tokens != b.tokens:
+                failures += 1
+                print(f"selftest FAILED: {a.request_id} not reproducible",
+                      file=sys.stderr)
+        mode = "reproducible under reseeded replay"
+    if failures:
+        return 1
+    print(f"selftest:   ok — {len(results)} generations {mode}")
     return 0
 
 
 def cmd_regress(args) -> int:
     """Bench-regression gate: newest BENCH record vs its own trajectory."""
-    from ..obs.regress import check_trajectory
-
     rc = 0
     for path in args.files:
-        report = check_trajectory(
-            path, threshold=args.threshold, min_history=args.min_history
-        )
+        report = check_trajectory(path, threshold=args.threshold,
+                                  min_history=args.min_history)
         print(report.describe())
         if not report.ok:
             rc = 1
@@ -869,10 +769,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_schemes(args) -> int:
-    from ..core import select_graph_schemes
-
-    graph = _load(args.model)
-    decisions = select_graph_schemes(graph)
+    decisions = select_graph_schemes(args.graph)
     print(f"{len(decisions)} convolutions:")
     for name, decision in decisions.items():
         extra = f" n={decision.winograd_n}" if decision.kind == "winograd" else ""
@@ -880,259 +777,205 @@ def cmd_schemes(args) -> int:
     return 0
 
 
+class Arg:
+    """One ``add_argument`` call; calling it copies it with overrides."""
+
+    def __init__(self, *flags: str, **kwargs) -> None:
+        self.flags, self.kwargs = flags, kwargs
+
+    def __call__(self, **overrides) -> "Arg":
+        return Arg(*self.flags, **{**self.kwargs, **overrides})
+
+
+# The arguments several commands share, each defined once.  A row names
+# one as is, or calls it to override what differs there (default, help).
+MODEL = Arg("model")
+MODEL_OPT = MODEL(nargs="?", default=None, help=".rmnn model (default: built-in chaos CNN)")
+OUTPUT = Arg("-o", "--output", required=True)
+OUTPUT_OPT = OUTPUT(required=False)
+THREADS = Arg("--threads", type=int, default=4)
+SEED = Arg("--seed", type=int, default=0)
+RUNS = Arg("--runs", type=int, default=10)
+REPEATS = Arg("--repeats", type=int, default=10)
+REQUESTS = Arg("--requests", type=int, default=32)
+CLIENTS = Arg("--clients", type=int, default=4)
+CACHE_DIR = Arg("--cache-dir", default=None,
+                help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
+TRACE = Arg("--trace", default=None, metavar="FILE", help="record spans to a Chrome trace")
+SELFTEST = Arg("--selftest", action="store_true")
+PROM = Arg("--prom", action="store_true",
+           help="also export the registry in Prometheus text exposition format")
+STRICT = Arg("--strict", action="store_true", help="treat warnings as failures (exit 1)")
+SANITIZE = Arg("--sanitize", action="store_true")
+
+#: One row per subcommand: (name, help, handler, argument specs).
+COMMANDS = [
+    ("info", "summarize a .rmnn model", cmd_info, [MODEL]),
+    ("build", "build a zoo model into a .rmnn file", cmd_build, [
+        Arg("model_name"), OUTPUT, Arg("--input-size", type=int, default=224), SEED,
+    ]),
+    ("lint", "static-analysis report for a model", cmd_lint, [
+        MODEL, STRICT,
+        Arg("--no-memcheck", action="store_true", help="skip the memory-plan sanitizer"),
+    ]),
+    ("optimize", "run the offline graph optimizer", cmd_optimize, [
+        MODEL, OUTPUT,
+        Arg("--verify", action="store_true",
+            help="re-check structure, shapes and numerics after every pass"),
+    ]),
+    ("quantize", "post-training int8 quantization", cmd_quantize, [
+        MODEL_OPT(help=None), OUTPUT_OPT,
+        Arg("--calibration-batches", type=int, default=4),
+        SELFTEST(help="check the int8 stack's contracts instead: accuracy bound, "
+                      "bit-identical seeded replay of quantized decode, and >=3x "
+                      "KV token capacity"),
+    ]),
+    ("prune", "global magnitude pruning", cmd_prune,
+     [MODEL, OUTPUT, Arg("--sparsity", type=float, default=0.5)]),
+    ("fp16", "store weights as float16", cmd_fp16, [MODEL, OUTPUT]),
+    ("benchmark", "time a model on this host", cmd_benchmark, [
+        MODEL, THREADS, REPEATS,
+        Arg("--profile", type=int, default=0, metavar="N",
+            help="also print the N slowest operators and the time per operator type"),
+    ]),
+    ("trace", "record a Chrome trace of pre-inference + execution", cmd_trace, [
+        MODEL, OUTPUT_OPT(default="trace.json"), THREADS, RUNS(default=1),
+        Arg("--top", type=int, default=10, metavar="K",
+            help="print the K most expensive operators"),
+        Arg("--waterfall", action="store_true", help="also print a per-lane text waterfall"),
+        Arg("--waterfall-min-ms", type=float, default=0.05),
+    ]),
+    ("metrics", "print the metrics snapshot for N runs", cmd_metrics, [
+        MODEL_OPT(help=".rmnn model (default: a tiny request-tracked generation "
+                       "workload that populates the SLO histograms)"),
+        RUNS, THREADS, OUTPUT_OPT(help="also write the snapshot as JSON"),
+        SANITIZE(help="run with the concurrency sanitizer live; the snapshot "
+                      "then includes the sanitize.* counters"),
+        PROM,
+        SELFTEST(help="re-parse the Prometheus export through the validating "
+                      "parser (and require the SLO families on the generation "
+                      "workload)"),
+    ]),
+    ("warm", "populate the pre-inference cache", cmd_warm, [MODEL, THREADS, CACHE_DIR]),
+    ("serve", "drive concurrent traffic through an engine", cmd_serve, [
+        MODEL, REQUESTS, CLIENTS, Arg("--pool", type=int, default=2), THREADS,
+        Arg("--batch", type=int, default=0, metavar="N",
+            help="coalesce requests into micro-batches of up to N (0 = off)"),
+        Arg("--batch-timeout-ms", type=float, default=2.0), CACHE_DIR,
+        Arg("--no-cache", action="store_true", help="skip the pre-inference cache entirely"),
+        SELFTEST(help="verify concurrent results against serial execution"),
+        TRACE,
+    ]),
+    ("cluster", "multi-process router/worker serving tier (sharded, supervised, "
+                "crash-tolerant)", cmd_cluster, [
+        MODEL_OPT, Arg("--workers", type=int, default=2), REQUESTS, CLIENTS,
+        Arg("--queue-depth", type=int, default=8,
+            help="per-worker admission bound (queued + in flight)"),
+        Arg("--dwell-ms", type=float, default=2.0,
+            help="simulated per-request device dwell inside each worker "
+                 "(models an accelerator-backed deployment)"),
+        SELFTEST(help="spawn workers, SIGKILL one, assert the supervisor "
+                      "replaces it and serving stays bit-identical"),
+        PROM,
+    ]),
+    ("estimate", "model latency on a phone (simulator)", cmd_estimate, [
+        MODEL, Arg("--device", default="Mate20"), Arg("--engine", default="MNN"),
+        Arg("--backend", default="cpu"), THREADS,
+    ]),
+    ("devices", "list the device catalog", cmd_devices, []),
+    ("chaos", "seeded fault-injection self-test storm", cmd_chaos, [
+        MODEL_OPT, SEED,
+        Arg("--faults", type=int, default=200,
+            help="keep storming until this many faults have fired"),
+        Arg("--events", action="store_true", help="also print the full injection sequence"),
+        SANITIZE(help="storm with the race/lock-order/lifecycle sanitizer live; "
+                      "any finding fails the storm"),
+        Arg("--postmortem-dir", default=None, metavar="DIR",
+            help="attach a deterministic flight recorder: isolated faults, KV "
+                 "OOMs and the deadline probe dump replayable postmortem JSON "
+                 "into DIR"),
+        Arg("--kv-dtype", default="float32", choices=("float32", "int8"),
+            help="KV-cache storage dtype for the generation/prefix phases "
+                 "(storm and gold alike)"),
+    ]),
+    ("regress", "bench-regression gate over BENCH_*.json trajectories", cmd_regress, [
+        Arg("files", nargs="+", metavar="BENCH_JSON",
+            help="trajectory files (repro.bench appends one stamped record per run)"),
+        Arg("--threshold", type=float, default=0.5,
+            help="tolerated relative regression before failing (default 0.5 = 50%%)"),
+        Arg("--min-history", type=int, default=1,
+            help="minimum comparable baseline runs; fewer skips the gate with a note"),
+    ]),
+    ("sanitize", "static concurrency lint (C0xx) over the source tree", cmd_sanitize, [
+        Arg("--root", default=None,
+            help="source tree to lint (default: the installed repro package)"),
+        STRICT,
+    ]),
+    ("generate", "continuous-batching autoregressive generation over the tiny "
+                 "decoder", cmd_generate, [
+        Arg("--prompts", type=int, default=4, help="number of random prompts to generate for"),
+        Arg("--max-tokens", type=int, default=12), Arg("--max-seq", type=int, default=48),
+        Arg("--d-model", type=int, default=32), Arg("--heads", type=int, default=2),
+        Arg("--layers", type=int, default=2),
+        Arg("--batch", type=int, default=4, help="continuous-batch seat count"),
+        Arg("--page-tokens", type=int, default=8, help="KV-cache page granule in tokens"),
+        Arg("--temperature", type=float, default=0.0,
+            help="0 = greedy (the bit-identity selftest mode)"),
+        Arg("--top-k", type=int, default=0), SEED,
+        Arg("--prefix-cache", action="store_true",
+            help="serve shared prompt prefixes copy-on-write from retired KV "
+                 "slabs (tokens stay bit-identical)"),
+        Arg("--shared-prefix", type=int, default=0, metavar="N",
+            help="prepend one shared random N-token prefix to every prompt "
+                 "(makes --prefix-cache hits observable)"),
+        SELFTEST(help="greedy: verify bit-identity vs full recompute; sampled: "
+                      "verify reseeded replay reproduces tokens"),
+        TRACE,
+    ]),
+    ("schemes", "show per-conv scheme decisions", cmd_schemes, [MODEL]),
+    ("autotune", "measure conv schemes on this host", cmd_autotune, [MODEL, REPEATS(default=2)]),
+    ("dot", "export the graph as Graphviz dot", cmd_dot, [
+        MODEL, OUTPUT_OPT,
+        Arg("--schemes", action="store_true", help="annotate convs with their selected schemes"),
+    ]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="summarize a .rmnn model")
-    p.add_argument("model")
-    p.set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("build", help="build a zoo model into a .rmnn file")
-    p.add_argument("model_name")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--input-size", type=int, default=224)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_build)
-
-    p = sub.add_parser("lint", help="static-analysis report for a model")
-    p.add_argument("model")
-    p.add_argument("--strict", action="store_true",
-                   help="treat warnings as failures (exit 1)")
-    p.add_argument("--no-memcheck", action="store_true",
-                   help="skip the memory-plan sanitizer")
-    p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser("optimize", help="run the offline graph optimizer")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--verify", action="store_true",
-                   help="re-check structure, shapes and numerics after every pass")
-    p.set_defaults(fn=cmd_optimize)
-
-    p = sub.add_parser("quantize", help="post-training int8 quantization")
-    p.add_argument("model", nargs="?", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--calibration-batches", type=int, default=4)
-    p.add_argument("--selftest", action="store_true",
-                   help="check the int8 stack's contracts instead: "
-                        "accuracy bound, bit-identical seeded replay of "
-                        "quantized decode, and >=3x KV token capacity")
-    p.set_defaults(fn=cmd_quantize)
-
-    p = sub.add_parser("prune", help="global magnitude pruning")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--sparsity", type=float, default=0.5)
-    p.set_defaults(fn=cmd_prune)
-
-    p = sub.add_parser("fp16", help="store weights as float16")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_fp16)
-
-    p = sub.add_parser("benchmark", help="time a model on this host")
-    p.add_argument("model")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--profile", type=int, default=0, metavar="N",
-                   help="also print the N slowest operators and the time per "
-                        "operator type")
-    p.set_defaults(fn=cmd_benchmark)
-
-    p = sub.add_parser("trace", help="record a Chrome trace of pre-inference "
-                                     "+ execution")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", default="trace.json")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--top", type=int, default=10, metavar="K",
-                   help="print the K most expensive operators")
-    p.add_argument("--waterfall", action="store_true",
-                   help="also print a per-lane text waterfall")
-    p.add_argument("--waterfall-min-ms", type=float, default=0.05)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser("metrics", help="print the metrics snapshot for N runs")
-    p.add_argument("model", nargs="?", default=None,
-                   help=".rmnn model (default: a tiny request-tracked "
-                        "generation workload that populates the SLO "
-                        "histograms)")
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("-o", "--output", default=None,
-                   help="also write the snapshot as JSON")
-    p.add_argument("--sanitize", action="store_true",
-                   help="run with the concurrency sanitizer live; the "
-                        "snapshot then includes the sanitize.* counters")
-    p.add_argument("--prom", action="store_true",
-                   help="also export the registry in Prometheus text "
-                        "exposition format")
-    p.add_argument("--selftest", action="store_true",
-                   help="re-parse the Prometheus export through the "
-                        "validating parser (and require the SLO families "
-                        "on the generation workload)")
-    p.set_defaults(fn=cmd_metrics)
-
-    p = sub.add_parser("warm", help="populate the pre-inference cache")
-    p.add_argument("model")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--cache-dir", default=None,
-                   help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    p.set_defaults(fn=cmd_warm)
-
-    p = sub.add_parser("serve", help="drive concurrent traffic through an engine")
-    p.add_argument("model")
-    p.add_argument("--requests", type=int, default=32)
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--pool", type=int, default=2)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--batch", type=int, default=0, metavar="N",
-                   help="coalesce requests into micro-batches of up to N (0 = off)")
-    p.add_argument("--batch-timeout-ms", type=float, default=2.0)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the pre-inference cache entirely")
-    p.add_argument("--selftest", action="store_true",
-                   help="verify concurrent results against serial execution")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="record serving + execution spans to a Chrome trace")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser("cluster", help="multi-process router/worker serving "
-                                       "tier (sharded, supervised, "
-                                       "crash-tolerant)")
-    p.add_argument("model", nargs="?", default=None,
-                   help=".rmnn model (default: built-in chaos CNN)")
-    p.add_argument("--workers", type=int, default=2)
-    p.add_argument("--requests", type=int, default=32)
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--queue-depth", type=int, default=8,
-                   help="per-worker admission bound (queued + in flight)")
-    p.add_argument("--dwell-ms", type=float, default=2.0,
-                   help="simulated per-request device dwell inside each "
-                        "worker (models an accelerator-backed deployment)")
-    p.add_argument("--selftest", action="store_true",
-                   help="spawn workers, SIGKILL one, assert the supervisor "
-                        "replaces it and serving stays bit-identical")
-    p.add_argument("--prom", action="store_true",
-                   help="also export the router registry in Prometheus "
-                        "text exposition format")
-    p.set_defaults(fn=cmd_cluster)
-
-    p = sub.add_parser("estimate", help="model latency on a phone (simulator)")
-    p.add_argument("model")
-    p.add_argument("--device", default="Mate20")
-    p.add_argument("--engine", default="MNN")
-    p.add_argument("--backend", default="cpu")
-    p.add_argument("--threads", type=int, default=4)
-    p.set_defaults(fn=cmd_estimate)
-
-    p = sub.add_parser("devices", help="list the device catalog")
-    p.set_defaults(fn=cmd_devices)
-
-    p = sub.add_parser("chaos", help="seeded fault-injection self-test storm")
-    p.add_argument("model", nargs="?", default=None,
-                   help=".rmnn model (default: built-in chaos CNN)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--faults", type=int, default=200,
-                   help="keep storming until this many faults have fired")
-    p.add_argument("--events", action="store_true",
-                   help="also print the full injection sequence")
-    p.add_argument("--sanitize", action="store_true",
-                   help="storm with the race/lock-order/lifecycle "
-                        "sanitizer live; any finding fails the storm")
-    p.add_argument("--postmortem-dir", default=None, metavar="DIR",
-                   help="attach a deterministic flight recorder: isolated "
-                        "faults, KV OOMs and the deadline probe dump "
-                        "replayable postmortem JSON into DIR")
-    p.add_argument("--kv-dtype", default="float32",
-                   choices=("float32", "int8"),
-                   help="KV-cache storage dtype for the generation/prefix "
-                        "phases (storm and gold alike)")
-    p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser("regress", help="bench-regression gate over "
-                                       "BENCH_*.json trajectories")
-    p.add_argument("files", nargs="+", metavar="BENCH_JSON",
-                   help="trajectory files (repro.bench appends one stamped "
-                        "record per run)")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="tolerated relative regression before failing "
-                        "(default 0.5 = 50%%)")
-    p.add_argument("--min-history", type=int, default=1,
-                   help="minimum comparable baseline runs; fewer skips the "
-                        "gate with a note")
-    p.set_defaults(fn=cmd_regress)
-
-    p = sub.add_parser("sanitize", help="static concurrency lint (C0xx) over "
-                                        "the source tree")
-    p.add_argument("--root", default=None,
-                   help="source tree to lint (default: the installed repro "
-                        "package)")
-    p.add_argument("--strict", action="store_true",
-                   help="treat C0xx warnings as failures (exit 1)")
-    p.set_defaults(fn=cmd_sanitize)
-
-    p = sub.add_parser("generate", help="continuous-batching autoregressive "
-                                        "generation over the tiny decoder")
-    p.add_argument("--prompts", type=int, default=4,
-                   help="number of random prompts to generate for")
-    p.add_argument("--max-tokens", type=int, default=12)
-    p.add_argument("--max-seq", type=int, default=48)
-    p.add_argument("--d-model", type=int, default=32)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--batch", type=int, default=4,
-                   help="continuous-batch seat count")
-    p.add_argument("--page-tokens", type=int, default=8,
-                   help="KV-cache page granule in tokens")
-    p.add_argument("--temperature", type=float, default=0.0,
-                   help="0 = greedy (the bit-identity selftest mode)")
-    p.add_argument("--top-k", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prefix-cache", action="store_true",
-                   help="serve shared prompt prefixes copy-on-write from "
-                        "retired KV slabs (tokens stay bit-identical)")
-    p.add_argument("--shared-prefix", type=int, default=0, metavar="N",
-                   help="prepend one shared random N-token prefix to every "
-                        "prompt (makes --prefix-cache hits observable)")
-    p.add_argument("--selftest", action="store_true",
-                   help="greedy: verify bit-identity vs full recompute; "
-                        "sampled: verify reseeded replay reproduces tokens")
-    p.add_argument("--trace", default=None, metavar="FILE",
-                   help="record prefill/decode/batch spans to a Chrome trace")
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("schemes", help="show per-conv scheme decisions")
-    p.add_argument("model")
-    p.set_defaults(fn=cmd_schemes)
-
-    p = sub.add_parser("autotune", help="measure conv schemes on this host")
-    p.add_argument("model")
-    p.add_argument("--repeats", type=int, default=2)
-    p.set_defaults(fn=cmd_autotune)
-
-    p = sub.add_parser("dot", help="export the graph as Graphviz dot")
-    p.add_argument("model")
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--schemes", action="store_true",
-                   help="annotate convs with their selected schemes")
-    p.set_defaults(fn=cmd_dot)
+    for name, help_text, handler, specs in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for spec in specs:
+            p.add_argument(*spec.flags, **spec.kwargs)
+        p.set_defaults(fn=handler)
     return parser
+
+
+def _dispatch(args) -> int:
+    """Load the model, start a ``--trace`` tracer, run the handler, and
+    write the Chrome trace once it returns 0."""
+    model = getattr(args, "model", None)
+    args.graph = load_model(model) if model else None
+    args.tracer = Tracer() if getattr(args, "trace", None) else None
+    rc = args.fn(args)
+    if rc == 0 and args.tracer is not None:
+        spans = args.tracer.spans
+        save_chrome_trace(args.tracer, args.trace)
+        print(f"trace:      wrote {args.trace} "
+              f"({len(spans)} spans, {len({s.tid for s in spans})} lanes)")
+    return rc
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _dispatch(args)
     except (OSError, ValueError, KeyError) as exc:
         # Structurally invalid models carry structured diagnostics (see
         # repro.analysis); print them rule-tagged instead of a traceback.
         diagnostics = getattr(exc, "diagnostics", None)
         if diagnostics:
-            from ..analysis import format_diagnostics, summarize
-
             print(format_diagnostics(diagnostics), file=sys.stderr)
             print(f"error: {summarize(diagnostics)}", file=sys.stderr)
         else:

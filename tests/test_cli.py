@@ -1,11 +1,118 @@
 """Tests for the command-line tools (repro.tools.cli)."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 from repro.ir import load_model, save_model
 from repro.models import squeezenet_v1_1
+from repro.tools import cli
 from repro.tools.cli import main
+
+#: Every subcommand option as (command, option strings or positional dest,
+#: default, required, nargs, choices, type name), read from the parser as
+#: it stood before the command table replaced the per-command blocks.
+PARSER_SURFACE = [
+    ('info', ('model',), None, True, None, None, None),
+    ('build', ('model_name',), None, True, None, None, None),
+    ('build', ('-o', '--output'), None, True, None, None, None),
+    ('build', ('--input-size',), 224, False, None, None, 'int'),
+    ('build', ('--seed',), 0, False, None, None, 'int'),
+    ('lint', ('model',), None, True, None, None, None),
+    ('lint', ('--strict',), False, False, 0, None, None),
+    ('lint', ('--no-memcheck',), False, False, 0, None, None),
+    ('optimize', ('model',), None, True, None, None, None),
+    ('optimize', ('-o', '--output'), None, True, None, None, None),
+    ('optimize', ('--verify',), False, False, 0, None, None),
+    ('quantize', ('model',), None, False, '?', None, None),
+    ('quantize', ('-o', '--output'), None, False, None, None, None),
+    ('quantize', ('--calibration-batches',), 4, False, None, None, 'int'),
+    ('quantize', ('--selftest',), False, False, 0, None, None),
+    ('prune', ('model',), None, True, None, None, None),
+    ('prune', ('-o', '--output'), None, True, None, None, None),
+    ('prune', ('--sparsity',), 0.5, False, None, None, 'float'),
+    ('fp16', ('model',), None, True, None, None, None),
+    ('fp16', ('-o', '--output'), None, True, None, None, None),
+    ('benchmark', ('model',), None, True, None, None, None),
+    ('benchmark', ('--threads',), 4, False, None, None, 'int'),
+    ('benchmark', ('--repeats',), 10, False, None, None, 'int'),
+    ('benchmark', ('--profile',), 0, False, None, None, 'int'),
+    ('trace', ('model',), None, True, None, None, None),
+    ('trace', ('-o', '--output'), 'trace.json', False, None, None, None),
+    ('trace', ('--threads',), 4, False, None, None, 'int'),
+    ('trace', ('--runs',), 1, False, None, None, 'int'),
+    ('trace', ('--top',), 10, False, None, None, 'int'),
+    ('trace', ('--waterfall',), False, False, 0, None, None),
+    ('trace', ('--waterfall-min-ms',), 0.05, False, None, None, 'float'),
+    ('metrics', ('model',), None, False, '?', None, None),
+    ('metrics', ('--runs',), 10, False, None, None, 'int'),
+    ('metrics', ('--threads',), 4, False, None, None, 'int'),
+    ('metrics', ('-o', '--output'), None, False, None, None, None),
+    ('metrics', ('--sanitize',), False, False, 0, None, None),
+    ('metrics', ('--prom',), False, False, 0, None, None),
+    ('metrics', ('--selftest',), False, False, 0, None, None),
+    ('warm', ('model',), None, True, None, None, None),
+    ('warm', ('--threads',), 4, False, None, None, 'int'),
+    ('warm', ('--cache-dir',), None, False, None, None, None),
+    ('serve', ('model',), None, True, None, None, None),
+    ('serve', ('--requests',), 32, False, None, None, 'int'),
+    ('serve', ('--clients',), 4, False, None, None, 'int'),
+    ('serve', ('--pool',), 2, False, None, None, 'int'),
+    ('serve', ('--threads',), 4, False, None, None, 'int'),
+    ('serve', ('--batch',), 0, False, None, None, 'int'),
+    ('serve', ('--batch-timeout-ms',), 2.0, False, None, None, 'float'),
+    ('serve', ('--cache-dir',), None, False, None, None, None),
+    ('serve', ('--no-cache',), False, False, 0, None, None),
+    ('serve', ('--selftest',), False, False, 0, None, None),
+    ('serve', ('--trace',), None, False, None, None, None),
+    ('cluster', ('model',), None, False, '?', None, None),
+    ('cluster', ('--workers',), 2, False, None, None, 'int'),
+    ('cluster', ('--requests',), 32, False, None, None, 'int'),
+    ('cluster', ('--clients',), 4, False, None, None, 'int'),
+    ('cluster', ('--queue-depth',), 8, False, None, None, 'int'),
+    ('cluster', ('--dwell-ms',), 2.0, False, None, None, 'float'),
+    ('cluster', ('--selftest',), False, False, 0, None, None),
+    ('cluster', ('--prom',), False, False, 0, None, None),
+    ('estimate', ('model',), None, True, None, None, None),
+    ('estimate', ('--device',), 'Mate20', False, None, None, None),
+    ('estimate', ('--engine',), 'MNN', False, None, None, None),
+    ('estimate', ('--backend',), 'cpu', False, None, None, None),
+    ('estimate', ('--threads',), 4, False, None, None, 'int'),
+    ('chaos', ('model',), None, False, '?', None, None),
+    ('chaos', ('--seed',), 0, False, None, None, 'int'),
+    ('chaos', ('--faults',), 200, False, None, None, 'int'),
+    ('chaos', ('--events',), False, False, 0, None, None),
+    ('chaos', ('--sanitize',), False, False, 0, None, None),
+    ('chaos', ('--postmortem-dir',), None, False, None, None, None),
+    ('chaos', ('--kv-dtype',), 'float32', False, None, ('float32', 'int8'), None),
+    ('regress', ('files',), None, True, '+', None, None),
+    ('regress', ('--threshold',), 0.5, False, None, None, 'float'),
+    ('regress', ('--min-history',), 1, False, None, None, 'int'),
+    ('sanitize', ('--root',), None, False, None, None, None),
+    ('sanitize', ('--strict',), False, False, 0, None, None),
+    ('generate', ('--prompts',), 4, False, None, None, 'int'),
+    ('generate', ('--max-tokens',), 12, False, None, None, 'int'),
+    ('generate', ('--max-seq',), 48, False, None, None, 'int'),
+    ('generate', ('--d-model',), 32, False, None, None, 'int'),
+    ('generate', ('--heads',), 2, False, None, None, 'int'),
+    ('generate', ('--layers',), 2, False, None, None, 'int'),
+    ('generate', ('--batch',), 4, False, None, None, 'int'),
+    ('generate', ('--page-tokens',), 8, False, None, None, 'int'),
+    ('generate', ('--temperature',), 0.0, False, None, None, 'float'),
+    ('generate', ('--top-k',), 0, False, None, None, 'int'),
+    ('generate', ('--seed',), 0, False, None, None, 'int'),
+    ('generate', ('--prefix-cache',), False, False, 0, None, None),
+    ('generate', ('--shared-prefix',), 0, False, None, None, 'int'),
+    ('generate', ('--selftest',), False, False, 0, None, None),
+    ('generate', ('--trace',), None, False, None, None, None),
+    ('schemes', ('model',), None, True, None, None, None),
+    ('autotune', ('model',), None, True, None, None, None),
+    ('autotune', ('--repeats',), 2, False, None, None, 'int'),
+    ('dot', ('model',), None, True, None, None, None),
+    ('dot', ('-o', '--output'), None, False, None, None, None),
+    ('dot', ('--schemes',), False, False, 0, None, None),
+]
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +232,30 @@ class TestCli:
     def test_dot_to_stdout(self, model_path, capsys):
         assert main(["dot", model_path]) == 0
         assert "digraph" in capsys.readouterr().out
+
+    def test_benchmark_gather_model(self, tmp_path):
+        # Integer feeds must index inside tiny_decoder's 64-row pos_embed.
+        out_path = str(tmp_path / "t.rmnn")
+        assert main(["build", "tiny_decoder", "-o", out_path]) == 0
+        assert main(["benchmark", out_path, "--repeats", "1"]) == 0
+
+
+def _surface(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (cmd, tuple(a.option_strings) or (a.dest,), a.default, a.required,
+         a.nargs, a.choices, getattr(a.type, "__name__", None))
+        for cmd, p in sub.choices.items()
+        for a in p._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
+
+
+def test_parser_surface_is_pinned():
+    assert _surface(cli.build_parser()) == PARSER_SURFACE
+
+
+def test_usage_block_lists_every_command():
+    usage = cli.__doc__.split("Usage::")[1].split("\n\n", 2)[1]
+    listed = [line.split()[3] for line in usage.splitlines()]
+    assert listed == [name for name, *_ in cli.COMMANDS]

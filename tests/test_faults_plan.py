@@ -248,7 +248,7 @@ class TestOverheadGuard:
         plan's ``fire`` is one attribute check and a return; we price it
         directly, scale by the per-op fault points, and compare against
         the measured run time.  The session does even less — it never
-        calls ``fire`` when resilience is off.
+        calls ``fire`` while the plan is disabled.
         """
         import numpy as np
 

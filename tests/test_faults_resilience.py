@@ -321,15 +321,6 @@ class TestSessionResilience:
         for key in gold:
             assert np.array_equal(out[key], gold[key])
 
-    def test_resilience_off_lets_faults_escape(self):
-        plan = FaultPlan([FaultRule("kernel.execute", "fatal", times=1)])
-        session = Session(
-            tiny_net(), SessionConfig(resilience=False),
-            runtime=Runtime.resolve(faults=plan),
-        )
-        with pytest.raises(FatalFault):
-            session.run(tiny_feed())
-
     def test_resize_rolls_back_under_injected_prepare_fault(self):
         graph = tiny_net()
         feeds = tiny_feed()

@@ -26,7 +26,7 @@ from repro.core import Session, SessionConfig, plan_memory
 from repro.core.reference import execute_reference
 from repro.converter import optimize
 from repro.devices import get_device
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultRule
 from repro.faults.resilience import Deadline
 from repro.ir import GraphBuilder, dumps, loads
 from repro.obs import Tracer
@@ -170,8 +170,10 @@ EXECUTOR_VARIANTS = {
     "plain": lambda: (SessionConfig(), None),
     "traced": lambda: (SessionConfig(), Runtime.resolve(trace=Tracer())),
     "interleaved": lambda: (SessionConfig(decouple=False), None),
+    # A plan whose only rule never fires: the resilient walker, no faults.
     "resilient": lambda: (
-        SessionConfig(resilience=True), Runtime.resolve(faults=FaultPlan())
+        SessionConfig(),
+        Runtime.resolve(faults=FaultPlan([FaultRule("kernel.execute", "transient", p=0.0)])),
     ),
     "far_deadline": lambda: (SessionConfig(), None),
 }
