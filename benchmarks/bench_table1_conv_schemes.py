@@ -6,14 +6,15 @@ Two views of the paper's three convolution settings (kernel, ic, oc, size)
 * **modeled cost** (the Eq. 2/3 metric the selector minimizes) — this is
   where the paper's shape must reproduce exactly: each fixed scheme wins
   one column and loses another; "Ours" tracks the per-column best.
-* **measured wall time** of this repo's kernels.  One documented substrate
-  caveat (EXPERIMENTS.md): our "sliding window" is im2col + one OpenBLAS
-  GEMM, which on a desktop CPU has far higher per-FLOP throughput than the
-  einsum-based Winograd path, so sliding wins wall-clock across the board
-  here — unlike ARM, where both schemes share hand-written NEON kernels.
-  What *does* transfer is the within-Winograd ranking: the selector's tile
-  size n must beat the wrong fixed tile (WinoMin on big maps, WinoMax on
-  small maps), and that is asserted below.
+* **measured wall time** of this repo's kernels.  Both schemes run on
+  OpenBLAS: sliding window is im2col + one float32 GEMM, and every
+  Winograd stage is a float64 GEMM.  Measured on a 2-core x86 host
+  (EXPERIMENTS.md), the selector's n=8 beats sliding on (3,64,64,112)
+  (~21-29 ms vs ~31-41 ms), as in the paper; sliding still wins
+  (2,512,512,16) (~8-10 ms vs ~43-48 ms for n=2), where the float64
+  Hadamard GEMMs carry 512 channels.  The within-Winograd ranking
+  transfers and is asserted below: the selector's tile size n must beat
+  the wrong fixed tile (WinoMin on big maps, WinoMax on small maps).
 """
 
 import numpy as np

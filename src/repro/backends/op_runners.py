@@ -9,7 +9,8 @@ up front:
 * constants (weights) are bound at build time,
 * padding is resolved from the static shapes (pre-inference!),
 * Winograd kernels are pre-transformed (the "pre-computed constants" of
-  Figure 2),
+  Figure 2), depthwise taps are packed channels-last and BatchNorm's
+  scale and shift are computed,
 * GEMM-shaped weights are pre-reshaped — as views: no constant is ever
   copied or transposed, at build time or per run,
 * average-pool divisors are computed from the static shapes.
@@ -120,8 +121,8 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
 
             return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls)
         if op == Op.DEPTHWISE_CONV2D:
-            def fn(inputs, *, _w=weights, _b=bias):
-                y = K.depthwise_conv2d(inputs[0], _w, _b, stride, pads, dilation)
+            def fn(inputs, *, _w=K.pack_depthwise_weights(weights), _b=bias):
+                y = K.depthwise_conv2d_packed(inputs[0], _w, _b, stride, pads, dilation)
                 return [K.apply_activation(y, activation)]
         else:
             kind = getattr(scheme, "kind", None) or _default_conv_scheme(kernel, stride, dilation, groups)
@@ -129,8 +130,12 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
             winograd_n_hw = getattr(scheme, "winograd_n_hw", (1, 2))
             muls = _conv_muls_for_scheme(node, graph, kind, winograd_n, winograd_n_hw)
             if kind == "winograd_rect":
-                def fn(inputs, *, _w=weights, _b=bias, _n=winograd_n_hw):
-                    y = K.winograd_conv2d_rect(inputs[0], _w, _b, _n, pads)
+                tr_h = K.axis_transforms(winograd_n_hw[0], kernel[0])
+                tr_w = K.axis_transforms(winograd_n_hw[1], kernel[1])
+                packed = K.transform_kernel_rect(weights, tr_h, tr_w)
+
+                def fn(inputs, *, _p=packed, _h=tr_h, _tw=tr_w, _b=bias):
+                    y = K.winograd_conv2d_rect_with_kernel(inputs[0], _p, _h, _tw, _b, pads)
                     return [K.apply_activation(y, activation)]
             elif kind == "winograd":
                 transforms = K.generate_transforms(winograd_n, kernel[0])
@@ -142,7 +147,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
             elif kind == "gemm1x1":
                 # A reshape view of the constant: the GEMM's W(oc, ic).
                 def fn(inputs, *, _w=weights.reshape(weights.shape[0], -1), _b=bias):
-                    y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen)
+                    y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen, pads=pads)
                     return [K.apply_activation(y, activation)]
             else:
                 def fn(inputs, *, _w=weights, _b=bias):
@@ -232,9 +237,15 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
     elif op == Op.BATCH_NORM:
         gamma, beta, mean, var = (const_arrays[name] for name in node.inputs[1:5])
         eps = float(attrs["epsilon"])
+        # K.batch_norm's scale and shift, bound once: y = x * inv + shift.
+        shape = (1, -1) + (1,) * (len(graph.desc(node.inputs[0]).shape) - 2)
+        inv = gamma.reshape(shape) / np.sqrt(var.reshape(shape) + eps)
+        shift = beta.reshape(shape) - mean.reshape(shape) * inv
 
-        def fn(inputs):
-            return [K.batch_norm(inputs[0], gamma, beta, mean, var, eps)]
+        def fn(inputs, *, _inv=inv, _shift=shift):
+            y = inputs[0] * _inv
+            y += _shift
+            return [y]
 
     elif op == Op.PRELU:
         slope = const_arrays[node.inputs[1]]

@@ -13,15 +13,18 @@ from .matmul import (
 )
 from .winograd import (
     WinogradTransforms,
+    axis_transforms,
     generate_transforms,
     interpolation_points,
     transform_kernel,
+    transform_kernel_rect,
     winograd_conv2d,
     winograd_conv2d_rect,
+    winograd_conv2d_rect_with_kernel,
     winograd_conv2d_with_kernel,
 )
 from .conv import apply_activation, conv2d, conv2d_1x1, conv2d_im2col, im2col
-from .depthwise import depthwise_conv2d
+from .depthwise import depthwise_conv2d, depthwise_conv2d_packed, pack_depthwise_weights
 from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d, pool_counts
 from .elementwise import (
     add,
@@ -81,11 +84,14 @@ __all__ = [
     "strassen_should_recurse",
     "tiled_matmul",
     "WinogradTransforms",
+    "axis_transforms",
     "generate_transforms",
     "interpolation_points",
     "transform_kernel",
+    "transform_kernel_rect",
     "winograd_conv2d",
     "winograd_conv2d_rect",
+    "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
     "apply_activation",
     "conv2d",
@@ -93,6 +99,8 @@ __all__ = [
     "conv2d_im2col",
     "im2col",
     "depthwise_conv2d",
+    "depthwise_conv2d_packed",
+    "pack_depthwise_weights",
     "avg_pool2d",
     "global_avg_pool2d",
     "max_pool2d",

@@ -19,7 +19,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .matmul import GemmStats, matmul, tiled_matmul
-from .winograd import generate_transforms, transform_kernel, winograd_conv2d_with_kernel
+from .winograd import (
+    generate_transforms,
+    transform_kernel,
+    winograd_conv2d_rect,
+    winograd_conv2d_with_kernel,
+)
 
 __all__ = ["im2col", "conv2d_im2col", "conv2d_1x1", "conv2d", "apply_activation"]
 
@@ -107,6 +112,7 @@ def conv2d_1x1(
     stride: Tuple[int, int] = (1, 1),
     use_strassen: bool = True,
     stats: Optional[GemmStats] = None,
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
 ) -> np.ndarray:
     """1x1 convolution as a GEMM, Strassen-accelerated (Section 3.3.2).
 
@@ -118,10 +124,15 @@ def conv2d_1x1(
     bitwise equal to the single-sample call.
 
     ``weights`` is ``(oc, ic, 1, 1)`` or its ``(oc, ic)`` reshape, which a
-    runner binds once as a view of the graph constant.
+    runner binds once as a view of the graph constant.  ``pads`` (top,
+    bottom, left, right) zero-pads the input before the stride is applied,
+    as for every other scheme.
     """
     if weights.shape[2:] not in ((), (1, 1)) or weights.ndim not in (2, 4):
         raise ValueError(f"conv2d_1x1 needs a 1x1 kernel, got {weights.shape}")
+    if any(pads):
+        top, bottom, left, right = pads
+        x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
     if stride != (1, 1):
         x = x[:, :, :: stride[0], :: stride[1]]
     n, ic, h, w = x.shape
@@ -161,14 +172,12 @@ def conv2d(
     if scheme == "gemm1x1":
         if groups != 1:
             raise ValueError("gemm1x1 scheme does not support groups")
-        y = conv2d_1x1(x, weights, bias, stride, stats=stats)
+        y = conv2d_1x1(x, weights, bias, stride, stats=stats, pads=pads)
     elif scheme == "winograd_rect":
         if groups != 1 or dilation != (1, 1):
             raise ValueError("winograd_rect scheme requires groups=1, dilation=1")
         if stride != (1, 1):
             raise ValueError("Winograd convolution requires stride 1")
-        from .winograd import winograd_conv2d_rect
-
         y = winograd_conv2d_rect(x, weights, bias, winograd_n_hw, pads)
     elif scheme == "winograd":
         if groups != 1 or dilation != (1, 1):

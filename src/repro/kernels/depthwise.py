@@ -2,7 +2,9 @@
 
 Depthwise conv applies one k x k filter per channel.  It is memory-bound, so
 no Winograd/Strassen variant exists in MNN's scheme pool either; the kernel
-is a direct vectorized sweep over the (small) kernel window.
+is a direct vectorized sweep over the (small) kernel window.  Like MNN's
+NC4HW4 layout, it runs channels-last: every multiply-add streams over
+contiguous channels instead of NCHW planes a few elements wide.
 """
 
 from __future__ import annotations
@@ -11,7 +13,55 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["depthwise_conv2d"]
+__all__ = ["depthwise_conv2d", "depthwise_conv2d_packed", "pack_depthwise_weights"]
+
+
+def pack_depthwise_weights(weights: np.ndarray) -> np.ndarray:
+    """(C, 1, kh, kw) per-channel filters -> contiguous (kh, kw, C) taps."""
+    if weights.ndim != 4 or weights.shape[1] != 1:
+        raise ValueError(f"depthwise weights {weights.shape} are not (C, 1, kh, kw)")
+    return np.ascontiguousarray(weights[:, 0].transpose(1, 2, 0))
+
+
+def depthwise_conv2d_packed(
+    x: np.ndarray,
+    packed: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    stride: Tuple[int, int] = (1, 1),
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dilation: Tuple[int, int] = (1, 1),
+) -> np.ndarray:
+    """Depthwise convolution with taps from :func:`pack_depthwise_weights`.
+
+    The input is copied once into a zero-bordered (N, H', W', C) buffer;
+    the kh*kw taps multiply-add over contiguous C in row-major tap order
+    through one reused product buffer, the bias is added last, and the
+    result is transposed once back to NCHW.  Each output element sees the
+    same float operations in the same order as an NCHW tap sweep, so the
+    result is bitwise equal to it.
+    """
+    n, c, h, w = x.shape
+    kh, kw, pc = packed.shape
+    if pc != c:
+        raise ValueError(f"depthwise weights for {pc} channels do not match {c} channels")
+    sh, sw = stride
+    dh, dw = dilation
+    top, bottom, left, right = pads
+    xp = np.zeros((n, h + top + bottom, w + left + right, c), dtype=x.dtype)
+    xp[:, top : top + h, left : left + w] = x.transpose(0, 2, 3, 1)
+    oh = (xp.shape[1] - (kh - 1) * dh - 1) // sh + 1
+    ow = (xp.shape[2] - (kw - 1) * dw - 1) // sw + 1
+    out = np.zeros((n, oh, ow, c), dtype=np.result_type(x.dtype, packed.dtype))
+    prod = np.empty_like(out)
+    for i in range(kh):
+        for j in range(kw):
+            di, dj = i * dh, j * dw
+            patch = xp[:, di : di + (oh - 1) * sh + 1 : sh, dj : dj + (ow - 1) * sw + 1 : sw]
+            np.multiply(patch, packed[i, j], out=prod)
+            out += prod
+    if bias is not None:
+        out += bias
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def depthwise_conv2d(
@@ -29,26 +79,4 @@ def depthwise_conv2d(
         weights: (C, 1, kh, kw) per-channel filters.
         bias: optional (C,) bias.
     """
-    n, c, _, _ = x.shape
-    if weights.shape[0] != c or weights.shape[1] != 1:
-        raise ValueError(f"depthwise weights {weights.shape} do not match {c} channels")
-    kh, kw = weights.shape[2], weights.shape[3]
-    sh, sw = stride
-    dh, dw = dilation
-    top, bottom, left, right = pads
-    if any(pads):
-        x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    eff_kh = (kh - 1) * dh + 1
-    eff_kw = (kw - 1) * dw + 1
-    oh = (x.shape[2] - eff_kh) // sh + 1
-    ow = (x.shape[3] - eff_kw) // sw + 1
-    out = np.zeros((n, c, oh, ow), dtype=np.result_type(x.dtype, weights.dtype))
-    # Sweep the kernel window: kh*kw fused multiply-adds over whole planes.
-    for i in range(kh):
-        for j in range(kw):
-            di, dj = i * dh, j * dw
-            patch = x[:, :, di : di + (oh - 1) * sh + 1 : sh, dj : dj + (ow - 1) * sw + 1 : sw]
-            out += patch * weights[:, 0, i, j].reshape(1, c, 1, 1)
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
+    return depthwise_conv2d_packed(x, pack_depthwise_weights(weights), bias, stride, pads, dilation)

@@ -20,7 +20,10 @@ The 2-D convolution (``winograd_conv2d``) follows Figure 4: tile the input,
 transform tiles with ``B^T X B``, pre-transform the kernel with ``G W G^T``
 (done once at pre-inference — the "pre-computed constants" of Figure 2),
 batch the Hadamard products into per-position matrix multiplications over
-the channel dimension, and inverse-transform with ``A^T Y' A``.
+the channel dimension, and inverse-transform with ``A^T Y' A``.  Every stage
+is a float64 GEMM on the same BLAS substrate as sliding window, and square
+and rectangular kernels share one core
+(:func:`winograd_conv2d_rect_with_kernel`).
 """
 
 from __future__ import annotations
@@ -33,11 +36,14 @@ import numpy as np
 
 __all__ = [
     "WinogradTransforms",
+    "axis_transforms",
     "generate_transforms",
     "interpolation_points",
     "transform_kernel",
+    "transform_kernel_rect",
     "winograd_conv2d",
     "winograd_conv2d_rect",
+    "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
     "transform_cache_entries",
     "preload_transforms",
@@ -284,32 +290,106 @@ def generate_transforms(n: int, k: int, f: Fraction = Fraction(1, 2)) -> Winogra
     return _generate_cached(n, k, frac.numerator, frac.denominator)
 
 
+def axis_transforms(n: int, k: int, f: Fraction = Fraction(1, 2)) -> WinogradTransforms:
+    """Transforms for one axis of F(n, k); ``k == 1`` degenerates to identities.
+
+    A k = 1 "convolution" along an axis is a scalar multiply, so its
+    transforms collapse to identities with ``G = ones((n, 1))``.
+    """
+    if k == 1:
+        eye = np.eye(n, dtype=np.float64)
+        return WinogradTransforms(n=n, k=1, t=n, at=eye, g=np.ones((n, 1)), bt=eye)
+    return generate_transforms(n, k, f)
+
+
+def transform_kernel_rect(
+    weights: np.ndarray, tr_h: WinogradTransforms, tr_w: WinogradTransforms,
+) -> np.ndarray:
+    """Pre-transform conv weights per axis: ``W' = G_h W G_w^T`` per (oc, ic) pair.
+
+    Args:
+        weights: (oc, ic, kh, kw) convolution kernel.
+        tr_h, tr_w: per-axis transforms (:func:`axis_transforms`).
+
+    Returns:
+        (th, tw, ic, oc) transformed kernel, laid out so the Hadamard stage
+        is one (tiles, ic) x (ic, oc) GEMM per tile position (Figure 4).
+    """
+    _, _, kh, kw = weights.shape
+    if (kh, kw) != (tr_h.k, tr_w.k):
+        raise ValueError(f"kernel {kh}x{kw} does not match transforms k={(tr_h.k, tr_w.k)}")
+    wt = np.tensordot(tr_h.g, weights.astype(np.float64), axes=([1], [2]))  # (th, oc, ic, kw)
+    wt = np.tensordot(wt, tr_w.g, axes=([3], [1]))  # (th, oc, ic, tw)
+    return np.ascontiguousarray(wt.transpose(0, 3, 2, 1))
+
+
 def transform_kernel(weights: np.ndarray, transforms: WinogradTransforms) -> np.ndarray:
-    """Pre-transform conv weights: ``W' = G W G^T`` per (oc, ic) pair.
+    """Pre-transform square conv weights: ``W' = G W G^T`` per (oc, ic) pair.
 
     Args:
         weights: (oc, ic, k, k) convolution kernel.
         transforms: matrices from :func:`generate_transforms`.
 
     Returns:
-        (t, t, ic, oc) transformed kernel, laid out so the Hadamard stage can
-        run one (U, ic) x (ic, oc) matmul per tile position (Figure 4).
+        (t, t, ic, oc) transformed kernel (see :func:`transform_kernel_rect`).
     """
-    oc, ic, kh, kw = weights.shape
-    if kh != transforms.k or kw != transforms.k:
-        raise ValueError(f"kernel {kh}x{kw} does not match transforms k={transforms.k}")
-    g = transforms.g
-    # W'[a, b, ic, oc] = sum_{i,j} G[a, i] W[oc, ic, i, j] G[b, j]
-    wt = np.tensordot(g, weights.astype(np.float64), axes=([1], [2]))
-    # wt: (t, oc, ic, k); contract the remaining kernel axis with G
-    wt = np.tensordot(wt, g, axes=([3], [1]))  # (t, oc, ic, t)
-    return np.ascontiguousarray(wt.transpose(0, 3, 2, 1))  # (t, t, ic, oc)
+    return transform_kernel_rect(weights, transforms, transforms)
 
 
-def _tile_input(x: np.ndarray, n: int, t: int, tiles_h: int, tiles_w: int) -> np.ndarray:
-    """Gather overlapping t x t tiles at stride n: -> (N, ic, th, tw, t, t)."""
-    view = np.lib.stride_tricks.sliding_window_view(x, (t, t), axis=(2, 3))
-    return view[:, :, :: n, :: n][:, :, :tiles_h, :tiles_w]
+def winograd_conv2d_rect_with_kernel(
+    x: np.ndarray,
+    transformed_kernel: np.ndarray,
+    tr_h: WinogradTransforms,
+    tr_w: WinogradTransforms,
+    bias: Optional[np.ndarray] = None,
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+) -> np.ndarray:
+    """F(nh x nw, kh x kw) Winograd convolution given a transformed kernel.
+
+    The one core behind every Winograd entry point.  Each stage of Figure 4
+    is a float64 BLAS call on sliding window's GEMM substrate: one
+    zero-bordered channels-last copy and tile gather, ``B_h^T X B_w`` as two
+    (t x t) @ (t x rest) GEMMs, the Hadamard stage as one batched
+    (tiles, ic) @ (ic, oc) matmul over the ``th * tw`` tile positions, and
+    ``A_h^T M A_w`` as two more GEMMs.  Stride 1, dilation 1.
+    """
+    nh, kh, th = tr_h.n, tr_h.k, tr_h.t
+    nw, kw, tw = tr_w.n, tr_w.k, tr_w.t
+    batch, ic, ih, iw = x.shape
+    oc = transformed_kernel.shape[3]
+    top, bottom, left, right = pads
+    oh = ih + top + bottom - kh + 1
+    ow = iw + left + right - kw + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(f"kernel ({kh},{kw}) does not fit padded input {(ih, iw)}")
+    tiles_h = -(-oh // nh)
+    tiles_w = -(-ow // nw)
+    # Explicit conv padding plus bottom/right padding to whole tiles.
+    xp = np.zeros((batch, tiles_h * nh + kh - 1, tiles_w * nw + kw - 1, ic))
+    xp[:, top : top + ih, left : left + iw] = x.transpose(0, 2, 3, 1)
+    # tiles[b, d, (n, i, j), c] = xp[n, i * nh + b, j * nw + d, c]
+    view = np.lib.stride_tricks.sliding_window_view(xp, (th, tw), axis=(1, 2))
+    tiles = view[:, ::nh, ::nw].transpose(4, 5, 0, 1, 2, 3).copy()
+    count = batch * tiles_h * tiles_w
+    # X' = B_h^T X B_w; the second GEMM overwrites the gathered tiles.
+    z = tr_h.bt @ tiles.reshape(th, -1)
+    xt = np.matmul(tr_w.bt, z.reshape(th, tw, -1), out=tiles.reshape(th, tw, -1))
+    # Hadamard-as-matmul per tile position (Figure 4).
+    m = np.matmul(xt.reshape(th * tw, count, ic), transformed_kernel.reshape(th * tw, ic, oc))
+    # Y = A_h^T M A_w; the second GEMM overwrites M, which it no longer reads.
+    z = tr_h.at @ m.reshape(th, -1)
+    y = np.matmul(tr_w.at, z.reshape(nh, tw, -1),
+                  out=m.reshape(-1)[: nh * nw * count * oc].reshape(nh, nw, -1))
+    y = y.reshape(nh, nw, batch, tiles_h, tiles_w, oc)
+    if bias is not None:
+        y += bias
+    # Scatter the tiles back to NCHW, casting once, then crop to (oh, ow).
+    out = np.empty((batch, oc, tiles_h, nh, tiles_w, nw), dtype=x.dtype)
+    out[...] = y.transpose(2, 5, 3, 0, 4, 1)
+    out = out.reshape(batch, oc, tiles_h * nh, tiles_w * nw)
+    if out.shape[2:] != (oh, ow):
+        out = np.ascontiguousarray(out[:, :, :oh, :ow])
+    return out
 
 
 def winograd_conv2d_with_kernel(
@@ -320,7 +400,7 @@ def winograd_conv2d_with_kernel(
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     stride: Tuple[int, int] = (1, 1),
 ) -> np.ndarray:
-    """Winograd convolution given an already-transformed kernel.
+    """Square Winograd convolution given an already-transformed kernel.
 
     Splitting kernel transformation out mirrors MNN's pre-inference: ``G W
     G^T`` is computed once per session and reused across inferences.
@@ -330,51 +410,8 @@ def winograd_conv2d_with_kernel(
     """
     if stride != (1, 1):
         raise ValueError("Winograd convolution requires stride 1")
-    n_tile, k, t = transforms.n, transforms.k, transforms.t
-    batch, ic, ih, iw = x.shape
-    top, bottom, left, right = pads
-    oh = ih + top + bottom - k + 1
-    ow = iw + left + right - k + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(f"kernel {k} does not fit padded input {(ih, iw)}")
-    tiles_h = -(-oh // n_tile)
-    tiles_w = -(-ow // n_tile)
-    # Pad: explicit conv padding plus right/bottom padding to whole tiles.
-    pad_h = tiles_h * n_tile + k - 1 - (ih + top + bottom)
-    pad_w = tiles_w * n_tile + k - 1 - (iw + left + right)
-    xp = np.pad(
-        x.astype(np.float64, copy=False),
-        ((0, 0), (0, 0), (top, bottom + pad_h), (left, right + pad_w)),
-    )
-
-    tiles = _tile_input(xp, n_tile, t, tiles_h, tiles_w)  # (N, ic, th, tw, t, t)
-    bt, at = transforms.bt, transforms.at
-    # X' = B^T X B, batched over (N, ic, th, tw).
-    xt = np.einsum("ab,nctwbd,ed->aenctw", bt, tiles, bt, optimize=True)
-    # Hadamard-as-matmul per tile position (Figure 4):
-    # Y'[a, e, n, th, tw, oc] = sum_ic X'[a, e, n, c, th, tw] W'[a, e, c, oc]
-    yt = np.einsum("aenctw,aeco->aentwo", xt, transformed_kernel, optimize=True)
-    # Y = A^T Y' A  -> (n_tile, n_tile, N, th, tw, oc)
-    y = np.einsum("pa,aentwo,qe->pqntwo", at, yt, at, optimize=True)
-    # Scatter tiles back: (N, oc, th*n, tw*n), then crop to (oh, ow).
-    y = y.transpose(2, 5, 3, 0, 4, 1).reshape(batch, y.shape[5], tiles_h * n_tile, tiles_w * n_tile)
-    y = y[:, :, :oh, :ow]
-    if bias is not None:
-        y = y + bias.reshape(1, -1, 1, 1)
-    return y.astype(x.dtype, copy=False)
-
-
-def _transforms_1d(n: int, k: int, f: Fraction) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis transforms (A^T, G, B^T) for F(n, k), with k = 1 degenerate.
-
-    A k = 1 "convolution" along an axis is a scalar multiply, so the
-    transforms collapse to identities with ``G = ones((n, 1))``.
-    """
-    if k == 1:
-        eye = np.eye(n, dtype=np.float64)
-        return eye, np.ones((n, 1), dtype=np.float64), eye
-    tr = generate_transforms(n, k, f)
-    return tr.at, tr.g, tr.bt
+    return winograd_conv2d_rect_with_kernel(
+        x, transformed_kernel, transforms, transforms, bias, pads)
 
 
 def winograd_conv2d_rect(
@@ -392,41 +429,11 @@ def winograd_conv2d_rect(
     independent per-axis tile sizes and interpolation points.  Stride must
     be 1 (as for square Winograd).
     """
-    batch, ic, ih, iw = x.shape
-    oc, _, kh, kw = weights.shape
-    nh, nw = n_hw
-    at_h, g_h, bt_h = _transforms_1d(nh, kh, f)
-    at_w, g_w, bt_w = _transforms_1d(nw, kw, f)
-    th, tw = nh + kh - 1, nw + kw - 1
-
-    top, bottom, left, right = pads
-    oh = ih + top + bottom - kh + 1
-    ow = iw + left + right - kw + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(f"kernel ({kh},{kw}) does not fit padded input {(ih, iw)}")
-    tiles_h = -(-oh // nh)
-    tiles_w = -(-ow // nw)
-    pad_h = tiles_h * nh + kh - 1 - (ih + top + bottom)
-    pad_w = tiles_w * nw + kw - 1 - (iw + left + right)
-    xp = np.pad(
-        x.astype(np.float64, copy=False),
-        ((0, 0), (0, 0), (top, bottom + pad_h), (left, right + pad_w)),
-    )
-
-    # W'[a, b, ic, oc] = sum_{i,j} G_h[a, i] W[oc, ic, i, j] G_w[b, j]
-    wt = np.einsum("ai,ocij,bj->abco", g_h, weights.astype(np.float64), g_w,
-                   optimize=True)
-
-    view = np.lib.stride_tricks.sliding_window_view(xp, (th, tw), axis=(2, 3))
-    tiles = view[:, :, ::nh, ::nw][:, :, :tiles_h, :tiles_w]  # (N, ic, TH, TW, th, tw)
-    xt = np.einsum("ab,nctwbd,ed->aenctw", bt_h, tiles, bt_w, optimize=True)
-    yt = np.einsum("aenctw,aeco->aentwo", xt, wt, optimize=True)
-    y = np.einsum("pa,aentwo,qe->pqntwo", at_h, yt, at_w, optimize=True)
-    y = y.transpose(2, 5, 3, 0, 4, 1).reshape(batch, oc, tiles_h * nh, tiles_w * nw)
-    y = y[:, :, :oh, :ow]
-    if bias is not None:
-        y = y + bias.reshape(1, -1, 1, 1)
-    return y.astype(x.dtype, copy=False)
+    _, _, kh, kw = weights.shape
+    tr_h = axis_transforms(n_hw[0], kh, f)
+    tr_w = axis_transforms(n_hw[1], kw, f)
+    kernel = transform_kernel_rect(weights, tr_h, tr_w)
+    return winograd_conv2d_rect_with_kernel(x, kernel, tr_h, tr_w, bias, pads)
 
 
 def winograd_conv2d(

@@ -280,6 +280,17 @@ def cmd_fp16(args) -> int:
     return 0
 
 
+def _scheme_label(decision) -> str:
+    """``winograd n=4``, ``winograd_rect n=1x2``, ``gemm1x1``, ``sliding``; '' for non-convs."""
+    if decision is None:
+        return ""
+    if decision.kind == "winograd":
+        return f"winograd n={decision.winograd_n}"
+    if decision.kind == "winograd_rect":
+        return "winograd_rect n={}x{}".format(*decision.winograd_n_hw)
+    return decision.kind
+
+
 def cmd_benchmark(args) -> int:
     session = Session(args.graph, SessionConfig(threads=args.threads))
     feeds = random_feeds(args.graph)
@@ -296,7 +307,8 @@ def cmd_benchmark(args) -> int:
         profile.sort(key=lambda p: -p.wall_ms)
         print("slowest operators:")
         for p in profile[:args.profile]:
-            print(f"  {p.node:24s} {p.op_type:16s} {p.wall_ms:7.2f} ms")
+            scheme = _scheme_label(session.schemes.get(p.node))
+            print(f"  {p.node:24s} {p.op_type:16s} {p.wall_ms:7.2f} ms  {scheme}".rstrip())
         by_type = {}
         for p in profile:
             by_type[p.op_type] = by_type.get(p.op_type, 0.0) + p.wall_ms

@@ -1,6 +1,7 @@
 """Tests for the command-line tools (repro.tools.cli)."""
 
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -165,9 +166,21 @@ class TestCli:
 
     def test_benchmark_with_profile(self, model_path, capsys):
         assert main(["benchmark", model_path, "--repeats", "2",
-                     "--profile", "3"]) == 0
+                     "--profile", "8"]) == 0
         out = capsys.readouterr().out
         assert "latency:" in out and "slowest operators:" in out
+        # Each conv row names the scheme the selector chose; no other row does.
+        rows = out.split("slowest operators:\n")[1].split("time by operator type:")[0]
+        convs = 0
+        for row in rows.splitlines():
+            scheme = row.split(" ms", 1)[1].strip()
+            if " Conv2D " in row:
+                assert re.fullmatch(r"winograd n=\d+|winograd_rect n=\d+x\d+|gemm1x1|sliding",
+                                    scheme), row
+                convs += 1
+            else:
+                assert scheme == "", row
+        assert convs >= 1
         # One row per operator type of the run, largest share first.
         totals = out.split("time by operator type:\n")[1].splitlines()
         shares = [float(line.split()[-1].rstrip("%")) for line in totals]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Session, SessionConfig
+from repro.core.schemes import SchemeDecision, select_graph_schemes
+from repro.ir import GraphBuilder
 from repro.kernels import (
     GemmStats,
     conv2d,
@@ -184,6 +187,29 @@ class TestConv1x1:
         assert new == old
 
 
+def _depthwise_nchw(x, weights, bias=None, stride=(1, 1), pads=(0, 0, 0, 0), dilation=(1, 1)):
+    """The previous NCHW ``depthwise_conv2d``, kept as an oracle: kh*kw
+    multiply-adds over whole (N, C, h, w) planes, bias last."""
+    n, c, _, _ = x.shape
+    kh, kw = weights.shape[2], weights.shape[3]
+    sh, sw = stride
+    dh, dw = dilation
+    top, bottom, left, right = pads
+    if any(pads):
+        x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    oh = (x.shape[2] - (kh - 1) * dh - 1) // sh + 1
+    ow = (x.shape[3] - (kw - 1) * dw - 1) // sw + 1
+    out = np.zeros((n, c, oh, ow), dtype=np.result_type(x.dtype, weights.dtype))
+    for i in range(kh):
+        for j in range(kw):
+            di, dj = i * dh, j * dw
+            patch = x[:, :, di : di + (oh - 1) * sh + 1 : sh, dj : dj + (ow - 1) * sw + 1 : sw]
+            out += patch * weights[:, 0, i, j].reshape(1, c, 1, 1)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
+
+
 class TestDepthwise:
     @pytest.mark.parametrize(
         "stride,pads,dilation",
@@ -204,6 +230,66 @@ class TestDepthwise:
         w = RNG.standard_normal((5, 1, 3, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="channels"):
             depthwise_conv2d(x, w)
+
+    @given(
+        c=st.integers(1, 64),
+        batch=st.integers(1, 3),
+        kernel=st.sampled_from([(3, 3), (5, 5), (1, 3), (3, 1)]),
+        stride=st.sampled_from([(1, 1), (2, 2), (1, 2)]),
+        dilation=st.sampled_from([(1, 1), (2, 2)]),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        hw=st.tuples(st.integers(9, 17), st.integers(9, 17)),  # fits a dilated 5x5
+        with_bias=st.booleans(),
+        rectified=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_bitwise_equals_nchw_sweep(
+        self, c, batch, kernel, stride, dilation, pads, hw, with_bias, rectified
+    ):
+        """Channels-last does the same float ops in the same order."""
+        rng = np.random.default_rng(c * 7 + batch)
+        x = rng.standard_normal((batch, c) + hw).astype(np.float32)
+        if rectified:  # zeros times negative taps: signed zeros must match too
+            x = np.maximum(x, 0)
+        w = rng.standard_normal((c, 1) + kernel).astype(np.float32)
+        b = rng.standard_normal(c).astype(np.float32) if with_bias else None
+        got = depthwise_conv2d(x, w, b, stride, pads, dilation)
+        want = _depthwise_nchw(x, w, b, stride, pads, dilation)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestPaddedConvSchemes:
+    """Every scheme the selector can return honours explicit padding; a
+    padded 1x1 conv used to run as gemm1x1 with its padding dropped."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_every_selectable_scheme_matches_inferred_shape_and_sliding(self, kernel, stride):
+        b = GraphBuilder("padded", seed=3)
+        x = b.input("x", (1, 4, 6, 6))
+        b.output(b.conv(x, 8, kernel, stride=stride, pad_mode="explicit",
+                        pad=(1, 1, 1, 1), name="c"))
+        graph = b.finish()
+        node = graph.nodes[-1]
+        weights, bias = (graph.constants[name] for name in node.inputs[1:])
+        out_shape = graph.desc("c").shape
+        natural = select_graph_schemes(graph)["c"]
+        if kernel == 1:
+            candidates = [natural]
+        else:
+            assert natural.kind in ("sliding", "winograd")
+            candidates = [SchemeDecision("sliding")]
+            if stride == 1:
+                candidates += [SchemeDecision("winograd", n) for n in (2, 4, 6, 8)]
+        feed = RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)
+        want = conv2d(feed, weights, bias, (stride, stride), (1, 1, 1, 1), scheme="sliding")
+        assert want.shape == out_shape
+        for decision in candidates:
+            session = Session(graph, SessionConfig(scheme_overrides={"c": decision}))
+            got = session.run({"x": feed})["c"]
+            assert got.shape == out_shape, decision.kind
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
 class TestDispatch:

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels import generate_transforms, transform_kernel, winograd_conv2d
+from repro.kernels import (
+    generate_transforms,
+    transform_kernel,
+    winograd_conv2d,
+    winograd_conv2d_rect,
+)
 from repro.kernels.winograd import (
     interpolation_points,
     preload_transforms,
@@ -191,3 +196,45 @@ class TestWinogradConv:
         got = winograd_conv2d(x, w, n=n)
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-3 * max(1.0, np.abs(want).max()))
+
+
+def _direct_conv_f64(x, w, bias, pads):
+    """Stride-1 direct convolution in float64: a loop nest over the kernel
+    taps, each a channel contraction.  Imports nothing from repro.kernels,
+    so it is independent of every Winograd stage it checks."""
+    top, bottom, left, right = pads
+    x = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (top, bottom), (left, right)))
+    w = w.astype(np.float64)
+    kh, kw = w.shape[2:]
+    oh, ow = x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    out = np.zeros((x.shape[0], w.shape[0], oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            out += np.einsum("nchw,oc->nohw", x[:, :, i : i + oh, j : j + ow], w[:, :, i, j])
+    return out + bias.astype(np.float64).reshape(1, -1, 1, 1)
+
+
+class TestAgainstDirectOracle:
+    @given(
+        kernel=st.sampled_from([(2, 2), (3, 3), (5, 5), (1, 7), (7, 1), (3, 1)]),
+        n_hw=st.tuples(st.sampled_from([2, 4, 6]), st.sampled_from([2, 4, 6])),
+        batch=st.integers(1, 3),
+        ic=st.integers(1, 8),
+        oc=st.integers(1, 8),
+        hw=st.tuples(st.integers(7, 20), st.integers(7, 20)),
+        pads=st.tuples(*[st.integers(0, 3)] * 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_square_and_rect_match_direct(self, kernel, n_hw, batch, ic, oc, hw, pads):
+        rng = np.random.default_rng(sum(kernel) + batch * ic * oc)
+        x = rng.standard_normal((batch, ic) + hw).astype(np.float32)
+        w = rng.standard_normal((oc, ic) + kernel).astype(np.float32)
+        bias = rng.standard_normal(oc).astype(np.float32)
+        if kernel[0] == kernel[1]:
+            got = winograd_conv2d(x, w, bias, n=n_hw[0], pads=pads)
+        else:
+            got = winograd_conv2d_rect(x, w, bias, n_hw=n_hw, pads=pads)
+        want = _direct_conv_f64(x, w, bias, pads)
+        assert got.shape == want.shape and got.dtype == np.float32
+        # float64 stages: the only float32 rounding is the final cast.
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())

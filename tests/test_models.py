@@ -147,3 +147,22 @@ class TestExecution:
                 assert np.shares_memory(operand, session.graph.constants[node.inputs[1]]), node.name
                 bound[key] += 1
         assert bound[Op.FULLY_CONNECTED] >= 1 and bound["gemm1x1"] >= 20
+
+    def test_batch_norm_runners_bitwise_equal_kernel(self):
+        """The runner binds K.batch_norm's scale and shift once; applying
+        them as ``x * inv; += shift`` changes no bit of the result."""
+        from repro.kernels import batch_norm
+
+        session = Session(build_model("mobilenet_v1", input_size=64))
+        checked = 0
+        for node in session.graph.nodes:
+            if node.op_type != Op.BATCH_NORM:
+                continue
+            x = RNG.standard_normal(session.graph.desc(node.inputs[0]).shape).astype(np.float32)
+            consts = [session.graph.constants[name] for name in node.inputs[1:5]]
+            want = batch_norm(x, *consts, float(node.attrs["epsilon"]))
+            (got,) = session._executions[node.name].runner.fn([x])
+            assert got.dtype == want.dtype, node.name
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), node.name
+            checked += 1
+        assert checked == 27
