@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.graph import Graph, GraphError, Node
-from ..core.memory import ALIGNMENT, MemoryPlan
+from ..core.memory import ALIGNMENT, MemoryPlan, may_alias
 from .diagnostics import Diagnostic, Severity, error, has_errors, sort_diagnostics, warning
 
 __all__ = [
@@ -108,8 +108,11 @@ def derive_lifetimes(
     """Recompute liveness intervals from scratch (no planner code reused).
 
     Mirrors the planner's contract — graph inputs and constants are owned
-    by the caller, graph outputs survive to the horizon — but is written
-    independently so a planner bug cannot hide behind shared code.
+    by the caller, graph outputs survive to the horizon, a tensor a view
+    was cut from lives until the view's last use — but is written
+    independently so a planner bug cannot hide behind shared code.  Only
+    the alias table itself (:func:`repro.core.memory.may_alias`, which
+    ops return views) is shared: it is a fact about the runners.
     """
     order = list(order) if order is not None else graph.toposort()
     skip = skip if skip is not None else set(graph.inputs) | set(graph.constants)
@@ -127,6 +130,22 @@ def derive_lifetimes(
     for out in graph.outputs:
         if out in first:
             last[out] = horizon
+    # A view's bytes are its root's: walk views in reverse topological
+    # order, so a view's reach is final before it passes to its source,
+    # and widen only the tensors that are no view (the roots).
+    reach = dict(last)
+    views = set()
+    for node in reversed(order):
+        if not node.inputs or not may_alias(node, graph):
+            continue
+        for out in node.outputs:
+            if out in last:
+                views.add(out)
+                if node.inputs[0] in reach:
+                    reach[node.inputs[0]] = max(reach[node.inputs[0]], reach[out])
+    for name in last:
+        if name not in views:
+            last[name] = reach[name]
     intervals: Dict[str, Interval] = {}
     for name, start in first.items():
         desc = graph.desc(name)

@@ -13,7 +13,14 @@ up front:
   scale and shift are computed,
 * GEMM-shaped weights are pre-reshaped — as views: no constant is ever
   copied or transposed, at build time or per run,
-* average-pool divisors are computed from the static shapes.
+* average-pool divisors are computed from the static shapes,
+* the bytes of kernel temporaries are sized from the static shapes.
+
+The fp32 CNN runners (convolutions on every scheme, depthwise, BatchNorm,
+ReLU/ReLU6, pooling and Concat) take ``out=`` and ``scratch=`` keywords:
+a session binds them once per generation (:meth:`OpRunner.bind`) to the
+output's planned arena slot and to its shared kernel scratch, so a run
+writes into pre-allocated memory.  Unbound, they allocate as any kernel.
 """
 
 from __future__ import annotations
@@ -49,6 +56,25 @@ class OpRunner:
     dynamic_inputs: List[str]
     fn: Runner
     muls: int
+    #: Bytes of kernel temporaries ``fn`` carves from a bound ``scratch``.
+    scratch_bytes: int = 0
+
+    @property
+    def bindable(self) -> bool:
+        """Whether ``fn`` can write its one output into a given array."""
+        return "out" in (self.fn.__kwdefaults__ or ())
+
+    def bind(self, out: Optional[np.ndarray], scratch: Optional[np.ndarray]) -> None:
+        """Make ``out`` and ``scratch`` the defaults of ``fn``'s keywords.
+
+        Every later call writes its output into ``out`` (``None``: a
+        fresh array) and carves its temporaries from ``scratch``, exactly
+        as weights are bound through ``fn``'s keyword defaults.
+        """
+        defaults = self.fn.__kwdefaults__
+        defaults["out"] = out
+        if "scratch" in defaults:
+            defaults["scratch"] = scratch
 
 
 def _conv_muls_for_scheme(
@@ -88,6 +114,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
     from ..core.cost import node_muls
 
     muls = node_muls(node, graph)
+    scratch_bytes = 0
     fn: Runner
 
     if op in (Op.CONV2D, Op.DEPTHWISE_CONV2D):
@@ -120,10 +147,17 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 return [K.apply_activation(y, activation)]
 
             return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls)
+        x_shape, x_dtype = x_desc.shape, x_desc.dtype.np_dtype
+        y_dtype = np.result_type(x_dtype, weights.dtype)
         if op == Op.DEPTHWISE_CONV2D:
-            def fn(inputs, *, _w=K.pack_depthwise_weights(weights), _b=bias):
-                y = K.depthwise_conv2d_packed(inputs[0], _w, _b, stride, pads, dilation)
-                return [K.apply_activation(y, activation)]
+            scratch_bytes = K.workspace_bytes(
+                K.depthwise_workspace(x_shape, kernel, stride, pads, dilation, y_dtype))
+
+            def fn(inputs, *, out=None, scratch=None,
+                   _w=K.pack_depthwise_weights(weights), _b=bias):
+                y = K.depthwise_conv2d_packed(inputs[0], _w, _b, stride, pads, dilation,
+                                              out, scratch)
+                return [K.apply_activation(y, activation, out=y)]
         else:
             kind = getattr(scheme, "kind", None) or _default_conv_scheme(kernel, stride, dilation, groups)
             winograd_n = getattr(scheme, "winograd_n", 2)
@@ -133,26 +167,38 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 tr_h = K.axis_transforms(winograd_n_hw[0], kernel[0])
                 tr_w = K.axis_transforms(winograd_n_hw[1], kernel[1])
                 packed = K.transform_kernel_rect(weights, tr_h, tr_w)
+                scratch_bytes = K.workspace_bytes(K.winograd_workspace(
+                    x_shape, weights.shape[0], tr_h, tr_w, pads, x_dtype))
 
-                def fn(inputs, *, _p=packed, _h=tr_h, _tw=tr_w, _b=bias):
-                    y = K.winograd_conv2d_rect_with_kernel(inputs[0], _p, _h, _tw, _b, pads)
-                    return [K.apply_activation(y, activation)]
+                def fn(inputs, *, out=None, scratch=None, _p=packed, _h=tr_h, _tw=tr_w,
+                       _b=bias):
+                    y = K.winograd_conv2d_rect_with_kernel(inputs[0], _p, _h, _tw, _b, pads,
+                                                           out, scratch)
+                    return [K.apply_activation(y, activation, out=y)]
             elif kind == "winograd":
                 transforms = K.generate_transforms(winograd_n, kernel[0])
                 packed = K.transform_kernel(weights, transforms)
+                scratch_bytes = K.workspace_bytes(K.winograd_workspace(
+                    x_shape, weights.shape[0], transforms, transforms, pads, x_dtype))
 
-                def fn(inputs, *, _p=packed, _t=transforms, _b=bias):
-                    y = K.winograd_conv2d_with_kernel(inputs[0], _p, _t, _b, pads, stride)
-                    return [K.apply_activation(y, activation)]
+                def fn(inputs, *, out=None, scratch=None, _p=packed, _t=transforms, _b=bias):
+                    y = K.winograd_conv2d_with_kernel(inputs[0], _p, _t, _b, pads, stride,
+                                                      out, scratch)
+                    return [K.apply_activation(y, activation, out=y)]
             elif kind == "gemm1x1":
                 # A reshape view of the constant: the GEMM's W(oc, ic).
-                def fn(inputs, *, _w=weights.reshape(weights.shape[0], -1), _b=bias):
-                    y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen, pads=pads)
-                    return [K.apply_activation(y, activation)]
+                def fn(inputs, *, out=None, _w=weights.reshape(weights.shape[0], -1), _b=bias):
+                    y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen, pads=pads,
+                                     out=out)
+                    return [K.apply_activation(y, activation, out=y)]
             else:
-                def fn(inputs, *, _w=weights, _b=bias):
-                    y = K.conv2d_im2col(inputs[0], _w, _b, stride, pads, dilation, groups)
-                    return [K.apply_activation(y, activation)]
+                scratch_bytes = K.workspace_bytes(K.im2col_workspace(
+                    x_shape, weights.shape, stride, pads, dilation, groups, y_dtype))
+
+                def fn(inputs, *, out=None, scratch=None, _w=weights, _b=bias):
+                    y = K.conv2d_im2col(inputs[0], _w, _b, stride, pads, dilation, groups,
+                                        out=out, scratch=scratch)
+                    return [K.apply_activation(y, activation, out=y)]
 
     elif op == Op.CONV_TRANSPOSE2D:
         x_desc = graph.desc(node.inputs[0])
@@ -242,8 +288,8 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         inv = gamma.reshape(shape) / np.sqrt(var.reshape(shape) + eps)
         shift = beta.reshape(shape) - mean.reshape(shape) * inv
 
-        def fn(inputs, *, _inv=inv, _shift=shift):
-            y = inputs[0] * _inv
+        def fn(inputs, *, out=None, _inv=inv, _shift=shift):
+            y = np.multiply(inputs[0], _inv, out=out)
             y += _shift
             return [y]
 
@@ -253,11 +299,12 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         def fn(inputs):
             return [K.prelu(inputs[0], slope)]
 
-    elif op in (Op.RELU, Op.RELU6, Op.SIGMOID, Op.TANH, Op.GLOBAL_AVG_POOL,
-                Op.DROPOUT, Op.IDENTITY):
+    elif op in (Op.RELU, Op.RELU6):
+        def fn(inputs, *, out=None, _u=K.relu if op == Op.RELU else K.relu6):
+            return [_u(inputs[0], out)]
+
+    elif op in (Op.SIGMOID, Op.TANH, Op.GLOBAL_AVG_POOL, Op.DROPOUT, Op.IDENTITY):
         unary = {
-            Op.RELU: K.relu,
-            Op.RELU6: K.relu6,
             Op.SIGMOID: K.sigmoid,
             Op.TANH: K.tanh,
             Op.GLOBAL_AVG_POOL: K.global_avg_pool2d,
@@ -281,18 +328,20 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         stride = tuple(attrs["stride"])
         pads = resolve_padding(attrs["pad_mode"], attrs["pad"], x_desc.shape[2:], kernel, stride)
         out_hw = out_desc.shape[2:]
+        scratch_bytes = K.workspace_bytes(K.pool_workspace(
+            x_desc.shape, kernel, stride, pads, out_hw, x_desc.dtype.np_dtype))
         if op == Op.MAX_POOL:
-            def fn(inputs):
-                return [K.max_pool2d(inputs[0], kernel, stride, pads, out_hw)]
+            def fn(inputs, *, out=None, scratch=None):
+                return [K.max_pool2d(inputs[0], kernel, stride, pads, out_hw, out, scratch)]
         else:
             include_pad = bool(attrs["count_include_pad"])
             counts = None if include_pad else K.pool_counts(
                 x_desc.shape[2:], kernel, stride, pads, out_hw, x_desc.dtype.np_dtype
             )
 
-            def fn(inputs):
+            def fn(inputs, *, out=None, scratch=None):
                 return [K.avg_pool2d(inputs[0], kernel, stride, pads, out_hw, include_pad,
-                                     counts)]
+                                     counts, out, scratch)]
 
     elif op in (Op.ADD, Op.SUB, Op.MUL, Op.ELTWISE_MAX):
         binary = {Op.ADD: K.add, Op.SUB: K.sub, Op.MUL: K.mul, Op.ELTWISE_MAX: K.eltwise_max}[op]
@@ -305,9 +354,9 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
     elif op == Op.CONCAT:
         axis = int(attrs["axis"])
 
-        def fn(inputs):
+        def fn(inputs, *, out=None):
             arrays = [const_or_input(name, inputs) for name in node.inputs]
-            return [np.concatenate(arrays, axis=axis)]
+            return [np.concatenate(arrays, axis=axis, out=out)]
 
     elif op == Op.SLICE:
         axis = int(attrs["axis"])
@@ -444,7 +493,8 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
     else:
         raise BackendError(f"no runner for operator {op!r}")
 
-    return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls)
+    return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls,
+                    scratch_bytes=scratch_bytes)
 
 
 def _rowwise_matmul(node: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:

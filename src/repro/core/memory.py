@@ -2,10 +2,18 @@
 
 Because input sizes are fixed, pre-inference can virtually walk the graph,
 compute every tensor's lifetime, and lay all activations out in one arena
-with aggressive reuse (the right-hand side of Figure 3).  NumPy kernels
-allocate their own outputs, so here the plan is the arena's size and
-layout — Table 2's accounting, proven alias-free by
-:func:`repro.analysis.check_memory_plan` — not a buffer runs write into.
+with aggressive reuse (the right-hand side of Figure 3).  The arena is the
+buffer runs write into: a decoupled session allocates it once per
+generation and binds each fp32 CNN runner's output to its planned slot
+(:func:`repro.core.plan.build_plan`), so the hot loop allocates no
+activation.  :func:`repro.analysis.check_memory_plan` proves a plan
+alias-free independently of this module.
+
+Lifetimes are alias-aware.  Some runners return a view of their input
+(:func:`may_alias`); the bytes such a view reads belong to the tensor it
+was cut from, its *root*, so a root stays live until its last view's
+last use.  A tensor whose alias class holds a graph output is never bound
+to the arena: whatever a run returns is a fresh array.
 
 The planner is a classic greedy offset assigner: process tensors largest
 first; place each at the lowest offset that does not overlap any
@@ -14,15 +22,22 @@ already-placed tensor with an intersecting lifetime.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.graph import Graph, Node
+from ..ir.ops import Op
 
 __all__ = [
     "TensorLifetime",
     "MemoryPlan",
     "plan_memory",
+    "compute_lifetimes",
+    "may_alias",
+    "alias_roots",
     "ExtentFreeList",
     "FreeListError",
 ]
@@ -165,6 +180,80 @@ class MemoryPlan:
                     disjoint = off_a + life_a.nbytes <= off_b or off_b + life_b.nbytes <= off_a
                     assert disjoint, f"live tensors {name_a} and {name_b} overlap in arena"
 
+    def sound(self) -> bool:
+        """Whether every offset is aligned and in bounds and no two
+        co-live tensors share a byte: the check a plan from outside this
+        process (a cache entry) passes before a session writes through it.
+
+        An O(n log n) sweep over steps: live tensors are kept sorted by
+        offset, each pairwise disjoint, so a tensor entering the live set
+        overlaps one of them only if it overlaps a neighbour in that order.
+        """
+        if set(self.offsets) != set(self.lifetimes):
+            return False
+        if not 0 <= self.arena_bytes <= sum(_align(t.nbytes) for t in self.lifetimes.values()):
+            return False
+        entering = []
+        for name, life in self.lifetimes.items():
+            offset = self.offsets[name]
+            if offset < 0 or offset % ALIGNMENT or offset + life.nbytes > self.arena_bytes:
+                return False
+            if life.nbytes:
+                entering.append((life.first, offset, offset + life.nbytes, life.last))
+        entering.sort()
+        live: List[Tuple[int, int]] = []  # (offset, end), sorted
+        leaving: List[Tuple[int, int, int]] = []  # heap of (last, offset, end)
+        for first, offset, end, last in entering:
+            while leaving and leaving[0][0] < first:
+                _, gone, gone_end = heapq.heappop(leaving)
+                del live[bisect.bisect_left(live, (gone, gone_end))]
+            at = bisect.bisect_left(live, (offset, end))
+            if at > 0 and live[at - 1][1] > offset:
+                return False
+            if at < len(live) and live[at][0] < end:
+                return False
+            live.insert(at, (offset, end))
+            heapq.heappush(leaving, (last, offset, end))
+        return True
+
+
+def may_alias(node: Node, graph: Graph) -> bool:
+    """Whether ``node``'s runner can return a view of its first input.
+
+    The alias table: Reshape, Flatten, Dropout, Identity and Slice always
+    can; Split when a part is contiguous (every part is when the axes
+    before the split axis have extent 1, or one part is the whole); and
+    Transpose when the permutation keeps the order of the axes longer
+    than 1 (``np.ascontiguousarray`` then returns the view itself).
+    """
+    op = node.op_type
+    if op in (Op.RESHAPE, Op.FLATTEN, Op.DROPOUT, Op.IDENTITY, Op.SLICE):
+        return True
+    if op not in (Op.SPLIT, Op.TRANSPOSE):
+        return False
+    shape = graph.desc(node.inputs[0]).shape
+    if op == Op.SPLIT:
+        axis = int(node.attrs["axis"]) % len(shape)
+        return math.prod(shape[:axis]) == 1 or any(
+            int(size) == shape[axis] for size in node.attrs["sizes"]
+        )
+    kept = [axis for axis in node.attrs["perm"] if shape[axis] != 1]
+    return kept == sorted(kept)
+
+
+def alias_roots(graph: Graph, order: Sequence[Node]) -> Dict[str, str]:
+    """Each possible view's root: the tensor whose bytes it reads.
+
+    Tensors absent from the result are their own roots.
+    """
+    roots: Dict[str, str] = {}
+    for node in order:
+        if node.inputs and may_alias(node, graph):
+            root = roots.get(node.inputs[0], node.inputs[0])
+            for out in node.outputs:
+                roots[out] = root
+    return roots
+
 
 def compute_lifetimes(
     graph: Graph, order: Sequence[Node], skip: Optional[Set[str]] = None
@@ -172,7 +261,8 @@ def compute_lifetimes(
     """Liveness intervals of all intermediate tensors over ``order``.
 
     ``skip`` names tensors excluded from planning (graph inputs and
-    constants — they are owned by the caller / constant table).
+    constants — they are owned by the caller / constant table).  A root
+    (:func:`alias_roots`) lives as long as its longest-lived view.
     """
     skip = skip if skip is not None else set(graph.inputs) | set(graph.constants)
     first: Dict[str, int] = {}
@@ -189,6 +279,9 @@ def compute_lifetimes(
     for out in graph.outputs:
         if out in first:
             last[out] = horizon  # outputs survive the whole run
+    for view, root in alias_roots(graph, order).items():
+        if view in last and root in last:
+            last[root] = max(last[root], last[view])
     lifetimes = {}
     for name in first:
         desc = graph.desc(name)

@@ -8,6 +8,14 @@ its input/output slots, its cross-backend copy edges and its interleaved
 acquire/release buffers.  A plan is immutable and belongs to one session
 generation (``resize`` builds a new one).
 
+Under decoupling the plan also owns the generation's memory: one arena of
+the memory plan's ``arena_bytes`` and one kernel scratch buffer, both
+allocated here.  Every fp32 CNN runner on the CPU backend is bound to
+its output's planned slot and to the scratch (:meth:`OpRunner.bind`), so
+every path that runs the plan — the plain loop, the wrapped steps, the
+resilient executor — writes into them.  ``resize`` builds a new plan and
+a rolled-back resize keeps the old one, so bindings need no bookkeeping.
+
 Executing a plan is :func:`walk`, in topological order.  It takes a
 per-step function ``(step, inputs) -> outputs`` that the session composes
 once per run from the wrappers below, so a step pays only for the
@@ -27,14 +35,17 @@ from ..backends.base import Backend, StorageType
 from ..backends.cpu import CpuExecution
 from ..faults.resilience import Deadline
 from ..ir.graph import Graph, Node
-from ..ir.tensor import TensorDesc
+from ..ir.tensor import DataType, TensorDesc
+from ..kernels import aligned_empty
 from ..obs.tracer import Tracer
 from ..sim.clock import VirtualClock
+from .memory import MemoryPlan, alias_roots
 
 __all__ = [
     "Step",
     "StepPlan",
     "StepFn",
+    "bind_arena",
     "build_plan",
     "walk",
     "bounded",
@@ -90,6 +101,48 @@ class StepPlan:
     outputs: Tuple[Tuple[str, Optional[int]], ...]
     hooks: Tuple[Backend, ...]
     copies: bool
+    arena: Optional[np.ndarray] = None
+    bound: int = 0
+
+
+def bind_arena(
+    graph: Graph,
+    order: Sequence[Node],
+    executions: Mapping[str, object],
+    memory: MemoryPlan,
+) -> Tuple[np.ndarray, int]:
+    """Allocate ``memory``'s arena and one kernel scratch buffer, and bind
+    every fp32 runner that takes ``out=`` to them.
+
+    A runner's output gets its planned slot unless its alias class holds
+    a graph output (it then stays a fresh array); its temporaries come
+    from the scratch, sized to the largest need.  Returns the arena and
+    the number of tensors bound to it.
+    """
+    fp32 = DataType.FLOAT32
+    runners = []
+    for node in order:
+        execution = executions[node.name]
+        if not isinstance(execution, CpuExecution) or not execution.runner.bindable:
+            continue
+        if all(graph.desc(name).dtype is fp32 for name in node.inputs + node.outputs):
+            runners.append(execution.runner)
+    roots = alias_roots(graph, order)
+    escaping = {roots.get(name, name) for name in graph.outputs}
+    arena = aligned_empty(memory.arena_bytes)
+    scratch = aligned_empty(max((runner.scratch_bytes for runner in runners), default=0))
+    bound = 0
+    for runner in runners:
+        name = runner.node.outputs[0]
+        out = None
+        if name in memory.offsets and roots.get(name, name) not in escaping:
+            desc = graph.desc(name)
+            offset = memory.offsets[name]
+            nbytes = desc.size * fp32.itemsize
+            out = arena[offset : offset + nbytes].view(fp32.np_dtype).reshape(desc.shape)
+            bound += 1
+        runner.bind(out, scratch)
+    return arena, bound
 
 
 def build_plan(
@@ -99,6 +152,7 @@ def build_plan(
     executions: Mapping[str, object],
     *,
     decouple: bool,
+    memory: Optional[MemoryPlan] = None,
 ) -> StepPlan:
     """Compile a prepared session's run.
 
@@ -106,8 +160,10 @@ def build_plan(
         graph / order / placement: the session's graph, topological
             operator order and per-node backend.
         executions: prepared executions by node name (read only when the
-            plan gets ``plain`` triples).
+            plan gets ``plain`` triples or binds the arena).
         decouple: ``False`` records per-step acquire/release buffers.
+        memory: the generation's memory plan; given, its arena is
+            allocated and bound (:func:`bind_arena`).
     """
     constants = graph.constants
     backends = [placement[node.name] for node in order]
@@ -166,6 +222,9 @@ def build_plan(
         if type(backend).on_execute_begin is not Backend.on_execute_begin
         or type(backend).on_execute_end is not Backend.on_execute_end
     }
+    arena, bound = (
+        bind_arena(graph, order, executions, memory) if memory is not None else (None, 0)
+    )
     return StepPlan(
         steps=tuple(steps),
         plain=plain,
@@ -174,6 +233,8 @@ def build_plan(
         outputs=tuple((name, slots.get(name)) for name in graph.outputs),
         hooks=tuple(hooks.values()),
         copies=copies,
+        arena=arena,
+        bound=bound,
     )
 
 

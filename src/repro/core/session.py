@@ -11,19 +11,22 @@
 3. **Preparation/execution decoupling** — executions are created and
    prepared (Winograd kernels pre-transformed, GPU command buffers
    pre-recorded), and the memory planner lays every activation out in one
-   arena (Figure 3): the plan's ``arena_bytes`` is Table 2's accounting.
+   arena (Figure 3).
 4. **Step plan** — the run itself is compiled: every feed, activation and
    output gets an integer slot, and each operator becomes a step holding
    its callable, its input/output slots and whatever else is decidable
-   before the first feed (copy edges, interleaved acquire/release).
+   before the first feed (copy edges, interleaved acquire/release).  The
+   plan allocates the arena and one kernel scratch buffer, and binds each
+   fp32 CNN runner to its output's slot and to the scratch: the arena is
+   the buffer runs write into.
 
-``run`` is then pure compute: no scheme search, no allocation, no command
-recording, no graph analysis.  One walker executes the plan, serially in
-topological order.  With nothing switched on it is a plain loop over
-``fn([env[i] for i in ins])``; otherwise the same steps run through
-per-step wrappers composed once per run from the concerns that are active
-(deadline, copies, interleaved memory, tracing, fault injection and
-resilience).  ``run_profiled`` is ``run`` with an ephemeral tracer.
+``run`` is then pure compute: no scheme search, no activation allocation
+in the CNN runners, no command recording, no graph analysis.  One walker
+executes the plan, serially in topological order.  With nothing switched
+on it is a plain loop over ``fn([env[i] for i in ins])``; otherwise the
+same steps run through per-step wrappers composed once per run from the
+concerns that are active (deadline, copies, interleaved memory, tracing,
+fault injection and resilience).  ``run_profiled`` is ``run`` with an ephemeral tracer.
 """
 
 from __future__ import annotations
@@ -431,8 +434,12 @@ class Session:
                     cached_plan = (
                         artifacts.memory_plan if artifacts is not None else None
                     )
-                    if cached_plan is not None and cached_plan.matches(
-                        compute_lifetimes(self.graph, self._order)
+                    # A cached plan is written through, so its offsets are
+                    # proven sound before it is trusted; else recompute.
+                    if (
+                        cached_plan is not None
+                        and cached_plan.matches(compute_lifetimes(self.graph, self._order))
+                        and cached_plan.sound()
                     ):
                         self.memory_plan = cached_plan
                         sp.set(cached=True)
@@ -449,7 +456,7 @@ class Session:
                         ).raise_if_failed()
             self._plan = build_plan(
                 self.graph, self._order, self._placement, self._executions,
-                decouple=cfg.decouple,
+                decouple=cfg.decouple, memory=self.memory_plan,
             )
             self.prepare_wall_ms = (time.perf_counter() - start) * 1000.0
             prep.set(wall_ms=self.prepare_wall_ms)
@@ -562,6 +569,12 @@ class Session:
     @property
     def backend_kind(self) -> str:
         return self.primary.forward_type
+
+    @property
+    def arena_bound(self) -> int:
+        """How many planned tensors runs write into the arena (0 when
+        preparation and execution are not decoupled)."""
+        return self._plan.bound
 
     def placement_summary(self) -> Dict[str, int]:
         """Count of ops per backend kind (hybrid scheduling report)."""

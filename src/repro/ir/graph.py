@@ -511,6 +511,13 @@ class GraphBuilder:
         self.graph.add_node(Op.CONCAT, list(xs), [out], {"axis": axis})
         return out
 
+    def identity(self, x: str, name: Optional[str] = None) -> str:
+        return self._unary(Op.IDENTITY, x, name=name)
+
+    def slice(self, x: str, axis: int, start: int, end: int,
+              name: Optional[str] = None) -> str:
+        return self._unary(Op.SLICE, x, {"axis": axis, "start": start, "end": end}, name=name)
+
     def flatten(self, x: str, axis: int = 1, name: Optional[str] = None) -> str:
         return self._unary(Op.FLATTEN, x, {"axis": axis}, name=name)
 

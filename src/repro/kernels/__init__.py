@@ -22,10 +22,17 @@ from .winograd import (
     winograd_conv2d_rect,
     winograd_conv2d_rect_with_kernel,
     winograd_conv2d_with_kernel,
+    winograd_workspace,
 )
-from .conv import apply_activation, conv2d, conv2d_1x1, conv2d_im2col, im2col
-from .depthwise import depthwise_conv2d, depthwise_conv2d_packed, pack_depthwise_weights
-from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d, pool_counts
+from .conv import apply_activation, conv2d, conv2d_1x1, conv2d_im2col, im2col, im2col_workspace
+from .depthwise import (
+    depthwise_conv2d,
+    depthwise_conv2d_packed,
+    depthwise_workspace,
+    pack_depthwise_weights,
+)
+from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d, pool_counts, pool_workspace
+from .workspace import aligned_empty, workspace_bytes
 from .elementwise import (
     add,
     batch_norm,
@@ -93,18 +100,24 @@ __all__ = [
     "winograd_conv2d_rect",
     "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
+    "winograd_workspace",
+    "aligned_empty",
+    "workspace_bytes",
     "apply_activation",
     "conv2d",
     "conv2d_1x1",
     "conv2d_im2col",
     "im2col",
+    "im2col_workspace",
     "depthwise_conv2d",
     "depthwise_conv2d_packed",
+    "depthwise_workspace",
     "pack_depthwise_weights",
     "avg_pool2d",
     "global_avg_pool2d",
     "max_pool2d",
     "pool_counts",
+    "pool_workspace",
     "add",
     "batch_norm",
     "eltwise_max",

@@ -14,7 +14,7 @@ these functions just execute a chosen scheme.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,18 +25,27 @@ from .winograd import (
     winograd_conv2d_rect,
     winograd_conv2d_with_kernel,
 )
+from .workspace import Spec, carve, pad_into
 
-__all__ = ["im2col", "conv2d_im2col", "conv2d_1x1", "conv2d", "apply_activation"]
+__all__ = [
+    "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1", "conv2d",
+    "apply_activation",
+]
 
 
-def apply_activation(y: np.ndarray, activation: Optional[str]) -> np.ndarray:
-    """Apply a fused activation produced by the graph optimizer."""
+def apply_activation(
+    y: np.ndarray, activation: Optional[str], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Apply a fused activation produced by the graph optimizer.
+
+    ``out=y`` applies it in place (a runner's epilogue on its own result).
+    """
     if activation is None:
         return y
     if activation == "relu":
-        return np.maximum(y, 0)
+        return np.maximum(y, 0, out=out)
     if activation == "relu6":
-        return np.clip(y, 0, 6)
+        return np.clip(y, 0, 6, out=out)
     raise ValueError(f"unknown fused activation {activation!r}")
 
 
@@ -67,6 +76,30 @@ def im2col(
     return windows.transpose(0, 2, 3, 1, 4, 5)
 
 
+def im2col_workspace(
+    x_shape: Tuple[int, ...],
+    weights_shape: Tuple[int, ...],
+    stride: Tuple[int, int],
+    pads: Tuple[int, int, int, int],
+    dilation: Tuple[int, int] = (1, 1),
+    groups: int = 1,
+    dtype=np.float32,
+) -> List[Spec]:
+    """Temporaries of :func:`conv2d_im2col`: one group's GEMM LHS and
+    product, and the zero-bordered input when there is padding."""
+    n, ic, h, w = x_shape
+    oc, _, kh, kw = weights_shape
+    top, bottom, left, right = pads
+    hp, wp = h + top + bottom, w + left + right
+    oh = (hp - (kh - 1) * dilation[0] - 1) // stride[0] + 1
+    ow = (wp - (kw - 1) * dilation[1] - 1) // stride[1] + 1
+    rows, ocg = n * oh * ow, oc // groups
+    specs = [((rows, ic // groups * kh * kw), dtype), ((rows, ocg), dtype)]
+    if any(pads):
+        specs.append(((n, ic, hp, wp), dtype))
+    return specs
+
+
 def conv2d_im2col(
     x: np.ndarray,
     weights: np.ndarray,
@@ -76,29 +109,41 @@ def conv2d_im2col(
     dilation: Tuple[int, int] = (1, 1),
     groups: int = 1,
     stats: Optional[GemmStats] = None,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Sliding-window convolution via im2col + tiled GEMM.
 
     Supports arbitrary kernel/stride/dilation/groups — this is the
-    universally-applicable scheme the selector falls back to.
+    universally-applicable scheme the selector falls back to.  ``out``
+    receives the (N, oc, oh, ow) result; the temporaries of
+    :func:`im2col_workspace` come from ``scratch`` when it is given.
     """
     n, ic, _, _ = x.shape
     oc = weights.shape[0]
     kh, kw = weights.shape[2], weights.shape[3]
     if ic % groups or oc % groups:
         raise ValueError(f"channels ({ic}, {oc}) not divisible by groups={groups}")
-    cols = im2col(x, (kh, kw), stride, pads, dilation)  # (N, oh, ow, C, kh, kw)
+    dtype = np.result_type(x.dtype, weights.dtype)
+    lhs, prod, *padded = carve(
+        scratch, im2col_workspace(x.shape, weights.shape, stride, pads, dilation, groups, dtype)
+    )
+    if padded:
+        top, _, left, _ = pads
+        x = pad_into(padded[0], x, (0, 0, top, left))
+    cols = im2col(x, (kh, kw), stride, (0, 0, 0, 0), dilation)  # (N, oh, ow, C, kh, kw)
     _, oh, ow, _, _, _ = cols.shape
     icg = ic // groups
     ocg = oc // groups
-    out = np.empty((n, oc, oh, ow), dtype=np.result_type(x.dtype, weights.dtype))
+    if out is None:
+        out = np.empty((n, oc, oh, ow), dtype=dtype)
     for g in range(groups):
         group_cols = cols[:, :, :, g * icg : (g + 1) * icg]
-        lhs = np.ascontiguousarray(group_cols).reshape(n * oh * ow, icg * kh * kw)
+        lhs.reshape(group_cols.shape)[...] = group_cols
         # A transposed view: BLAS reads it through its transpose flag, so
         # the constant weights are never copied per call.
         rhs = weights[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
-        prod = tiled_matmul(lhs, rhs, stats=stats)
+        tiled_matmul(lhs, rhs, stats=stats, out=prod)
         out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
@@ -113,6 +158,7 @@ def conv2d_1x1(
     use_strassen: bool = True,
     stats: Optional[GemmStats] = None,
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """1x1 convolution as a GEMM, Strassen-accelerated (Section 3.3.2).
 
@@ -121,7 +167,8 @@ def conv2d_1x1(
     Eq. 9 and the tile count are symmetric in the outer dimensions, so the
     Strassen decision and :class:`GemmStats` match the NHWC orientation
     ``X^T @ W^T``.  One GEMM per sample makes row ``i`` of a batched call
-    bitwise equal to the single-sample call.
+    bitwise equal to the single-sample call.  Each sample's GEMM writes
+    straight into its plane of ``out`` (fresh when not given).
 
     ``weights`` is ``(oc, ic, 1, 1)`` or its ``(oc, ic)`` reshape, which a
     runner binds once as a view of the graph constant.  ``pads`` (top,
@@ -138,9 +185,11 @@ def conv2d_1x1(
     n, ic, h, w = x.shape
     oc = weights.shape[0]
     w2d = weights.reshape(oc, ic)
-    prods = [matmul(w2d, xi.reshape(ic, h * w), use_strassen=use_strassen, stats=stats)
-             for xi in x]
-    out = (prods[0] if n == 1 else np.stack(prods)).reshape(n, oc, h, w)
+    if out is None:
+        out = np.empty((n, oc, h, w), dtype=np.result_type(x.dtype, weights.dtype))
+    for xi, yi in zip(x, out):
+        matmul(w2d, xi.reshape(ic, h * w), use_strassen=use_strassen, stats=stats,
+               out=yi.reshape(oc, h * w))
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out

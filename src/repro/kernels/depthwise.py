@@ -9,11 +9,16 @@ contiguous channels instead of NCHW planes a few elements wide.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["depthwise_conv2d", "depthwise_conv2d_packed", "pack_depthwise_weights"]
+from .workspace import Spec, carve, pad_into
+
+__all__ = [
+    "depthwise_conv2d", "depthwise_conv2d_packed", "depthwise_workspace",
+    "pack_depthwise_weights",
+]
 
 
 def pack_depthwise_weights(weights: np.ndarray) -> np.ndarray:
@@ -23,6 +28,25 @@ def pack_depthwise_weights(weights: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(weights[:, 0].transpose(1, 2, 0))
 
 
+def depthwise_workspace(
+    x_shape: Tuple[int, ...],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int] = (1, 1),
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dilation: Tuple[int, int] = (1, 1),
+    dtype=np.float32,
+) -> List[Spec]:
+    """Temporaries of :func:`depthwise_conv2d_packed`: the zero-bordered
+    (N, H', W', C) input, the accumulator and the product buffer."""
+    n, c, h, w = x_shape
+    top, bottom, left, right = pads
+    hp, wp = h + top + bottom, w + left + right
+    oh = (hp - (kernel[0] - 1) * dilation[0] - 1) // stride[0] + 1
+    ow = (wp - (kernel[1] - 1) * dilation[1] - 1) // stride[1] + 1
+    dtype = np.dtype(dtype)
+    return [((n, hp, wp, c), dtype), ((n, oh, ow, c), dtype), ((n, oh, ow, c), dtype)]
+
+
 def depthwise_conv2d_packed(
     x: np.ndarray,
     packed: np.ndarray,
@@ -30,15 +54,19 @@ def depthwise_conv2d_packed(
     stride: Tuple[int, int] = (1, 1),
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     dilation: Tuple[int, int] = (1, 1),
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Depthwise convolution with taps from :func:`pack_depthwise_weights`.
 
     The input is copied once into a zero-bordered (N, H', W', C) buffer;
     the kh*kw taps multiply-add over contiguous C in row-major tap order
     through one reused product buffer, the bias is added last, and the
-    result is transposed once back to NCHW.  Each output element sees the
-    same float operations in the same order as an NCHW tap sweep, so the
-    result is bitwise equal to it.
+    result is transposed once back to NCHW into ``out`` (fresh when not
+    given).  Each output element sees the same float operations in the
+    same order as an NCHW tap sweep, so the result is bitwise equal to it.
+    The temporaries of :func:`depthwise_workspace` come from ``scratch``
+    when it is given.
     """
     n, c, h, w = x.shape
     kh, kw, pc = packed.shape
@@ -46,22 +74,26 @@ def depthwise_conv2d_packed(
         raise ValueError(f"depthwise weights for {pc} channels do not match {c} channels")
     sh, sw = stride
     dh, dw = dilation
-    top, bottom, left, right = pads
-    xp = np.zeros((n, h + top + bottom, w + left + right, c), dtype=x.dtype)
-    xp[:, top : top + h, left : left + w] = x.transpose(0, 2, 3, 1)
-    oh = (xp.shape[1] - (kh - 1) * dh - 1) // sh + 1
-    ow = (xp.shape[2] - (kw - 1) * dw - 1) // sw + 1
-    out = np.zeros((n, oh, ow, c), dtype=np.result_type(x.dtype, packed.dtype))
-    prod = np.empty_like(out)
+    top, _, left, _ = pads
+    dtype = np.result_type(x.dtype, packed.dtype)
+    xp, acc, prod = carve(
+        scratch, depthwise_workspace(x.shape, (kh, kw), stride, pads, dilation, dtype)
+    )
+    pad_into(xp, x.transpose(0, 2, 3, 1), (0, top, left, 0))
+    _, oh, ow, _ = acc.shape
+    acc[...] = 0
     for i in range(kh):
         for j in range(kw):
             di, dj = i * dh, j * dw
             patch = xp[:, di : di + (oh - 1) * sh + 1 : sh, dj : dj + (ow - 1) * sw + 1 : sw]
             np.multiply(patch, packed[i, j], out=prod)
-            out += prod
+            acc += prod
     if bias is not None:
-        out += bias
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        acc += bias
+    if out is None:
+        out = np.empty((n, c, oh, ow), dtype=dtype)
+    out[...] = acc.transpose(0, 3, 1, 2)
+    return out
 
 
 def depthwise_conv2d(

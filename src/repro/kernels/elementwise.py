@@ -22,12 +22,12 @@ __all__ = [
 ]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
-def relu6(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, 0, 6)
+def relu6(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.clip(x, 0, 6, out=out)
 
 
 def prelu(x: np.ndarray, slope: np.ndarray) -> np.ndarray:

@@ -60,25 +60,34 @@ def tiled_matmul(
     b: np.ndarray,
     tile: int = DEFAULT_TILE,
     stats: Optional[GemmStats] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Blocked GEMM: C = A @ B computed tile by tile.
 
     This is the "direct multiplication" baseline of Table 3.  Each
-    ``tile x tile`` block product is one micro-kernel invocation.
+    ``tile x tile`` block product is one micro-kernel invocation, written
+    into one reused tile temporary and accumulated into C.  ``out``, an
+    ``(n, m)`` C-contiguous array, receives C instead of a fresh array.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
     n, k = a.shape
     _, m = b.shape
-    out = np.zeros((n, m), dtype=np.result_type(a.dtype, b.dtype))
+    dtype = np.result_type(a.dtype, b.dtype)
+    if out is None:
+        out = np.zeros((n, m), dtype=dtype)
+    else:
+        out[...] = 0
+    buf = np.empty(min(tile, n) * min(tile, m), dtype=dtype)
     for i0 in range(0, n, tile):
         i1 = min(i0 + tile, n)
         for j0 in range(0, m, tile):
             j1 = min(j0 + tile, m)
             acc = out[i0:i1, j0:j1]
+            prod = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
             for p0 in range(0, k, tile):
                 p1 = min(p0 + tile, k)
-                acc += a[i0:i1, p0:p1] @ b[p0:p1, j0:j1]
+                acc += np.matmul(a[i0:i1, p0:p1], b[p0:p1, j0:j1], out=prod)
                 if stats is not None:
                     stats.record_base(i1 - i0, p1 - p0, j1 - j0)
     return out
@@ -110,6 +119,7 @@ def _strassen(
     tile: int,
     stats: Optional[GemmStats],
     depth: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     n, k = a.shape
     m = b.shape[1]
@@ -122,7 +132,7 @@ def _strassen(
         min(n, k, m) <= tile
         or not strassen_should_recurse(n, k, m)
     ):
-        return tiled_matmul(a, b, tile, stats)
+        return tiled_matmul(a, b, tile, stats, out)
 
     if stats is not None and depth + 1 > stats.max_depth:
         stats.max_depth = depth + 1
@@ -154,8 +164,11 @@ def _strassen(
 
     top = np.hstack([m1 + m4 - m5 + m7, m3 + m5])
     bottom = np.hstack([m2_ + m4, m1 - m2_ + m3 + m6])
-    out = np.vstack([top, bottom])
-    return out[:n, :m]
+    full = np.vstack([top, bottom])
+    if out is None:
+        return full[:n, :m]
+    out[...] = full[:n, :m]
+    return out
 
 
 def strassen_matmul(
@@ -163,14 +176,16 @@ def strassen_matmul(
     b: np.ndarray,
     tile: int = DEFAULT_TILE,
     stats: Optional[GemmStats] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """GEMM via Strassen's algorithm with the paper's Eq. 9 stop rule.
 
     Falls back to :func:`tiled_matmul` for problems too small to benefit.
+    ``out`` receives the product as in :func:`tiled_matmul`.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"bad GEMM shapes {a.shape} x {b.shape}")
-    return _strassen(a, b, tile, stats, depth=0)
+    return _strassen(a, b, tile, stats, depth=0, out=out)
 
 
 def matmul(
@@ -179,12 +194,14 @@ def matmul(
     use_strassen: bool = True,
     tile: int = DEFAULT_TILE,
     stats: Optional[GemmStats] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Dispatch a GEMM to Strassen or the direct tiled kernel.
 
     This mirrors MNN's behaviour: large multiplications (from 1x1 convs)
     route through Strassen automatically, everything else runs direct.
+    ``out`` receives the product as in :func:`tiled_matmul`.
     """
     if use_strassen:
-        return strassen_matmul(a, b, tile, stats)
-    return tiled_matmul(a, b, tile, stats)
+        return strassen_matmul(a, b, tile, stats, out)
+    return tiled_matmul(a, b, tile, stats, out)

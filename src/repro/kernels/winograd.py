@@ -34,6 +34,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from .workspace import Spec, carve, pad_into
+
 __all__ = [
     "WinogradTransforms",
     "axis_transforms",
@@ -45,6 +47,7 @@ __all__ = [
     "winograd_conv2d_rect",
     "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
+    "winograd_workspace",
     "transform_cache_entries",
     "preload_transforms",
     "clear_transform_cache",
@@ -336,6 +339,45 @@ def transform_kernel(weights: np.ndarray, transforms: WinogradTransforms) -> np.
     return transform_kernel_rect(weights, transforms, transforms)
 
 
+def _winograd_geometry(x_shape, tr_h: WinogradTransforms, tr_w: WinogradTransforms, pads):
+    """(oh, ow, tiles_h, tiles_w) of a stride-1 Winograd convolution."""
+    _, _, ih, iw = x_shape
+    top, bottom, left, right = pads
+    oh = ih + top + bottom - tr_h.k + 1
+    ow = iw + left + right - tr_w.k + 1
+    if oh <= 0 or ow <= 0:
+        raise ValueError(f"kernel ({tr_h.k},{tr_w.k}) does not fit padded input {(ih, iw)}")
+    return oh, ow, -(-oh // tr_h.n), -(-ow // tr_w.n)
+
+
+def winograd_workspace(
+    x_shape: Tuple[int, ...],
+    oc: int,
+    tr_h: WinogradTransforms,
+    tr_w: WinogradTransforms,
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dtype=np.float32,
+) -> List[Spec]:
+    """Temporaries of :func:`winograd_conv2d_rect_with_kernel`: the
+    zero-bordered float64 input, the gathered tiles, the first-stage GEMM
+    result of either transform, M, and the whole-tile output when it must
+    be cropped."""
+    batch, ic, _, _ = x_shape
+    oh, ow, tiles_h, tiles_w = _winograd_geometry(x_shape, tr_h, tr_w, pads)
+    (nh, kh, th), (nw, kw, tw) = (tr_h.n, tr_h.k, tr_h.t), (tr_w.n, tr_w.k, tr_w.t)
+    count = batch * tiles_h * tiles_w
+    f64 = np.dtype(np.float64)
+    specs = [
+        ((batch, tiles_h * nh + kh - 1, tiles_w * nw + kw - 1, ic), f64),
+        ((th, tw, batch, tiles_h, tiles_w, ic), f64),
+        ((max(th * tw * count * ic, nh * tw * count * oc),), f64),
+        ((th * tw, count, oc), f64),
+    ]
+    if (tiles_h * nh, tiles_w * nw) != (oh, ow):
+        specs.append(((batch, oc, tiles_h * nh, tiles_w * nw), np.dtype(dtype)))
+    return specs
+
+
 def winograd_conv2d_rect_with_kernel(
     x: np.ndarray,
     transformed_kernel: np.ndarray,
@@ -343,6 +385,8 @@ def winograd_conv2d_rect_with_kernel(
     tr_w: WinogradTransforms,
     bias: Optional[np.ndarray] = None,
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """F(nh x nw, kh x kw) Winograd convolution given a transformed kernel.
 
@@ -351,44 +395,46 @@ def winograd_conv2d_rect_with_kernel(
     zero-bordered channels-last copy and tile gather, ``B_h^T X B_w`` as two
     (t x t) @ (t x rest) GEMMs, the Hadamard stage as one batched
     (tiles, ic) @ (ic, oc) matmul over the ``th * tw`` tile positions, and
-    ``A_h^T M A_w`` as two more GEMMs.  Stride 1, dilation 1.
+    ``A_h^T M A_w`` as two more GEMMs.  Stride 1, dilation 1.  ``out``
+    receives the (N, oc, oh, ow) result; the temporaries of
+    :func:`winograd_workspace` come from ``scratch`` when it is given.
     """
     nh, kh, th = tr_h.n, tr_h.k, tr_h.t
     nw, kw, tw = tr_w.n, tr_w.k, tr_w.t
-    batch, ic, ih, iw = x.shape
+    batch, ic, _, _ = x.shape
     oc = transformed_kernel.shape[3]
-    top, bottom, left, right = pads
-    oh = ih + top + bottom - kh + 1
-    ow = iw + left + right - kw + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(f"kernel ({kh},{kw}) does not fit padded input {(ih, iw)}")
-    tiles_h = -(-oh // nh)
-    tiles_w = -(-ow // nw)
+    top, _, left, _ = pads
+    oh, ow, tiles_h, tiles_w = _winograd_geometry(x.shape, tr_h, tr_w, pads)
+    xp, tiles, zbuf, m, *whole = carve(
+        scratch, winograd_workspace(x.shape, oc, tr_h, tr_w, pads, x.dtype)
+    )
     # Explicit conv padding plus bottom/right padding to whole tiles.
-    xp = np.zeros((batch, tiles_h * nh + kh - 1, tiles_w * nw + kw - 1, ic))
-    xp[:, top : top + ih, left : left + iw] = x.transpose(0, 2, 3, 1)
+    pad_into(xp, x.transpose(0, 2, 3, 1), (0, top, left, 0))
     # tiles[b, d, (n, i, j), c] = xp[n, i * nh + b, j * nw + d, c]
     view = np.lib.stride_tricks.sliding_window_view(xp, (th, tw), axis=(1, 2))
-    tiles = view[:, ::nh, ::nw].transpose(4, 5, 0, 1, 2, 3).copy()
+    tiles[...] = view[:, ::nh, ::nw].transpose(4, 5, 0, 1, 2, 3)
     count = batch * tiles_h * tiles_w
     # X' = B_h^T X B_w; the second GEMM overwrites the gathered tiles.
-    z = tr_h.bt @ tiles.reshape(th, -1)
+    z = np.matmul(tr_h.bt, tiles.reshape(th, -1), out=zbuf[: tiles.size].reshape(th, -1))
     xt = np.matmul(tr_w.bt, z.reshape(th, tw, -1), out=tiles.reshape(th, tw, -1))
     # Hadamard-as-matmul per tile position (Figure 4).
-    m = np.matmul(xt.reshape(th * tw, count, ic), transformed_kernel.reshape(th * tw, ic, oc))
+    np.matmul(xt.reshape(th * tw, count, ic), transformed_kernel.reshape(th * tw, ic, oc),
+              out=m)
     # Y = A_h^T M A_w; the second GEMM overwrites M, which it no longer reads.
-    z = tr_h.at @ m.reshape(th, -1)
+    z = np.matmul(tr_h.at, m.reshape(th, -1),
+                  out=zbuf[: nh * tw * count * oc].reshape(nh, -1))
     y = np.matmul(tr_w.at, z.reshape(nh, tw, -1),
                   out=m.reshape(-1)[: nh * nw * count * oc].reshape(nh, nw, -1))
     y = y.reshape(nh, nw, batch, tiles_h, tiles_w, oc)
     if bias is not None:
         y += bias
     # Scatter the tiles back to NCHW, casting once, then crop to (oh, ow).
-    out = np.empty((batch, oc, tiles_h, nh, tiles_w, nw), dtype=x.dtype)
-    out[...] = y.transpose(2, 5, 3, 0, 4, 1)
-    out = out.reshape(batch, oc, tiles_h * nh, tiles_w * nw)
-    if out.shape[2:] != (oh, ow):
-        out = np.ascontiguousarray(out[:, :, :oh, :ow])
+    if out is None:
+        out = np.empty((batch, oc, oh, ow), dtype=x.dtype)
+    full = whole[0] if whole else out
+    full.reshape(batch, oc, tiles_h, nh, tiles_w, nw)[...] = y.transpose(2, 5, 3, 0, 4, 1)
+    if whole:
+        out[...] = full[:, :, :oh, :ow]
     return out
 
 
@@ -399,6 +445,8 @@ def winograd_conv2d_with_kernel(
     bias: Optional[np.ndarray] = None,
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     stride: Tuple[int, int] = (1, 1),
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Square Winograd convolution given an already-transformed kernel.
 
@@ -406,12 +454,13 @@ def winograd_conv2d_with_kernel(
     G^T`` is computed once per session and reused across inferences.
 
     Only stride 1 is supported (Winograd requires it); callers fall back to
-    sliding window otherwise.
+    sliding window otherwise.  ``out`` and ``scratch`` are as for
+    :func:`winograd_conv2d_rect_with_kernel`.
     """
     if stride != (1, 1):
         raise ValueError("Winograd convolution requires stride 1")
     return winograd_conv2d_rect_with_kernel(
-        x, transformed_kernel, transforms, transforms, bias, pads)
+        x, transformed_kernel, transforms, transforms, bias, pads, out, scratch)
 
 
 def winograd_conv2d_rect(

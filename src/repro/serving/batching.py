@@ -200,7 +200,11 @@ class MicroBatcher:
         return self.submit(feeds).result()
 
     def close(self) -> None:
-        """Stop the dispatcher after draining already-queued requests."""
+        """Stop the dispatcher after draining already-queued requests.
+
+        The bucket sessions are dropped here, not when the engine holding
+        this batcher is collected: each one holds its activation arena.
+        """
         with self.sanitizer.locked(self._cond, "batcher.cond"):
             self._running = False
             self._cond.notify_all()
@@ -208,6 +212,7 @@ class MicroBatcher:
         if self.sanitizer.enabled:
             # join: everything the dispatcher did happens-before us.
             self.sanitizer.hb_recv(("batcher.dispatcher", id(self)))
+        self._sessions.clear()
 
     def __enter__(self) -> "MicroBatcher":
         return self

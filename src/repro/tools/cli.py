@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from typing import List, Optional
@@ -294,14 +295,19 @@ def _scheme_label(decision) -> str:
 def cmd_benchmark(args) -> int:
     session = Session(args.graph, SessionConfig(threads=args.threads))
     feeds = random_feeds(args.graph)
-    timing = time_callable(lambda: session.run(feeds), repeats=args.repeats)
+    session.run(feeds)  # the warm-up run, outside the fault count
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    timing = time_callable(lambda: session.run(feeds), repeats=args.repeats, warmup=0)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     print(f"schemes: {session.scheme_summary()}")
     plan = session.memory_plan
     print(f"memory:  arena {plan.arena_bytes / 2**20:.1f} MiB "
           f"({plan.reuse_ratio:.1f}x reuse, peak {plan.peak_bytes / 2**20:.1f} MiB, "
-          f"{plan.utilization() * 100:.0f}% utilized at worst step)")
+          f"{plan.utilization() * 100:.0f}% utilized at worst step); "
+          f"{session.arena_bound} of {len(plan.offsets)} planned tensors written there")
     print(f"latency: median {timing.median_ms:.1f} ms, min {timing.min_ms:.1f} ms "
-          f"over {args.repeats} runs ({args.threads} threads)")
+          f"over {args.repeats} runs ({args.threads} threads); "
+          f"{faults / max(args.repeats, 1):.0f} minor page faults per run")
     if args.profile:
         _, profile = session.run_profiled(feeds)
         profile.sort(key=lambda p: -p.wall_ms)

@@ -164,6 +164,14 @@ class TestCli:
         converted = load_model(out_path)
         assert any(v.dtype == np.float16 for v in converted.constants.values())
 
+    def test_benchmark_reports_faults_and_arena_binding(self, model_path, capsys):
+        assert main(["benchmark", model_path, "--repeats", "3"]) == 0
+        out = capsys.readouterr().out
+        bound, planned = map(int, re.search(
+            r"(\d+) of (\d+) planned tensors written there", out).groups())
+        assert 0 < bound <= planned
+        assert re.search(r"; \d+ minor page faults per run", out)
+
     def test_benchmark_with_profile(self, model_path, capsys):
         assert main(["benchmark", model_path, "--repeats", "2",
                      "--profile", "8"]) == 0

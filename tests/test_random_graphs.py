@@ -1,8 +1,9 @@
 """Property-based integration tests over randomly generated CNN DAGs.
 
 A hypothesis strategy builds random-but-valid networks (convs, depthwise,
-pools, activations, BN, residual adds, concats) and checks the engine's
-global invariants on each:
+pools, activations, BN, residual adds, concats, and view ops — a
+Flatten/Reshape round trip, Identity, Dropout, a channel Slice feeding a
+branch) and checks the engine's global invariants on each:
 
 * Session output == reference-executor output (optimization is invisible),
 * memory plans are sound and arenas never exceed naive allocation,
@@ -51,7 +52,8 @@ def random_cnn(draw):
     branches = []  # same-shaped tensors usable for residual adds
     for _ in range(depth):
         kind = draw(st.sampled_from(
-            ["conv", "conv1x1", "dwconv", "pool", "act", "bn", "add", "concat"]
+            ["conv", "conv1x1", "dwconv", "pool", "act", "bn", "add", "concat", "view",
+             "slice"]
         ))
         shape = b.graph.desc(x).shape
         if kind == "conv":
@@ -78,6 +80,21 @@ def random_cnn(draw):
             match = [t for t in branches if b.graph.desc(t).shape == shape]
             if match:
                 x = b.add(x, match[0])
+        elif kind == "view":
+            # Runners that return views of their input: the arena must keep
+            # the viewed tensor live for as long as the view is read.
+            view = draw(st.sampled_from(["flatten_reshape", "identity", "dropout"]))
+            if view == "flatten_reshape":
+                x = b.reshape(b.flatten(x), shape)
+            elif view == "identity":
+                x = b.identity(x)
+            else:
+                x = b.dropout(x)
+        elif kind == "slice":
+            # A channel slice (a strided view) feeding a branch that joins back.
+            if shape[1] >= 2:
+                part = b.slice(x, 1, 0, shape[1] // 2)
+                x = b.add(x, b.conv(b.relu(part), oc=shape[1], kernel=1))
         elif kind == "concat":
             match = [t for t in branches
                      if b.graph.desc(t).shape[2:] == shape[2:]
@@ -109,6 +126,7 @@ def test_session_matches_reference(graph):
 def test_memory_plans_always_sound(graph):
     plan = plan_memory(graph)
     plan.validate()
+    assert plan.sound()
     slack = 64 * max(1, len(plan.offsets))
     assert plan.arena_bytes <= plan.total_tensor_bytes + slack
 

@@ -345,6 +345,26 @@ class TestMicroBatching:
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(feed(hw=16))
 
+    def test_closing_an_engine_releases_its_bucket_sessions(self, cache_dir):
+        """A bucket session holds its activation arena, and an engine sits
+        in a reference cycle with its batcher: close must drop the
+        sessions itself, not leave them to the cycle collector."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            engine = Engine(serving_net(), EngineConfig(
+                pool_size=1, cache_dir=cache_dir, batching=True, max_batch=2,
+            ))
+            engine.infer(feed())
+            sessions = [weakref.ref(s) for s in engine.batcher._sessions.values()]
+            assert sessions and all(ref() is not None for ref in sessions)
+            engine.close()
+            assert all(ref() is None for ref in sessions)
+        finally:
+            gc.enable()
+
     def test_engine_batched_matches_serial(self, cache_dir):
         g = serving_net()
         requests = [feed(seed=i) for i in range(12)]
