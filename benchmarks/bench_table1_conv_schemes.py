@@ -7,14 +7,15 @@ Two views of the paper's three convolution settings (kernel, ic, oc, size)
   where the paper's shape must reproduce exactly: each fixed scheme wins
   one column and loses another; "Ours" tracks the per-column best.
 * **measured wall time** of this repo's kernels.  Both schemes run on
-  OpenBLAS: sliding window is im2col + one float32 GEMM, and every
-  Winograd stage is a float64 GEMM.  Measured on a 2-core x86 host
-  (EXPERIMENTS.md), the selector's n=8 beats sliding on (3,64,64,112)
-  (~21-29 ms vs ~31-41 ms), as in the paper; sliding still wins
-  (2,512,512,16) (~8-10 ms vs ~43-48 ms for n=2), where the float64
-  Hadamard GEMMs carry 512 channels.  The within-Winograd ranking
-  transfers and is asserted below: the selector's tile size n must beat
-  the wrong fixed tile (WinoMin on big maps, WinoMax on small maps).
+  OpenBLAS: sliding window is a tap gather plus one float32 ``W·T`` GEMM
+  per sample, and every Winograd stage is a float64 GEMM.  Measured on a
+  2-core x86 host (EXPERIMENTS.md), sliding window wins all three
+  settings in wall clock: (2,512,512,16) at ~4-5 ms vs ~39-45 ms for
+  n=2, and (3,64,64,112) at ~13-17 ms vs ~20-23 ms for the selector's
+  n=8, so the paper's third column no longer reproduces in wall clock.
+  The within-Winograd ranking transfers and is asserted below: the
+  selector's tile size n must beat the wrong fixed tile (WinoMin on big
+  maps, WinoMax on small maps).
 """
 
 import numpy as np

@@ -2,8 +2,9 @@
 
 The scheme names follow the paper's convolution scheme pool (Section 3.2):
 
-* ``sliding``  — direct sliding-window convolution, realized as im2col +
-  tiled GEMM (the vectorized equivalent of MNN's NEON sliding kernels).
+* ``sliding``  — direct sliding-window convolution, realized as a tap
+  gather plus one NCHW GEMM per sample (the vectorized equivalent of
+  MNN's NEON sliding kernels).
 * ``winograd`` — F(n x n, k x k) Winograd (see :mod:`repro.kernels.winograd`).
 * 1x1 kernels are a plain matrix multiplication and route through Strassen
   (Section 3.3.2) when the size makes it worthwhile.
@@ -18,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .matmul import GemmStats, matmul, tiled_matmul
+from .matmul import GemmStats, matmul
 from .winograd import (
     generate_transforms,
     transform_kernel,
@@ -28,7 +29,7 @@ from .winograd import (
 from .workspace import Spec, carve, pad_into
 
 __all__ = [
-    "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1", "conv2d",
+    "tap_view", "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1", "conv2d",
     "apply_activation",
 ]
 
@@ -49,6 +50,34 @@ def apply_activation(
     raise ValueError(f"unknown fused activation {activation!r}")
 
 
+def tap_view(
+    x: np.ndarray,
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int],
+) -> np.ndarray:
+    """The conv windows of zero-bordered ``x`` as one read-only strided view.
+
+    Shape ``(N, C, kh, kw, oh, ow)``: tap ``(i, j)`` of a sample is the
+    ``(C, oh, ow)`` slice of its input that starts at ``(i*dh, j*dw)`` and
+    steps by the stride.  Copying one sample's view gives its tap matrix
+    ``(C*kh*kw, oh*ow)``, the right-hand side of an NCHW ``W @ T`` GEMM.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    dh, dw = dilation
+    oh = (h - (kh - 1) * dh - 1) // sh + 1
+    ow = (w - (kw - 1) * dw - 1) // sw + 1
+    if oh < 1 or ow < 1:
+        raise ValueError(f"{kh}x{kw} window (dilation {dilation}) exceeds input {h}x{w}")
+    sn, sc, sy, sx = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, c, kh, kw, oh, ow), (sn, sc, sy * dh, sx * dw, sy * sh, sx * sw),
+        writeable=False,
+    )
+
+
 def im2col(
     x: np.ndarray,
     kernel: Tuple[int, int],
@@ -61,19 +90,11 @@ def im2col(
     Returns an array of shape ``(N, oh, ow, C, kh, kw)`` (a strided view
     reshaped lazily by callers into GEMM operands).
     """
-    kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
     top, bottom, left, right = pads
-    if any(p for p in pads):
+    if any(pads):
         x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    eff_kh = (kh - 1) * dh + 1
-    eff_kw = (kw - 1) * dw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (eff_kh, eff_kw), axis=(2, 3))
-    # stride over output positions, dilate within the window
-    windows = windows[:, :, ::sh, ::sw, ::dh, ::dw]
-    # (N, C, oh, ow, kh, kw) -> (N, oh, ow, C, kh, kw)
-    return windows.transpose(0, 2, 3, 1, 4, 5)
+    # (N, C, kh, kw, oh, ow) -> (N, oh, ow, C, kh, kw)
+    return tap_view(x, kernel, stride, dilation).transpose(0, 4, 5, 1, 2, 3)
 
 
 def im2col_workspace(
@@ -85,16 +106,16 @@ def im2col_workspace(
     groups: int = 1,
     dtype=np.float32,
 ) -> List[Spec]:
-    """Temporaries of :func:`conv2d_im2col`: one group's GEMM LHS and
-    product, and the zero-bordered input when there is padding."""
+    """Temporaries of :func:`conv2d_im2col`: one sample's tap matrix
+    ``(C, kh, kw, oh*ow)``, and the zero-bordered input when there is
+    padding."""
     n, ic, h, w = x_shape
-    oc, _, kh, kw = weights_shape
+    _, _, kh, kw = weights_shape
     top, bottom, left, right = pads
     hp, wp = h + top + bottom, w + left + right
     oh = (hp - (kh - 1) * dilation[0] - 1) // stride[0] + 1
     ow = (wp - (kw - 1) * dilation[1] - 1) // stride[1] + 1
-    rows, ocg = n * oh * ow, oc // groups
-    specs = [((rows, ic // groups * kh * kw), dtype), ((rows, ocg), dtype)]
+    specs = [((ic, kh, kw, oh * ow), dtype)]
     if any(pads):
         specs.append(((n, ic, hp, wp), dtype))
     return specs
@@ -112,39 +133,46 @@ def conv2d_im2col(
     out: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Sliding-window convolution via im2col + tiled GEMM.
+    """Sliding-window convolution: a tap gather plus one GEMM per sample
+    and group.
 
     Supports arbitrary kernel/stride/dilation/groups — this is the
-    universally-applicable scheme the selector falls back to.  ``out``
-    receives the (N, oc, oh, ow) result; the temporaries of
+    universally-applicable scheme the selector falls back to.  Each
+    sample's ``kh*kw`` taps are copied into one tap matrix ``T``; each
+    group then runs ``W_g(ocg, icg*kh*kw) @ T_g(icg*kh*kw, oh*ow)``
+    straight into its channels of ``out`` (fresh when not given), so the
+    result is NCHW without a transpose and row ``i`` of a batched call is
+    bitwise the single-sample call.  The temporaries of
     :func:`im2col_workspace` come from ``scratch`` when it is given.
     """
     n, ic, _, _ = x.shape
-    oc = weights.shape[0]
-    kh, kw = weights.shape[2], weights.shape[3]
+    oc, _, kh, kw = weights.shape
     if ic % groups or oc % groups:
         raise ValueError(f"channels ({ic}, {oc}) not divisible by groups={groups}")
     dtype = np.result_type(x.dtype, weights.dtype)
-    lhs, prod, *padded = carve(
+    taps, *padded = carve(
         scratch, im2col_workspace(x.shape, weights.shape, stride, pads, dilation, groups, dtype)
     )
     if padded:
         top, _, left, _ = pads
         x = pad_into(padded[0], x, (0, 0, top, left))
-    cols = im2col(x, (kh, kw), stride, (0, 0, 0, 0), dilation)  # (N, oh, ow, C, kh, kw)
-    _, oh, ow, _, _, _ = cols.shape
-    icg = ic // groups
-    ocg = oc // groups
+    windows = tap_view(x, (kh, kw), stride, dilation)
+    oh, ow = windows.shape[4:]
+    icg, ocg = ic // groups, oc // groups
+    k, p = icg * kh * kw, oh * ow
+    # A reshape view of the constant: no per-call copy of the weights.
+    w2d = weights.reshape(groups, ocg, k)
+    t2d = taps.reshape(groups, k, p)
+    t5d = taps.reshape(windows.shape[1:])
     if out is None:
         out = np.empty((n, oc, oh, ow), dtype=dtype)
-    for g in range(groups):
-        group_cols = cols[:, :, :, g * icg : (g + 1) * icg]
-        lhs.reshape(group_cols.shape)[...] = group_cols
-        # A transposed view: BLAS reads it through its transpose flag, so
-        # the constant weights are never copied per call.
-        rhs = weights[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
-        tiled_matmul(lhs, rhs, stats=stats, out=prod)
-        out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
+    for window, y in zip(windows, out):
+        t5d[...] = window
+        y = y.reshape(groups, ocg, p)
+        for g in range(groups):
+            np.matmul(w2d[g], t2d[g], out=y[g])
+            if stats is not None:
+                stats.record_base(ocg, k, p)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out

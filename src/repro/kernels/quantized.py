@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .conv import im2col
+from .conv import tap_view
 from .qgemm import exact_int_gemm
 
 __all__ = ["quantize_float", "quantize_tensor", "quantize_weights_per_channel", "qconv2d"]
@@ -60,21 +60,31 @@ def qconv2d(
     groups: int = 1,
 ) -> np.ndarray:
     """Quantized conv over int8 (or ``prepack_int8``-ed) weights: exact
-    integer accumulation at depth ``icg * kh * kw``, float32 output."""
+    integer accumulation at depth ``icg * kh * kw``, float32 output.
+
+    The unfold is the sliding-window kernel's: each sample's taps are
+    gathered into one tap matrix ``T`` and each group runs
+    ``W_g(ocg, icg*kh*kw) @ T_g`` straight into its NCHW channels.
+    """
     n, ic = x.shape[:2]
-    oc = weights_q.shape[0]
-    kh, kw = weights_q.shape[2], weights_q.shape[3]
-    cols = im2col(quantize_float(x, input_scale), (kh, kw), stride, pads, dilation)
-    _, oh, ow, _, _, _ = cols.shape  # (N, oh, ow, C, kh, kw)
+    oc, _, kh, kw = weights_q.shape
+    top, bottom, left, right = pads
+    xq = quantize_float(x, input_scale)
+    if any(pads):
+        xq = np.pad(xq, ((0, 0), (0, 0), (top, bottom), (left, right)))
+    windows = tap_view(xq, (kh, kw), stride, dilation)  # (N, C, kh, kw, oh, ow)
+    oh, ow = windows.shape[4:]
     icg, ocg = ic // groups, oc // groups
+    k, p = icg * kh * kw, oh * ow
+    w2d = weights_q.reshape(groups, ocg, k)
+    taps = np.empty(windows.shape[1:], xq.dtype)
+    t2d = taps.reshape(groups, k, p)
     out = np.empty((n, oc, oh, ow), dtype=np.float32)
-    for g in range(groups):
-        lhs = np.ascontiguousarray(
-            cols[:, :, :, g * icg : (g + 1) * icg]
-        ).reshape(n * oh * ow, icg * kh * kw)
-        rhs = weights_q[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
-        prod = exact_int_gemm(lhs, rhs)
-        out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
+    for window, y in zip(windows, out):
+        taps[...] = window
+        y = y.reshape(groups, ocg, p)
+        for g in range(groups):
+            y[g] = exact_int_gemm(w2d[g], t2d[g])
     out *= input_scale * weight_scales.reshape(1, -1, 1, 1)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)

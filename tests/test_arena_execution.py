@@ -277,12 +277,12 @@ def test_im2col_bits_with_out_and_scratch(stride, pads, groups):
     weights = RNG.standard_normal((6, 4 // groups, 3, 3)).astype(np.float32)
     bias = RNG.standard_normal(6).astype(np.float32)
     specs = im2col_workspace(x.shape, weights.shape, stride, pads, (1, 1), groups)
-    rows = specs[0][0][0] // 2
     oh = (10 + pads[0] + pads[1] - 3) // stride[0] + 1
+    ow = (10 + pads[2] + pads[3] - 3) // stride[1] + 1
     _same_with_out_and_scratch(
         lambda out, scratch: conv2d_im2col(x, weights, bias, stride, pads, (1, 1), groups,
                                            out=out, scratch=scratch),
-        specs, (2, 6, oh, rows // oh))
+        specs, (2, 6, oh, ow))
 
 
 @pytest.mark.parametrize("pads,out_hw", [((0, 0, 0, 0), (4, 4)), ((1, 1, 1, 1), (5, 5))])

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import Session, SessionConfig
+from repro.core import Session, SessionConfig, node_muls
 from repro.core.schemes import SchemeDecision, select_graph_schemes
 from repro.ir import GraphBuilder
 from repro.kernels import (
@@ -20,6 +20,10 @@ from repro.kernels import (
 from .gold import conv2d_naive, depthwise_conv2d_naive
 
 RNG = np.random.default_rng(11)
+
+
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
 
 
 def _conv1x1_nhwc(x, weights, bias=None, stride=(1, 1), use_strassen=True, stats=None):
@@ -102,6 +106,46 @@ class TestConvIm2col:
         got = conv2d_im2col(x, w, stride=(s, s), pads=pads)
         want = conv2d_naive(x, w, stride=(s, s), pads=pads)
         np.testing.assert_allclose(got, want, atol=1e-4)
+
+    @given(
+        n=st.integers(1, 3),
+        groups=st.integers(1, 3),
+        icg=st.integers(1, 4),
+        ocg=st.integers(1, 4),
+        kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        dilation=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        hw=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_single_calls_and_muls_match_the_cost_model(
+        self, n, groups, icg, ocg, kernel, stride, dilation, pads, hw, seed
+    ):
+        """One GEMM per sample and group: batch row i is bitwise the
+        single-sample call, and the GEMMs issue exactly the sliding MULs."""
+        for size, pad, k, d in zip(hw, (pads[0] + pads[1], pads[2] + pads[3]), kernel, dilation):
+            assume(size + pad >= (k - 1) * d + 1)
+        b = GraphBuilder("sliding", seed=seed)
+        x = b.input("x", (n, groups * icg) + hw)
+        b.output(b.conv(x, groups * ocg, kernel, stride=stride, pad_mode="explicit", pad=pads,
+                        dilation=dilation, groups=groups, name="c"))
+        graph = b.finish()
+        node = graph.nodes[-1]
+        w, bias = (graph.constants[name] for name in node.inputs[1:])
+        feed = np.random.default_rng(seed).standard_normal((n, groups * icg) + hw)
+        feed = feed.astype(np.float32)
+        stats = GemmStats()
+        got = conv2d_im2col(feed, w, bias, stride, pads, dilation, groups, stats=stats)
+        assert got.shape == graph.desc("c").shape
+        assert stats.mul_elements == node_muls(node, graph, "sliding")
+        assert stats.base_multiplies == n * groups
+        np.testing.assert_allclose(
+            got, conv2d_naive(feed, w, bias, stride, pads, dilation, groups), atol=1e-4)
+        for i in range(n):
+            single = conv2d_im2col(feed[i : i + 1], w, bias, stride, pads, dilation, groups)
+            assert _bits(got[i : i + 1]) == _bits(single)
 
 
 class TestConv1x1:

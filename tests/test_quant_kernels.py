@@ -29,6 +29,7 @@ from repro.kernels import (
     prepack_int8,
     qconv2d,
     qmatmul,
+    quantize_float,
     quantize_rowwise,
 )
 from repro.quant import quantize_graph
@@ -58,6 +59,30 @@ def qmatmul_int32_reference(x, wq, cs):
 
 def static_codes(x, input_scale):
     return np.clip(np.round(x / input_scale), -127, 127).astype(np.int64)
+
+
+def _qconv2d_nhwc(x, weights_q, weight_scales, input_scale, bias=None, stride=(1, 1),
+                  pads=(0, 0, 0, 0), dilation=(1, 1), groups=1):
+    """The previous ``qconv2d``, kept as an oracle: one exact GEMM per group
+    over a contiguous copy of the whole batch's ``(N*oh*ow, C*kh*kw)``
+    im2col matrix, transposed back to NCHW."""
+    n, ic = x.shape[:2]
+    oc, _, kh, kw = weights_q.shape
+    cols = im2col(quantize_float(x, input_scale), (kh, kw), stride, pads, dilation)
+    _, oh, ow, _, _, _ = cols.shape
+    icg, ocg = ic // groups, oc // groups
+    out = np.empty((n, oc, oh, ow), dtype=np.float32)
+    for g in range(groups):
+        lhs = np.ascontiguousarray(
+            cols[:, :, :, g * icg : (g + 1) * icg]
+        ).reshape(n * oh * ow, icg * kh * kw)
+        rhs = weights_q[g * ocg : (g + 1) * ocg].reshape(ocg, icg * kh * kw).T
+        prod = exact_int_gemm(lhs, rhs)
+        out[:, g * ocg : (g + 1) * ocg] = prod.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2)
+    out *= input_scale * weight_scales.reshape(1, -1, 1, 1)
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out
 
 
 class TestExactIntGemm:
@@ -116,6 +141,35 @@ class TestExactIntGemm:
             got = qconv2d(x, weights, w_scales, input_scale, bias, stride, pads,
                           groups=groups)
             np.testing.assert_array_equal(got, want)
+
+    @given(
+        n=st.integers(1, 3),
+        groups=st.integers(1, 2),
+        icg=st.sampled_from([1, 3, 8, 120]),  # 120 * 9 > 1040: the float64 GEMM
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        dilation=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_qconv2d_is_bitwise_the_nhwc_formulation(
+        self, n, groups, icg, stride, dilation, pads, seed
+    ):
+        """The tap-gather unfold changes no int8 output bit: the integer
+        accumulation is exact whatever the GEMM orientation."""
+        rng = np.random.default_rng(seed)
+        ic, oc = groups * icg, groups * 3
+        x = rng.standard_normal((n, ic, 7, 6)).astype(np.float32)
+        wq = rng.integers(-127, 128, (oc, icg, 3, 3)).astype(np.int8)
+        w_scales = rng.uniform(0.01, 0.1, oc).astype(np.float32)
+        bias = rng.standard_normal(oc).astype(np.float32)
+        input_scale = float(np.abs(x).max() / 127.0)
+        args = (w_scales, input_scale, bias, stride, pads, dilation, groups)
+        want = _qconv2d_nhwc(x, wq, *args)
+        for weights in (wq, prepack_int8(wq, icg * 9)):
+            got = qconv2d(x, weights, *args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("features", [32, 1200])
     def test_int8_fully_connected_matches_int64_reference(self, features):
