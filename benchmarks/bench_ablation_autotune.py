@@ -35,8 +35,8 @@ def test_ablation_autotune_vs_cost_model(net, report_table, benchmark):
     t_tuned = time_callable(lambda: tuned.run(feed), repeats=8).median_ms
     changed = sum(
         1 for name, d in report.decisions.items()
-        if (d.kind, d.winograd_n)
-        != (report.model_decisions[name].kind, report.model_decisions[name].winograd_n)
+        if (d.kind, d.tile)
+        != (report.model_decisions[name].kind, report.model_decisions[name].tile)
     )
     report_table(
         "Ablation — auto-tuning (measured) vs Eq. 2 cost model",

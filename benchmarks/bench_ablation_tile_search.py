@@ -34,7 +34,7 @@ def _measure_tiles(k, ic, oc, size):
         if n <= 1 or n + k - 1 > CFG.max_tile:
             continue
         times[n] = time_callable(
-            lambda n=n: conv2d(x, w, scheme="winograd", winograd_n=n), repeats=3
+            lambda n=n: conv2d(x, w, scheme="winograd", tile=(n, n)), repeats=3
         ).median_ms
     return times
 
@@ -48,7 +48,7 @@ def test_ablation_tile_search(report_table, benchmark):
         decision = select_conv_scheme((k, k), ic, oc, out_hw, config=CFG)
         measured = _measure_tiles(k, ic, oc, size)
         best_n = min(measured, key=measured.get)
-        picked_n = decision.winograd_n if decision.kind == "winograd" else best_n
+        picked_n = decision.tile[0] if decision.kind == "winograd" else best_n
         regret = measured.get(picked_n, measured[best_n]) / measured[best_n]
         regrets.append(regret)
         rows.append(
@@ -59,7 +59,7 @@ def test_ablation_tile_search(report_table, benchmark):
         )
     x = RNG.standard_normal((1, 64, 56, 56)).astype(np.float32)
     w = RNG.standard_normal((64, 64, 3, 3)).astype(np.float32)
-    benchmark(lambda: conv2d(x, w, scheme="winograd", winograd_n=4))
+    benchmark(lambda: conv2d(x, w, scheme="winograd", tile=(4, 4)))
     report_table(
         "Ablation — model-chosen Winograd tile vs measured-best tile",
         ["conv (k,ic,oc,size)", "scheme", "model n", "best n",

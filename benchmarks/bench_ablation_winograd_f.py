@@ -23,7 +23,7 @@ def _rel_error(n, f, ic=16, oc=16, size=36, k=3):
     x = RNG.standard_normal((1, ic, size, size)).astype(np.float32)
     w = RNG.standard_normal((oc, ic, k, k)).astype(np.float32)
     ref = conv2d_im2col(x.astype(np.float64), w.astype(np.float64))
-    got = winograd_conv2d(x, w, n=n, f=f)
+    got = winograd_conv2d(x, w, tile=(n, n), f=f)
     return float(np.abs(got - ref).max() / np.abs(ref).max())
 
 

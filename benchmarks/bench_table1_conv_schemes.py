@@ -58,8 +58,8 @@ def _modeled_costs(k, ic, oc, size):
     sliding = out_hw[0] * out_hw[1] * ic * k * k * oc
     return {
         "Sliding": float(sliding),
-        "WinoMin": winograd_plane_cost(2, k, ic, oc, out_hw, CFG),
-        "WinoMax": winograd_plane_cost(_max_legal_n(k), k, ic, oc, out_hw, CFG),
+        "WinoMin": winograd_plane_cost((2, 2), (k, k), ic, oc, out_hw, CFG),
+        "WinoMax": winograd_plane_cost((_max_legal_n(k),) * 2, (k, k), ic, oc, out_hw, CFG),
         "Ours": float(decision.cost),
     }, decision
 
@@ -69,9 +69,9 @@ def _measured_times(k, ic, oc, size, decision, repeats=5):
     exec_scheme = decision.kind if decision.kind != "gemm1x1" else "sliding"
     runs = {
         "Sliding": lambda: conv2d(x, w, scheme="sliding"),
-        "WinoMin": lambda: conv2d(x, w, scheme="winograd", winograd_n=2),
-        "WinoMax": lambda: conv2d(x, w, scheme="winograd", winograd_n=_max_legal_n(k)),
-        "Ours": lambda: conv2d(x, w, scheme=exec_scheme, winograd_n=decision.winograd_n),
+        "WinoMin": lambda: conv2d(x, w, scheme="winograd", tile=(2, 2)),
+        "WinoMax": lambda: conv2d(x, w, scheme="winograd", tile=(_max_legal_n(k),) * 2),
+        "Ours": lambda: conv2d(x, w, scheme=exec_scheme, tile=decision.tile),
     }
     return {name: time_callable(fn, repeats=repeats).median_ms for name, fn in runs.items()}
 
@@ -83,19 +83,18 @@ def test_table1_per_setting(case, report_table, benchmark):
     measured = _measured_times(k, ic, oc, size, decision)
     x, w = _make_case(k, ic, oc, size)
     exec_scheme = decision.kind if decision.kind != "gemm1x1" else "sliding"
-    benchmark(lambda: conv2d(x, w, scheme=exec_scheme, winograd_n=decision.winograd_n))
+    benchmark(lambda: conv2d(x, w, scheme=exec_scheme, tile=decision.tile))
 
     paper = PAPER[case]
     report_table(
-        f"Table 1 — setting (k,ic,oc,size)={case}; selected: "
-        f"{decision.kind} n={decision.winograd_n}",
+        f"Table 1 — setting (k,ic,oc,size)={case}; selected: {decision.label}",
         ["scheme", "modeled cost (M weighted MULs)", "measured ms", "paper ms"],
         [
             [name, modeled[name] / 1e6, measured[name], paper[i]]
             for i, name in enumerate(("Sliding", "WinoMin", "WinoMax", "Ours"))
         ],
         config={"case": case, "selected": decision.kind,
-                "winograd_n": decision.winograd_n},
+                "tile": list(decision.tile)},
     )
     # Shape claim 1: "Ours" is the modeled best, by construction and in fact.
     assert modeled["Ours"] <= min(modeled.values()) * 1.0001
@@ -131,17 +130,17 @@ def test_table1_winograd_tile_ranking_transfers(report_table, benchmark):
     small maps favor small tiles, big maps favor big tiles."""
     x_small, w_small = _make_case(2, 512, 512, 16)
     x_big, w_big = _make_case(3, 64, 64, 112)
-    benchmark(lambda: conv2d(x_small, w_small, scheme="winograd", winograd_n=2))
+    benchmark(lambda: conv2d(x_small, w_small, scheme="winograd", tile=(2, 2)))
     t_small = {
         n: time_callable(
-            lambda n=n: conv2d(x_small, w_small, scheme="winograd", winograd_n=n),
+            lambda n=n: conv2d(x_small, w_small, scheme="winograd", tile=(n, n)),
             repeats=3,
         ).median_ms
         for n in (2, 8)
     }
     t_big = {
         n: time_callable(
-            lambda n=n: conv2d(x_big, w_big, scheme="winograd", winograd_n=n),
+            lambda n=n: conv2d(x_big, w_big, scheme="winograd", tile=(n, n)),
             repeats=3,
         ).median_ms
         for n in (2, 8)

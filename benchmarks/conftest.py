@@ -105,7 +105,7 @@ def _chaos_or_fail(name, graph):
     gold = Session(graph, SessionConfig(threads=2)).run(feeds)
     plan = FaultPlan([
         FaultRule("kernel.execute", "nan",
-                  match={"scheme": ("winograd", "winograd_rect")}),
+                  match={"scheme": "winograd"}),
         FaultRule("kernel.execute", "transient", p=0.1, times=8),
     ], seed=0)
     session = Session(

@@ -41,8 +41,7 @@ def main():
             continue
         desc = graph.desc(node.outputs[0])
         print(f"  {node.name:14s} k={node.attrs['kernel']} out={desc.shape}"
-              f"  -> {decision.kind}"
-              + (f" (n={decision.winograd_n})" if decision.kind == "winograd" else ""))
+              f"  -> {decision.label}")
         shown += 1
         if shown == 6:
             break

@@ -6,7 +6,9 @@
 
 SRC is the ``src`` directory of the tree to drive (default: this
 checkout's).  The cases use squeezenet_v1.1, the built-in chaos graph and
-fresh ``cli build`` outputs, and ``--selftest`` wherever a command has it.
+fresh ``cli build`` outputs (inception_v3 at 139 px, the smallest input
+at which its 1x7/7x1 convs select rectangular Winograd tiles), and
+``--selftest`` wherever a command has it.
 Each case prints ``$ cli ARGV``, its stdout and ``[exit N]`` (with the
 last stderr line when N is not 0).  Lines that carry wall-clock numbers
 or pids read ``<timed>`` after their ``label:`` (trace-waterfall rows
@@ -31,6 +33,7 @@ build squeezenet_v1.1 -o sq.rmnn --input-size 64
 build tiny_decoder -o dec.rmnn
 build lstm_classifier -o lstm.rmnn
 build vgg99 -o x.rmnn
+build inception_v3 -o inc.rmnn --input-size 139
 info sq.rmnn
 info chaos.rmnn
 info missing.rmnn
@@ -63,6 +66,7 @@ estimate sq.rmnn --device Nokia
 estimate sq.rmnn --engine Caffe --backend cpu --threads 2
 devices
 schemes sq.rmnn
+schemes inc.rmnn
 autotune sq.rmnn --repeats 1
 dot sq.rmnn --schemes -o g.dot
 dot chaos.rmnn

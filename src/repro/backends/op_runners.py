@@ -77,17 +77,6 @@ class OpRunner:
             defaults["scratch"] = scratch
 
 
-def _conv_muls_for_scheme(
-    node: Node, graph: Graph, scheme_kind: str, winograd_n: int,
-    winograd_n_hw=(1, 2),
-) -> int:
-    """Effective MULs: Winograd genuinely reduces the multiply count."""
-    from ..core.cost import node_muls  # local import to avoid a cycle
-
-    return node_muls(node, graph, scheme_kind=scheme_kind, winograd_n=winograd_n,
-                     winograd_n_hw=winograd_n_hw)
-
-
 def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = True) -> OpRunner:
     """Build the runnable closure for ``node``.
 
@@ -160,12 +149,14 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 return [K.apply_activation(y, activation, out=y)]
         else:
             kind = getattr(scheme, "kind", None) or _default_conv_scheme(kernel, stride, dilation, groups)
-            winograd_n = getattr(scheme, "winograd_n", 2)
-            winograd_n_hw = getattr(scheme, "winograd_n_hw", (1, 2))
-            muls = _conv_muls_for_scheme(node, graph, kind, winograd_n, winograd_n_hw)
-            if kind == "winograd_rect":
-                tr_h = K.axis_transforms(winograd_n_hw[0], kernel[0])
-                tr_w = K.axis_transforms(winograd_n_hw[1], kernel[1])
+            tile = getattr(scheme, "tile", (1, 1))
+            if kind == "winograd":
+                if stride != (1, 1) or dilation != (1, 1) or groups != 1:
+                    raise BackendError(
+                        f"{node.name!r}: Winograd needs stride 1, dilation 1, groups 1")
+                # A k = 1 axis gets identity transforms; a k > 1 axis the
+                # generator's memoized ones (the square case shares them).
+                tr_h, tr_w = (K.axis_transforms(n, k) for n, k in zip(tile, kernel))
                 packed = K.transform_kernel_rect(weights, tr_h, tr_w)
                 scratch_bytes = K.workspace_bytes(K.winograd_workspace(
                     x_shape, weights.shape[0], tr_h, tr_w, pads, x_dtype))
@@ -175,23 +166,13 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                     y = K.winograd_conv2d_rect_with_kernel(inputs[0], _p, _h, _tw, _b, pads,
                                                            out, scratch)
                     return [K.apply_activation(y, activation, out=y)]
-            elif kind == "winograd":
-                transforms = K.generate_transforms(winograd_n, kernel[0])
-                packed = K.transform_kernel(weights, transforms)
-                scratch_bytes = K.workspace_bytes(K.winograd_workspace(
-                    x_shape, weights.shape[0], transforms, transforms, pads, x_dtype))
-
-                def fn(inputs, *, out=None, scratch=None, _p=packed, _t=transforms, _b=bias):
-                    y = K.winograd_conv2d_with_kernel(inputs[0], _p, _t, _b, pads, stride,
-                                                      out, scratch)
-                    return [K.apply_activation(y, activation, out=y)]
             elif kind == "gemm1x1":
                 # A reshape view of the constant: the GEMM's W(oc, ic).
                 def fn(inputs, *, out=None, _w=weights.reshape(weights.shape[0], -1), _b=bias):
                     y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen, pads=pads,
                                      out=out)
                     return [K.apply_activation(y, activation, out=y)]
-            else:
+            elif kind == "sliding":
                 scratch_bytes = K.workspace_bytes(K.im2col_workspace(
                     x_shape, weights.shape, stride, pads, dilation, groups, y_dtype))
 
@@ -199,6 +180,9 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                     y = K.conv2d_im2col(inputs[0], _w, _b, stride, pads, dilation, groups,
                                         out=out, scratch=scratch)
                     return [K.apply_activation(y, activation, out=y)]
+            else:
+                raise BackendError(f"{node.name!r}: unknown conv scheme {kind!r}")
+            muls = node_muls(node, graph, kind, tile)
 
     elif op == Op.CONV_TRANSPOSE2D:
         x_desc = graph.desc(node.inputs[0])

@@ -12,8 +12,8 @@ is the small scheme pool rather than an open schedule space.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..ir.graph import Graph, Node
 from ..ir.ops import Op
 from ..ir.shape_inference import resolve_padding
 from ..kernels.conv import conv2d
-from .schemes import SchemeConfig, SchemeDecision, select_conv_scheme
+from .schemes import SchemeConfig, SchemeDecision, select_conv_scheme, winograd_tiles
 
 __all__ = ["TuneReport", "autotune_schemes"]
 
@@ -80,39 +80,10 @@ class TuneReport:
         same = sum(
             1
             for name, d in self.decisions.items()
-            if (d.kind, d.winograd_n)
-            == (self.model_decisions[name].kind, self.model_decisions[name].winograd_n)
+            if (d.kind, d.tile)
+            == (self.model_decisions[name].kind, self.model_decisions[name].tile)
         )
         return same / len(self.decisions)
-
-
-def _candidate_schemes(
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    dilation: Tuple[int, int],
-    groups: int,
-    config: SchemeConfig,
-) -> List[Tuple[str, int, Tuple[int, int]]]:
-    """The legal (kind, winograd_n, winograd_n_hw) candidates for one conv."""
-    kh, kw = kernel
-    if kh == 1 and kw == 1 and dilation == (1, 1) and groups == 1:
-        return [("gemm1x1", 1, (1, 1)), ("sliding", 1, (1, 1))]
-    candidates: List[Tuple[str, int, Tuple[int, int]]] = [("sliding", 1, (1, 1))]
-    plain = stride == (1, 1) and dilation == (1, 1) and groups == 1
-    if kh == kw and kh > 1 and plain:
-        for n in config.winograd_candidates:
-            if n > 1 and n + kh - 1 <= config.max_tile:
-                candidates.append(("winograd", n, (n, n)))
-    elif kh != kw and plain:
-        h_opts = [n for n in config.winograd_candidates
-                  if n + kh - 1 <= config.max_tile and (n > 1 or kh == 1)] or [1]
-        w_opts = [n for n in config.winograd_candidates
-                  if n + kw - 1 <= config.max_tile and (n > 1 or kw == 1)] or [1]
-        for nh in h_opts:
-            for nw in w_opts:
-                if (nh, nw) != (1, 1):
-                    candidates.append(("winograd_rect", 1, (nh, nw)))
-    return candidates
 
 
 def _measure(fn, repeats: int) -> float:
@@ -164,32 +135,30 @@ def autotune_schemes(
         )
         x = rng.standard_normal(x_desc.shape).astype(np.float32)
 
+        candidates = [SchemeDecision("sliding")] + [
+            SchemeDecision("winograd", tile)
+            for tile in winograd_tiles(kernel, stride, dilation, groups, cfg)
+        ]
+        if kernel == (1, 1) and dilation == (1, 1) and groups == 1:
+            candidates.insert(0, SchemeDecision("gemm1x1"))
         timings: Dict[str, float] = {}
-        labels: Dict[str, Tuple[str, int, Tuple[int, int]]] = {}
-        for kind, n, n_hw in _candidate_schemes(kernel, stride, dilation, groups, cfg):
-            if kind == "winograd":
-                label = f"winograd_n{n}"
-            elif kind == "winograd_rect":
-                label = f"winograd_rect_n{n_hw[0]}x{n_hw[1]}"
-            else:
-                label = kind
-            labels[label] = (kind, n, n_hw)
+        by_label: Dict[str, SchemeDecision] = {}
+        for candidate in candidates:
             try:
-                timings[label] = _measure(
-                    lambda k=kind, wn=n, whw=n_hw: conv2d(
+                timings[candidate.label] = _measure(
+                    lambda c=candidate: conv2d(
                         x, weights, None, stride, pads, dilation, groups,
-                        scheme=k, winograd_n=wn, winograd_n_hw=whw,
+                        scheme=c.kind, tile=c.tile,
                     ),
                     repeats,
                 )
             except (ValueError, MemoryError):
                 continue
+            by_label[candidate.label] = candidate
         if not timings:
             continue
         best_label = min(timings, key=timings.get)
-        kind, n, n_hw = labels[best_label]
-        best = SchemeDecision(kind, n, timings[best_label], timings,
-                              winograd_n_hw=n_hw)
+        best = replace(by_label[best_label], cost=timings[best_label], alternatives=timings)
         report.decisions[node.name] = best
         report.measurements[node.name] = timings
         report.model_decisions[node.name] = select_conv_scheme(

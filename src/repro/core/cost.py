@@ -14,13 +14,12 @@ and Strassen shaves large 1x1-conv GEMMs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..devices.specs import DeviceSpec
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op, get_schema
 from ..kernels.matmul import strassen_should_recurse
-from ..kernels.winograd import generate_transforms  # noqa: F401  (re-export convenience)
 
 __all__ = ["node_muls", "winograd_tile_cost", "strassen_mul_factor", "BackendCostModel"]
 
@@ -42,34 +41,40 @@ def strassen_mul_factor(n: int, k: int, m: int) -> float:
     return factor
 
 
-def winograd_tile_cost(n: int, k: int, ic: int, oc: int, transform_weight: float = 1.0) -> float:
-    """Per-tile arithmetic cost of Winograd F(n x n, k x k) — paper Eq. 2.
+def winograd_tile_cost(
+    tile: Tuple[int, int], kernel: Tuple[int, int], ic: int, oc: int,
+) -> Tuple[int, int]:
+    """Per-tile MULs of Winograd F(nh x nw, kh x kw) — paper Eq. 2, per axis.
 
-    ``C(n) = 2*ic*(n+k-1)^3  +  ic*oc*(n+k-1)^2  +  n*(n+k-1)*(2n+k-1)``
+    Returns ``(transform, hadamard)``: the input and output transform
+    terms, and the Hadamard-as-GEMM stage ``ic * oc * th * tw`` (``th =
+    nh + kh - 1``, ``tw = nw + kw - 1``).  A ``k = 1`` axis has identity
+    transforms, so it adds no transform term.  At a square tile ``(n, n)``
+    of a square kernel the sum is the literal Eq. 2,
 
-    The first and last terms are the input/output transforms; the middle is
-    the Hadamard-as-GEMM stage.  ``transform_weight`` (the lambda of
-    DESIGN.md Section 4) scales the transform terms to account for their
-    bandwidth-bound nature; 1.0 gives the literal Eq. 2.
+        ``C(n) = 2*ic*(n+k-1)^3  +  ic*oc*(n+k-1)^2  +  n*(n+k-1)*(2n+k-1)``.
     """
-    t = n + k - 1
-    input_tf = 2.0 * ic * t**3
-    hadamard = float(ic) * oc * t**2
-    output_tf = float(n) * t * (2 * n + k - 1)
-    return transform_weight * (input_tf + output_tf) + hadamard
+    (nh, nw), (kh, kw) = tile, kernel
+    th, tw = nh + kh - 1, nw + kw - 1
+    transform = 0
+    if kh > 1:  # B_h^T X down the columns of a th x tw tile, then A_h^T M
+        transform += ic * th * th * tw + nh * th * tw
+    if kw > 1:
+        transform += ic * th * tw * tw + nh * tw * nw
+    return transform, ic * oc * th * tw
 
 
 def node_muls(
     node: Node,
     graph: Graph,
     scheme_kind: Optional[str] = None,
-    winograd_n: int = 2,
-    winograd_n_hw: tuple = (1, 2),
+    tile: Tuple[int, int] = (1, 1),
 ) -> int:
     """Multiply count of ``node`` under an optional conv scheme.
 
     Without a scheme this is the schema's direct count (what a naive engine
-    executes); with ``scheme_kind`` the count reflects the chosen algorithm.
+    executes); with ``scheme_kind`` the count reflects the chosen algorithm
+    (``tile`` is the Winograd output tile ``(nh, nw)``).
     """
     schema = get_schema(node.op_type)
     if schema.mul_count is None:
@@ -82,26 +87,13 @@ def node_muls(
 
     n_batch, oc, oh, ow = output_shape
     ic = input_shapes[0][1]
-    k = node.attrs["kernel"][0]
     if scheme_kind == "gemm1x1":
         factor = strassen_mul_factor(n_batch * oh * ow, ic, oc)
         return int(direct * factor)
     if scheme_kind == "winograd":
-        tiles = -(-oh // winograd_n) * (-(-ow // winograd_n))
-        per_tile = winograd_tile_cost(winograd_n, k, ic, oc)
-        return int(n_batch * tiles * per_tile)
-    if scheme_kind == "winograd_rect":
-        nh, nw = winograd_n_hw
-        kh, kw = node.attrs["kernel"]
-        th, tw = nh + kh - 1, nw + kw - 1
+        nh, nw = tile
         tiles = -(-oh // nh) * (-(-ow // nw))
-        transform = 0
-        if kh > 1:
-            transform += ic * th * th * tw + nh * th * tw
-        if kw > 1:
-            transform += ic * th * tw * tw + nh * tw * nw
-        per_tile = transform + ic * oc * th * tw
-        return int(n_batch * tiles * per_tile)
+        return n_batch * tiles * sum(winograd_tile_cost(tile, node.attrs["kernel"], ic, oc))
     raise ValueError(f"unknown scheme kind {scheme_kind!r}")
 
 

@@ -1,10 +1,10 @@
 """Computation scheme selection (paper Section 3.2, Eq. 2-3).
 
 For every convolution, pre-inference picks the cheapest scheme from the
-pool {sliding window, Winograd F(n x n, k x k), Strassen-GEMM for 1x1}:
+pool {sliding window, Winograd F(nh x nw, kh x kw), Strassen-GEMM for 1x1}:
 
 1. ``k == 1``  -> the conv is a matrix multiplication; Strassen applies.
-2. ``k > 1``   -> search the Winograd output tile size ``n`` minimizing the
+2. ``k > 1``   -> search the Winograd output tile ``(nh, nw)`` minimizing the
    *total* Eq. 2 cost over the output plane (tile count x per-tile cost —
    this captures boundary-tile waste, which is why the biggest block loses
    on small feature maps), and compare against sliding window.
@@ -18,7 +18,7 @@ interpretation and shows it reproduces every Table 1 winner.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "SchemeConfig",
     "SchemeDecision",
     "winograd_plane_cost",
+    "winograd_tiles",
     "select_conv_scheme",
     "select_graph_schemes",
 ]
@@ -71,92 +72,107 @@ class SchemeDecision:
     """The chosen scheme for one convolution.
 
     Attributes:
-        kind: ``"sliding"`` | ``"winograd"`` | ``"winograd_rect"`` |
-            ``"gemm1x1"``.
-        winograd_n: chosen output tile size (square winograd only).
-        winograd_n_hw: per-axis tile sizes (rectangular winograd only).
+        kind: ``"sliding"`` | ``"winograd"`` | ``"gemm1x1"``.
+        tile: Winograd output tile ``(nh, nw)`` — ``(n, n)`` for a square
+            kernel, per axis for a rectangular one (Winograd only).
         cost: modeled arithmetic cost of the chosen scheme.
-        alternatives: modeled cost per considered scheme (for reports).
+        alternatives: modeled cost per considered scheme, keyed by
+            :attr:`label` (for reports).
     """
 
     kind: str
-    winograd_n: int = 1
+    tile: Tuple[int, int] = (1, 1)
     cost: float = 0.0
     alternatives: Dict[str, float] = field(default_factory=dict)
-    winograd_n_hw: Tuple[int, int] = (1, 1)
+
+    @property
+    def label(self) -> str:
+        """``winograd n=4`` (square tile), ``winograd n=1x4``, ``gemm1x1``
+        or ``sliding``."""
+        if self.kind != "winograd":
+            return self.kind
+        nh, nw = self.tile
+        return f"winograd n={nh}" if nh == nw else f"winograd n={nh}x{nw}"
 
     def to_json(self) -> Dict[str, object]:
         """JSON-serializable form (persisted by the serving cache)."""
         return {
             "kind": self.kind,
-            "winograd_n": self.winograd_n,
+            "tile": list(self.tile),
             "cost": self.cost,
             "alternatives": dict(self.alternatives),
-            "winograd_n_hw": list(self.winograd_n_hw),
         }
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "SchemeDecision":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json`.
+
+        Raises:
+            ValueError: on a kind outside the three (``KeyError`` for a
+                missing field), so a stale entry never decodes.
+        """
+        kind = str(data["kind"])
+        if kind not in ("sliding", "winograd", "gemm1x1"):
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        nh, nw = (int(n) for n in data["tile"])
         return cls(
-            kind=str(data["kind"]),
-            winograd_n=int(data.get("winograd_n", 1)),
-            cost=float(data.get("cost", 0.0)),
-            alternatives={str(k): float(v)
-                          for k, v in dict(data.get("alternatives", {})).items()},
-            winograd_n_hw=tuple(data.get("winograd_n_hw", (1, 1))),
+            kind=kind,
+            tile=(nh, nw),
+            cost=float(data["cost"]),
+            alternatives={str(k): float(v) for k, v in dict(data["alternatives"]).items()},
         )
 
 
 def winograd_plane_cost(
-    n: int,
-    k: int,
-    ic: int,
-    oc: int,
-    out_hw: Tuple[int, int],
-    config: Optional[SchemeConfig] = None,
-) -> float:
-    """Weighted Eq. 2 cost of Winograd F(n x n) over a whole output plane.
-
-    Includes tile-count boundary waste, the bandwidth weight on transform
-    terms and the small-U GEMM de-rating — the same metric scheme selection
-    minimizes, so selection and downstream latency modeling stay consistent.
-    """
-    cfg = config or SchemeConfig()
-    oh, ow = out_hw
-    tiles = (-(-oh // n)) * (-(-ow // n))
-    t = n + k - 1
-    transforms = winograd_tile_cost(n, k, ic, oc, cfg.transform_weight) - ic * oc * t**2
-    hadamard = ic * oc * t**2 * (tiles + cfg.gemm_efficiency_u0) / tiles
-    return tiles * (transforms + hadamard)
-
-
-def winograd_rect_plane_cost(
-    n_hw: Tuple[int, int],
+    tile: Tuple[int, int],
     kernel: Tuple[int, int],
     ic: int,
     oc: int,
     out_hw: Tuple[int, int],
     config: Optional[SchemeConfig] = None,
 ) -> float:
-    """Weighted cost of rectangular Winograd F(nh x nw, kh x kw).
+    """Weighted Eq. 2 cost of Winograd F(nh x nw, kh x kw) over a whole
+    output plane.
 
-    Generalizes :func:`winograd_plane_cost` per axis; a k = 1 axis has
-    identity transforms (no transform cost along it).
+    Includes tile-count boundary waste, the bandwidth weight on transform
+    terms and the small-U GEMM de-rating — the same metric scheme selection
+    minimizes, so selection and downstream latency modeling stay consistent.
     """
     cfg = config or SchemeConfig()
-    nh, nw = n_hw
-    kh, kw = kernel
-    oh, ow = out_hw
-    th, tw = nh + kh - 1, nw + kw - 1
+    (nh, nw), (oh, ow) = tile, out_hw
     tiles = (-(-oh // nh)) * (-(-ow // nw))
-    transform = 0.0
-    if kh > 1:  # B_h^T X : th x th applied down columns of a th x tw tile
-        transform += ic * th * th * tw + nh * th * tw  # input + output sides
-    if kw > 1:
-        transform += ic * th * tw * tw + nh * tw * nw
-    hadamard = ic * oc * th * tw * (tiles + cfg.gemm_efficiency_u0) / tiles
+    transform, hadamard = winograd_tile_cost(tile, kernel, ic, oc)
+    hadamard = hadamard * (tiles + cfg.gemm_efficiency_u0) / tiles
     return tiles * (cfg.transform_weight * transform + hadamard)
+
+
+def winograd_tiles(
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int],
+    groups: int,
+    config: SchemeConfig,
+) -> List[Tuple[int, int]]:
+    """The legal Winograd output tiles ``(nh, nw)`` for one conv.
+
+    Winograd needs stride 1, dilation 1, groups 1 and a kernel wider than
+    1 on some axis.  A square kernel gets the square tiles ``(n, n)``; a
+    rectangular one (Inception's 1x7/7x1) gets every per-axis pair, where
+    a ``k = 1`` axis may also stay untiled (``n = 1``).  ``n + k - 1`` never
+    exceeds ``max_tile``.
+    """
+    if max(kernel) == 1 or stride != (1, 1) or dilation != (1, 1) or groups != 1:
+        return []
+    axes = [
+        [n for n in config.winograd_candidates
+         if n + k - 1 <= config.max_tile and (n > 1 or k == 1)] or [1]
+        for k in kernel
+    ]
+    if kernel[0] == kernel[1]:
+        tiles = [(n, n) for n in axes[0]]
+    else:
+        tiles = [(nh, nw) for nh in axes[0] for nw in axes[1]]
+    return [tile for tile in tiles if tile != (1, 1)]
 
 
 def select_conv_scheme(
@@ -172,13 +188,13 @@ def select_conv_scheme(
 ) -> SchemeDecision:
     """Pick the cheapest convolution scheme for one layer.
 
-    Follows Eq. 2/3 with total-cost normalization (see module docstring).
-    Winograd is only legal for square kernels, stride 1, dilation 1 and
-    groups 1; illegal layers fall back to sliding window (or 1x1-GEMM).
+    Follows Eq. 2/3 with total-cost normalization (see module docstring)
+    over the tiles of :func:`winograd_tiles`; layers with none fall back
+    to sliding window (or 1x1-GEMM).
 
     ``quantized=True`` (int8 weights) restricts the legal pool to the
     direct schemes — sliding window and 1x1-GEMM — whose costs divide by
-    ``int8_gemm_speedup``.  Winograd flavours are still *costed* into
+    ``int8_gemm_speedup``.  Winograd tiles are still *costed* into
     ``alternatives`` (at fp cost; their float transforms cannot run the
     int8 contract) so reports show the ranking, but are never selected.
     """
@@ -193,59 +209,18 @@ def select_conv_scheme(
 
     if kh == 1 and kw == 1 and dilation == (1, 1) and groups == 1:
         # Case 1 of the paper: plain matrix multiplication, Strassen applies.
-        return SchemeDecision("gemm1x1", 1, sliding_cost, {**alternatives, "gemm1x1": sliding_cost})
+        return SchemeDecision("gemm1x1", (1, 1), sliding_cost,
+                              {**alternatives, "gemm1x1": sliding_cost})
 
-    stride_dilation_ok = stride == (1, 1) and dilation == (1, 1) and groups == 1
-    if quantized:
-        # Winograd's float transforms would forfeit the exact-integer
-        # contract: cost every flavour for the report, select none.
-        if kh == kw and kh > 1 and stride_dilation_ok:
-            for n in cfg.winograd_candidates:
-                if n <= 1 or n + kh - 1 > cfg.max_tile:
-                    continue
-                alternatives[f"winograd_n{n}"] = winograd_plane_cost(
-                    n, kh, ic, oc, (oh, ow), cfg
-                )
-        return SchemeDecision("sliding", 1, sliding_cost, alternatives)
-    square_legal = kh == kw and kh > 1 and stride_dilation_ok
-    # Rectangular Winograd (generator extension): asymmetric kernels like
-    # Inception's 1x7/7x1 get per-axis tile search instead of falling
-    # straight back to sliding window.
-    rect_legal = kh != kw and max(kh, kw) > 1 and stride_dilation_ok
-
-    best_n, best_cost = 1, sliding_cost
-    best_n_hw: Tuple[int, int] = (1, 1)
-    best_kind = "sliding"
-    if square_legal:
-        for n in cfg.winograd_candidates:
-            if n <= 1 or n + kh - 1 > cfg.max_tile:
-                continue
-            total = winograd_plane_cost(n, kh, ic, oc, (oh, ow), cfg)
-            alternatives[f"winograd_n{n}"] = total
-            if total < best_cost:
-                best_n, best_cost, best_kind = n, total, "winograd"
-    elif rect_legal:
-        h_candidates = [n for n in cfg.winograd_candidates
-                        if n + kh - 1 <= cfg.max_tile and (n > 1 or kh == 1)] or [1]
-        w_candidates = [n for n in cfg.winograd_candidates
-                        if n + kw - 1 <= cfg.max_tile and (n > 1 or kw == 1)] or [1]
-        for nh in h_candidates:
-            for nw in w_candidates:
-                if nh == 1 and nw == 1:
-                    continue
-                total = winograd_rect_plane_cost((nh, nw), kernel, ic, oc, (oh, ow), cfg)
-                alternatives[f"winograd_rect_n{nh}x{nw}"] = total
-                if total < best_cost:
-                    best_cost, best_kind = total, "winograd_rect"
-                    best_n_hw = (nh, nw)
-
-    if best_kind == "sliding":
-        # Eq. 3: n-hat == 1 -> sliding window.
-        return SchemeDecision("sliding", 1, sliding_cost, alternatives)
-    if best_kind == "winograd_rect":
-        return SchemeDecision("winograd_rect", 1, best_cost, alternatives,
-                              winograd_n_hw=best_n_hw)
-    return SchemeDecision("winograd", best_n, best_cost, alternatives)
+    best_tile, best_cost = (1, 1), sliding_cost
+    for tile in winograd_tiles(kernel, stride, dilation, groups, cfg):
+        cost = winograd_plane_cost(tile, kernel, ic, oc, out_hw, cfg)
+        alternatives[SchemeDecision("winograd", tile).label] = cost
+        if not quantized and cost < best_cost:
+            best_tile, best_cost = tile, cost
+    # Eq. 3: n-hat == 1 -> sliding window.
+    kind = "sliding" if best_tile == (1, 1) else "winograd"
+    return SchemeDecision(kind, best_tile, best_cost, alternatives)
 
 
 def select_graph_schemes(

@@ -549,9 +549,11 @@ class Session:
         for node in self._order:
             decision = self.schemes.get(node.name)
             if decision is not None and decision.kind == "winograd":
-                n, k = decision.winograd_n, node.attrs["kernel"][0]
-                generate_transforms(n, k)  # memoized: normally a lookup
-                used.add((n, k))
+                # One transform per axis; a k = 1 axis has identities.
+                for n, k in zip(decision.tile, node.attrs["kernel"]):
+                    if k > 1:
+                        generate_transforms(n, k)  # memoized: normally a lookup
+                        used.add((n, k))
         return SessionArtifacts(
             backend_kind=(
                 None if isinstance(self.config.backend, Backend)

@@ -447,7 +447,7 @@ PHASES: Tuple[Phase, ...] = (
         _in_rounds(4), equal=_numerically_equal),
     Phase("numeric", (
         FaultRule("kernel.execute", "nan",
-                  match={"scheme": ("winograd", "winograd_rect")}),
+                  match={"scheme": "winograd"}),
     ), _winograd_session, _each(times=10)),
     # Generation faults never raise out of ``generate``: a request that
     # cannot survive finishes with reason "error", alone.
@@ -506,7 +506,7 @@ def _run_phase(phase: Phase, storm: _Storm, seed: int, report: ChaosReport) -> N
 
 def _winograd_overrides(graph: Graph) -> Dict[str, SchemeDecision]:
     """Force Winograd on every eligible 3x3 conv (unit stride/dilation,
-    ungrouped).  Convs whose natural scheme is already a Winograd flavour
+    ungrouped).  Convs whose natural scheme is already Winograd (any tile)
     keep it, so the NaN rule hits them too."""
     probe = Session(graph)
     winograd: Dict[str, SchemeDecision] = {}
@@ -522,8 +522,8 @@ def _winograd_overrides(graph: Graph) -> Dict[str, SchemeDecision]:
         )
         natural = probe.schemes.get(node.name)
         if eligible:
-            winograd[node.name] = SchemeDecision(kind="winograd", winograd_n=2)
-        elif natural is not None and natural.kind.startswith("winograd"):
+            winograd[node.name] = SchemeDecision(kind="winograd", tile=(2, 2))
+        elif natural is not None and natural.kind == "winograd":
             winograd[node.name] = natural
     return winograd
 

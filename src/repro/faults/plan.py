@@ -109,7 +109,7 @@ class FaultRule:
         delay_ms: sleep length for ``delay`` faults.
         match: optional exact-match filter on the call-site context
             (value may be a tuple of alternatives), e.g.
-            ``{"scheme": ("winograd", "winograd_rect")}``.
+            ``{"scheme": ("winograd", "gemm1x1")}``.
     """
 
     site: str

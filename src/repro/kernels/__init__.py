@@ -19,7 +19,6 @@ from .winograd import (
     transform_kernel,
     transform_kernel_rect,
     winograd_conv2d,
-    winograd_conv2d_rect,
     winograd_conv2d_rect_with_kernel,
     winograd_conv2d_with_kernel,
     winograd_workspace,
@@ -97,7 +96,6 @@ __all__ = [
     "transform_kernel",
     "transform_kernel_rect",
     "winograd_conv2d",
-    "winograd_conv2d_rect",
     "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
     "winograd_workspace",

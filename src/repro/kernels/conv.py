@@ -5,7 +5,7 @@ The scheme names follow the paper's convolution scheme pool (Section 3.2):
 * ``sliding``  — direct sliding-window convolution, realized as a tap
   gather plus one NCHW GEMM per sample (the vectorized equivalent of
   MNN's NEON sliding kernels).
-* ``winograd`` — F(n x n, k x k) Winograd (see :mod:`repro.kernels.winograd`).
+* ``winograd`` — F(nh x nw, kh x kw) Winograd (see :mod:`repro.kernels.winograd`).
 * 1x1 kernels are a plain matrix multiplication and route through Strassen
   (Section 3.3.2) when the size makes it worthwhile.
 
@@ -20,12 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .matmul import GemmStats, matmul
-from .winograd import (
-    generate_transforms,
-    transform_kernel,
-    winograd_conv2d_rect,
-    winograd_conv2d_with_kernel,
-)
+from .winograd import winograd_conv2d
 from .workspace import Spec, carve, pad_into
 
 __all__ = [
@@ -232,36 +227,25 @@ def conv2d(
     dilation: Tuple[int, int] = (1, 1),
     groups: int = 1,
     scheme: str = "sliding",
-    winograd_n: int = 2,
-    winograd_n_hw: Tuple[int, int] = (1, 2),
+    tile: Tuple[int, int] = (2, 2),
     activation: Optional[str] = None,
     stats: Optional[GemmStats] = None,
 ) -> np.ndarray:
     """Execute a convolution with an explicitly chosen scheme.
 
-    ``scheme`` is one of ``"sliding"``, ``"winograd"``, ``"winograd_rect"``,
-    ``"gemm1x1"``.  Winograd variants require stride 1, dilation 1 and
-    groups == 1 (square kernels for plain ``"winograd"``); violations raise
-    ``ValueError`` (the selector never picks Winograd for those cases).
-    ``winograd_n_hw`` gives the per-axis tile sizes for the rectangular
-    variant.
+    ``scheme`` is one of ``"sliding"``, ``"winograd"``, ``"gemm1x1"``.
+    Winograd runs output tile ``tile = (nh, nw)`` and requires stride 1,
+    dilation 1 and groups == 1; violations raise ``ValueError`` (the
+    selector never picks Winograd for those cases).
     """
     if scheme == "gemm1x1":
         if groups != 1:
             raise ValueError("gemm1x1 scheme does not support groups")
         y = conv2d_1x1(x, weights, bias, stride, stats=stats, pads=pads)
-    elif scheme == "winograd_rect":
-        if groups != 1 or dilation != (1, 1):
-            raise ValueError("winograd_rect scheme requires groups=1, dilation=1")
-        if stride != (1, 1):
-            raise ValueError("Winograd convolution requires stride 1")
-        y = winograd_conv2d_rect(x, weights, bias, winograd_n_hw, pads)
     elif scheme == "winograd":
         if groups != 1 or dilation != (1, 1):
             raise ValueError("winograd scheme requires groups=1, dilation=1")
-        transforms = generate_transforms(winograd_n, weights.shape[2])
-        kernel = transform_kernel(weights, transforms)
-        y = winograd_conv2d_with_kernel(x, kernel, transforms, bias, pads, stride)
+        y = winograd_conv2d(x, weights, bias, tile, pads, stride)
     elif scheme == "sliding":
         y = conv2d_im2col(x, weights, bias, stride, pads, dilation, groups, stats=stats)
     else:

@@ -44,7 +44,6 @@ __all__ = [
     "transform_kernel",
     "transform_kernel_rect",
     "winograd_conv2d",
-    "winograd_conv2d_rect",
     "winograd_conv2d_rect_with_kernel",
     "winograd_conv2d_with_kernel",
     "winograd_workspace",
@@ -463,50 +462,33 @@ def winograd_conv2d_with_kernel(
         x, transformed_kernel, transforms, transforms, bias, pads, out, scratch)
 
 
-def winograd_conv2d_rect(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    n_hw: Tuple[int, int] = (2, 2),
-    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
-    f: Fraction = Fraction(1, 2),
-) -> np.ndarray:
-    """Winograd convolution for *rectangular* kernels F(nh x nw, kh x kw).
-
-    This is the generator's payoff beyond hard-coded tables: asymmetric
-    kernels like Inception's 1x7 / 7x1 get Winograd acceleration too, with
-    independent per-axis tile sizes and interpolation points.  Stride must
-    be 1 (as for square Winograd).
-    """
-    _, _, kh, kw = weights.shape
-    tr_h = axis_transforms(n_hw[0], kh, f)
-    tr_w = axis_transforms(n_hw[1], kw, f)
-    kernel = transform_kernel_rect(weights, tr_h, tr_w)
-    return winograd_conv2d_rect_with_kernel(x, kernel, tr_h, tr_w, bias, pads)
-
-
 def winograd_conv2d(
     x: np.ndarray,
     weights: np.ndarray,
     bias: Optional[np.ndarray] = None,
-    n: int = 2,
+    tile: Tuple[int, int] = (2, 2),
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     stride: Tuple[int, int] = (1, 1),
     f: Fraction = Fraction(1, 2),
 ) -> np.ndarray:
-    """Winograd convolution F(n x n, k x k) from raw weights.
+    """Winograd convolution F(nh x nw, kh x kw) from raw weights.
+
+    A square kernel with a square tile ``(n, n)`` is the classic
+    F(n x n, k x k); asymmetric kernels like Inception's 1x7 / 7x1 get
+    independent per-axis tiles and interpolation points — the generator's
+    payoff beyond hard-coded tables.
 
     Args:
         x: (N, ic, H, W) input.
-        weights: (oc, ic, k, k) kernel (square, stride 1, dilation 1).
+        weights: (oc, ic, kh, kw) kernel (stride 1, dilation 1).
         bias: optional (oc,) bias.
-        n: output tile size.
+        tile: output tile ``(nh, nw)``.
         pads: explicit (top, bottom, left, right) input padding.
         f: interpolation-point spacing (Eq. 8).
     """
-    k = weights.shape[2]
-    if weights.shape[2] != weights.shape[3]:
-        raise ValueError("Winograd requires a square kernel")
-    transforms = generate_transforms(n, k, f)
-    kernel = transform_kernel(weights, transforms)
-    return winograd_conv2d_with_kernel(x, kernel, transforms, bias, pads, stride)
+    if stride != (1, 1):
+        raise ValueError("Winograd convolution requires stride 1")
+    _, _, kh, kw = weights.shape
+    tr_h, tr_w = axis_transforms(tile[0], kh, f), axis_transforms(tile[1], kw, f)
+    kernel = transform_kernel_rect(weights, tr_h, tr_w)
+    return winograd_conv2d_rect_with_kernel(x, kernel, tr_h, tr_w, bias, pads)

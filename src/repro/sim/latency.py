@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from ..baselines.profiles import SIMD_LANES, EngineProfile
 from ..core.cost import node_muls
-from ..core.schemes import select_graph_schemes, winograd_plane_cost
+from ..core.schemes import SchemeDecision, select_graph_schemes, winograd_plane_cost
 from ..devices.specs import DeviceSpec
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op
@@ -61,7 +61,7 @@ class OpLatency:
     op_type: str
     ms: float
     muls: float  # effective (weighted) multiply count under the chosen algorithm
-    algorithm: str  # "direct" | "winograd_nX" | "strassen" | "fallback" | "memory" | "fused"
+    algorithm: str  # "direct" | "winograd n=X" | "strassen" | "fallback" | "memory" | "fused"
 
 
 @dataclass
@@ -119,10 +119,7 @@ def _conv_algorithm(
     if profile.scheme_search:
         decision = schemes[node.name]
         if decision.kind == "winograd":
-            return batch * decision.cost, f"winograd_n{decision.winograd_n}", True
-        if decision.kind == "winograd_rect":
-            nh, nw = decision.winograd_n_hw
-            return batch * decision.cost, f"winograd_rect_n{nh}x{nw}", True
+            return batch * decision.cost, decision.label, True
         if decision.kind == "gemm1x1" and profile.uses_strassen:
             return node_muls(node, graph, "gemm1x1"), "strassen", True
         return direct, "direct", True
@@ -138,11 +135,11 @@ def _conv_algorithm(
         and dilation == (1, 1)
         and int(node.attrs["groups"]) == 1
     ):
-        n = profile.winograd_fixed_n
+        fixed = SchemeDecision("winograd", (profile.winograd_fixed_n,) * 2)
         x = graph.desc(node.inputs[0])
         y = graph.desc(node.outputs[0])
-        cost = winograd_plane_cost(n, kernel[0], x.shape[1], y.shape[1], y.shape[2:])
-        return batch * cost, f"winograd_n{n}", True
+        cost = winograd_plane_cost(fixed.tile, kernel, x.shape[1], y.shape[1], y.shape[2:])
+        return batch * cost, fixed.label, True
     return direct, "direct", True
 
 

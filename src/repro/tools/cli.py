@@ -281,17 +281,6 @@ def cmd_fp16(args) -> int:
     return 0
 
 
-def _scheme_label(decision) -> str:
-    """``winograd n=4``, ``winograd_rect n=1x2``, ``gemm1x1``, ``sliding``; '' for non-convs."""
-    if decision is None:
-        return ""
-    if decision.kind == "winograd":
-        return f"winograd n={decision.winograd_n}"
-    if decision.kind == "winograd_rect":
-        return "winograd_rect n={}x{}".format(*decision.winograd_n_hw)
-    return decision.kind
-
-
 def cmd_benchmark(args) -> int:
     session = Session(args.graph, SessionConfig(threads=args.threads))
     feeds = random_feeds(args.graph)
@@ -313,7 +302,7 @@ def cmd_benchmark(args) -> int:
         profile.sort(key=lambda p: -p.wall_ms)
         print("slowest operators:")
         for p in profile[:args.profile]:
-            scheme = _scheme_label(session.schemes.get(p.node))
+            scheme = getattr(session.schemes.get(p.node), "label", "")
             print(f"  {p.node:24s} {p.op_type:16s} {p.wall_ms:7.2f} ms  {scheme}".rstrip())
         by_type = {}
         for p in profile:
@@ -633,11 +622,9 @@ def cmd_autotune(args) -> int:
           f"{report.agreement_with_model() * 100:.0f}%")
     for name, decision in report.decisions.items():
         model = report.model_decisions[name]
-        marker = "" if (decision.kind, decision.winograd_n) == (
-            model.kind, model.winograd_n) else "   <- differs from cost model"
-        extra = f" n={decision.winograd_n}" if decision.kind == "winograd" else ""
-        print(f"  {name:24s} -> {decision.kind}{extra} "
-              f"({decision.cost:.2f} ms){marker}")
+        same = (decision.kind, decision.tile) == (model.kind, model.tile)
+        marker = "" if same else "   <- differs from cost model"
+        print(f"  {name:24s} -> {decision.label} ({decision.cost:.2f} ms){marker}")
     return 0
 
 
@@ -790,8 +777,7 @@ def cmd_schemes(args) -> int:
     decisions = select_graph_schemes(args.graph)
     print(f"{len(decisions)} convolutions:")
     for name, decision in decisions.items():
-        extra = f" n={decision.winograd_n}" if decision.kind == "winograd" else ""
-        print(f"  {name:24s} -> {decision.kind}{extra}")
+        print(f"  {name:24s} -> {decision.label}")
     return 0
 
 

@@ -54,11 +54,7 @@ def to_dot(graph: Graph, schemes: Optional[Dict] = None) -> str:
         if node.op_type in (Op.CONV2D, Op.DEPTHWISE_CONV2D):
             label += f"\\nk={tuple(node.attrs['kernel'])} s={tuple(node.attrs['stride'])}"
         if schemes and node.name in schemes:
-            decision = schemes[node.name]
-            label += f"\\n[{decision.kind}"
-            if decision.kind == "winograd":
-                label += f" n={decision.winograd_n}"
-            label += "]"
+            label += f"\\n[{schemes[node.name].label}]"
         out_desc = graph.tensor_descs.get(node.outputs[0])
         if out_desc is not None:
             label += f"\\n{out_desc.shape}"

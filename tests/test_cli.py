@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.ir import load_model, save_model
+from repro.core import SchemeDecision, TuneReport
+from repro.ir import GraphBuilder, load_model, save_model
 from repro.models import squeezenet_v1_1
 from repro.tools import cli
 from repro.tools.cli import main
@@ -183,7 +184,7 @@ class TestCli:
         for row in rows.splitlines():
             scheme = row.split(" ms", 1)[1].strip()
             if " Conv2D " in row:
-                assert re.fullmatch(r"winograd n=\d+|winograd_rect n=\d+x\d+|gemm1x1|sliding",
+                assert re.fullmatch(r"winograd n=\d+(?:x\d+)?|gemm1x1|sliding",
                                     scheme), row
                 convs += 1
             else:
@@ -259,6 +260,36 @@ class TestCli:
         out_path = str(tmp_path / "t.rmnn")
         assert main(["build", "tiny_decoder", "-o", out_path]) == 0
         assert main(["benchmark", out_path, "--repeats", "1"]) == 0
+
+
+def test_rectangular_tiles_share_the_one_label(tmp_path, capsys, monkeypatch):
+    """schemes, dot and autotune render a rectangular tile as ``winograd
+    n=1x4``, and autotune marks a measured tile that differs from the
+    modelled one, rectangular tiles included."""
+    b = GraphBuilder("rect", seed=0)
+    x = b.input("in", (1, 64, 17, 17))
+    x = b.conv(x, oc=64, kernel=(1, 7), name="c17")
+    b.output(b.conv(x, oc=64, kernel=3, name="c33"))
+    path = str(tmp_path / "rect.rmnn")
+    save_model(b.finish(), path)
+
+    assert main(["schemes", path]) == 0
+    out = capsys.readouterr().out
+    assert "c17                      -> winograd n=1x4\n" in out
+    assert "c33                      -> winograd n=4\n" in out
+    assert main(["dot", path, "--schemes"]) == 0
+    assert "[winograd n=1x4]" in capsys.readouterr().out
+
+    model = {"c17": SchemeDecision("winograd", (1, 4)), "c33": SchemeDecision("winograd", (4, 4))}
+    measured = {"c17": SchemeDecision("winograd", (1, 2), 1.0),
+                "c33": SchemeDecision("winograd", (4, 4), 1.0)}
+    monkeypatch.setattr(cli, "autotune_schemes", lambda graph, repeats: TuneReport(
+        decisions=measured, model_decisions=model))
+    assert main(["autotune", path]) == 0
+    out = capsys.readouterr().out
+    assert "cost-model agreement 50%" in out
+    assert "c17                      -> winograd n=1x2 (1.00 ms)   <- differs" in out
+    assert "c33                      -> winograd n=4 (1.00 ms)\n" in out
 
 
 def _surface(parser):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import BackendCostModel, node_muls, strassen_mul_factor, winograd_tile_cost
+from hypothesis import given, settings, strategies as st
+
+from repro.core import (
+    BackendCostModel, SchemeConfig, node_muls, strassen_mul_factor, winograd_plane_cost,
+    winograd_tile_cost,
+)
 from repro.devices import DEVICES, GPU_FLOPS_TABLE, DeviceSpec, get_device
 from repro.ir import GraphBuilder
 
@@ -71,7 +76,7 @@ class TestNodeMuls:
         g = small_graph()
         conv3 = next(n for n in g.nodes if n.attrs.get("kernel") == (3, 3))
         direct = node_muls(conv3, g)
-        wino = node_muls(conv3, g, scheme_kind="winograd", winograd_n=4)
+        wino = node_muls(conv3, g, scheme_kind="winograd", tile=(4, 4))
         assert wino < direct
 
     def test_strassen_reduces_large_1x1(self):
@@ -110,21 +115,56 @@ class TestStrassenFactor:
         assert factors == sorted(factors, reverse=True)
 
 
+def eq2(n, k, ic, oc):
+    """The paper's Eq. 2, literally: (transform terms, Hadamard term)."""
+    t = n + k - 1
+    return 2 * ic * t**3 + n * t * (2 * n + k - 1), ic * oc * t**2
+
+
 class TestWinogradTileCost:
     def test_eq2_literal(self):
         # C(n) = 2*ic*t^3 + ic*oc*t^2 + n*t*(2n+k-1), t = n+k-1
         n, k, ic, oc = 2, 3, 64, 64
         t = n + k - 1
         expected = 2 * ic * t**3 + ic * oc * t**2 + n * t * (2 * n + k - 1)
-        assert winograd_tile_cost(n, k, ic, oc, transform_weight=1.0) == expected
+        assert sum(winograd_tile_cost((n, n), (k, k), ic, oc)) == expected
+        assert winograd_tile_cost((n, n), (k, k), ic, oc)[1] == ic * oc * t**2
 
     def test_transform_weight_scales_transform_terms_only(self):
         n, k, ic, oc = 2, 3, 8, 8
-        t = n + k - 1
-        base = winograd_tile_cost(n, k, ic, oc, 1.0)
-        double = winograd_tile_cost(n, k, ic, oc, 2.0)
-        hadamard = ic * oc * t**2
-        assert double - base == pytest.approx(base - hadamard)
+        tiles = 5 * 5  # a 10x10 output plane in 2x2 tiles
+        transform, _ = winograd_tile_cost((n, n), (k, k), ic, oc)
+        base, double = (
+            winograd_plane_cost((n, n), (k, k), ic, oc, (10, 10), SchemeConfig(transform_weight=w))
+            for w in (1.0, 2.0)
+        )
+        assert double - base == pytest.approx(tiles * transform)
+
+    @given(
+        n=st.sampled_from([1, 2, 4, 6, 8]),
+        k=st.sampled_from([2, 3, 5, 7]),
+        ic=st.integers(1, 48),
+        oc=st.integers(1, 48),
+        hw=st.integers(7, 40),
+        batch=st.integers(1, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_square_tile_is_eq2_plane_cost_and_node_muls(self, n, k, ic, oc, hw, batch):
+        """At tile (n, n) the per-axis formula is Eq. 2, its weighted plane
+        cost is Eq. 2's, and node_muls counts Eq. 2 per tile."""
+        transform, hadamard = eq2(n, k, ic, oc)
+        assert winograd_tile_cost((n, n), (k, k), ic, oc) == (transform, hadamard)
+        b = GraphBuilder("sq", seed=0)
+        b.output(b.conv(b.input("in", (batch, ic, hw, hw)), oc=oc, kernel=k, name="c"))
+        g = b.finish()
+        oh, ow = g.desc("c").shape[2:]
+        tiles = -(-oh // n) * -(-ow // n)
+        assert node_muls(g.nodes[-1], g, "winograd", (n, n)) == batch * tiles * (
+            transform + hadamard)
+        cfg = SchemeConfig()
+        weighted = tiles * (cfg.transform_weight * transform
+                            + hadamard * (tiles + cfg.gemm_efficiency_u0) / tiles)
+        assert winograd_plane_cost((n, n), (k, k), ic, oc, (oh, ow), cfg) == weighted
 
 
 class TestBackendCostModel:

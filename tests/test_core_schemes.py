@@ -1,9 +1,19 @@
 """Tests for convolution scheme selection (Eq. 2/3 + Table 1 decisions)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.core import SchemeConfig, select_conv_scheme, select_graph_schemes
+from repro.backends.base import BackendError
+from repro.backends.op_runners import build_runner
+from repro.core import (
+    SchemeConfig, SchemeDecision, TuneReport, autotune_schemes, select_conv_scheme,
+    select_graph_schemes,
+)
+from repro.core.schemes import winograd_tiles
 from repro.ir import GraphBuilder
+from repro.models import MODEL_REGISTRY, build_model
 
 
 class TestSelectConvScheme:
@@ -21,13 +31,15 @@ class TestSelectConvScheme:
         d = select_conv_scheme((2, 2), ic=512, oc=512, out_hw=(15, 15))
         assert d.kind == "winograd"
         # on a 15x15 output the largest candidate must NOT win (boundary waste)
-        assert d.winograd_n <= 6
+        n = d.tile[0]
+        assert d.tile == (n, n) and n <= 6
 
     def test_table1_case3_3x3_prefers_winograd(self):
         # (3, 64, 64, 112): Table 1 row 3
         d = select_conv_scheme((3, 3), ic=64, oc=64, out_hw=(110, 110))
         assert d.kind == "winograd"
-        assert d.winograd_n >= 4  # big maps afford larger blocks
+        n = d.tile[0]
+        assert d.tile == (n, n) and n >= 4  # big maps afford larger blocks
 
     def test_strided_conv_cannot_use_winograd(self):
         d = select_conv_scheme((3, 3), ic=64, oc=64, out_hw=(56, 56), stride=(2, 2))
@@ -44,8 +56,8 @@ class TestSelectConvScheme:
     def test_non_square_kernel_uses_rectangular_winograd(self):
         """Generator extension: asymmetric kernels get per-axis Winograd."""
         d = select_conv_scheme((1, 7), ic=128, oc=128, out_hw=(17, 17))
-        assert d.kind == "winograd_rect"
-        nh, nw = d.winograd_n_hw
+        assert d.kind == "winograd"
+        nh, nw = d.tile
         assert nh == 1  # no tiling along the k=1 axis
         assert nw > 1
         assert d.cost < d.alternatives["sliding"]
@@ -62,7 +74,7 @@ class TestSelectConvScheme:
         cfg = SchemeConfig(winograd_candidates=(1, 2, 4, 6, 8), max_tile=4)
         d = select_conv_scheme((3, 3), ic=256, oc=256, out_hw=(64, 64), config=cfg)
         if d.kind == "winograd":
-            assert d.winograd_n + 3 - 1 <= 4
+            assert max(d.tile) + 3 - 1 <= 4
 
     def test_alternatives_recorded(self):
         d = select_conv_scheme((3, 3), ic=64, oc=64, out_hw=(56, 56))
@@ -75,7 +87,7 @@ class TestSelectConvScheme:
         # tiny channels make every Winograd candidate lose -> n-hat = 1
         d = select_conv_scheme((5, 5), ic=1, oc=1, out_hw=(8, 8))
         assert d.kind == "sliding"
-        assert d.winograd_n == 1
+        assert d.tile == (1, 1)
 
     def test_higher_transform_weight_discourages_winograd(self):
         borderline = dict(kernel=(3, 3), ic=8, oc=8, out_hw=(28, 28))
@@ -100,3 +112,112 @@ class TestSelectGraphSchemes:
         assert set(decisions) == {n.name for n in conv_nodes}
         kinds = sorted(d.kind for d in decisions.values())
         assert kinds == ["gemm1x1", "sliding", "winograd"]
+
+
+def rect_graph():
+    """Inception-style 1x7 / 7x1 convs plus a square 3x3."""
+    b = GraphBuilder("rect", seed=0)
+    x = b.input("in", (1, 64, 17, 17))
+    x = b.conv(x, oc=64, kernel=(1, 7), name="c17")
+    x = b.conv(x, oc=64, kernel=(7, 1), name="c71")
+    b.output(b.conv(x, oc=64, kernel=3, name="c33"))
+    return b.finish()
+
+
+class TestSchemeDecision:
+    def test_one_label_for_square_and_rectangular_tiles(self):
+        decisions = select_graph_schemes(rect_graph())
+        assert decisions["c17"].label == "winograd n=1x4"
+        assert decisions["c71"].label == "winograd n=4x1"
+        assert decisions["c33"].label == "winograd n=4"
+        assert SchemeDecision("sliding").label == "sliding"
+        assert SchemeDecision("gemm1x1").label == "gemm1x1"
+        # alternatives are keyed by the same label
+        assert decisions["c17"].cost == decisions["c17"].alternatives["winograd n=1x4"]
+
+    def test_json_roundtrip(self):
+        for decision in select_graph_schemes(rect_graph()).values():
+            assert SchemeDecision.from_json(decision.to_json()) == decision
+
+    def test_from_json_rejects_stale_entries(self):
+        good = SchemeDecision("winograd", (1, 4), 2.0, {"sliding": 3.0}).to_json()
+        with pytest.raises(ValueError, match="winograd_rect"):
+            SchemeDecision.from_json({**good, "kind": "winograd_rect"})
+        with pytest.raises(KeyError):
+            SchemeDecision.from_json({k: v for k, v in good.items() if k != "tile"})
+
+    def test_build_runner_rejects_illegal_schemes(self):
+        b = GraphBuilder("strided", seed=0)
+        b.output(b.conv(b.input("in", (1, 8, 16, 16)), oc=8, kernel=3, stride=2, name="s"))
+        g = b.finish()
+        with pytest.raises(BackendError, match="unknown conv scheme"):
+            build_runner(g.nodes[-1], g, SchemeDecision("winograd_rect", (1, 4)))
+        with pytest.raises(BackendError, match="stride 1"):
+            build_runner(g.nodes[-1], g, SchemeDecision("winograd", (2, 2)))
+
+    def test_agreement_with_model_sees_tiles(self):
+        measured = SchemeDecision("winograd", (1, 2))
+        report = TuneReport(decisions={"c17": measured},
+                            model_decisions={"c17": SchemeDecision("winograd", (1, 4))})
+        assert report.agreement_with_model() == 0.0
+        report.model_decisions["c17"] = measured
+        assert report.agreement_with_model() == 1.0
+
+
+class TestWinogradTiles:
+    CFG = SchemeConfig()
+
+    def test_square_kernel_gets_square_tiles(self):
+        assert winograd_tiles((3, 3), (1, 1), (1, 1), 1, self.CFG) == [
+            (2, 2), (4, 4), (6, 6), (8, 8)]
+
+    def test_rectangular_kernel_gets_per_axis_tiles(self):
+        tiles = winograd_tiles((1, 7), (1, 1), (1, 1), 1, self.CFG)
+        assert (1, 4) in tiles and (2, 2) in tiles and (1, 1) not in tiles
+        assert all(nw + 7 - 1 <= self.CFG.max_tile for _, nw in tiles)
+
+    @pytest.mark.parametrize("kernel,stride,dilation,groups", [
+        ((1, 1), (1, 1), (1, 1), 1), ((3, 3), (2, 2), (1, 1), 1),
+        ((3, 3), (1, 1), (2, 2), 1), ((1, 7), (1, 1), (1, 1), 2),
+    ])
+    def test_illegal_convs_get_none(self, kernel, stride, dilation, groups):
+        assert winograd_tiles(kernel, stride, dilation, groups, self.CFG) == []
+
+    def test_selection_and_autotune_share_the_candidates(self):
+        g = rect_graph()
+        report = autotune_schemes(g, repeats=1)
+        decisions = select_graph_schemes(g)
+        for node in g.nodes:
+            tiles = winograd_tiles(node.attrs["kernel"], (1, 1), (1, 1), 1, self.CFG)
+            labels = {SchemeDecision("winograd", tile).label for tile in tiles}
+            assert set(decisions[node.name].alternatives) == {"sliding"} | labels
+            assert set(report.measurements[node.name]) == {"sliding"} | labels
+
+    def test_quantized_non_square_costs_rectangular_tiles(self):
+        d = select_conv_scheme((1, 7), ic=128, oc=128, out_hw=(17, 17), quantized=True)
+        assert d.kind == "sliding"
+        assert "winograd n=1x4" in d.alternatives
+
+
+class TestPinnedDecisions:
+    """Every zoo model's and every Table 1 setting's decision — kind, tile
+    and cost, bitwise — as the selector made it when square and
+    rectangular Winograd were two scheme kinds (``tests/zoo_schemes.json``,
+    costs as ``float.hex``)."""
+
+    PIN = json.loads((Path(__file__).parent / "zoo_schemes.json").read_text())
+
+    @staticmethod
+    def _row(decision):
+        return [decision.kind, list(decision.tile), decision.cost.hex()]
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_zoo_model(self, name):
+        decisions = select_graph_schemes(build_model(name))
+        assert {n: self._row(d) for n, d in decisions.items()} == self.PIN["models"][name]
+
+    def test_table1_settings(self):
+        for case, row in self.PIN["table1"].items():
+            k, ic, oc, size = map(int, case.split(","))
+            out = size - k + 1
+            assert self._row(select_conv_scheme((k, k), ic, oc, (out, out))) == row, case

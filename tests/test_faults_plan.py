@@ -51,9 +51,10 @@ class TestFaultRule:
     def test_match_exact_and_alternatives(self):
         rule = FaultRule(
             "kernel.execute", "nan",
-            match={"scheme": ("winograd", "winograd_rect"), "op": "Conv2D"},
+            match={"scheme": ("winograd", "gemm1x1"), "op": "Conv2D"},
         )
         assert rule.matches("kernel.execute", {"scheme": "winograd", "op": "Conv2D"})
+        assert rule.matches("kernel.execute", {"scheme": "gemm1x1", "op": "Conv2D"})
         assert not rule.matches("kernel.execute", {"scheme": "sliding", "op": "Conv2D"})
         assert not rule.matches("kernel.execute", {"scheme": "winograd", "op": "MatMul"})
 

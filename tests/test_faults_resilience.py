@@ -281,7 +281,7 @@ class TestSessionResilience:
     def test_numeric_guard_reruns_winograd_on_direct_scheme(self):
         graph = tiny_net()
         feeds = tiny_feed()
-        wino = {"conv1": SchemeDecision(kind="winograd", winograd_n=2)}
+        wino = {"conv1": SchemeDecision(kind="winograd", tile=(2, 2))}
         direct = {"conv1": SchemeDecision(kind="sliding")}
         gold = Session(
             graph, SessionConfig(scheme_overrides=direct)
@@ -289,7 +289,7 @@ class TestSessionResilience:
 
         plan = FaultPlan([FaultRule(
             "kernel.execute", "nan",
-            match={"scheme": ("winograd", "winograd_rect")}, times=1,
+            match={"scheme": "winograd"}, times=1,
         )])
         tracer = Tracer()
         out = Session(

@@ -325,7 +325,7 @@ class TestPaddedConvSchemes:
             assert natural.kind in ("sliding", "winograd")
             candidates = [SchemeDecision("sliding")]
             if stride == 1:
-                candidates += [SchemeDecision("winograd", n) for n in (2, 4, 6, 8)]
+                candidates += [SchemeDecision("winograd", (n, n)) for n in (2, 4, 6, 8)]
         feed = RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)
         want = conv2d(feed, weights, bias, (stride, stride), (1, 1, 1, 1), scheme="sliding")
         assert want.shape == out_shape
@@ -342,7 +342,7 @@ class TestDispatch:
         w = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
         pads = (1, 1, 1, 1)
         sliding = conv2d(x, w, pads=pads, scheme="sliding")
-        wino = conv2d(x, w, pads=pads, scheme="winograd", winograd_n=2)
+        wino = conv2d(x, w, pads=pads, scheme="winograd", tile=(2, 2))
         np.testing.assert_allclose(sliding, wino, atol=1e-3)
 
     def test_gemm1x1_scheme(self):

@@ -11,7 +11,6 @@ from repro.kernels import (
     generate_transforms,
     transform_kernel,
     winograd_conv2d,
-    winograd_conv2d_rect,
 )
 from repro.kernels.winograd import (
     interpolation_points,
@@ -128,7 +127,7 @@ class TestWinogradConv:
         w = RNG.standard_normal((oc, ic, k, k)).astype(np.float32)
         bias = RNG.standard_normal(oc).astype(np.float32)
         pads = (k // 2,) * 4
-        got = winograd_conv2d(x, w, bias, n=n, pads=pads)
+        got = winograd_conv2d(x, w, bias, tile=(n, n), pads=pads)
         want = conv2d_naive(x, w, bias, pads=pads)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, atol=1e-3 * max(1, np.abs(want).max()))
@@ -136,7 +135,7 @@ class TestWinogradConv:
     def test_no_padding(self):
         x = RNG.standard_normal((1, 3, 9, 9)).astype(np.float32)
         w = RNG.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        got = winograd_conv2d(x, w, n=2)
+        got = winograd_conv2d(x, w, tile=(2, 2))
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
@@ -144,7 +143,7 @@ class TestWinogradConv:
         # 11x11 output with n=4 tiles: boundary tiles must be handled
         x = RNG.standard_normal((1, 2, 13, 13)).astype(np.float32)
         w = RNG.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        got = winograd_conv2d(x, w, n=4)
+        got = winograd_conv2d(x, w, tile=(4, 4))
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
@@ -152,7 +151,7 @@ class TestWinogradConv:
         x = RNG.standard_normal((1, 3, 10, 10)).astype(np.float32)
         w = RNG.standard_normal((4, 3, 3, 3)).astype(np.float32)
         pads = (0, 1, 1, 0)
-        got = winograd_conv2d(x, w, n=2, pads=pads)
+        got = winograd_conv2d(x, w, tile=(2, 2), pads=pads)
         want = conv2d_naive(x, w, pads=pads)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
@@ -160,13 +159,7 @@ class TestWinogradConv:
         x = RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)
         w = RNG.standard_normal((4, 3, 3, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="stride"):
-            winograd_conv2d(x, w, n=2, stride=(2, 2))
-
-    def test_rejects_non_square_kernel(self):
-        x = RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        w = RNG.standard_normal((4, 3, 1, 7)).astype(np.float32)
-        with pytest.raises(ValueError, match="square"):
-            winograd_conv2d(x, w, n=2)
+            winograd_conv2d(x, w, tile=(2, 2), stride=(2, 2))
 
     def test_numerical_error_grows_with_tile(self):
         """Ablation premise: larger tiles are less numerically stable."""
@@ -175,7 +168,7 @@ class TestWinogradConv:
         want = conv2d_naive(x, w)
         errs = []
         for n in (2, 4, 6):
-            got = winograd_conv2d(x, w, n=n)
+            got = winograd_conv2d(x, w, tile=(n, n))
             errs.append(np.abs(got - want).max())
         assert errs[0] <= errs[-1] * 10  # small tiles never wildly worse
         assert all(e < 1e-2 for e in errs)
@@ -193,7 +186,7 @@ class TestWinogradConv:
             hw = k + n
         x = RNG.standard_normal((1, ic, hw, hw)).astype(np.float32)
         w = RNG.standard_normal((oc, ic, k, k)).astype(np.float32)
-        got = winograd_conv2d(x, w, n=n)
+        got = winograd_conv2d(x, w, tile=(n, n))
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-3 * max(1.0, np.abs(want).max()))
 
@@ -230,10 +223,7 @@ class TestAgainstDirectOracle:
         x = rng.standard_normal((batch, ic) + hw).astype(np.float32)
         w = rng.standard_normal((oc, ic) + kernel).astype(np.float32)
         bias = rng.standard_normal(oc).astype(np.float32)
-        if kernel[0] == kernel[1]:
-            got = winograd_conv2d(x, w, bias, n=n_hw[0], pads=pads)
-        else:
-            got = winograd_conv2d_rect(x, w, bias, n_hw=n_hw, pads=pads)
+        got = winograd_conv2d(x, w, bias, tile=n_hw, pads=pads)
         want = _direct_conv_f64(x, w, bias, pads)
         assert got.shape == want.shape and got.dtype == np.float32
         # float64 stages: the only float32 rounding is the final cast.

@@ -9,6 +9,7 @@ import pytest
 from repro.core import Session, SessionArtifacts, SessionConfig
 from repro.ir import GraphBuilder, save_model
 from repro.obs.metrics import get_metrics
+from repro.kernels import winograd
 from repro.kernels.winograd import (
     clear_transform_cache,
     transform_cache_entries,
@@ -22,6 +23,7 @@ from repro.serving import (
     SessionPool,
     default_cache_dir,
 )
+from repro.serving.cache import _digest
 from repro.tools.cli import main
 
 RNG = np.random.default_rng(11)
@@ -170,6 +172,66 @@ class TestDamagedEntryIsAMiss:
             item["at"] = item["at"][:-1]
 
         self._check(cache_dir, drop_row)
+
+
+def rect_net():
+    """An Inception-style 1x7 conv, which selection runs as rectangular
+    Winograd F(1x4, 1x7)."""
+    b = GraphBuilder("rectnet", seed=5)
+    x = b.input("data", (1, 64, 17, 17))
+    x = b.conv(x, oc=64, kernel=(1, 7), name="c17")
+    b.output(b.global_avg_pool(x))
+    return b.finish()
+
+
+class TestSchemeArtifacts:
+    def test_rectangular_transforms_persist(self, monkeypatch):
+        """A warm session over exported artifacts derives no transform,
+        rectangular tiles included (their k > 1 axis is exported)."""
+        session = Session(rect_net())
+        assert session.schemes["c17"].tile == (1, 4)
+        artifacts = SessionArtifacts.from_json(
+            json.loads(json.dumps(session.export_artifacts().to_json())))
+        assert set(artifacts.winograd) == {(4, 7, 1, 2)}
+        clear_transform_cache()  # a fresh process
+
+        def rederive(*args):
+            raise AssertionError(f"transform {args} re-derived")
+
+        monkeypatch.setattr(winograd, "_generate", rederive)
+        warm = Session(rect_net(), artifacts=artifacts)
+        x = {"data": RNG.standard_normal((1, 64, 17, 17)).astype(np.float32)}
+        np.testing.assert_array_equal(warm.run(x)[warm.graph.outputs[0]],
+                                      session.run(x)[session.graph.outputs[0]])
+
+    def test_stale_scheme_kind_is_a_miss(self, cache_dir):
+        """An entry in the format that had a separate ``winograd_rect``
+        kind, with a valid digest: it decodes to nothing, counts in
+        ``cache.corrupt``, and the engine answers like a cold one."""
+        x = feed(seed=9)
+        gold = list(Session(serving_net()).run(x).values())[0]
+        cold = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        path = cold.cache.path(cold.cache_key)
+        data = json.loads(path.read_text())
+        del data["sha256"]
+        for decision in data["schemes"].values():
+            n_hw = decision.pop("tile")
+            decision.update(winograd_n=1, winograd_n_hw=n_hw)
+            if decision["kind"] == "winograd":
+                decision["kind"] = "winograd_rect"
+        stale = json.dumps({**data, "sha256": _digest(data)})
+
+        path.write_text(stale)
+        corrupt = get_metrics().value("cache.corrupt")
+        assert cold.cache.load(cold.cache_key) is None
+        assert get_metrics().value("cache.corrupt") == corrupt + 1
+
+        path.write_text(stale)
+        clear_transform_cache()
+        warm = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        assert warm.metrics.value("engine.cache.misses") == 1
+        assert get_metrics().value("cache.corrupt") == corrupt + 2
+        np.testing.assert_array_equal(list(warm.infer(x).values())[0], gold)
 
 
 class TestEngineWarmup:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Session, SessionConfig
 from repro.ir import GraphBuilder, GraphError
-from repro.kernels import winograd_conv2d_rect
+from repro.kernels import winograd_conv2d
 
 from .gold import conv2d_naive
 
@@ -31,7 +31,7 @@ class TestRectangularWinograd:
         w = RNG.standard_normal((5, 3, kh, kw)).astype(np.float32)
         bias = RNG.standard_normal(5).astype(np.float32)
         pads = (kh // 2, kh // 2, kw // 2, kw // 2)
-        got = winograd_conv2d_rect(x, w, bias, n_hw=(nh, nw), pads=pads)
+        got = winograd_conv2d(x, w, bias, tile=(nh, nw), pads=pads)
         want = conv2d_naive(x, w, bias, pads=pads)
         np.testing.assert_allclose(got, want, atol=1e-3 * max(1, np.abs(want).max()))
 
@@ -39,7 +39,7 @@ class TestRectangularWinograd:
         """Both axes k=1: pure channel mixing, identity transforms."""
         x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
         w = RNG.standard_normal((6, 4, 1, 1)).astype(np.float32)
-        got = winograd_conv2d_rect(x, w, n_hw=(2, 2))
+        got = winograd_conv2d(x, w, tile=(2, 2))
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
@@ -47,7 +47,7 @@ class TestRectangularWinograd:
         x = RNG.standard_normal((1, 2, 4, 4)).astype(np.float32)
         w = RNG.standard_normal((2, 2, 1, 9)).astype(np.float32)
         with pytest.raises(ValueError, match="does not fit"):
-            winograd_conv2d_rect(x, w, n_hw=(1, 2))
+            winograd_conv2d(x, w, tile=(1, 2))
 
     @given(
         kh=st.sampled_from([1, 3]),
@@ -59,7 +59,7 @@ class TestRectangularWinograd:
     def test_property_any_rect_config(self, kh, kw, nh, nw):
         x = RNG.standard_normal((1, 2, 14, 14)).astype(np.float32)
         w = RNG.standard_normal((3, 2, kh, kw)).astype(np.float32)
-        got = winograd_conv2d_rect(x, w, n_hw=(nh, nw))
+        got = winograd_conv2d(x, w, tile=(nh, nw))
         want = conv2d_naive(x, w)
         np.testing.assert_allclose(got, want, atol=1e-3 * max(1, np.abs(want).max()))
 
