@@ -7,8 +7,9 @@
 SRC is the ``src`` directory of the tree to drive (default: this
 checkout's).  The cases use squeezenet_v1.1, the built-in chaos graph and
 fresh ``cli build`` outputs (inception_v3 at 139 px, the smallest input
-at which its 1x7/7x1 convs select rectangular Winograd tiles), and
-``--selftest`` wherever a command has it.
+at which its 1x7/7x1 convs select rectangular Winograd tiles; and
+mobilenet_v1, whose BatchNorms show the converter's fusion and the
+output names it keeps), and ``--selftest`` wherever a command has it.
 Each case prints ``$ cli ARGV``, its stdout and ``[exit N]`` (with the
 last stderr line when N is not 0).  Lines that carry wall-clock numbers
 or pids read ``<timed>`` after their ``label:`` (trace-waterfall rows
@@ -34,6 +35,7 @@ build tiny_decoder -o dec.rmnn
 build lstm_classifier -o lstm.rmnn
 build vgg99 -o x.rmnn
 build inception_v3 -o inc.rmnn --input-size 139
+build mobilenet_v1 -o mb.rmnn --input-size 64
 info sq.rmnn
 info chaos.rmnn
 info missing.rmnn
@@ -41,6 +43,8 @@ lint sq.rmnn
 lint --strict chaos.rmnn
 lint dec.rmnn --no-memcheck
 optimize sq.rmnn -o opt.rmnn --verify
+optimize mb.rmnn -o mbo.rmnn --verify
+info mbo.rmnn
 quantize sq.rmnn -o q.rmnn --calibration-batches 2
 quantize
 quantize --selftest

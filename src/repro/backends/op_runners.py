@@ -9,8 +9,8 @@ up front:
 * constants (weights) are bound at build time,
 * padding is resolved from the static shapes (pre-inference!),
 * Winograd kernels are pre-transformed (the "pre-computed constants" of
-  Figure 2), depthwise taps are packed channels-last and BatchNorm's
-  scale and shift are computed,
+  Figure 2), depthwise taps are packed channels-last across the output
+  width and BatchNorm's scale and shift are computed,
 * GEMM-shaped weights are pre-reshaped — as views: no constant is ever
   copied or transposed, at build time or per run,
 * average-pool divisors are computed from the static shapes,
@@ -142,8 +142,12 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
             scratch_bytes = K.workspace_bytes(
                 K.depthwise_workspace(x_shape, kernel, stride, pads, dilation, y_dtype))
 
+            # Taps repeated along the static output width: a resize
+            # rebuilds the runner, so the packing always matches.
+            ow = graph.desc(node.outputs[0]).shape[3]
+
             def fn(inputs, *, out=None, scratch=None,
-                   _w=K.pack_depthwise_weights(weights), _b=bias):
+                   _w=K.pack_depthwise_weights(weights, ow), _b=bias):
                 y = K.depthwise_conv2d_packed(inputs[0], _w, _b, stride, pads, dilation,
                                               out, scratch)
                 return [K.apply_activation(y, activation, out=y)]

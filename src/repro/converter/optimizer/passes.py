@@ -63,16 +63,52 @@ class Pass(abc.ABC):
         ...
 
 
-def _remove_node(graph: Graph, node: Node, replacement: str) -> None:
-    """Delete ``node``, rewiring consumers of its output to ``replacement``."""
+def _remove_node(graph: Graph, node: Node, source: str) -> bool:
+    """Delete ``node``, whose output carries the same values as ``source``.
+
+    The output keeps its name, so a client that fetches it still finds it:
+    when ``source``'s producer feeds only ``node`` (and ``source`` is no
+    graph output), that producer is renamed to produce it; otherwise the
+    consumers read ``source`` instead, which a graph output cannot do, so
+    then ``node`` stays.  Returns whether ``node`` was deleted.
+    """
     out = node.outputs[0]
-    for other in graph.nodes:
-        if other is node:
-            continue
-        other.inputs = [replacement if name == out else name for name in other.inputs]
-    graph.outputs = [replacement if name == out else name for name in graph.outputs]
+    producer = graph.producer_map().get(source)
+    if producer is not None and _feeds_only(graph, source, node):
+        producer.outputs = [out if name == source else name for name in producer.outputs]
+        graph.tensor_descs.pop(source, None)
+    elif out in graph.outputs:
+        return False
+    else:
+        for other in graph.nodes:
+            other.inputs = [source if name == out else name for name in other.inputs]
+        graph.tensor_descs.pop(out, None)
     graph.nodes.remove(node)
-    graph.tensor_descs.pop(out, None)
+    return True
+
+
+def _feeds_only(graph: Graph, tensor: str, node: Node) -> bool:
+    """Whether ``node`` is the one reader of ``tensor`` (a graph output has
+    the client as a second reader)."""
+    readers = [other for other in graph.nodes if tensor in other.inputs]
+    return readers == [node] and tensor not in graph.outputs
+
+
+def _fold_constant(graph: Graph, node: Node, slot: int, value: np.ndarray) -> None:
+    """Make ``node.inputs[slot]`` read the constant ``value``.
+
+    A constant that ``node`` alone reads is replaced under its name; one
+    that another node also reads stays as it is, and ``node`` reads a
+    fresh constant instead, so folding never changes another node.
+    """
+    name = node.inputs[slot]
+    if _feeds_only(graph, name, node):
+        graph.constants[name] = value
+        return
+    fresh, i = f"{node.name}_{slot}_folded", 1
+    while fresh in graph.tensor_descs or fresh in graph.constants:
+        fresh, i = f"{node.name}_{slot}_folded_{i}", i + 1
+    node.inputs[slot] = graph.add_constant(fresh, value)
 
 
 class FoldConstants(Pass):
@@ -104,14 +140,13 @@ class FuseConvBatchNorm(Pass):
 
     BN(conv(x, W) + b) == conv(x, W') + b' with ``W' = W * s`` and
     ``b' = (b - mean) * s + beta`` where ``s = gamma / sqrt(var + eps)``.
-    Only fuses when the conv output has a single consumer.
+    Only fuses when the BatchNorm is the conv output's one reader.
     """
 
     name = "fuse-conv-bn"
 
     def run(self, graph: Graph) -> PassResult:
         result = PassResult()
-        consumers = graph.consumer_map()
         producers = graph.producer_map()
         for bn in list(graph.nodes):
             if bn.op_type not in (Op.BATCH_NORM, Op.SCALE):
@@ -119,7 +154,7 @@ class FuseConvBatchNorm(Pass):
             conv = producers.get(bn.inputs[0])
             if conv is None or conv.op_type not in (Op.CONV2D, Op.DEPTHWISE_CONV2D):
                 continue
-            if len(consumers.get(conv.outputs[0], [])) != 1:
+            if not _feeds_only(graph, conv.outputs[0], bn):
                 continue
             if not all(name in graph.constants for name in bn.inputs[1:]):
                 continue
@@ -134,24 +169,19 @@ class FuseConvBatchNorm(Pass):
                     if len(bn.inputs) > 2
                     else np.zeros_like(s)
                 )
-            weights_name = conv.inputs[1]
-            weights = graph.constants[weights_name]
-            if conv.op_type == Op.CONV2D:
-                scaled = weights * s.reshape(-1, 1, 1, 1)
-            else:  # depthwise: weights are (C, 1, kh, kw)
-                scaled = weights * s.reshape(-1, 1, 1, 1)
-            graph.constants[weights_name] = scaled.astype(weights.dtype)
+            weights = graph.constants[conv.inputs[1]]
+            # (oc, ic, kh, kw), or (C, 1, kh, kw) for depthwise: one scale per row.
+            scaled = weights * s.reshape(-1, 1, 1, 1)
+            _fold_constant(graph, conv, 1, scaled.astype(weights.dtype))
             if len(conv.inputs) > 2:
-                bias_name = conv.inputs[2]
-                bias = graph.constants[bias_name]
-                graph.constants[bias_name] = ((bias - 0.0) * s + shift).astype(bias.dtype)
+                bias = graph.constants[conv.inputs[2]]
+                _fold_constant(graph, conv, 2, (bias * s + shift).astype(bias.dtype))
             else:
                 bias_name = f"{conv.name}_fused_bias"
                 graph.add_constant(bias_name, shift.astype(weights.dtype))
                 conv.inputs.append(bias_name)
                 conv.attrs["has_bias"] = True
             _remove_node(graph, bn, conv.outputs[0])
-            consumers = graph.consumer_map()
             producers = graph.producer_map()
             result.changed += 1
         return result
@@ -166,7 +196,6 @@ class FuseConvActivation(Pass):
 
     def run(self, graph: Graph) -> PassResult:
         result = PassResult()
-        consumers = graph.consumer_map()
         producers = graph.producer_map()
         for act in list(graph.nodes):
             fused_kind = self._FUSABLE.get(act.op_type)
@@ -177,11 +206,10 @@ class FuseConvActivation(Pass):
                 continue
             if conv.attrs.get("activation") is not None:
                 continue
-            if len(consumers.get(conv.outputs[0], [])) != 1:
+            if not _feeds_only(graph, conv.outputs[0], act):
                 continue
             conv.attrs["activation"] = fused_kind
             _remove_node(graph, act, conv.outputs[0])
-            consumers = graph.consumer_map()
             producers = graph.producer_map()
             result.changed += 1
         return result
@@ -195,10 +223,10 @@ class RemoveIdentity(Pass):
     def run(self, graph: Graph) -> PassResult:
         result = PassResult()
         for node in list(graph.nodes):
-            if node.op_type not in (Op.DROPOUT, Op.IDENTITY):
-                continue
-            _remove_node(graph, node, node.inputs[0])
-            result.changed += 1
+            if node.op_type in (Op.DROPOUT, Op.IDENTITY) and _remove_node(
+                graph, node, node.inputs[0]
+            ):
+                result.changed += 1
         return result
 
 

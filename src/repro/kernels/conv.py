@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .matmul import GemmStats, matmul
+from .matmul import GemmStats, strassen_matmul, strassen_recurses
 from .winograd import winograd_conv2d
 from .workspace import Spec, carve, pad_into
 
@@ -183,15 +183,20 @@ def conv2d_1x1(
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """1x1 convolution as a GEMM, Strassen-accelerated (Section 3.3.2).
+    """1x1 convolution as a GEMM, on Strassen where Eq. 9 pays (Section 3.3.2).
 
     Computed straight in NCHW: each sample is ``W(oc, ic) @ X(ic, h*w)``,
     so neither the activation, the weights nor the result is transposed.
     Eq. 9 and the tile count are symmetric in the outer dimensions, so the
     Strassen decision and :class:`GemmStats` match the NHWC orientation
-    ``X^T @ W^T``.  One GEMM per sample makes row ``i`` of a batched call
-    bitwise equal to the single-sample call.  Each sample's GEMM writes
-    straight into its plane of ``out`` (fresh when not given).
+    ``X^T @ W^T``.  Where Strassen would recurse (only with
+    ``use_strassen``), each sample runs :func:`strassen_matmul`; everywhere
+    else it is one BLAS call, and ``stats`` counts the base tiles the
+    tiled substrate would issue.  The direct product differs from the
+    tiled one by rounding only: BLAS may sum a whole row and a 256-wide
+    tile in different orders.  One GEMM per sample makes row ``i`` of a
+    batched call bitwise equal to the single-sample call.  Each sample's GEMM
+    writes straight into its plane of ``out`` (fresh when not given).
 
     ``weights`` is ``(oc, ic, 1, 1)`` or its ``(oc, ic)`` reshape, which a
     runner binds once as a view of the graph constant.  ``pads`` (top,
@@ -210,9 +215,15 @@ def conv2d_1x1(
     w2d = weights.reshape(oc, ic)
     if out is None:
         out = np.empty((n, oc, h, w), dtype=np.result_type(x.dtype, weights.dtype))
+    strassen = use_strassen and strassen_recurses(oc, ic, h * w)
     for xi, yi in zip(x, out):
-        matmul(w2d, xi.reshape(ic, h * w), use_strassen=use_strassen, stats=stats,
-               out=yi.reshape(oc, h * w))
+        xi, yi = xi.reshape(ic, h * w), yi.reshape(oc, h * w)
+        if strassen:
+            strassen_matmul(w2d, xi, stats=stats, out=yi)
+        else:
+            np.matmul(w2d, xi, out=yi)
+            if stats is not None:
+                stats.record_tiles(oc, ic, h * w)
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out

@@ -3,8 +3,10 @@
 Depthwise conv applies one k x k filter per channel.  It is memory-bound, so
 no Winograd/Strassen variant exists in MNN's scheme pool either; the kernel
 is a direct vectorized sweep over the (small) kernel window.  Like MNN's
-NC4HW4 layout, it runs channels-last: every multiply-add streams over
-contiguous channels instead of NCHW planes a few elements wide.
+NC4HW4 layout, it runs channels-last, with the taps packed to match: each
+tap is repeated along the output width once at build time, so a stride-1
+tap's multiply-add streams over a whole contiguous ``ow * C`` output row
+instead of NCHW planes a few elements wide or a ``C``-long channel run.
 """
 
 from __future__ import annotations
@@ -21,11 +23,16 @@ __all__ = [
 ]
 
 
-def pack_depthwise_weights(weights: np.ndarray) -> np.ndarray:
-    """(C, 1, kh, kw) per-channel filters -> contiguous (kh, kw, C) taps."""
+def pack_depthwise_weights(weights: np.ndarray, ow: int = 1) -> np.ndarray:
+    """(C, 1, kh, kw) per-channel filters -> contiguous (kh, kw, ow, C) taps.
+
+    Each tap's ``C`` values are repeated ``ow`` times, one per output
+    column, so :func:`depthwise_conv2d_packed` multiplies whole output rows
+    by one contiguous operand; ``ow = 1`` broadcasts along the row instead.
+    """
     if weights.ndim != 4 or weights.shape[1] != 1:
         raise ValueError(f"depthwise weights {weights.shape} are not (C, 1, kh, kw)")
-    return np.ascontiguousarray(weights[:, 0].transpose(1, 2, 0))
+    return np.repeat(weights[:, 0].transpose(1, 2, 0)[:, :, None], ow, axis=2)
 
 
 def depthwise_workspace(
@@ -60,8 +67,10 @@ def depthwise_conv2d_packed(
     """Depthwise convolution with taps from :func:`pack_depthwise_weights`.
 
     The input is copied once into a zero-bordered (N, H', W', C) buffer;
-    the kh*kw taps multiply-add over contiguous C in row-major tap order
-    through one reused product buffer, the bias is added last, and the
+    the kh*kw taps multiply-add over whole (ow, C) output rows in row-major
+    tap order through one reused product buffer (taps packed for the
+    output width ``ow`` make the rows one contiguous loop; taps packed
+    with ``ow = 1`` broadcast), the bias is added last, and the
     result is transposed once back to NCHW into ``out`` (fresh when not
     given).  Each output element sees the same float operations in the
     same order as an NCHW tap sweep, so the result is bitwise equal to it.
@@ -69,7 +78,7 @@ def depthwise_conv2d_packed(
     when it is given.
     """
     n, c, h, w = x.shape
-    kh, kw, pc = packed.shape
+    kh, kw, pw, pc = packed.shape
     if pc != c:
         raise ValueError(f"depthwise weights for {pc} channels do not match {c} channels")
     sh, sw = stride
@@ -81,6 +90,8 @@ def depthwise_conv2d_packed(
     )
     pad_into(xp, x.transpose(0, 2, 3, 1), (0, top, left, 0))
     _, oh, ow, _ = acc.shape
+    if pw not in (1, ow):
+        raise ValueError(f"depthwise taps packed for width {pw} do not match width {ow}")
     acc[...] = 0
     for i in range(kh):
         for j in range(kw):

@@ -12,6 +12,12 @@ tiled GEMM whose base tile multiply stands in for MNN's hand-written
 assembly kernel.  Building both on the same substrate keeps the Table 3
 comparison fair: Strassen wins exactly because it issues fewer base-tile
 multiplications, which is the paper's mechanism.
+
+That substrate is Table 3's.  The engine's 1x1 conv and FC kernels call
+:func:`strassen_matmul` only where :func:`strassen_recurses`; every
+other product is one BLAS call, since BLAS blocks for the cache itself
+and the tiles would only add a zero-fill and an accumulation pass.
+:meth:`GemmStats.record_tiles` counts such a call as the substrate would.
 """
 
 from __future__ import annotations
@@ -21,7 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["GemmStats", "tiled_matmul", "strassen_matmul", "matmul", "strassen_should_recurse"]
+__all__ = [
+    "GemmStats", "tiled_matmul", "strassen_matmul", "matmul", "strassen_should_recurse",
+    "strassen_recurses",
+]
 
 #: Edge length of the micro-kernel tile.  256 floats keeps a full tile
 #: triple (A, B, C) comfortably inside typical L2, mirroring MNN's choice of
@@ -49,6 +58,12 @@ class GemmStats:
 
     def record_base(self, n: int, k: int, m: int) -> None:
         self.base_multiplies += 1
+        self.mul_elements += n * k * m
+
+    def record_tiles(self, n: int, k: int, m: int, tile: int = DEFAULT_TILE) -> None:
+        """Count ``[n, k] x [k, m]`` as :func:`tiled_matmul` issues it:
+        one base multiply per ``tile``-blocked (row, inner, column) triple."""
+        self.base_multiplies += -(-n // tile) * -(-k // tile) * -(-m // tile)
         self.mul_elements += n * k * m
 
     def record_adds(self, count: int) -> None:
@@ -102,6 +117,16 @@ def strassen_should_recurse(n: int, k: int, m: int) -> bool:
     saved = n * k * m - 7 * (n // 2) * (k // 2) * (m // 2)
     extra = 4 * (m // 2) * (k // 2) + 4 * (n // 2) * (k // 2) + 7 * (m // 2) * (n // 2)
     return saved > extra
+
+
+def strassen_recurses(n: int, k: int, m: int, tile: int = DEFAULT_TILE) -> bool:
+    """Whether :func:`strassen_matmul` splits ``[n, k] x [k, m]`` at all.
+
+    Its top-level stop rule: below it the whole product goes to
+    :func:`tiled_matmul` as one base-kernel GEMM, which a caller outside
+    Table 3's comparison may as well issue as one BLAS call.
+    """
+    return min(n, k, m) > tile and strassen_should_recurse(n, k, m)
 
 
 def _pad_even(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .matmul import GemmStats, tiled_matmul
+from .matmul import GemmStats
 
 __all__ = ["fully_connected", "conv_transpose2d", "resize2d", "pad_nd", "reduce_mean"]
 
@@ -21,18 +21,24 @@ def fully_connected(
 
     ``W^T`` is a view that BLAS reads through its transpose flag, so the
     weights are copied neither per call nor when a runner is built.  Each
-    row is its own tiled GEMM: BLAS sums a 1-row and an n-row product in
-    different orders, and row ``i`` of a batch must be bitwise the
-    single-sample call (as in :func:`~repro.kernels.conv.conv2d_1x1`).
-    A one-row product is below Eq. 9's reach, so FC never runs Strassen.
+    row is one BLAS call written straight into its row of the result: BLAS
+    sums a 1-row and an n-row product in different orders, and row ``i``
+    of a batch must be bitwise the single-sample call (as in
+    :func:`~repro.kernels.conv.conv2d_1x1`).  A one-row product is below
+    Eq. 9's reach, so FC never runs Strassen; ``stats`` counts the base
+    tiles the tiled substrate would issue for it.
 
     Args:
         x: (N, ...) input, flattened to (N, in_features).
         weights: (units, in_features).
     """
-    rows = [tiled_matmul(row[None], weights.T, stats=stats)
-            for row in x.reshape(x.shape[0], -1)]
-    out = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    x2d = x.reshape(x.shape[0], -1)
+    units, features = weights.shape
+    out = np.empty((x2d.shape[0], units), dtype=np.result_type(x.dtype, weights.dtype))
+    for row, y in zip(x2d, out):
+        np.matmul(row[None], weights.T, out=y[None])
+        if stats is not None:
+            stats.record_tiles(1, features, units)
     if bias is not None:
         out += bias
     return out

@@ -266,6 +266,68 @@ class TestOptimizerPasses:
         out = session.run({"in": RNG.standard_normal((1, 3, 12, 12)).astype(np.float32)})
         assert list(out.values())[0].shape == (1, 8, 12, 12)
 
+    def test_bn_fold_leaves_a_shared_weight_alone(self):
+        """Two 1x1 convs read one weight and one bias constant; folding the
+        BatchNorm behind one of them must not rescale the other."""
+        b = GraphBuilder("shared", seed=4)
+        x = b.input("in", (1, 4, 6, 6))
+        b.output(b.conv(x, oc=4, kernel=1, name="plain"),
+                 b.batch_norm(b.conv(x, oc=4, kernel=1, name="bn_conv"), name="bn"))
+        g = b.finish()
+        plain, bn_conv = (node for node in g.nodes if node.op_type == Op.CONV2D)
+        bn_conv.inputs[1:] = plain.inputs[1:]
+        shared = {name: g.constants[name].copy() for name in plain.inputs[1:]}
+        feeds = {"in": RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)}
+        before = execute_reference(g, feeds)
+        optimize(g, passes=[FuseConvBatchNorm()])
+        assert Op.BATCH_NORM not in [node.op_type for node in g.nodes]
+        assert all(np.array_equal(g.constants[name], value) for name, value in shared.items())
+        assert not set(bn_conv.inputs[1:]) & set(shared)
+        after = execute_reference(g, feeds)
+        np.testing.assert_array_equal(after["plain"], before["plain"])
+        np.testing.assert_allclose(after["bn"], before["bn"], atol=1e-5)
+
+    @pytest.mark.parametrize("fused", [
+        (FuseConvBatchNorm, lambda b, c: b.batch_norm(c, name="features")),
+        (FuseConvActivation, lambda b, c: b.relu(c, name="act_out")),
+        (RemoveIdentity, lambda b, c: b.identity(c, name="same")),
+        (RemoveIdentity, lambda b, c: b.dropout(c, name="kept")),
+    ], ids=["batch_norm", "relu", "identity", "dropout"])
+    def test_fusion_keeps_graph_output_names(self, fused):
+        """The node that goes hands its output name to the one that stays."""
+        pass_type, tail = fused
+        b = GraphBuilder("named", seed=6)
+        x = b.input("in", (1, 3, 8, 8))
+        name = tail(b, b.conv(x, oc=4, kernel=3))
+        b.output(name)
+        g = b.finish()
+        feeds = {"in": RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)}
+        before = execute_reference(g, feeds)[name]
+        optimize(g, passes=[pass_type()])
+        assert len(g.nodes) == 1 and g.outputs == [name]
+        assert g.nodes[0].outputs == [name]
+        np.testing.assert_allclose(Session(g).run(feeds)[name], before, atol=1e-5)
+
+    def test_identity_on_a_graph_input_stays_to_keep_its_output(self):
+        b = GraphBuilder("passthrough", seed=0)
+        b.output(b.identity(b.input("in", (1, 4)), name="out"))
+        g = b.finish()
+        assert not RemoveIdentity().run(g)
+        assert g.outputs == ["out"] and len(g.nodes) == 1
+
+    @pytest.mark.parametrize("pass_type,tail", [
+        (FuseConvBatchNorm, GraphBuilder.batch_norm),
+        (FuseConvActivation, GraphBuilder.relu),
+    ])
+    def test_conv_that_is_itself_an_output_is_not_fused(self, pass_type, tail):
+        b = GraphBuilder("both", seed=2)
+        conv = b.conv(b.input("in", (1, 3, 8, 8)), oc=4, kernel=3)
+        b.output(conv, tail(b, conv))
+        g = b.finish()
+        outputs = list(g.outputs)
+        assert not pass_type().run(g)
+        assert g.outputs == outputs and len(g.nodes) == 2
+
 
 class TestQuantization:
     def _model(self):

@@ -1,21 +1,28 @@
 """Tests for sliding-window conv, 1x1 GEMM conv, depthwise and dispatch."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.backends.op_runners import build_runner
 from repro.core import Session, SessionConfig, node_muls
 from repro.core.schemes import SchemeDecision, select_graph_schemes
 from repro.ir import GraphBuilder
 from repro.kernels import (
     GemmStats,
+    aligned_empty,
     conv2d,
     conv2d_1x1,
     conv2d_im2col,
     depthwise_conv2d,
+    fully_connected,
     im2col,
     matmul,
+    tiled_matmul,
 )
+from repro.models import mobilenet_v1, squeezenet_v1_1
 
 from .gold import conv2d_naive, depthwise_conv2d_naive
 
@@ -222,13 +229,38 @@ class TestConv1x1:
     )
     @settings(max_examples=25, deadline=None)
     def test_gemm_stats_match_the_nhwc_orientation(self, ic, oc, hw, use_strassen):
-        """Eq. 9 and the tile count are symmetric in the outer dimensions."""
+        """Eq. 9 and the tile count are symmetric in the outer dimensions;
+        a one-call GEMM counts the tiles the tiled substrate would issue,
+        for a 1x1 conv and for each FC row alike."""
         x = np.ones((1, ic, hw, hw), np.float32)
         w = np.ones((oc, ic, 1, 1), np.float32)
         new, old = GemmStats(), GemmStats()
         conv2d_1x1(x, w, use_strassen=use_strassen, stats=new)
         _conv1x1_nhwc(x, w, use_strassen=use_strassen, stats=old)
         assert new == old
+        rows, w2d = np.ones((2, ic), np.float32), w.reshape(oc, ic)
+        new, old = GemmStats(), GemmStats()
+        fully_connected(rows, w2d, stats=new)
+        for row in rows:
+            tiled_matmul(row[None], w2d.T, stats=old)
+        assert new == old
+
+
+@pytest.mark.parametrize("build", [mobilenet_v1, squeezenet_v1_1])
+def test_cnn_sessions_never_reach_the_tiled_substrate(build, monkeypatch):
+    """At 128 px no 1x1 conv is big enough for Strassen, so neither it nor
+    FC may fall through to ``tiled_matmul``: each is one BLAS call."""
+    def tiled(*args, **kwargs):
+        raise AssertionError("tiled_matmul on the engine's path")
+
+    graph = build(input_size=128)
+    session = Session(graph)
+    # The package re-exports a function named ``matmul``, which shadows
+    # the module of that name as an attribute of ``repro.kernels``.
+    monkeypatch.setattr(importlib.import_module("repro.kernels.matmul"), "tiled_matmul", tiled)
+    monkeypatch.setattr("repro.kernels.tiled_matmul", tiled)
+    out = session.run({graph.inputs[0]: RNG.standard_normal((1, 3, 128, 128)).astype(np.float32)})
+    assert np.isfinite(out[graph.outputs[0]]).all()
 
 
 def _depthwise_nchw(x, weights, bias=None, stride=(1, 1), pads=(0, 0, 0, 0), dilation=(1, 1)):
@@ -301,6 +333,59 @@ class TestDepthwise:
         want = _depthwise_nchw(x, w, b, stride, pads, dilation)
         assert got.flags.c_contiguous and got.shape == want.shape
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @staticmethod
+    def _net(shape, k=3, stride=1, dilation=1, pads=(1, 1, 1, 1), seed=0):
+        b = GraphBuilder("dw", seed=seed)
+        x = b.input("x", shape)
+        b.output(b.depthwise_conv(x, k, stride, pad_mode="explicit", pad=pads,
+                                  dilation=dilation, name="dw"))
+        return b.finish()
+
+    @given(
+        c=st.integers(1, 70),
+        batch=st.integers(1, 3),
+        k=st.sampled_from([3, 5]),
+        stride=st.sampled_from([1, 2]),
+        dilation=st.sampled_from([1, 2]),
+        pads=st.tuples(*[st.integers(0, 2)] * 4),
+        hw=st.tuples(st.integers(9, 17), st.integers(9, 17)),  # fits a dilated 5x5
+        rectified=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bound_runner_bitwise_equals_nchw_sweep(
+        self, c, batch, k, stride, dilation, pads, hw, rectified, seed
+    ):
+        """Taps packed across the output width change no bit, at any width,
+        writing into a bound slot through a dirty scratch."""
+        graph = self._net((batch, c) + hw, k, stride, dilation, pads, seed)
+        node = graph.nodes[-1]
+        runner = build_runner(node, graph)
+        out_shape = graph.desc("dw").shape
+        assert runner.fn.__kwdefaults__["_w"].shape == (k, k, out_shape[3], c)
+        weights, bias = (graph.constants[name] for name in node.inputs[1:])
+        x = np.random.default_rng(seed).standard_normal((batch, c) + hw).astype(np.float32)
+        if rectified:  # zeros times negative taps: signed zeros must match too
+            x = np.maximum(x, 0)
+        out = np.full(out_shape, np.nan, np.float32)
+        scratch = aligned_empty(runner.scratch_bytes)
+        scratch[...] = 0xFF
+        runner.bind(out, scratch)
+        assert runner.fn([x])[0] is out
+        want = _depthwise_nchw(x, weights, bias, (stride, stride), pads, (dilation, dilation))
+        assert _bits(out) == _bits(want)
+
+    def test_resized_session_answers_like_a_fresh_one(self):
+        """The runner packs its taps for the output width; a resize to a new
+        width rebuilds them."""
+        session = Session(self._net((1, 24, 16, 16)))
+        for shape in [(1, 24, 16, 23), (2, 24, 11, 9), (1, 24, 16, 16)]:
+            x = RNG.standard_normal(shape).astype(np.float32)
+            session.resize({"x": shape})
+            got = session.run({"x": x})["dw"]
+            want = Session(self._net(shape)).run({"x": x})["dw"]
+            assert _bits(got) == _bits(want)
 
 
 class TestPaddedConvSchemes:
