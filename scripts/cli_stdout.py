@@ -52,7 +52,7 @@ prune sq.rmnn -o p.rmnn --sparsity 0.6
 fp16 sq.rmnn -o h.rmnn
 benchmark sq.rmnn --repeats 2 --profile 3
 benchmark dec.rmnn --repeats 2
-benchmark lstm.rmnn --repeats 1 --threads 2
+benchmark lstm.rmnn --repeats 1
 trace sq.rmnn -o t.json --runs 2 --top 5 --waterfall
 trace dec.rmnn -o t2.json
 metrics sq.rmnn --runs 2 -o m.json --prom --selftest

@@ -12,7 +12,7 @@ Subpackages:
 * :mod:`repro.ir`         — tensors, operators, graphs, the .rmnn format
 * :mod:`repro.converter`  — frontends, graph optimizer, pruning, fp16
 * :mod:`repro.quant`      — int8 quantization, KV codec, accuracy contract
-* :mod:`repro.kernels`    — Winograd / Strassen / im2col / NC4HW4 kernels
+* :mod:`repro.kernels`    — Winograd / Strassen / sliding-window / depthwise kernels
 * :mod:`repro.core`       — pre-inference, cost model, memory planner, sessions
 * :mod:`repro.runtime`    — the tracer/metrics/faults/sanitizer/requests bundle
 * :mod:`repro.backends`   — the Backend abstraction + CPU & simulated GPUs

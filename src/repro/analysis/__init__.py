@@ -3,7 +3,7 @@
 Three pluggable checkers guard the pipeline the paper's pre-inference
 mechanism (Section 3.2) depends on:
 
-* :mod:`repro.analysis.lint` — a graph linter (~13 rules) producing
+* :mod:`repro.analysis.lint` — a graph linter (15 rules, tabled in its docstring) producing
   structured :class:`Diagnostic` records;
 * :mod:`repro.analysis.memcheck` — an independent sanitizer proving the
   static memory plan alias-free, aligned and in-bounds;

@@ -1,7 +1,7 @@
 """Graph linter: static rules over the IR producing structured diagnostics.
 
 The paper's pre-inference pipeline (Section 3.2) assumes every static fact
-about a graph — shapes, dtypes, layouts, attribute domains — is consistent
+about a graph — shapes, dtypes, attribute domains — is consistent
 before the first run.  This linter *checks* those facts.  Each rule is a
 small function registered under a stable rule id; :func:`lint_graph` runs
 them all (or a chosen subset) and returns :class:`Diagnostic` records.
@@ -20,11 +20,13 @@ rule id                   severity  checks
 ``cycle``                 error     graph is not a DAG
 ``shape-mismatch``        error     recorded descriptors disagree with re-inference
 ``dtype-mismatch``        error     edge dtypes inconsistent (binary ops, concat)
-``layout-mismatch``       error     NCHW/NC4HW4/NC inconsistency along an edge
 ``attr-domain``           error     attribute outside its domain (stride < 1, ...)
 ``quant-boundary``        error     int8 tensor feeds a float-only op, and friends
 ``dead-node``             warning   node cannot reach any graph output
 ``unused-constant``       warning   constant consumed by nothing
+``Q001``                  error     scale attr non-numeric, non-finite or <= 0
+``Q002``                  error     zero-point outside int8 (warning if merely != 0)
+``Q003``                  error     int8 weights with missing or mismatched scales
 ========================  ========  ==================================================
 
 Usage::
@@ -45,7 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from ..ir.graph import Graph, GraphError, Node
 from ..ir.ops import Op, get_schema
 from ..ir.shape_inference import infer_node_outputs
-from ..ir.tensor import DataType, Layout, TensorDesc
+from ..ir.tensor import DataType, TensorDesc
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
 
 __all__ = ["LintRule", "LintContext", "lint_graph", "all_rules", "rule"]
@@ -346,50 +348,6 @@ def _dtype_mismatch(ctx: LintContext) -> Iterator[Diagnostic]:
                     hint="insert a cast/Dequantize so both sides agree",
                 )
                 break
-
-
-_SPATIAL_OPS = (
-    Op.CONV2D, Op.DEPTHWISE_CONV2D, Op.CONV_TRANSPOSE2D,
-    Op.MAX_POOL, Op.AVG_POOL, Op.RESIZE,
-)
-
-
-@rule("layout-mismatch", "NCHW/NC4HW4/NC inconsistency along an edge")
-def _layout_mismatch(ctx: LintContext) -> Iterator[Diagnostic]:
-    for name, desc in ctx.graph.tensor_descs.items():
-        if desc.layout is Layout.NC4HW4 and desc.rank != 4:
-            yield error(
-                "layout-mismatch",
-                f"tensor {name!r} is NC4HW4 but has rank {desc.rank} "
-                f"(layout requires rank 4)",
-                tensor=name,
-            )
-    for node in ctx.graph.nodes:
-        if node.op_type in _SPATIAL_OPS and node.inputs:
-            d = ctx.desc(node.inputs[0])
-            if d is not None and d.layout is Layout.NC:
-                yield error(
-                    "layout-mismatch",
-                    f"spatial op fed flat NC tensor {node.inputs[0]!r}",
-                    node=node.name, tensor=node.inputs[0],
-                    hint="repack to NCHW/NC4HW4 before spatial ops",
-                )
-        if node.op_type in _BINARY_OPS or node.op_type == Op.CONCAT:
-            layouts = {}
-            for inp in node.inputs:
-                d = ctx.desc(inp)
-                if d is not None:
-                    layouts.setdefault(d.layout, inp)
-            if len(layouts) > 1:
-                pretty = ", ".join(
-                    f"{t!r}={lay.value}" for lay, t in sorted(layouts.items(), key=lambda kv: kv[0].value)
-                )
-                yield error(
-                    "layout-mismatch",
-                    f"inputs mix layouts: {pretty}",
-                    node=node.name,
-                    hint="insert a layout conversion so all inputs match",
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class Backend(abc.ABC):
         """Allocate backing memory for ``desc`` on this backend."""
         if desc.name in self._buffers:
             return True
-        self._buffers[desc.name] = np.zeros(desc.physical_shape(), desc.dtype.np_dtype)
+        self._buffers[desc.name] = np.zeros(desc.shape, desc.dtype.np_dtype)
         self._storage[desc.name] = storage
         return True
 

@@ -131,8 +131,8 @@ class KVCacheConfig:
         if self.quantized and self.d_head % 4 != 0:
             raise ValueError(
                 f"kv_dtype={self.kv_dtype!r} needs d_head divisible by 4 "
-                f"(the SIMD/NC4HW4 lane count; it keeps the int8 payload a "
-                f"float32 multiple so the scales table is aligned), "
+                f"(so each int8 payload row is a whole number of float32 "
+                f"words and the scales table after it stays float32-aligned), "
                 f"got d_head={self.d_head}"
             )
 

@@ -1,6 +1,6 @@
 """Intermediate representation: tensors, operators, graphs, serialization."""
 
-from .tensor import DataType, Layout, TensorDesc, SIMD_WIDTH, buffer_nbytes, element_count
+from .tensor import DataType, TensorDesc, buffer_nbytes, element_count
 from .ops import Op, OpSchema, all_op_types, get_schema, register_op
 from .graph import Graph, GraphBuilder, GraphError, Node
 from .shape_inference import conv_output_hw, infer_node, infer_shapes, resolve_padding
@@ -15,9 +15,7 @@ from .serialization import (
 
 __all__ = [
     "DataType",
-    "Layout",
     "TensorDesc",
-    "SIMD_WIDTH",
     "buffer_nbytes",
     "element_count",
     "Op",

@@ -14,7 +14,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .ops import Op, get_schema
-from .tensor import DataType, Layout, TensorDesc
+from .tensor import DataType, TensorDesc
 
 __all__ = ["Node", "Graph", "GraphBuilder", "GraphError"]
 

@@ -1,37 +1,29 @@
-"""Tensor descriptors, data types and data layouts for the repro IR.
+"""Tensor descriptors and data types for the repro IR.
 
 The engine describes data flowing through a graph with :class:`TensorDesc`
-objects: a shape, a :class:`DataType` and a :class:`Layout`.  Actual numeric
-payloads are plain ``numpy.ndarray`` values held either in the graph's
-constant table (weights) or in backend-managed buffers at execution time.
+objects: a shape and a :class:`DataType`.  Actual numeric payloads are plain
+``numpy.ndarray`` values held either in the graph's constant table (weights)
+or in backend-managed buffers at execution time.
 
-Layouts follow the paper (Section 3.3.1): the canonical interchange layout is
-``NCHW``; compute kernels may repack activations into ``NC4HW4``, which splits
-the channel dimension into groups of ``V = 4`` contiguous elements so that a
-"SIMD lane" (a trailing numpy axis of size 4) can process 4 channels per
-instruction.
+Every activation is stored in one layout, row-major NCHW (NC for matrices):
+a descriptor's shape is its buffer's shape.  A kernel that wants another
+order (depthwise conv runs channels-last) reorders inside its runner.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "DataType",
-    "Layout",
     "TensorDesc",
-    "SIMD_WIDTH",
     "element_count",
     "buffer_nbytes",
 ]
-
-#: Vector width V used by the NC4HW4 layout (the paper fixes V = 4).
-SIMD_WIDTH = 4
-
 
 class DataType(enum.Enum):
     """Numeric element types supported by the engine."""
@@ -66,30 +58,13 @@ class DataType(enum.Enum):
         raise ValueError(f"unsupported numpy dtype {dtype!r}")
 
 
-class Layout(enum.Enum):
-    """Physical data layouts understood by the kernels."""
-
-    #: Batch, channel, height, width — the canonical interchange layout.
-    NCHW = "NCHW"
-    #: Channel-blocked layout: [N, ceil(C/4), H, W, 4]; see module docstring.
-    NC4HW4 = "NC4HW4"
-    #: Flat 2-D layout for matrices / fully-connected activations.
-    NC = "NC"
-
-
 @dataclass(frozen=True)
 class TensorDesc:
-    """Static description of a tensor: shape, element type and layout.
-
-    ``shape`` always refers to the *logical* NCHW (or NC) extent; a tensor in
-    ``NC4HW4`` layout still reports its logical channel count, and the packed
-    physical extent is computed by :meth:`physical_shape`.
-    """
+    """Static description of a tensor: name, shape and element type."""
 
     name: str
     shape: Tuple[int, ...]
     dtype: DataType = DataType.FLOAT32
-    layout: Layout = Layout.NCHW
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
@@ -108,28 +83,8 @@ class TensorDesc:
 
     @property
     def nbytes(self) -> int:
-        """Bytes required to store the tensor in its physical layout."""
-        return buffer_nbytes(self.shape, self.dtype, self.layout)
-
-    def physical_shape(self) -> Tuple[int, ...]:
-        """The shape of the numpy buffer realizing this tensor.
-
-        For ``NC4HW4`` the channel axis is padded up to a multiple of
-        :data:`SIMD_WIDTH` and split into ``(C/4, ..., 4)``.
-        """
-        if self.layout is Layout.NC4HW4:
-            if self.rank != 4:
-                raise ValueError(f"NC4HW4 requires rank-4 logical shape, got {self.shape}")
-            n, c, h, w = self.shape
-            c4 = (c + SIMD_WIDTH - 1) // SIMD_WIDTH
-            return (n, c4, h, w, SIMD_WIDTH)
-        return self.shape
-
-    def with_layout(self, layout: Layout) -> "TensorDesc":
-        return TensorDesc(self.name, self.shape, self.dtype, layout)
-
-    def with_name(self, name: str) -> "TensorDesc":
-        return TensorDesc(name, self.shape, self.dtype, self.layout)
+        """Bytes required to store the tensor."""
+        return buffer_nbytes(self.shape, self.dtype)
 
 
 def element_count(shape: Sequence[int]) -> int:
@@ -140,12 +95,6 @@ def element_count(shape: Sequence[int]) -> int:
     return count
 
 
-def buffer_nbytes(shape: Sequence[int], dtype: DataType, layout: Layout = Layout.NCHW) -> int:
-    """Bytes needed for a physical buffer holding ``shape`` in ``layout``."""
-    if layout is Layout.NC4HW4:
-        if len(shape) != 4:
-            raise ValueError(f"NC4HW4 requires rank-4 shape, got {tuple(shape)}")
-        n, c, h, w = (int(d) for d in shape)
-        c4 = (c + SIMD_WIDTH - 1) // SIMD_WIDTH
-        return n * c4 * h * w * SIMD_WIDTH * dtype.itemsize
+def buffer_nbytes(shape: Sequence[int], dtype: DataType) -> int:
+    """Bytes needed for a buffer holding ``shape`` elements of ``dtype``."""
     return element_count(shape) * dtype.itemsize

@@ -2,7 +2,6 @@
 
 import numpy as _np
 
-from .layout import conv2d_1x1_packed, pack_nc4hw4, packed_shape, unpack_nc4hw4
 from .matmul import (
     DEFAULT_TILE,
     GemmStats,
@@ -79,10 +78,6 @@ def nonfinite_count(arrays) -> int:
 
 __all__ = [
     "nonfinite_count",
-    "conv2d_1x1_packed",
-    "pack_nc4hw4",
-    "packed_shape",
-    "unpack_nc4hw4",
     "DEFAULT_TILE",
     "GemmStats",
     "matmul",

@@ -2,11 +2,12 @@
 
 Depthwise conv applies one k x k filter per channel.  It is memory-bound, so
 no Winograd/Strassen variant exists in MNN's scheme pool either; the kernel
-is a direct vectorized sweep over the (small) kernel window.  Like MNN's
-NC4HW4 layout, it runs channels-last, with the taps packed to match: each
-tap is repeated along the output width once at build time, so a stride-1
-tap's multiply-add streams over a whole contiguous ``ow * C`` output row
-instead of NCHW planes a few elements wide or a ``C``-long channel run.
+is a direct vectorized sweep over the (small) kernel window.  It runs
+channels-last (NCHW in, transposed back out), with the taps packed to
+match: each tap is repeated along the output width once at build time, so
+a stride-1 tap's multiply-add streams over a whole contiguous ``ow * C``
+output row instead of NCHW planes a few elements wide or a ``C``-long
+channel run.
 """
 
 from __future__ import annotations

@@ -31,20 +31,29 @@ def quantize_tensor(x: np.ndarray, scale: float) -> np.ndarray:
     return quantize_float(x, scale).astype(np.int8)
 
 
-def quantize_weights_per_channel(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-output-channel symmetric int8 quantization of conv weights.
+def quantize_weights_per_channel(
+    weights: np.ndarray, axis: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-output-channel symmetric int8 quantization of GEMM weights.
+
+    Channel ``c`` gets the float32 scale ``max|w_c| / 127`` (1.0 for an
+    all-zero channel) and codes ``rint(w / scale)`` clipped to ±127.
 
     Args:
-        weights: (oc, ic, kh, kw) float kernel.
+        weights: float weights of any rank: a conv kernel (oc, ic, kh, kw),
+            an FC matrix (oc, ic) or a MatMul ``B`` (its output channels on
+            axis 1, or on axis 0 under ``transpose_b``).
+        axis: the output-channel axis.
 
     Returns:
-        (int8 weights, per-channel float scales of shape (oc,)).
+        (int8 weights, per-channel float32 scales of shape (weights.shape[axis],)).
     """
-    oc = weights.shape[0]
-    flat = np.abs(weights.reshape(oc, -1))
-    max_abs = flat.max(axis=1)
+    others = tuple(a for a in range(weights.ndim) if a != axis)
+    max_abs = np.abs(weights).max(axis=others)
     scales = np.where(max_abs > 0, max_abs / 127.0, 1.0).astype(np.float32)
-    q = np.clip(np.round(weights / scales.reshape(-1, 1, 1, 1)), -127, 127).astype(np.int8)
+    shape = [1] * weights.ndim
+    shape[axis] = -1
+    q = np.clip(np.rint(weights / scales.reshape(shape)), -127, 127).astype(np.int8)
     return q, scales
 
 

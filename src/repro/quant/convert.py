@@ -33,6 +33,7 @@ from ..ir.graph import Graph, GraphError
 from ..ir.ops import Op
 from ..ir.serialization import dumps, loads
 from ..ir.tensor import DataType, TensorDesc
+from ..kernels.quantized import quantize_weights_per_channel
 
 __all__ = [
     "CalibrationResult",
@@ -85,6 +86,14 @@ def weight_bytes(graph: Graph) -> int:
     return sum(int(v.nbytes) for v in graph.constants.values())
 
 
+def _store_int8(graph: Graph, name: str, weights: np.ndarray, axis: int) -> List[float]:
+    """Replace constant ``name`` by its per-channel int8 codes; return the scales."""
+    q, scales = quantize_weights_per_channel(weights, axis)
+    graph.constants[name] = q
+    graph.tensor_descs[name] = TensorDesc(name, graph.tensor_descs[name].shape, DataType.INT8)
+    return [float(s) for s in scales]
+
+
 def _quantize_matmul_weights(graph: Graph) -> int:
     """Quantize every eligible 2-D MatMul weight constant in place.
 
@@ -116,19 +125,7 @@ def _quantize_matmul_weights(graph: Graph) -> int:
         transposes = {bool(n.attrs.get("transpose_b", False)) for n in nodes}
         if len(transposes) != 1:
             continue  # ambiguous output-channel axis
-        out_axis = 0 if transposes.pop() else 1
-        in_axis = 1 - out_axis
-        max_abs = np.abs(weights).max(axis=in_axis)
-        scales = np.where(max_abs > 0, max_abs / 127.0, 1.0).astype(np.float32)
-        shape = [1, 1]
-        shape[out_axis] = scales.shape[0]
-        q = np.clip(
-            np.rint(weights / scales.reshape(shape)), -127, 127
-        ).astype(np.int8)
-        graph.constants[wname] = q
-        desc = graph.tensor_descs[wname]
-        graph.tensor_descs[wname] = TensorDesc(wname, desc.shape, DataType.INT8)
-        scale_list = [float(s) for s in scales]
+        scale_list = _store_int8(graph, wname, weights, axis=0 if transposes.pop() else 1)
         for node in nodes:
             node.attrs["weight_scales"] = scale_list
         count += 1
@@ -138,8 +135,6 @@ def _quantize_matmul_weights(graph: Graph) -> int:
 def _quantize_calibrated(graph: Graph, original: Graph,
                          feeds_batches: Sequence[Dict[str, np.ndarray]]) -> int:
     """Conv2D/FullyConnected weight quantization (needs activation scales)."""
-    from ..kernels.quantized import quantize_weights_per_channel
-
     calibration = calibrate(original, feeds_batches)
     count = 0
     for node in graph.nodes:
@@ -149,20 +144,8 @@ def _quantize_calibrated(graph: Graph, original: Graph,
         weights = graph.constants.get(weights_name)
         if weights is None or weights.dtype == np.int8:
             continue
-        if node.op_type == Op.CONV2D:
-            wq, w_scales = quantize_weights_per_channel(weights)
-        else:
-            wq4, w_scales = quantize_weights_per_channel(
-                weights.reshape(weights.shape[0], weights.shape[1], 1, 1)
-            )
-            wq = wq4.reshape(weights.shape)
-        graph.constants[weights_name] = wq
-        desc = graph.tensor_descs[weights_name]
-        graph.tensor_descs[weights_name] = TensorDesc(
-            weights_name, desc.shape, DataType.INT8
-        )
         node.attrs["input_scale"] = calibration.scale_for(node.inputs[0])
-        node.attrs["weight_scales"] = [float(s) for s in w_scales]
+        node.attrs["weight_scales"] = _store_int8(graph, weights_name, weights, axis=0)
         count += 1
     return count
 

@@ -10,7 +10,7 @@ Usage::
     python -m repro.tools.cli quantize model.rmnn -o int8.rmnn [--selftest]
     python -m repro.tools.cli prune model.rmnn -o pruned.rmnn --sparsity 0.6
     python -m repro.tools.cli fp16 model.rmnn -o half.rmnn
-    python -m repro.tools.cli benchmark model.rmnn --threads 4 --repeats 10
+    python -m repro.tools.cli benchmark model.rmnn --repeats 10
     python -m repro.tools.cli trace model.rmnn -o trace.json [--runs 3]
     python -m repro.tools.cli metrics [model.rmnn] [--runs 10] [--prom] [--selftest]
     python -m repro.tools.cli warm model.rmnn [--cache-dir DIR]
@@ -55,7 +55,7 @@ from ..baselines import ENGINES
 from ..bench import run_closed_loop, time_callable
 from ..converter import convert_to_fp16, fp16_savings, optimize, prune_model
 from ..core import (
-    Session, SessionConfig, autotune_schemes, node_muls, plan_memory, select_graph_schemes,
+    Session, autotune_schemes, node_muls, plan_memory, select_graph_schemes,
 )
 from ..devices import DEVICES, get_device
 from ..ir import load_model, save_model
@@ -282,7 +282,7 @@ def cmd_fp16(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    session = Session(args.graph, SessionConfig(threads=args.threads))
+    session = Session(args.graph)
     feeds = random_feeds(args.graph)
     session.run(feeds)  # the warm-up run, outside the fault count
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -295,7 +295,7 @@ def cmd_benchmark(args) -> int:
           f"{plan.utilization() * 100:.0f}% utilized at worst step); "
           f"{session.arena_bound} of {len(plan.offsets)} planned tensors written there")
     print(f"latency: median {timing.median_ms:.1f} ms, min {timing.min_ms:.1f} ms "
-          f"over {args.repeats} runs ({args.threads} threads); "
+          f"over {args.repeats} runs; "
           f"{faults / max(args.repeats, 1):.0f} minor page faults per run")
     if args.profile:
         _, profile = session.run_profiled(feeds)
@@ -319,8 +319,7 @@ def cmd_trace(args) -> int:
     tracer = Tracer()
     feeds = random_feeds(args.graph)
     # Pre-inference stage spans, then per-op spans on one lane.
-    session = Session(args.graph, SessionConfig(threads=args.threads),
-                      runtime=Runtime.resolve(trace=tracer))
+    session = Session(args.graph, runtime=Runtime.resolve(trace=tracer))
     for _ in range(args.runs):
         session.run(feeds)
     save_chrome_trace(tracer, args.output)
@@ -360,10 +359,7 @@ def cmd_metrics(args) -> int:
     previous = set_metrics(registry)
     try:
         if args.graph is not None:
-            session = Session(
-                args.graph, SessionConfig(threads=args.threads),
-                runtime=Runtime.resolve(sanitize=args.sanitize),
-            )
+            session = Session(args.graph, runtime=Runtime.resolve(sanitize=args.sanitize))
             feeds = random_feeds(args.graph)
             for _ in range(args.runs):
                 session.run(feeds)
@@ -423,11 +419,7 @@ def cmd_warm(args) -> int:
     """Populate the pre-inference cache for a model (cold once, warm after)."""
     from ..serving import Engine, EngineConfig
 
-    config = EngineConfig(
-        session=SessionConfig(threads=args.threads),
-        pool_size=1,
-        cache_dir=args.cache_dir,
-    )
+    config = EngineConfig(pool_size=1, cache_dir=args.cache_dir)
     engine = Engine(args.graph, config)
     cache = engine.cache
     print(f"cache dir: {cache.root}")
@@ -454,7 +446,6 @@ def cmd_serve(args) -> int:
 
     graph = args.graph
     config = EngineConfig(
-        session=SessionConfig(threads=args.threads),
         pool_size=args.pool,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
@@ -492,7 +483,7 @@ def cmd_serve(args) -> int:
               f"= {throughput:.1f} req/s")
 
         if args.selftest:
-            gold = Session(graph, SessionConfig(threads=args.threads))
+            gold = Session(graph)
             for feeds, got in zip(requests, outputs):
                 want = gold.run(feeds)
                 for name in want:
@@ -797,7 +788,6 @@ MODEL = Arg("model")
 MODEL_OPT = MODEL(nargs="?", default=None, help=".rmnn model (default: built-in chaos CNN)")
 OUTPUT = Arg("-o", "--output", required=True)
 OUTPUT_OPT = OUTPUT(required=False)
-THREADS = Arg("--threads", type=int, default=4)
 SEED = Arg("--seed", type=int, default=0)
 RUNS = Arg("--runs", type=int, default=10)
 REPEATS = Arg("--repeats", type=int, default=10)
@@ -838,12 +828,12 @@ COMMANDS = [
      [MODEL, OUTPUT, Arg("--sparsity", type=float, default=0.5)]),
     ("fp16", "store weights as float16", cmd_fp16, [MODEL, OUTPUT]),
     ("benchmark", "time a model on this host", cmd_benchmark, [
-        MODEL, THREADS, REPEATS,
+        MODEL, REPEATS,
         Arg("--profile", type=int, default=0, metavar="N",
             help="also print the N slowest operators and the time per operator type"),
     ]),
     ("trace", "record a Chrome trace of pre-inference + execution", cmd_trace, [
-        MODEL, OUTPUT_OPT(default="trace.json"), THREADS, RUNS(default=1),
+        MODEL, OUTPUT_OPT(default="trace.json"), RUNS(default=1),
         Arg("--top", type=int, default=10, metavar="K",
             help="print the K most expensive operators"),
         Arg("--waterfall", action="store_true", help="also print a per-lane text waterfall"),
@@ -852,7 +842,7 @@ COMMANDS = [
     ("metrics", "print the metrics snapshot for N runs", cmd_metrics, [
         MODEL_OPT(help=".rmnn model (default: a tiny request-tracked generation "
                        "workload that populates the SLO histograms)"),
-        RUNS, THREADS, OUTPUT_OPT(help="also write the snapshot as JSON"),
+        RUNS, OUTPUT_OPT(help="also write the snapshot as JSON"),
         SANITIZE(help="run with the concurrency sanitizer live; the snapshot "
                       "then includes the sanitize.* counters"),
         PROM,
@@ -860,9 +850,9 @@ COMMANDS = [
                       "parser (and require the SLO families on the generation "
                       "workload)"),
     ]),
-    ("warm", "populate the pre-inference cache", cmd_warm, [MODEL, THREADS, CACHE_DIR]),
+    ("warm", "populate the pre-inference cache", cmd_warm, [MODEL, CACHE_DIR]),
     ("serve", "drive concurrent traffic through an engine", cmd_serve, [
-        MODEL, REQUESTS, CLIENTS, Arg("--pool", type=int, default=2), THREADS,
+        MODEL, REQUESTS, CLIENTS, Arg("--pool", type=int, default=2),
         Arg("--batch", type=int, default=0, metavar="N",
             help="coalesce requests into micro-batches of up to N (0 = off)"),
         Arg("--batch-timeout-ms", type=float, default=2.0), CACHE_DIR,
@@ -884,7 +874,8 @@ COMMANDS = [
     ]),
     ("estimate", "model latency on a phone (simulator)", cmd_estimate, [
         MODEL, Arg("--device", default="Mate20"), Arg("--engine", default="MNN"),
-        Arg("--backend", default="cpu"), THREADS,
+        Arg("--backend", default="cpu"),
+        Arg("--threads", type=int, default=4, help="CPU threads the cost model assumes"),
     ]),
     ("devices", "list the device catalog", cmd_devices, []),
     ("chaos", "seeded fault-injection self-test storm", cmd_chaos, [

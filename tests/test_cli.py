@@ -37,31 +37,26 @@ PARSER_SURFACE = [
     ('fp16', ('model',), None, True, None, None, None),
     ('fp16', ('-o', '--output'), None, True, None, None, None),
     ('benchmark', ('model',), None, True, None, None, None),
-    ('benchmark', ('--threads',), 4, False, None, None, 'int'),
     ('benchmark', ('--repeats',), 10, False, None, None, 'int'),
     ('benchmark', ('--profile',), 0, False, None, None, 'int'),
     ('trace', ('model',), None, True, None, None, None),
     ('trace', ('-o', '--output'), 'trace.json', False, None, None, None),
-    ('trace', ('--threads',), 4, False, None, None, 'int'),
     ('trace', ('--runs',), 1, False, None, None, 'int'),
     ('trace', ('--top',), 10, False, None, None, 'int'),
     ('trace', ('--waterfall',), False, False, 0, None, None),
     ('trace', ('--waterfall-min-ms',), 0.05, False, None, None, 'float'),
     ('metrics', ('model',), None, False, '?', None, None),
     ('metrics', ('--runs',), 10, False, None, None, 'int'),
-    ('metrics', ('--threads',), 4, False, None, None, 'int'),
     ('metrics', ('-o', '--output'), None, False, None, None, None),
     ('metrics', ('--sanitize',), False, False, 0, None, None),
     ('metrics', ('--prom',), False, False, 0, None, None),
     ('metrics', ('--selftest',), False, False, 0, None, None),
     ('warm', ('model',), None, True, None, None, None),
-    ('warm', ('--threads',), 4, False, None, None, 'int'),
     ('warm', ('--cache-dir',), None, False, None, None, None),
     ('serve', ('model',), None, True, None, None, None),
     ('serve', ('--requests',), 32, False, None, None, 'int'),
     ('serve', ('--clients',), 4, False, None, None, 'int'),
     ('serve', ('--pool',), 2, False, None, None, 'int'),
-    ('serve', ('--threads',), 4, False, None, None, 'int'),
     ('serve', ('--batch',), 0, False, None, None, 'int'),
     ('serve', ('--batch-timeout-ms',), 2.0, False, None, None, 'float'),
     ('serve', ('--cache-dir',), None, False, None, None, None),

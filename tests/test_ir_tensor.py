@@ -1,11 +1,10 @@
-"""Tests for repro.ir.tensor: dtypes, layouts, descriptors."""
+"""Tests for repro.ir.tensor: dtypes, descriptors, buffer sizes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ir import DataType, Layout, TensorDesc, buffer_nbytes, element_count
-from repro.ir.tensor import SIMD_WIDTH
+from repro.ir import DataType, TensorDesc, element_count
 
 
 class TestDataType:
@@ -31,34 +30,10 @@ class TestTensorDesc:
         assert d.size == 1 * 3 * 224 * 224
         assert d.nbytes == d.size * 4
         assert d.dtype is DataType.FLOAT32
-        assert d.layout is Layout.NCHW
 
     def test_negative_dim_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             TensorDesc("x", (1, -3, 4, 4))
-
-    def test_nc4hw4_physical_shape_pads_channels(self):
-        d = TensorDesc("x", (1, 3, 8, 8), layout=Layout.NC4HW4)
-        assert d.physical_shape() == (1, 1, 8, 8, 4)
-        d = TensorDesc("x", (2, 9, 5, 5), layout=Layout.NC4HW4)
-        assert d.physical_shape() == (2, 3, 5, 5, 4)
-
-    def test_nc4hw4_exact_multiple(self):
-        d = TensorDesc("x", (1, 8, 4, 4), layout=Layout.NC4HW4)
-        assert d.physical_shape() == (1, 2, 4, 4, 4)
-        assert d.nbytes == 8 * 4 * 4 * 4  # no padding waste
-
-    def test_nc4hw4_requires_rank4(self):
-        d = TensorDesc("x", (3, 8), layout=Layout.NC4HW4)
-        with pytest.raises(ValueError, match="rank-4"):
-            d.physical_shape()
-
-    def test_with_layout_and_name(self):
-        d = TensorDesc("x", (1, 4, 2, 2))
-        assert d.with_layout(Layout.NC4HW4).layout is Layout.NC4HW4
-        assert d.with_name("y").name == "y"
-        # original unchanged (frozen dataclass)
-        assert d.name == "x" and d.layout is Layout.NCHW
 
     def test_shape_coerced_to_int_tuple(self):
         d = TensorDesc("x", [np.int64(2), np.int64(3)])
@@ -73,18 +48,3 @@ class TestBufferSizes:
     @given(st.lists(st.integers(min_value=0, max_value=16), min_size=1, max_size=5))
     def test_element_count_matches_numpy(self, dims):
         assert element_count(dims) == int(np.prod(dims, dtype=np.int64))
-
-    @given(
-        st.integers(1, 4), st.integers(1, 33), st.integers(1, 16), st.integers(1, 16)
-    )
-    def test_nc4hw4_nbytes_at_least_nchw(self, n, c, h, w):
-        shape = (n, c, h, w)
-        plain = buffer_nbytes(shape, DataType.FLOAT32)
-        packed = buffer_nbytes(shape, DataType.FLOAT32, Layout.NC4HW4)
-        assert packed >= plain
-        # padding never exceeds 3 extra channel planes
-        assert packed <= plain + (SIMD_WIDTH - 1) * n * h * w * 4
-
-    def test_nc4hw4_nbytes_rejects_bad_rank(self):
-        with pytest.raises(ValueError, match="rank-4"):
-            buffer_nbytes((3, 3), DataType.FLOAT32, Layout.NC4HW4)

@@ -1,4 +1,4 @@
-"""Tests for layout packing, pooling, elementwise, FC, deconv and resize."""
+"""Tests for pooling, elementwise, FC, deconv and resize."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.kernels import (
     fully_connected,
     global_avg_pool2d,
     max_pool2d,
-    pack_nc4hw4,
     pad_nd,
     prelu,
     reduce_mean,
@@ -21,86 +20,11 @@ from repro.kernels import (
     resize2d,
     sigmoid,
     softmax,
-    unpack_nc4hw4,
 )
 
 from .gold import avg_pool2d_naive, conv_transpose2d_naive, max_pool2d_naive
 
 RNG = np.random.default_rng(23)
-
-
-class TestLayout:
-    @given(
-        n=st.integers(1, 3),
-        c=st.integers(1, 19),
-        h=st.integers(1, 9),
-        w=st.integers(1, 9),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_pack_unpack_round_trip(self, n, c, h, w):
-        x = RNG.standard_normal((n, c, h, w)).astype(np.float32)
-        packed = pack_nc4hw4(x)
-        assert packed.shape == (n, -(-c // 4), h, w, 4)
-        np.testing.assert_array_equal(unpack_nc4hw4(packed, c), x)
-
-    def test_padding_lanes_are_zero(self):
-        x = np.ones((1, 5, 2, 2), np.float32)
-        packed = pack_nc4hw4(x)
-        # channels 5..7 in the second block are padding
-        np.testing.assert_array_equal(packed[0, 1, :, :, 1:], 0)
-
-    def test_pack_rejects_bad_rank(self):
-        with pytest.raises(ValueError, match="NCHW"):
-            pack_nc4hw4(np.zeros((3, 3)))
-
-    def test_unpack_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="N, C4, H, W, 4"):
-            unpack_nc4hw4(np.zeros((1, 2, 3, 3)), 4)
-        with pytest.raises(ValueError, match="cannot unpack"):
-            unpack_nc4hw4(np.zeros((1, 1, 2, 2, 4)), 9)
-
-    def test_packed_memory_is_lane_contiguous(self):
-        x = RNG.standard_normal((1, 8, 3, 3)).astype(np.float32)
-        packed = pack_nc4hw4(x)
-        flat = packed.reshape(-1)
-        # first 4 values in memory are channels 0..3 of pixel (0,0)
-        np.testing.assert_array_equal(flat[:4], x[0, :4, 0, 0])
-
-    @pytest.mark.parametrize("ic,oc", [(8, 8), (5, 7), (16, 4), (3, 12)])
-    def test_packed_1x1_conv_matches_unpacked(self, ic, oc):
-        from repro.kernels import conv2d_1x1, conv2d_1x1_packed
-
-        x = RNG.standard_normal((2, ic, 6, 6)).astype(np.float32)
-        w = RNG.standard_normal((oc, ic, 1, 1)).astype(np.float32)
-        b = RNG.standard_normal(oc).astype(np.float32)
-        want = conv2d_1x1(x, w, b)
-        packed = conv2d_1x1_packed(pack_nc4hw4(x), w, b)
-        got = unpack_nc4hw4(packed, oc)
-        np.testing.assert_allclose(got, want, atol=1e-4)
-
-    def test_packed_1x1_chain_never_unpacks(self):
-        """Packed ops compose: two 1x1 convs stay in NC4HW4 throughout."""
-        from repro.kernels import conv2d_1x1, conv2d_1x1_packed
-
-        x = RNG.standard_normal((1, 8, 4, 4)).astype(np.float32)
-        w1 = RNG.standard_normal((12, 8, 1, 1)).astype(np.float32)
-        w2 = RNG.standard_normal((6, 12, 1, 1)).astype(np.float32)
-        want = conv2d_1x1(conv2d_1x1(x, w1), w2)
-        packed = conv2d_1x1_packed(conv2d_1x1_packed(pack_nc4hw4(x), w1), w2)
-        np.testing.assert_allclose(unpack_nc4hw4(packed, 6), want, atol=1e-4)
-
-    def test_packed_1x1_rejects_bad_shapes(self):
-        from repro.kernels import conv2d_1x1_packed
-
-        with pytest.raises(ValueError, match="packed"):
-            conv2d_1x1_packed(np.zeros((1, 4, 4, 4)), np.zeros((4, 4, 1, 1)))
-        with pytest.raises(ValueError, match="1x1"):
-            conv2d_1x1_packed(np.zeros((1, 1, 4, 4, 4)), np.zeros((4, 4, 3, 3)))
-        with pytest.raises(ValueError, match="channels"):
-            conv2d_1x1_packed(
-                np.zeros((1, 1, 4, 4, 4), np.float32),
-                np.zeros((4, 9, 1, 1), np.float32),
-            )
 
 
 class TestPooling:

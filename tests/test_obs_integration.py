@@ -417,8 +417,7 @@ class TestCli:
         from repro.tools.cli import main
 
         out = str(tmp_path / "trace.json")
-        assert main(["trace", model_path, "-o", out, "--threads", "2",
-                     "--waterfall"]) == 0
+        assert main(["trace", model_path, "-o", out, "--waterfall"]) == 0
         captured = capsys.readouterr().out
         assert "wrote" in captured and "thread lanes" in captured
         with open(out) as fh:
@@ -444,7 +443,7 @@ class TestCli:
         trace_out = str(tmp_path / "serve.json")
         assert main([
             "serve", model_path, "--requests", "4", "--clients", "2",
-            "--pool", "2", "--threads", "1", "--no-cache", "--selftest",
+            "--pool", "2", "--no-cache", "--selftest",
             "--trace", trace_out,
         ]) == 0
         captured = capsys.readouterr().out

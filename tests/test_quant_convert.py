@@ -9,6 +9,7 @@ it matters (including the pre-inference cache key).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import Severity, lint_graph
 from repro.ir import DataType, GraphBuilder, GraphError, dumps, loads
@@ -113,6 +114,67 @@ def quantize_graph_or_none(graph):
         return quantize_graph(graph)
     except GraphError:
         return None
+
+
+@st.composite
+def gemm_weights(draw):
+    """A one-GEMM graph whose weights have some all-zero output channels."""
+    kind = draw(st.sampled_from(["matmul", "matmul_transpose_b", "conv", "fc"]))
+    oc, ic = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    zeros = draw(st.sets(st.integers(0, oc - 1), min_size=1))
+    magnitude = draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    b = GraphBuilder(kind, seed=0)
+    if kind == "conv":
+        x = b.input("x", (1, ic, 5, 5))
+        b.output(b.conv(x, oc=oc, kernel=3))
+        shape, axis = (oc, ic, 3, 3), 0
+    elif kind == "fc":
+        x = b.input("x", (2, ic))
+        b.output(b.fc(x, units=oc))
+        shape, axis = (oc, ic), 0
+    else:
+        transpose_b = kind == "matmul_transpose_b"
+        shape, axis = ((oc, ic), 0) if transpose_b else ((ic, oc), 1)
+        x = b.input("x", (2, ic))
+        b.output(b.matmul(x, b.constant(np.zeros(shape, np.float32), name="w"),
+                          transpose_b=transpose_b))
+    graph = b.finish()
+    (node,) = [n for n in graph.nodes if n.op_type in (Op.MATMUL, Op.CONV2D, Op.FULLY_CONNECTED)]
+    weights = (rng.standard_normal(shape) * magnitude).astype(np.float32)
+    for c in zeros:
+        np.moveaxis(weights, axis, 0)[c] = 0.0
+    graph.constants[node.inputs[1]] = weights
+    feeds = None
+    if kind in ("conv", "fc"):  # calibrated ops need an activation scale
+        feeds = [{"x": rng.standard_normal(graph.desc("x").shape).astype(np.float32)}]
+    return graph, node.inputs[1], axis, zeros, feeds
+
+
+class TestPerChannelQuantizer:
+    """MatMul (both ``transpose_b``), Conv2D and FC share one weight quantizer."""
+
+    @given(gemm_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_codes_and_scales_follow_the_formula(self, case):
+        graph, wname, axis, zeros, feeds = case
+        weights = graph.constants[wname]
+        q = quantize_graph(graph, feeds)
+        codes = q.constants[wname]
+        assert codes.dtype == np.int8 and q.tensor_descs[wname].dtype == DataType.INT8
+        (node,) = [n for n in q.nodes if n.attrs.get("weight_scales")]
+        scales = node.attrs["weight_scales"]
+        assert len(scales) == weights.shape[axis]
+        for c, scale in enumerate(scales):
+            w_c = np.take(weights, c, axis=axis)
+            peak = np.abs(w_c).max()
+            want_scale = peak / np.float32(127.0) if peak > 0 else np.float32(1.0)
+            assert np.float32(scale) == want_scale
+            want = np.clip(np.rint(w_c / want_scale), -127, 127).astype(np.int8)
+            np.testing.assert_array_equal(np.take(codes, c, axis=axis), want)
+            if c in zeros:
+                assert scale == 1.0 and not np.take(codes, c, axis=axis).any()
 
 
 class TestFingerprint:

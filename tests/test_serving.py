@@ -6,8 +6,11 @@ import threading
 import numpy as np
 import pytest
 
+from repro.converter import optimize
 from repro.core import Session, SessionArtifacts, SessionConfig
 from repro.ir import GraphBuilder, save_model
+from repro.models import squeezenet_v1_1
+from repro.obs import Tracer
 from repro.obs.metrics import get_metrics
 from repro.kernels import winograd
 from repro.kernels.winograd import (
@@ -251,6 +254,33 @@ class TestEngineWarmup:
         x = feed()
         np.testing.assert_array_equal(
             list(warm.infer(x).values())[0], list(cold.infer(x).values())[0]
+        )
+
+    def test_traced_warm_engine_replays_the_cold_products(self, cache_dir):
+        """On the serving bench graph, a traced warm engine hits the cache
+        once (digest check and full decode of the entry), its
+        scheme_selection and memory_plan spans say cached=True, and it
+        answers bitwise equal to the cold engine."""
+        net = optimize(squeezenet_v1_1(input_size=96, classes=10))
+        tracer = Tracer()
+        clear_transform_cache()
+        cold = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
+        clear_transform_cache()
+        warm = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir, trace=tracer))
+
+        assert warm.metrics.value("engine.cache.hits") == 1, "warm engine missed the cache"
+        for stage in ("scheme_selection", "memory_plan"):
+            spans = [s for s in tracer.spans if s.name == stage]
+            assert spans and all(s.args.get("cached") is True for s in spans), (
+                f"warm engine recomputed {stage}: {[s.args for s in spans]}"
+            )
+
+        name = net.inputs[0]
+        x = {name: np.random.default_rng(0).standard_normal(net.desc(name).shape).astype(np.float32)}
+        gold = cold.infer(x)
+        out = warm.infer(x)
+        assert all(np.array_equal(out[k], gold[k]) for k in gold), (
+            "warm engine diverges from the cold one"
         )
 
     def test_warm_prepare_is_faster(self, cache_dir):
