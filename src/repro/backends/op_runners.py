@@ -207,8 +207,9 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         rowwise = bool(attrs.get("rowwise", False))
         w = const_arrays.get(node.inputs[1]) if len(node.inputs) > 1 else None
         if w is not None and w.dtype == np.int8:
-            # Quantized path: int8 weights + per-output-channel scales;
-            # activations quantize dynamically per row inside qmatmul.
+            # Quantized path: int8 weights + per-output-channel scales,
+            # validated here once; activations quantize dynamically per
+            # row inside qmatmul_prepacked, which checks nothing per call.
             # Exact integer accumulation makes the batched kernel bitwise
             # token-invariant, so the rowwise contract needs no row loop.
             weight_scales = attrs.get("weight_scales")
@@ -228,7 +229,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
             def fn(inputs, *, _wq=K.prepack_int8(wq, wq.shape[0]), _s=scales):
                 a = const_or_input(node.inputs[0], inputs)
                 a = np.swapaxes(a, -1, -2) if ta else a
-                return [K.qmatmul(a, _wq, _s)]
+                return [K.qmatmul_prepacked(a, _wq, _s)]
 
             return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls)
 

@@ -51,6 +51,7 @@ from .qgemm import (
     exact_int_gemm,
     prepack_int8,
     qmatmul,
+    qmatmul_prepacked,
     quantize_rowwise,
     quantize_symmetric,
 )
@@ -138,6 +139,7 @@ __all__ = [
     "prepack_int8",
     "qconv2d",
     "qmatmul",
+    "qmatmul_prepacked",
     "quantize_float",
     "quantize_rowwise",
     "quantize_symmetric",

@@ -18,8 +18,18 @@ because NumPy's integer ``@`` is a scalar loop and its float ``@`` is
 Activations quantize **dynamically per row** (symmetric, zero-point 0 —
 the MNN-LLM weight-only recipe) straight into the float operand;
 dequantization multiplies each cell by ``row_scale x col_scale`` in
-float32, element-wise, in place.  Constant weights are converted to the
-compute dtype once, at pre-inference (:func:`prepack_int8`).
+float32, element-wise, in place, so a column's bits never depend on the
+other columns of the GEMM (``quantize_graph`` relies on that when it
+merges sibling MatMuls into one).  Constant weights are converted to the
+compute dtype once, at pre-inference (:func:`prepack_int8`), and an op
+runner calls :func:`qmatmul_prepacked` with no per-call checks.
+
+The quantizer clips to +-127 only when it has to.  With a *normal*
+float32 scale ``s = fl(max|x| / 127)``, ``|x / s| <= 127 (1 + eps)^2 <
+127.5``, so ``rint`` never leaves +-127 and the clip is a no-op.  A
+zero, subnormal or NaN scale breaks that bound (a subnormal row max
+gives ``x / s`` up to ~190, and a nonzero row can round to scale 0), so
+those calls take the guarded path, which clips.
 Winograd/Strassen stay fp-only: their float transforms would forfeit
 exactness, so :mod:`repro.core.schemes` excludes them for int8 layers.
 """
@@ -36,10 +46,13 @@ import numpy as np
 from .matmul import GemmStats
 
 __all__ = ["exact_int_gemm", "prepack_int8", "quantize_symmetric",
-           "quantize_rowwise", "qmatmul"]
+           "quantize_rowwise", "qmatmul", "qmatmul_prepacked"]
 
 _PACKED: "weakref.WeakValueDictionary[tuple, np.ndarray]" = weakref.WeakValueDictionary()
 _PACKED_LOCK = threading.Lock()
+
+_Q_MAX = np.float32(127.0)
+_SMALLEST_NORMAL = np.finfo(np.float32).tiny
 
 
 def _exact_dtype(k: int) -> type:
@@ -87,9 +100,20 @@ def quantize_symmetric(x: np.ndarray, axis) -> Tuple[np.ndarray, np.ndarray]:
     axes kept; all-zero slices get scale 0.0 and zero codes.  A pure
     function of ``x``, and max/rint/clip are order-independent, so a
     slice's codes never depend on what else shares the call.
+
+    When every scale is a normal float the clip cannot change a code
+    (module docstring), so it runs only on the guarded path: some scale
+    is zero (divide by 1 instead), subnormal (codes reach ~190 before
+    the clip) or NaN.  Both paths give the same bits as dividing by
+    ``where(scale > 0, scale, 1)`` and clipping every time.
     """
-    scales = np.abs(x).max(axis=axis, keepdims=True, initial=0) / np.float32(127.0)
-    q = x / np.where(scales > 0, scales, np.float32(1.0))
+    q = np.abs(x)
+    scales = np.maximum.reduce(q, axis, keepdims=True, initial=0)
+    scales /= _Q_MAX
+    if np.minimum.reduce(scales, None) >= _SMALLEST_NORMAL:
+        np.divide(x, scales, out=q)
+        return np.rint(q, out=q), scales
+    np.divide(x, np.where(scales > 0, scales, np.float32(1.0)), out=q)
     np.rint(q, out=q)
     np.maximum(q, -127, out=q)      # min/max pair: np.clip's wrapper costs more
     return np.minimum(q, 127, out=q), scales
@@ -104,15 +128,32 @@ def quantize_rowwise(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return q.astype(np.int8), scales.reshape(-1)
 
 
+def qmatmul_prepacked(x: np.ndarray, wq: np.ndarray, col_scales: np.ndarray,
+                      stats: Optional[GemmStats] = None) -> np.ndarray:
+    """:func:`qmatmul` minus its checks: the int8 MatMul runner's per-call core.
+
+    ``x`` is float32 ``(..., K)``, ``wq`` the :func:`prepack_int8` copy
+    (``(K, N)`` in the compute dtype) and ``col_scales`` float32
+    ``(N,)``; the runner validates all three when it is built.
+    """
+    xq, row_scales = quantize_symmetric(x.reshape(-1, x.shape[-1]), 1)
+    if stats is not None:
+        stats.record_base(xq.shape[0], xq.shape[1], wq.shape[1])
+    out = (xq.astype(wq.dtype, copy=False) @ wq).astype(np.float32, copy=False)
+    out *= row_scales * col_scales  # (rows, 1) x (cols,): float32, element-wise
+    return out.reshape(*x.shape[:-1], wq.shape[1])
+
+
 def qmatmul(x: np.ndarray, wq: np.ndarray, col_scales: np.ndarray,
             stats: Optional[GemmStats] = None) -> np.ndarray:
-    """Float-in/float-out MatMul over int8 weights (the op-runner entry).
+    """Float-in/float-out MatMul over int8 weights.
 
     Flattens leading axes to rows, quantizes each row dynamically, runs
     the exact GEMM and dequantizes.  ``wq`` is the int8 matrix or its
     :func:`prepack_int8` copy.  Row ``t`` of the result is bitwise the
     same whether ``x`` carries one token or a whole sequence, which
-    decode-step pre-inference relies on.
+    decode-step pre-inference relies on.  Validates its operands, then
+    runs :func:`qmatmul_prepacked`.
     """
     wq = np.asarray(wq)
     if wq.ndim != 2:
@@ -123,7 +164,7 @@ def qmatmul(x: np.ndarray, wq: np.ndarray, col_scales: np.ndarray,
             f"weight_scales shape {cs.shape} != output channels ({wq.shape[1]},)"
         )
     x = np.asarray(x, np.float32)
-    xq, row_scales = quantize_symmetric(x.reshape(-1, x.shape[-1]), 1)
-    out = exact_int_gemm(xq, wq, stats).astype(np.float32, copy=False)
-    out *= row_scales * cs          # (rows, 1) x (cols,): float32, element-wise
-    return out.reshape(*x.shape[:-1], wq.shape[1])
+    if x.shape[-1] != wq.shape[0]:
+        raise ValueError(f"bad GEMM shapes {x.shape} x {wq.shape}")
+    wq = np.asarray(wq, _exact_dtype(wq.shape[0]))
+    return qmatmul_prepacked(x, wq, cs, stats)

@@ -14,6 +14,14 @@ calibrated ops) and the result is pushed through a full serialization
 round-trip, so every quantized graph is by construction one the RMNN
 format can persist and reload losslessly.
 
+Sibling int8 MatMuls — a decoder layer's Q/K/V projections — then merge
+into one GEMM over the column-concatenated weight, followed by one
+last-axis Slice per sibling (:func:`_merge_sibling_matmuls`), so the
+shared activation is quantized once.  The merge is exact: integer sums
+are order-independent and dequantization is per cell, so every column is
+bitwise the separate product.  fp32 MatMuls never merge, because a wider
+BLAS call may sum in another order.
+
 :func:`quantization_fingerprint` summarizes exactly the facts that make
 a quantized graph a *different computation* from its fp twin — every
 tensor's dtype plus a digest of all scale metadata — and is folded into
@@ -29,9 +37,10 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..ir.graph import Graph, GraphError
+from ..ir.graph import Graph, GraphError, Node
 from ..ir.ops import Op
 from ..ir.serialization import dumps, loads
+from ..ir.shape_inference import infer_node
 from ..ir.tensor import DataType, TensorDesc
 from ..kernels.quantized import quantize_weights_per_channel
 
@@ -132,6 +141,60 @@ def _quantize_matmul_weights(graph: Graph) -> int:
     return count
 
 
+def _merge_sibling_matmuls(graph: Graph) -> None:
+    """Merge int8 MatMuls that share an activation into one GEMM, in place.
+
+    Siblings read the same non-constant activation (so one depth ``K``)
+    with the same ``rowwise`` flag and no transposes, and their 2-D int8
+    weights carry scales and have no other consumer.  Each group of two
+    or more becomes one MatMul over the column-concatenated weight and
+    scales, placed where the group's first member was, and one Slice of
+    its last axis per member, which keeps the member's output name — so
+    every consumer and graph output is untouched, and the Slices are
+    views.
+    """
+    consumers = graph.consumer_map()
+    groups: Dict[tuple, List[Node]] = {}
+    for node in graph.nodes:
+        if node.op_type != Op.MATMUL or node.attrs.get("transpose_a") \
+                or node.attrs.get("transpose_b"):
+            continue
+        x, w = node.inputs
+        weights = graph.constants.get(w)
+        if weights is None or weights.dtype != np.int8 or weights.ndim != 2 \
+                or node.attrs.get("weight_scales") is None or x in graph.constants \
+                or len(consumers[w]) != 1 or w in graph.outputs:
+            continue
+        groups.setdefault((x, bool(node.attrs.get("rowwise"))), []).append(node)
+
+    for (x, rowwise), members in groups.items():
+        if len(members) < 2:
+            continue
+        first = members[0]
+        weights = [graph.constants.pop(n.inputs[1]) for n in members]
+        for n in members:
+            del graph.tensor_descs[n.inputs[1]]
+        out, w_name = f"{first.name}_siblings", f"{first.name}_siblings_w"
+        graph.add_constant(w_name, np.concatenate(weights, axis=1))
+        scales = [s for n in members for s in n.attrs["weight_scales"]]
+        rank = len(graph.desc(first.outputs[0]).shape)
+        new_nodes = [Node(out, Op.MATMUL, [x, w_name], [out],
+                          {"rowwise": rowwise, "weight_scales": scales})]
+        start = 0
+        for n, w in zip(members, weights):
+            end = start + w.shape[1]
+            new_nodes.append(Node(n.name, Op.SLICE, [out], list(n.outputs),
+                                  {"axis": rank - 1, "start": start, "end": end}))
+            start = end
+        at = graph.nodes.index(first)
+        drop = {id(n) for n in members}
+        graph.nodes = graph.nodes[:at] + new_nodes + [
+            n for n in graph.nodes[at:] if id(n) not in drop
+        ]
+        for node in new_nodes:
+            infer_node(graph, node)
+
+
 def _quantize_calibrated(graph: Graph, original: Graph,
                          feeds_batches: Sequence[Dict[str, np.ndarray]]) -> int:
     """Conv2D/FullyConnected weight quantization (needs activation scales)."""
@@ -161,6 +224,12 @@ def quantize_graph(
     FullyConnected weights are quantized only when ``feeds_batches``
     supplies calibration data for their static ``input_scale``.
 
+    Sibling MatMuls — int8, untransposed, reading one activation with
+    one ``rowwise`` flag, over weights of one depth that nothing else
+    reads — then merge into one MatMul plus a last-axis Slice per
+    sibling that keeps its output name.  Every output is bitwise what
+    the separate int8 MatMuls compute; the activation is quantized once.
+
     Returns a **serialization round-tripped** copy: the quantized graph
     you get back has been through :func:`repro.ir.dumps` /
     :func:`repro.ir.loads`, proving the int8 constants and scale attrs
@@ -179,6 +248,7 @@ def quantize_graph(
             "graph contains no quantizable weights (2-D MatMul constants, "
             "or Conv2D/FullyConnected with calibration feeds)"
         )
+    _merge_sibling_matmuls(quantized)
     return loads(dumps(quantized))  # the round-trip is part of the contract
 
 

@@ -162,7 +162,7 @@ def cmd_quantize(args) -> int:
 
 
 def _quantize_selftest() -> int:
-    """The int8 stack's four contracts, checked end to end.
+    """The int8 stack's five contracts, checked end to end.
 
     1. Exactness: the BLAS-backed integer GEMM equals an int64 reference
        on worst-case operands on both sides of the float32/float64
@@ -174,6 +174,9 @@ def _quantize_selftest() -> int:
        an int8 KV cache emit bit-identical token streams.
     4. Capacity: the int8 KV layout holds at least 3x the tokens of the
        fp32 layout in the same arena bytes.
+    5. Merged siblings: each column block of the quantized decoder's
+       merged Q/K/V GEMM is bitwise the ``qmatmul`` of its projection's
+       int8 weight and scales.
 
     Also prints (never asserts) the in-process int8/fp32 decode
     tokens/s ratio, labelled as measured.
@@ -181,7 +184,8 @@ def _quantize_selftest() -> int:
     from dataclasses import replace as _replace
 
     from ..genai import GenerationConfig, GenerationEngine, SamplingParams
-    from ..kernels import exact_int_gemm
+    from ..core.reference import execute_reference
+    from ..kernels import exact_int_gemm, qmatmul
     from ..models.text import tiny_decoder
     from ..quant import max_abs_error, quantize_graph
 
@@ -255,6 +259,23 @@ def _quantize_selftest() -> int:
     print(f"[{'ok' if ok else 'FAIL'}] int8 KV fits {ratio:.2f}x the tokens "
           f"per arena byte ({fp_config.per_token_bytes} -> "
           f"{kv_config.per_token_bytes} B/token; need >= 3x)")
+    failures += 0 if ok else 1
+
+    env = execute_reference(quantized, feeds)
+    consumers = quantized.consumer_map()
+    groups = [(node, consumers[node.outputs[0]]) for node in quantized.nodes
+              if node.op_type == "MatMul" and node.outputs[0] in consumers
+              and all(c.op_type == "Slice" for c in consumers[node.outputs[0]])]
+    ok = bool(groups)
+    for node, parts in groups:
+        x, wq = env[node.inputs[0]], quantized.constants[node.inputs[1]]
+        scales = np.asarray(node.attrs["weight_scales"], np.float32)
+        for part in parts:
+            cols = slice(part.attrs["start"], part.attrs["end"])
+            want = qmatmul(x, wq[:, cols], scales[cols])
+            ok = ok and env[part.outputs[0]].tobytes() == want.tobytes()
+    print(f"[{'ok' if ok else 'FAIL'}] merged Q/K/V GEMM == per-projection qmatmul "
+          f"bitwise ({len(groups)} merged groups)")
     failures += 0 if ok else 1
 
     print("quantize selftest:", "ok" if failures == 0 else f"{failures} FAILED")

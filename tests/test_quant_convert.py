@@ -7,15 +7,21 @@ fingerprint that separates the int8 variant from its fp twin everywhere
 it matters (including the pre-inference cache key).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import Severity, lint_graph
-from repro.ir import DataType, GraphBuilder, GraphError, dumps, loads
+from repro.analysis import Severity, check_memory_plan, format_diagnostics, lint_graph
+from repro.core import Session, plan_memory
+from repro.ir import DataType, GraphBuilder, GraphError, dumps, load_model, loads, save_model
 from repro.ir.ops import Op
+from repro.kernels import qmatmul, quantize_weights_per_channel
 from repro.models.text import tiny_decoder
 from repro.quant import max_abs_error, quantization_fingerprint, quantize_graph
+from repro.quant.convert import _merge_sibling_matmuls
+from repro.quant.kv import quantize_rows
 
 pytestmark = pytest.mark.quant
 
@@ -175,6 +181,155 @@ class TestPerChannelQuantizer:
             np.testing.assert_array_equal(np.take(codes, c, axis=axis), want)
             if c in zeros:
                 assert scale == 1.0 and not np.take(codes, c, axis=axis).any()
+
+
+#: (batch, tokens, capacity) decode cells of :func:`int8_decode_digest`.
+DECODE_CELLS = [(1, 1, 8), (4, 1, 32), (2, 3, 16)]
+
+#: ``int8_decode_digest(layers)`` recorded before sibling MatMuls merged:
+#: the merge must not move one bit of logits, K/V rows or KV slab bytes.
+DECODE_DIGESTS = {
+    1: "bbdcf23cdb2add3daba1de2fd1366abe4c106c0591eafd0ba67d617973c2922c",
+    2: "92b527e527740bb2e5e0b028c7f90f778c670ebac2aad4b2e66d71dcb30d42cf",
+    3: "6525b4b9e2953cf61264a54bd654fb0b2413608b9232c2662d7928cedaa1df59",
+}
+
+
+def int8_decode_digest(layers):
+    """sha256 over the int8 decoder's logits, K/V rows and their KV codec
+    bytes, over fixed feeds in every cell of :data:`DECODE_CELLS`."""
+    h = hashlib.sha256()
+    for batch, tokens, capacity in DECODE_CELLS:
+        graph = quantize_graph(tiny_decoder(mode="decode", batch=batch, seq_len=tokens,
+                                            cache_len=capacity, layers=layers, seed=5))
+        rng = np.random.default_rng([layers, batch, tokens, capacity])
+        lengths = rng.integers(0, capacity - tokens + 1, batch).astype(np.int32)
+        feeds = {
+            "tokens": rng.integers(0, 256, (batch, tokens)).astype(np.int32),
+            "positions": (lengths[:, None] + np.arange(tokens)).astype(np.int32),
+            "lengths": lengths,
+        }
+        for name in graph.inputs:
+            if name not in feeds:
+                feeds[name] = rng.standard_normal(graph.desc(name).shape).astype(np.float32)
+        out = Session(graph).run(feeds)
+        for name in graph.outputs:
+            h.update(out[name].tobytes())
+            if name != "logits":
+                q, scales = quantize_rows(out[name].reshape(-1, *out[name].shape[2:]))
+                h.update(q.tobytes())
+                h.update(scales.tobytes())
+    return h.hexdigest()
+
+
+def merged_groups(graph):
+    """``{merged MatMul: its Slice consumers}``."""
+    consumers = graph.consumer_map()
+    return {
+        node.name: consumers[node.outputs[0]] for node in graph.nodes
+        if node.op_type == Op.MATMUL and node.outputs[0] in consumers
+        and all(c.op_type == Op.SLICE for c in consumers[node.outputs[0]])
+    }
+
+
+def siblings_graph(widths, k, lead=(3,), rowwise=False, seed=0):
+    """One activation read by one MatMul per width (column count)."""
+    b = GraphBuilder("siblings", seed=seed)
+    x = b.input("x", (*lead, k))
+    rng = np.random.default_rng(seed)
+    for i, m in enumerate(widths):
+        w = b.constant(rng.standard_normal((k, m)).astype(np.float32), name=f"w{i}")
+        b.output(b.matmul(x, w, rowwise=rowwise, name=f"y{i}"))
+    return b.finish()
+
+
+class TestSiblingMerge:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_int8_decode_outputs_are_bitwise_pinned(self, layers):
+        assert int8_decode_digest(layers) == DECODE_DIGESTS[layers]
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_decoder_qkv_merge_per_layer(self, layers):
+        graph = tiny_decoder(mode="decode", batch=4, cache_len=32, layers=layers)
+        q = quantize_graph(graph)
+        count = lambda g: g.op_histogram().get(Op.MATMUL, 0)  # noqa: E731
+        assert count(graph) == 6 * layers + 1
+        assert count(q) == 4 * layers + 1
+        groups = merged_groups(q)
+        assert len(groups) == layers
+        assert all(len(slices) == 3 for slices in groups.values())
+        assert q.outputs == graph.outputs
+
+    @given(widths=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           k=st.sampled_from([1, 8, 1041]), lead=st.sampled_from([(1,), (3,), (2, 3)]),
+           rowwise=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_each_column_block_is_bitwise_its_own_qmatmul(self, widths, k, lead, rowwise,
+                                                           seed):
+        graph = siblings_graph(widths, k, lead, rowwise, seed)
+        q = quantize_graph(graph)
+        assert len(merged_groups(q)) == 1
+        x = np.random.default_rng(seed).standard_normal((*lead, k)).astype(np.float32)
+        out = Session(q).run({"x": x})
+        for i in range(len(widths)):
+            wq, scales = quantize_weights_per_channel(graph.constants[f"w{i}"], 1)
+            want = qmatmul(x, wq, scales)
+            assert out[f"y{i}"].shape == want.shape
+            assert out[f"y{i}"].tobytes() == want.tobytes()
+
+    def test_weight_shared_with_a_non_sibling_stays_separate(self):
+        b = GraphBuilder("shared", seed=0)
+        x, z = b.input("x", (2, 8)), b.input("z", (2, 8))
+        w0 = b.constant(RNG.standard_normal((8, 4)).astype(np.float32), name="w0")
+        w1 = b.constant(RNG.standard_normal((8, 4)).astype(np.float32), name="w1")
+        b.output(b.matmul(x, w0), b.matmul(x, w1), b.matmul(z, w1))
+        q = quantize_graph(b.finish())
+        assert merged_groups(q) == {}
+        assert q.op_histogram()[Op.MATMUL] == 3
+
+    @pytest.mark.parametrize("flag", ["transpose_a", "transpose_b"])
+    def test_transposed_siblings_stay_separate(self, flag):
+        b = GraphBuilder("t", seed=0)
+        x = b.input("x", (8, 8))
+        for i in range(3):
+            w = b.constant(RNG.standard_normal((8, 8)).astype(np.float32), name=f"w{i}")
+            b.output(b.matmul(x, w, **{flag: i > 0}))
+        q = quantize_graph(b.finish())
+        assert q.op_histogram()[Op.MATMUL] == 3
+        assert q.op_histogram().get(Op.SLICE, 0) == 0
+
+    def test_different_inputs_stay_separate(self):
+        b = GraphBuilder("apart", seed=0)
+        x, z = b.input("x", (2, 8)), b.input("z", (2, 8))
+        for i, a in enumerate((x, z)):
+            w = b.constant(RNG.standard_normal((8, 4)).astype(np.float32), name=f"w{i}")
+            b.output(b.matmul(a, w))
+        q = quantize_graph(b.finish())
+        assert q.op_histogram()[Op.MATMUL] == 2 and merged_groups(q) == {}
+
+    def test_fp32_graphs_never_merge(self):
+        graph = siblings_graph([4, 5, 6], 8)
+        before = dumps(graph)
+        quantize_graph(graph)
+        assert dumps(graph) == before                      # the caller's graph
+        _merge_sibling_matmuls(graph)
+        assert dumps(graph) == before                      # fp32 MatMuls
+
+    def test_merged_graph_lints_memchecks_and_round_trips(self, tmp_path):
+        q = quantize_graph(tiny_decoder(mode="decode", batch=2, seq_len=3, cache_len=16,
+                                        layers=2))
+        diags = lint_graph(q)
+        assert diags == [], format_diagnostics(diags)
+        report = check_memory_plan(q, plan_memory(q))
+        assert report.ok, format_diagnostics(report.diagnostics)
+        path = tmp_path / "merged.rmnn"
+        save_model(q, path)
+        back = load_model(path)
+        assert dumps(back) == dumps(q)
+        (name, slices), *_ = merged_groups(back).items()
+        (node,) = [n for n in back.nodes if n.name == name]
+        assert len(node.attrs["weight_scales"]) == back.constants[node.inputs[1]].shape[1]
+        assert [s.attrs["end"] - s.attrs["start"] for s in slices] == [64, 64, 64]
 
 
 class TestFingerprint:

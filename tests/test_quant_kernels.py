@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import BackendError
+from repro.backends.op_runners import build_runner
 from repro.core.schemes import (
     SchemeConfig,
     select_conv_scheme,
@@ -29,8 +30,10 @@ from repro.kernels import (
     prepack_int8,
     qconv2d,
     qmatmul,
+    qmatmul_prepacked,
     quantize_float,
     quantize_rowwise,
+    quantize_symmetric,
 )
 from repro.quant import quantize_graph
 
@@ -55,6 +58,39 @@ def qmatmul_int32_reference(x, wq, cs):
     acc = xq.astype(np.int32) @ wq.astype(np.int32)
     out = acc.astype(np.float32) * (scales.reshape(-1, 1) * cs.reshape(1, -1))
     return out.reshape(*x.shape[:-1], wq.shape[1])
+
+
+def quantize_symmetric_clip_always(x, axis):
+    """The quantizer before its clip guard, kept as the oracle: divide by
+    ``where(scale > 0, scale, 1)`` and clip to +-127 on every call."""
+    scales = np.abs(x).max(axis=axis, keepdims=True, initial=0) / np.float32(127.0)
+    q = x / np.where(scales > 0, scales, np.float32(1.0))
+    np.rint(q, out=q)
+    np.maximum(q, -127, out=q)
+    return np.minimum(q, 127, out=q), scales
+
+
+#: Row magnitudes: all-zero rows, maxima so small the scale rounds to 0,
+#: subnormal maxima (``x / scale`` reaches ~190 before the clip), a
+#: normal maximum with a subnormal scale, and ordinary to huge rows.
+ROW_MAGNITUDES = [0.0, 1e-45, 3e-44, 1e-41, 1e-39, 1e-38, 1e-3, 1.0, 1e30]
+
+
+@st.composite
+def quantizer_cases(draw):
+    """``(x, axis)`` with 1-9 rows, each row at its own drawn magnitude."""
+    rows = draw(st.integers(1, 9))
+    axis = draw(st.sampled_from([1, (0, 2)]))
+    width = draw(st.integers(1, 40))
+    heads = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mags = np.array(draw(st.lists(st.sampled_from(ROW_MAGNITUDES),
+                                  min_size=rows, max_size=rows)))
+    if axis == 1:
+        x = rng.standard_normal((rows, width)) * mags[:, None]
+    else:
+        x = rng.standard_normal((heads, rows, width)) * mags[None, :, None]
+    return x.astype(np.float32), axis
 
 
 def static_codes(x, input_scale):
@@ -186,6 +222,51 @@ class TestExactIntGemm:
             input_scale * np.asarray(node.attrs["weight_scales"], np.float32))
         (got,) = Session(q).run(feeds).values()
         np.testing.assert_array_equal(got, want + bias)
+
+
+class TestQuantizeSymmetric:
+    @given(quantizer_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_the_clip_always_oracle(self, case):
+        x, axis = case
+        q, scales = quantize_symmetric(x, axis)
+        want_q, want_scales = quantize_symmetric_clip_always(x, axis)
+        assert q.dtype == want_q.dtype == np.float32
+        assert scales.shape == want_scales.shape
+        np.testing.assert_array_equal(scales.view(np.uint32), want_scales.view(np.uint32))
+        np.testing.assert_array_equal(q.view(np.uint32), want_q.view(np.uint32))
+
+    def test_subnormal_rows_need_the_clip(self):
+        """The case the guard exists for: without the clip a subnormal
+        row max gives codes past 127."""
+        tick = np.finfo(np.float32).smallest_subnormal
+        x = np.array([[190 * tick, -3 * tick, 100 * tick]], np.float32)
+        scales = np.abs(x).max(axis=1, keepdims=True) / np.float32(127.0)
+        assert scales[0, 0] == tick and np.rint(x / scales).max() == 190
+        q, _ = quantize_symmetric(x, 1)
+        assert np.abs(q).max() == 127
+
+    @given(m=st.integers(1, 6), k=st.sampled_from([1, 16, 64, 1041]),
+           n=st.integers(1, 12), ta=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_runner_core_is_bitwise_the_public_qmatmul(self, m, k, n, ta, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.standard_normal((m, k)) * 10 ** rng.uniform(-3, 3)).astype(np.float32)
+        wq, cs = quantize_weights(rng.standard_normal((k, n)).astype(np.float32))
+        want = qmatmul(x, wq, cs)
+        got = qmatmul_prepacked(x, prepack_int8(wq, k), cs)
+        assert got.tobytes() == want.tobytes()
+
+        b = GraphBuilder("mm", seed=0)
+        xt = b.input("x", (k, m) if ta else (m, k))
+        b.output(b.matmul(xt, b.constant(np.zeros((k, n), np.float32), name="w"),
+                          transpose_a=ta))
+        graph = b.finish()
+        graph.constants["w"] = wq
+        (node,) = graph.nodes
+        node.attrs["weight_scales"] = [float(s) for s in cs]
+        (out,) = build_runner(node, graph).fn([np.ascontiguousarray(x.T) if ta else x])
+        assert out.tobytes() == want.tobytes()
 
 
 class TestQuantizeRowwise:
