@@ -2,8 +2,9 @@
 
 The scheme selector picks the Winograd output tile n from the Eq. 2 cost
 model without running anything.  This ablation runs every candidate tile
-for real on a spread of conv shapes and asks: how close is the model's
-pick to the empirically best tile?  (This is the "semi-automated search
+for real, as the runner a session executes (Winograd weights transformed
+once, at build), on a spread of conv shapes and asks: how close is the
+model's pick to the empirically best tile?  (This is the "semi-automated search
 beats blind defaults without auto-tuning cost" claim at kernel scale.)
 """
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from repro.bench import time_callable
-from repro.core import SchemeConfig, select_conv_scheme
-from repro.kernels import conv2d
+from repro.core import SchemeConfig, SchemeDecision, bound_runner, select_conv_scheme
+from repro.ir import GraphBuilder
 
 RNG = np.random.default_rng(12)
 CFG = SchemeConfig()
@@ -26,17 +27,28 @@ SHAPES = [
 ]
 
 
-def _measure_tiles(k, ic, oc, size):
+def _make_case(k, ic, oc, size):
+    """One unpadded, bias-free k x k conv as a graph, and an input for it."""
+    b = GraphBuilder("tiles", seed=0)
+    b.output(b.conv(b.input("x", (1, ic, size, size)), oc, k, pad_mode="valid",
+                    bias=False, name="y"))
     x = RNG.standard_normal((1, ic, size, size)).astype(np.float32)
-    w = RNG.standard_normal((oc, ic, k, k)).astype(np.float32)
-    times = {}
-    for n in CFG.winograd_candidates:
-        if n <= 1 or n + k - 1 > CFG.max_tile:
-            continue
-        times[n] = time_callable(
-            lambda n=n: conv2d(x, w, scheme="winograd", tile=(n, n)), repeats=3
-        ).median_ms
-    return times
+    return b.finish(), x
+
+
+def _winograd_call(graph, x, n):
+    """A call of the session's Winograd runner with tile n x n, bound once."""
+    runner = bound_runner(graph.nodes[-1], graph, SchemeDecision("winograd", (n, n)))
+    return lambda: runner.fn([x])
+
+
+def _measure_tiles(k, ic, oc, size):
+    graph, x = _make_case(k, ic, oc, size)
+    return {
+        n: time_callable(_winograd_call(graph, x, n), repeats=3).median_ms
+        for n in CFG.winograd_candidates
+        if 1 < n and n + k - 1 <= CFG.max_tile
+    }
 
 
 def test_ablation_tile_search(report_table, benchmark):
@@ -57,9 +69,7 @@ def test_ablation_tile_search(report_table, benchmark):
              round(measured.get(picked_n, measured[best_n]), 1),
              f"{(regret - 1) * 100:.0f}%"]
         )
-    x = RNG.standard_normal((1, 64, 56, 56)).astype(np.float32)
-    w = RNG.standard_normal((64, 64, 3, 3)).astype(np.float32)
-    benchmark(lambda: conv2d(x, w, scheme="winograd", tile=(4, 4)))
+    benchmark(_winograd_call(*_make_case(3, 64, 64, 56), 4))
     report_table(
         "Ablation — model-chosen Winograd tile vs measured-best tile",
         ["conv (k,ic,oc,size)", "scheme", "model n", "best n",

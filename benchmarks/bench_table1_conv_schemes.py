@@ -6,25 +6,25 @@ Two views of the paper's three convolution settings (kernel, ic, oc, size)
 * **modeled cost** (the Eq. 2/3 metric the selector minimizes) — this is
   where the paper's shape must reproduce exactly: each fixed scheme wins
   one column and loses another; "Ours" tracks the per-column best.
-* **measured wall time** of this repo's kernels.  Both schemes run on
+* **measured wall time** of the runner a session executes for the
+  setting: :func:`repro.core.autotune.bound_runner` over a one-conv
+  graph, so Winograd weights are transformed once, at build, as
+  pre-inference does, and only the run is timed.  Both schemes run on
   OpenBLAS: sliding window is a tap gather plus one float32 ``W·T`` GEMM
-  per sample, and every Winograd stage is a float64 GEMM.  Measured on a
-  2-core x86 host (EXPERIMENTS.md), sliding window wins all three
-  settings in wall clock: (2,512,512,16) at ~4-5 ms vs ~39-45 ms for
-  n=2, and (3,64,64,112) at ~13-17 ms vs ~20-23 ms for the selector's
-  n=8, so the paper's third column no longer reproduces in wall clock.
-  The within-Winograd ranking transfers and is asserted below: the
-  selector's tile size n must beat the wrong fixed tile (WinoMin on big
-  maps, WinoMax on small maps).
+  per sample, and every Winograd stage is a float64 GEMM.  EXPERIMENTS.md
+  records the numbers and where the wall-clock columns depart from the
+  paper's.  The within-Winograd ranking transfers and is asserted below:
+  the selector's tile size n must beat the wrong fixed tile (WinoMin on
+  big maps, WinoMax on small maps).
 """
 
 import numpy as np
 import pytest
 
 from repro.bench import time_callable
-from repro.core import SchemeConfig, select_conv_scheme
+from repro.core import SchemeConfig, SchemeDecision, bound_runner, select_conv_scheme
 from repro.core.schemes import winograd_plane_cost
-from repro.kernels import conv2d
+from repro.ir import GraphBuilder
 
 CASES = [
     (2, 3, 16, 224),
@@ -43,9 +43,22 @@ CFG = SchemeConfig()
 
 
 def _make_case(k, ic, oc, size):
+    """One unpadded, bias-free k x k conv as a graph, and an input for it."""
+    b = GraphBuilder("table1", seed=0)
+    b.output(b.conv(b.input("x", (1, ic, size, size)), oc, k, pad_mode="valid",
+                    bias=False, name="y"))
     x = RNG.standard_normal((1, ic, size, size)).astype(np.float32)
-    w = RNG.standard_normal((oc, ic, k, k)).astype(np.float32)
-    return x, w
+    return b.finish(), x
+
+
+def _conv(graph, x, scheme):
+    """A call of the session runner for ``scheme``, bound once."""
+    runner = bound_runner(graph.nodes[-1], graph, scheme)
+    return lambda: runner.fn([x])
+
+
+def _winograd(n):
+    return SchemeDecision("winograd", (n, n))
 
 
 def _max_legal_n(k):
@@ -64,26 +77,30 @@ def _modeled_costs(k, ic, oc, size):
     }, decision
 
 
-def _measured_times(k, ic, oc, size, decision, repeats=5):
-    x, w = _make_case(k, ic, oc, size)
-    exec_scheme = decision.kind if decision.kind != "gemm1x1" else "sliding"
-    runs = {
-        "Sliding": lambda: conv2d(x, w, scheme="sliding"),
-        "WinoMin": lambda: conv2d(x, w, scheme="winograd", tile=(2, 2)),
-        "WinoMax": lambda: conv2d(x, w, scheme="winograd", tile=(_max_legal_n(k),) * 2),
-        "Ours": lambda: conv2d(x, w, scheme=exec_scheme, tile=decision.tile),
+def _measured_times(graph, x, k, decision, repeats=5):
+    """Median ms per column.  "Ours" is the selected scheme's runner, so a
+    column that runs the same scheme reuses its one measurement."""
+    schemes = {
+        "Sliding": SchemeDecision("sliding"),
+        "WinoMin": _winograd(2),
+        "WinoMax": _winograd(_max_legal_n(k)),
+        "Ours": decision,
     }
-    return {name: time_callable(fn, repeats=repeats).median_ms for name, fn in runs.items()}
+    by_label = {}
+    for scheme in schemes.values():
+        if scheme.label not in by_label:
+            by_label[scheme.label] = time_callable(
+                _conv(graph, x, scheme), repeats=repeats).median_ms
+    return {name: by_label[scheme.label] for name, scheme in schemes.items()}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[str(c) for c in CASES])
 def test_table1_per_setting(case, report_table, benchmark):
     k, ic, oc, size = case
     modeled, decision = _modeled_costs(k, ic, oc, size)
-    measured = _measured_times(k, ic, oc, size, decision)
-    x, w = _make_case(k, ic, oc, size)
-    exec_scheme = decision.kind if decision.kind != "gemm1x1" else "sliding"
-    benchmark(lambda: conv2d(x, w, scheme=exec_scheme, tile=decision.tile))
+    graph, x = _make_case(k, ic, oc, size)
+    measured = _measured_times(graph, x, k, decision)
+    benchmark(_conv(graph, x, decision))
 
     paper = PAPER[case]
     report_table(
@@ -106,8 +123,7 @@ def test_table1_per_setting(case, report_table, benchmark):
 
 def test_table1_no_fixed_scheme_wins_everywhere(report_table, benchmark):
     """Paper's point: every fixed scheme has a losing column (modeled)."""
-    x, w = _make_case(*CASES[0])
-    benchmark(lambda: conv2d(x, w, scheme="sliding"))
+    benchmark(_conv(*_make_case(*CASES[0]), SchemeDecision("sliding")))
     losses = {"Sliding": 0, "WinoMin": 0, "WinoMax": 0}
     rows = []
     for case in CASES:
@@ -128,22 +144,14 @@ def test_table1_no_fixed_scheme_wins_everywhere(report_table, benchmark):
 def test_table1_winograd_tile_ranking_transfers(report_table, benchmark):
     """Within-Winograd wall-clock ranking matches the paper's Min/Max rows:
     small maps favor small tiles, big maps favor big tiles."""
-    x_small, w_small = _make_case(2, 512, 512, 16)
-    x_big, w_big = _make_case(3, 64, 64, 112)
-    benchmark(lambda: conv2d(x_small, w_small, scheme="winograd", tile=(2, 2)))
+    small = _make_case(2, 512, 512, 16)
+    big = _make_case(3, 64, 64, 112)
+    benchmark(_conv(*small, _winograd(2)))
     t_small = {
-        n: time_callable(
-            lambda n=n: conv2d(x_small, w_small, scheme="winograd", tile=(n, n)),
-            repeats=3,
-        ).median_ms
-        for n in (2, 8)
+        n: time_callable(_conv(*small, _winograd(n)), repeats=3).median_ms for n in (2, 8)
     }
     t_big = {
-        n: time_callable(
-            lambda n=n: conv2d(x_big, w_big, scheme="winograd", tile=(n, n)),
-            repeats=3,
-        ).median_ms
-        for n in (2, 8)
+        n: time_callable(_conv(*big, _winograd(n)), repeats=3).median_ms for n in (2, 8)
     }
     report_table(
         "Table 1 — Winograd tile ranking (measured ms)",

@@ -2,7 +2,7 @@
 
 from .cost import BackendCostModel, node_muls, strassen_mul_factor, winograd_tile_cost
 from .memory import MemoryPlan, TensorLifetime, compute_lifetimes, plan_memory
-from .autotune import TuneReport, autotune_schemes
+from .autotune import TuneReport, autotune_schemes, bound_runner
 from .schemes import (
     SchemeConfig,
     SchemeDecision,
@@ -35,6 +35,7 @@ __all__ = [
     "winograd_plane_cost",
     "TuneReport",
     "autotune_schemes",
+    "bound_runner",
     "OpProfile",
     "RunStats",
     "Session",

@@ -2,11 +2,15 @@
 "applying auto-tuning during backend evaluation").
 
 Where pre-inference *predicts* the best convolution scheme from the Eq. 2
-cost model, the auto-tuner *measures* every legal candidate on the actual
-kernels with the layer's true shapes and picks the empirical winner.  This
-recovers TVM-style measured quality while staying on-device and taking
-milliseconds-to-seconds, not hours, because the candidate pool per layer
-is the small scheme pool rather than an open schedule space.
+cost model, the auto-tuner *measures* every legal candidate and picks the
+empirical winner.  It times the program a session runs: each candidate
+is the layer's :func:`~repro.backends.op_runners.build_runner` runner
+(Winograd weights transformed once, at build, as pre-inference does),
+bound to an output array and a kernel scratch as a session's arena binds
+it, fed an input of the layer's true shape.  This recovers TVM-style
+measured quality while staying on-device and taking milliseconds to
+seconds, not hours, because the candidate pool per layer is the small
+scheme pool rather than an open schedule space.
 """
 
 from __future__ import annotations
@@ -17,13 +21,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from ..backends.op_runners import OpRunner, build_runner
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op
-from ..ir.shape_inference import resolve_padding
-from ..kernels.conv import conv2d
+from ..kernels import aligned_empty
 from .schemes import SchemeConfig, SchemeDecision, select_conv_scheme, winograd_tiles
 
-__all__ = ["TuneReport", "autotune_schemes"]
+__all__ = ["TuneReport", "autotune_schemes", "bound_runner"]
 
 
 @dataclass
@@ -42,37 +46,6 @@ class TuneReport:
     model_decisions: Dict[str, SchemeDecision] = field(default_factory=dict)
     tuning_ms: float = 0.0
 
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serializable form — lets ``cli warm``/the serving cache
-        persist measured overrides next to the model-predicted schemes."""
-        return {
-            "decisions": {n: d.to_json() for n, d in self.decisions.items()},
-            "measurements": {n: dict(t) for n, t in self.measurements.items()},
-            "model_decisions": {
-                n: d.to_json() for n, d in self.model_decisions.items()
-            },
-            "tuning_ms": self.tuning_ms,
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "TuneReport":
-        """Inverse of :meth:`to_json`."""
-        return cls(
-            decisions={
-                str(n): SchemeDecision.from_json(d)
-                for n, d in dict(data.get("decisions", {})).items()
-            },
-            measurements={
-                str(n): {str(k): float(v) for k, v in dict(t).items()}
-                for n, t in dict(data.get("measurements", {})).items()
-            },
-            model_decisions={
-                str(n): SchemeDecision.from_json(d)
-                for n, d in dict(data.get("model_decisions", {})).items()
-            },
-            tuning_ms=float(data.get("tuning_ms", 0.0)),
-        )
-
     def agreement_with_model(self) -> float:
         """Fraction of convs where measurement confirms the cost model."""
         if not self.decisions:
@@ -86,12 +59,23 @@ class TuneReport:
         return same / len(self.decisions)
 
 
-def _measure(fn, repeats: int) -> float:
-    fn()  # warm-up (also builds Winograd transforms once)
+def bound_runner(node: Node, graph: Graph, scheme: SchemeDecision) -> OpRunner:
+    """``build_runner(node, graph, scheme)``, bound as a session's arena
+    binds it (:func:`repro.core.plan.bind_arena`): to one output array of
+    the node's static shape and a scratch of ``runner.scratch_bytes``."""
+    runner = build_runner(node, graph, scheme)
+    desc = graph.desc(node.outputs[0])
+    runner.bind(np.empty(desc.shape, desc.dtype.np_dtype), aligned_empty(runner.scratch_bytes))
+    return runner
+
+
+def _measure(runner: OpRunner, x: np.ndarray, repeats: int) -> float:
+    fn, inputs = runner.fn, [x]
+    fn(inputs)  # warm-up: first touch of the output and the scratch
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
+        fn(inputs)
         best = min(best, time.perf_counter() - start)
     return best * 1000.0
 
@@ -129,11 +113,7 @@ def autotune_schemes(
         stride = tuple(node.attrs["stride"])
         dilation = tuple(node.attrs["dilation"])
         groups = int(node.attrs["groups"])
-        pads = resolve_padding(
-            node.attrs["pad_mode"], node.attrs["pad"], x_desc.shape[2:],
-            kernel, stride, dilation,
-        )
-        x = rng.standard_normal(x_desc.shape).astype(np.float32)
+        x = rng.standard_normal(x_desc.shape).astype(x_desc.dtype.np_dtype)
 
         candidates = [SchemeDecision("sliding")] + [
             SchemeDecision("winograd", tile)
@@ -146,13 +126,8 @@ def autotune_schemes(
         for candidate in candidates:
             try:
                 timings[candidate.label] = _measure(
-                    lambda c=candidate: conv2d(
-                        x, weights, None, stride, pads, dilation, groups,
-                        scheme=c.kind, tile=c.tile,
-                    ),
-                    repeats,
-                )
-            except (ValueError, MemoryError):
+                    bound_runner(node, graph, candidate), x, repeats)
+            except MemoryError:
                 continue
             by_label[candidate.label] = candidate
         if not timings:

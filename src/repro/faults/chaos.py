@@ -341,7 +341,7 @@ def _generation_config(
     return GenerationConfig(
         **_DECODER, prefix_cache=prefix,
         session=SessionConfig(breaker_cooldown_s=0.0),
-        metrics=get_metrics(), faults=plan, retain_kv=True,
+        metrics=get_metrics(), faults=plan,
         sanitize=sanitizer, requests=tracker, kv_dtype=kv_dtype,
     )
 

@@ -59,10 +59,8 @@ class GenerationConfig:
     max_batch: int = 4
     page_tokens: int = 8
     capacity_tokens: Optional[int] = None
-    retain_kv: bool = True
     #: Serve common prompt prefixes from retired sequences' KV slabs
-    #: (copy-on-write) instead of re-prefilling.  Opt-in; requires
-    #: ``retain_kv`` to have anything to match against.  Token outputs
+    #: (copy-on-write) instead of re-prefilling.  Opt-in.  Token outputs
     #: are bit-identical with the cache on or off.
     prefix_cache: bool = False
     #: Shortest prefix worth sharing; shorter matches re-prefill.
@@ -177,7 +175,6 @@ class GenerationEngine:
             self.allocator,
             max_batch=config.max_batch,
             max_seq=config.max_seq,
-            retain_kv=config.retain_kv,
             prefix_cache=self.prefix_cache,
             sampler=self.sampler,
             runtime=self.runtime,

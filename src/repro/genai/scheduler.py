@@ -103,7 +103,6 @@ class ContinuousBatchScheduler:
         allocator: KVCacheAllocator,
         max_batch: int,
         max_seq: int,
-        retain_kv: bool = True,
         max_preemptions: int = 2,
         prefix_cache: Optional[PrefixCache] = None,
         sampler: Optional[ResourceSampler] = None,
@@ -114,12 +113,10 @@ class ContinuousBatchScheduler:
         self.allocator = allocator
         self.max_batch = max_batch
         self.max_seq = max_seq
-        self.retain_kv = retain_kv
         self.max_preemptions = max_preemptions
         #: When set, finished sequences register their retired slabs by
         #: token path and admission serves matching prompt prefixes from
-        #: them copy-on-write instead of re-prefilling (requires
-        #: ``retain_kv`` for entries to outlive their sequence).
+        #: them copy-on-write instead of re-prefilling.
         self.prefix_cache = prefix_cache
         runtime = runtime if runtime is not None else Runtime.resolve()
         self.metrics = runtime.metrics
@@ -155,8 +152,8 @@ class ContinuousBatchScheduler:
                 self.requests.dump(trigger, request.request_id, detail=message)
 
     def _retire(self, results: Dict[str, GenResult], seq: _Sequence) -> None:
-        self.allocator.release(seq.slab, evictable=self.retain_kv)
-        if self.prefix_cache is not None and self.retain_kv:
+        self.allocator.release(seq.slab, evictable=True)
+        if self.prefix_cache is not None:
             # The retired slab's rows cover prompt + generated tokens;
             # register the written ones so later prompts sharing the
             # prefix can alias them copy-on-write.

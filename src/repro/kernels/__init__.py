@@ -22,7 +22,7 @@ from .winograd import (
     winograd_conv2d_with_kernel,
     winograd_workspace,
 )
-from .conv import apply_activation, conv2d, conv2d_1x1, conv2d_im2col, im2col, im2col_workspace
+from .conv import apply_activation, conv2d_1x1, conv2d_im2col, im2col, im2col_workspace
 from .depthwise import (
     depthwise_conv2d,
     depthwise_conv2d_packed,
@@ -58,7 +58,6 @@ from .qgemm import (
 from .quantized import (
     qconv2d,
     quantize_float,
-    quantize_tensor,
     quantize_weights_per_channel,
 )
 
@@ -98,7 +97,6 @@ __all__ = [
     "aligned_empty",
     "workspace_bytes",
     "apply_activation",
-    "conv2d",
     "conv2d_1x1",
     "conv2d_im2col",
     "im2col",
@@ -143,6 +141,5 @@ __all__ = [
     "quantize_float",
     "quantize_rowwise",
     "quantize_symmetric",
-    "quantize_tensor",
     "quantize_weights_per_channel",
 ]

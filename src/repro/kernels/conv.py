@@ -1,4 +1,4 @@
-"""Convolution kernels: sliding-window (im2col), 1x1-as-GEMM, and dispatch.
+"""Convolution kernels: sliding-window (im2col) and 1x1-as-GEMM.
 
 The scheme names follow the paper's convolution scheme pool (Section 3.2):
 
@@ -10,7 +10,8 @@ The scheme names follow the paper's convolution scheme pool (Section 3.2):
   (Section 3.3.2) when the size makes it worthwhile.
 
 Which scheme runs is decided by pre-inference (:mod:`repro.core.schemes`);
-these functions just execute a chosen scheme.
+:func:`repro.backends.op_runners.build_runner` turns that decision into
+the runner a session executes, and these functions are its kernels.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .matmul import GemmStats, strassen_matmul, strassen_recurses
-from .winograd import winograd_conv2d
 from .workspace import Spec, carve, pad_into
 
 __all__ = [
-    "tap_view", "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1", "conv2d",
+    "tap_view", "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1",
     "apply_activation",
 ]
 
@@ -227,38 +227,3 @@ def conv2d_1x1(
     if bias is not None:
         out += bias.reshape(1, -1, 1, 1)
     return out
-
-
-def conv2d(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    stride: Tuple[int, int] = (1, 1),
-    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
-    dilation: Tuple[int, int] = (1, 1),
-    groups: int = 1,
-    scheme: str = "sliding",
-    tile: Tuple[int, int] = (2, 2),
-    activation: Optional[str] = None,
-    stats: Optional[GemmStats] = None,
-) -> np.ndarray:
-    """Execute a convolution with an explicitly chosen scheme.
-
-    ``scheme`` is one of ``"sliding"``, ``"winograd"``, ``"gemm1x1"``.
-    Winograd runs output tile ``tile = (nh, nw)`` and requires stride 1,
-    dilation 1 and groups == 1; violations raise ``ValueError`` (the
-    selector never picks Winograd for those cases).
-    """
-    if scheme == "gemm1x1":
-        if groups != 1:
-            raise ValueError("gemm1x1 scheme does not support groups")
-        y = conv2d_1x1(x, weights, bias, stride, stats=stats, pads=pads)
-    elif scheme == "winograd":
-        if groups != 1 or dilation != (1, 1):
-            raise ValueError("winograd scheme requires groups=1, dilation=1")
-        y = winograd_conv2d(x, weights, bias, tile, pads, stride)
-    elif scheme == "sliding":
-        y = conv2d_im2col(x, weights, bias, stride, pads, dilation, groups, stats=stats)
-    else:
-        raise ValueError(f"unknown conv scheme {scheme!r}")
-    return apply_activation(y, activation)

@@ -16,7 +16,7 @@ import numpy as np
 from .conv import tap_view
 from .qgemm import exact_int_gemm
 
-__all__ = ["quantize_float", "quantize_tensor", "quantize_weights_per_channel", "qconv2d"]
+__all__ = ["quantize_float", "quantize_weights_per_channel", "qconv2d"]
 
 
 def quantize_float(x: np.ndarray, scale: float) -> np.ndarray:
@@ -24,11 +24,6 @@ def quantize_float(x: np.ndarray, scale: float) -> np.ndarray:
     if scale <= 0:
         raise ValueError(f"quantization scale must be positive, got {scale}")
     return np.clip(np.round(x / scale), -127, 127)
-
-
-def quantize_tensor(x: np.ndarray, scale: float) -> np.ndarray:
-    """Quantize to int8 with a symmetric scale (zero point 0)."""
-    return quantize_float(x, scale).astype(np.int8)
 
 
 def quantize_weights_per_channel(

@@ -189,19 +189,6 @@ class Tracer:
             counter=True,
         )
 
-    def name_thread(self, name: str, tid: Optional[int] = None) -> None:
-        """Register a display name for a thread's trace lane.
-
-        Spans auto-capture ``threading.current_thread().name`` at record
-        time; this override is for threads whose Python-level name is
-        uninformative or that never record spans themselves (a lane that
-        only receives counter samples, say).
-        """
-        if tid is None:
-            tid = threading.get_ident()
-        with self._lock:
-            self._thread_names[tid] = name
-
     def _state(self):
         tls = self._tls
         if not hasattr(tls, "depth"):

@@ -29,6 +29,3 @@ class VirtualClock:
 
     def reset(self) -> None:
         self._now_ms = 0.0
-
-    def elapsed_since(self, mark_ms: float) -> float:
-        return self._now_ms - mark_ms

@@ -46,6 +46,34 @@ class TestAutotune:
             for label in report.measurements[strided]
         )
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_times_each_built_runner_and_transforms_weights_once(self, repeats, monkeypatch):
+        """Every (conv, candidate) is built once by the session's
+        ``build_runner``, which transforms Winograd weights at build; the
+        timing repeats rerun the bound runner, never the transform."""
+        from repro import kernels
+        from repro.core import autotune
+
+        built, transformed = [], []
+        build, transform = autotune.build_runner, kernels.transform_kernel_rect
+
+        def spy_build(node, graph, scheme=None, **kwargs):
+            built.append((node.name, scheme.label))
+            return build(node, graph, scheme, **kwargs)
+
+        def spy_transform(*args, **kwargs):
+            transformed.append(built[-1])
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(autotune, "build_runner", spy_build)
+        monkeypatch.setattr(kernels, "transform_kernel_rect", spy_transform)
+        report = autotune_schemes(conv_net(), repeats=repeats)
+        assert len(built) == len(set(built))
+        assert {(name, label) for name, timings in report.measurements.items()
+                for label in timings} == set(built)
+        winograd = [key for key in built if key[1].startswith("winograd")]
+        assert winograd and transformed == winograd
+
     def test_model_agreement_metric(self):
         report = autotune_schemes(conv_net(), repeats=1)
         assert 0.0 <= report.agreement_with_model() <= 1.0

@@ -155,6 +155,13 @@ class TestSchemeDecision:
         with pytest.raises(BackendError, match="stride 1"):
             build_runner(g.nodes[-1], g, SchemeDecision("winograd", (2, 2)))
 
+    def test_build_runner_rejects_winograd_with_groups(self):
+        b = GraphBuilder("grouped", seed=0)
+        b.output(b.conv(b.input("in", (1, 4, 8, 8)), oc=4, kernel=3, groups=2, name="g"))
+        g = b.finish()
+        with pytest.raises(BackendError, match="groups 1"):
+            build_runner(g.nodes[-1], g, SchemeDecision("winograd", (2, 2)))
+
     def test_agreement_with_model_sees_tiles(self):
         measured = SchemeDecision("winograd", (1, 2))
         report = TuneReport(decisions={"c17": measured},

@@ -238,13 +238,13 @@ class TestScheduler:
         """Admission control: an arena with room for ~one sequence forces
         serial execution, never failure."""
         engine = small_engine(max_batch=4, capacity_tokens=16, page_tokens=4,
-                              max_seq=12, retain_kv=False)
+                              max_seq=12)
         results = engine.generate(prompts(4, lo=2, hi=5),
                                   SamplingParams(max_tokens=4))
         assert all(r.finish_reason == "length" for r in results)
 
     def test_retain_kv_retires_slabs_for_lazy_eviction(self):
-        engine = small_engine(retain_kv=True, capacity_tokens=16, max_seq=12,
+        engine = small_engine(capacity_tokens=16, max_seq=12,
                               page_tokens=4, max_batch=1)
         engine.generate(prompts(4, lo=2, hi=5), SamplingParams(max_tokens=3))
         # Finished slabs were retired, and later admissions had to evict.
@@ -304,7 +304,7 @@ class TestEngineFrontDoor:
     def test_repeated_raw_prompt_calls_orphan_no_kv_pages(self):
         """Raw prompts used to be ``req-0..`` again on every call, and the
         reused id dropped the earlier retired slab with its pages held."""
-        engine = small_engine(sanitize=True, retain_kv=True)
+        engine = small_engine(sanitize=True)
         alloc = engine.allocator
         total = alloc.config.total_pages
         first = engine.generate(prompts(3), SamplingParams(max_tokens=4))

@@ -41,8 +41,7 @@ def make_allocator(**overrides):
 
 
 SMALL = dict(vocab=48, max_seq=32, d_model=16, heads=2, layers=1, seed=4,
-             max_batch=2, page_tokens=4, capacity_tokens=128,
-             retain_kv=True)
+             max_batch=2, page_tokens=4, capacity_tokens=128)
 
 
 def small_engine(**overrides):

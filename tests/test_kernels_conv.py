@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.backends.base import BackendError
 from repro.backends.op_runners import build_runner
 from repro.core import Session, SessionConfig, node_muls
 from repro.core.schemes import SchemeDecision, select_graph_schemes
@@ -13,7 +14,6 @@ from repro.ir import GraphBuilder
 from repro.kernels import (
     GemmStats,
     aligned_empty,
-    conv2d,
     conv2d_1x1,
     conv2d_im2col,
     depthwise_conv2d,
@@ -412,7 +412,7 @@ class TestPaddedConvSchemes:
             if stride == 1:
                 candidates += [SchemeDecision("winograd", (n, n)) for n in (2, 4, 6, 8)]
         feed = RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)
-        want = conv2d(feed, weights, bias, (stride, stride), (1, 1, 1, 1), scheme="sliding")
+        want = conv2d_naive(feed, weights, bias, (stride, stride), (1, 1, 1, 1))
         assert want.shape == out_shape
         for decision in candidates:
             session = Session(graph, SessionConfig(scheme_overrides={"c": decision}))
@@ -422,37 +422,34 @@ class TestPaddedConvSchemes:
 
 
 class TestDispatch:
+    """``build_runner`` is where a conv's scheme becomes code."""
+
+    @staticmethod
+    def _conv(shape, oc, kernel, activation=None):
+        b = GraphBuilder("dispatch", seed=5)
+        b.output(b.conv(b.input("x", shape), oc, kernel, activation=activation, name="y"))
+        graph = b.finish()
+        return graph, graph.nodes[-1], RNG.standard_normal(shape).astype(np.float32)
+
     def test_all_schemes_agree(self):
-        x = RNG.standard_normal((1, 8, 16, 16)).astype(np.float32)
-        w = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
-        pads = (1, 1, 1, 1)
-        sliding = conv2d(x, w, pads=pads, scheme="sliding")
-        wino = conv2d(x, w, pads=pads, scheme="winograd", tile=(2, 2))
+        graph, node, x = self._conv((1, 8, 16, 16), 8, 3)
+        [sliding] = build_runner(node, graph, SchemeDecision("sliding")).fn([x])
+        [wino] = build_runner(node, graph, SchemeDecision("winograd", (2, 2))).fn([x])
         np.testing.assert_allclose(sliding, wino, atol=1e-3)
 
     def test_gemm1x1_scheme(self):
-        x = RNG.standard_normal((1, 8, 8, 8)).astype(np.float32)
-        w = RNG.standard_normal((4, 8, 1, 1)).astype(np.float32)
-        got = conv2d(x, w, scheme="gemm1x1")
-        want = conv2d_naive(x, w)
+        graph, node, x = self._conv((1, 8, 8, 8), 4, 1)
+        [got] = build_runner(node, graph, SchemeDecision("gemm1x1")).fn([x])
+        want = conv2d_naive(x, *(graph.constants[name] for name in node.inputs[1:]))
         np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_fused_activation(self):
-        x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        w = RNG.standard_normal((4, 4, 3, 3)).astype(np.float32)
-        y = conv2d(x, w, pads=(1, 1, 1, 1), scheme="sliding", activation="relu")
-        assert (y >= 0).all()
-        y6 = conv2d(x, w, pads=(1, 1, 1, 1), scheme="sliding", activation="relu6")
-        assert (y6 <= 6).all() and (y6 >= 0).all()
+        for activation, high in (("relu", np.inf), ("relu6", 6)):
+            graph, node, x = self._conv((1, 4, 8, 8), 4, 3, activation)
+            [y] = build_runner(node, graph, SchemeDecision("sliding")).fn([x * 100])
+            assert (y >= 0).all() and (y <= high).all() and y.max() > 0
 
     def test_unknown_scheme(self):
-        x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        w = RNG.standard_normal((4, 4, 3, 3)).astype(np.float32)
-        with pytest.raises(ValueError, match="scheme"):
-            conv2d(x, w, scheme="magic")
-
-    def test_winograd_rejects_groups(self):
-        x = RNG.standard_normal((1, 4, 8, 8)).astype(np.float32)
-        w = RNG.standard_normal((4, 2, 3, 3)).astype(np.float32)
-        with pytest.raises(ValueError, match="winograd"):
-            conv2d(x, w, scheme="winograd", groups=2)
+        graph, node, _ = self._conv((1, 4, 8, 8), 4, 3)
+        with pytest.raises(BackendError, match="scheme"):
+            build_runner(node, graph, SchemeDecision("magic"))

@@ -318,7 +318,7 @@ class TestEngine:
         # steps agree bitwise, so the prefix cache cannot perturb
         # quantized tokens
         off = generate(engine_config())
-        on = generate(engine_config(prefix_cache=True, retain_kv=True))
+        on = generate(engine_config(prefix_cache=True))
         assert off == on
 
     def test_stats_report_quantized_bytes_per_token(self):

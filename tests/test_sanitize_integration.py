@@ -278,7 +278,7 @@ class TestSanitizedGenai:
     def test_retained_kv_slabs_are_not_leaks(self):
         from repro.genai import SamplingParams
 
-        engine = self._engine(retain_kv=True)
+        engine = self._engine()
         engine.generate([[1, 2, 3]], SamplingParams(max_tokens=4))
         engine.close()
         report = engine.sanitizer.report()
