@@ -44,13 +44,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..ir.graph import Graph, GraphError, Node
+from ..ir.graph import Graph, GraphError, Node, toposort
 from ..ir.ops import Op, get_schema
 from ..ir.shape_inference import infer_node_outputs
 from ..ir.tensor import DataType, TensorDesc
 from .diagnostics import Diagnostic, Severity, error, sort_diagnostics, warning
 
-__all__ = ["LintRule", "LintContext", "lint_graph", "all_rules", "rule"]
+__all__ = [
+    "LintRule", "LintContext", "STRUCTURAL_RULES", "lint_graph", "all_rules", "rule",
+]
 
 
 class LintContext:
@@ -69,49 +71,14 @@ class LintContext:
         for node in graph.nodes:
             for out in node.outputs:
                 self.producers.setdefault(out, node)
-        self.consumers: Dict[str, List[Node]] = {}
-        for node in graph.nodes:
-            for inp in node.inputs:
-                self.consumers.setdefault(inp, []).append(node)
+        self.consumers = graph.consumer_map()
         self.available = set(graph.inputs) | set(graph.constants)
-        self.order = self._toposort_tolerant()
+        #: execution order over that map; nodes on a cycle are left out
+        #: (the ``cycle`` rule compares lengths).
+        self.order = toposort(graph.nodes, self.producers)
 
     def desc(self, tensor: str) -> Optional[TensorDesc]:
         return self.graph.tensor_descs.get(tensor)
-
-    def _toposort_tolerant(self) -> List[Node]:
-        """Kahn's algorithm over the first-wins producer map.
-
-        Nodes stuck in a cycle are omitted (the ``cycle`` rule compares
-        lengths).
-        """
-        graph = self.graph
-        index = {id(node): i for i, node in enumerate(graph.nodes)}
-        indegree: Dict[int, int] = {}
-        dependents: Dict[int, List[int]] = {}
-        for i, node in enumerate(graph.nodes):
-            deps = {
-                id(self.producers[inp])
-                for inp in node.inputs
-                if inp in self.producers and self.producers[inp] is not node
-            }
-            indegree[i] = len(deps)
-            for dep in deps:
-                dependents.setdefault(index[dep], []).append(i)
-        ready = deque(i for i, deg in indegree.items() if deg == 0)
-        order: List[Node] = []
-        seen = set()
-        while ready:
-            i = ready.popleft()
-            if i in seen:
-                continue
-            seen.add(i)
-            order.append(graph.nodes[i])
-            for j in dependents.get(i, ()):
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
-        return order
 
 
 RuleFn = Callable[[LintContext], Iterator[Diagnostic]]
@@ -147,9 +114,19 @@ def all_rules() -> Tuple[LintRule, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Structural rules (shared with Graph.check — re-emitted here so the linter
-# is a one-stop report even on structurally broken graphs).
+# Structural rules.  The five in STRUCTURAL_RULES are the only code that
+# checks these invariants: Graph.check/validate run exactly them (every
+# Session prepare, load_model, frontend and optimizer pass), and a full
+# lint runs them with the rest, so the linter is a one-stop report even on
+# structurally broken graphs.
 # ---------------------------------------------------------------------------
+
+#: The rule ids :meth:`repro.ir.Graph.check` runs.
+STRUCTURAL_RULES: Tuple[str, ...] = (
+    "dangling-input", "unproduced-output", "double-producer",
+    "duplicate-node-name", "cycle",
+)
+
 
 @rule("dangling-input", "node reads a tensor nobody defines")
 def _dangling_input(ctx: LintContext) -> Iterator[Diagnostic]:
@@ -182,7 +159,7 @@ def _double_producer(ctx: LintContext) -> Iterator[Diagnostic]:
             if first is not None and first is not node:
                 yield error(
                     "double-producer",
-                    f"tensor {out!r} produced by both {first.name!r} and {node.name!r}",
+                    f"tensor {out!r} produced by two nodes ({first.name!r} and {node.name!r})",
                     node=node.name, tensor=out,
                     hint="rename one of the outputs",
                 )

@@ -6,8 +6,8 @@ that still runs — just computes something else.  This wrapper makes every
 pass prove itself.  After each pass application that reports a change, the
 verifier re-checks
 
-1. **structure** — :meth:`Graph.check` plus the full lint rule set
-   (errors only),
+1. **structure** — the full lint rule set, errors only (its structural
+   rules are the ones :meth:`Graph.check` runs),
 2. **shapes** — shape inference must still succeed and graph outputs must
    keep their descriptors' shapes/dtypes,
 3. **numerics** — a reference execution on a fixed random input must match
@@ -127,10 +127,8 @@ class VerifyingPassManager(PassManager):
     ) -> None:
         from ..core.reference import execute_reference
 
-        # (1) structure: aggregate validation + lint errors.
-        diags = list(graph.check())
-        if not diags:
-            diags = [d for d in lint_graph(graph) if d.severity is Severity.ERROR]
+        # (1) structure: every lint error, the structural rules included.
+        diags = [d for d in lint_graph(graph) if d.severity is Severity.ERROR]
         if diags:
             raise PassVerificationError(
                 p.name, round_idx, format_diagnostics(diags), diags

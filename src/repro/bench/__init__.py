@@ -4,7 +4,6 @@ from .harness import (
     TimingResult,
     bench_record,
     format_table,
-    print_table,
     time_callable,
     write_bench_result,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "TimingResult",
     "bench_record",
     "format_table",
-    "print_table",
     "time_callable",
     "write_bench_result",
     "ClosedLoopReport",

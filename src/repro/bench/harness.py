@@ -25,7 +25,6 @@ __all__ = [
     "TimingResult",
     "time_callable",
     "format_table",
-    "print_table",
     "bench_record",
     "write_bench_result",
 ]
@@ -108,10 +107,6 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.1f}"
     return str(value)
-
-
-def print_table(headers, rows, title=None) -> None:
-    print("\n" + format_table(headers, rows, title) + "\n")
 
 
 # -- machine-readable bench results -----------------------------------------

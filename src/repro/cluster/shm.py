@@ -41,17 +41,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..kernels.workspace import ALIGNMENT, align_up
 from .errors import StaleSegment
 
 __all__ = ["TensorSpec", "ShmSegment", "payload_bytes", "HEADER_BYTES"]
 
 #: Segment header: an 8-byte generation counter, padded to one cache line.
-HEADER_BYTES = 64
-_ALIGN = 64
-
-
-def _aligned(n: int) -> int:
-    return (n + _ALIGN - 1) // _ALIGN * _ALIGN
+HEADER_BYTES = ALIGNMENT
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ def payload_bytes(arrays: Dict[str, np.ndarray]) -> int:
     """Segment bytes needed to hold ``arrays`` (header + aligned tensors)."""
     total = HEADER_BYTES
     for arr in arrays.values():
-        total += _aligned(int(arr.nbytes))
+        total += align_up(int(arr.nbytes))
     return total
 
 
@@ -91,7 +87,7 @@ class ShmSegment:
     @classmethod
     def create(cls, name: str, size: int, sanitizer=None) -> "ShmSegment":
         """Create (and own) a segment of at least ``size`` bytes."""
-        size = max(int(size), HEADER_BYTES + _ALIGN)
+        size = max(int(size), HEADER_BYTES + ALIGNMENT)
         shm = shared_memory.SharedMemory(name=name, create=True, size=size)
         shm.buf[:HEADER_BYTES] = b"\0" * HEADER_BYTES
         seg = cls(shm, owner=True, sanitizer=sanitizer)
@@ -168,7 +164,7 @@ class ShmSegment:
                 name=name, shape=tuple(int(d) for d in arr.shape),
                 dtype=arr.dtype.str, offset=offset, nbytes=int(arr.nbytes),
             ))
-            offset += _aligned(int(arr.nbytes))
+            offset += align_up(int(arr.nbytes))
         self.stamp(generation)
         return specs
 

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op
+from ..kernels.workspace import ALIGNMENT, align_up
 
 __all__ = [
     "TensorLifetime",
@@ -41,14 +42,6 @@ __all__ = [
     "ExtentFreeList",
     "FreeListError",
 ]
-
-#: Byte alignment for every tensor in the arena (cache-line friendly).
-ALIGNMENT = 64
-
-
-def _align(n: int) -> int:
-    return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
-
 
 @dataclass(frozen=True)
 class TensorLifetime:
@@ -191,7 +184,7 @@ class MemoryPlan:
         """
         if set(self.offsets) != set(self.lifetimes):
             return False
-        if not 0 <= self.arena_bytes <= sum(_align(t.nbytes) for t in self.lifetimes.values()):
+        if not 0 <= self.arena_bytes <= sum(align_up(t.nbytes) for t in self.lifetimes.values()):
             return False
         entering = []
         for name, life in self.lifetimes.items():
@@ -301,7 +294,7 @@ def plan_memory(
     offsets: Dict[str, int] = {}
     for tensor in todo:
         conflicts = sorted(
-            (off, off + _align(other.nbytes))
+            (off, off + align_up(other.nbytes))
             for off, other in placed
             if tensor.overlaps(other)
         )
@@ -312,7 +305,7 @@ def plan_memory(
             candidate = max(candidate, end)
         offsets[tensor.name] = candidate
         placed.append((candidate, tensor))
-    arena = max((off + _align(life.nbytes) for off, life in placed), default=0)
+    arena = max((off + align_up(life.nbytes) for off, life in placed), default=0)
     total = sum(t.nbytes for t in lifetimes.values())
     return MemoryPlan(offsets, arena, total, lifetimes)
 

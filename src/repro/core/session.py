@@ -86,8 +86,7 @@ class SessionConfig:
             Disabling reproduces the "w/o" rows of Table 2.
         use_strassen: allow Strassen for large GEMMs.
         auto_backend: pick the cheapest backend by Eq. 4 among
-            ``candidate_backends`` instead of ``backend``.
-        candidate_backends: pool for auto selection.
+            ``"sim_cpu"`` and the device's GPU APIs instead of ``backend``.
         scheme_overrides: per-conv-node scheme decisions that take
             precedence over the cost-model search — typically the output
             of :func:`repro.core.autotune.autotune_schemes`.
@@ -113,7 +112,6 @@ class SessionConfig:
     decouple: bool = True
     use_strassen: bool = True
     auto_backend: bool = False
-    candidate_backends: Tuple[str, ...] = ()
     scheme_overrides: Optional[Dict[str, SchemeDecision]] = None
     paranoid: bool = False
     check_feeds: bool = True
@@ -386,12 +384,9 @@ class Session:
                             # Cached Eq. 4 winner: skip re-costing every candidate.
                             primary_kind = artifacts.backend_kind
                         else:
-                            candidates = (
-                                cfg.candidate_backends
-                                or ("sim_cpu",) + cfg.device.gpu_apis
-                            )
                             primary_kind = choose_backend(
-                                self.graph, cfg.device, cfg.threads, candidates
+                                self.graph, cfg.device, cfg.threads,
+                                ("sim_cpu",) + cfg.device.gpu_apis,
                             )
                     self.primary = self._make_backend(primary_kind)
                     if primary_kind in ("cpu", "sim_cpu"):

@@ -19,7 +19,6 @@ turn import this package — import it lazily (the CLI and tests do).
 """
 
 from .errors import (
-    CircuitOpen,
     DeadlineExceeded,
     FatalFault,
     InjectedFault,
@@ -46,7 +45,6 @@ __all__ = [
     "ResilienceError",
     "DeadlineExceeded",
     "PoolTimeout",
-    "CircuitOpen",
     "InjectedFault",
     "TransientFault",
     "FatalFault",

@@ -28,7 +28,6 @@ __all__ = [
     "ResilienceError",
     "DeadlineExceeded",
     "PoolTimeout",
-    "CircuitOpen",
     "InjectedFault",
     "TransientFault",
     "FatalFault",
@@ -77,10 +76,6 @@ class PoolTimeout(ResilienceError):
             f"no free session after {wait_s * 1000:.1f} ms "
             f"(pool size {size}, {idle} idle)"
         )
-
-
-class CircuitOpen(ResilienceError):
-    """The circuit breaker is open and no fallback path exists."""
 
 
 class InjectedFault(ResilienceError):

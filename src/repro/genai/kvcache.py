@@ -38,9 +38,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.memory import ExtentFreeList, MemoryPlan, TensorLifetime, _align
+from ..core.memory import ExtentFreeList, MemoryPlan, TensorLifetime
 from ..faults.errors import FatalFault, ResilienceError, TransientFault, mark_isolated
 from ..faults.resilience import retry_transient
+from ..kernels.workspace import align_up
 from ..quant.kv import KV_DTYPES, dequantize_rows, kv_itemsize, quantize_rows
 from ..runtime import Runtime
 from ..sanitize import LifecycleFinding, Sanitizer
@@ -164,7 +165,7 @@ class KVCacheConfig:
 
     @property
     def page_bytes(self) -> int:
-        return _align(self.page_tokens * self.per_token_bytes)
+        return align_up(self.page_tokens * self.per_token_bytes)
 
     @property
     def total_pages(self) -> int:

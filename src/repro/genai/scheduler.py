@@ -45,6 +45,9 @@ from .sampling import Sampler, SamplingParams
 
 __all__ = ["GenRequest", "GenResult", "ContinuousBatchScheduler"]
 
+#: A request preempted more often than this fails instead of re-queueing.
+MAX_PREEMPTIONS = 2
+
 
 @dataclass(frozen=True)
 class GenRequest:
@@ -103,7 +106,6 @@ class ContinuousBatchScheduler:
         allocator: KVCacheAllocator,
         max_batch: int,
         max_seq: int,
-        max_preemptions: int = 2,
         prefix_cache: Optional[PrefixCache] = None,
         sampler: Optional[ResourceSampler] = None,
         *,
@@ -113,7 +115,6 @@ class ContinuousBatchScheduler:
         self.allocator = allocator
         self.max_batch = max_batch
         self.max_seq = max_seq
-        self.max_preemptions = max_preemptions
         #: When set, finished sequences register their retired slabs by
         #: token path and admission serves matching prompt prefixes from
         #: them copy-on-write instead of re-prefilling.
@@ -397,7 +398,7 @@ class ContinuousBatchScheduler:
                         "preempted", count=preempts[rid],
                         tokens_done=len(victim.tokens),
                     )
-                if preempts[rid] > self.max_preemptions:
+                if preempts[rid] > MAX_PREEMPTIONS:
                     self._fail(
                         results, victim.request,
                         f"preempted {preempts[rid]} times: kv arena exhausted",

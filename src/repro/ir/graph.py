@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ops import Op, get_schema
 from .tensor import DataType, TensorDesc
 
-__all__ = ["Node", "Graph", "GraphBuilder", "GraphError"]
+__all__ = ["Node", "Graph", "GraphBuilder", "GraphError", "toposort"]
 
 
 class GraphError(ValueError):
@@ -60,6 +60,35 @@ class Node:
                 f"schema allows [{schema.min_inputs}, {schema.max_inputs}]"
             )
         self.attrs = schema.validate_attrs(self.attrs)
+
+
+def toposort(nodes: Sequence[Node], producers: Mapping[str, Node]) -> List[Node]:
+    """Kahn's algorithm: ``nodes`` ordered so each runs after its producers.
+
+    ``producers`` maps a tensor name to the node that writes it; an input
+    it does not name (a graph input, a constant, an undefined tensor) adds
+    no edge.  Ties keep list order.  Nodes on a cycle never become ready
+    and are left out, so a caller detects a cycle by comparing lengths.
+    """
+    index = {id(node): i for i, node in enumerate(nodes)}
+    indegree: List[int] = []
+    dependents: List[List[int]] = [[] for _ in nodes]
+    for i, node in enumerate(nodes):
+        deps = {index[id(p)] for p in map(producers.get, node.inputs)
+                if p is not None and p is not node}
+        indegree.append(len(deps))
+        for dep in deps:
+            dependents[dep].append(i)
+    ready = deque(i for i, deg in enumerate(indegree) if deg == 0)
+    order: List[Node] = []
+    while ready:
+        i = ready.popleft()
+        order.append(nodes[i])
+        for j in dependents[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                ready.append(j)
+    return order
 
 
 class Graph:
@@ -173,108 +202,38 @@ class Graph:
     def check(self) -> List[Any]:
         """Collect *all* structural violations as diagnostics.
 
-        Unlike :meth:`validate` this never raises: it returns a list of
-        :class:`repro.analysis.Diagnostic` records (empty when the graph is
-        structurally sound) covering undefined inputs, unproduced outputs,
-        double-produced tensors, duplicate node names and cycles.
+        Unlike :meth:`validate` this never raises.  It runs the linter's
+        structural rules (:data:`repro.analysis.lint.STRUCTURAL_RULES`:
+        undefined inputs, unproduced outputs, double-produced tensors,
+        duplicate node names and cycles), the one implementation of each,
+        and returns their :class:`repro.analysis.Diagnostic` records (empty
+        when the graph is structurally sound).
         """
-        from ..analysis.diagnostics import error  # deferred: avoids import cycle
+        from ..analysis.lint import STRUCTURAL_RULES, lint_graph  # deferred: avoids import cycle
 
-        diags: List[Any] = []
-        producers: Dict[str, Node] = {}
-        doubled = False
-        for node in self.nodes:
-            for out in node.outputs:
-                if out in producers:
-                    doubled = True
-                    diags.append(error(
-                        "double-producer",
-                        f"tensor {out!r} produced by two nodes "
-                        f"({producers[out].name!r} and {node.name!r})",
-                        node=node.name, tensor=out,
-                        hint="rename one of the outputs",
-                    ))
-                else:
-                    producers[out] = node
-        seen_names: Dict[str, Node] = {}
-        for node in self.nodes:
-            if node.name in seen_names:
-                diags.append(error(
-                    "duplicate-node-name",
-                    f"node name {node.name!r} used by two nodes",
-                    node=node.name,
-                ))
-            else:
-                seen_names[node.name] = node
-        available = set(self.inputs) | set(self.constants)
-        for tensor in self.outputs:
-            if tensor not in producers and tensor not in available:
-                diags.append(error(
-                    "unproduced-output",
-                    f"graph output {tensor!r} is never produced",
-                    tensor=tensor,
-                ))
-        for node in self.nodes:
-            for inp in node.inputs:
-                if inp not in producers and inp not in available:
-                    diags.append(error(
-                        "dangling-input",
-                        f"node {node.name!r} reads undefined tensor {inp!r}",
-                        node=node.name, tensor=inp,
-                    ))
-        # Cycle check: toposort must cover every node.  Skipped when a
-        # tensor is double-produced (producer_map would raise).
-        if not doubled and len(self.toposort()) != len(self.nodes):
-            diags.append(error("cycle", "graph contains a cycle"))
-        return diags
+        return lint_graph(self, STRUCTURAL_RULES)
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`GraphError` on failure.
 
         All violations are gathered first and raised together: the
-        exception message joins every finding and ``exc.diagnostics``
+        exception message joins every finding's
+        :meth:`~repro.analysis.Diagnostic.format` and ``exc.diagnostics``
         holds the structured records.
         """
         diags = self.check()
         if diags:
-            raise GraphError("; ".join(d.message for d in diags), diags)
+            raise GraphError("; ".join(d.format() for d in diags), diags)
 
     def toposort(self) -> List[Node]:
-        """Nodes in a valid execution order (Kahn's algorithm).
+        """Nodes in a valid execution order (:func:`toposort` over
+        :meth:`producer_map`).
 
-        Nodes involved in a cycle are omitted; :meth:`validate` turns that
-        into an error.
+        Raises :class:`GraphError` on a double-produced tensor.  Nodes
+        involved in a cycle are omitted; :meth:`validate` turns that into
+        an error.
         """
-        producers = self.producer_map()
-        indegree: Dict[int, int] = {}
-        dependents: Dict[int, List[int]] = {}
-        for i, node in enumerate(self.nodes):
-            deps = {
-                id(producers[inp])
-                for inp in node.inputs
-                if inp in producers and producers[inp] is not node
-            }
-            indegree[i] = len(deps)
-        by_id = {id(node): i for i, node in enumerate(self.nodes)}
-        for i, node in enumerate(self.nodes):
-            for inp in node.inputs:
-                producer = producers.get(inp)
-                if producer is not None and producer is not node:
-                    dependents.setdefault(by_id[id(producer)], []).append(i)
-        ready = deque(i for i, deg in indegree.items() if deg == 0)
-        order: List[Node] = []
-        seen = set()
-        while ready:
-            i = ready.popleft()
-            if i in seen:
-                continue
-            seen.add(i)
-            order.append(self.nodes[i])
-            for j in dependents.get(i, ()):  # may contain duplicates; indegree guards
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    ready.append(j)
-        return order
+        return toposort(self.nodes, self.producer_map())
 
     # -- misc ------------------------------------------------------------------
     def op_histogram(self) -> Dict[str, int]:

@@ -19,12 +19,15 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Spec", "aligned_empty", "workspace_bytes", "carve", "pad_into"]
+__all__ = [
+    "ALIGNMENT", "Spec", "align_up", "aligned_empty", "workspace_bytes", "carve", "pad_into",
+]
 
 #: One temporary: its shape and dtype.
 Spec = Tuple[Tuple[int, ...], np.dtype]
 
-#: Byte alignment of every carved temporary (one cache line).
+#: Byte alignment of every carved temporary, arena tensor and shared-memory
+#: payload (one cache line); :func:`align_up` is the one round-up to it.
 ALIGNMENT = 64
 
 
@@ -33,7 +36,8 @@ def _nbytes(spec: Spec) -> int:
     return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
 
 
-def _align(n: int) -> int:
+def align_up(n: int) -> int:
+    """``n`` rounded up to a multiple of :data:`ALIGNMENT`."""
     return (n + ALIGNMENT - 1) // ALIGNMENT * ALIGNMENT
 
 
@@ -52,7 +56,7 @@ def aligned_empty(nbytes: int) -> np.ndarray:
 
 def workspace_bytes(specs: Iterable[Spec]) -> int:
     """Bytes :func:`carve` takes from a scratch buffer for ``specs``."""
-    return sum(_align(_nbytes(spec)) for spec in specs)
+    return sum(align_up(_nbytes(spec)) for spec in specs)
 
 
 def carve(scratch: Optional[np.ndarray], specs: Sequence[Spec]) -> List[np.ndarray]:
@@ -70,7 +74,7 @@ def carve(scratch: Optional[np.ndarray], specs: Sequence[Spec]) -> List[np.ndarr
         nbytes = _nbytes(spec)
         shape, dtype = spec
         arrays.append(scratch[offset : offset + nbytes].view(dtype).reshape(shape))
-        offset += _align(nbytes)
+        offset += align_up(nbytes)
     return arrays
 
 

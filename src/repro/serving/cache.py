@@ -16,9 +16,9 @@ Cache key
 * :func:`repro.ir.graph_signature` — graph structure, every tensor
   descriptor (shapes + dtypes) and a weight fingerprint, so editing the
   model invalidates its entries;
-* a config fingerprint — every ``SessionConfig`` field that influences
-  pre-inference decisions (backend, device, threads, decoupling,
-  Strassen, scheme tunables, auto-backend candidates);
+* a config fingerprint — every ``SessionConfig`` field except the
+  run-time-only :data:`RUN_TIME_ONLY_FIELDS`, scheme overrides as their
+  full decisions, plus the default scheme tunables;
 * optional extra input shapes (no caller passes any: a session resized
   away from the graph's native shapes re-plans instead of consulting the
   cache).
@@ -37,6 +37,7 @@ numbers.  The cache directory defaults to ``$REPRO_CACHE_DIR``, then
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -57,6 +58,7 @@ __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
     "PreInferenceCache",
+    "RUN_TIME_ONLY_FIELDS",
     "default_cache_dir",
     "warm_session",
 ]
@@ -81,30 +83,29 @@ def _digest(entry: Dict[str, Any]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+#: SessionConfig fields that steer runs but no pre-inference product;
+#: every other field is part of the cache key.
+RUN_TIME_ONLY_FIELDS = frozenset({"check_feeds", "breaker_cooldown_s"})
+
+
 def _config_fingerprint(config: SessionConfig) -> Dict[str, Any]:
-    """The SessionConfig fields that influence pre-inference decisions."""
-    backend = config.backend
-    sc = SchemeConfig()
-    return {
-        "backend": (
-            f"instance:{backend.forward_type}" if isinstance(backend, Backend)
-            else backend
-        ),
-        "device": config.device.name if config.device is not None else None,
-        "threads": config.threads,
-        "decouple": config.decouple,
-        "use_strassen": config.use_strassen,
-        "auto_backend": config.auto_backend,
-        "candidate_backends": list(config.candidate_backends),
-        "scheme_config": [
-            list(sc.winograd_candidates), sc.max_tile, sc.transform_weight,
-            sc.sliding_weight, sc.gemm_efficiency_u0, sc.int8_gemm_speedup,
-        ],
-        "overrides": (
-            sorted(config.scheme_overrides) if config.scheme_overrides else None
-        ),
-        "paranoid": config.paranoid,
+    """Every SessionConfig field outside :data:`RUN_TIME_ONLY_FIELDS`,
+    JSON-encoded, plus the default scheme-search tunables."""
+    fp: Dict[str, Any] = {
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(SessionConfig)
+        if f.name not in RUN_TIME_ONLY_FIELDS
     }
+    if isinstance(config.backend, Backend):
+        fp["backend"] = f"instance:{config.backend.forward_type}"
+    if config.device is not None:
+        fp["device"] = dataclasses.asdict(config.device)
+    if config.scheme_overrides is not None:
+        fp["scheme_overrides"] = {
+            name: d.to_json() for name, d in config.scheme_overrides.items()
+        }
+    fp["scheme_config"] = dataclasses.asdict(SchemeConfig())
+    return fp
 
 
 class PreInferenceCache:

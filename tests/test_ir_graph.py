@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ir import Graph, GraphBuilder, GraphError, Op, get_schema
+from repro.ir.graph import Node
 
 
 def tiny_graph():
@@ -126,6 +127,18 @@ class TestGraphStructure:
         g.nodes.reverse()
         order = [n.name for n in g.toposort()]
         assert order.index("y") < order.index("z")
+
+    def test_toposort_waits_for_every_producer_of_a_node(self):
+        # "cat" reads two outputs of "s": that edge must count once, or
+        # "cat" becomes ready before "r", its other producer, has run.
+        g = Graph()
+        g.add_input("x", (1, 4, 2, 2))
+        g.nodes.append(Node("cat", Op.CONCAT, ["s_0", "s_1", "r"], ["cat"], {"axis": 1}))
+        g.nodes.append(Node("s", Op.SPLIT, ["x"], ["s_0", "s_1"],
+                            {"axis": 1, "sizes": (2, 2)}))
+        g.nodes.append(Node("t", Op.RELU, ["x"], ["t"]))
+        g.nodes.append(Node("r", Op.RELU, ["t"], ["r"]))
+        assert [n.name for n in g.toposort()] == ["s", "t", "r", "cat"]
 
     def test_consumer_map(self):
         g = tiny_graph()

@@ -129,9 +129,9 @@ def test_counters_land_where_they_did(tmp_path):
 
     cache = PreInferenceCache(tmp_path)
     assert cache.key(chain_net(), SessionConfig()) == (
-        "5b66b652f13a10be2b049ab50403c988a11cd61a791b3c84fd80dac2274c63ec"
+        "a86273657a68d171b9ef11892dd301596fc7abd547527a1c172b6c18fa426869"
     )
     assert cache.key(chain_net(), SessionConfig(
         threads=2, use_strassen=False, check_feeds=False,
-    )) == "4b421f05b204021372598e05706ee8f3e5d8e564690a0d80ada1edbd80872782"
+    )) == "80460a8b4e47ac9a429bfae8e58273f40cbe94f09a0ee7e1b27cd460eed9c1f4"
 

@@ -1,5 +1,6 @@
 """Tests for the serving layer: cache, pool, batching, engine, CLI."""
 
+import dataclasses
 import json
 import threading
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.converter import optimize
-from repro.core import Session, SessionArtifacts, SessionConfig
+from repro.core import SchemeDecision, Session, SessionArtifacts, SessionConfig
+from repro.devices import get_device
 from repro.ir import GraphBuilder, save_model
 from repro.models import squeezenet_v1_1
 from repro.obs import Tracer
@@ -26,7 +28,7 @@ from repro.serving import (
     SessionPool,
     default_cache_dir,
 )
-from repro.serving.cache import _digest
+from repro.serving.cache import RUN_TIME_ONLY_FIELDS, _digest
 from repro.tools.cli import main
 
 RNG = np.random.default_rng(11)
@@ -80,6 +82,33 @@ class TestPreInferenceCache:
         assert base != cache.key(g, SessionConfig(threads=8))
         assert base != cache.key(g, SessionConfig(use_strassen=False))
         assert base != cache.key(g, SessionConfig(), {"data": (4, 3, 32, 32)})
+
+    def test_key_covers_every_decision_field(self):
+        """Changing any SessionConfig field moves the key, unless the field
+        is run-time only; the table must name every field."""
+        cache = PreInferenceCache("/nonexistent")
+        g = serving_net()
+        base = cache.key(g, SessionConfig())
+        changed = {
+            "backend": "sim_cpu", "device": get_device("MI6"), "threads": 8,
+            "decouple": False, "use_strassen": False, "auto_backend": True,
+            "scheme_overrides": {"conv_1": SchemeDecision("sliding")},
+            "paranoid": True, "check_feeds": False, "breaker_cooldown_s": 1.0,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(SessionConfig)}
+        assert RUN_TIME_ONLY_FIELDS == {"check_feeds", "breaker_cooldown_s"}
+        for name, value in changed.items():
+            key = cache.key(g, dataclasses.replace(SessionConfig(), **{name: value}))
+            assert (key == base) == (name in RUN_TIME_ONLY_FIELDS), name
+
+    def test_key_sees_an_override_decision_not_just_its_node(self):
+        cache = PreInferenceCache("/nonexistent")
+        g = serving_net()
+        decisions = (SchemeDecision("sliding"), SchemeDecision("winograd", (2, 2)),
+                     SchemeDecision("winograd", (4, 4)))
+        keys = {cache.key(g, SessionConfig(scheme_overrides={"conv_1": d}))
+                for d in decisions}
+        assert len(keys) == len(decisions)
 
     def test_store_load_roundtrip(self, cache_dir):
         cache = PreInferenceCache(cache_dir)
