@@ -23,10 +23,11 @@
 #      of the entry), its scheme_selection and memory_plan spans must say
 #      cached=True, and it must answer bitwise equal to the cold engine
 #      (a tier-1 test, run here by node id).
-#   6. Prometheus self-test, run once with its verdict line shown: a
-#      tracked generation workload is exported as text exposition and
-#      re-ingested by the validating parser; the SLO and resource
-#      families must all be present and well-formed.
+#   6. Prometheus export: a tracked generation workload is exported as
+#      text exposition and re-ingested by the validating parser; the six
+#      SLO and resource families must all be present, and a populated
+#      registry must round-trip with its types, sums and quantiles
+#      (tier-1 tests, run here by node id).
 #   7. Request-timeline overhead guard: disabled request tracking must
 #      cost under 5% of a small-model run.
 #   8. Bench-regression gate: a micro-benchmark writes two consecutive
@@ -35,21 +36,26 @@
 #      noise threshold end to end.  Each run pre-flights its graph
 #      (lint, trace, a per-graph fault storm, sanitizer); the engine
 #      storms are stage 4's and are not repeated.
-#   9. Cluster supervision self-test: spawn the multi-process serving
-#      tier, SIGKILL a worker mid-run, and require the supervisor to
-#      replace it with the post-recovery response bit-identical to the
-#      pre-kill gold.
-#  10. Quantization self-test: per-channel int8 weights must hold the
-#      logits max-abs-error contract and pass the Q-rule lint, seeded
-#      replay over int8 weights + int8 KV must be bit-identical, and
-#      the int8 KV layout must fit >= 3x the tokens per arena byte.
-#  11. Greedy decode == full recompute, twice.  First, eight generations
-#      whose slabs straddle KV-capacity buckets (4-token pages), so the
-#      one-step-per-token-boundary decode runs mixed-capacity steps.
-#      Second, a two-layer model with the prefix cache on and a shared
-#      12-token prefix, so prefix hits run their multi-token suffix from
-#      cached rows in one call.  Every token must equal a token-by-token
-#      full-sequence recompute.
+#   9. Cluster supervision: spawn the multi-process serving tier,
+#      SIGKILL a worker mid-run, and require the supervisor to replace it
+#      with the post-recovery response bit-identical to the pre-kill gold
+#      (a tier-1 test, run here by node id).
+#  10. Quantization contracts (tier-1 tests, run here by node id): the
+#      integer GEMM equals an int64 reference on worst-case operands on
+#      both sides of its float32/float64 switch (K = 1040, 1041);
+#      per-channel int8 weights pass the Q-rule lint and hold the logits
+#      max-abs-error contract; seeded replay over int8 weights + int8 KV
+#      is bit-identical; the int8 KV layout fits >= 3x the tokens per
+#      arena byte; and each column block of a merged sibling GEMM is
+#      bitwise its own projection's qmatmul.
+#  11. Greedy decode == full recompute (tier-1 tests, run here by node
+#      id).  Eight generations whose slabs straddle KV-capacity buckets
+#      (4-token pages), so the one-step-per-token-boundary decode runs
+#      mixed-capacity steps; then the same eight behind a shared 12-token
+#      prefix with the prefix cache on, so prefix hits run their
+#      multi-token suffix from cached rows in one call.  Every token must
+#      equal a token-by-token full-sequence recompute.  Sampled
+#      generation must replay token for token from its seed.
 #  12. Benchmark smoke: perfbench's smoke tests, all six workloads, each
 #      untraced and traced.  perfbench wraps Session.__init__/run and the
 #      serving/genai/cluster entry points from outside, builds every
@@ -94,8 +100,10 @@ echo "== [5/13] pre-inference cache guard (warm engine replays the cold one's pr
 python -m pytest -q "tests/test_serving.py::TestEngineWarmup::test_traced_warm_engine_replays_the_cold_products"
 
 echo
-echo "== [6/13] prometheus export self-test =="
-python -m repro.tools.cli metrics --prom --selftest | tail -n 1
+echo "== [6/13] prometheus export (validating re-parse, SLO families) =="
+python -m pytest -q \
+    "tests/test_obs_requests.py::TestPrometheus::test_engine_slo_metrics_export" \
+    "tests/test_obs_requests.py::TestPrometheus::test_export_round_trips_through_the_validating_parser"
 
 echo
 echo "== [7/13] request-timeline overhead guard (<5% disabled) =="
@@ -110,18 +118,26 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision self-test (kill a worker, stay bit-identical) =="
-python -m repro.tools.cli cluster --selftest
+echo "== [9/13] cluster supervision (kill a worker, stay bit-identical) =="
+python -m pytest -q "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical"
 
 echo
-echo "== [10/13] quantization self-test (accuracy, determinism, capacity) =="
-python -m repro.tools.cli quantize --selftest
+echo "== [10/13] quantization contracts (exactness, accuracy, determinism, capacity, merged siblings) =="
+python -m pytest -q \
+    "tests/test_quant_kernels.py::TestExactIntGemm::test_worst_case_operands_match_int64[1040]" \
+    "tests/test_quant_kernels.py::TestExactIntGemm::test_worst_case_operands_match_int64[1041]" \
+    "tests/test_quant_convert.py::TestQuantizeGraph::test_quantized_decoder_is_q_rule_clean" \
+    "tests/test_quant_convert.py::TestQuantizeGraph::test_accuracy_contract_on_decoder_logits" \
+    "tests/test_quant_kvcache.py::TestEngine::test_quantized_weights_replay_is_bit_identical" \
+    "tests/test_quant_kvcache.py::TestConfig::test_capacity_ratio_at_least_3x" \
+    "tests/test_quant_convert.py::TestSiblingMerge::test_each_column_block_is_bitwise_its_own_qmatmul"
 
 echo
 echo "== [11/13] greedy decode == full recompute (mixed-capacity steps, prefix-hit runs) =="
-python -m repro.tools.cli generate --selftest --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
-python -m repro.tools.cli generate --selftest --layers 2 --prefix-cache --shared-prefix 12 \
-    --prompts 8 --page-tokens 4 --max-tokens 16 | tail -n 1
+python -m pytest -q \
+    "tests/test_genai_engine.py::TestAcceptance::test_decode_bit_identical_to_full_recompute[mixed-capacity-steps]" \
+    "tests/test_genai_engine.py::TestAcceptance::test_decode_bit_identical_to_full_recompute[prefix-hits]" \
+    "tests/test_genai_engine.py::TestScheduler::test_sampled_generations_replay"
 
 echo
 echo "== [12/13] benchmark smoke (perfbench, all six workloads, traced and untraced) =="

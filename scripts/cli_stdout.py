@@ -9,13 +9,12 @@ checkout's).  The cases use squeezenet_v1.1, the built-in chaos graph and
 fresh ``cli build`` outputs (inception_v3 at 139 px, the smallest input
 at which its 1x7/7x1 convs select rectangular Winograd tiles; and
 mobilenet_v1, whose BatchNorms show the converter's fusion and the
-output names it keeps), and ``--selftest`` wherever a command has it.
-Each case prints ``$ cli ARGV``, its stdout and ``[exit N]`` (with the
-last stderr line when N is not 0).  Lines that carry wall-clock numbers
-or pids read ``<timed>`` after their ``label:`` (trace-waterfall rows
-are dropped), and the scratch and source paths read ``<tmp>`` and
-``<src>``, so two runs of one tree diff empty and a diff against another
-tree shows only what changed.
+output names it keeps).  Each case prints ``$ cli ARGV``, its stdout and
+``[exit N]`` (with the last stderr line when N is not 0).  Lines that
+carry wall-clock numbers or pids read ``<timed>`` after their ``label:``
+(trace-waterfall rows are dropped), and the scratch and source paths read
+``<tmp>`` and ``<src>``, so two runs of one tree diff empty and a diff
+against another tree shows only what changed.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ optimize mb.rmnn -o mbo.rmnn --verify
 info mbo.rmnn
 quantize sq.rmnn -o q.rmnn --calibration-batches 2
 quantize
-quantize --selftest
 prune sq.rmnn -o p.rmnn --sparsity 0.6
 fp16 sq.rmnn -o h.rmnn
 benchmark sq.rmnn --repeats 2 --profile 3
@@ -55,15 +53,15 @@ benchmark dec.rmnn --repeats 2
 benchmark lstm.rmnn --repeats 1
 trace sq.rmnn -o t.json --runs 2 --top 5 --waterfall
 trace dec.rmnn -o t2.json
-metrics sq.rmnn --runs 2 -o m.json --prom --selftest
+metrics sq.rmnn --runs 2 -o m.json --prom
 metrics chaos.rmnn --runs 2 --sanitize
-metrics --prom --selftest
+metrics --prom
 warm sq.rmnn --cache-dir cache
 warm sq.rmnn --cache-dir cache
-serve sq.rmnn --requests 8 --clients 2 --selftest --cache-dir cache --trace s.json
-serve chaos.rmnn --requests 8 --clients 2 --batch 4 --selftest --no-cache
+serve sq.rmnn --requests 8 --clients 2 --cache-dir cache --trace s.json
+serve chaos.rmnn --requests 8 --clients 2 --batch 4 --no-cache
 serve dec.rmnn --requests 4 --clients 2 --pool 1 --no-cache
-cluster --selftest
+cluster --requests 4 --clients 2
 cluster chaos.rmnn --requests 8 --clients 2 --dwell-ms 0 --queue-depth 4 --prom
 estimate sq.rmnn --device Mate20 --engine MNN
 estimate sq.rmnn --device Nokia
@@ -78,8 +76,8 @@ chaos --seed 0 --faults 50 --events
 chaos --seed 0 --faults 50 --events --kv-dtype int8
 sanitize --strict
 regress bench.json --threshold 0.5 --min-history 1
-generate --selftest --prompts 4 --max-tokens 8 --trace g.json
-generate --selftest --prompts 3 --temperature 0.8 --top-k 5 --prefix-cache --shared-prefix 6 --seed 3
+generate --prompts 4 --max-tokens 8 --trace g.json
+generate --prompts 3 --temperature 0.8 --top-k 5 --prefix-cache --shared-prefix 6 --seed 3
 """
 
 #: A line matching any of these carries a wall-clock reading or a pid.

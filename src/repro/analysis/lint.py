@@ -630,7 +630,11 @@ def lint_graph(
     Raises:
         KeyError: if ``rules`` names an unregistered rule id.
     """
-    ctx = LintContext(graph)
+    return run_rules(LintContext(graph), rules)
+
+
+def run_rules(ctx: LintContext, rules: Optional[Iterable[str]] = None) -> List[Diagnostic]:
+    """:func:`lint_graph` over an already built context."""
     selected = (
         [_RULES[r] for r in rules] if rules is not None else list(all_rules())
     )

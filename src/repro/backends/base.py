@@ -149,8 +149,3 @@ class Backend(abc.ABC):
 
     def on_execute_end(self) -> None:
         """Called once after each inference run."""
-
-    # -- cost model hooks -------------------------------------------------------
-    def op_cost_ms(self, muls: int) -> float:
-        """Modeled cost of an op with ``muls`` multiplications (Eq. 5)."""
-        raise NotImplementedError(f"{self.forward_type} has no cost model")

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Set
 
 import numpy as np
 
+from ..core.cost import BackendCostModel
 from ..devices.specs import DeviceSpec, GpuApi
 from ..ir.graph import Graph, Node
 from ..ir.ops import Op
@@ -93,11 +94,9 @@ class _SimulatedExecution(Execution):
 
     def run(self, inputs: Sequence[np.ndarray]) -> List[np.ndarray]:
         backend = self.backend
-        cost = backend.compute_cost_ms(self.runner.muls)
-        if backend.is_gpu:
-            cost += backend.t_schedule_ms
-            if not self.command_recorded:
-                cost += backend.t_setup_ms  # rebuilt every inference
+        cost = backend.cost_model.op_cost_ms(self.runner.muls, backend.cost_kind)
+        if backend.is_gpu and not self.command_recorded:
+            cost += backend.t_setup_ms  # rebuilt every inference
         backend.clock.advance(cost)
         return self.runner.fn(inputs)
 
@@ -124,15 +123,6 @@ class _SimulatedBackend(Backend):
         self.t_setup_ms = T_SETUP_MS
         self.t_alloc_ms = T_ALLOC_MS
 
-    def compute_cost_ms(self, muls: int) -> float:
-        raise NotImplementedError
-
-    def op_cost_ms(self, muls: int) -> float:
-        cost = self.compute_cost_ms(muls)
-        if self.is_gpu:
-            cost += self.t_schedule_ms
-        return cost
-
     def on_create(self, node: Node, graph: Graph, scheme=None) -> Execution:
         if not self.supports(node.op_type):
             raise BackendError(f"{self.forward_type}: unsupported op {node.op_type!r}")
@@ -155,18 +145,17 @@ class SimulatedCPUBackend(_SimulatedBackend):
     """A phone CPU modeled by its top-k core frequencies (Appendix C)."""
 
     forward_type = "sim_cpu"
+    cost_kind = "cpu"
 
     def __init__(self, device: DeviceSpec, threads: int = 4, **kwargs) -> None:
         super().__init__(device, **kwargs)
         self.threads = threads
+        self.cost_model = BackendCostModel(device, threads)
 
     def supports(self, op_type: str) -> bool:
         from ..ir.ops import all_op_types
 
         return op_type in set(all_op_types()) - {Op.INPUT, Op.CONSTANT}
-
-    def compute_cost_ms(self, muls: int) -> float:
-        return muls / self.device.cpu_flops(self.threads) * 1000.0
 
 
 class SimulatedGPUBackend(_SimulatedBackend):
@@ -184,15 +173,12 @@ class SimulatedGPUBackend(_SimulatedBackend):
         if not device.supports_api(api):
             raise BackendError(f"device {device.name} does not expose the {api} API")
         super().__init__(device, **kwargs)
-        self.api = api
-        self.forward_type = api
+        self.api = self.cost_kind = self.forward_type = api
+        self.cost_model = BackendCostModel(device)
         self.t_schedule_ms = device.t_schedule_ms(api)
 
     def supports(self, op_type: str) -> bool:
         return op_type in GPU_OP_COVERAGE[self.api]
-
-    def compute_cost_ms(self, muls: int) -> float:
-        return muls / self.device.gpu_flops() * 1000.0
 
     def on_copy_buffer(self, src: np.ndarray, dst_backend: Backend) -> np.ndarray:
         # Host<->device transfer: modeled at 10 GB/s plus one dispatch.

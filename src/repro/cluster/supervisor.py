@@ -203,7 +203,7 @@ class Supervisor:
         return True
 
     def kill(self, slot: int) -> Optional[int]:
-        """SIGKILL ``slot``'s worker (test/selftest hook).
+        """SIGKILL ``slot``'s worker (a test hook for crash recovery).
 
         Returns the killed pid, or ``None`` if the slot was already down.
         The monitor notices the death and replaces the worker exactly as

@@ -149,8 +149,8 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
                 resp_seg = seg
             continue
         if kind == "hang":
-            # Test/selftest hook: stop heartbeating and stall forever;
-            # the supervisor's hang detector must kill and replace us.
+            # Hang hook: stop heartbeating and stall forever; the
+            # supervisor's hang detector must kill and replace us.
             beat.stopped.set()
             while True:
                 time.sleep(3600.0)

@@ -338,9 +338,8 @@ class Session:
                 # or, mid-resize, exercises the snapshot/rollback path.
                 self.faults.fire("session.prepare", graph=self.graph.name)
             with tracer.span("graph.validate", "pre_inference"):
-                self.graph.validate()
                 self._order = [
-                    n for n in self.graph.toposort()
+                    n for n in self.graph.validate()
                     if n.op_type not in (Op.INPUT, Op.CONSTANT)
                 ]
 

@@ -8,7 +8,7 @@ first prompt, and :meth:`GenerationEngine.warm` prepares the cold prompt
 cell of every length bucket, so ``generate`` is pure execute (paper
 Figure 3, stretched across the decode loop).  Every session the engine
 builds runs the one cached-attention ``decode`` graph; ``full`` mode is
-only the recompute oracle of the tests and selftests.
+only the recompute oracle of the tests.
 """
 
 from __future__ import annotations
@@ -102,12 +102,8 @@ class GenerationConfig:
 class GenerationEngine:
     """Continuous-batching generation over one decoder model."""
 
-    def __init__(self, config: Optional[GenerationConfig] = None, **overrides) -> None:
-        if config is None:
-            config = GenerationConfig(**overrides)
-        elif overrides:
-            raise ValueError("pass either a config or keyword overrides, not both")
-        self.config = config
+    def __init__(self, config: Optional[GenerationConfig] = None) -> None:
+        self.config = config = config or GenerationConfig()
         # One runtime spans every component and worker session, so
         # cross-component sanitizer findings share one vector-clock space.
         self.runtime = Runtime.resolve(

@@ -209,21 +209,30 @@ class Graph:
         and returns their :class:`repro.analysis.Diagnostic` records (empty
         when the graph is structurally sound).
         """
-        from ..analysis.lint import STRUCTURAL_RULES, lint_graph  # deferred: avoids import cycle
+        return self._structural_lint()[0]
 
-        return lint_graph(self, STRUCTURAL_RULES)
-
-    def validate(self) -> None:
+    def validate(self) -> List[Node]:
         """Check structural invariants; raise :class:`GraphError` on failure.
 
         All violations are gathered first and raised together: the
         exception message joins every finding's
         :meth:`~repro.analysis.Diagnostic.format` and ``exc.diagnostics``
-        holds the structured records.
+        holds the structured records.  A sound graph returns the
+        execution order the check proved (what :meth:`toposort` returns),
+        so a caller needs no second sort.
         """
-        diags = self.check()
+        diags, order = self._structural_lint()
         if diags:
             raise GraphError("; ".join(d.format() for d in diags), diags)
+        return order
+
+    def _structural_lint(self) -> Tuple[List[Any], List[Node]]:
+        """The structural rules' diagnostics and the order they ran over."""
+        # Deferred: repro.analysis imports this module.
+        from ..analysis.lint import STRUCTURAL_RULES, LintContext, run_rules
+
+        ctx = LintContext(self)
+        return run_rules(ctx, STRUCTURAL_RULES), ctx.order
 
     def toposort(self) -> List[Node]:
         """Nodes in a valid execution order (:func:`toposort` over

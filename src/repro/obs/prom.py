@@ -14,10 +14,10 @@ Metric names are sanitized (dots → underscores) and prefixed ``repro_``.
 Output is deterministic for a given snapshot: families sorted by the
 original metric name, stable float formatting via ``repr``.
 
-:func:`parse_prometheus` is the validating inverse used by
-``cli metrics --prom --selftest`` and the test suite: it checks the
-grammar line by line (TYPE before samples, sample names consistent with
-their family, parseable values) and returns the parsed families.
+:func:`parse_prometheus` is the validating inverse the test suite
+re-ingests exports through: it checks the grammar line by line (TYPE
+before samples, sample names consistent with their family, parseable
+values) and returns the parsed families.
 """
 
 from __future__ import annotations

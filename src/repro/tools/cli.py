@@ -7,21 +7,21 @@ Usage::
     python -m repro.tools.cli build mobilenet_v1 -o model.rmnn --input-size 224
     python -m repro.tools.cli lint model.rmnn [--strict]
     python -m repro.tools.cli optimize model.rmnn -o optimized.rmnn [--verify]
-    python -m repro.tools.cli quantize model.rmnn -o int8.rmnn [--selftest]
+    python -m repro.tools.cli quantize model.rmnn -o int8.rmnn
     python -m repro.tools.cli prune model.rmnn -o pruned.rmnn --sparsity 0.6
     python -m repro.tools.cli fp16 model.rmnn -o half.rmnn
     python -m repro.tools.cli benchmark model.rmnn --repeats 10
     python -m repro.tools.cli trace model.rmnn -o trace.json [--runs 3]
-    python -m repro.tools.cli metrics [model.rmnn] [--runs 10] [--prom] [--selftest]
+    python -m repro.tools.cli metrics [model.rmnn] [--runs 10] [--prom]
     python -m repro.tools.cli warm model.rmnn [--cache-dir DIR]
-    python -m repro.tools.cli serve model.rmnn --requests 64 --clients 4 [--selftest]
-    python -m repro.tools.cli cluster [model.rmnn] --workers 2 --requests 32 [--selftest]
+    python -m repro.tools.cli serve model.rmnn --requests 64 --clients 4
+    python -m repro.tools.cli cluster [model.rmnn] --workers 2 --requests 32
     python -m repro.tools.cli estimate model.rmnn --device Mate20 --engine MNN
     python -m repro.tools.cli devices
     python -m repro.tools.cli chaos [model.rmnn] --seed 0 --faults 200 [--sanitize]
     python -m repro.tools.cli regress BENCH_decode.json [--threshold 0.5]
     python -m repro.tools.cli sanitize [--strict]
-    python -m repro.tools.cli generate --prompts 4 --max-tokens 12 [--selftest] [--trace FILE]
+    python -m repro.tools.cli generate --prompts 4 --max-tokens 12 [--trace FILE]
     python -m repro.tools.cli schemes model.rmnn
     python -m repro.tools.cli autotune model.rmnn [--repeats 2]
     python -m repro.tools.cli dot model.rmnn [-o graph.dot] [--schemes]
@@ -63,8 +63,8 @@ from ..ir.graph import GraphError
 from ..kernels.winograd import clear_transform_cache
 from ..models import MODEL_REGISTRY, build_model
 from ..obs import (
-    MetricsRegistry, Tracer, parse_prometheus, save_chrome_trace, set_metrics,
-    to_prometheus, top_ops_report, waterfall_report,
+    MetricsRegistry, Tracer, save_chrome_trace, set_metrics, to_prometheus,
+    top_ops_report, waterfall_report,
 )
 from ..obs.regress import check_trajectory
 from ..runtime import Runtime
@@ -147,11 +147,6 @@ def cmd_optimize(args) -> int:
 def cmd_quantize(args) -> int:
     from ..quant import quantize_graph, weight_bytes
 
-    if args.selftest:
-        return _quantize_selftest()
-    if not args.model or not args.output:
-        print("quantize: MODEL and -o/--output are required without --selftest")
-        return 2
     graph = args.graph
     feeds = [random_feeds(graph, seed) for seed in range(args.calibration_batches)]
     quantized = quantize_graph(graph, feeds)
@@ -159,127 +154,6 @@ def cmd_quantize(args) -> int:
     print(f"quantized: {weight_bytes(graph) / 2**20:.2f} MiB -> "
           f"{weight_bytes(quantized) / 2**20:.2f} MiB; wrote {args.output}")
     return 0
-
-
-def _quantize_selftest() -> int:
-    """The int8 stack's five contracts, checked end to end.
-
-    1. Exactness: the BLAS-backed integer GEMM equals an int64 reference
-       on worst-case operands on both sides of the float32/float64
-       switch (K = 1040 and 1041).
-    2. Accuracy: quantizing the tiny decoder's MatMul weights moves its
-       logits by at most a small bound (and the quantized graph is
-       Q-rule clean).
-    3. Determinism: two same-seed generations over int8 weights *and*
-       an int8 KV cache emit bit-identical token streams.
-    4. Capacity: the int8 KV layout holds at least 3x the tokens of the
-       fp32 layout in the same arena bytes.
-    5. Merged siblings: each column block of the quantized decoder's
-       merged Q/K/V GEMM is bitwise the ``qmatmul`` of its projection's
-       int8 weight and scales.
-
-    Also prints (never asserts) the in-process int8/fp32 decode
-    tokens/s ratio, labelled as measured.
-    """
-    from dataclasses import replace as _replace
-
-    from ..genai import GenerationConfig, GenerationEngine, SamplingParams
-    from ..core.reference import execute_reference
-    from ..kernels import exact_int_gemm, qmatmul
-    from ..models.text import tiny_decoder
-    from ..quant import max_abs_error, quantize_graph
-
-    failures = 0
-    bound = 0.15
-
-    for k in (1040, 1041):
-        a = np.full((2, k), 127, np.int8)
-        a[1, ::2] = -127
-        b = np.full((k, 2), 127, np.int8)
-        got = exact_int_gemm(a, b)
-        ok = np.array_equal(got, a.astype(np.int64) @ b.astype(np.int64))
-        print(f"[{'ok' if ok else 'FAIL'}] exact_int_gemm == int64 reference at "
-              f"K={k} ({got.dtype}, worst-case sum {k * 127 * 127})")
-        failures += 0 if ok else 1
-
-    graph = tiny_decoder(mode="full", seq_len=16, batch=1, vocab=64,
-                         max_seq=16, d_model=32, heads=2, layers=2, seed=7)
-    quantized = quantize_graph(graph)
-    q_diags = [d for d in lint_graph(quantized) if d.rule.startswith("Q")]
-    ok = not q_diags
-    print(f"[{'ok' if ok else 'FAIL'}] quantized graph passes Q-rule lint "
-          f"({len(q_diags)} findings)")
-    failures += 0 if ok else 1
-
-    rng = np.random.default_rng(0)
-    feeds = {
-        "tokens": rng.integers(0, 64, size=(1, 16)).astype(np.int32),
-        "positions": np.arange(16, dtype=np.int32).reshape(1, 16),
-    }
-    err = max_abs_error(graph, quantized, feeds, outputs=["logits"])
-    ok = err <= bound
-    print(f"[{'ok' if ok else 'FAIL'}] logits max-abs-error {err:.4f} "
-          f"<= {bound} (per-channel int8 weights, exact integer GEMM)")
-    failures += 0 if ok else 1
-
-    def _generate(**quant):
-        engine = GenerationEngine(GenerationConfig(
-            vocab=64, max_seq=24, d_model=16, heads=2, layers=1, seed=11,
-            max_batch=2, page_tokens=4, capacity_tokens=64, **quant,
-        ))
-        try:
-            gen = np.random.default_rng(11)
-            prompts = [
-                [int(t) for t in gen.integers(0, 64, size=int(n))]
-                for n in gen.integers(2, 7, size=4)
-            ]
-            params = SamplingParams(max_tokens=8)
-            results = engine.generate(prompts, params)
-            start = time.perf_counter()     # second pass: every cell is prepared
-            timed = engine.generate(prompts, params)
-            tps = sum(len(r.tokens) for r in timed) / (time.perf_counter() - start)
-            return [r.tokens for r in results], engine.kv_config, tps
-        finally:
-            engine.close()
-
-    int8 = dict(kv_dtype="int8", quantize_weights=True)
-    tokens_a, kv_config, tps_int8 = _generate(**int8)
-    tokens_b, _, _ = _generate(**int8)
-    ok = tokens_a == tokens_b
-    print(f"[{'ok' if ok else 'FAIL'}] seeded replay of quantized decode is "
-          f"bit-identical ({sum(len(t) for t in tokens_a)} tokens)")
-    failures += 0 if ok else 1
-    tps_fp32 = _generate()[2]
-    print(f"[info] int8/fp32 decode tokens/s = {tps_int8 / tps_fp32:.2f} "
-          f"({tps_int8:.0f} / {tps_fp32:.0f}, measured in-process)")
-
-    fp_config = _replace(kv_config, kv_dtype="float32")
-    ratio = fp_config.per_token_bytes / kv_config.per_token_bytes
-    ok = ratio >= 3.0
-    print(f"[{'ok' if ok else 'FAIL'}] int8 KV fits {ratio:.2f}x the tokens "
-          f"per arena byte ({fp_config.per_token_bytes} -> "
-          f"{kv_config.per_token_bytes} B/token; need >= 3x)")
-    failures += 0 if ok else 1
-
-    env = execute_reference(quantized, feeds)
-    consumers = quantized.consumer_map()
-    groups = [(node, consumers[node.outputs[0]]) for node in quantized.nodes
-              if node.op_type == "MatMul" and node.outputs[0] in consumers
-              and all(c.op_type == "Slice" for c in consumers[node.outputs[0]])]
-    ok = bool(groups)
-    for node, parts in groups:
-        x, wq = env[node.inputs[0]], quantized.constants[node.inputs[1]]
-        scales = np.asarray(node.attrs["weight_scales"], np.float32)
-        for part in parts:
-            cols = slice(part.attrs["start"], part.attrs["end"])
-            want = qmatmul(x, wq[:, cols], scales[cols])
-            ok = ok and env[part.outputs[0]].tobytes() == want.tobytes()
-    print(f"[{'ok' if ok else 'FAIL'}] merged Q/K/V GEMM == per-projection qmatmul "
-          f"bitwise ({len(groups)} merged groups)")
-    failures += 0 if ok else 1
-
-    print("quantize selftest:", "ok" if failures == 0 else f"{failures} FAILED")
-    return 0 if failures == 0 else 1
 
 
 def cmd_prune(args) -> int:
@@ -353,28 +227,15 @@ def cmd_trace(args) -> int:
     return 0
 
 
-#: Prometheus families the no-model metrics selftest must export — the
-#: request-tracking generation workload populates every one of them.
-_PROM_SELFTEST_FAMILIES = (
-    "repro_slo_requests_total",
-    "repro_slo_queue_wait_ms",
-    "repro_slo_ttft_ms",
-    "repro_slo_tpot_ms",
-    "repro_slo_tokens_per_sec",
-    "repro_res_kv_page_utilization",
-)
-
-
 def cmd_metrics(args) -> int:
     """Run a workload and print/export the metrics registry snapshot.
 
     With a model: N plain session runs.  Without one: a tiny
     request-tracked generation workload, so the SLO histograms
-    (queue-wait/TTFT/TPOT/tokens-per-sec) and resource gauges populate —
-    this is the ``check.sh`` Prometheus selftest path.  ``--prom``
-    exports the registry in Prometheus text exposition format;
-    ``--selftest`` re-parses that export through the validating parser
-    and (on the generation workload) requires the SLO families.
+    (queue-wait/TTFT/TPOT/tokens-per-sec) and resource gauges populate.
+    ``--prom`` also prints the registry in Prometheus text exposition
+    format (``tests/test_obs_requests.py::TestPrometheus`` re-parses such
+    an export of a tracked generation run through the validating parser).
     """
     registry = MetricsRegistry()
     previous = set_metrics(registry)
@@ -413,26 +274,8 @@ def cmd_metrics(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(registry.snapshot(), fh, indent=2, sort_keys=True)
         print(f"wrote {args.output}")
-    if args.prom or args.selftest:
-        text = to_prometheus(registry)
-        if args.prom:
-            print(text, end="")
-        if args.selftest:
-            try:
-                families = parse_prometheus(text)
-            except ValueError as exc:
-                print(f"prom selftest FAILED: {exc}", file=sys.stderr)
-                return 1
-            missing = (
-                [f for f in _PROM_SELFTEST_FAMILIES if f not in families]
-                if not args.model else []
-            )
-            if missing:
-                print(f"prom selftest FAILED: missing SLO families "
-                      f"{', '.join(missing)}", file=sys.stderr)
-                return 1
-            print(f"prom selftest: ok — {len(families)} families parsed"
-                  + ("" if args.model else ", SLO histograms present"))
+    if args.prom:
+        print(to_prometheus(registry), end="")
     return 0
 
 
@@ -478,7 +321,7 @@ def cmd_serve(args) -> int:
     requests = [random_feeds(graph, seed) for seed in range(args.requests)]
     with Engine(graph, config) as engine:
         start = time.perf_counter()
-        outputs = engine.infer_many(requests, clients=args.clients)
+        engine.infer_many(requests, clients=args.clients)
         elapsed = time.perf_counter() - start
         throughput = len(requests) / elapsed if elapsed else float("inf")
         if engine.pool is not None:
@@ -502,33 +345,11 @@ def cmd_serve(args) -> int:
                   f"max {bs.max_batch_seen}, {bs.resizes} resizes)")
         print(f"throughput: {len(requests)} requests in {elapsed * 1000:.0f} ms "
               f"= {throughput:.1f} req/s")
-
-        if args.selftest:
-            gold = Session(graph)
-            for feeds, got in zip(requests, outputs):
-                want = gold.run(feeds)
-                for name in want:
-                    ok = (
-                        np.array_equal(want[name], got[name])
-                        if args.batch <= 0
-                        else np.allclose(want[name], got[name], atol=1e-5)
-                    )
-                    if not ok:
-                        print(f"selftest FAILED: output {name!r} diverges "
-                              f"from serial execution", file=sys.stderr)
-                        return 1
-            mode = "allclose (batched)" if args.batch > 0 else "bit-identical"
-            print(f"selftest:   ok — {len(requests)} concurrent results "
-                  f"{mode} vs serial")
-            print("metrics:")
-            print(engine.metrics.describe())
     return 0
 
 
 def cmd_cluster(args) -> int:
-    """Multi-process router/worker tier: load drive, or crash-recovery
-    selftest (spawn workers, SIGKILL one mid-session, assert supervised
-    replacement and bit-identical post-recovery serving)."""
+    """Drive closed-loop load through the multi-process router/worker tier."""
     from ..cluster import Backpressure, Cluster, ClusterConfig, Overloaded
     from ..faults.chaos import default_chaos_graph
 
@@ -545,45 +366,7 @@ def cmd_cluster(args) -> int:
         print(f"cluster:  {args.workers} supervised workers, "
               f"queue bound {args.queue_depth}, "
               f"dwell {args.dwell_ms:.1f} ms")
-        gold = cluster.infer(feeds)
-        if args.selftest:
-            health = cluster.health()
-            if not all(h["up"] for h in health.values()):
-                print("selftest: FAILED — not all workers came up")
-                return 1
-            print(f"selftest: all {args.workers} workers up, "
-                  f"gold response recorded")
-            pid = cluster.supervisor.kill(0)
-            print(f"selftest: SIGKILLed worker 0 (pid {pid})")
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if (cluster.supervisor.restarts(0) >= 1
-                        and cluster.supervisor.is_up(0)):
-                    break
-                time.sleep(0.02)
-            else:
-                print("selftest: FAILED — supervisor never replaced worker 0")
-                return 1
-            print(f"selftest: supervisor replaced worker 0 "
-                  f"(restarts={cluster.supervisor.restarts(0)})")
-            out = cluster.infer(feeds, session_key="selftest")
-            identical = set(out) == set(gold) and all(
-                np.array_equal(out[k], gold[k]) for k in out
-            )
-            health = cluster.health()
-            if not identical:
-                print("selftest: FAILED — post-recovery output diverged")
-                return 1
-            if not all(h["up"] for h in health.values()):
-                print("selftest: FAILED — a worker is down after recovery")
-                return 1
-            print("selftest: post-recovery response bit-identical; health: "
-                  + ", ".join(
-                      f"w{s}(up={h['up']}, restarts={h['restarts']})"
-                      for s, h in sorted(health.items())
-                  ))
-            print("selftest: OK")
-            return 0
+        cluster.infer(feeds)     # one warm-up request before the timed loop
         rep = run_closed_loop(
             lambda c, i: cluster.infer(feeds),
             clients=args.clients,
@@ -690,14 +473,11 @@ def cmd_generate(args) -> int:
     """Continuous-batching generation demo over the tiny decoder."""
     from ..genai import GenerationConfig, GenerationEngine, SamplingParams
 
-    # What the sampled selftest's replay engine shares with this one.
-    replayed = dict(
+    config = GenerationConfig(
         max_seq=args.max_seq, d_model=args.d_model, heads=args.heads,
         layers=args.layers, seed=args.seed, max_batch=args.batch,
-        page_tokens=args.page_tokens,
-    )
-    config = GenerationConfig(
-        **replayed, trace=args.tracer, prefix_cache=args.prefix_cache,
+        page_tokens=args.page_tokens, trace=args.tracer,
+        prefix_cache=args.prefix_cache,
     )
     engine = GenerationEngine(config)
     rng = np.random.default_rng(args.seed)
@@ -732,44 +512,6 @@ def cmd_generate(args) -> int:
         print(f"prefix:     {stats['prefix_hits']:.0f} hits, "
               f"{stats['prefix_hit_tokens']:.0f} tokens served from shared "
               f"KV, {stats['cow_materializes']:.0f} COW materializes")
-    if not args.selftest:
-        return 0
-
-    failures = 0
-    if args.temperature == 0.0:
-        # Greedy: decode-with-cache must be bit-identical to a
-        # token-by-token full recompute of the whole sequence.
-        for prompt, r in zip(prompts, results):
-            toks = list(prompt)
-            for _ in range(len(r.tokens)):
-                g = build_model(
-                    "tiny_decoder", mode="full", seq_len=len(toks),
-                    vocab=config.vocab, max_seq=config.max_seq,
-                    d_model=config.d_model, heads=config.heads,
-                    layers=config.layers, seed=config.seed,
-                )
-                out = Session(g).run({
-                    "tokens": np.array([toks], np.int32),
-                    "positions": np.arange(len(toks), dtype=np.int32)[None],
-                })
-                toks.append(int(np.argmax(out["logits"][0, -1])))
-            if toks[len(prompt):] != r.tokens:
-                failures += 1
-                print(f"selftest FAILED: {r.request_id} diverges from "
-                      f"full recompute", file=sys.stderr)
-        mode = "bit-identical vs full recompute"
-    else:
-        # Sampled: a fresh engine must reproduce every token stream.
-        replay = GenerationEngine(GenerationConfig(**replayed)).generate(prompts, params)
-        for a, b in zip(results, replay):
-            if a.tokens != b.tokens:
-                failures += 1
-                print(f"selftest FAILED: {a.request_id} not reproducible",
-                      file=sys.stderr)
-        mode = "reproducible under reseeded replay"
-    if failures:
-        return 1
-    print(f"selftest:   ok — {len(results)} generations {mode}")
     return 0
 
 
@@ -817,7 +559,6 @@ CLIENTS = Arg("--clients", type=int, default=4)
 CACHE_DIR = Arg("--cache-dir", default=None,
                 help="cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
 TRACE = Arg("--trace", default=None, metavar="FILE", help="record spans to a Chrome trace")
-SELFTEST = Arg("--selftest", action="store_true")
 PROM = Arg("--prom", action="store_true",
            help="also export the registry in Prometheus text exposition format")
 STRICT = Arg("--strict", action="store_true", help="treat warnings as failures (exit 1)")
@@ -839,11 +580,8 @@ COMMANDS = [
             help="re-check structure, shapes and numerics after every pass"),
     ]),
     ("quantize", "post-training int8 quantization", cmd_quantize, [
-        MODEL_OPT(help=None), OUTPUT_OPT,
+        MODEL, OUTPUT,
         Arg("--calibration-batches", type=int, default=4),
-        SELFTEST(help="check the int8 stack's contracts instead: accuracy bound, "
-                      "bit-identical seeded replay of quantized decode, and >=3x "
-                      "KV token capacity"),
     ]),
     ("prune", "global magnitude pruning", cmd_prune,
      [MODEL, OUTPUT, Arg("--sparsity", type=float, default=0.5)]),
@@ -867,9 +605,6 @@ COMMANDS = [
         SANITIZE(help="run with the concurrency sanitizer live; the snapshot "
                       "then includes the sanitize.* counters"),
         PROM,
-        SELFTEST(help="re-parse the Prometheus export through the validating "
-                      "parser (and require the SLO families on the generation "
-                      "workload)"),
     ]),
     ("warm", "populate the pre-inference cache", cmd_warm, [MODEL, CACHE_DIR]),
     ("serve", "drive concurrent traffic through an engine", cmd_serve, [
@@ -878,7 +613,6 @@ COMMANDS = [
             help="coalesce requests into micro-batches of up to N (0 = off)"),
         Arg("--batch-timeout-ms", type=float, default=2.0), CACHE_DIR,
         Arg("--no-cache", action="store_true", help="skip the pre-inference cache entirely"),
-        SELFTEST(help="verify concurrent results against serial execution"),
         TRACE,
     ]),
     ("cluster", "multi-process router/worker serving tier (sharded, supervised, "
@@ -889,8 +623,6 @@ COMMANDS = [
         Arg("--dwell-ms", type=float, default=2.0,
             help="simulated per-request device dwell inside each worker "
                  "(models an accelerator-backed deployment)"),
-        SELFTEST(help="spawn workers, SIGKILL one, assert the supervisor "
-                      "replaces it and serving stays bit-identical"),
         PROM,
     ]),
     ("estimate", "model latency on a phone (simulator)", cmd_estimate, [
@@ -936,7 +668,7 @@ COMMANDS = [
         Arg("--batch", type=int, default=4, help="continuous-batch seat count"),
         Arg("--page-tokens", type=int, default=8, help="KV-cache page granule in tokens"),
         Arg("--temperature", type=float, default=0.0,
-            help="0 = greedy (the bit-identity selftest mode)"),
+            help="0 = greedy"),
         Arg("--top-k", type=int, default=0), SEED,
         Arg("--prefix-cache", action="store_true",
             help="serve shared prompt prefixes copy-on-write from retired KV "
@@ -944,8 +676,6 @@ COMMANDS = [
         Arg("--shared-prefix", type=int, default=0, metavar="N",
             help="prepend one shared random N-token prefix to every prompt "
                  "(makes --prefix-cache hits observable)"),
-        SELFTEST(help="greedy: verify bit-identity vs full recompute; sampled: "
-                      "verify reseeded replay reproduces tokens"),
         TRACE,
     ]),
     ("schemes", "show per-conv scheme decisions", cmd_schemes, [MODEL]),

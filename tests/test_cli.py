@@ -27,10 +27,9 @@ PARSER_SURFACE = [
     ('optimize', ('model',), None, True, None, None, None),
     ('optimize', ('-o', '--output'), None, True, None, None, None),
     ('optimize', ('--verify',), False, False, 0, None, None),
-    ('quantize', ('model',), None, False, '?', None, None),
-    ('quantize', ('-o', '--output'), None, False, None, None, None),
+    ('quantize', ('model',), None, True, None, None, None),
+    ('quantize', ('-o', '--output'), None, True, None, None, None),
     ('quantize', ('--calibration-batches',), 4, False, None, None, 'int'),
-    ('quantize', ('--selftest',), False, False, 0, None, None),
     ('prune', ('model',), None, True, None, None, None),
     ('prune', ('-o', '--output'), None, True, None, None, None),
     ('prune', ('--sparsity',), 0.5, False, None, None, 'float'),
@@ -50,7 +49,6 @@ PARSER_SURFACE = [
     ('metrics', ('-o', '--output'), None, False, None, None, None),
     ('metrics', ('--sanitize',), False, False, 0, None, None),
     ('metrics', ('--prom',), False, False, 0, None, None),
-    ('metrics', ('--selftest',), False, False, 0, None, None),
     ('warm', ('model',), None, True, None, None, None),
     ('warm', ('--cache-dir',), None, False, None, None, None),
     ('serve', ('model',), None, True, None, None, None),
@@ -61,7 +59,6 @@ PARSER_SURFACE = [
     ('serve', ('--batch-timeout-ms',), 2.0, False, None, None, 'float'),
     ('serve', ('--cache-dir',), None, False, None, None, None),
     ('serve', ('--no-cache',), False, False, 0, None, None),
-    ('serve', ('--selftest',), False, False, 0, None, None),
     ('serve', ('--trace',), None, False, None, None, None),
     ('cluster', ('model',), None, False, '?', None, None),
     ('cluster', ('--workers',), 2, False, None, None, 'int'),
@@ -69,7 +66,6 @@ PARSER_SURFACE = [
     ('cluster', ('--clients',), 4, False, None, None, 'int'),
     ('cluster', ('--queue-depth',), 8, False, None, None, 'int'),
     ('cluster', ('--dwell-ms',), 2.0, False, None, None, 'float'),
-    ('cluster', ('--selftest',), False, False, 0, None, None),
     ('cluster', ('--prom',), False, False, 0, None, None),
     ('estimate', ('model',), None, True, None, None, None),
     ('estimate', ('--device',), 'Mate20', False, None, None, None),
@@ -101,7 +97,6 @@ PARSER_SURFACE = [
     ('generate', ('--seed',), 0, False, None, None, 'int'),
     ('generate', ('--prefix-cache',), False, False, 0, None, None),
     ('generate', ('--shared-prefix',), 0, False, None, None, 'int'),
-    ('generate', ('--selftest',), False, False, 0, None, None),
     ('generate', ('--trace',), None, False, None, None, None),
     ('schemes', ('model',), None, True, None, None, None),
     ('autotune', ('model',), None, True, None, None, None),

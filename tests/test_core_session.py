@@ -156,6 +156,24 @@ class TestSimulatedBackends:
         )
         assert session.modeled_cost_ms() > 0
 
+    @pytest.mark.parametrize("backend,decouple,virtual_ms,prepare_ms", [
+        ("sim_cpu", True, 0.36180408163265315, 0.0),
+        ("vulkan", True, 0.7535640887225085, 51.99999999999994),
+        ("vulkan", False, 55.41356408872268, 0.0),
+    ], ids=["sim_cpu", "vulkan", "vulkan-coupled"])
+    def test_virtual_time_is_pinned(self, backend, decouple, virtual_ms, prepare_ms):
+        """The virtual clock charges Eq. 5 through ``BackendCostModel``;
+        these are exact float readings, so a reordered term shows."""
+        from repro.analysis.verify_passes import random_feeds
+        from repro.models import squeezenet_v1_1
+
+        graph = squeezenet_v1_1(input_size=32)
+        session = Session(graph, SessionConfig(
+            backend=backend, device=get_device("MI6"), decouple=decouple))
+        session.run(random_feeds(graph))
+        assert session.last_run.virtual_ms == virtual_ms
+        assert session.primary.prepare_cost_ms == prepare_ms
+
 
 class TestBackendSelection:
     def test_choose_backend_prefers_gpu_for_heavy_graph(self):

@@ -97,32 +97,53 @@ class TestSampler:
         assert s.is_stop(7) and not s.is_stop(8)
 
 
-class TestAcceptance:
-    def test_decode_bit_identical_to_full_recompute_32_tokens(self):
-        """The headline criterion: >= 32 greedy tokens, every one bitwise
-        equal to an exact-length full recompute (no padding, no cache)."""
-        engine = small_engine(max_seq=44, capacity_tokens=128)
-        prompt = [3, 1, 4, 1, 5]
-        [result] = engine.generate([prompt], SamplingParams(max_tokens=32))
-        assert result.finish_reason == "length"
-        assert len(result.tokens) == 32
+#: The decoder ``cli generate`` builds by default, on 4-token pages.
+CLI_DECODER = dict(vocab=256, max_seq=48, d_model=32, heads=2, layers=2, seed=0,
+                   max_batch=4, page_tokens=4, capacity_tokens=None)
+SHARED_PREFIX = prompts(1, lo=12, hi=13, vocab=256, seed=3)[0]
 
-        toks = list(prompt)
-        model = dict(vocab=SMALL["vocab"], max_seq=44, d_model=SMALL["d_model"],
-                     heads=SMALL["heads"], layers=SMALL["layers"],
-                     seed=SMALL["seed"])
-        for step, want in enumerate(result.tokens):
-            g = tiny_decoder(mode="full", seq_len=len(toks), **model)
-            out = Session(g).run({
-                "tokens": np.asarray(toks, np.int32)[None],
-                "positions": np.arange(len(toks), dtype=np.int32)[None],
-            })
-            got = int(np.argmax(out["logits"][0, -1]))
-            assert got == want, (
-                f"token {step}: cached decode produced {want}, "
-                f"full recompute produced {got}"
-            )
-            toks.append(want)
+
+class TestAcceptance:
+    @pytest.mark.parametrize("overrides,reqs,max_tokens", [
+        pytest.param(dict(max_seq=44, capacity_tokens=128), [[3, 1, 4, 1, 5]], 32,
+                     id="32-tokens"),
+        pytest.param(CLI_DECODER, prompts(8, hi=12, vocab=256), 16,
+                     id="mixed-capacity-steps"),
+        pytest.param(dict(CLI_DECODER, prefix_cache=True),
+                     [SHARED_PREFIX + p for p in prompts(8, hi=12, vocab=256)], 16,
+                     id="prefix-hits"),
+    ])
+    def test_decode_bit_identical_to_full_recompute(self, overrides, reqs, max_tokens):
+        """The headline criterion: every greedy token bitwise equal to an
+        exact-length full recompute (no padding, no cache).  Cases: one
+        32-token generation; eight whose slabs straddle KV-capacity
+        buckets, so one decode step runs mixed capacities; and those eight
+        behind a shared 12-token prefix with the prefix cache on, so a hit
+        runs its multi-token suffix from cached rows in one call."""
+        engine = small_engine(**overrides)
+        results = engine.generate(reqs, SamplingParams(max_tokens=max_tokens))
+        cfg = engine.config
+        if cfg.prefix_cache:
+            assert engine.stats()["prefix_hits"] > 0
+
+        model = dict(vocab=cfg.vocab, max_seq=cfg.max_seq, d_model=cfg.d_model,
+                     heads=cfg.heads, layers=cfg.layers, seed=cfg.seed)
+        for prompt, result in zip(reqs, results):
+            assert result.finish_reason == "length"
+            assert len(result.tokens) == max_tokens
+            toks = list(prompt)
+            for step, want in enumerate(result.tokens):
+                g = tiny_decoder(mode="full", seq_len=len(toks), **model)
+                out = Session(g).run({
+                    "tokens": np.asarray(toks, np.int32)[None],
+                    "positions": np.arange(len(toks), dtype=np.int32)[None],
+                })
+                got = int(np.argmax(out["logits"][0, -1]))
+                assert got == want, (
+                    f"{result.request_id} token {step}: cached decode produced "
+                    f"{want}, full recompute produced {got}"
+                )
+                toks.append(want)
 
 
 class TestScheduler:
@@ -253,10 +274,6 @@ class TestScheduler:
 
 
 class TestEngineFrontDoor:
-    def test_config_or_overrides_not_both(self):
-        with pytest.raises(ValueError, match="not both"):
-            GenerationEngine(GenerationConfig(), vocab=32)
-
     def test_stats_shape(self):
         engine = small_engine()
         engine.generate(prompts(2), SamplingParams(max_tokens=3))
@@ -359,16 +376,19 @@ class TestGenerateFaults:
 
 class TestCliGenerate:
     def test_selftest_greedy(self, capsys):
+        """Greedy ``cli generate``; TestAcceptance proves its tokens."""
         from repro.tools.cli import main
 
         assert main(["generate", "--prompts", "2", "--max-tokens", "4",
-                     "--max-seq", "16", "--d-model", "16", "--layers", "1",
-                     "--selftest"]) == 0
+                     "--max-seq", "16", "--d-model", "16", "--layers", "1"]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical vs full recompute" in out
-        assert "throughput:" in out
+        assert "req-0: [" in out and "req-1: [" in out
+        assert "(4 tokens, length)" in out
+        assert "throughput: 8 tokens" in out
 
     def test_selftest_sampled_and_trace(self, tmp_path, capsys):
+        """Sampled ``cli generate --trace``; test_sampled_generations_replay
+        proves its replay."""
         import json
 
         from repro.tools.cli import main
@@ -377,9 +397,9 @@ class TestCliGenerate:
         assert main(["generate", "--prompts", "2", "--max-tokens", "4",
                      "--max-seq", "16", "--d-model", "16", "--layers", "1",
                      "--temperature", "0.7", "--top-k", "4",
-                     "--selftest", "--trace", trace]) == 0
+                     "--trace", trace]) == 0
         out = capsys.readouterr().out
-        assert "reproducible under reseeded replay" in out
+        assert "throughput:" in out
         events = json.load(open(trace))["traceEvents"]
         assert any(e.get("name") == "genai.decode_step" for e in events)
 

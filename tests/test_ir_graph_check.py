@@ -133,3 +133,31 @@ def test_shuffled_zoo_graph_orders_agree(seed):
     order = g.toposort()
     assert [id(n) for n in order] == [id(n) for n in LintContext(g).order]
     _assert_valid_order(g, order)
+
+
+def test_validate_returns_the_toposort_order():
+    g = build_model("squeezenet_v1.1", input_size=32)
+    assert [id(n) for n in g.validate()] == [id(n) for n in g.toposort()]
+
+
+def test_session_prepare_sorts_once(monkeypatch):
+    """Prepare runs its graph through the one Kahn loop once: the order
+    ``validate`` proved is the order the session executes."""
+    import repro.analysis.lint as lint
+    import repro.ir.graph as graph_module
+    from repro.core import Session
+    from repro.models import squeezenet_v1_1
+
+    g = squeezenet_v1_1(input_size=32)
+    calls = []
+    kahn = graph_module.toposort
+
+    def counting(nodes, producers):
+        calls.append(len(nodes))
+        return kahn(nodes, producers)
+
+    # Both names the function is bound under: the linter imports it.
+    monkeypatch.setattr(graph_module, "toposort", counting)
+    monkeypatch.setattr(lint, "toposort", counting)
+    Session(g)
+    assert calls == [len(g.nodes)]

@@ -438,18 +438,17 @@ class TestCli:
         assert snap["counters"]["session.runs"] == 2
 
     def test_cli_serve_selftest_prints_metrics(self, model_path, tmp_path, capsys):
+        """``cli serve --trace``: the engine-metrics line and the trace."""
         from repro.tools.cli import main
 
         trace_out = str(tmp_path / "serve.json")
         assert main([
             "serve", model_path, "--requests", "4", "--clients", "2",
-            "--pool", "2", "--no-cache", "--selftest",
-            "--trace", trace_out,
+            "--pool", "2", "--no-cache", "--trace", trace_out,
         ]) == 0
         captured = capsys.readouterr().out
-        assert "selftest:   ok" in captured
-        assert "metrics:" in captured
-        assert "engine.requests" in captured
+        assert "4 requests served" in captured
+        assert "trace:      wrote" in captured
         with open(trace_out) as fh:
             names = {e["name"] for e in json.load(fh)["traceEvents"]}
         assert "engine.infer" in names

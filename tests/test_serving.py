@@ -519,21 +519,25 @@ class TestServingCli:
         assert "already warm" in capsys.readouterr().out
 
     def test_serve_selftest(self, model_path, cache_dir, capsys):
+        """Pooled ``cli serve``; TestConcurrentStress proves its answers."""
         assert main([
             "serve", model_path, "--requests", "8", "--clients", "3",
-            "--pool", "2", "--cache-dir", cache_dir, "--selftest",
+            "--pool", "2", "--cache-dir", cache_dir,
         ]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical" in out
+        assert "pool:       2 sessions, 3 clients" in out
+        assert "8 requests served" in out
         assert "req/s" in out
 
     def test_serve_selftest_batched(self, model_path, cache_dir, capsys):
+        """Micro-batched ``cli serve``; TestMicroBatching proves its answers."""
         assert main([
             "serve", model_path, "--requests", "8", "--clients", "4",
-            "--batch", "4", "--cache-dir", cache_dir, "--selftest",
+            "--batch", "4", "--cache-dir", cache_dir,
         ]) == 0
         out = capsys.readouterr().out
-        assert "allclose (batched)" in out
+        assert "batcher:    max batch 4" in out
+        assert "batching:   8 requests in" in out
 
     def test_serve_honors_env_cache_dir(self, model_path, tmp_path,
                                         monkeypatch, capsys):
