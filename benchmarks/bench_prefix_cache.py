@@ -14,7 +14,7 @@ sanitizer.
 
 import numpy as np
 
-from repro.bench import time_callable
+from repro.bench import TimingResult, time_callable
 from repro.genai import (
     GenerationConfig,
     GenerationEngine,
@@ -26,6 +26,8 @@ from repro.obs.metrics import MetricsRegistry
 PREFIX_LEN = 48
 N_PROMPTS = 8
 MAX_TOKENS = 4
+#: Alternating cold/warm timing pairs behind the speedup.
+PAIRS = 5
 
 
 def _config(prefix_cache, sanitize=False):
@@ -68,13 +70,20 @@ def test_prefix_cache_tokens_per_sec(report_table, benchmark):
         first = [r.tokens for r in prefix.generate(requests)]
         assert first == gold  # identical even while the trie fills
 
-        t_cold = time_callable(
-            lambda: no_reuse.generate(requests), repeats=3
-        ).median_ms
-        warm_timing = time_callable(
-            lambda: prefix.generate(requests), repeats=3
-        )
+        # Alternating cold/warm pairs: a burst of host noise lands on
+        # both sides of a pair instead of on all of one side's runs.
+        cold_ms, warm_ms = [], []
+        for _ in range(PAIRS):
+            cold_ms.append(time_callable(
+                lambda: no_reuse.generate(requests), repeats=1, warmup=0
+            ).times_ms[0])
+            warm_ms.append(time_callable(
+                lambda: prefix.generate(requests), repeats=1, warmup=0
+            ).times_ms[0])
+        warm_timing = TimingResult(warm_ms)
+        t_cold = float(np.median(cold_ms))
         t_warm = warm_timing.median_ms
+        speedup = float(np.median([c / w for c, w in zip(cold_ms, warm_ms)]))
         benchmark(lambda: prefix.generate(requests))
 
         replay = [r.tokens for r in prefix.generate(requests)]
@@ -120,7 +129,7 @@ def test_prefix_cache_tokens_per_sec(report_table, benchmark):
         [
             ["no reuse (full prefill)", round(t_cold, 1), round(no_reuse_tps)],
             ["prefix cache (COW hits)", round(t_warm, 1), round(prefix_tps)],
-            ["speedup", "", f"{prefix_tps / no_reuse_tps:.2f}x"],
+            ["speedup (median of pair ratios)", "", f"{speedup:.2f}x"],
             ["prefix hits / hit tokens",
              int(stats["prefix_hits"]), int(stats["prefix_hit_tokens"])],
             ["cow materializes", int(stats["cow_materializes"]), ""],
@@ -130,6 +139,8 @@ def test_prefix_cache_tokens_per_sec(report_table, benchmark):
             "max_tokens": MAX_TOKENS,
             "prefix_hit_tokens_per_sec": prefix_tps,
             "no_reuse_tokens_per_sec": no_reuse_tps,
+            "speedup_median_pair_ratio": speedup,
+            "pairs": PAIRS,
         },
         timing=warm_timing,
         metrics=snapshot,
@@ -137,7 +148,9 @@ def test_prefix_cache_tokens_per_sec(report_table, benchmark):
         headline={"prefix_hit_tokens_per_sec": {
             "value": prefix_tps, "direction": "higher"}},
     )
-    # The headline acceptance criterion: reuse must actually pay.
-    assert prefix_tps >= 1.3 * no_reuse_tps, (
-        f"prefix cache speedup {prefix_tps / no_reuse_tps:.2f}x < 1.3x"
+    # The headline acceptance criterion: reuse must actually pay, in
+    # the median pair.
+    assert speedup >= 1.3, (
+        f"prefix cache speedup {speedup:.2f}x (median of {PAIRS} pair "
+        f"ratios) < 1.3x"
     )

@@ -38,8 +38,10 @@
 #      storms are stage 4's and are not repeated.
 #   9. Cluster supervision: spawn the multi-process serving tier,
 #      SIGKILL a worker mid-run, and require the supervisor to replace it
-#      with the post-recovery response bit-identical to the pre-kill gold
-#      (a tier-1 test, run here by node id).
+#      with the post-recovery response bit-identical to the pre-kill gold;
+#      then stall a worker's heartbeat and require the hang detector to
+#      kill and replace it the same way (tier-1 tests, run here by node
+#      id).
 #  10. Quantization contracts (tier-1 tests, run here by node id): the
 #      integer GEMM equals an int64 reference on worst-case operands on
 #      both sides of its float32/float64 switch (K = 1040, 1041);
@@ -118,8 +120,10 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill a worker, stay bit-identical) =="
-python -m pytest -q "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical"
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical) =="
+python -m pytest -q \
+    "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
+    "tests/test_cluster_router.py::TestSupervision::test_hang_is_detected_and_replaced"
 
 echo
 echo "== [10/13] quantization contracts (exactness, accuracy, determinism, capacity, merged siblings) =="

@@ -218,6 +218,23 @@ class Supervisor:
             return None
         return h.pid
 
+    def hang(self, slot: int) -> bool:
+        """Make ``slot``'s worker stop heartbeating and stall (a test hook
+        for the hang detector).
+
+        Returns whether the message was sent.  Like :meth:`stop`, it
+        writes to the worker's pipe outside the router's slot lock, so
+        call it only on a slot with no request in flight.
+        """
+        h = self.handle(slot)
+        if h is None:
+            return False
+        try:
+            h.conn.send({"kind": "hang"})
+        except (BrokenPipeError, OSError):
+            return False
+        return True
+
     # -- internals -----------------------------------------------------------
     def _spawn(self, slot: int) -> WorkerHandle:
         """Spawn ``slot``'s worker and wait for its ready message."""

@@ -1,7 +1,14 @@
 """Core engine: pre-inference, cost model, memory planning, sessions."""
 
 from .cost import BackendCostModel, node_muls, strassen_mul_factor, winograd_tile_cost
-from .memory import MemoryPlan, TensorLifetime, compute_lifetimes, plan_memory
+from .memory import (
+    MemoryPlan,
+    TensorLifetime,
+    bucket_for,
+    compute_lifetimes,
+    doubling_buckets,
+    plan_memory,
+)
 from .autotune import TuneReport, autotune_schemes, bound_runner
 from .schemes import (
     SchemeConfig,
@@ -28,6 +35,8 @@ __all__ = [
     "TensorLifetime",
     "compute_lifetimes",
     "plan_memory",
+    "doubling_buckets",
+    "bucket_for",
     "SchemeConfig",
     "SchemeDecision",
     "select_conv_scheme",

@@ -41,6 +41,8 @@ __all__ = [
     "alias_roots",
     "ExtentFreeList",
     "FreeListError",
+    "doubling_buckets",
+    "bucket_for",
 ]
 
 @dataclass(frozen=True)
@@ -308,6 +310,34 @@ def plan_memory(
     arena = max((off + align_up(life.nbytes) for off, life in placed), default=0)
     total = sum(t.nbytes for t in lifetimes.values())
     return MemoryPlan(offsets, arena, total, lifetimes)
+
+
+def doubling_buckets(top: int, smallest: int) -> List[int]:
+    """Buckets doubling from ``smallest`` and ending exactly at ``top``.
+
+    The one bucketing rule of every prepared shape: decode batches and
+    serving micro-batches (smallest 1), prompt lengths (smallest 8) and
+    KV-slab capacities (smallest ``page_tokens``) each get one prepared
+    shape per bucket, so a varying size re-runs pre-inference at most
+    ``log2`` times instead of once per size.
+    """
+    if smallest < 1:
+        raise ValueError(f"smallest bucket must be >= 1, got {smallest}")
+    buckets: List[int] = []
+    cap = smallest
+    while cap < top:
+        buckets.append(cap)
+        cap *= 2
+    buckets.append(top)
+    return buckets
+
+
+def bucket_for(n: int, buckets: List[int]) -> int:
+    """Smallest bucket >= ``n``; raises ``ValueError`` past the largest."""
+    for cap in buckets:
+        if cap >= n:
+            return cap
+    raise ValueError(f"{n} exceeds the largest bucket {buckets[-1]}")
 
 
 class FreeListError(ValueError):

@@ -38,7 +38,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.memory import ExtentFreeList, MemoryPlan, TensorLifetime
+from ..core.memory import (
+    ExtentFreeList,
+    MemoryPlan,
+    TensorLifetime,
+    bucket_for,
+    doubling_buckets,
+)
 from ..faults.errors import FatalFault, ResilienceError, TransientFault, mark_isolated
 from ..faults.resilience import retry_transient
 from ..kernels.workspace import align_up
@@ -55,32 +61,6 @@ __all__ = [
     "KVSlab",
     "KVCacheAllocator",
 ]
-
-
-def doubling_buckets(top: int, smallest: int) -> List[int]:
-    """Buckets doubling from ``smallest`` and ending exactly at ``top``.
-
-    The one bucketing rule of the token path: decode batches (smallest
-    1), prompt lengths (smallest 8) and KV-slab capacities (smallest
-    ``page_tokens``) each get one prepared shape per bucket.
-    """
-    if smallest < 1:
-        raise ValueError(f"smallest bucket must be >= 1, got {smallest}")
-    buckets: List[int] = []
-    cap = smallest
-    while cap < top:
-        buckets.append(cap)
-        cap *= 2
-    buckets.append(top)
-    return buckets
-
-
-def bucket_for(n: int, buckets: List[int]) -> int:
-    """Smallest bucket >= ``n``; raises ``ValueError`` past the largest."""
-    for cap in buckets:
-        if cap >= n:
-            return cap
-    raise ValueError(f"{n} exceeds the largest bucket {buckets[-1]}")
 
 
 class KVCacheOOM(ResilienceError):

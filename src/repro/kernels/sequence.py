@@ -244,18 +244,25 @@ def lstm_forward(
     hidden = w_hh.shape[1]
     if w_ih.shape != (4 * hidden, features):
         raise ValueError(f"w_ih {w_ih.shape} != ({4 * hidden}, {features})")
-    # Pre-compute all input projections in one GEMM over (N*T, features).
-    proj = x.reshape(n * t, features) @ w_ih.T
+    # Every GEMM runs one sequence at a time, at the shapes a batch-1 call
+    # has, so batch row i is bitwise its own batch-1 run (a batched
+    # (N, H) GEMM takes another BLAS path and rounds differently).
+    # Input projections: one (T, features) GEMM per sequence.
+    proj = np.empty((n, t, 4 * hidden), dtype=np.result_type(x, w_ih))
+    for row in range(n):
+        np.matmul(x[row], w_ih.T, out=proj[row])
     if bias is not None:
-        proj = proj + bias
-    proj = proj.reshape(n, t, 4 * hidden)
+        proj += bias
 
     h = np.zeros((n, hidden), dtype=x.dtype)
     c = np.zeros((n, hidden), dtype=x.dtype)
     outputs = np.empty((n, t, hidden), dtype=x.dtype) if return_sequences else None
     w_hh_t = w_hh.T
+    recurrent = np.empty((n, 4 * hidden), dtype=np.result_type(h, w_hh))
     for step in range(t):
-        gates = proj[:, step] + h @ w_hh_t
+        for row in range(n):
+            np.matmul(h[row:row + 1], w_hh_t, out=recurrent[row:row + 1])
+        gates = proj[:, step] + recurrent
         i = _sigmoid(gates[:, :hidden])
         f = _sigmoid(gates[:, hidden : 2 * hidden])
         g = np.tanh(gates[:, 2 * hidden : 3 * hidden])

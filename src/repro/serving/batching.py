@@ -2,22 +2,35 @@
 
 Kernels amortize per-op overhead over the batch dimension (one Winograd
 tile GEMM over ``N * tiles`` instead of ``N`` separate GEMMs), so serving
-throughput rises sharply when concurrent single-sample requests are run
-as one batched inference — the trick MNN-LLM and every production server
-lean on.
+throughput rises when concurrent single-sample requests run as one
+batched inference — the trick MNN-LLM and every production server lean
+on.  Running independent batches side by side matters as much: BLAS and
+the NumPy ufuncs release the GIL, so two dispatchers keep two cores busy.
 
-The :class:`MicroBatcher` keeps a small pending queue.  Requests are
-bucketed by their *per-sample* input signature (names, trailing shapes,
-dtypes); a dispatcher thread waits up to ``timeout_ms`` for the bucket to
-fill to ``max_batch``, stacks the feeds along axis 0, runs one pooled
-batch session — resized to the micro-batch size via the existing
-``Session.resize`` machinery, which re-runs pre-inference once per new
-batch size — and splits the outputs back per request.
+The :class:`MicroBatcher` keeps one pending queue, bucketed by each
+request's *per-sample* input signature (names, trailing shapes, dtypes),
+and runs ``dispatchers`` threads over it.  A free dispatcher takes the
+earliest-deadline bucket.  With a zero window (the default) it takes its
+share of what is pending now — the bucket's samples divided over the idle
+dispatchers, up to ``max_batch`` — so no core idles while a request
+waits and batches grow only when every dispatcher is busy.  A positive
+``timeout_ms`` instead waits up to that long from the bucket's first
+arrival for it to fill to ``max_batch``.
+
+Each dispatcher owns its **batch cells**: one prepared session per
+(signature, batch bucket), the buckets being ``doubling_buckets(max_batch,
+1)`` — the rule ``DecodeRunner`` prepares its decode batches by.  A batch
+of ``k`` samples runs on the cell for ``bucket_for(k)``; pad rows are
+zeros and only the real rows are split back (every kernel computes batch
+row ``i`` independently of the others, so a padded row never changes a
+real one).  A cell is resized once, when it is built, so pre-inference
+(``Session.resize``) stays off the request path in steady state.
 
 Semantics: every input of a request must share one leading (batch)
 dimension, and the graph must treat axis 0 as the batch axis (true of the
-whole model zoo).  Requests with mismatched signatures never share a
-batch; a failing batch fails exactly the requests in it.
+CNN zoo; the transformer graphs fix their batch in a Reshape).  Requests
+with mismatched signatures never share a batch; a failing batch is
+bisected so that a poison request fails alone.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.memory import bucket_for, doubling_buckets
 from ..core.session import Session
 from ..faults import mark_isolated
 from ..ir.graph import GraphError
@@ -106,6 +120,36 @@ def _signature(feeds: Dict[str, np.ndarray]) -> Tuple:
     )
 
 
+def _stack(items: List[_Pending], rows: int) -> Dict[str, np.ndarray]:
+    """Stack the requests' feeds along axis 0 into ``rows`` rows; the rows
+    past the real samples stay zero."""
+    if len(items) == 1 and items[0].batch_dim == rows:
+        return items[0].feeds
+    feeds: Dict[str, np.ndarray] = {}
+    for name, first in items[0].feeds.items():
+        out = np.zeros((rows,) + first.shape[1:], first.dtype)
+        start = 0
+        for item in items:
+            stop = start + item.batch_dim
+            out[start:stop] = item.feeds[name]
+            start = stop
+        feeds[name] = out
+    return feeds
+
+
+class _Dispatcher:
+    """One dispatcher thread and the batch cells only it runs.
+
+    The dispatcher is also the sanitizer's probe owner for its cells, so
+    two threads touching one dispatcher's cells is reported as a race.
+    """
+
+    def __init__(self) -> None:
+        #: (signature, batch bucket) -> a session prepared at that shape.
+        self.cells: Dict[Tuple[Tuple, int], Session] = {}
+        self.thread: Optional[threading.Thread] = None
+
+
 class MicroBatcher:
     """Coalesces concurrent requests into shape-bucketed micro-batches."""
 
@@ -113,28 +157,37 @@ class MicroBatcher:
         self,
         session_factory: Callable[[], Session],
         max_batch: int = 8,
-        timeout_ms: float = 2.0,
+        timeout_ms: float = 0.0,
         *,
+        dispatchers: int = 1,
         runtime: Optional[Runtime] = None,
     ) -> None:
         """Args:
-            session_factory: builds a batch-execution session at the
-                graph's native shapes (the engine passes its cache-warmed
-                factory); one such session is created lazily per shape
-                bucket and resized as micro-batch sizes change.
-            max_batch: dispatch as soon as this many samples are pending.
-            timeout_ms: how long the first request in a bucket waits for
-                company before running alone.
+            session_factory: builds a session at the graph's native shapes
+                (the engine passes its cache-warmed factory); each
+                dispatcher calls it once per batch cell, on the cell's
+                first batch.
+            max_batch: the largest batch, in samples; the cells' buckets
+                double from 1 up to it.
+            timeout_ms: ``0`` dispatches whatever is pending as soon as a
+                dispatcher is free; a positive window lets the first
+                request in a bucket wait that long for company.
+            dispatchers: threads running batches side by side, each over
+                its own cells (the engine passes ``min(pool_size,
+                os.cpu_count())``).
             runtime: the engine's instruments; its registry backs
                 :class:`BatchStats` (so all serving stats share one
                 snapshot) and its tracer receives batch assembly/run spans
-                on the dispatcher thread.  ``None`` resolves the
+                on the dispatcher threads.  ``None`` resolves the
                 process-wide defaults with a private registry.
         """
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if dispatchers < 1:
+            raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
         self._factory = session_factory
         self.max_batch = max_batch
+        self.buckets = doubling_buckets(max_batch, 1)
         self.timeout_ms = timeout_ms
         if runtime is None:
             runtime = Runtime.resolve(metrics=MetricsRegistry())
@@ -146,16 +199,26 @@ class MicroBatcher:
         self._cond = threading.Condition(self._lock)
         self._pending: Dict[Tuple, List[_Pending]] = {}
         #: Fill deadline per bucket, fixed at its *first* request's
-        #: arrival — the dispatcher picks the earliest-deadline bucket,
-        #: so no bucket's wait restarts and none starves behind a busy
+        #: arrival — a dispatcher picks the earliest-deadline bucket, so
+        #: no bucket's wait restarts and none starves behind a busy
         #: sibling.  Guarded by ``_lock``.
         self._deadlines: Dict[Tuple, float] = {}
-        self._sessions: Dict[Tuple, Session] = {}
+        #: Dispatchers between taking a batch and finishing it.  Guarded
+        #: by ``_lock``.
+        self._busy = 0
         self._running = True
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-microbatcher", daemon=True
-        )
-        self._thread.start()
+        self._dispatchers = [_Dispatcher() for _ in range(dispatchers)]
+        for i, d in enumerate(self._dispatchers):
+            d.thread = threading.Thread(
+                target=self._dispatch_loop, args=(d,),
+                name=f"repro-microbatcher-{i}", daemon=True,
+            )
+            d.thread.start()
+
+    @property
+    def dispatchers(self) -> int:
+        """Dispatcher threads running batches side by side."""
+        return len(self._dispatchers)
 
     # -- client side --------------------------------------------------------
     def submit(
@@ -200,19 +263,20 @@ class MicroBatcher:
         return self.submit(feeds).result()
 
     def close(self) -> None:
-        """Stop the dispatcher after draining already-queued requests.
+        """Stop the dispatchers after draining already-queued requests.
 
-        The bucket sessions are dropped here, not when the engine holding
+        The batch cells are dropped here, not when the engine holding
         this batcher is collected: each one holds its activation arena.
         """
         with self.sanitizer.locked(self._cond, "batcher.cond"):
             self._running = False
             self._cond.notify_all()
-        self._thread.join()
-        if self.sanitizer.enabled:
-            # join: everything the dispatcher did happens-before us.
-            self.sanitizer.hb_recv(("batcher.dispatcher", id(self)))
-        self._sessions.clear()
+        for d in self._dispatchers:
+            d.thread.join()
+            if self.sanitizer.enabled:
+                # join: everything the dispatcher did happens-before us.
+                self.sanitizer.hb_recv(("batcher.dispatcher", id(d)))
+            d.cells.clear()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -220,15 +284,15 @@ class MicroBatcher:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- dispatcher ---------------------------------------------------------
+    # -- dispatchers --------------------------------------------------------
     def _take_bucket(self) -> Optional[Tuple[Tuple, List[_Pending]]]:
-        """Pop a dispatchable bucket, waiting for batches to fill.
+        """Pop a dispatchable batch for the calling dispatcher.
 
         Called with the lock held.  Returns ``None`` when closed and
         drained.
 
         Earliest-deadline-first over the fill deadlines recorded at each
-        bucket's first-request arrival: a bucket created while the
+        bucket's first-request arrival: a bucket created while a
         dispatcher waited on (or ran) another one keeps its original
         deadline, so a lone request waits at most ``timeout_ms`` from
         *arrival* and a busy bucket cannot starve its siblings.  Any
@@ -260,10 +324,16 @@ class MicroBatcher:
             self._deadlines.pop(sig, None)
             if not items:
                 continue
-            # Cap at max_batch samples; the rest go back to the queue.
+            cap = self.max_batch
+            if self.timeout_ms <= 0:
+                # Work-conserving: split what is pending over the idle
+                # dispatchers rather than batching it onto one of them.
+                idle = len(self._dispatchers) - self._busy
+                pending = sum(item.batch_dim for item in items)
+                cap = min(cap, -(-pending // idle))
             taken: List[_Pending] = []
             total = 0
-            while items and total + items[0].batch_dim <= self.max_batch:
+            while items and total + items[0].batch_dim <= cap:
                 item = items.pop(0)
                 taken.append(item)
                 total += item.batch_dim
@@ -277,22 +347,24 @@ class MicroBatcher:
                 self._deadlines[sig] = (
                     time.monotonic() + self.timeout_ms / 1000.0
                 )
+                self._cond.notify()
+            self._busy += 1
             return sig, taken
 
-    def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self, dispatcher: _Dispatcher) -> None:
         while True:
             with self.sanitizer.locked(self._cond, "batcher.cond"):
                 bucket = self._take_bucket()
             if bucket is None:
                 if self.sanitizer.enabled:
-                    self.sanitizer.hb_send(("batcher.dispatcher", id(self)))
+                    self.sanitizer.hb_send(("batcher.dispatcher", id(dispatcher)))
                 return
             sig, items = bucket
+            results = None
             try:
-                results = self._run_batch(sig, items)
+                results = self._run_batch(dispatcher, sig, items)
             except Exception as exc:
-                self._degrade(sig, items, exc)
-                continue
+                self._degrade(dispatcher, sig, items, exc)
             except BaseException as exc:
                 # KeyboardInterrupt / SystemExit are not per-request
                 # failures: unblock waiters with a plain error, then let
@@ -305,10 +377,18 @@ class MicroBatcher:
                     if not item.future.done():
                         item.future.set_exception(err)
                 raise
-            for item, result in zip(items, results):
-                item.future.set_result(result)
+            # Free before answering: a client answered here may resubmit
+            # at once, and its request must see this dispatcher as idle.
+            with self.sanitizer.locked(self._cond, "batcher.cond"):
+                self._busy -= 1
+            if results is not None:
+                for item, result in zip(items, results):
+                    item.future.set_result(result)
 
-    def _degrade(self, sig: Tuple, items: List[_Pending], exc: Exception) -> None:
+    def _degrade(
+        self, dispatcher: _Dispatcher, sig: Tuple, items: List[_Pending],
+        exc: Exception,
+    ) -> None:
         """Graceful degradation: bisect a failed batch and retry the halves.
 
         A poison request thereby fails alone (its future gets the real
@@ -335,58 +415,63 @@ class MicroBatcher:
         mid = (len(items) + 1) // 2
         for half in (items[:mid], items[mid:]):
             try:
-                results = self._run_batch(sig, half)
+                results = self._run_batch(dispatcher, sig, half)
             except Exception as sub:
-                self._degrade(sig, half, sub)
+                self._degrade(dispatcher, sig, half, sub)
             else:
                 for item, result in zip(half, results):
                     item.future.set_result(result)
 
+    def _cell(
+        self, dispatcher: _Dispatcher, sig: Tuple, feeds: Dict[str, np.ndarray]
+    ) -> Session:
+        """The dispatcher's cell for this batch's shapes, built on first use.
+
+        A new cell is resized once from the graph's native shapes to its
+        bucket's — the one pre-inference rerun ``batch.resizes`` counts —
+        and every later batch of that bucket runs on it unchanged.
+        """
+        key = (sig, len(next(iter(feeds.values()))))
+        session = dispatcher.cells.get(key)
+        if session is not None:
+            return session
+        session = self._factory()
+        current = {
+            name: session.graph.desc(name).shape for name in session.graph.inputs
+        }
+        wanted = {name: tuple(arr.shape) for name, arr in feeds.items()}
+        if current != wanted:
+            with self.tracer.span("batch.resize", "serving"):
+                session.resize(wanted)
+            self.stats.record_resize()
+        dispatcher.cells[key] = session
+        return session
+
     def _run_batch(
-        self, sig: Tuple, items: List[_Pending]
+        self, dispatcher: _Dispatcher, sig: Tuple, items: List[_Pending]
     ) -> List[Dict[str, np.ndarray]]:
         tracer = self.tracer
         total = sum(item.batch_dim for item in items)
-        with tracer.span("batch.run", "serving",
-                         requests=len(items), samples=total) as batch_span:
+        # A request larger than max_batch runs alone at its own size.
+        rows = total if total > self.max_batch else bucket_for(total, self.buckets)
+        with tracer.span("batch.run", "serving", requests=len(items),
+                         samples=total, bucket=rows):
             if self.sanitizer.enabled:
-                # No lockset on purpose: bucket sessions are dispatcher-
-                # owned, so any second thread here is a real race.
-                self.sanitizer.probe(self, "sessions", "w")
-            session = self._sessions.get(sig)
-            if session is None:
-                # Bucket sessions are owned by the dispatcher thread; no
-                # other thread ever touches them.
-                session = self._sessions[sig] = self._factory()  # sanitize: single-thread
+                # No lockset on purpose: cells are dispatcher-owned, so
+                # any second thread here is a real race.
+                self.sanitizer.probe(dispatcher, "cells", "w")
             with tracer.span("batch.assemble", "serving"):
                 if self.faults.enabled:
                     self.faults.fire(
                         "batch.assemble", requests=len(items), samples=total
                     )
-                feeds = {
-                    name: np.concatenate(
-                        [item.feeds[name] for item in items], axis=0
-                    )
-                    for name in items[0].feeds
-                }
+                feeds = _stack(items, rows)
             for item in items:
                 if item.timeline is not None:
                     item.timeline.admitted(requests=len(items), samples=total)
-            # Resize the bucket session once per new micro-batch size; the
-            # pre-inference rerun is amortized across every later batch of
-            # that size.
-            current = {
-                name: session.graph.desc(name).shape for name in session.graph.inputs
-            }
-            wanted = {name: tuple(arr.shape) for name, arr in feeds.items()}
-            if current != wanted:
-                with tracer.span("batch.resize", "serving"):
-                    session.resize(wanted)
-                self.stats.record_resize()
-                batch_span.set(resized=True)
-            outputs = session.run(feeds)
+            outputs = self._cell(dispatcher, sig, feeds).run(feeds)
             self.stats.record_batch(len(items), total)
-            # Split along axis 0 by each request's batch dim.
+            # Split the real rows along axis 0 by each request's batch dim.
             with tracer.span("batch.split", "serving"):
                 results: List[Dict[str, np.ndarray]] = []
                 start = 0

@@ -19,6 +19,7 @@ Typical use::
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
@@ -49,8 +50,10 @@ class EngineConfig:
 
     Attributes:
         session: configuration applied to every pooled session.
-        pool_size: number of concurrently runnable worker sessions
-            (unused with ``batching``, which builds no pool).
+        pool_size: number of concurrently runnable worker sessions.
+            With ``batching`` it is the number of batch dispatchers,
+            capped at ``os.cpu_count()``; each dispatcher owns its own
+            prepared batch cells (no pool is built).
         use_cache: consult/populate the persistent pre-inference cache.
         cache_dir: cache location override (default: ``$REPRO_CACHE_DIR``
             or ``~/.cache/repro``).
@@ -58,6 +61,8 @@ class EngineConfig:
             each on its own pooled session.
         max_batch: micro-batch sample cap.
         batch_timeout_ms: how long a lone request waits for company.
+            The default ``0.0`` never waits: a free dispatcher takes
+            what is pending, so batches form only under load.
         trace: a :class:`repro.obs.Tracer` receiving serving spans (cache
             hit/miss, session creation, pool checkout waits, batch
             assembly) and every worker session's pre-inference and
@@ -101,7 +106,7 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     batching: bool = False
     max_batch: int = 8
-    batch_timeout_ms: float = 2.0
+    batch_timeout_ms: float = 0.0
     trace: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
@@ -149,6 +154,7 @@ class Engine:
                 self._create_session,
                 max_batch=c.max_batch,
                 timeout_ms=c.batch_timeout_ms,
+                dispatchers=min(c.pool_size, os.cpu_count() or 1),
                 runtime=self.runtime,
             )
         else:
@@ -311,7 +317,7 @@ class Engine:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Stop the batcher thread (pooled sessions need no teardown).
+        """Stop the batcher's dispatchers (pooled sessions need no teardown).
 
         The batcher object — and its :class:`~repro.serving.BatchStats` —
         stays accessible for post-run reporting; only new submissions are

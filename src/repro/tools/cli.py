@@ -328,7 +328,7 @@ def cmd_serve(args) -> int:
             print(f"pool:       {engine.pool.size} sessions, {args.clients} clients")
         else:
             print(f"batcher:    max batch {config.max_batch}, "
-                  f"{config.batch_timeout_ms:g} ms window, {args.clients} clients")
+                  f"{engine.batcher.dispatchers} dispatchers, {args.clients} clients")
         m = engine.metrics
         hits = int(m.value("engine.cache.hits"))
         misses = int(m.value("engine.cache.misses"))
@@ -608,10 +608,15 @@ COMMANDS = [
     ]),
     ("warm", "populate the pre-inference cache", cmd_warm, [MODEL, CACHE_DIR]),
     ("serve", "drive concurrent traffic through an engine", cmd_serve, [
-        MODEL, REQUESTS, CLIENTS, Arg("--pool", type=int, default=2),
+        MODEL, REQUESTS, CLIENTS,
+        Arg("--pool", type=int, default=2,
+            help="pooled sessions, or batch dispatchers with --batch "
+                 "(capped at the CPU count)"),
         Arg("--batch", type=int, default=0, metavar="N",
             help="coalesce requests into micro-batches of up to N (0 = off)"),
-        Arg("--batch-timeout-ms", type=float, default=2.0), CACHE_DIR,
+        Arg("--batch-timeout-ms", type=float, default=0.0,
+            help="how long a lone request waits for company (0 = never)"),
+        CACHE_DIR,
         Arg("--no-cache", action="store_true", help="skip the pre-inference cache entirely"),
         TRACE,
     ]),

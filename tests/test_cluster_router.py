@@ -179,6 +179,21 @@ class TestSupervision:
             for name in gold:
                 np.testing.assert_array_equal(out[name], gold[name])
 
+    def test_hang_is_detected_and_replaced(self, net, feeds, gold, monkeypatch):
+        from repro.cluster import supervisor
+
+        monkeypatch.setattr(supervisor, "HANG_TIMEOUT_S", 0.5)
+        reg = MetricsRegistry()
+        with Cluster(net, ClusterConfig(workers=2, metrics=reg)) as cluster:
+            cluster.infer(feeds)
+            assert cluster.supervisor.hang(0)
+            assert _wait_recovered(cluster, 0, timeout_s=30.0)
+            assert reg.value("cluster.down.hang") == 1
+            assert cluster.supervisor.restarts(0) == 1
+            out = cluster.infer(feeds, session_key="post-recovery")
+            for name in gold:
+                np.testing.assert_array_equal(out[name], gold[name])
+
 
 class TestWorkerLoss:
     def test_error_policy_surfaces_typed_loss_with_postmortem(

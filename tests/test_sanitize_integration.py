@@ -215,6 +215,39 @@ class TestSanitizedServing:
         report = engine.sanitizer.report()
         assert report.ok, report.describe()
 
+    def test_two_dispatchers_are_clean(self):
+        """Two dispatchers share one pending queue but never a batch
+        cell: each is its cells' probe owner, with no lockset, so a cell
+        touched from a second thread would be reported."""
+        from repro.serving import MicroBatcher
+
+        g = small_net()
+        runtime = Runtime.resolve(sanitize=True, metrics=MetricsRegistry())
+        batcher = MicroBatcher(
+            lambda: Session(g, runtime=runtime), max_batch=4,
+            dispatchers=2, runtime=runtime,
+        )
+        feeds = feed(g)
+        gold = Session(g).run(feeds)
+        outs = []
+
+        def client():
+            for _ in range(4):
+                outs.append(batcher.infer(feeds))
+
+        with batcher:
+            threads = [threading.Thread(target=client) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert len(outs) == 24
+        for out in outs:
+            for k in gold:
+                np.testing.assert_array_equal(out[k], gold[k])
+        report = runtime.sanitizer.report()
+        assert report.ok, report.describe()
+
 
 class TestSanitizedGenai:
     def _engine(self, **overrides):

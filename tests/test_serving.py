@@ -467,9 +467,9 @@ class TestMicroBatching:
             batcher.submit(feed(hw=16))
 
     def test_closing_an_engine_releases_its_bucket_sessions(self, cache_dir):
-        """A bucket session holds its activation arena, and an engine sits
-        in a reference cycle with its batcher: close must drop the
-        sessions itself, not leave them to the cycle collector."""
+        """A batch cell holds its activation arena, and an engine sits in
+        a reference cycle with its batcher: close must drop every
+        dispatcher's cells itself, not leave them to the cycle collector."""
         import gc
         import weakref
 
@@ -479,10 +479,15 @@ class TestMicroBatching:
                 pool_size=1, cache_dir=cache_dir, batching=True, max_batch=2,
             ))
             engine.infer(feed())
-            sessions = [weakref.ref(s) for s in engine.batcher._sessions.values()]
-            assert sessions and all(ref() is not None for ref in sessions)
+            engine.infer(feed(batch=2))
+            cells = [
+                weakref.ref(s)
+                for d in engine.batcher._dispatchers for s in d.cells.values()
+            ]
+            assert len(cells) == 2  # buckets 1 and 2
+            assert all(ref() is not None for ref in cells)
             engine.close()
-            assert all(ref() is None for ref in sessions)
+            assert all(ref() is None for ref in cells)
         finally:
             gc.enable()
 
@@ -492,7 +497,7 @@ class TestMicroBatching:
         serial = Session(g)
         gold = [list(serial.run(x).values())[0] for x in requests]
         with Engine(g, EngineConfig(
-            pool_size=1, cache_dir=cache_dir, batching=True,
+            pool_size=2, cache_dir=cache_dir, batching=True,
             max_batch=4, batch_timeout_ms=20.0,
         )) as engine:
             results = engine.infer_many(requests, clients=6)
@@ -500,8 +505,88 @@ class TestMicroBatching:
         assert stats.requests == 12
         assert stats.batches <= 12
         for got, want in zip(results, gold):
-            np.testing.assert_allclose(
-                list(got.values())[0], want, atol=1e-5)
+            np.testing.assert_array_equal(list(got.values())[0], want)
+
+
+def _barrier_session(barrier):
+    """A serving_net session whose run waits on ``barrier`` first."""
+    session = Session(serving_net(16))
+    run = session.run
+
+    def waiting_run(feeds, deadline=None):
+        barrier.wait()
+        return run(feeds, deadline=deadline)
+
+    session.run = waiting_run
+    return session
+
+
+class TestBatchCells:
+    def test_two_dispatchers_run_two_requests_at_once(self):
+        """Work-conserving dispatch: two requests submitted back to back
+        run side by side on two dispatchers.  Each run waits for the
+        other at a 2-party barrier, so one dispatcher (or one batch of
+        two) would time the barrier out."""
+        barrier = threading.Barrier(2, timeout=5)
+        with MicroBatcher(lambda: _barrier_session(barrier), max_batch=4,
+                          dispatchers=2) as batcher:
+            futures = [batcher.submit(feed(hw=16, seed=i)) for i in range(2)]
+            outs = [f.result(timeout=30) for f in futures]
+        assert not barrier.broken
+        assert batcher.stats.batches == 2
+        serial = Session(serving_net(16))
+        for i, out in enumerate(outs):
+            want = serial.run(feed(hw=16, seed=i))
+            for name in want:
+                np.testing.assert_array_equal(out[name], want[name])
+
+    def test_steady_state_never_resizes(self):
+        """Once a dispatcher has the cells for the batch sizes it sees,
+        later batches of those sizes re-run no pre-inference."""
+        g = serving_net(16)
+        with MicroBatcher(lambda: Session(g), max_batch=4) as batcher:
+            for batch in (1, 2, 3, 4):
+                batcher.infer(feed(hw=16, batch=batch))
+            warm = batcher.stats.resizes
+            assert warm == 2  # buckets 2 and 4; bucket 1 is native
+            for seed in range(6):
+                for batch in (1, 2, 3, 4):
+                    batcher.infer(feed(hw=16, batch=batch, seed=seed))
+            assert batcher.stats.resizes == warm
+            assert sorted(key[1] for key in batcher._dispatchers[0].cells) == [1, 2, 4]
+
+    # The transformer graphs (tiny_transformer, tiny_decoder) are left
+    # out: their Reshape fixes the batch size, so they cannot be resized
+    # along the batch axis at all.
+    @pytest.mark.parametrize("name,kwargs", [
+        ("squeezenet_v1.0", {"input_size": 64}),
+        ("squeezenet_v1.1", {"input_size": 64}),
+        ("mobilenet_v1", {"input_size": 32}),
+        ("mobilenet_v2", {"input_size": 32}),
+        ("resnet18", {"input_size": 32}),
+        ("resnet50", {"input_size": 32}),
+        ("inception_v3", {"input_size": 75}),
+        ("lstm_classifier", {"seq_len": 16}),
+    ])
+    def test_padded_cell_rows_equal_batch_one(self, name, kwargs):
+        """Three requests padded to a bucket-4 cell: each real row is
+        bitwise equal to that request's batch-1 run."""
+        from repro.analysis.verify_passes import random_feeds
+        from repro.models import build_model
+
+        g = build_model(name, **kwargs)
+        requests = [random_feeds(g, seed=i) for i in range(3)]
+        serial = Session(g)
+        gold = [serial.run(x) for x in requests]
+        with MicroBatcher(lambda: Session(g), max_batch=4,
+                          timeout_ms=500.0) as batcher:
+            outs = [f.result(timeout=60)
+                    for f in [batcher.submit(x) for x in requests]]
+            assert [key[1] for key in batcher._dispatchers[0].cells] == [4]
+        assert batcher.stats.batches == 1
+        for out, want in zip(outs, gold):
+            for key in want:
+                np.testing.assert_array_equal(out[key], want[key])
 
 
 class TestServingCli:
