@@ -315,11 +315,11 @@ def plan_memory(
 def doubling_buckets(top: int, smallest: int) -> List[int]:
     """Buckets doubling from ``smallest`` and ending exactly at ``top``.
 
-    The one bucketing rule of every prepared shape: decode batches and
-    serving micro-batches (smallest 1), prompt lengths (smallest 8) and
-    KV-slab capacities (smallest ``page_tokens``) each get one prepared
-    shape per bucket, so a varying size re-runs pre-inference at most
-    ``log2`` times instead of once per size.
+    The one bucketing rule of every prepared shape: decode batches
+    (smallest 1), prompt lengths (smallest 8) and KV-slab capacities
+    (smallest ``page_tokens``) each get one prepared shape per bucket,
+    so a varying size re-runs pre-inference at most ``log2`` times
+    instead of once per size.
     """
     if smallest < 1:
         raise ValueError(f"smallest bucket must be >= 1, got {smallest}")

@@ -17,14 +17,10 @@ waits and batches grow only when every dispatcher is busy.  A positive
 ``timeout_ms`` instead waits up to that long from the bucket's first
 arrival for it to fill to ``max_batch``.
 
-Each dispatcher owns its **batch cells**: one prepared session per
-(signature, batch bucket), the buckets being ``doubling_buckets(max_batch,
-1)`` — the rule ``DecodeRunner`` prepares its decode batches by.  A batch
-of ``k`` samples runs on the cell for ``bucket_for(k)``; pad rows are
-zeros and only the real rows are split back (every kernel computes batch
-row ``i`` independently of the others, so a padded row never changes a
-real one).  A cell is resized once, when it is built, so pre-inference
-(``Session.resize``) stays off the request path in steady state.
+Each dispatcher owns one batch session per signature, resized in place
+(``Session.resize`` re-runs pre-inference) when its batch size changes;
+batches of one size — the steady state of a zero window, where batches
+stay at one sample until every dispatcher is busy — never resize.
 
 Semantics: every input of a request must share one leading (batch)
 dimension, and the graph must treat axis 0 as the batch axis (true of the
@@ -43,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.memory import bucket_for, doubling_buckets
 from ..core.session import Session
 from ..faults import mark_isolated
 from ..ir.graph import GraphError
@@ -120,33 +115,17 @@ def _signature(feeds: Dict[str, np.ndarray]) -> Tuple:
     )
 
 
-def _stack(items: List[_Pending], rows: int) -> Dict[str, np.ndarray]:
-    """Stack the requests' feeds along axis 0 into ``rows`` rows; the rows
-    past the real samples stay zero."""
-    if len(items) == 1 and items[0].batch_dim == rows:
-        return items[0].feeds
-    feeds: Dict[str, np.ndarray] = {}
-    for name, first in items[0].feeds.items():
-        out = np.zeros((rows,) + first.shape[1:], first.dtype)
-        start = 0
-        for item in items:
-            stop = start + item.batch_dim
-            out[start:stop] = item.feeds[name]
-            start = stop
-        feeds[name] = out
-    return feeds
-
-
 class _Dispatcher:
-    """One dispatcher thread and the batch cells only it runs.
+    """One dispatcher thread and the batch sessions only it runs.
 
-    The dispatcher is also the sanitizer's probe owner for its cells, so
-    two threads touching one dispatcher's cells is reported as a race.
+    The dispatcher is also the sanitizer's probe owner for its sessions,
+    so two threads touching one dispatcher's sessions is reported as a
+    race.
     """
 
     def __init__(self) -> None:
-        #: (signature, batch bucket) -> a session prepared at that shape.
-        self.cells: Dict[Tuple[Tuple, int], Session] = {}
+        #: signature -> the session its batches run on, resized in place.
+        self.sessions: Dict[Tuple, Session] = {}
         self.thread: Optional[threading.Thread] = None
 
 
@@ -165,16 +144,15 @@ class MicroBatcher:
         """Args:
             session_factory: builds a session at the graph's native shapes
                 (the engine passes its cache-warmed factory); each
-                dispatcher calls it once per batch cell, on the cell's
-                first batch.
-            max_batch: the largest batch, in samples; the cells' buckets
-                double from 1 up to it.
+                dispatcher calls it once per input signature, on that
+                signature's first batch.
+            max_batch: dispatch as soon as this many samples are pending.
             timeout_ms: ``0`` dispatches whatever is pending as soon as a
                 dispatcher is free; a positive window lets the first
                 request in a bucket wait that long for company.
-            dispatchers: threads running batches side by side, each over
-                its own cells (the engine passes ``min(pool_size,
-                os.cpu_count())``).
+            dispatchers: threads running batches side by side, each on
+                its own sessions (the engine passes ``pool_size`` capped
+                at the cores the process may run on).
             runtime: the engine's instruments; its registry backs
                 :class:`BatchStats` (so all serving stats share one
                 snapshot) and its tracer receives batch assembly/run spans
@@ -187,7 +165,6 @@ class MicroBatcher:
             raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
         self._factory = session_factory
         self.max_batch = max_batch
-        self.buckets = doubling_buckets(max_batch, 1)
         self.timeout_ms = timeout_ms
         if runtime is None:
             runtime = Runtime.resolve(metrics=MetricsRegistry())
@@ -265,7 +242,7 @@ class MicroBatcher:
     def close(self) -> None:
         """Stop the dispatchers after draining already-queued requests.
 
-        The batch cells are dropped here, not when the engine holding
+        The batch sessions are dropped here, not when the engine holding
         this batcher is collected: each one holds its activation arena.
         """
         with self.sanitizer.locked(self._cond, "batcher.cond"):
@@ -276,7 +253,7 @@ class MicroBatcher:
             if self.sanitizer.enabled:
                 # join: everything the dispatcher did happens-before us.
                 self.sanitizer.hb_recv(("batcher.dispatcher", id(d)))
-            d.cells.clear()
+            d.sessions.clear()
 
     def __enter__(self) -> "MicroBatcher":
         return self
@@ -360,11 +337,10 @@ class MicroBatcher:
                     self.sanitizer.hb_send(("batcher.dispatcher", id(dispatcher)))
                 return
             sig, items = bucket
-            results = None
             try:
-                results = self._run_batch(dispatcher, sig, items)
+                answers = list(zip(items, self._run_batch(dispatcher, sig, items)))
             except Exception as exc:
-                self._degrade(dispatcher, sig, items, exc)
+                answers = self._degrade(dispatcher, sig, items, exc)
             except BaseException as exc:
                 # KeyboardInterrupt / SystemExit are not per-request
                 # failures: unblock waiters with a plain error, then let
@@ -381,21 +357,25 @@ class MicroBatcher:
             # at once, and its request must see this dispatcher as idle.
             with self.sanitizer.locked(self._cond, "batcher.cond"):
                 self._busy -= 1
-            if results is not None:
-                for item, result in zip(items, results):
-                    item.future.set_result(result)
+            for item, answer in answers:
+                if isinstance(answer, BaseException):
+                    item.future.set_exception(answer)
+                else:
+                    item.future.set_result(answer)
 
     def _degrade(
         self, dispatcher: _Dispatcher, sig: Tuple, items: List[_Pending],
         exc: Exception,
-    ) -> None:
+    ) -> List[Tuple[_Pending, object]]:
         """Graceful degradation: bisect a failed batch and retry the halves.
 
-        A poison request thereby fails alone (its future gets the real
+        A poison request thereby fails alone (its answer is the real
         exception, annotated with the bucket and cohort size) while its
-        batch-mates still get answers.  Each non-terminal retry counts in
-        ``retry.attempts``; a terminal single-request failure of an
-        injected fault counts once in ``faults.isolated``.
+        batch-mates still get results.  Returns each item with its result
+        dict or exception; the dispatcher answers them once it is free.
+        Each non-terminal retry counts in ``retry.attempts``; a terminal
+        single-request failure of an injected fault counts once in
+        ``faults.isolated``.
         """
         try:
             exc.batch_bucket = sig
@@ -404,74 +384,66 @@ class MicroBatcher:
             pass
         if len(items) == 1:
             mark_isolated(exc)
-            if not items[0].future.done():
-                items[0].future.set_exception(exc)
-            return
+            return [(items[0], exc)]
         get_metrics().counter("retry.attempts").inc()
         if self.tracer.enabled:
             self.tracer.instant(
                 "batch.bisect", "serving", requests=len(items), error=str(exc)
             )
         mid = (len(items) + 1) // 2
+        answers: List[Tuple[_Pending, object]] = []
         for half in (items[:mid], items[mid:]):
             try:
-                results = self._run_batch(dispatcher, sig, half)
+                answers.extend(zip(half, self._run_batch(dispatcher, sig, half)))
             except Exception as sub:
-                self._degrade(dispatcher, sig, half, sub)
-            else:
-                for item, result in zip(half, results):
-                    item.future.set_result(result)
-
-    def _cell(
-        self, dispatcher: _Dispatcher, sig: Tuple, feeds: Dict[str, np.ndarray]
-    ) -> Session:
-        """The dispatcher's cell for this batch's shapes, built on first use.
-
-        A new cell is resized once from the graph's native shapes to its
-        bucket's — the one pre-inference rerun ``batch.resizes`` counts —
-        and every later batch of that bucket runs on it unchanged.
-        """
-        key = (sig, len(next(iter(feeds.values()))))
-        session = dispatcher.cells.get(key)
-        if session is not None:
-            return session
-        session = self._factory()
-        current = {
-            name: session.graph.desc(name).shape for name in session.graph.inputs
-        }
-        wanted = {name: tuple(arr.shape) for name, arr in feeds.items()}
-        if current != wanted:
-            with self.tracer.span("batch.resize", "serving"):
-                session.resize(wanted)
-            self.stats.record_resize()
-        dispatcher.cells[key] = session
-        return session
+                answers.extend(self._degrade(dispatcher, sig, half, sub))
+        return answers
 
     def _run_batch(
         self, dispatcher: _Dispatcher, sig: Tuple, items: List[_Pending]
     ) -> List[Dict[str, np.ndarray]]:
         tracer = self.tracer
         total = sum(item.batch_dim for item in items)
-        # A request larger than max_batch runs alone at its own size.
-        rows = total if total > self.max_batch else bucket_for(total, self.buckets)
-        with tracer.span("batch.run", "serving", requests=len(items),
-                         samples=total, bucket=rows):
+        with tracer.span("batch.run", "serving",
+                         requests=len(items), samples=total) as batch_span:
             if self.sanitizer.enabled:
-                # No lockset on purpose: cells are dispatcher-owned, so
-                # any second thread here is a real race.
-                self.sanitizer.probe(dispatcher, "cells", "w")
+                # No lockset on purpose: batch sessions are dispatcher-
+                # owned, so any second thread here is a real race.
+                self.sanitizer.probe(dispatcher, "sessions", "w")
+            session = dispatcher.sessions.get(sig)
+            if session is None:
+                # Batch sessions are owned by their dispatcher thread; no
+                # other thread ever touches them.
+                session = dispatcher.sessions[sig] = self._factory()  # sanitize: single-thread
             with tracer.span("batch.assemble", "serving"):
                 if self.faults.enabled:
                     self.faults.fire(
                         "batch.assemble", requests=len(items), samples=total
                     )
-                feeds = _stack(items, rows)
+                feeds = {
+                    name: np.concatenate(
+                        [item.feeds[name] for item in items], axis=0
+                    )
+                    for name in items[0].feeds
+                }
             for item in items:
                 if item.timeline is not None:
                     item.timeline.admitted(requests=len(items), samples=total)
-            outputs = self._cell(dispatcher, sig, feeds).run(feeds)
+            # Resize the batch session once per new micro-batch size; the
+            # pre-inference rerun is amortized across every later batch of
+            # that size.
+            current = {
+                name: session.graph.desc(name).shape for name in session.graph.inputs
+            }
+            wanted = {name: tuple(arr.shape) for name, arr in feeds.items()}
+            if current != wanted:
+                with tracer.span("batch.resize", "serving"):
+                    session.resize(wanted)
+                self.stats.record_resize()
+                batch_span.set(resized=True)
+            outputs = session.run(feeds)
             self.stats.record_batch(len(items), total)
-            # Split the real rows along axis 0 by each request's batch dim.
+            # Split along axis 0 by each request's batch dim.
             with tracer.span("batch.split", "serving"):
                 results: List[Dict[str, np.ndarray]] = []
                 start = 0

@@ -44,6 +44,14 @@ from .pool import SessionPool
 __all__ = ["EngineConfig", "Engine"]
 
 
+def _usable_cpus() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else every core of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class EngineConfig:
     """Serving-layer options (wraps a per-worker :class:`SessionConfig`).
@@ -52,8 +60,8 @@ class EngineConfig:
         session: configuration applied to every pooled session.
         pool_size: number of concurrently runnable worker sessions.
             With ``batching`` it is the number of batch dispatchers,
-            capped at ``os.cpu_count()``; each dispatcher owns its own
-            prepared batch cells (no pool is built).
+            capped at the cores the process may run on; each dispatcher
+            owns its own batch sessions (no pool is built).
         use_cache: consult/populate the persistent pre-inference cache.
         cache_dir: cache location override (default: ``$REPRO_CACHE_DIR``
             or ``~/.cache/repro``).
@@ -154,7 +162,7 @@ class Engine:
                 self._create_session,
                 max_batch=c.max_batch,
                 timeout_ms=c.batch_timeout_ms,
-                dispatchers=min(c.pool_size, os.cpu_count() or 1),
+                dispatchers=min(c.pool_size, _usable_cpus()),
                 runtime=self.runtime,
             )
         else:

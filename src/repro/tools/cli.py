@@ -611,7 +611,7 @@ COMMANDS = [
         MODEL, REQUESTS, CLIENTS,
         Arg("--pool", type=int, default=2,
             help="pooled sessions, or batch dispatchers with --batch "
-                 "(capped at the CPU count)"),
+                 "(capped at the usable cores)"),
         Arg("--batch", type=int, default=0, metavar="N",
             help="coalesce requests into micro-batches of up to N (0 = off)"),
         Arg("--batch-timeout-ms", type=float, default=0.0,

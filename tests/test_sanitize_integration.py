@@ -217,8 +217,8 @@ class TestSanitizedServing:
 
     def test_two_dispatchers_are_clean(self):
         """Two dispatchers share one pending queue but never a batch
-        cell: each is its cells' probe owner, with no lockset, so a cell
-        touched from a second thread would be reported."""
+        session: each is its sessions' probe owner, with no lockset, so
+        a session touched from a second thread would be reported."""
         from repro.serving import MicroBatcher
 
         g = small_net()

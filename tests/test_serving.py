@@ -467,9 +467,10 @@ class TestMicroBatching:
             batcher.submit(feed(hw=16))
 
     def test_closing_an_engine_releases_its_bucket_sessions(self, cache_dir):
-        """A batch cell holds its activation arena, and an engine sits in
-        a reference cycle with its batcher: close must drop every
-        dispatcher's cells itself, not leave them to the cycle collector."""
+        """A batch session holds its activation arena, and an engine sits
+        in a reference cycle with its batcher: close must drop every
+        dispatcher's sessions itself, not leave them to the cycle
+        collector."""
         import gc
         import weakref
 
@@ -480,14 +481,14 @@ class TestMicroBatching:
             ))
             engine.infer(feed())
             engine.infer(feed(batch=2))
-            cells = [
+            sessions = [
                 weakref.ref(s)
-                for d in engine.batcher._dispatchers for s in d.cells.values()
+                for d in engine.batcher._dispatchers for s in d.sessions.values()
             ]
-            assert len(cells) == 2  # buckets 1 and 2
-            assert all(ref() is not None for ref in cells)
+            assert len(sessions) == 1  # one per signature, resized in place
+            assert all(ref() is not None for ref in sessions)
             engine.close()
-            assert all(ref() is None for ref in cells)
+            assert all(ref() is None for ref in sessions)
         finally:
             gc.enable()
 
@@ -521,7 +522,7 @@ def _barrier_session(barrier):
     return session
 
 
-class TestBatchCells:
+class TestDispatchers:
     def test_two_dispatchers_run_two_requests_at_once(self):
         """Work-conserving dispatch: two requests submitted back to back
         run side by side on two dispatchers.  Each run waits for the
@@ -541,19 +542,56 @@ class TestBatchCells:
                 np.testing.assert_array_equal(out[name], want[name])
 
     def test_steady_state_never_resizes(self):
-        """Once a dispatcher has the cells for the batch sizes it sees,
-        later batches of those sizes re-run no pre-inference."""
+        """Two closed-loop clients on two dispatchers with a zero window
+        never share a batch, so every batch runs at the graph's native
+        batch of one and no pre-inference reruns; a repeated batch size
+        resizes once, on its first batch."""
         g = serving_net(16)
+        with MicroBatcher(lambda: Session(g), max_batch=4,
+                          dispatchers=2) as batcher:
+            def client(seed):
+                for i in range(8):
+                    batcher.infer(feed(hw=16, seed=seed * 8 + i))
+
+            threads = [threading.Thread(target=client, args=(k,))
+                       for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert batcher.stats.requests == 16
+            assert batcher.stats.max_batch_seen == 1
+            assert batcher.stats.resizes == 0
         with MicroBatcher(lambda: Session(g), max_batch=4) as batcher:
-            for batch in (1, 2, 3, 4):
-                batcher.infer(feed(hw=16, batch=batch))
-            warm = batcher.stats.resizes
-            assert warm == 2  # buckets 2 and 4; bucket 1 is native
-            for seed in range(6):
-                for batch in (1, 2, 3, 4):
-                    batcher.infer(feed(hw=16, batch=batch, seed=seed))
-            assert batcher.stats.resizes == warm
-            assert sorted(key[1] for key in batcher._dispatchers[0].cells) == [1, 2, 4]
+            for seed in range(4):
+                batcher.infer(feed(hw=16, batch=3, seed=seed))
+            assert batcher.stats.resizes == 1
+
+    def test_dispatchers_are_capped_at_the_usable_cores(self, cache_dir,
+                                                        monkeypatch):
+        """A process pinned to one core gets one dispatcher, whatever
+        ``pool_size`` asks for."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        with Engine(serving_net(16), EngineConfig(
+            pool_size=4, cache_dir=cache_dir, batching=True,
+        )) as engine:
+            assert engine.batcher.dispatchers == 1
+
+    def test_oversized_requests_reuse_one_session(self):
+        """Requests larger than max_batch run alone on the dispatcher's
+        one session for their signature, resized in place, so a stream
+        of new sizes never grows the batcher's sessions."""
+        g = serving_net(16)
+        with MicroBatcher(lambda: Session(g), max_batch=2) as batcher:
+            outs = {n: batcher.infer(feed(hw=16, batch=n, seed=n))
+                    for n in (3, 4, 5)}
+            assert len(batcher._dispatchers[0].sessions) == 1
+            assert batcher.stats.resizes == 3
+        for n, out in outs.items():
+            assert list(out.values())[0].shape == (n, 10)
 
     # The transformer graphs (tiny_transformer, tiny_decoder) are left
     # out: their Reshape fixes the batch size, so they cannot be resized
@@ -568,9 +606,10 @@ class TestBatchCells:
         ("inception_v3", {"input_size": 75}),
         ("lstm_classifier", {"seq_len": 16}),
     ])
-    def test_padded_cell_rows_equal_batch_one(self, name, kwargs):
-        """Three requests padded to a bucket-4 cell: each real row is
-        bitwise equal to that request's batch-1 run."""
+    def test_batched_rows_equal_batch_one(self, name, kwargs):
+        """Three requests run as one batch of three: each row is bitwise
+        equal to that request's batch-1 run, so a request's answer never
+        depends on which requests share its batch."""
         from repro.analysis.verify_passes import random_feeds
         from repro.models import build_model
 
@@ -578,11 +617,10 @@ class TestBatchCells:
         requests = [random_feeds(g, seed=i) for i in range(3)]
         serial = Session(g)
         gold = [serial.run(x) for x in requests]
-        with MicroBatcher(lambda: Session(g), max_batch=4,
+        with MicroBatcher(lambda: Session(g), max_batch=3,
                           timeout_ms=500.0) as batcher:
             outs = [f.result(timeout=60)
                     for f in [batcher.submit(x) for x in requests]]
-            assert [key[1] for key in batcher._dispatchers[0].cells] == [4]
         assert batcher.stats.batches == 1
         for out, want in zip(outs, gold):
             for key in want:
