@@ -112,7 +112,7 @@ def test_concurrent_throughput(net, cache_dir, report_table, benchmark):
 
     with Engine(net, EngineConfig(
         pool_size=1, cache_dir=cache_dir, batching=True,
-        max_batch=8, batch_timeout_ms=5.0,
+        max_batch=8,
     )) as batched:
         t_batched = time_callable(
             lambda: batched.infer_many(requests, clients=CLIENTS), repeats=3

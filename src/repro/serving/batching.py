@@ -9,18 +9,19 @@ the NumPy ufuncs release the GIL, so two dispatchers keep two cores busy.
 
 The :class:`MicroBatcher` keeps one pending queue, bucketed by each
 request's *per-sample* input signature (names, trailing shapes, dtypes),
-and runs ``dispatchers`` threads over it.  A free dispatcher takes the
-earliest-deadline bucket.  With a zero window (the default) it takes its
-share of what is pending now — the bucket's samples divided over the idle
-dispatchers, up to ``max_batch`` — so no core idles while a request
-waits and batches grow only when every dispatcher is busy.  A positive
-``timeout_ms`` instead waits up to that long from the bucket's first
-arrival for it to fill to ``max_batch``.
+and runs ``dispatchers`` threads over it.  Dispatch is work-conserving
+and never waits on a timer: a free dispatcher takes the bucket that has
+waited longest and runs its share of it now — the bucket's samples
+divided over the idle dispatchers, up to ``max_batch`` — so no core
+idles while a request waits and batches grow only when every dispatcher
+is busy.  Leftovers requeue behind every other waiting bucket.
+:meth:`MicroBatcher.submit_many` enqueues its requests in one step, so
+an idle dispatcher sees them all at once.
 
 Each dispatcher owns one batch session per signature, resized in place
 (``Session.resize`` re-runs pre-inference) when its batch size changes;
-batches of one size — the steady state of a zero window, where batches
-stay at one sample until every dispatcher is busy — never resize.
+batches of one size — the steady state, where batches stay at one
+sample until every dispatcher is busy — never resize.
 
 Semantics: every input of a request must share one leading (batch)
 dimension, and the graph must treat axis 0 as the batch axis (true of the
@@ -32,10 +33,9 @@ bisected so that a poison request fails alone.
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,6 +107,22 @@ class _Pending:
     future: "Future[Dict[str, np.ndarray]]" = field(default_factory=Future)
 
 
+def _request(
+    feeds: Dict[str, np.ndarray], timeline: Optional[object]
+) -> _Pending:
+    """Validate one request's feeds; every input shares one batch dim."""
+    if not feeds:
+        raise GraphError("empty feed dict")
+    dims = {int(np.asarray(v).shape[0]) if np.asarray(v).ndim else 0
+            for v in feeds.values()}
+    if len(dims) != 1 or 0 in dims:
+        raise GraphError(
+            f"batching requires every input to share one leading batch "
+            f"dimension; got leading dims {sorted(dims)}"
+        )
+    return _Pending(feeds=dict(feeds), batch_dim=dims.pop(), timeline=timeline)
+
+
 def _signature(feeds: Dict[str, np.ndarray]) -> Tuple:
     """Per-sample bucket key: input names, trailing shapes and dtypes."""
     return tuple(
@@ -130,13 +146,16 @@ class _Dispatcher:
 
 
 class MicroBatcher:
-    """Coalesces concurrent requests into shape-bucketed micro-batches."""
+    """Coalesces concurrent requests into shape-bucketed micro-batches.
+
+    Buckets dispatch in first-arrival order, each free dispatcher taking
+    its share of the oldest one at once (see the module docstring).
+    """
 
     def __init__(
         self,
         session_factory: Callable[[], Session],
         max_batch: int = 8,
-        timeout_ms: float = 0.0,
         *,
         dispatchers: int = 1,
         runtime: Optional[Runtime] = None,
@@ -146,10 +165,8 @@ class MicroBatcher:
                 (the engine passes its cache-warmed factory); each
                 dispatcher calls it once per input signature, on that
                 signature's first batch.
-            max_batch: dispatch as soon as this many samples are pending.
-            timeout_ms: ``0`` dispatches whatever is pending as soon as a
-                dispatcher is free; a positive window lets the first
-                request in a bucket wait that long for company.
+            max_batch: the most samples one batch runs (a single larger
+                request runs alone).
             dispatchers: threads running batches side by side, each on
                 its own sessions (the engine passes ``pool_size`` capped
                 at the cores the process may run on).
@@ -165,7 +182,6 @@ class MicroBatcher:
             raise ValueError(f"dispatchers must be >= 1, got {dispatchers}")
         self._factory = session_factory
         self.max_batch = max_batch
-        self.timeout_ms = timeout_ms
         if runtime is None:
             runtime = Runtime.resolve(metrics=MetricsRegistry())
         self.tracer = runtime.tracer
@@ -174,12 +190,9 @@ class MicroBatcher:
         self.stats = BatchStats(runtime.metrics)
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
+        #: signature -> its waiting requests, buckets in first-arrival
+        #: order (dict insertion order).  Guarded by ``_lock``.
         self._pending: Dict[Tuple, List[_Pending]] = {}
-        #: Fill deadline per bucket, fixed at its *first* request's
-        #: arrival — a dispatcher picks the earliest-deadline bucket, so
-        #: no bucket's wait restarts and none starves behind a busy
-        #: sibling.  Guarded by ``_lock``.
-        self._deadlines: Dict[Tuple, float] = {}
         #: Dispatchers between taking a batch and finishing it.  Guarded
         #: by ``_lock``.
         self._busy = 0
@@ -208,32 +221,37 @@ class MicroBatcher:
         the dispatcher stamps admission — with the batch composition —
         the moment the request's micro-batch dispatches.
         """
-        if not feeds:
-            raise GraphError("empty feed dict")
-        dims = {int(np.asarray(v).shape[0]) if np.asarray(v).ndim else 0
-                for v in feeds.values()}
-        if len(dims) != 1 or 0 in dims:
-            raise GraphError(
-                f"batching requires every input to share one leading batch "
-                f"dimension; got leading dims {sorted(dims)}"
+        return self.submit_many([feeds], [timeline])[0]
+
+    def submit_many(
+        self,
+        feeds_list: Sequence[Dict[str, np.ndarray]],
+        timelines: Optional[Sequence[Optional[object]]] = None,
+    ) -> "List[Future[Dict[str, np.ndarray]]]":
+        """Enqueue several requests at once; one future per request.
+
+        Every request is validated before any is enqueued, and all of
+        them enter the queue under one lock acquisition, so an idle
+        dispatcher sees the whole call: requests that fit ``max_batch``
+        on a lone dispatcher share one batch.
+        """
+        if timelines is None:
+            timelines = [None] * len(feeds_list)
+        if len(timelines) != len(feeds_list):
+            raise ValueError(
+                f"{len(feeds_list)} requests but {len(timelines)} timelines"
             )
-        item = _Pending(feeds=dict(feeds), batch_dim=dims.pop(), timeline=timeline)
+        items = [_request(feeds, timeline)
+                 for feeds, timeline in zip(feeds_list, timelines)]
         with self.sanitizer.locked(self._cond, "batcher.cond"):
             if not self._running:
                 raise RuntimeError("MicroBatcher is closed")
             if self.sanitizer.enabled:
                 self.sanitizer.probe(self, "pending", "w")
-            sig = _signature(feeds)
-            bucket = self._pending.setdefault(sig, [])
-            if not bucket:
-                # First request of a (re)opened bucket starts its fill
-                # clock; later arrivals never extend it.
-                self._deadlines[sig] = (
-                    time.monotonic() + self.timeout_ms / 1000.0
-                )
-            bucket.append(item)
+            for item in items:
+                self._pending.setdefault(_signature(item.feeds), []).append(item)
             self._cond.notify_all()
-        return item.future
+        return [item.future for item in items]
 
     def infer(self, feeds: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
         """Blocking convenience wrapper over :meth:`submit`."""
@@ -263,70 +281,39 @@ class MicroBatcher:
 
     # -- dispatchers --------------------------------------------------------
     def _take_bucket(self) -> Optional[Tuple[Tuple, List[_Pending]]]:
-        """Pop a dispatchable batch for the calling dispatcher.
+        """Pop the calling dispatcher's batch: its share of the oldest bucket.
 
         Called with the lock held.  Returns ``None`` when closed and
-        drained.
-
-        Earliest-deadline-first over the fill deadlines recorded at each
-        bucket's first-request arrival: a bucket created while a
-        dispatcher waited on (or ran) another one keeps its original
-        deadline, so a lone request waits at most ``timeout_ms`` from
-        *arrival* and a busy bucket cannot starve its siblings.  Any
-        bucket opened during the wait has a strictly later deadline, so
-        the chosen bucket stays the earliest until it dispatches.
+        drained.  The share is the bucket's pending samples divided over
+        the idle dispatchers, up to ``max_batch``, so work is split
+        across cores rather than batched onto one.  Leftovers are
+        re-appended, behind every other waiting bucket, so a busy bucket
+        cannot starve its siblings.
         """
-        while True:
-            if not self._pending:
-                if not self._running:
-                    return None
-                self._cond.wait()
-                continue
-            if self.sanitizer.enabled:
-                self.sanitizer.probe(self, "pending", "r")
-            sig = min(self._pending, key=lambda s: self._deadlines.get(s, 0.0))
-            if self._running and self.timeout_ms > 0:
-                deadline = self._deadlines.get(sig, time.monotonic())
-                while (
-                    sum(i.batch_dim for i in self._pending.get(sig, ()))
-                    < self.max_batch
-                    and self._running
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        break
-            if self.sanitizer.enabled:
-                self.sanitizer.probe(self, "pending", "w")
-            items = self._pending.pop(sig, [])
-            self._deadlines.pop(sig, None)
-            if not items:
-                continue
-            cap = self.max_batch
-            if self.timeout_ms <= 0:
-                # Work-conserving: split what is pending over the idle
-                # dispatchers rather than batching it onto one of them.
-                idle = len(self._dispatchers) - self._busy
-                pending = sum(item.batch_dim for item in items)
-                cap = min(cap, -(-pending // idle))
-            taken: List[_Pending] = []
-            total = 0
-            while items and total + items[0].batch_dim <= cap:
-                item = items.pop(0)
-                taken.append(item)
-                total += item.batch_dim
-            if not taken:  # one oversized request: run it alone
-                taken.append(items.pop(0))
-            if items:
-                # Leftovers reopen the bucket with a fresh deadline —
-                # behind every other waiting bucket, never ahead (an
-                # already-expired deadline must not keep winning).
-                self._pending.setdefault(sig, []).extend(items)
-                self._deadlines[sig] = (
-                    time.monotonic() + self.timeout_ms / 1000.0
-                )
-                self._cond.notify()
-            self._busy += 1
-            return sig, taken
+        while not self._pending:
+            if not self._running:
+                return None
+            self._cond.wait()
+        if self.sanitizer.enabled:
+            self.sanitizer.probe(self, "pending", "w")
+        sig = next(iter(self._pending))
+        items = self._pending.pop(sig)
+        idle = len(self._dispatchers) - self._busy
+        pending = sum(item.batch_dim for item in items)
+        cap = min(self.max_batch, -(-pending // idle))
+        taken: List[_Pending] = []
+        total = 0
+        while items and total + items[0].batch_dim <= cap:
+            item = items.pop(0)
+            taken.append(item)
+            total += item.batch_dim
+        if not taken:  # one oversized request: run it alone
+            taken.append(items.pop(0))
+        if items:
+            self._pending[sig] = items
+            self._cond.notify()
+        self._busy += 1
+        return sig, taken
 
     def _dispatch_loop(self, dispatcher: _Dispatcher) -> None:
         while True:

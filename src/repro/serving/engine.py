@@ -67,10 +67,9 @@ class EngineConfig:
             or ``~/.cache/repro``).
         batching: coalesce requests into micro-batches instead of running
             each on its own pooled session.
-        max_batch: micro-batch sample cap.
-        batch_timeout_ms: how long a lone request waits for company.
-            The default ``0.0`` never waits: a free dispatcher takes
-            what is pending, so batches form only under load.
+        max_batch: micro-batch sample cap.  No request waits for
+            company: a free dispatcher takes what is pending, so
+            batches form only under load.
         trace: a :class:`repro.obs.Tracer` receiving serving spans (cache
             hit/miss, session creation, pool checkout waits, batch
             assembly) and every worker session's pre-inference and
@@ -114,7 +113,6 @@ class EngineConfig:
     cache_dir: Optional[str] = None
     batching: bool = False
     max_batch: int = 8
-    batch_timeout_ms: float = 0.0
     trace: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
@@ -161,7 +159,6 @@ class Engine:
             self.batcher = MicroBatcher(
                 self._create_session,
                 max_batch=c.max_batch,
-                timeout_ms=c.batch_timeout_ms,
                 dispatchers=min(c.pool_size, _usable_cpus()),
                 runtime=self.runtime,
             )

@@ -315,7 +315,6 @@ def cmd_serve(args) -> int:
         use_cache=not args.no_cache,
         batching=args.batch > 0,
         max_batch=max(args.batch, 1),
-        batch_timeout_ms=args.batch_timeout_ms,
         trace=args.tracer,
     )
     requests = [random_feeds(graph, seed) for seed in range(args.requests)]
@@ -614,8 +613,6 @@ COMMANDS = [
                  "(capped at the usable cores)"),
         Arg("--batch", type=int, default=0, metavar="N",
             help="coalesce requests into micro-batches of up to N (0 = off)"),
-        Arg("--batch-timeout-ms", type=float, default=0.0,
-            help="how long a lone request waits for company (0 = never)"),
         CACHE_DIR,
         Arg("--no-cache", action="store_true", help="skip the pre-inference cache entirely"),
         TRACE,

@@ -56,7 +56,6 @@ PARSER_SURFACE = [
     ('serve', ('--clients',), 4, False, None, None, 'int'),
     ('serve', ('--pool',), 2, False, None, None, 'int'),
     ('serve', ('--batch',), 0, False, None, None, 'int'),
-    ('serve', ('--batch-timeout-ms',), 0.0, False, None, None, 'float'),
     ('serve', ('--cache-dir',), None, False, None, None, None),
     ('serve', ('--no-cache',), False, False, 0, None, None),
     ('serve', ('--trace',), None, False, None, None, None),

@@ -403,7 +403,7 @@ class TestBatcherResilience:
         return Engine(tiny_net(), EngineConfig(
             session=SessionConfig(breaker_cooldown_s=0.0),
             pool_size=1, use_cache=False,
-            batching=True, max_batch=max_batch, batch_timeout_ms=200.0,
+            batching=True, max_batch=max_batch,
             faults=plan, metrics=get_metrics(),
         ))
 
@@ -415,7 +415,7 @@ class TestBatcherResilience:
         # budget 7 = full bisect cascade of a 4-batch: 4+2+2 then singles
         plan = FaultPlan([FaultRule("batch.assemble", "fatal", times=7)])
         with self._engine(plan) as engine:
-            futures = [engine.batcher.submit(f) for f in requests]
+            futures = engine.batcher.submit_many(requests)
             failures = []
             for future in futures:
                 try:
@@ -449,7 +449,7 @@ class TestBatcherResilience:
         # the sibling single and the other half succeed on retry.
         plan = FaultPlan([FaultRule("batch.assemble", "fatal", times=3)])
         with self._engine(plan) as engine:
-            futures = [engine.batcher.submit(f) for f in requests]
+            futures = engine.batcher.submit_many(requests)
             served, failed = 0, 0
             for future, gold in zip(futures, golds):
                 try:
@@ -478,7 +478,7 @@ class TestBatcherResilience:
             raise KeyboardInterrupt
 
         session.run = interrupted
-        batcher = MicroBatcher(lambda: session, max_batch=1, timeout_ms=1.0)
+        batcher = MicroBatcher(lambda: session, max_batch=1)
         future = batcher.submit(tiny_feed())
         with pytest.raises(RuntimeError, match="interrupted"):
             future.result(timeout=30.0)

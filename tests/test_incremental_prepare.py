@@ -1,12 +1,10 @@
 """Prepare-path and serving-side fixes.
 
-Covers fresh memory planning on every resize, the batcher EDF starvation
-fix, the cache corrupt-entry quarantine and the empty-vs-absent schemes
-round-trip of :class:`~repro.core.SessionArtifacts`.
+Covers fresh memory planning on every resize, the cache corrupt-entry
+quarantine and the empty-vs-absent schemes round-trip of :class:`~repro.core.SessionArtifacts`.
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from repro.faults import FaultPlan, FaultRule
 from repro.ir import GraphBuilder
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.runtime import Runtime
-from repro.serving import MicroBatcher, PreInferenceCache
+from repro.serving import PreInferenceCache
 
 
 @pytest.fixture(autouse=True)
@@ -66,73 +64,6 @@ class TestResizePlanning:
         want = fresh.run(feed())
         for name in want:
             np.testing.assert_array_equal(out[name], want[name])
-
-
-class TestBatcherDeadlines:
-    def test_second_bucket_not_starved_by_first(self):
-        """EDF regression: a bucket opened while the dispatcher camps on
-        another must keep its arrival-anchored deadline.
-
-        Pre-fix, the dispatcher picked an arbitrary bucket and restarted
-        the full timeout for it from *its own* wait start, so bucket B's
-        wall time stacked A's entire window on top of its own.  With
-        earliest-deadline-first both fill windows overlap.
-        """
-        g = conv_net(16)
-        timeout_s = 0.3
-        t0 = time.monotonic()
-        with MicroBatcher(lambda: Session(g), max_batch=4,
-                          timeout_ms=timeout_s * 1000.0) as batcher:
-            fa = batcher.submit(feed(hw=16, seed=1))
-            time.sleep(0.06)
-            fb = batcher.submit(feed(hw=24, seed=2))  # distinct bucket
-            fa.result(timeout=30)
-            fb.result(timeout=30)
-            elapsed = time.monotonic() - t0
-        # Overlapping windows: everything resolves shortly after the
-        # later deadline (~0.36s), nowhere near two stacked timeouts.
-        assert elapsed < 2 * timeout_s, (
-            f"bucket B starved: {elapsed:.3f}s for two overlapping "
-            f"{timeout_s:.1f}s fill windows"
-        )
-        assert batcher.stats.batches == 2  # shapes never share a batch
-
-    def test_fill_window_anchored_at_first_arrival(self):
-        g = conv_net(16)
-        timeout_s = 0.3
-        t0 = time.monotonic()
-        with MicroBatcher(lambda: Session(g), max_batch=8,
-                          timeout_ms=timeout_s * 1000.0) as batcher:
-            first = batcher.submit(feed(hw=16, seed=1))
-            time.sleep(0.1)
-            second = batcher.submit(feed(hw=16, seed=2))
-            first.result(timeout=30)
-            second.result(timeout=30)
-            elapsed = time.monotonic() - t0
-        # A later arrival must not extend the bucket's fill clock.
-        assert elapsed < timeout_s + 0.25
-        assert batcher.stats.batches == 1
-        assert batcher.stats.batched_requests == 2
-
-    def test_bucket_sessions_match_serial_across_resizes(self):
-        """The dispatcher's one session for a signature, resized in place
-        1 -> 4 -> 2, answers bitwise like a serial session at each
-        micro-batch size."""
-        g = conv_net(16)
-        with MicroBatcher(lambda: Session(g), max_batch=4,
-                          timeout_ms=20.0) as batcher:
-            out4 = batcher.infer(feed(hw=16, batch=4, seed=3))
-            out2 = batcher.infer(feed(hw=16, batch=2, seed=4))
-            assert batcher.stats.resizes == 2
-            assert len(batcher._dispatchers[0].sessions) == 1
-        assert list(out4.values())[0].shape == (4, 10)
-        assert list(out2.values())[0].shape == (2, 10)
-        serial = Session(conv_net(16))
-        for out, batch, seed in ((out4, 4, 3), (out2, 2, 4)):
-            serial.resize({"data": (batch, 3, 16, 16)})
-            want = serial.run(feed(hw=16, batch=batch, seed=seed))
-            for name in want:
-                np.testing.assert_array_equal(out[name], want[name])
 
 
 class TestCacheQuarantine:

@@ -349,7 +349,7 @@ class TestServingObservability:
 
     def test_batcher_spans_and_stats_view(self):
         engine, tracer, metrics = self._engine(
-            batching=True, max_batch=4, batch_timeout_ms=20.0
+            batching=True, max_batch=4
         )
         with engine:
             results = engine.infer_many(

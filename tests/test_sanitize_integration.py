@@ -193,17 +193,14 @@ class TestSanitizedServing:
         g = small_net()
         engine = Engine(g, EngineConfig(
             pool_size=1, use_cache=False, batching=True,
-            max_batch=4, batch_timeout_ms=5.0, sanitize=True,
+            max_batch=4, sanitize=True,
         ))
         feeds = feed(g)
         gold = Session(g).run(feeds)
-        mismatches = []
+        outs = []
 
         def client():
-            out = engine.infer(feeds)
-            for k in gold:
-                if not np.allclose(out[k], gold[k], rtol=1e-6, atol=1e-9):
-                    mismatches.append(k)
+            outs.append(engine.infer(feeds))
 
         with engine:
             threads = [threading.Thread(target=client) for _ in range(8)]
@@ -211,7 +208,10 @@ class TestSanitizedServing:
                 t.start()
             for t in threads:
                 t.join()
-        assert not mismatches
+        assert len(outs) == 8
+        for out in outs:
+            for k in gold:
+                np.testing.assert_array_equal(out[k], gold[k])
         report = engine.sanitizer.report()
         assert report.ok, report.describe()
 

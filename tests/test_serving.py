@@ -396,12 +396,11 @@ class TestConcurrentStress:
 class TestMicroBatching:
     def test_coalesces_into_one_batch(self):
         g = serving_net()
-        with MicroBatcher(lambda: Session(g), max_batch=4,
-                          timeout_ms=200.0) as batcher:
-            futures = [batcher.submit(feed(seed=i)) for i in range(4)]
+        with MicroBatcher(lambda: Session(g), max_batch=4) as batcher:
+            futures = batcher.submit_many([feed(seed=i) for i in range(4)])
             results = [f.result(timeout=30) for f in futures]
         assert batcher.stats.requests == 4
-        assert batcher.stats.batches == 1  # all 4 fit before the deadline
+        assert batcher.stats.batches == 1  # one call, one idle dispatcher
         assert batcher.stats.batched_requests == 4
         assert batcher.stats.max_batch_seen == 4
         serial = Session(serving_net())
@@ -409,12 +408,11 @@ class TestMicroBatching:
             got = list(out.values())[0]
             assert got.shape == (1, 10)
             want = list(serial.run(feed(seed=i)).values())[0]
-            np.testing.assert_allclose(got, want, atol=1e-5)
+            np.testing.assert_array_equal(got, want)
 
     def test_mixed_shapes_bucket_separately(self):
         g = serving_net()
-        with MicroBatcher(lambda: Session(g), max_batch=4,
-                          timeout_ms=50.0) as batcher:
+        with MicroBatcher(lambda: Session(g), max_batch=4) as batcher:
             small = [batcher.submit(feed(hw=32, seed=i)) for i in range(2)]
             large = [batcher.submit(feed(hw=48, seed=i)) for i in range(2)]
             outs = [f.result(timeout=30) for f in small + large]
@@ -425,8 +423,7 @@ class TestMicroBatching:
 
     def test_multi_sample_requests_and_split(self):
         g = serving_net()
-        with MicroBatcher(lambda: Session(g), max_batch=8,
-                          timeout_ms=100.0) as batcher:
+        with MicroBatcher(lambda: Session(g), max_batch=8) as batcher:
             f2 = batcher.submit(feed(batch=2, seed=1))
             f3 = batcher.submit(feed(batch=3, seed=2))
             out2, out3 = f2.result(timeout=30), f3.result(timeout=30)
@@ -435,8 +432,7 @@ class TestMicroBatching:
 
     def test_batch_failure_hits_only_that_batch(self):
         g = serving_net()
-        with MicroBatcher(lambda: Session(g), max_batch=2,
-                          timeout_ms=20.0) as batcher:
+        with MicroBatcher(lambda: Session(g), max_batch=2) as batcher:
             from repro.ir import GraphError
 
             with pytest.raises(GraphError):
@@ -499,7 +495,7 @@ class TestMicroBatching:
         gold = [list(serial.run(x).values())[0] for x in requests]
         with Engine(g, EngineConfig(
             pool_size=2, cache_dir=cache_dir, batching=True,
-            max_batch=4, batch_timeout_ms=20.0,
+            max_batch=4,
         )) as engine:
             results = engine.infer_many(requests, clients=6)
         stats = engine.batcher.stats
@@ -593,6 +589,51 @@ class TestDispatchers:
         for n, out in outs.items():
             assert list(out.values())[0].shape == (n, 10)
 
+    def test_buckets_dispatch_in_first_arrival_order(self):
+        """One dispatcher, ``max_batch=2``: of ``[A, A, A, B]`` the first
+        two A's run, the leftover A requeues behind B, so no bucket
+        starves behind a busy sibling."""
+        order = []
+
+        def recording_session():
+            session = Session(serving_net(16))
+            run = session.run
+
+            def recording_run(feeds, deadline=None):
+                shape = feeds["data"].shape
+                order.append((shape[0], shape[2]))
+                return run(feeds, deadline=deadline)
+
+            session.run = recording_run
+            return session
+
+        requests = [feed(hw=16, seed=i) for i in range(3)] + [feed(hw=24)]
+        with MicroBatcher(recording_session, max_batch=2) as batcher:
+            outs = [f.result(timeout=30) for f in batcher.submit_many(requests)]
+        assert order == [(2, 16), (1, 24), (1, 16)]
+        assert batcher.stats.batches == 3
+        for out in outs:
+            assert list(out.values())[0].shape == (1, 10)
+
+    def test_bucket_sessions_match_serial_across_resizes(self):
+        """The dispatcher's one session for a signature, resized in place
+        1 -> 4 -> 2, answers bitwise like a serial session at each
+        micro-batch size."""
+        g = serving_net(16)
+        with MicroBatcher(lambda: Session(g), max_batch=4) as batcher:
+            out4 = batcher.infer(feed(hw=16, batch=4, seed=3))
+            out2 = batcher.infer(feed(hw=16, batch=2, seed=4))
+            assert batcher.stats.resizes == 2
+            assert len(batcher._dispatchers[0].sessions) == 1
+        assert list(out4.values())[0].shape == (4, 10)
+        assert list(out2.values())[0].shape == (2, 10)
+        serial = Session(serving_net(16))
+        for out, batch, seed in ((out4, 4, 3), (out2, 2, 4)):
+            serial.resize({"data": (batch, 3, 16, 16)})
+            want = serial.run(feed(hw=16, batch=batch, seed=seed))
+            for name in want:
+                np.testing.assert_array_equal(out[name], want[name])
+
     # The transformer graphs (tiny_transformer, tiny_decoder) are left
     # out: their Reshape fixes the batch size, so they cannot be resized
     # along the batch axis at all.
@@ -617,10 +658,8 @@ class TestDispatchers:
         requests = [random_feeds(g, seed=i) for i in range(3)]
         serial = Session(g)
         gold = [serial.run(x) for x in requests]
-        with MicroBatcher(lambda: Session(g), max_batch=3,
-                          timeout_ms=500.0) as batcher:
-            outs = [f.result(timeout=60)
-                    for f in [batcher.submit(x) for x in requests]]
+        with MicroBatcher(lambda: Session(g), max_batch=3) as batcher:
+            outs = [f.result(timeout=60) for f in batcher.submit_many(requests)]
         assert batcher.stats.batches == 1
         for out, want in zip(outs, gold):
             for key in want:
