@@ -8,7 +8,8 @@
 #   1. Static concurrency lint (rule family C0xx) over src/repro itself
 #      (`cli sanitize --strict`) — warnings fail too.
 #   2. Strict graph lint + memory-plan sanitizer over every registered
-#      zoo model (each one is built fresh, then linted).
+#      zoo model (each one is built fresh, then linted; a tier-1 test
+#      parametrized over MODEL_REGISTRY, run here by node id).
 #   3. The lint_self and sanitize pytest markers: the repo lints its own
 #      fixtures, the race / lock-order / lifecycle detectors prove they
 #      both catch seeded defects and come up clean on real code, and the
@@ -82,12 +83,7 @@ python -m repro.tools.cli sanitize --strict
 
 echo
 echo "== [2/13] strict model lint over the registered zoo =="
-models=$(python -c "from repro.models import MODEL_REGISTRY; print(' '.join(sorted(MODEL_REGISTRY)))")
-for name in $models; do
-    echo "-- $name"
-    python -m repro.tools.cli build "$name" -o "$tmpdir/$name.rmnn" >/dev/null
-    python -m repro.tools.cli lint --strict "$tmpdir/$name.rmnn"
-done
+python -m pytest -q "tests/test_cli.py::test_zoo_model_builds_and_lints_strict"
 
 echo
 echo "== [3/13] lint_self + sanitize pytest markers =="

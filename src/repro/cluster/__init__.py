@@ -1,8 +1,8 @@
 """``repro.cluster``: the crash-tolerant multi-process serving tier.
 
 One front-door :class:`Cluster` (router) shards requests across N
-supervised worker processes, each owning its own SessionPool / arena /
-KV allocator.  Headline contracts:
+supervised worker processes, each owning its own session / arena / KV
+allocator and serving one request at a time.  Headline contracts:
 
 * consistent-hash **session affinity** with deterministic
   rehash-and-replay on worker loss (:class:`HashRing`);
@@ -13,8 +13,9 @@ KV allocator.  Headline contracts:
   (:class:`WorkerLost`, :class:`WorkerError`);
 * **deadline propagation** across the process boundary (remaining-ms at
   send, re-armed on the worker);
-* zero-copy tensor transport over shared memory with generation-counter
-  guards (:class:`ShmSegment`, typed :class:`StaleSegment`);
+* zero-copy tensor transport over shared memory sized once from the
+  graph, with feeds checked at the router and generation-counter guards
+  (:class:`ShmSegment`, typed :class:`StaleSegment`);
 * the ``worker.crash`` fault site, so the chaos storm can kill workers
   mid-decode and prove the fault-accounting equation still closes.
 

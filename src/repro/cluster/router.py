@@ -35,7 +35,7 @@ per-request ``on_worker_lost`` policy:
 
 * ``"replay"`` (default): transparently re-admit on the next live
   worker in the ring's preference order — a full re-prefill, since the
-  dead arena is gone — up to ``replay_budget`` times;
+  dead arena is gone — up to ``REPLAY_BUDGET`` times;
 * ``"error"``: fail fast with typed :class:`WorkerLost`.
 
 **Fault accounting.**  The ninth fault site ``worker.crash`` fires
@@ -83,9 +83,8 @@ __all__ = ["Cluster", "ClusterConfig", "RemoteGenResult"]
 
 _STOP = object()
 
-#: Initial size of each request/response shm segment; a payload that
-#: does not fit grows its segment.
-SEGMENT_BYTES = 1 << 20
+#: Max transparent replays per request under the ``"replay"`` loss policy.
+REPLAY_BUDGET = 2
 
 
 class _WorkerDied(Exception):
@@ -98,12 +97,7 @@ class ClusterConfig:
 
     Attributes:
         workers: worker process count (ring slots).
-        pool_size: per-worker session-pool size (infer mode).
         max_queue_depth: per-worker admission bound (queued + in flight).
-        replay_budget: max transparent replays per request under the
-            ``"replay"`` loss policy.
-        on_worker_lost: default per-request loss policy, ``"replay"`` or
-            ``"error"``.
         deadline_ms: default per-request deadline (``None`` = none).
         device_dwell_ms: per-request simulated accelerator dwell inside
             the worker (models an offloaded backend's device wait; this
@@ -111,24 +105,24 @@ class ClusterConfig:
             single-CPU host).
         genai: ``GenerationConfig`` kwargs for generation-mode workers
             (``None`` = infer-only cluster).
-        use_cache / cache_dir: worker engine cache settings.
+        use_cache / cache_dir: the pre-inference cache each worker's
+            session warms through (keyed as a local ``Engine`` keys it).
         metrics / trace / faults / requests / sanitize: the usual
             observability and fault-injection plumbing, resolved once
             into the router's :class:`repro.Runtime` (``metrics=None``
             is the process-wide registry).
 
-    Transport sizing, ring balance and supervision timing are module
-    constants, not settings: 1 MiB initial shm segments
-    (``SEGMENT_BYTES``), the ring's default 64 virtual nodes per worker,
-    and the :mod:`~repro.cluster.supervisor` heartbeat, hang and start
-    timeouts.
+    The loss policy is per request (``on_worker_lost=`` on every submit,
+    default ``"replay"``).  Transport sizing, the replay bound, ring
+    balance and supervision timing are not settings: shm segments are
+    sized once from the graph's input and output descriptors, replays
+    are bounded by ``REPLAY_BUDGET``, the ring has 64 virtual nodes per
+    worker, and the :mod:`~repro.cluster.supervisor` heartbeat, hang and
+    start timeouts are module constants.
     """
 
     workers: int = 2
-    pool_size: int = 1
     max_queue_depth: int = 8
-    replay_budget: int = 2
-    on_worker_lost: str = "replay"
     deadline_ms: Optional[float] = None
     device_dwell_ms: float = 0.0
     genai: Optional[Dict[str, object]] = None
@@ -183,9 +177,6 @@ class Cluster:
                              "config (generation mode), or both")
         if self.config.workers < 1:
             raise ValueError("Cluster needs at least one worker")
-        if self.config.on_worker_lost not in ("replay", "error"):
-            raise ValueError(
-                f"unknown on_worker_lost policy {self.config.on_worker_lost!r}")
         c = self.config
         runtime = Runtime.resolve(
             trace=c.trace, metrics=c.metrics, faults=c.faults,
@@ -197,9 +188,17 @@ class Cluster:
         self.sanitizer = runtime.sanitizer
         self.requests = runtime.requests
 
+        self._graph = graph
         self._model_dir: Optional[str] = None
         self._model_path: Optional[str] = None
+        #: Request/response segment bytes: the graph fixes every input
+        #: and output shape, so one size per role holds every request.
+        self._segment_bytes: Dict[str, int] = {}
         if graph is not None:
+            self._segment_bytes = {
+                "req": payload_bytes({n: graph.desc(n) for n in graph.inputs}),
+                "resp": payload_bytes({n: graph.desc(n) for n in graph.outputs}),
+            }
             # Workers load the graph from disk: with fork they *could*
             # inherit it, but the serialized round trip is the honest
             # path (it is how a spawn-started or remote worker would get
@@ -219,12 +218,7 @@ class Cluster:
         self._segments: Dict[int, Dict[str, ShmSegment]] = {}
         self._graveyard: Dict[int, List[ShmSegment]] = {s: [] for s in range(n)}
         self._gens: Dict[int, "itertools.count"] = {s: itertools.count(1) for s in range(n)}
-        self._grow_seq = itertools.count(1)
         self._req_seq = itertools.count(1)
-        self._seg_bytes: Dict[int, Dict[str, int]] = {
-            s: {"req": SEGMENT_BYTES, "resp": SEGMENT_BYTES}
-            for s in range(n)
-        }
         self._queues: Dict[int, "queue.Queue"] = {s: queue.Queue() for s in range(n)}
         self._closed = False
 
@@ -249,7 +243,6 @@ class Cluster:
         """Supervisor callback: fresh per-epoch segments + worker config."""
         cfg: Dict[str, object] = {
             "model_path": self._model_path,
-            "pool_size": self.config.pool_size,
             "use_cache": self.config.use_cache,
             "cache_dir": self.config.cache_dir,
             "genai": self.config.genai,
@@ -266,7 +259,7 @@ class Cluster:
                 for role in ("req", "resp"):
                     name = f"{self._uid}-w{slot}e{epoch}-{role}"
                     segs[role] = ShmSegment.create(
-                        name, self._seg_bytes[slot][role], sanitizer=self.sanitizer
+                        name, self._segment_bytes[role], sanitizer=self.sanitizer
                     )
                 self._segments[slot] = segs  # sanitize: slot lock held (self._slot_locks[slot])
                 cfg["req_segment"] = segs["req"].name
@@ -279,36 +272,29 @@ class Cluster:
             seg.unlink()
         self._graveyard[slot].clear()
 
-    def _grow(self, slot: int, handle, role: str, needed: int) -> None:
-        """Replace ``role``'s segment with a bigger one; slot-lock held."""
-        size = max(int(needed) * 2, self._seg_bytes[slot][role])
-        name = f"{self._uid}-w{slot}g{next(self._grow_seq)}-{role}"
-        seg = ShmSegment.create(name, size, sanitizer=self.sanitizer)
-        self._graveyard[slot].append(self._segments[slot][role])
-        self._segments[slot][role] = seg
-        self._seg_bytes[slot][role] = size
-        self.metrics.counter("cluster.shm.grows").inc()
-        try:
-            handle.conn.send({"kind": "segment", "role": role, "name": name})
-        except (BrokenPipeError, OSError):
-            raise _WorkerDied()
-
     # -- submission ----------------------------------------------------------
     def submit_infer(self, feeds: Dict[str, np.ndarray], *,
                      session_key: Optional[str] = None,
                      deadline_ms: Optional[float] = None,
-                     on_worker_lost: Optional[str] = None) -> Future:
-        """Queue one inference; returns a future of the output dict."""
-        if self._model_path is None:
+                     on_worker_lost: str = "replay") -> Future:
+        """Queue one inference; returns a future of the output dict.
+
+        Raises:
+            GraphError: a feed is missing or has the wrong shape or dtype
+                (checked here, before admission: nothing is sent).
+        """
+        if self._graph is None:
             raise RuntimeError("this cluster has no model graph; infer "
                                "requires Cluster(graph, ...)")
-        return self._submit("infer", dict(feeds), session_key, deadline_ms,
+        self._graph.check_feeds(feeds)
+        payload = {name: feeds[name] for name in self._graph.inputs}
+        return self._submit("infer", payload, session_key, deadline_ms,
                             on_worker_lost)
 
     def submit_generate(self, prompt, params=None, *,
                         session_key: Optional[str] = None,
                         deadline_ms: Optional[float] = None,
-                        on_worker_lost: Optional[str] = None) -> Future:
+                        on_worker_lost: str = "replay") -> Future:
         """Queue one generation; returns a future of :class:`RemoteGenResult`."""
         if self.config.genai is None:
             raise RuntimeError("this cluster has no genai config; generate "
@@ -334,8 +320,6 @@ class Cluster:
     def _submit(self, kind, payload, session_key, deadline_ms, policy) -> Future:
         if self._closed:
             raise RuntimeError("cluster is closed")
-        if policy is None:
-            policy = self.config.on_worker_lost
         if policy not in ("replay", "error"):
             raise ValueError(f"unknown on_worker_lost policy {policy!r}")
         budget = deadline_ms if deadline_ms is not None else self.config.deadline_ms
@@ -422,27 +406,20 @@ class Cluster:
     def _dispatch(self, slot: int, item: _Pending) -> None:
         try:
             crash = self._maybe_crash(slot, item)
-            while True:
-                handle = self._wait_live(slot, item)
-                try:
-                    with self.tracer.span("cluster.rpc", "cluster",
-                                          worker=slot, request=item.id):
-                        reply, resp_seg = self._rpc(slot, handle, item, crash)
-                    if reply[0] == "grow":
-                        with self._slot_locks[slot]:
-                            self._grow(slot, handle, "resp", reply[2])
-                        crash = None  # the worker survived its window
-                        continue
-                except _WorkerDied:
-                    self.supervisor.report_down(slot, handle.epoch, "crash")
-                    self._on_lost(slot, item)
-                    return
-                if reply[0] == "ok":
-                    self._finish(item, result=self._decode_ok(slot, item, reply,
-                                                              resp_seg))
-                else:
-                    self._finish(item, exc=self._decode_err(slot, reply))
+            handle = self._wait_live(slot, item)
+            try:
+                with self.tracer.span("cluster.rpc", "cluster",
+                                      worker=slot, request=item.id):
+                    reply, resp_seg = self._rpc(slot, handle, item, crash)
+            except _WorkerDied:
+                self.supervisor.report_down(slot, handle.epoch, "crash")
+                self._on_lost(slot, item)
                 return
+            if reply[0] == "ok":
+                self._finish(item, result=self._decode_ok(slot, item, reply,
+                                                          resp_seg))
+            else:
+                self._finish(item, exc=self._decode_err(slot, reply))
         except BaseException as exc:
             self._finish(item, exc=exc)
 
@@ -475,12 +452,7 @@ class Cluster:
                 req_seg = self._segments[slot]["req"]
                 resp_seg = self._segments[slot]["resp"]
                 gen = next(self._gens[slot])
-                try:
-                    specs = req_seg.write_tensors(item.payload, gen)
-                except ValueError:
-                    self._grow(slot, handle, "req", payload_bytes(item.payload))
-                    req_seg = self._segments[slot]["req"]
-                    specs = req_seg.write_tensors(item.payload, gen)
+                specs = req_seg.write_tensors(item.payload, gen)
                 msg = {"kind": "infer", "id": item.id, "gen": gen,
                        "specs": specs, "deadline_ms": deadline_ms,
                        "crash": crash}
@@ -558,7 +530,7 @@ class Cluster:
             except DeadlineExceeded as exc:
                 self._finish(item, exc=exc)
             return
-        if item.policy == "replay" and item.replays < self.config.replay_budget:
+        if item.policy == "replay" and item.replays < REPLAY_BUDGET:
             item.replays += 1
             if injected:
                 get_metrics().counter("fallback.replay").inc()

@@ -7,12 +7,14 @@ mapped (not copied) by the receiver.
 
 Ownership and recycling rules (DESIGN §14):
 
-* The **router owns every segment**: it creates, grows and unlinks them.
+* The **router owns every segment**: it creates and unlinks them.
   Workers only ever attach.  A worker crash therefore can never leak a
   segment — dead workers own nothing.
-* Each worker slot gets one request and one response segment, recycled
+* Each worker epoch gets one request and one response segment, recycled
   request after request (workers execute serially, so one in-flight
-  payload per direction is the invariant, not an optimization).
+  payload per direction is the invariant, not an optimization).  The
+  graph fixes every input and output shape, so the router sizes both
+  once, with :func:`payload_bytes` over the graph's descriptors.
 * **Generation guard**: the first 8 bytes of every segment hold a
   generation counter.  The writer stamps the header with the request's
   generation before the control message is sent; the reader re-reads
@@ -20,10 +22,6 @@ Ownership and recycling rules (DESIGN §14):
   when it disagrees with the generation the message named.  A recycled
   — or replaced-after-crash — segment can therefore never serve a stale
   read: the bytes may be gone, the *check* survives in the header.
-* Growth replaces, never resizes: a bigger segment is created under a
-  new (epoch-suffixed) name, the worker is told to re-attach, and the
-  old name is unlinked.  The generation guard also covers any
-  straggling reference to the unlinked mapping.
 
 The owner side threads every create/use/free through
 :meth:`repro.sanitize.Sanitizer.carve` / ``use_extent`` / ``free_extent``
@@ -62,7 +60,12 @@ class TensorSpec:
 
 
 def payload_bytes(arrays: Dict[str, np.ndarray]) -> int:
-    """Segment bytes needed to hold ``arrays`` (header + aligned tensors)."""
+    """Segment bytes needed to hold ``arrays`` (header + aligned tensors).
+
+    Reads only each value's ``nbytes``, so the graph's
+    :class:`~repro.ir.TensorDesc` records size a segment before any
+    tensor exists.
+    """
     total = HEADER_BYTES
     for arr in arrays.values():
         total += align_up(int(arr.nbytes))
@@ -142,8 +145,9 @@ class ShmSegment:
         """Lay ``arrays`` out in the segment and stamp ``generation``.
 
         Returns the specs to send on the control channel.  Raises
-        ``ValueError`` when the payload does not fit — the caller grows
-        the segment (a new name, a re-attach message) and retries.
+        ``ValueError`` when the payload does not fit.  The router sizes
+        segments from the graph and checks feeds against it, so a valid
+        request always fits.
         """
         if self.sanitizer is not None and self.sanitizer.enabled:
             self.sanitizer.use_extent("cluster.shm", self.name)

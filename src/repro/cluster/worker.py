@@ -1,16 +1,19 @@
-"""The worker process: one engine, one request at a time, own everything.
+"""The worker process: one session, one request at a time, own everything.
 
 ``worker_main`` is the ``multiprocessing.Process`` target.  Each worker
-is a full, isolated engine instance — its own
-:class:`~repro.serving.SessionPool`, arena and (in generation mode) KV
-allocator — so a worker crash loses exactly one shard's state and
-nothing else.  The contract with the router:
+is isolated — its own :class:`~repro.core.Session` (warmed through the
+pre-inference cache exactly as a local ``Engine`` warms one), arena and,
+in generation mode, KV allocator — so a worker crash loses exactly one
+shard's state and nothing else.  The contract with the router:
 
 * **Serial execution.**  The worker handles one request end to end
   before reading the next control message; the router's per-slot queue
-  is the only queue.  This is what makes one request/response segment
-  pair per worker sufficient and the crash blast radius exactly one
-  in-flight request.
+  is the only queue.  This is what makes one session and one
+  request/response segment pair per worker sufficient, and the crash
+  blast radius exactly one in-flight request.
+* **Four message kinds.**  ``infer`` (feeds in the request segment,
+  outputs written to the response segment, both sized by the router
+  from the graph), ``generate``, ``hang`` (a test hook) and ``stop``.
 * **Fresh process-wide state.**  The worker is forked from a router
   that may carry live fault plans, metrics and tracers; the first thing
   it does is install clean ones.  Workers never self-inject faults —
@@ -71,26 +74,34 @@ class _Heartbeat(threading.Thread):
 
 
 def _build_engines(cfg: Dict[str, object]):
-    """Construct the worker's serving and/or generation engine from cfg."""
-    engine = None
+    """Construct the worker's session and/or generation engine from cfg.
+
+    The session is built as a local ``Engine`` builds each of its own:
+    default :class:`~repro.core.SessionConfig`, warmed through the
+    pre-inference cache under the same key.
+    """
+    session = None
     gen_engine = None
     model_path = cfg.get("model_path")
     if model_path:
+        from ..core.session import SessionConfig
         from ..ir import load_model
-        from ..serving.engine import Engine, EngineConfig
+        from ..runtime import Runtime
+        from ..serving.cache import PreInferenceCache, warm_session
 
         graph = load_model(model_path)
-        engine = Engine(graph, EngineConfig(
-            pool_size=int(cfg.get("pool_size", 1)),
-            use_cache=bool(cfg.get("use_cache", False)),
-            cache_dir=cfg.get("cache_dir"),
-        ))
+        config = SessionConfig()
+        runtime = Runtime.resolve()
+        cache = (PreInferenceCache(cfg.get("cache_dir"), runtime=runtime)
+                 if cfg.get("use_cache") else None)
+        key = cache.key(graph, config) if cache is not None else None
+        session, _ = warm_session(graph, config, cache, key, runtime)
     genai_cfg = cfg.get("genai")
     if genai_cfg:
         from ..genai import GenerationConfig, GenerationEngine
 
         gen_engine = GenerationEngine(GenerationConfig(**genai_cfg))
-    return engine, gen_engine
+    return session, gen_engine
 
 
 def _reply_error(conn, request_id: str, exc: BaseException) -> None:
@@ -112,7 +123,7 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
     set_metrics(MetricsRegistry())
 
     try:
-        engine, gen_engine = _build_engines(cfg)
+        session, gen_engine = _build_engines(cfg)
         req_seg = ShmSegment.attach(cfg["req_segment"]) if cfg.get("req_segment") else None
         resp_seg = ShmSegment.attach(cfg["resp_segment"]) if cfg.get("resp_segment") else None
     except Exception as exc:  # startup failure: tell the supervisor why
@@ -135,19 +146,6 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
         kind = msg.get("kind")
         if kind == "stop":
             break
-        if kind == "segment":
-            # The router replaced a segment (growth or post-crash respawn
-            # never reaches here — respawned workers attach fresh).
-            seg = ShmSegment.attach(msg["name"])
-            if msg["role"] == "req":
-                if req_seg is not None:
-                    req_seg.close()
-                req_seg = seg
-            else:
-                if resp_seg is not None:
-                    resp_seg.close()
-                resp_seg = seg
-            continue
         if kind == "hang":
             # Hang hook: stop heartbeating and stall forever; the
             # supervisor's hang detector must kill and replace us.
@@ -169,19 +167,10 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
                     # repro.sim's virtual-clock devices) so worker
                     # occupancy matches an accelerator-backed deployment.
                     time.sleep(dwell_ms / 1000.0)
-                out = engine.infer(
-                    feeds,
-                    deadline_ms=deadline.remaining_s() * 1000.0 if deadline else None,
-                )
+                out = session.run(feeds, deadline=deadline)
                 if crash == "mid":
                     os._exit(CRASH_EXIT_CODE)  # computed, never answered
-                try:
-                    specs = resp_seg.write_tensors(out, msg["gen"])
-                except ValueError:
-                    from .shm import payload_bytes
-
-                    conn.send(("grow", request_id, payload_bytes(out)))
-                    continue
+                specs = resp_seg.write_tensors(out, msg["gen"])
                 conn.send(("ok", request_id, {"specs": specs, "gen": msg["gen"]}))
             elif kind == "generate":
                 from ..genai import GenRequest, SamplingParams
@@ -220,12 +209,11 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
         except Exception as exc:  # worker survives; request fails typed
             _reply_error(conn, request_id, exc)
 
-    # Graceful exit: close engines (runs KV leak checks) and mappings.
+    # Graceful exit: close the generation engine (runs KV leak checks)
+    # and the mappings; a session needs no teardown.
     try:
         if gen_engine is not None:
             gen_engine.close()
-        if engine is not None:
-            engine.close()
     except Exception:
         pass
     for seg in (req_seg, resp_seg):

@@ -11,7 +11,9 @@ manager and the structural passes:
 * ``ReplaceOps``         — operator replacement (ReduceMean(2,3) -> GlobalAvgPool,
                            Flatten-like Reshape -> Flatten).
 
-Quantization lives in :mod:`repro.quant`.
+A pass that removes a node also removes the constants only it read, so
+an optimized model carries no orphaned weights.  Quantization lives in
+:mod:`repro.quant`.
 """
 
 from __future__ import annotations
@@ -111,6 +113,19 @@ def _fold_constant(graph: Graph, node: Node, slot: int, value: np.ndarray) -> No
     node.inputs[slot] = graph.add_constant(fresh, value)
 
 
+def _drop_unread_constants(graph: Graph, names: Sequence[str]) -> None:
+    """Delete the constants among ``names`` that nothing reads any more.
+
+    Called with a removed node's inputs: a constant that a remaining
+    node or a graph output still reads stays.
+    """
+    read = {name for node in graph.nodes for name in node.inputs}
+    for name in names:
+        if name in graph.constants and name not in read and name not in graph.outputs:
+            del graph.constants[name]
+            graph.tensor_descs.pop(name, None)
+
+
 class FoldConstants(Pass):
     """Evaluate nodes whose inputs are all constants at conversion time."""
 
@@ -128,6 +143,7 @@ class FoldConstants(Pass):
             runner = build_runner(node, graph)
             values = runner.fn([])
             graph.nodes.remove(node)
+            _drop_unread_constants(graph, node.inputs)
             for name, value in zip(node.outputs, values):
                 graph.tensor_descs.pop(name, None)
                 graph.add_constant(name, np.asarray(value))
@@ -182,6 +198,7 @@ class FuseConvBatchNorm(Pass):
                 conv.inputs.append(bias_name)
                 conv.attrs["has_bias"] = True
             _remove_node(graph, bn, conv.outputs[0])
+            _drop_unread_constants(graph, bn.inputs[1:])
             producers = graph.producer_map()
             result.changed += 1
         return result

@@ -600,25 +600,6 @@ class Session:
             total += model.op_cost_ms(muls, kind)
         return total
 
-    # -- inference --------------------------------------------------------------
-    def _check_feeds(self, feeds: Dict[str, np.ndarray]) -> None:
-        """Validate feeds against the input descriptors (shape *and* dtype)."""
-        graph = self.graph
-        for name in graph.inputs:
-            if name not in feeds:
-                raise GraphError(f"missing input {name!r}")
-            desc = graph.desc(name)
-            array = feeds[name]
-            if tuple(array.shape) != desc.shape:
-                raise GraphError(
-                    f"input {name!r}: expected shape {desc.shape}, got {array.shape}"
-                )
-            if array.dtype != desc.dtype.np_dtype:
-                raise GraphError(
-                    f"input {name!r}: expected dtype {desc.dtype.value}, "
-                    f"got {array.dtype}"
-                )
-
     # -- resilient per-op execution ---------------------------------------------
     def _recovery_backend(self) -> Backend:
         """The backend behind per-op fallback executions (lazily built).
@@ -843,7 +824,7 @@ class Session:
             # pool's queue handoff provides the ordering edge.
             self.sanitizer.probe(self, "run_state", "w")
         if self.config.check_feeds:
-            self._check_feeds(feeds)
+            self.graph.check_feeds(feeds)
         plan = self._plan
         start_wall = time.perf_counter()
         start_virtual = self.clock.now_ms

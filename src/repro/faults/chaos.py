@@ -647,7 +647,7 @@ def run_chaos_storm(
         gold_cluster = _gold_tokens(cluster_gold_engine, cluster_prompts)
         cluster_gold_engine.close()
         cluster = Cluster(config=ClusterConfig(
-            workers=2, genai=dict(_DECODER), replay_budget=2,
+            workers=2, genai=dict(_DECODER),
             metrics=get_metrics(), sanitize=sanitizer, requests=tracker,
         ))
 

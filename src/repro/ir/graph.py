@@ -199,6 +199,27 @@ class Graph:
             raise GraphError(f"no descriptor for tensor {tensor!r}; run shape inference") from None
 
     # -- validation & ordering ------------------------------------------------
+    def check_feeds(self, feeds: Mapping[str, np.ndarray]) -> None:
+        """Validate feeds against the input descriptors (shape *and* dtype).
+
+        Raises :class:`GraphError` on a missing input or a shape or dtype
+        mismatch; extra feeds are ignored.
+        """
+        for name in self.inputs:
+            if name not in feeds:
+                raise GraphError(f"missing input {name!r}")
+            desc = self.desc(name)
+            array = feeds[name]
+            if tuple(array.shape) != desc.shape:
+                raise GraphError(
+                    f"input {name!r}: expected shape {desc.shape}, got {array.shape}"
+                )
+            if array.dtype != desc.dtype.np_dtype:
+                raise GraphError(
+                    f"input {name!r}: expected dtype {desc.dtype.value}, "
+                    f"got {array.dtype}"
+                )
+
     def check(self) -> List[Any]:
         """Collect *all* structural violations as diagnostics.
 

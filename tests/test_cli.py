@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import SchemeDecision, TuneReport
 from repro.ir import GraphBuilder, load_model, save_model
-from repro.models import squeezenet_v1_1
+from repro.models import MODEL_REGISTRY, squeezenet_v1_1
 from repro.tools import cli
 from repro.tools.cli import main
 
@@ -300,3 +300,13 @@ def test_usage_block_lists_every_command():
     usage = cli.__doc__.split("Usage::")[1].split("\n\n", 2)[1]
     listed = [line.split()[3] for line in usage.splitlines()]
     assert listed == [name for name, *_ in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+def test_zoo_model_builds_and_lints_strict(name, tmp_path, capsys):
+    """Every registered model, built fresh, passes ``lint --strict`` (so
+    warnings fail too) with the memory-plan sanitizer on.
+    ``scripts/check.sh`` stage 2 runs this test by node id."""
+    path = str(tmp_path / f"{name}.rmnn")
+    assert main(["build", name, "-o", path]) == 0
+    assert main(["lint", "--strict", path]) == 0, capsys.readouterr().out

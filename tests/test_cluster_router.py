@@ -24,9 +24,11 @@ from repro.cluster import (
     WorkerLost,
     fork_available,
 )
+from repro.core import Session
 from repro.faults import DeadlineExceeded, FaultPlan, FaultRule
 from repro.faults.chaos import default_chaos_graph
 from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
+from repro.ir import GraphBuilder, GraphError
 from repro.obs import MetricsRegistry
 from repro.obs.recorder import FlightRecorder
 from repro.obs.requests import RequestTracker
@@ -96,6 +98,65 @@ class TestBitIdentity:
                                        session_key=f"s{i}")
                 assert out.tokens == gold[i]
                 assert out.finish_reason in ("stop", "length")
+
+
+class TestTransport:
+    def test_payloads_over_one_mib_are_bitwise_and_segments_stay_put(self):
+        # A 1x3x320x320 input (1.2 MB) and a 1x8x320x320 output (3.3 MB):
+        # the router sizes both segments from the graph at spawn, so
+        # neither request replaces a segment.
+        b = GraphBuilder("wide", seed=2)
+        b.output(b.conv(b.input("in", (1, 3, 320, 320)), oc=8, kernel=1))
+        graph = b.finish()
+        local = Session(graph)
+        with Cluster(graph, ClusterConfig(
+                workers=1, metrics=MetricsRegistry())) as cluster:
+            names = {role: seg.name for role, seg in cluster._segments[0].items()}
+            for _ in range(2):
+                x = {"in": RNG.standard_normal((1, 3, 320, 320)).astype(np.float32)}
+                out = cluster.infer(x)
+                gold = local.run(x)
+                assert out[graph.outputs[0]].nbytes > 1 << 20
+                np.testing.assert_array_equal(out[graph.outputs[0]],
+                                              gold[graph.outputs[0]])
+                assert {role: seg.name for role, seg
+                        in cluster._segments[0].items()} == names
+
+    def test_malformed_feeds_fail_at_submit(self, net, feeds, gold):
+        name = net.inputs[0]
+        good = feeds[name]
+        reg = MetricsRegistry()
+        with Cluster(net, ClusterConfig(workers=1, metrics=reg)) as cluster:
+            for bad in ({name: good[..., :-1]},
+                        {name: good.astype(np.float64)},
+                        {}):
+                with pytest.raises(GraphError):
+                    cluster.submit_infer(bad)
+            assert reg.value("router.requests") == 0
+            out = cluster.infer(feeds)
+            assert reg.value("router.requests") == 1
+        for key in gold:
+            np.testing.assert_array_equal(out[key], gold[key])
+
+    def test_cached_workers_share_the_engine_cache_key(
+            self, net, feeds, gold, tmp_path):
+        from repro.serving import Engine, EngineConfig, PreInferenceCache
+
+        cache_dir = str(tmp_path / "cache")
+        config = ClusterConfig(workers=1, use_cache=True, cache_dir=cache_dir,
+                               metrics=MetricsRegistry())
+        with Cluster(net, config) as cluster:
+            first = cluster.infer(feeds)
+        # The worker stored its session under the key a local engine
+        # computes, and that engine warms from it without a miss.
+        engine = Engine(net, EngineConfig(use_cache=True, cache_dir=cache_dir))
+        assert PreInferenceCache(cache_dir).entries() == [engine.cache_key]
+        assert engine.metrics.value("engine.cache.misses") == 0
+        with Cluster(net, config) as cluster:
+            second = cluster.infer(feeds)
+        for key in gold:
+            np.testing.assert_array_equal(first[key], gold[key])
+            np.testing.assert_array_equal(second[key], first[key])
 
 
 class TestAffinity:
@@ -236,16 +297,18 @@ class TestWorkerLoss:
         assert reg.value("cluster.replays") == 1
 
     def test_expired_deadline_on_dead_worker_is_deadline_exceeded(
-            self, net, feeds):
+            self, net, feeds, monkeypatch):
         # Satellite rule: the budget ran out; which worker was going to
         # serve the request is an implementation detail.  A request whose
         # deadline expires while its (only) slot is dead and awaiting a
         # supervisor replacement must surface DeadlineExceeded, never
         # WorkerLost — even under the replay policy, which would happily
         # keep re-queueing it on the dead slot otherwise.
+        from repro.cluster import router
+
+        monkeypatch.setattr(router, "REPLAY_BUDGET", 1000)
         with Cluster(net, ClusterConfig(
-                workers=1, replay_budget=1000,
-                metrics=MetricsRegistry())) as cluster:
+                workers=1, metrics=MetricsRegistry())) as cluster:
             cluster.infer(feeds)  # workers warm; respawn cost is real
             cluster.supervisor.kill(0)
             # 8 ms is comfortably below the respawn floor (a fork plus a

@@ -1,5 +1,5 @@
 """Shared-memory tensor transport: round-trips, generation guards,
-ownership rules and the grow-by-replacement contract.
+ownership rules and sizing from the graph's descriptors.
 
 All within one process — attach maps the same segment a second time, so
 writer-view / reader-view pairs exercise exactly the cross-process
@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import ShmSegment, StaleSegment, payload_bytes
 from repro.cluster.shm import HEADER_BYTES
+from repro.ir import DataType, TensorDesc
 
 RNG = np.random.default_rng(5)
 
@@ -91,29 +92,41 @@ class TestGenerationGuard:
         assert seg.generation == 2**40 + 17
 
 
-class TestSizingAndGrowth:
+class TestSizing:
     def test_payload_bytes_accounts_header_and_alignment(self):
         arrays = {"x": np.zeros((1,), np.float32)}  # 4 bytes -> 1 aligned line
         assert payload_bytes(arrays) == HEADER_BYTES + 64
         assert payload_bytes({}) == HEADER_BYTES
 
-    def test_oversized_payload_raises_for_grow(self):
+    def test_payload_bytes_sizes_from_descriptors(self):
+        # The router sizes segments from the graph before any tensor
+        # exists: a descriptor counts exactly as the array it describes.
+        arrays = {
+            "a": np.zeros((3, 5), np.float32),
+            "b": np.zeros((7,), np.int32),
+            "c": np.zeros((), np.int8),
+        }
+        descs = {
+            name: TensorDesc(name, arr.shape, DataType.from_numpy(arr.dtype))
+            for name, arr in arrays.items()
+        }
+        assert payload_bytes(descs) == payload_bytes(arrays)
+
+    def test_oversized_payload_is_refused(self):
+        big = {"x": np.zeros((1 << 12,), np.float32)}
         seg = ShmSegment.create("repro-test-shm-small", HEADER_BYTES + 64)
         try:
-            big = {"x": np.zeros((1 << 12,), np.float32)}
             with pytest.raises(ValueError):
                 seg.write_tensors(big, generation=1)
-            # The router's grow path: replacement segment sized to fit.
-            grown = ShmSegment.create(
-                "repro-test-shm-grown", payload_bytes(big) * 2)
-            try:
-                specs = grown.write_tensors(big, generation=1)
-                out = grown.read_tensors(specs, generation=1)
-                np.testing.assert_array_equal(out["x"], big["x"])
-            finally:
-                grown.unlink()
         finally:
             seg.unlink()
+        exact = ShmSegment.create("repro-test-shm-exact", payload_bytes(big))
+        try:
+            specs = exact.write_tensors(big, generation=1)
+            out = exact.read_tensors(specs, generation=1)
+            np.testing.assert_array_equal(out["x"], big["x"])
+        finally:
+            exact.unlink()
 
 
 class TestOwnership:

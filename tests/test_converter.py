@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.analysis import lint_graph
+from repro.analysis.verify_passes import random_feeds
 from repro.converter import (
     ConversionError,
     FuseConvActivation,
@@ -17,9 +19,14 @@ from repro.converter import (
 from repro.core import Session
 from repro.core.reference import execute_reference
 from repro.ir import GraphBuilder, GraphError, Op
+from repro.models import MODEL_REGISTRY, build_model
 from repro.quant import quantize_graph, weight_bytes
 
 RNG = np.random.default_rng(31)
+
+ZOO_CNNS = sorted(
+    set(MODEL_REGISTRY) - {"tiny_transformer", "tiny_decoder", "lstm_classifier"}
+)
 
 
 def onnx_model():
@@ -240,6 +247,33 @@ class TestOptimizerPasses:
         assert len(g.nodes) == 1
         assert folded in g.constants
         np.testing.assert_array_equal(g.constants[folded], np.full((1, 4), 3.0))
+
+    def test_fold_drops_the_operands_only_it_read(self):
+        b = GraphBuilder("const", seed=0)
+        x = b.input("in", (1, 4))
+        own = b.constant(np.ones((1, 4), np.float32))
+        shared = b.constant(np.full((1, 4), 2.0, np.float32))
+        folded = b.add(own, shared)
+        b.output(b.add(b.add(x, folded), shared))
+        g = b.finish()
+        optimize(g)
+        assert own not in g.constants and own not in g.tensor_descs
+        assert shared in g.constants
+        assert not lint_graph(g, ["unused-constant"])
+
+    @pytest.mark.parametrize("name", ZOO_CNNS)
+    def test_zoo_optimize_leaves_no_orphaned_constants(self, name):
+        g = build_model(name, input_size=75 if name == "inception_v3" else 32,
+                        classes=7)
+        feeds = random_feeds(g, seed=3)
+        before = execute_reference(g, feeds)
+        n_constants = len(g.constants)
+        optimize(g)
+        assert not lint_graph(g, ["unused-constant"])
+        assert len(g.constants) <= n_constants
+        after = execute_reference(g, feeds)
+        for out in g.outputs:
+            np.testing.assert_allclose(after[out], before[out], atol=1e-4)
 
     def test_replace_reduce_mean_with_gap(self):
         b = GraphBuilder("rm", seed=0)
