@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench import time_callable
 from repro.converter import optimize
-from repro.core import Session, SessionConfig, autotune_schemes
+from repro.core import Session, SessionConfig, autotune_schemes, select_graph_schemes
 from repro.models import squeezenet_v1_1
 
 RNG = np.random.default_rng(77)
@@ -28,7 +28,9 @@ def net():
 def test_ablation_autotune_vs_cost_model(net, report_table, benchmark):
     report = autotune_schemes(net, repeats=2)
     feed = {"data": RNG.standard_normal((1, 3, SIZE, SIZE)).astype(np.float32)}
-    base = Session(net)
+    # The cost model's picks, pinned: a plain "cpu" session would already
+    # demote the Winograd picks this host times slower than sliding window.
+    base = Session(net, SessionConfig(scheme_overrides=select_graph_schemes(net)))
     tuned = Session(net, SessionConfig(scheme_overrides=report.decisions))
     benchmark(lambda: tuned.run(feed))
     t_base = time_callable(lambda: base.run(feed), repeats=8).median_ms

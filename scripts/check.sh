@@ -22,8 +22,14 @@
 #   5. Pre-inference cache guard: on the serving bench graph, a traced
 #      warm engine must hit the cache once (digest check and full decode
 #      of the entry), its scheme_selection and memory_plan spans must say
-#      cached=True, and it must answer bitwise equal to the cold engine
-#      (a tier-1 test, run here by node id).
+#      cached=True, its scheme_selection must report zero probes (the
+#      measured Winograd-vs-sliding verdicts replay from the entry), and
+#      it must answer bitwise equal to the cold engine.  Then measured
+#      scheme selection itself: a decision follows its timing verdict, a
+#      second session times nothing, sliding and gemm1x1 picks are never
+#      timed, overrides and cached schemes win over measurement,
+#      simulated backends keep the modeled picks, and an entry keyed
+#      under another host misses (tier-1 tests, run here by node id).
 #   6. Prometheus export: a tracked generation workload is exported as
 #      text exposition and re-ingested by the validating parser; the six
 #      SLO and resource families must all be present, and a populated
@@ -94,8 +100,16 @@ echo "== [4/13] 50-fault sanitized chaos storm =="
 python -m repro.tools.cli chaos --faults 50 --sanitize
 
 echo
-echo "== [5/13] pre-inference cache guard (warm engine replays the cold one's products) =="
-python -m pytest -q "tests/test_serving.py::TestEngineWarmup::test_traced_warm_engine_replays_the_cold_products"
+echo "== [5/13] pre-inference cache guard + measured scheme selection =="
+python -m pytest -q \
+    "tests/test_serving.py::TestEngineWarmup::test_traced_warm_engine_replays_the_cold_products" \
+    "tests/test_measured_schemes.py::test_the_decision_follows_the_verdict" \
+    "tests/test_measured_schemes.py::test_a_second_session_runs_no_probe" \
+    "tests/test_measured_schemes.py::test_sliding_and_gemm1x1_picks_are_never_timed" \
+    "tests/test_measured_schemes.py::test_overrides_take_precedence_over_measurement" \
+    "tests/test_measured_schemes.py::test_cached_schemes_take_precedence_over_measurement" \
+    "tests/test_measured_schemes.py::test_simulated_backends_keep_the_modeled_picks" \
+    "tests/test_measured_schemes.py::test_an_entry_keyed_under_another_host_misses"
 
 echo
 echo "== [6/13] prometheus export (validating re-parse, SLO families) =="

@@ -3,7 +3,9 @@
 ``Session`` performs the paper's full pre-inference pipeline at creation:
 
 1. **Scheme selection** — every convolution gets its optimal algorithm from
-   the scheme pool via the Eq. 2/3 cost search.
+   the scheme pool via the Eq. 2/3 cost search; on the real CPU a Winograd
+   pick is kept only where this host measures it faster than sliding
+   window (:func:`repro.core.autotune.keep_faster_winograd`).
 2. **Backend selection & hybrid placement** — the primary backend is chosen
    (optionally automatically, by minimizing Eq. 4 total cost); ops the
    primary backend does not support are placed on the CPU fallback, with
@@ -55,6 +57,7 @@ from ..obs.tracer import Tracer
 from ..runtime import Runtime
 from ..sim.clock import VirtualClock
 from .cost import BackendCostModel, node_muls
+from .autotune import keep_faster_winograd
 from .memory import MemoryPlan, compute_lifetimes, plan_memory
 from .plan import StepFn, StepPlan, bounded, build_plan, copying, interleaved, traced, walk
 from .schemes import SchemeDecision, select_graph_schemes
@@ -88,8 +91,11 @@ class SessionConfig:
         auto_backend: pick the cheapest backend by Eq. 4 among
             ``"sim_cpu"`` and the device's GPU APIs instead of ``backend``.
         scheme_overrides: per-conv-node scheme decisions that take
-            precedence over the cost-model search — typically the output
-            of :func:`repro.core.autotune.autotune_schemes`.
+            precedence over the cost-model search and over measurement —
+            typically the output of
+            :func:`repro.core.autotune.autotune_schemes`, or
+            ``select_graph_schemes(graph)`` to run the modeled picks on
+            the ``"cpu"`` backend.
         paranoid: run the independent memory-plan sanitizer
             (:func:`repro.analysis.check_memory_plan`) on every plan this
             session builds, so a planner bug fails loudly at prepare time.
@@ -351,19 +357,26 @@ class Session:
 
             # (1) computation scheme selection (auto-tuned overrides win).
             # Cached decisions replace the Eq. 2/3 search when they cover every
-            # conv in the live graph; partial/stale coverage falls back.
+            # conv in the live graph; partial/stale coverage falls back.  On
+            # the real CPU a modeled Winograd pick stands only if this host
+            # measures it faster than sliding window.
             with tracer.span("scheme_selection", "pre_inference") as sp:
                 cached_schemes = artifacts.schemes if artifacts is not None else None
                 conv_nodes = {n.name for n in self._order if n.op_type == Op.CONV2D}
+                probes = 0
                 if cached_schemes is not None and conv_nodes <= set(cached_schemes):
                     self.schemes = dict(cached_schemes)
                     sp.set(cached=True)
                 else:
                     self.schemes = select_graph_schemes(self.graph)
                     sp.set(cached=False)
+                    if cfg.backend == "cpu" and not cfg.auto_backend:
+                        probes = keep_faster_winograd(
+                            self.graph, self.schemes, skip=cfg.scheme_overrides or ()
+                        )
                 if cfg.scheme_overrides:
                     self.schemes.update(cfg.scheme_overrides)
-                sp.set(convs=len(conv_nodes))
+                sp.set(convs=len(conv_nodes), probes=probes)
 
             # (2) backend selection + hybrid placement
             with tracer.span("backend_selection", "pre_inference") as sp:

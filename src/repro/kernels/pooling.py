@@ -19,14 +19,17 @@ def pool_workspace(
     out_hw: Tuple[int, int],
     dtype=np.float32,
 ) -> List[Spec]:
-    """The one temporary of the pooling kernels: the padded input, grown
-    on the bottom/right when ``ceil_mode`` produced an output larger than
-    the exactly-covered input, so every output window lies inside it."""
+    """The pooling kernels' temporaries: the padded input, grown on the
+    bottom/right when ``ceil_mode`` produced an output larger than the
+    exactly-covered input, so every output window lies inside it; then
+    max pooling's row maxima, ``(N, C, H', ow)`` for the ``H'`` padded
+    rows its windows reach (average pooling carves only the first)."""
     n, c, h, w = x_shape
     top, bottom, left, right = pads
-    hp = max(h + top + bottom, (out_hw[0] - 1) * stride[0] + kernel[0])
+    rows = (out_hw[0] - 1) * stride[0] + kernel[0]
+    hp = max(h + top + bottom, rows)
     wp = max(w + left + right, (out_hw[1] - 1) * stride[1] + kernel[1])
-    return [((n, c, hp, wp), np.dtype(dtype))]
+    return [((n, c, hp, wp), np.dtype(dtype)), ((n, c, rows, out_hw[1]), np.dtype(dtype))]
 
 
 def _pad_for_pool(
@@ -39,7 +42,7 @@ def _pad_for_pool(
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """``x`` padded with ``pad_value`` into :func:`pool_workspace`'s buffer."""
-    (xp,) = carve(scratch, pool_workspace(x.shape, kernel, stride, pads, out_hw, x.dtype))
+    (xp,) = carve(scratch, pool_workspace(x.shape, kernel, stride, pads, out_hw, x.dtype)[:1])
     return pad_into(xp, x, (0, 0, pads[0], pads[2]), pad_value)
 
 
@@ -69,25 +72,37 @@ def max_pool2d(
 ) -> np.ndarray:
     """Max pooling; padding contributes -inf so it never wins.
 
-    Integer inputs pad with the dtype's minimum.  The result is a running
-    ``np.maximum`` over the ``kh * kw`` strided tap slices, each an
-    ``(N, C, oh, ow)`` view of the padded input, into ``out`` (fresh when
-    not given); max is exact, so this equals reducing every window.  The
-    padded input comes from ``scratch`` when it is given.
+    Integer inputs pad with the dtype's minimum.  Separable: a running
+    ``np.maximum`` over the ``kw`` column-strided slices of the padded
+    input gives every reached row's window maxima ``(N, C, H', ow)``,
+    then one over that array's ``kh`` row-strided slices gives ``out``
+    (fresh when not given).  Each pass keeps the earliest of equal
+    values and the first NaN, so the result is bitwise the earliest
+    maximum of each window in row-major order, as a sweep over its
+    ``kh * kw`` taps would give.  The padded input and the row maxima
+    come from ``scratch`` when it is given.
     """
     neg = -np.inf if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-    xp = _pad_for_pool(x, kernel, stride, pads, out_hw, neg, scratch)
+    xp, rows = carve(scratch, pool_workspace(x.shape, kernel, stride, pads, out_hw, x.dtype))
+    if xp.shape != x.shape:  # else every window lies inside x: no copy
+        x = pad_into(xp, x, (0, 0, pads[0], pads[2]), neg)
     (kh, kw), (sh, sw), (oh, ow) = kernel, stride, out_hw
-    taps = (
-        xp[:, :, i : i + (oh - 1) * sh + 1 : sh, j : j + (ow - 1) * sw + 1 : sw]
-        for i in range(kh)
-        for j in range(kw)
-    )
+    h = rows.shape[2]
+    _running_max([x[:, :, :h, j : j + (ow - 1) * sw + 1 : sw] for j in range(kw)], rows)
     if out is None:
         out = np.empty((x.shape[0], x.shape[1], oh, ow), dtype=x.dtype)
-    out[...] = next(taps)
-    for tap in taps:
-        np.maximum(out, tap, out=out)
+    return _running_max([rows[:, :, i : i + (oh - 1) * sh + 1 : sh] for i in range(kh)], out)
+
+
+def _running_max(views: List[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out`` = ``np.maximum`` folded over ``views`` first to last, which
+    keeps the earliest of equal values and the first NaN."""
+    if len(views) == 1:
+        out[...] = views[0]
+    else:
+        np.maximum(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.maximum(out, view, out=out)
     return out
 
 

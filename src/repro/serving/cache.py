@@ -19,6 +19,10 @@ Cache key
 * a config fingerprint — every ``SessionConfig`` field except the
   run-time-only :data:`RUN_TIME_ONLY_FIELDS`, scheme overrides as their
   full decisions, plus the default scheme tunables;
+* the host fingerprint's key
+  (:func:`repro.devices.host_fingerprint`): the cached schemes hold the
+  Winograd-vs-sliding verdicts this host measured, so another machine
+  misses and measures its own;
 * optional extra input shapes (no caller passes any: a session resized
   away from the graph's native shapes re-plans instead of consulting the
   cache).
@@ -48,6 +52,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..backends.base import Backend
 from ..core.schemes import SchemeConfig
 from ..core.session import Session, SessionArtifacts, SessionConfig
+from ..devices.host import host_fingerprint
 from ..faults import TransientFault, retry_transient
 from ..ir.graph import Graph
 from ..ir.serialization import graph_signature
@@ -142,7 +147,8 @@ class PreInferenceCache:
         config: SessionConfig,
         input_shapes: Optional[Dict[str, Sequence[int]]] = None,
     ) -> str:
-        """Deterministic cache key for (graph, config[, resized shapes]).
+        """Deterministic cache key for (graph, config[, resized shapes]) on
+        this host.
 
         Includes the quantization fingerprint (every tensor's dtype plus a
         digest of the stamped scale attrs): ``graph_signature`` alone is
@@ -158,6 +164,7 @@ class PreInferenceCache:
             "graph": graph_signature(graph),
             "quant": quantization_fingerprint(graph),
             "config": _config_fingerprint(config),
+            "host": host_fingerprint().key,
             "input_shapes": (
                 {name: list(shape) for name, shape in sorted(input_shapes.items())}
                 if input_shapes else None

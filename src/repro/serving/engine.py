@@ -20,6 +20,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.session import Session, SessionConfig
+from ..core.session import Session, SessionArtifacts, SessionConfig
 from ..faults import DeadlineExceeded, FaultPlan, InjectedFault, mark_isolated
 from ..faults.resilience import Deadline
 from ..ir.graph import Graph
@@ -151,6 +152,9 @@ class Engine:
         self.cache_key = (
             self.cache.key(graph, c.session) if self.cache is not None else None
         )
+        # The artifacts every session after the first is built from.
+        self._artifacts: Optional[SessionArtifacts] = None
+        self._artifacts_lock = threading.Lock()
         # Exactly one request path gets sessions: batched requests never
         # check a pooled session out, so batching builds no pool.
         self.pool: Optional[SessionPool] = None
@@ -185,15 +189,31 @@ class Engine:
     def _create_session(self) -> Session:
         """Build one worker session, warm when the cache has the artifacts.
 
-        The first creation in a cold process is the only one paying full
-        pre-inference; it immediately persists its artifacts, so the
-        remaining workers — and every future process — come up warm.
+        The engine's first creation reads the cache entry (or, cold, runs
+        full pre-inference and persists its artifacts); with a cache,
+        every later session of the engine is built from that first
+        session's artifacts in memory, so the entry is read,
+        digest-checked and decoded once per engine.  Sessions never
+        mutate the artifacts they are given, so one object serves them
+        all.  Without a cache every session prepares cold.
         """
         with self.tracer.span("engine.create_session", "serving") as span:
-            session, hit = warm_session(
-                self.graph, self.config.session, self.cache, self.cache_key,
-                self.runtime,
-            )
+            # Creations queue here so that only the first reads the entry.
+            with self._artifacts_lock:
+                if self._artifacts is None:
+                    session, hit = warm_session(
+                        self.graph, self.config.session, self.cache,
+                        self.cache_key, self.runtime,
+                    )
+                    if self.cache is not None:
+                        self._artifacts = session.export_artifacts()
+                else:
+                    self.tracer.instant("cache.hit", "serving", key=self.cache_key,
+                                        in_memory=True)
+                    session, hit = Session(
+                        self.graph, self.config.session, self._artifacts,
+                        runtime=self.runtime,
+                    ), True
             self.metrics.counter(
                 "engine.cache.hits" if hit else "engine.cache.misses"
             ).inc()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Session, SessionConfig, autotune_schemes
+from repro.core import Session, SessionConfig, autotune_schemes, select_graph_schemes
 from repro.converter import optimize
 from repro.ir import GraphBuilder
 
@@ -95,7 +95,8 @@ class TestAutotune:
         g = optimize(conv_net(hw=64))
         report = autotune_schemes(g, repeats=2)
         feed = {"in": RNG.standard_normal((1, 8, 64, 64)).astype(np.float32)}
-        base = Session(g)
+        # The cost model's picks, pinned: measurement may demote Winograd.
+        base = Session(g, SessionConfig(scheme_overrides=select_graph_schemes(g)))
         tuned = Session(g, SessionConfig(scheme_overrides=report.decisions))
         t_base = time_callable(lambda: base.run(feed), repeats=5).min_ms
         t_tuned = time_callable(lambda: tuned.run(feed), repeats=5).min_ms

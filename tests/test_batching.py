@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Session
+from repro.core import Session, SessionConfig, select_graph_schemes
 from repro.core.reference import execute_reference
 from repro.models import build_model, mobilenet_v1, tiny_transformer
 
@@ -64,7 +64,8 @@ class TestBatchedInference:
         y = b.conv(x, oc=32, kernel=3, pad_mode="same")
         b.output(y)
         g = b.finish()
-        session = Session(g)
+        # The modeled picks, pinned: measurement may demote Winograd here.
+        session = Session(g, SessionConfig(scheme_overrides=select_graph_schemes(g)))
         assert any(d.kind == "winograd" for d in session.schemes.values())
         data = RNG.standard_normal((4, 32, 20, 20)).astype(np.float32)
         got = list(session.run({"in": data}).values())[0]

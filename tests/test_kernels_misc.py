@@ -106,6 +106,60 @@ class TestPooling:
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64, np.int8, np.uint8, np.int32]),
+        n=st.integers(1, 2),
+        c=st.integers(1, 3),
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        kh=st.integers(1, 4),
+        kw=st.integers(1, 4),
+        sh=st.integers(1, 3),
+        sw=st.integers(1, 3),
+        pad=st.tuples(*[st.integers(0, 3)] * 4),
+        ceil_mode=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_separable_max_is_bitwise_the_tap_sweep(
+        self, dtype, n, c, h, w, kh, kw, sh, sw, pad, ceil_mode, seed
+    ):
+        """Oracle: the kernel's previous formulation, a running maximum
+        over the kh * kw strided taps in row-major order.  Values come from
+        a small set, so windows tie often: +0.0 against -0.0, NaNs of
+        either sign, infinities, and the integer dtypes' extremes."""
+        top, bottom, left, right = (min(p, k - 1) for p, k in zip(pad, (kh, kh, kw, kw)))
+        span_h, span_w = h + top + bottom - kh, w + left + right - kw
+        if span_h < 0 or span_w < 0:
+            return
+        if ceil_mode:  # may grow the padded extent on the bottom/right
+            oh, ow = -(-span_h // sh) + 1, -(-span_w // sw) + 1
+        else:
+            oh, ow = span_h // sh + 1, span_w // sw + 1
+        if np.issubdtype(dtype, np.floating):
+            neg = -np.inf
+            values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.0], dtype)
+        else:
+            info = np.iinfo(dtype)
+            neg = info.min
+            values = np.array([info.min, info.max, 0, 1, info.max - 1], dtype)
+        x = np.random.default_rng(seed).choice(values, size=(n, c, h, w))
+
+        hp = max(h + top + bottom, (oh - 1) * sh + kh)
+        wp = max(w + left + right, (ow - 1) * sw + kw)
+        xp = np.full((n, c, hp, wp), neg, dtype)
+        xp[:, :, top:top + h, left:left + w] = x
+        want = xp[:, :, 0:(oh - 1) * sh + 1:sh, 0:(ow - 1) * sw + 1:sw].copy()
+        for i in range(kh):
+            for j in range(kw):
+                np.maximum(want, xp[:, :, i:i + (oh - 1) * sh + 1:sh, j:j + (ow - 1) * sw + 1:sw],
+                           out=want)
+
+        pads = (top, bottom, left, right)
+        got = max_pool2d(x, (kh, kw), (sh, sw), pads, (oh, ow))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("count_include_pad", [False, True])
     def test_avg_pool_matches_naive(self, count_include_pad):
         x = RNG.standard_normal((1, 2, 9, 9)).astype(np.float32)

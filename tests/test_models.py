@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Session, node_muls
+from repro.core import Session, SessionConfig, node_muls, select_graph_schemes
 from repro.ir import Op
 from repro.models import MODEL_REGISTRY, build_model
 
@@ -127,7 +127,8 @@ class TestExecution:
     def test_scheme_mix_on_real_network(self):
         """MNN's premise: one network wants several conv schemes at once."""
         g = build_model("squeezenet_v1.1", input_size=128, classes=10)
-        session = Session(g)
+        # The modeled picks, pinned: measurement may demote Winograd here.
+        session = Session(g, SessionConfig(scheme_overrides=select_graph_schemes(g)))
         mix = session.scheme_summary()
         assert mix.get("gemm1x1", 0) > 0     # fire squeeze/expand 1x1s
         assert mix.get("winograd", 0) > 0    # 3x3 expands

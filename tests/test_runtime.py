@@ -11,12 +11,14 @@ the registry it always did.
 import pytest
 
 from repro.core import Session, SessionConfig
+from repro.devices import HostFingerprint
 from repro.faults import FaultPlan, FaultRule
 from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
 from repro.obs import RequestTracker, Tracer
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.sanitize import Sanitizer
 from repro.serving import Engine, EngineConfig, PreInferenceCache
+from repro.serving import cache as serving_cache
 from tests.test_obs_integration import chain_feed, chain_net
 
 GENAI = dict(vocab=48, max_seq=24, d_model=16, heads=2, layers=1, seed=4,
@@ -95,10 +97,10 @@ def test_one_runtime_reaches_every_layer(front_door, tmp_path, monkeypatch):
     assert any(span.category == "op" for span in inst["trace"].spans)
 
 
-def test_counters_land_where_they_did(tmp_path):
+def test_counters_land_where_they_did(tmp_path, monkeypatch):
     """Counter and histogram names per registry, as read before ``Runtime``
     existed, plus the pre-inference cache keys (which never held an
-    instrument, so warm caches stay warm)."""
+    instrument, so warm caches stay warm) on one fixed host."""
     m = MetricsRegistry()
     for _ in range(2):   # cold, then warm from the entry the first one wrote
         with Engine(chain_net(), EngineConfig(
@@ -127,11 +129,13 @@ def test_counters_land_where_they_did(tmp_path):
     )
     assert _names(get_metrics()) == session_names
 
+    monkeypatch.setattr(serving_cache, "host_fingerprint",
+                        lambda: HostFingerprint("Linux", "x86_64", 8, "3.11"))
     cache = PreInferenceCache(tmp_path)
     assert cache.key(chain_net(), SessionConfig()) == (
-        "a86273657a68d171b9ef11892dd301596fc7abd547527a1c172b6c18fa426869"
+        "9e6fbf10df5c4a58660956a2b2d03a0e2d3984889af4227843924fe9dc8df446"
     )
     assert cache.key(chain_net(), SessionConfig(
         threads=2, use_strassen=False, check_feeds=False,
-    )) == "80460a8b4e47ac9a429bfae8e58273f40cbe94f09a0ee7e1b27cd460eed9c1f4"
+    )) == "4c88f2e8cd0e29a188a2d7a52fc86b83f1e50df1f272ffa6a19e42b295a33a34"
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Session, SessionConfig
+from repro.core import Session, SessionConfig, select_graph_schemes
 from repro.ir import FormatError, GraphBuilder, GraphError, dumps, loads
 from repro.kernels.winograd import clear_transform_cache
 from repro.serving import Engine, EngineConfig, PreInferenceCache
@@ -187,14 +187,16 @@ def _cache_case():
     b.output(b.fc(b.global_avg_pool(x), units=3))
     graph = b.finish()
     feed = {"in": np.random.default_rng(0).standard_normal((1, 3, 16, 16)).astype(np.float32)}
-    session = Session(graph)
+    # The modeled picks, pinned: measurement may demote the Winograd conv.
+    config = SessionConfig(scheme_overrides=select_graph_schemes(graph))
+    session = Session(graph, config)
     stored = session.export_artifacts()
     assert stored.winograd, "the fuzz graph must exercise Winograd transforms"
     with tempfile.TemporaryDirectory() as root:
         cache = PreInferenceCache(root)
-        key = cache.key(graph, SessionConfig())
+        key = cache.key(graph, config)
         entry = json.loads(cache.store(key, stored).read_text())
-    return SimpleNamespace(graph=graph, feed=feed, gold=session.run(feed),
+    return SimpleNamespace(graph=graph, config=config, feed=feed, gold=session.run(feed),
                            key=key, stored=stored, entry=entry)
 
 
@@ -280,6 +282,7 @@ class TestCacheEntryFuzz:
             assert loaded is None or loaded.to_json() == case.stored.to_json()
             path.write_bytes(blob)  # load quarantines what it rejects
             clear_transform_cache()  # as in a fresh process
-            engine = Engine(case.graph, EngineConfig(pool_size=1, cache_dir=root))
+            engine = Engine(case.graph, EngineConfig(
+                session=case.config, pool_size=1, cache_dir=root))
             _assert_bitwise(engine.infer(case.feed), case.gold)
-        _assert_bitwise(Session(case.graph).run(case.feed), case.gold)
+        _assert_bitwise(Session(case.graph, case.config).run(case.feed), case.gold)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.converter import optimize
-from repro.core import SchemeDecision, Session, SessionArtifacts, SessionConfig
+from repro.core import (
+    SchemeDecision, Session, SessionArtifacts, SessionConfig, autotune, select_graph_schemes,
+)
 from repro.devices import get_device
 from repro.ir import GraphBuilder, save_model
 from repro.models import squeezenet_v1_1
@@ -48,6 +50,12 @@ def serving_net(hw=32):
     return b.finish()
 
 
+def modeled(graph):
+    """A config pinning the Eq. 2/3 picks, so a test that needs Winograd
+    artifacts has them whatever this host measures."""
+    return SessionConfig(scheme_overrides=select_graph_schemes(graph))
+
+
 def feed(hw=32, batch=1, seed=0):
     rng = np.random.default_rng(seed)
     return {"data": rng.standard_normal((batch, 3, hw, hw)).astype(np.float32)}
@@ -60,7 +68,7 @@ def cache_dir(tmp_path):
 
 class TestPreInferenceCache:
     def test_artifacts_roundtrip_through_json(self):
-        session = Session(serving_net())
+        session = Session(serving_net(), modeled(serving_net()))
         artifacts = session.export_artifacts()
         assert artifacts.schemes  # the 3x3 convs got scheme decisions
         assert artifacts.winograd  # ...and Winograd transforms
@@ -152,14 +160,15 @@ class TestPreInferenceCache:
         """Artifacts for the wrong graph under the right key: the session
         must detect the mismatch and silently recompute, not crash."""
         cache = PreInferenceCache(cache_dir)
-        other = Session(serving_net(16))  # different shapes => alien plan
+        # different shapes => alien plan
+        other = Session(serving_net(16), modeled(serving_net(16)))
         g = serving_net(32)
-        key = cache.key(g, SessionConfig())
+        key = cache.key(g, modeled(g))
         cache.store(key, other.export_artifacts())
-        engine = Engine(g, EngineConfig(pool_size=1, cache_dir=cache_dir))
+        engine = Engine(g, EngineConfig(session=modeled(g), pool_size=1, cache_dir=cache_dir))
         assert engine.metrics.value("engine.cache.hits") == 1  # it *was* applied...
         out = engine.infer(feed())  # ...but inference is still correct
-        gold = list(Session(serving_net(32)).run(feed()).values())[0]
+        gold = list(Session(serving_net(32), modeled(g)).run(feed()).values())[0]
         np.testing.assert_array_equal(list(out.values())[0], gold)
 
 
@@ -172,9 +181,11 @@ class TestDamagedEntryIsAMiss:
 
     def _check(self, cache_dir, damage):
         x = feed(seed=5)
-        gold = list(Session(serving_net()).run(x).values())[0]
+        config = modeled(serving_net())
+        gold = list(Session(serving_net(), config).run(x).values())[0]
         clear_transform_cache()
-        cold = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        cold = Engine(serving_net(), EngineConfig(
+            session=config, pool_size=1, cache_dir=cache_dir))
         path = cold.cache.path(cold.cache_key)
         data = json.loads(path.read_text())
         damage(data["winograd"][0])
@@ -182,11 +193,12 @@ class TestDamagedEntryIsAMiss:
 
         clear_transform_cache()  # a fresh process
         corrupt = get_metrics().value("cache.corrupt")
-        warm = Engine(serving_net(), EngineConfig(pool_size=1, cache_dir=cache_dir))
+        warm = Engine(serving_net(), EngineConfig(
+            session=config, pool_size=1, cache_dir=cache_dir))
         assert warm.metrics.value("engine.cache.misses") == 1
         assert get_metrics().value("cache.corrupt") == corrupt + 1
         np.testing.assert_array_equal(list(warm.infer(x).values())[0], gold)
-        later = list(Session(serving_net()).run(x).values())[0]
+        later = list(Session(serving_net(), config).run(x).values())[0]
         np.testing.assert_array_equal(later, gold)
         assert warm.cache.load(warm.cache_key) is not None  # healed by the store
 
@@ -220,7 +232,7 @@ class TestSchemeArtifacts:
     def test_rectangular_transforms_persist(self, monkeypatch):
         """A warm session over exported artifacts derives no transform,
         rectangular tiles included (their k > 1 axis is exported)."""
-        session = Session(rect_net())
+        session = Session(rect_net(), modeled(rect_net()))
         assert session.schemes["c17"].tile == (1, 4)
         artifacts = SessionArtifacts.from_json(
             json.loads(json.dumps(session.export_artifacts().to_json())))
@@ -269,14 +281,14 @@ class TestSchemeArtifacts:
 class TestEngineWarmup:
     def test_cold_then_warm_process(self, cache_dir):
         g = serving_net()
-        cold = Engine(g, EngineConfig(pool_size=2, cache_dir=cache_dir))
+        cold = Engine(g, EngineConfig(session=modeled(g), pool_size=2, cache_dir=cache_dir))
         # first worker cold, second already warm from the fresh entry
         assert cold.metrics.value("engine.cache.misses") == 1
         assert cold.metrics.value("engine.cache.hits") == 1
 
         # simulate a new process: blow away the in-memory transform cache
         clear_transform_cache()
-        warm = Engine(g, EngineConfig(pool_size=2, cache_dir=cache_dir))
+        warm = Engine(g, EngineConfig(session=modeled(g), pool_size=2, cache_dir=cache_dir))
         assert warm.metrics.value("engine.cache.misses") == 0
         assert warm.metrics.value("engine.cache.hits") == 2
         assert transform_cache_entries()  # preloaded from disk
@@ -285,16 +297,35 @@ class TestEngineWarmup:
             list(warm.infer(x).values())[0], list(cold.infer(x).values())[0]
         )
 
-    def test_traced_warm_engine_replays_the_cold_products(self, cache_dir):
+    def test_engine_reads_its_entry_once(self, cache_dir, monkeypatch):
+        """Every session after an engine's first is built from the first
+        one's artifacts: one read per engine, warm or cold."""
+        loads = []
+        real_load = PreInferenceCache.load
+        monkeypatch.setattr(PreInferenceCache, "load",
+                            lambda cache, key: loads.append(key) or real_load(cache, key))
+        g = serving_net()
+        cold = Engine(g, EngineConfig(pool_size=3, cache_dir=cache_dir))
+        assert len(loads) == 1 and cold.cache.entries() == [cold.cache_key]
+        warm = Engine(g, EngineConfig(pool_size=3, cache_dir=cache_dir))
+        assert len(loads) == 2
+        assert warm.metrics.value("engine.cache.hits") == 3
+        x = feed()
+        np.testing.assert_array_equal(
+            list(warm.infer(x).values())[0], list(cold.infer(x).values())[0])
+
+    def test_traced_warm_engine_replays_the_cold_products(self, cache_dir, monkeypatch):
         """On the serving bench graph, a traced warm engine hits the cache
         once (digest check and full decode of the entry), its
-        scheme_selection and memory_plan spans say cached=True, and it
-        answers bitwise equal to the cold engine."""
+        scheme_selection and memory_plan spans say cached=True, its
+        scheme selection times no runner, and it answers bitwise equal to
+        the cold engine."""
         net = optimize(squeezenet_v1_1(input_size=96, classes=10))
         tracer = Tracer()
         clear_transform_cache()
         cold = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir))
-        clear_transform_cache()
+        clear_transform_cache()  # a fresh process: no transforms, no verdicts
+        monkeypatch.setattr(autotune, "_VERDICTS", {})
         warm = Engine(net, EngineConfig(pool_size=1, cache_dir=cache_dir, trace=tracer))
 
         assert warm.metrics.value("engine.cache.hits") == 1, "warm engine missed the cache"
@@ -303,6 +334,8 @@ class TestEngineWarmup:
             assert spans and all(s.args.get("cached") is True for s in spans), (
                 f"warm engine recomputed {stage}: {[s.args for s in spans]}"
             )
+        probes = [s.args.get("probes") for s in tracer.spans if s.name == "scheme_selection"]
+        assert probes == [0], f"warm engine re-timed its scheme verdicts: {probes}"
 
         name = net.inputs[0]
         x = {name: np.random.default_rng(0).standard_normal(net.desc(name).shape).astype(np.float32)}

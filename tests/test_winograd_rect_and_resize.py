@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Session, SessionConfig
+from repro.core import Session, SessionConfig, select_graph_schemes
 from repro.ir import GraphBuilder, GraphError
 from repro.kernels import winograd_conv2d
 
@@ -75,9 +75,15 @@ def resizable_net():
     return b.finish()
 
 
+def modeled(graph):
+    """A config pinning the Eq. 2/3 picks, so the 3x3 conv keeps running
+    Winograd through a resize whatever this host measures."""
+    return SessionConfig(scheme_overrides=select_graph_schemes(graph))
+
+
 class TestSessionResize:
     def test_resize_and_run(self):
-        session = Session(resizable_net())
+        session = Session(resizable_net(), modeled(resizable_net()))
         session.resize({"in": (1, 3, 64, 64)})
         out = session.run(
             {"in": RNG.standard_normal((1, 3, 64, 64)).astype(np.float32)}
@@ -123,14 +129,14 @@ class TestSessionResize:
             session.resize({"in": (1, 3, 2, 2)})  # window no longer fits
 
     def test_tiny_resize_with_same_padding_still_works(self):
-        session = Session(resizable_net())
+        session = Session(resizable_net(), modeled(resizable_net()))
         session.resize({"in": (1, 3, 8, 8)})
         out = session.run({"in": RNG.standard_normal((1, 3, 8, 8)).astype(np.float32)})
         assert list(out.values())[0].shape == (1, 4)
 
     def test_resize_matches_fresh_session(self):
         feed = {"in": RNG.standard_normal((1, 3, 64, 64)).astype(np.float32)}
-        resized = Session(resizable_net())
+        resized = Session(resizable_net(), modeled(resizable_net()))
         resized.resize({"in": (1, 3, 64, 64)})
         fresh = Session(resizable_net())
         # fresh graph built at 32 then resized must equal a 32->64 resize of
@@ -141,7 +147,8 @@ class TestSessionResize:
         x = b.conv(x, oc=16, kernel=3, activation="relu")
         x = b.fc(b.global_avg_pool(x), units=4)
         b.output(b.softmax(x))
-        want = list(Session(b.finish()).run(feed).values())[0]
+        fresh64 = b.finish()
+        want = list(Session(fresh64, modeled(fresh64)).run(feed).values())[0]
         got = list(resized.run(feed).values())[0]
         np.testing.assert_allclose(got, want, atol=1e-5)
 
