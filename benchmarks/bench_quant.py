@@ -5,9 +5,8 @@ Claims checked: an int8 KV cache holds >= 3x the tokens of fp32 in the
 same arena (per-row scales included in the accounting), quantized decode
 emits bit-identical tokens on seeded replay at more than half of fp32
 throughput (the int8 GEMM runs exactly through BLAS on float-held
-operands; every number in the table is measured wall-clock — the cost
-model's ``int8_gemm_speedup`` is a modelled constant and appears
-nowhere here), and per-channel weight quantization moves the tiny
+operands; every number in the table is measured wall-clock), and
+per-channel weight quantization moves the tiny
 decoder's logits by at most the accuracy contract's bound."""
 
 from dataclasses import replace

@@ -47,8 +47,11 @@
 #      SIGKILL a worker mid-run, and require the supervisor to replace it
 #      with the post-recovery response bit-identical to the pre-kill gold;
 #      then stall a worker's heartbeat and require the hang detector to
-#      kill and replace it the same way (tier-1 tests, run here by node
-#      id).
+#      kill and replace it the same way; then force a near-tie scheme
+#      verdict that goes Winograd's way only in the router's process, and
+#      require every worker, the respawned one included, to replay the
+#      router's plan (bitwise a local session's answer, zero probes in any
+#      worker) (tier-1 tests, run here by node id).
 #  10. Quantization contracts (tier-1 tests, run here by node id): the
 #      integer GEMM equals an int64 reference on worst-case operands on
 #      both sides of its float32/float64 switch (K = 1040, 1041);
@@ -130,10 +133,11 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical) =="
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; workers replay the router's plan) =="
 python -m pytest -q \
     "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
-    "tests/test_cluster_router.py::TestSupervision::test_hang_is_detected_and_replaced"
+    "tests/test_cluster_router.py::TestSupervision::test_hang_is_detected_and_replaced" \
+    "tests/test_cluster_router.py::TestSupervision::test_workers_replay_the_routers_near_tie_pick"
 
 echo
 echo "== [10/13] quantization contracts (exactness, accuracy, determinism, capacity, merged siblings) =="

@@ -69,7 +69,6 @@ estimate sq.rmnn --engine Caffe --backend cpu --threads 2
 devices
 schemes sq.rmnn
 schemes inc.rmnn
-autotune sq.rmnn --repeats 1
 dot sq.rmnn --schemes -o g.dot
 dot chaos.rmnn
 chaos --seed 0 --faults 50 --events

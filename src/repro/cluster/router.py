@@ -4,6 +4,12 @@
 control, placement, transport and failure policy; the workers own the
 engines.  The contract, piece by piece:
 
+**One prepare.**  With a graph, the router runs pre-inference once
+(through the cache when ``use_cache`` is set) and ships the products in
+every spawn config, respawns included.  Each worker's session replays
+them, so every worker runs the schemes the router decided and none times
+a verdict of its own.
+
 **Placement.**  Requests carrying a ``session_key`` hash onto the
 consistent ring (:mod:`repro.cluster.ring`) — a generation session's KV
 slabs live in exactly one worker's arena, so its requests must keep
@@ -98,22 +104,24 @@ class ClusterConfig:
     Attributes:
         workers: worker process count (ring slots).
         max_queue_depth: per-worker admission bound (queued + in flight).
-        deadline_ms: default per-request deadline (``None`` = none).
         device_dwell_ms: per-request simulated accelerator dwell inside
             the worker (models an offloaded backend's device wait; this
             is what makes multi-worker scaling observable on a
             single-CPU host).
         genai: ``GenerationConfig`` kwargs for generation-mode workers
             (``None`` = infer-only cluster).
-        use_cache / cache_dir: the pre-inference cache each worker's
-            session warms through (keyed as a local ``Engine`` keys it).
+        use_cache / cache_dir: the pre-inference cache the router's one
+            prepare of the graph warms through (keyed as a local
+            ``Engine`` keys it).  Workers never prepare: every spawn,
+            respawns included, replays the router's plan.
         metrics / trace / faults / requests / sanitize: the usual
             observability and fault-injection plumbing, resolved once
             into the router's :class:`repro.Runtime` (``metrics=None``
             is the process-wide registry).
 
-    The loss policy is per request (``on_worker_lost=`` on every submit,
-    default ``"replay"``).  Transport sizing, the replay bound, ring
+    The loss policy and the deadline are per request (``on_worker_lost=``
+    and ``deadline_ms=`` on every submit; the default policy is
+    ``"replay"``, and no deadline).  Transport sizing, the replay bound, ring
     balance and supervision timing are not settings: shm segments are
     sized once from the graph's input and output descriptors, replays
     are bounded by ``REPLAY_BUDGET``, the ring has 64 virtual nodes per
@@ -123,7 +131,6 @@ class ClusterConfig:
 
     workers: int = 2
     max_queue_depth: int = 8
-    deadline_ms: Optional[float] = None
     device_dwell_ms: float = 0.0
     genai: Optional[Dict[str, object]] = None
     use_cache: bool = False
@@ -191,6 +198,9 @@ class Cluster:
         self._graph = graph
         self._model_dir: Optional[str] = None
         self._model_path: Optional[str] = None
+        #: The router's pre-inference products, as JSON: every worker
+        #: session replays them, so one process decides every scheme.
+        self._plan: Optional[Dict[str, object]] = None
         #: Request/response segment bytes: the graph fixes every input
         #: and output shape, so one size per role holds every request.
         self._segment_bytes: Dict[str, int] = {}
@@ -199,6 +209,7 @@ class Cluster:
                 "req": payload_bytes({n: graph.desc(n) for n in graph.inputs}),
                 "resp": payload_bytes({n: graph.desc(n) for n in graph.outputs}),
             }
+            self._plan = self._prepare(graph)
             # Workers load the graph from disk: with fork they *could*
             # inherit it, but the serialized round trip is the honest
             # path (it is how a spawn-started or remote worker would get
@@ -239,12 +250,30 @@ class Cluster:
             self._threads.append(t)
 
     # -- spawn plumbing ------------------------------------------------------
+    def _prepare(self, graph) -> Dict[str, object]:
+        """Prepare ``graph`` once, as a local ``Engine`` prepares its
+        first session, and return the products every worker replays.
+
+        The prepare runs under a fault-free runtime (a clean plan and a
+        private registry): no router fault site fires here, and its
+        counters stay out of the router's registry.
+        """
+        from ..core.session import SessionConfig
+        from ..serving.cache import PreInferenceCache, warm_session
+
+        config = SessionConfig()
+        runtime = Runtime.resolve(faults=FaultPlan(), metrics=MetricsRegistry())
+        cache = (PreInferenceCache(self.config.cache_dir, runtime=runtime)
+                 if self.config.use_cache else None)
+        key = cache.key(graph, config) if cache is not None else None
+        session, _ = warm_session(graph, config, cache, key, runtime)
+        return session.export_artifacts().to_json()
+
     def _spawn_cfg(self, slot: int, epoch: int) -> Dict[str, object]:
         """Supervisor callback: fresh per-epoch segments + worker config."""
         cfg: Dict[str, object] = {
             "model_path": self._model_path,
-            "use_cache": self.config.use_cache,
-            "cache_dir": self.config.cache_dir,
+            "plan": self._plan,
             "genai": self.config.genai,
             "device_dwell_ms": self.config.device_dwell_ms,
         }
@@ -322,8 +351,7 @@ class Cluster:
             raise RuntimeError("cluster is closed")
         if policy not in ("replay", "error"):
             raise ValueError(f"unknown on_worker_lost policy {policy!r}")
-        budget = deadline_ms if deadline_ms is not None else self.config.deadline_ms
-        deadline = Deadline.from_ms(budget)
+        deadline = Deadline.from_ms(deadline_ms)
         if deadline is not None:
             deadline.check("cluster.submit")
         rid = f"clu-{next(self._req_seq)}"

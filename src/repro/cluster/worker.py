@@ -1,10 +1,11 @@
 """The worker process: one session, one request at a time, own everything.
 
 ``worker_main`` is the ``multiprocessing.Process`` target.  Each worker
-is isolated — its own :class:`~repro.core.Session` (warmed through the
-pre-inference cache exactly as a local ``Engine`` warms one), arena and,
-in generation mode, KV allocator — so a worker crash loses exactly one
-shard's state and nothing else.  The contract with the router:
+is isolated — its own :class:`~repro.core.Session` (built from the
+router's pre-inference products, so it runs the schemes the router
+decided), arena and, in generation mode, KV allocator — so a worker
+crash loses exactly one shard's state and nothing else.  The contract
+with the router:
 
 * **Serial execution.**  The worker handles one request end to end
   before reading the next control message; the router's per-slot queue
@@ -76,26 +77,20 @@ class _Heartbeat(threading.Thread):
 def _build_engines(cfg: Dict[str, object]):
     """Construct the worker's session and/or generation engine from cfg.
 
-    The session is built as a local ``Engine`` builds each of its own:
-    default :class:`~repro.core.SessionConfig`, warmed through the
-    pre-inference cache under the same key.
+    The session replays the router's plan (``cfg["plan"]``, the JSON of
+    its :class:`~repro.core.SessionArtifacts`) under the default
+    :class:`~repro.core.SessionConfig`: it searches, times and plans
+    nothing, and opens no cache.
     """
     session = None
     gen_engine = None
     model_path = cfg.get("model_path")
     if model_path:
-        from ..core.session import SessionConfig
+        from ..core.session import Session, SessionArtifacts, SessionConfig
         from ..ir import load_model
-        from ..runtime import Runtime
-        from ..serving.cache import PreInferenceCache, warm_session
 
-        graph = load_model(model_path)
-        config = SessionConfig()
-        runtime = Runtime.resolve()
-        cache = (PreInferenceCache(cfg.get("cache_dir"), runtime=runtime)
-                 if cfg.get("use_cache") else None)
-        key = cache.key(graph, config) if cache is not None else None
-        session, _ = warm_session(graph, config, cache, key, runtime)
+        session = Session(load_model(model_path), SessionConfig(),
+                          SessionArtifacts.from_json(cfg["plan"]))
     genai_cfg = cfg.get("genai")
     if genai_cfg:
         from ..genai import GenerationConfig, GenerationEngine

@@ -9,7 +9,7 @@ from .memory import (
     doubling_buckets,
     plan_memory,
 )
-from .autotune import TuneReport, autotune_schemes, bound_runner
+from .autotune import bound_runner
 from .schemes import (
     SchemeConfig,
     SchemeDecision,
@@ -42,8 +42,6 @@ __all__ = [
     "select_conv_scheme",
     "select_graph_schemes",
     "winograd_plane_cost",
-    "TuneReport",
-    "autotune_schemes",
     "bound_runner",
     "OpProfile",
     "RunStats",

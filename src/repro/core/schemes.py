@@ -51,12 +51,6 @@ class SchemeConfig:
             multiplier): effective cost is scaled by ``(U + U0) / U``, so a
             handful of huge tiles cannot fully utilize the micro-kernel.
             This is what makes WinoMax lose on small feature maps (Table 1).
-        int8_gemm_speedup: per-MUL throughput advantage of the int8
-            micro-kernel over fp32 (4 lanes of 4x-narrower operands).
-            Divides the *direct* scheme costs for quantized layers;
-            Winograd/Strassen stay fp-only (their float transforms would
-            forfeit exact integer accumulation), so their entries remain at
-            fp cost in the ranking — which is exactly why direct wins.
     """
 
     winograd_candidates: Tuple[int, ...] = (1, 2, 4, 6, 8)
@@ -64,7 +58,6 @@ class SchemeConfig:
     transform_weight: float = 2.0
     sliding_weight: float = 1.0
     gemm_efficiency_u0: float = 16.0
-    int8_gemm_speedup: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -193,18 +186,16 @@ def select_conv_scheme(
     to sliding window (or 1x1-GEMM).
 
     ``quantized=True`` (int8 weights) restricts the legal pool to the
-    direct schemes — sliding window and 1x1-GEMM — whose costs divide by
-    ``int8_gemm_speedup``.  Winograd tiles are still *costed* into
-    ``alternatives`` (at fp cost; their float transforms cannot run the
-    int8 contract) so reports show the ranking, but are never selected.
+    direct schemes — sliding window and 1x1-GEMM.  Winograd tiles are
+    still *costed* into ``alternatives`` (their float transforms cannot
+    run the int8 contract) so reports show the ranking, but are never
+    selected.
     """
     cfg = config or SchemeConfig()
     kh, kw = kernel
     oh, ow = out_hw
 
     sliding_cost = cfg.sliding_weight * oh * ow * (ic // groups) * kh * kw * oc
-    if quantized:
-        sliding_cost /= cfg.int8_gemm_speedup
     alternatives = {"sliding": sliding_cost}
 
     if kh == 1 and kw == 1 and dilation == (1, 1) and groups == 1:

@@ -92,10 +92,9 @@ class SessionConfig:
             ``"sim_cpu"`` and the device's GPU APIs instead of ``backend``.
         scheme_overrides: per-conv-node scheme decisions that take
             precedence over the cost-model search and over measurement —
-            typically the output of
-            :func:`repro.core.autotune.autotune_schemes`, or
-            ``select_graph_schemes(graph)`` to run the modeled picks on
-            the ``"cpu"`` backend.
+            typically ``select_graph_schemes(graph)``, to run the modeled
+            picks on the ``"cpu"`` backend, or hand-built decisions that
+            pin a layer to one scheme.
         paranoid: run the independent memory-plan sanitizer
             (:func:`repro.analysis.check_memory_plan`) on every plan this
             session builds, so a planner bug fails loudly at prepare time.
@@ -355,7 +354,7 @@ class Session:
                 # becomes a lookup.  In-process entries win.
                 preload_transforms(artifacts.winograd)
 
-            # (1) computation scheme selection (auto-tuned overrides win).
+            # (1) computation scheme selection (overrides win).
             # Cached decisions replace the Eq. 2/3 search when they cover every
             # conv in the live graph; partial/stale coverage falls back.  On
             # the real CPU a modeled Winograd pick stands only if this host

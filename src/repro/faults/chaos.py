@@ -543,12 +543,12 @@ def _probe_deadline(graph, feeds, tracker: RequestTracker) -> int:
     try:
         engine = Engine(graph, EngineConfig(
             session=SessionConfig(breaker_cooldown_s=0.0),
-            pool_size=1, use_cache=False, deadline_ms=5.0,
+            pool_size=1, use_cache=False,
             faults=plan, metrics=probe_metrics, requests=tracker,
         ))
         with engine:
             try:
-                engine.infer(feeds)
+                engine.infer(feeds, deadline_ms=5.0)
             except DeadlineExceeded:
                 trips += 1
     finally:

@@ -85,11 +85,8 @@ class EngineConfig:
             serving-layer fault point (cache load/store, pool checkout,
             batch assembly) and into every worker session.  ``None``
             falls back to the process-wide plan (``$REPRO_FAULTS``,
-            default disabled).
-        deadline_ms: default per-request deadline budget for
-            :meth:`Engine.infer`; ``None`` means no deadline.  Transient
-            cache-IO and pool-checkout faults are retried 3 times before
-            escalating.
+            default disabled).  Transient cache-IO and pool-checkout
+            faults are retried 3 times before escalating.
         requests: request-level observability.  A
             :class:`repro.obs.RequestTracker` (used as-is — attach a
             :class:`repro.obs.FlightRecorder` to it for postmortem
@@ -117,7 +114,6 @@ class EngineConfig:
     trace: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
-    deadline_ms: Optional[float] = None
     sanitize: Union[bool, Sanitizer] = False
     requests: Union[bool, RequestTracker, None] = None
 
@@ -236,10 +232,9 @@ class Engine:
     ) -> Dict[str, np.ndarray]:
         """Run one inference; safe to call from many threads at once.
 
-        ``deadline_ms`` (default: ``EngineConfig.deadline_ms``) bounds the
-        whole request — pool checkout, batch wait and execution all spend
-        from one budget — raising :class:`~repro.faults.DeadlineExceeded`
-        instead of hanging.
+        ``deadline_ms`` (default: none) bounds the whole request — pool
+        checkout, batch wait and execution all spend from one budget —
+        raising :class:`~repro.faults.DeadlineExceeded` instead of hanging.
 
         Raises:
             DeadlineExceeded: the request's deadline budget ran out.
@@ -249,8 +244,6 @@ class Engine:
                 the engine itself keeps serving.
         """
         self.metrics.counter("engine.requests").inc()
-        if deadline_ms is None:
-            deadline_ms = self.config.deadline_ms
         deadline = Deadline.from_ms(deadline_ms)
         tracker = self.requests
         timeline = None

@@ -23,7 +23,6 @@ Usage::
     python -m repro.tools.cli sanitize [--strict]
     python -m repro.tools.cli generate --prompts 4 --max-tokens 12 [--trace FILE]
     python -m repro.tools.cli schemes model.rmnn
-    python -m repro.tools.cli autotune model.rmnn [--repeats 2]
     python -m repro.tools.cli dot model.rmnn [-o graph.dot] [--schemes]
 
 Each subcommand is one row of :data:`COMMANDS`: name, help, handler and
@@ -54,9 +53,7 @@ from ..analysis.verify_passes import random_feeds
 from ..baselines import ENGINES
 from ..bench import run_closed_loop, time_callable
 from ..converter import convert_to_fp16, fp16_savings, optimize, prune_model
-from ..core import (
-    Session, autotune_schemes, node_muls, plan_memory, select_graph_schemes,
-)
+from ..core import Session, node_muls, plan_memory, select_graph_schemes
 from ..devices import DEVICES, get_device
 from ..ir import load_model, save_model
 from ..ir.graph import GraphError
@@ -409,23 +406,10 @@ def cmd_devices(args) -> int:
     return 0
 
 
-def cmd_autotune(args) -> int:
-    report = autotune_schemes(args.graph, repeats=args.repeats)
-    print(f"auto-tuned {len(report.decisions)} convolutions "
-          f"in {report.tuning_ms:.0f} ms; cost-model agreement "
-          f"{report.agreement_with_model() * 100:.0f}%")
-    for name, decision in report.decisions.items():
-        model = report.model_decisions[name]
-        same = (decision.kind, decision.tile) == (model.kind, model.tile)
-        marker = "" if same else "   <- differs from cost model"
-        print(f"  {name:24s} -> {decision.label} ({decision.cost:.2f} ms){marker}")
-    return 0
-
-
 def cmd_dot(args) -> int:
     from .visualize import to_dot
 
-    schemes = select_graph_schemes(args.graph) if args.schemes else None
+    schemes = Session(args.graph).schemes if args.schemes else None
     text = to_dot(args.graph, schemes)
     if args.output:
         with open(args.output, "w") as fh:
@@ -527,10 +511,15 @@ def cmd_regress(args) -> int:
 
 
 def cmd_schemes(args) -> int:
-    decisions = select_graph_schemes(args.graph)
-    print(f"{len(decisions)} convolutions:")
-    for name, decision in decisions.items():
-        print(f"  {name:24s} -> {decision.label}")
+    """The schemes a session runs; a conv whose Eq. 2 pick differs (this
+    host timed the modeled Winograd slower than sliding) is marked."""
+    modeled = select_graph_schemes(args.graph)
+    running = Session(args.graph).schemes
+    print(f"{len(modeled)} convolutions:")
+    for name, model in modeled.items():
+        label = running[name].label
+        marker = "" if label == model.label else f"   <- Eq. 2 picks {model.label}"
+        print(f"  {name:24s} -> {label}{marker}")
     return 0
 
 
@@ -680,8 +669,7 @@ COMMANDS = [
                  "(makes --prefix-cache hits observable)"),
         TRACE,
     ]),
-    ("schemes", "show per-conv scheme decisions", cmd_schemes, [MODEL]),
-    ("autotune", "measure conv schemes on this host", cmd_autotune, [MODEL, REPEATS(default=2)]),
+    ("schemes", "show the scheme each conv runs", cmd_schemes, [MODEL]),
     ("dot", "export the graph as Graphviz dot", cmd_dot, [
         MODEL, OUTPUT_OPT,
         Arg("--schemes", action="store_true", help="annotate convs with their selected schemes"),

@@ -11,6 +11,7 @@ rule that a deadline expiring around a dead worker is reported as
 """
 
 import json
+import os
 import time
 
 import numpy as np
@@ -255,6 +256,41 @@ class TestSupervision:
             for name in gold:
                 np.testing.assert_array_equal(out[name], gold[name])
 
+    def test_workers_replay_the_routers_near_tie_pick(self, tmp_path, monkeypatch):
+        """A near tie that goes Winograd's way only in this process: a
+        worker timing its own verdict would run sliding window and answer
+        other bits.  Every worker, the respawned one included, replays the
+        router's schemes instead, and times nothing."""
+        from repro.core import autotune
+
+        b = GraphBuilder("near_tie", seed=2)
+        x = b.conv(b.input("data", (1, 16, 24, 24)), oc=32, kernel=3, name="wino")
+        b.output(b.global_avg_pool(x))
+        g = b.finish()
+        feeds = {"data": RNG.standard_normal((1, 16, 24, 24)).astype(np.float32)}
+
+        router_pid, log = os.getpid(), tmp_path / "probes.log"
+
+        def near_tie(kind, feed, repeats):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return 1.0 if (kind == "winograd") == (os.getpid() == router_pid) else 1.01
+
+        monkeypatch.setattr(autotune, "_VERDICTS", {})
+        monkeypatch.setattr(autotune, "bound_runner", lambda node, graph, scheme: scheme.kind)
+        monkeypatch.setattr(autotune, "_measure", near_tie)
+        local = Session(g)
+        assert local.schemes["wino"].kind == "winograd"
+        want = local.run(feeds)[g.outputs[0]]
+        autotune._VERDICTS.clear()  # no worker inherits a verdict
+
+        with Cluster(g, ClusterConfig(workers=1, metrics=MetricsRegistry())) as cluster:
+            np.testing.assert_array_equal(cluster.infer(feeds)[g.outputs[0]], want)
+            cluster.supervisor.kill(0)
+            assert _wait_recovered(cluster, 0)
+            np.testing.assert_array_equal(cluster.infer(feeds)[g.outputs[0]], want)
+        assert {int(pid) for pid in log.read_text().split()} == {router_pid}
+
 
 class TestWorkerLoss:
     def test_error_policy_surfaces_typed_loss_with_postmortem(
@@ -311,9 +347,9 @@ class TestWorkerLoss:
                 workers=1, metrics=MetricsRegistry())) as cluster:
             cluster.infer(feeds)  # workers warm; respawn cost is real
             cluster.supervisor.kill(0)
-            # 8 ms is comfortably below the respawn floor (a fork plus a
-            # fresh engine build, ~20 ms+), so the budget always runs out
-            # while the slot is still down.
+            # 8 ms is comfortably below the respawn floor (death
+            # detection, a fork and a replayed session, ~50 ms), so the
+            # budget always runs out while the slot is still down.
             with pytest.raises(DeadlineExceeded):
                 cluster.infer(feeds, session_key="late", deadline_ms=8.0,
                               on_worker_lost="replay")

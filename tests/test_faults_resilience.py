@@ -570,15 +570,3 @@ class TestEngineDeadlines:
             # the engine still serves afterwards
             out = engine.infer(tiny_feed())
             assert out
-
-    def test_config_default_deadline(self):
-        from repro.serving.engine import Engine, EngineConfig
-
-        with Engine(tiny_net(), EngineConfig(
-            pool_size=1, use_cache=False, deadline_ms=0.0,
-            metrics=get_metrics(),
-        )) as engine:
-            with pytest.raises(DeadlineExceeded):
-                engine.infer(tiny_feed())
-            out = engine.infer(tiny_feed(), deadline_ms=10_000.0)
-            assert out

@@ -133,9 +133,9 @@ def test_counters_land_where_they_did(tmp_path, monkeypatch):
                         lambda: HostFingerprint("Linux", "x86_64", 8, "3.11"))
     cache = PreInferenceCache(tmp_path)
     assert cache.key(chain_net(), SessionConfig()) == (
-        "9e6fbf10df5c4a58660956a2b2d03a0e2d3984889af4227843924fe9dc8df446"
+        "19aa1a7e16d7189dbeff6b784bd96fe4fb304b9fd409d4cf06d512c748b4fe75"
     )
     assert cache.key(chain_net(), SessionConfig(
         threads=2, use_strassen=False, check_feeds=False,
-    )) == "4c88f2e8cd0e29a188a2d7a52fc86b83f1e50df1f272ffa6a19e42b295a33a34"
+    )) == "d6dff5c876fb73d3865b87e6ca6c052b92920460a0cd6aa1c16545e18a30371a"
 
