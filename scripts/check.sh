@@ -46,8 +46,11 @@
 #   9. Cluster supervision: spawn the multi-process serving tier,
 #      SIGKILL a worker mid-run, and require the supervisor to replace it
 #      with the post-recovery response bit-identical to the pre-kill gold;
-#      then stall a worker's heartbeat and require the hang detector to
-#      kill and replace it the same way; then force a near-tie scheme
+#      then, with the hang check paced at 30 s, require a SIGKILLed idle
+#      worker to be replaced within 5 s (its death alone wakes the
+#      supervisor) and to answer bitwise the gold again; then stall a
+#      worker's heartbeat and require the hang detector to kill and
+#      replace it the same way; then force a near-tie scheme
 #      verdict that goes Winograd's way only in the router's process, and
 #      require every worker, the respawned one included, to replay the
 #      router's plan (bitwise a local session's answer, zero probes in any
@@ -133,9 +136,10 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; workers replay the router's plan) =="
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan) =="
 python -m pytest -q \
     "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
+    "tests/test_cluster_router.py::TestSupervision::test_death_wakes_the_supervisor_without_a_tick" \
     "tests/test_cluster_router.py::TestSupervision::test_hang_is_detected_and_replaced" \
     "tests/test_cluster_router.py::TestSupervision::test_workers_replay_the_routers_near_tie_pick"
 

@@ -31,13 +31,20 @@ landing there.  Keyless requests go to the least-loaded live worker.
 serialized as *milliseconds remaining* at send; the worker re-arms a
 fresh deadline from that number (no shared clock needed).  A request
 that expires while queued — including while parked on a dead worker
-slot waiting for its replacement — surfaces ``DeadlineExceeded``, never
-``WorkerLost``: expiry is checked *before* the loss outcome is decided.
+slot waiting for its replacement, a wait bounded by the deadline —
+surfaces ``DeadlineExceeded``, never ``WorkerLost``: expiry is checked
+*before* the loss outcome is decided.
 
-**Worker loss.**  The slot's dispatch thread detects death synchronously
-(broken pipe / dead process mid-RPC), reports it to the supervisor
-(idempotent, epoch-guarded), and resolves the in-flight request by its
-per-request ``on_worker_lost`` policy:
+**One segment pair per slot.**  The router creates each slot's
+request/response segments once, sized from the graph, and every epoch of
+the slot's worker attaches the same pair.  Only the slot's dispatch
+thread touches it; the generation stamp guards against a late write.
+
+**Worker loss.**  The slot's dispatch thread waits on its worker's pipe
+and process sentinel together, so it sees a death mid-RPC at once
+(a reply flushed before the death is still read), reports it to the
+supervisor (idempotent, epoch-guarded), and resolves the in-flight
+request by its per-request ``on_worker_lost`` policy:
 
 * ``"replay"`` (default): transparently re-admit on the next live
   worker in the ring's preference order — a full re-prefill, since the
@@ -65,9 +72,9 @@ import queue
 import shutil
 import tempfile
 import threading
-import time
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -95,6 +102,11 @@ REPLAY_BUDGET = 2
 
 class _WorkerDied(Exception):
     """Internal: the RPC's worker died before answering."""
+
+
+def _remaining_s(item: "_Pending") -> Optional[float]:
+    """Seconds left on ``item``'s deadline (``None``: no deadline)."""
+    return None if item.deadline is None else item.deadline.remaining_s()
 
 
 @dataclass
@@ -201,14 +213,7 @@ class Cluster:
         #: The router's pre-inference products, as JSON: every worker
         #: session replays them, so one process decides every scheme.
         self._plan: Optional[Dict[str, object]] = None
-        #: Request/response segment bytes: the graph fixes every input
-        #: and output shape, so one size per role holds every request.
-        self._segment_bytes: Dict[str, int] = {}
         if graph is not None:
-            self._segment_bytes = {
-                "req": payload_bytes({n: graph.desc(n) for n in graph.inputs}),
-                "resp": payload_bytes({n: graph.desc(n) for n in graph.outputs}),
-            }
             self._plan = self._prepare(graph)
             # Workers load the graph from disk: with fork they *could*
             # inherit it, but the serialized round trip is the honest
@@ -225,9 +230,10 @@ class Cluster:
         self._ring = HashRing(range(n))
         self._admission = threading.Lock()
         self._depths: Dict[int, int] = {s: 0 for s in range(n)}
-        self._slot_locks: Dict[int, threading.Lock] = {s: threading.Lock() for s in range(n)}
-        self._segments: Dict[int, Dict[str, ShmSegment]] = {}
-        self._graveyard: Dict[int, List[ShmSegment]] = {s: [] for s in range(n)}
+        #: Each slot's request/response segment pair, for the cluster's
+        #: life: every epoch of the slot's worker attaches the same pair,
+        #: and only the slot's dispatch thread reads or writes it.
+        self._segments: Dict[int, Dict[str, ShmSegment]] = {s: {} for s in range(n)}
         self._gens: Dict[int, "itertools.count"] = {s: itertools.count(1) for s in range(n)}
         self._req_seq = itertools.count(1)
         self._queues: Dict[int, "queue.Queue"] = {s: queue.Queue() for s in range(n)}
@@ -236,6 +242,16 @@ class Cluster:
         self.supervisor = Supervisor(self._spawn_cfg, n, metrics=self.metrics)
         self._threads: List[threading.Thread] = []
         try:
+            if graph is not None:
+                # The graph fixes every input and output shape, so one
+                # size per role holds every request.
+                descs = {"req": graph.inputs, "resp": graph.outputs}
+                for slot, role in itertools.product(range(n), descs):
+                    self._segments[slot][role] = ShmSegment.create(
+                        f"{self._uid}-w{slot}-{role}",
+                        payload_bytes({t: graph.desc(t) for t in descs[role]}),
+                        sanitizer=self.sanitizer,
+                    )
             self.supervisor.start()
         except Exception:
             self._cleanup_segments()
@@ -269,37 +285,17 @@ class Cluster:
         session, _ = warm_session(graph, config, cache, key, runtime)
         return session.export_artifacts().to_json()
 
-    def _spawn_cfg(self, slot: int, epoch: int) -> Dict[str, object]:
-        """Supervisor callback: fresh per-epoch segments + worker config."""
+    def _spawn_cfg(self, slot: int) -> Dict[str, object]:
+        """Supervisor callback: the config every epoch of ``slot`` starts from."""
         cfg: Dict[str, object] = {
             "model_path": self._model_path,
             "plan": self._plan,
             "genai": self.config.genai,
             "device_dwell_ms": self.config.device_dwell_ms,
         }
-        if self._model_path is not None:
-            with self._slot_locks[slot]:
-                old = self._segments.get(slot)
-                if old is not None:
-                    # Defer unmapping to the slot thread (it may hold
-                    # live views); the generation guard covers stragglers.
-                    self._graveyard[slot].extend(old.values())
-                segs = {}
-                for role in ("req", "resp"):
-                    name = f"{self._uid}-w{slot}e{epoch}-{role}"
-                    segs[role] = ShmSegment.create(
-                        name, self._segment_bytes[role], sanitizer=self.sanitizer
-                    )
-                self._segments[slot] = segs  # sanitize: slot lock held (self._slot_locks[slot])
-                cfg["req_segment"] = segs["req"].name
-                cfg["resp_segment"] = segs["resp"].name
+        for role, seg in self._segments[slot].items():
+            cfg[f"{role}_segment"] = seg.name
         return cfg
-
-    def _drain_graveyard(self, slot: int) -> None:
-        """Unlink superseded segments; slot-lock held, slot thread only."""
-        for seg in self._graveyard[slot]:
-            seg.unlink()
-        self._graveyard[slot].clear()
 
     # -- submission ----------------------------------------------------------
     def submit_infer(self, feeds: Dict[str, np.ndarray], *,
@@ -438,14 +434,13 @@ class Cluster:
             try:
                 with self.tracer.span("cluster.rpc", "cluster",
                                       worker=slot, request=item.id):
-                    reply, resp_seg = self._rpc(slot, handle, item, crash)
+                    reply = self._rpc(slot, handle, item, crash)
             except _WorkerDied:
                 self.supervisor.report_down(slot, handle.epoch, "crash")
                 self._on_lost(slot, item)
                 return
             if reply[0] == "ok":
-                self._finish(item, result=self._decode_ok(slot, item, reply,
-                                                          resp_seg))
+                self._finish(item, result=self._decode_ok(slot, item, reply))
             else:
                 self._finish(item, exc=self._decode_err(slot, reply))
         except BaseException as exc:
@@ -462,71 +457,52 @@ class Cluster:
         while True:
             if item.deadline is not None:
                 item.deadline.check("cluster.queue")
-            handle = self.supervisor.handle(slot)
+            handle = self.supervisor.wait_handle(slot, _remaining_s(item))
             if handle is not None:
                 return handle
             if self._closed or self.supervisor.slot_failed(slot):
                 raise WorkerLost(slot, item.id, item.replays)
-            time.sleep(0.005)
 
     def _rpc(self, slot: int, handle, item: _Pending, crash: Optional[str]):
         """Send one request and wait for its answer (or the worker's death)."""
-        deadline_ms = (item.deadline.remaining_s() * 1000.0
-                       if item.deadline is not None else None)
-        resp_seg = None
-        with self._slot_locks[slot]:
-            self._drain_graveyard(slot)
-            if item.kind == "infer":
-                req_seg = self._segments[slot]["req"]
-                resp_seg = self._segments[slot]["resp"]
-                gen = next(self._gens[slot])
-                specs = req_seg.write_tensors(item.payload, gen)
-                msg = {"kind": "infer", "id": item.id, "gen": gen,
-                       "specs": specs, "deadline_ms": deadline_ms,
-                       "crash": crash}
-            else:
-                msg = {"kind": "generate", "id": item.id,
-                       "prompt": item.payload["prompt"],
-                       "params": item.payload["params"],
-                       "deadline_ms": deadline_ms, "crash": crash}
-            try:
-                handle.conn.send(msg)
-            except (BrokenPipeError, OSError):
-                raise _WorkerDied()
-        while True:
-            try:
-                if handle.conn.poll(0.02):
-                    reply = handle.conn.recv()
-                    if reply[1] != item.id:
-                        # A straggler answer to a request this thread
-                        # already abandoned on deadline; drop it.
-                        self.metrics.counter("cluster.stale_replies").inc()
-                        continue
-                    return reply, resp_seg
-            except (EOFError, OSError):
-                raise _WorkerDied()
-            if not handle.proc.is_alive():
-                # Drain anything flushed before death, then give up.
-                try:
-                    while handle.conn.poll(0):
-                        reply = handle.conn.recv()
-                        if reply[1] == item.id:
-                            return reply, resp_seg
-                except (EOFError, OSError):
-                    pass
-                raise _WorkerDied()
-            if item.deadline is not None:
-                item.deadline.check("cluster.rpc")
-
-    def _decode_ok(self, slot: int, item: _Pending, reply, resp_seg):
+        remaining_s = _remaining_s(item)
+        deadline_ms = None if remaining_s is None else remaining_s * 1000.0
         if item.kind == "infer":
-            with self._slot_locks[slot]:
-                # Read from the segment captured at send time: even if
-                # the worker died right after answering and the slot was
-                # re-provisioned, the bytes it wrote are still mapped
-                # (the graveyard only drains on this same thread).
-                return resp_seg.read_tensors(reply[2]["specs"],
-                                             reply[2]["gen"], copy=True)
+            gen = next(self._gens[slot])
+            specs = self._segments[slot]["req"].write_tensors(item.payload, gen)
+            msg = {"kind": "infer", "id": item.id, "gen": gen,
+                   "specs": specs, "deadline_ms": deadline_ms,
+                   "crash": crash}
+        else:
+            msg = {"kind": "generate", "id": item.id,
+                   "prompt": item.payload["prompt"],
+                   "params": item.payload["params"],
+                   "deadline_ms": deadline_ms, "crash": crash}
+        conn = handle.conn
+        try:
+            conn.send(msg)
+            while True:
+                # A reply flushed before the worker died leaves the pipe
+                # readable, so the pipe is read first.
+                ready = wait([conn, handle.proc.sentinel], _remaining_s(item))
+                if conn in ready:
+                    reply = conn.recv()
+                    if reply[1] == item.id:
+                        return reply
+                    # A straggler answer to a request this thread
+                    # already abandoned on deadline; drop it.
+                    self.metrics.counter("cluster.stale_replies").inc()
+                elif ready:
+                    raise _WorkerDied()
+                else:
+                    item.deadline.check("cluster.rpc")
+        except (EOFError, OSError):
+            raise _WorkerDied()
+
+    def _decode_ok(self, slot: int, item: _Pending, reply):
+        if item.kind == "infer":
+            return self._segments[slot]["resp"].read_tensors(
+                reply[2]["specs"], reply[2]["gen"], copy=True)
         payload = reply[2]
         if payload["finish_reason"] == "error":
             raise WorkerError("GenerationError",
@@ -633,14 +609,9 @@ class Cluster:
         return out
 
     def _cleanup_segments(self) -> None:
-        for slot, segs in list(self._segments.items()):
-            with self._slot_locks[slot]:
-                for seg in self._graveyard[slot]:
-                    seg.unlink()
-                self._graveyard[slot].clear()
-                for seg in segs.values():
-                    seg.unlink()
-        self._segments.clear()  # sanitize: single-thread (close path, workers joined)
+        for segs in self._segments.values():
+            for seg in segs.values():
+                seg.unlink()
 
     def _cleanup_model(self) -> None:
         if self._model_dir is not None:
@@ -652,6 +623,7 @@ class Cluster:
         if self._closed:
             return
         self._closed = True  # sanitize: monotonic latch, checked not cleared
+        self.supervisor.release_waiters()
         for q in self._queues.values():
             q.put(_STOP)
         for t in self._threads:

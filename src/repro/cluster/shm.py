@@ -10,8 +10,9 @@ Ownership and recycling rules (DESIGN §14):
 * The **router owns every segment**: it creates and unlinks them.
   Workers only ever attach.  A worker crash therefore can never leak a
   segment — dead workers own nothing.
-* Each worker epoch gets one request and one response segment, recycled
-  request after request (workers execute serially, so one in-flight
+* Each worker slot gets one request and one response segment for the
+  cluster's life, recycled request after request and attached by every
+  epoch of the slot's worker (workers execute serially, so one in-flight
   payload per direction is the invariant, not an optimization).  The
   graph fixes every input and output shape, so the router sizes both
   once, with :func:`payload_bytes` over the graph's descriptors.

@@ -10,8 +10,9 @@ with the router:
 * **Serial execution.**  The worker handles one request end to end
   before reading the next control message; the router's per-slot queue
   is the only queue.  This is what makes one session and one
-  request/response segment pair per worker sufficient, and the crash
-  blast radius exactly one in-flight request.
+  request/response segment pair per slot sufficient, and the crash
+  blast radius exactly one in-flight request.  Every epoch of a slot's
+  worker attaches the same pair, which the router created once.
 * **Four message kinds.**  ``infer`` (feeds in the request segment,
   outputs written to the response segment, both sized by the router
   from the graph), ``generate``, ``hang`` (a test hook) and ``stop``.
@@ -34,7 +35,8 @@ with the router:
 * **Heartbeats.**  A daemon thread stamps ``time.monotonic()`` into a
   shared ``Value`` on a fixed interval; the supervisor treats a stale
   stamp as a hang (the GIL is released during kernel work and sleeps,
-  so a busy worker still beats).
+  so a busy worker still beats).  Death needs no heartbeat: the
+  supervisor waits on the process sentinel.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ __all__ = ["worker_main", "CRASH_EXIT_CODE"]
 #: supervisor logs; the supervisor replaces the worker either way).
 CRASH_EXIT_CODE = 13
 
-#: Heartbeat period the supervisor polls at; workers stamp twice as often.
+#: How often the supervisor checks heartbeats for a hang; workers stamp
+#: twice as often.
 HEARTBEAT_INTERVAL_S = 0.05
 
 

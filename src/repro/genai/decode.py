@@ -51,7 +51,6 @@ from ..core.session import Session, SessionConfig
 from ..ir.graph import Graph
 from ..quant.kv import quantize_rows
 from ..runtime import Runtime
-from ..serving.cache import PreInferenceCache, warm_session
 from .kvcache import KVSlab, bucket_for, doubling_buckets
 
 __all__ = ["SMALLEST_TOKEN_BUCKET", "DecodeRunner"]
@@ -70,7 +69,6 @@ class DecodeRunner:
         max_batch: int,
         max_seq: int,
         session_config: Optional[SessionConfig] = None,
-        cache: Optional[PreInferenceCache] = None,
         *,
         runtime: Optional[Runtime] = None,
     ) -> None:
@@ -81,7 +79,6 @@ class DecodeRunner:
         self.token_buckets = doubling_buckets(max_seq, SMALLEST_TOKEN_BUCKET)
         base = session_config if session_config is not None else SessionConfig()
         self.session_config = replace(base, check_feeds=False)
-        self.cache = cache
         self.runtime = runtime if runtime is not None else Runtime.resolve()
         self.metrics = self.runtime.metrics
         self.tracer = self.runtime.tracer
@@ -91,10 +88,8 @@ class DecodeRunner:
         key = (batch, tokens, capacity)
         session = self._sessions.get(key)
         if session is None:
-            graph = self.build_graph(batch, tokens, capacity)
-            config = self.session_config
-            cache_key = self.cache.key(graph, config) if self.cache is not None else None
-            session, _ = warm_session(graph, config, self.cache, cache_key, self.runtime)
+            session = Session(self.build_graph(batch, tokens, capacity),
+                              self.session_config, runtime=self.runtime)
             self._sessions[key] = session
         return session
 

@@ -27,7 +27,6 @@ from ..obs.resources import ResourceSampler
 from ..obs.tracer import Tracer
 from ..runtime import Runtime
 from ..sanitize import Sanitizer
-from ..serving.cache import PreInferenceCache
 from .decode import DecodeRunner
 from .kvcache import KVCacheAllocator, KVCacheConfig
 from .prefix import PrefixCache
@@ -46,7 +45,7 @@ class GenerationConfig:
     ``capacity_tokens`` defaults to two full batches of ``max_seq`` —
     enough that admission control, not raw capacity, is the common case.
     Prompts pad up to length buckets doubling from 8 tokens, and
-    transient KV-allocation and cache-IO faults are retried 3 times.
+    transient KV-allocation faults are retried 3 times.
     """
 
     vocab: int = 256
@@ -80,14 +79,12 @@ class GenerationConfig:
     quantize_weights: bool = False
 
     session: SessionConfig = field(default_factory=SessionConfig)
-    use_cache: bool = False
-    cache_dir: Optional[str] = None
     trace: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
     faults: Optional[FaultPlan] = None
     #: ``True`` builds one enabled :class:`repro.sanitize.Sanitizer` and
-    #: threads it through the allocator, scheduler, cache and every
-    #: worker session, so races/lock cycles/KV lifecycle bugs across the
+    #: threads it through the allocator, scheduler and every decode
+    #: session, so races/lock cycles/KV lifecycle bugs across the
     #: whole generation stack land in a single report.
     sanitize: Union[bool, Sanitizer] = False
     #: Request-level observability: a :class:`repro.obs.RequestTracker`
@@ -130,18 +127,12 @@ class GenerationEngine:
             kv_dtype=config.kv_dtype,
         )
         self.allocator = KVCacheAllocator(self.kv_config, runtime=self.runtime)
-        cache = (
-            PreInferenceCache(config.cache_dir, runtime=self.runtime)
-            if config.use_cache else None
-        )
-        self.cache = cache
         self.decode = DecodeRunner(
             self._decode_graph,
             layers=config.layers,
             max_batch=config.max_batch,
             max_seq=config.max_seq,
             session_config=config.session,
-            cache=cache,
             runtime=self.runtime,
         )
         self.prefix_cache = (

@@ -22,10 +22,10 @@ Cache key
 * the host fingerprint's key
   (:func:`repro.devices.host_fingerprint`): the cached schemes hold the
   Winograd-vs-sliding verdicts this host measured, so another machine
-  misses and measures its own;
-* optional extra input shapes (no caller passes any: a session resized
-  away from the graph's native shapes re-plans instead of consulting the
-  cache).
+  misses and measures its own.
+
+A session resized away from the graph's native shapes re-plans instead
+of consulting the cache.
 
 Entry
 -----
@@ -47,7 +47,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..backends.base import Backend
 from ..core.schemes import SchemeConfig
@@ -141,14 +141,8 @@ class PreInferenceCache:
         self.sanitizer = runtime.sanitizer
 
     # -- keying ------------------------------------------------------------
-    def key(
-        self,
-        graph: Graph,
-        config: SessionConfig,
-        input_shapes: Optional[Dict[str, Sequence[int]]] = None,
-    ) -> str:
-        """Deterministic cache key for (graph, config[, resized shapes]) on
-        this host.
+    def key(self, graph: Graph, config: SessionConfig) -> str:
+        """Deterministic cache key for (graph, config) on this host.
 
         Includes the quantization fingerprint (every tensor's dtype plus a
         digest of the stamped scale attrs): ``graph_signature`` alone is
@@ -165,10 +159,6 @@ class PreInferenceCache:
             "quant": quantization_fingerprint(graph),
             "config": _config_fingerprint(config),
             "host": host_fingerprint().key,
-            "input_shapes": (
-                {name: list(shape) for name, shape in sorted(input_shapes.items())}
-                if input_shapes else None
-            ),
         }
         h.update(json.dumps(payload, separators=(",", ":"), sort_keys=True).encode())
         return h.hexdigest()

@@ -12,6 +12,7 @@ rule that a deadline expiring around a dead worker is reported as
 
 import json
 import os
+import threading
 import time
 
 import numpy as np
@@ -104,8 +105,8 @@ class TestBitIdentity:
 class TestTransport:
     def test_payloads_over_one_mib_are_bitwise_and_segments_stay_put(self):
         # A 1x3x320x320 input (1.2 MB) and a 1x8x320x320 output (3.3 MB):
-        # the router sizes both segments from the graph at spawn, so
-        # neither request replaces a segment.
+        # the router sizes both segments from the graph once, so neither
+        # a request nor a respawn replaces a segment.
         b = GraphBuilder("wide", seed=2)
         b.output(b.conv(b.input("in", (1, 3, 320, 320)), oc=8, kernel=1))
         graph = b.finish()
@@ -113,7 +114,10 @@ class TestTransport:
         with Cluster(graph, ClusterConfig(
                 workers=1, metrics=MetricsRegistry())) as cluster:
             names = {role: seg.name for role, seg in cluster._segments[0].items()}
-            for _ in range(2):
+            for round_ in range(3):
+                if round_ == 2:
+                    cluster.supervisor.kill(0)
+                    assert _wait_recovered(cluster, 0)
                 x = {"in": RNG.standard_normal((1, 3, 320, 320)).astype(np.float32)}
                 out = cluster.infer(x)
                 gold = local.run(x)
@@ -122,6 +126,9 @@ class TestTransport:
                                               gold[graph.outputs[0]])
                 assert {role: seg.name for role, seg
                         in cluster._segments[0].items()} == names
+        if os.path.isdir("/dev/shm"):
+            assert not [entry for entry in os.listdir("/dev/shm")
+                        if entry.startswith(cluster._uid)]
 
     def test_malformed_feeds_fail_at_submit(self, net, feeds, gold):
         name = net.inputs[0]
@@ -256,6 +263,23 @@ class TestSupervision:
             for name in gold:
                 np.testing.assert_array_equal(out[name], gold[name])
 
+    def test_death_wakes_the_supervisor_without_a_tick(
+            self, net, feeds, gold, monkeypatch):
+        # With the hang check paced at 30 s, only the dead worker's
+        # sentinel can wake the monitor in time.
+        from repro.cluster import supervisor
+
+        monkeypatch.setattr(supervisor, "HEARTBEAT_INTERVAL_S", 30.0)
+        with Cluster(net, ClusterConfig(
+                workers=1, metrics=MetricsRegistry())) as cluster:
+            cluster.infer(feeds)
+            cluster.supervisor.kill(0)
+            assert _wait_recovered(cluster, 0, timeout_s=5.0)
+            assert cluster.supervisor.restarts(0) == 1
+            out = cluster.infer(feeds)
+            for name in gold:
+                np.testing.assert_array_equal(out[name], gold[name])
+
     def test_workers_replay_the_routers_near_tie_pick(self, tmp_path, monkeypatch):
         """A near tie that goes Winograd's way only in this process: a
         worker timing its own verdict would run sliding window and answer
@@ -345,14 +369,24 @@ class TestWorkerLoss:
         monkeypatch.setattr(router, "REPLAY_BUDGET", 1000)
         with Cluster(net, ClusterConfig(
                 workers=1, metrics=MetricsRegistry())) as cluster:
-            cluster.infer(feeds)  # workers warm; respawn cost is real
+            cluster.infer(feeds)
+            # Hold the replacement back until the request has expired,
+            # so the budget always runs out while the slot is down.
+            release = threading.Event()
+            spawn_cfg = cluster.supervisor.spawn_cfg
+
+            def held(slot):
+                release.wait()
+                return spawn_cfg(slot)
+
+            monkeypatch.setattr(cluster.supervisor, "spawn_cfg", held)
             cluster.supervisor.kill(0)
-            # 8 ms is comfortably below the respawn floor (death
-            # detection, a fork and a replayed session, ~50 ms), so the
-            # budget always runs out while the slot is still down.
-            with pytest.raises(DeadlineExceeded):
-                cluster.infer(feeds, session_key="late", deadline_ms=8.0,
-                              on_worker_lost="replay")
+            try:
+                with pytest.raises(DeadlineExceeded):
+                    cluster.infer(feeds, session_key="late", deadline_ms=8.0,
+                                  on_worker_lost="replay")
+            finally:
+                release.set()
             assert _wait_recovered(cluster, 0)  # the slot still comes back
 
 

@@ -64,14 +64,10 @@ def test_one_runtime_reaches_every_layer(front_door, tmp_path, monkeypatch):
     inst = _instruments()
     created = _record_sessions(monkeypatch)
     if front_door == "generation":
-        engine = GenerationEngine(GenerationConfig(
-            **GENAI, use_cache=True, cache_dir=str(tmp_path), **inst,
-        ))
+        engine = GenerationEngine(GenerationConfig(**GENAI, **inst))
         engine.generate([[1, 2, 3], [4, 5]], SamplingParams(max_tokens=3))
         engine.close()
-        components = [
-            engine, engine.allocator, engine.cache, engine.decode, engine.scheduler,
-        ]
+        components = [engine, engine.allocator, engine.decode, engine.scheduler]
         assert engine.decode.runtime is engine.runtime
     else:
         batching = front_door == "engine_batching"
@@ -133,9 +129,9 @@ def test_counters_land_where_they_did(tmp_path, monkeypatch):
                         lambda: HostFingerprint("Linux", "x86_64", 8, "3.11"))
     cache = PreInferenceCache(tmp_path)
     assert cache.key(chain_net(), SessionConfig()) == (
-        "19aa1a7e16d7189dbeff6b784bd96fe4fb304b9fd409d4cf06d512c748b4fe75"
+        "8f980beeb0602c06c43caa6e77bc296ffa3454383cc110baff90faa3b70f0890"
     )
     assert cache.key(chain_net(), SessionConfig(
         threads=2, use_strassen=False, check_feeds=False,
-    )) == "d6dff5c876fb73d3865b87e6ca6c052b92920460a0cd6aa1c16545e18a30371a"
+    )) == "324b774fbd538ecd48e262ce6c60ef692ad950878c993dd197ddab08466801be"
 

@@ -89,7 +89,6 @@ class TestPreInferenceCache:
         assert base != cache.key(serving_net(16), SessionConfig())
         assert base != cache.key(g, SessionConfig(threads=8))
         assert base != cache.key(g, SessionConfig(use_strassen=False))
-        assert base != cache.key(g, SessionConfig(), {"data": (4, 3, 32, 32)})
 
     def test_key_covers_every_decision_field(self):
         """Changing any SessionConfig field moves the key, unless the field
