@@ -29,7 +29,10 @@
 #      second session times nothing, sliding and gemm1x1 picks are never
 #      timed, overrides and cached schemes win over measurement,
 #      simulated backends keep the modeled picks, and an entry keyed
-#      under another host misses (tier-1 tests, run here by node id).
+#      under another host misses.  Last, pre-inference leaves the run
+#      pure compute: Session.run of every zoo CNN and of the chaos graph
+#      carves no kernel temporary (every runner carved and built its
+#      views when it was bound) (tier-1 tests, run here by node id).
 #   6. Prometheus export: a tracked generation workload is exported as
 #      text exposition and re-ingested by the validating parser; the six
 #      SLO and resource families must all be present, and a populated
@@ -106,7 +109,7 @@ echo "== [4/13] 50-fault sanitized chaos storm =="
 python -m repro.tools.cli chaos --faults 50 --sanitize
 
 echo
-echo "== [5/13] pre-inference cache guard + measured scheme selection =="
+echo "== [5/13] pre-inference cache guard + measured scheme selection + carve-free runs =="
 python -m pytest -q \
     "tests/test_serving.py::TestEngineWarmup::test_traced_warm_engine_replays_the_cold_products" \
     "tests/test_measured_schemes.py::test_the_decision_follows_the_verdict" \
@@ -115,7 +118,8 @@ python -m pytest -q \
     "tests/test_measured_schemes.py::test_overrides_take_precedence_over_measurement" \
     "tests/test_measured_schemes.py::test_cached_schemes_take_precedence_over_measurement" \
     "tests/test_measured_schemes.py::test_simulated_backends_keep_the_modeled_picks" \
-    "tests/test_measured_schemes.py::test_an_entry_keyed_under_another_host_misses"
+    "tests/test_measured_schemes.py::test_an_entry_keyed_under_another_host_misses" \
+    "tests/test_bound_runners.py::test_session_run_carves_nothing"
 
 echo
 echo "== [6/13] prometheus export (validating re-parse, SLO families) =="

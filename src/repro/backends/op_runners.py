@@ -17,10 +17,17 @@ up front:
 * the bytes of kernel temporaries are sized from the static shapes.
 
 The fp32 CNN runners (convolutions on every scheme, depthwise, BatchNorm,
-ReLU/ReLU6, pooling and Concat) take ``out=`` and ``scratch=`` keywords:
-a session binds them once per generation (:meth:`OpRunner.bind`) to the
-output's planned arena slot and to its shared kernel scratch, so a run
-writes into pre-allocated memory.  Unbound, they allocate as any kernel.
+ReLU/ReLU6, pooling and Concat) take an ``out=`` keyword: a session binds
+them once per generation (:meth:`OpRunner.bind`) to the output's planned
+arena slot and to its shared kernel scratch, so a run writes into
+pre-allocated memory.  The convolution and pooling runners also build
+their kernel's views at that bind (:attr:`OpRunner.binder`, the kernel's
+``bind_*`` step): temporaries carved from the scratch, strided tap and
+tile windows, per-tap patches and weight slices, GEMM operand and output
+reshapes and the Strassen verdict, so a bound call carves and slices
+nothing but views of its live input.  Unbound, a runner binds its kernel
+on fresh buffers on every call and allocates as any kernel; both run the
+same arithmetic.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from .base import BackendError
 __all__ = ["OpRunner", "build_runner"]
 
 Runner = Callable[[Sequence[np.ndarray]], List[np.ndarray]]
+#: ``binder(out, scratch)`` -> the kernel's run step ``run(x)``, its views built.
+Binder = Callable[[Optional[np.ndarray], Optional[np.ndarray]],
+                  Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -56,8 +66,11 @@ class OpRunner:
     dynamic_inputs: List[str]
     fn: Runner
     muls: int
-    #: Bytes of kernel temporaries ``fn`` carves from a bound ``scratch``.
+    #: Bytes of kernel temporaries :meth:`bind` carves from ``scratch``.
     scratch_bytes: int = 0
+    #: The kernel's bind step, for runners with temporaries or views to
+    #: build (convolutions on every scheme, depthwise, pooling).
+    binder: Optional[Binder] = None
 
     @property
     def bindable(self) -> bool:
@@ -65,16 +78,20 @@ class OpRunner:
         return "out" in (self.fn.__kwdefaults__ or ())
 
     def bind(self, out: Optional[np.ndarray], scratch: Optional[np.ndarray]) -> None:
-        """Make ``out`` and ``scratch`` the defaults of ``fn``'s keywords.
+        """Bind ``fn`` to write its output into ``out`` (``None``: a fresh
+        array per call) and take its temporaries from ``scratch``.
 
-        Every later call writes its output into ``out`` (``None``: a
-        fresh array) and carves its temporaries from ``scratch``, exactly
-        as weights are bound through ``fn``'s keyword defaults.
+        ``out`` becomes the default of ``fn``'s ``out`` keyword, exactly
+        as weights are bound through its keyword defaults.  A runner with
+        a :attr:`binder` runs it here, once: its temporaries are carved
+        from ``scratch`` and every view its runs read or write is built,
+        and the returned run step becomes ``fn``'s ``_run`` default, so a
+        call only computes.  Binding again replaces the old views.
         """
         defaults = self.fn.__kwdefaults__
         defaults["out"] = out
-        if "scratch" in defaults:
-            defaults["scratch"] = scratch
+        if self.binder is not None:
+            defaults["_run"] = self.binder(out, scratch)
 
 
 def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = True) -> OpRunner:
@@ -104,6 +121,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
 
     muls = node_muls(node, graph)
     scratch_bytes = 0
+    binder: Optional[Binder] = None
     fn: Runner
 
     if op in (Op.CONV2D, Op.DEPTHWISE_CONV2D):
@@ -141,16 +159,13 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         if op == Op.DEPTHWISE_CONV2D:
             scratch_bytes = K.workspace_bytes(
                 K.depthwise_workspace(x_shape, kernel, stride, pads, dilation, y_dtype))
-
             # Taps repeated along the static output width: a resize
             # rebuilds the runner, so the packing always matches.
-            ow = graph.desc(node.outputs[0]).shape[3]
+            operand = K.pack_depthwise_weights(weights, graph.desc(node.outputs[0]).shape[3])
 
-            def fn(inputs, *, out=None, scratch=None,
-                   _w=K.pack_depthwise_weights(weights, ow), _b=bias):
-                y = K.depthwise_conv2d_packed(inputs[0], _w, _b, stride, pads, dilation,
-                                              out, scratch)
-                return [K.apply_activation(y, activation, out=y)]
+            def binder(out, scratch):
+                return K.bind_depthwise_conv2d(x_shape, operand, bias, stride, pads, dilation,
+                                               y_dtype, out, scratch)
         else:
             kind = getattr(scheme, "kind", None) or _default_conv_scheme(kernel, stride, dilation, groups)
             tile = getattr(scheme, "tile", (1, 1))
@@ -161,32 +176,40 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
                 # A k = 1 axis gets identity transforms; a k > 1 axis the
                 # generator's memoized ones (the square case shares them).
                 tr_h, tr_w = (K.axis_transforms(n, k) for n, k in zip(tile, kernel))
-                packed = K.transform_kernel_rect(weights, tr_h, tr_w)
+                operand = K.transform_kernel_rect(weights, tr_h, tr_w)
                 scratch_bytes = K.workspace_bytes(K.winograd_workspace(
                     x_shape, weights.shape[0], tr_h, tr_w, pads, x_dtype))
 
-                def fn(inputs, *, out=None, scratch=None, _p=packed, _h=tr_h, _tw=tr_w,
-                       _b=bias):
-                    y = K.winograd_conv2d_rect_with_kernel(inputs[0], _p, _h, _tw, _b, pads,
-                                                           out, scratch)
-                    return [K.apply_activation(y, activation, out=y)]
+                def binder(out, scratch):
+                    return K.bind_winograd_conv2d(x_shape, operand, tr_h, tr_w, bias, pads,
+                                                  x_dtype, out, scratch)
             elif kind == "gemm1x1":
                 # A reshape view of the constant: the GEMM's W(oc, ic).
-                def fn(inputs, *, out=None, _w=weights.reshape(weights.shape[0], -1), _b=bias):
-                    y = K.conv2d_1x1(inputs[0], _w, _b, stride, use_strassen, pads=pads,
-                                     out=out)
-                    return [K.apply_activation(y, activation, out=y)]
+                operand = weights.reshape(weights.shape[0], -1)
+                scratch_bytes = K.workspace_bytes(
+                    K.gemm1x1_workspace(x_shape, stride, pads, y_dtype))
+
+                def binder(out, scratch):
+                    return K.bind_conv2d_1x1(x_shape, operand, bias, stride, use_strassen, pads,
+                                             y_dtype, out, scratch)
             elif kind == "sliding":
+                operand = weights
                 scratch_bytes = K.workspace_bytes(K.im2col_workspace(
                     x_shape, weights.shape, stride, pads, dilation, groups, y_dtype))
 
-                def fn(inputs, *, out=None, scratch=None, _w=weights, _b=bias):
-                    y = K.conv2d_im2col(inputs[0], _w, _b, stride, pads, dilation, groups,
-                                        out=out, scratch=scratch)
-                    return [K.apply_activation(y, activation, out=y)]
+                def binder(out, scratch):
+                    return K.bind_conv2d_im2col(x_shape, operand, bias, stride, pads, dilation,
+                                                groups, y_dtype, out, scratch)
             else:
                 raise BackendError(f"{node.name!r}: unknown conv scheme {kind!r}")
             muls = node_muls(node, graph, kind, tile)
+
+        # ``_w`` shows the weights operand the kernel reads (packed taps, the
+        # transformed kernel or a view of the constant); ``_run`` is the
+        # bound run step, or ``None``: bind on fresh buffers per call.
+        def fn(inputs, *, out=None, _run=None, _w=operand):
+            y = (_run or binder(out, None))(inputs[0])
+            return [K.apply_activation(y, activation, out=y)]
 
     elif op == Op.CONV_TRANSPOSE2D:
         x_desc = graph.desc(node.inputs[0])
@@ -317,20 +340,25 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         stride = tuple(attrs["stride"])
         pads = resolve_padding(attrs["pad_mode"], attrs["pad"], x_desc.shape[2:], kernel, stride)
         out_hw = out_desc.shape[2:]
+        x_dtype = x_desc.dtype.np_dtype
         scratch_bytes = K.workspace_bytes(K.pool_workspace(
-            x_desc.shape, kernel, stride, pads, out_hw, x_desc.dtype.np_dtype))
+            x_desc.shape, kernel, stride, pads, out_hw, x_dtype))
         if op == Op.MAX_POOL:
-            def fn(inputs, *, out=None, scratch=None):
-                return [K.max_pool2d(inputs[0], kernel, stride, pads, out_hw, out, scratch)]
+            def binder(out, scratch):
+                return K.bind_max_pool2d(x_desc.shape, kernel, stride, pads, out_hw, x_dtype,
+                                         out, scratch)
         else:
             include_pad = bool(attrs["count_include_pad"])
             counts = None if include_pad else K.pool_counts(
-                x_desc.shape[2:], kernel, stride, pads, out_hw, x_desc.dtype.np_dtype
+                x_desc.shape[2:], kernel, stride, pads, out_hw, x_dtype
             )
 
-            def fn(inputs, *, out=None, scratch=None):
-                return [K.avg_pool2d(inputs[0], kernel, stride, pads, out_hw, include_pad,
-                                     counts, out, scratch)]
+            def binder(out, scratch):
+                return K.bind_avg_pool2d(x_desc.shape, kernel, stride, pads, out_hw,
+                                         include_pad, counts, x_dtype, out, scratch)
+
+        def fn(inputs, *, out=None, _run=None):
+            return [(_run or binder(out, None))(inputs[0])]
 
     elif op in (Op.ADD, Op.SUB, Op.MUL, Op.ELTWISE_MAX):
         binary = {Op.ADD: K.add, Op.SUB: K.sub, Op.MUL: K.mul, Op.ELTWISE_MAX: K.eltwise_max}[op]
@@ -483,7 +511,7 @@ def build_runner(node: Node, graph: Graph, scheme=None, use_strassen: bool = Tru
         raise BackendError(f"no runner for operator {op!r}")
 
     return OpRunner(node=node, dynamic_inputs=dynamic, fn=fn, muls=muls,
-                    scratch_bytes=scratch_bytes)
+                    scratch_bytes=scratch_bytes, binder=binder)
 
 
 def _rowwise_matmul(node: Node, a: np.ndarray, b: np.ndarray) -> np.ndarray:

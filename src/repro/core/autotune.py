@@ -8,8 +8,9 @@ runner times faster than sliding window's at the layer's shape.  It times
 the program a session runs: the layer's
 :func:`~repro.backends.op_runners.build_runner` runner (Winograd weights
 transformed once, at build), bound to an output array and a kernel
-scratch as a session's arena binds it (:func:`bound_runner`), fed an
-input of the layer's true shape.  One verdict per (host, conv signature)
+scratch as a session's arena binds it (:func:`bound_runner`: temporaries
+carved and views built at bind, so a timed call is the run step alone),
+fed an input of the layer's true shape.  One verdict per (host, conv signature)
 is timed per process and memoized; ``Session`` prepare is the only
 caller, and a cluster's workers replay the router's prepared schemes
 instead of timing their own.

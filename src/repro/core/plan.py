@@ -13,8 +13,12 @@ the memory plan's ``arena_bytes`` and one kernel scratch buffer, both
 allocated here.  Every fp32 CNN runner on the CPU backend is bound to
 its output's planned slot and to the scratch (:meth:`OpRunner.bind`), so
 every path that runs the plan — the plain loop, the wrapped steps, the
-resilient executor — writes into them.  ``resize`` builds a new plan and
-a rolled-back resize keeps the old one, so bindings need no bookkeeping.
+resilient executor — writes into them.  Binding is also when a
+convolution or pooling runner carves its temporaries from the scratch
+and builds every view of its run (windows, patches, weight slices, GEMM
+reshapes): a run computes and carves nothing.  ``resize`` builds new
+runners and a new plan, and a rolled-back resize keeps the old ones, so
+no view outlives its binding and bindings need no bookkeeping.
 
 Executing a plan is :func:`walk`, in topological order.  It takes a
 per-step function ``(step, inputs) -> outputs`` that the session composes
@@ -115,9 +119,10 @@ def bind_arena(
     every fp32 runner that takes ``out=`` to them.
 
     A runner's output gets its planned slot unless its alias class holds
-    a graph output (it then stays a fresh array); its temporaries come
-    from the scratch, sized to the largest need.  Returns the arena and
-    the number of tensors bound to it.
+    a graph output (it then stays a fresh array); its temporaries are
+    carved from the scratch, sized to the largest need, and its views
+    built, once (:meth:`OpRunner.bind`).  Returns the arena and the
+    number of tensors bound to it.
     """
     fp32 = DataType.FLOAT32
     runners = []

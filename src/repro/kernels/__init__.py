@@ -13,6 +13,7 @@ from .matmul import (
 from .winograd import (
     WinogradTransforms,
     axis_transforms,
+    bind_winograd_conv2d,
     generate_transforms,
     interpolation_points,
     transform_kernel,
@@ -22,14 +23,32 @@ from .winograd import (
     winograd_conv2d_with_kernel,
     winograd_workspace,
 )
-from .conv import apply_activation, conv2d_1x1, conv2d_im2col, im2col, im2col_workspace
+from .conv import (
+    apply_activation,
+    bind_conv2d_1x1,
+    bind_conv2d_im2col,
+    conv2d_1x1,
+    conv2d_im2col,
+    gemm1x1_workspace,
+    im2col,
+    im2col_workspace,
+)
 from .depthwise import (
+    bind_depthwise_conv2d,
     depthwise_conv2d,
     depthwise_conv2d_packed,
     depthwise_workspace,
     pack_depthwise_weights,
 )
-from .pooling import avg_pool2d, global_avg_pool2d, max_pool2d, pool_counts, pool_workspace
+from .pooling import (
+    avg_pool2d,
+    bind_avg_pool2d,
+    bind_max_pool2d,
+    global_avg_pool2d,
+    max_pool2d,
+    pool_counts,
+    pool_workspace,
+)
 from .workspace import aligned_empty, workspace_bytes
 from .elementwise import (
     add,
@@ -86,6 +105,7 @@ __all__ = [
     "tiled_matmul",
     "WinogradTransforms",
     "axis_transforms",
+    "bind_winograd_conv2d",
     "generate_transforms",
     "interpolation_points",
     "transform_kernel",
@@ -97,15 +117,21 @@ __all__ = [
     "aligned_empty",
     "workspace_bytes",
     "apply_activation",
+    "bind_conv2d_1x1",
+    "bind_conv2d_im2col",
     "conv2d_1x1",
     "conv2d_im2col",
+    "gemm1x1_workspace",
     "im2col",
     "im2col_workspace",
+    "bind_depthwise_conv2d",
     "depthwise_conv2d",
     "depthwise_conv2d_packed",
     "depthwise_workspace",
     "pack_depthwise_weights",
     "avg_pool2d",
+    "bind_avg_pool2d",
+    "bind_max_pool2d",
     "global_avg_pool2d",
     "max_pool2d",
     "pool_counts",

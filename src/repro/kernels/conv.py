@@ -16,16 +16,16 @@ the runner a session executes, and these functions are its kernels.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .matmul import GemmStats, strassen_matmul, strassen_recurses
-from .workspace import Spec, carve, pad_into
+from .workspace import Spec, bind_pad, carve
 
 __all__ = [
-    "tap_view", "im2col", "im2col_workspace", "conv2d_im2col", "conv2d_1x1",
-    "apply_activation",
+    "tap_view", "im2col", "im2col_workspace", "bind_conv2d_im2col", "conv2d_im2col",
+    "gemm1x1_workspace", "bind_conv2d_1x1", "conv2d_1x1", "apply_activation",
 ]
 
 
@@ -45,6 +45,21 @@ def apply_activation(
     raise ValueError(f"unknown fused activation {activation!r}")
 
 
+def _window_hw(
+    hw: Tuple[int, int],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    dilation: Tuple[int, int],
+) -> Tuple[int, int]:
+    """The (oh, ow) of ``kernel`` windows over an ``hw`` (padded) input."""
+    (h, w), (kh, kw) = hw, kernel
+    oh = (h - (kh - 1) * dilation[0] - 1) // stride[0] + 1
+    ow = (w - (kw - 1) * dilation[1] - 1) // stride[1] + 1
+    if oh < 1 or ow < 1:
+        raise ValueError(f"{kh}x{kw} window (dilation {dilation}) exceeds input {h}x{w}")
+    return oh, ow
+
+
 def tap_view(
     x: np.ndarray,
     kernel: Tuple[int, int],
@@ -62,10 +77,7 @@ def tap_view(
     kh, kw = kernel
     sh, sw = stride
     dh, dw = dilation
-    oh = (h - (kh - 1) * dh - 1) // sh + 1
-    ow = (w - (kw - 1) * dw - 1) // sw + 1
-    if oh < 1 or ow < 1:
-        raise ValueError(f"{kh}x{kw} window (dilation {dilation}) exceeds input {h}x{w}")
+    oh, ow = _window_hw((h, w), kernel, stride, dilation)
     sn, sc, sy, sx = x.strides
     return np.lib.stride_tricks.as_strided(
         x, (n, c, kh, kw, oh, ow), (sn, sc, sy * dh, sx * dw, sy * sh, sx * sw),
@@ -116,6 +128,75 @@ def im2col_workspace(
     return specs
 
 
+def bind_conv2d_im2col(
+    x_shape: Tuple[int, ...],
+    weights: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    stride: Tuple[int, int] = (1, 1),
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dilation: Tuple[int, int] = (1, 1),
+    groups: int = 1,
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[..., np.ndarray]:
+    """Bind :func:`conv2d_im2col` for an ``x_shape`` input: carve its
+    temporaries from ``scratch`` (fresh when ``None``) and build every
+    view of a run — the padded buffer's tap windows, each group's weight
+    and tap-matrix slices and, when ``out`` is given, each sample's and
+    group's output plane.  Returns the run step ``run(x, stats=None)``,
+    which writes into ``out`` (a fresh array per call when ``None``); an
+    unpadded run builds its tap windows over its live input."""
+    n, ic, _, _ = x_shape
+    oc, _, kh, kw = weights.shape
+    if ic % groups or oc % groups:
+        raise ValueError(f"channels ({ic}, {oc}) not divisible by groups={groups}")
+    top, bottom, left, right = pads
+    out_hw = _window_hw((x_shape[2] + top + bottom, x_shape[3] + left + right), (kh, kw),
+                        stride, dilation)
+    taps, *padded = carve(
+        scratch, im2col_workspace(x_shape, weights.shape, stride, pads, dilation, groups, dtype)
+    )
+    _, _, _, p = taps.shape
+    icg, ocg = ic // groups, oc // groups
+    k = icg * kh * kw
+    # Reshape views of the constant: no per-call copy of the weights.
+    gemms = list(zip(weights.reshape(groups, ocg, k), taps.reshape(groups, k, p)))
+    pad, windows = None, None
+    if padded:
+        pad = bind_pad(padded[0], x_shape, (0, 0, top, left))
+        windows = list(tap_view(padded[0], (kh, kw), stride, dilation))
+    t5d = taps.reshape((ic, kh, kw) + out_hw)
+    bias4 = None if bias is None else bias.reshape(1, -1, 1, 1)
+
+    def planes(y: np.ndarray) -> List[List[np.ndarray]]:
+        return [list(yi.reshape(groups, ocg, p)) for yi in y]
+
+    bound = None if out is None else planes(out)
+
+    def run(x: np.ndarray, stats: Optional[GemmStats] = None) -> np.ndarray:
+        if pad is not None:
+            pad(x)
+            samples = windows
+        else:
+            samples = tap_view(x, (kh, kw), stride, dilation)
+        y, ys = out, bound
+        if y is None:
+            y = np.empty((n, oc) + out_hw, dtype=dtype)
+            ys = planes(y)
+        for window, yi in zip(samples, ys):
+            t5d[...] = window
+            for (wg, tg), yg in zip(gemms, yi):
+                np.matmul(wg, tg, out=yg)
+                if stats is not None:
+                    stats.record_base(ocg, k, p)
+        if bias4 is not None:
+            np.add(y, bias4, out=y)
+        return y
+
+    return run
+
+
 def conv2d_im2col(
     x: np.ndarray,
     weights: np.ndarray,
@@ -139,38 +220,112 @@ def conv2d_im2col(
     result is NCHW without a transpose and row ``i`` of a batched call is
     bitwise the single-sample call.  The temporaries of
     :func:`im2col_workspace` come from ``scratch`` when it is given.
+    :func:`bind_conv2d_im2col` once, then its run step once.
     """
-    n, ic, _, _ = x.shape
-    oc, _, kh, kw = weights.shape
-    if ic % groups or oc % groups:
-        raise ValueError(f"channels ({ic}, {oc}) not divisible by groups={groups}")
     dtype = np.result_type(x.dtype, weights.dtype)
-    taps, *padded = carve(
-        scratch, im2col_workspace(x.shape, weights.shape, stride, pads, dilation, groups, dtype)
-    )
-    if padded:
+    return bind_conv2d_im2col(x.shape, weights, bias, stride, pads, dilation, groups, dtype,
+                              out, scratch)(x, stats)
+
+
+def gemm1x1_workspace(
+    x_shape: Tuple[int, ...],
+    stride: Tuple[int, int] = (1, 1),
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dtype=np.float32,
+) -> List[Spec]:
+    """Temporaries of :func:`conv2d_1x1`: with padding, the zero-bordered
+    input and, when the stride is not 1, one sample's strided input
+    ``(C, oh, ow)`` (a strided view that does not reshape to a GEMM
+    operand is copied there)."""
+    n, ic, h, w = x_shape
+    top, bottom, left, right = pads
+    hp, wp = h + top + bottom, w + left + right
+    if not any(pads):
+        return []
+    specs = [((n, ic, hp, wp), np.dtype(dtype))]
+    if tuple(stride) != (1, 1):
+        specs.append(((ic, -(-hp // stride[0]), -(-wp // stride[1])), np.dtype(dtype)))
+    return specs
+
+
+def bind_conv2d_1x1(
+    x_shape: Tuple[int, ...],
+    weights: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    stride: Tuple[int, int] = (1, 1),
+    use_strassen: bool = True,
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[..., np.ndarray]:
+    """Bind :func:`conv2d_1x1` for an ``x_shape`` input: carve its
+    temporaries from ``scratch`` (fresh when ``None``), take the Eq. 9
+    Strassen verdict and build every view of a run — the padded buffer's
+    per-sample GEMM operands and, when ``out`` is given, each sample's
+    ``(oc, oh*ow)`` output plane.  Returns the run step
+    ``run(x, stats=None)``, which writes into ``out`` (a fresh array per
+    call when ``None``); an unpadded run reshapes its live input into
+    its operands, as ``reshape`` does: a view, or a copy of a strided
+    sample that has none."""
+    if weights.shape[2:] not in ((), (1, 1)) or weights.ndim not in (2, 4):
+        raise ValueError(f"conv2d_1x1 needs a 1x1 kernel, got {weights.shape}")
+    stride = tuple(stride)
+    n, ic, _, _ = x_shape
+    oc = weights.shape[0]
+    w2d = weights.reshape(oc, ic)
+    hp, wp = x_shape[2] + sum(pads[:2]), x_shape[3] + sum(pads[2:])
+    oh, ow = -(-hp // stride[0]), -(-wp // stride[1])
+    strassen = use_strassen and strassen_recurses(oc, ic, oh * ow)
+
+    def samples(src: np.ndarray) -> np.ndarray:
+        return src if stride == (1, 1) else src[:, :, :: stride[0], :: stride[1]]
+
+    def operands(src: np.ndarray) -> List[np.ndarray]:
+        return [xi.reshape(ic, oh * ow) for xi in samples(src)]
+
+    def planes(y: np.ndarray) -> List[np.ndarray]:
+        return [yi.reshape(oc, oh * ow) for yi in y]
+
+    pad = bound_xs = gather = None
+    temps = carve(scratch, gemm1x1_workspace(x_shape, stride, pads, dtype))
+    if temps:
         top, _, left, _ = pads
-        x = pad_into(padded[0], x, (0, 0, top, left))
-    windows = tap_view(x, (kh, kw), stride, dilation)
-    oh, ow = windows.shape[4:]
-    icg, ocg = ic // groups, oc // groups
-    k, p = icg * kh * kw, oh * ow
-    # A reshape view of the constant: no per-call copy of the weights.
-    w2d = weights.reshape(groups, ocg, k)
-    t2d = taps.reshape(groups, k, p)
-    t5d = taps.reshape(windows.shape[1:])
-    if out is None:
-        out = np.empty((n, oc, oh, ow), dtype=dtype)
-    for window, y in zip(windows, out):
-        t5d[...] = window
-        y = y.reshape(groups, ocg, p)
-        for g in range(groups):
-            np.matmul(w2d[g], t2d[g], out=y[g])
-            if stats is not None:
-                stats.record_base(ocg, k, p)
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
+        pad = bind_pad(temps[0], x_shape, (0, 0, top, left))
+        bound_xs = operands(temps[0])
+        if not all(np.shares_memory(xi, temps[0]) for xi in bound_xs):
+            # The strided samples reshape only by copying: a run copies
+            # each one into the carved operand instead.
+            bound_xs, gather = list(samples(temps[0])), temps[1]
+    g2d = None if gather is None else gather.reshape(ic, oh * ow)
+    bound_ys = None if out is None else planes(out)
+    bias4 = None if bias is None else bias.reshape(1, -1, 1, 1)
+
+    def run(x: np.ndarray, stats: Optional[GemmStats] = None) -> np.ndarray:
+        if pad is not None:
+            pad(x)
+            xs = bound_xs
+        else:
+            xs = operands(x)
+        y, ys = out, bound_ys
+        if y is None:
+            y = np.empty((n, oc, oh, ow), dtype=dtype)
+            ys = planes(y)
+        for xi, yi in zip(xs, ys):
+            if gather is not None:
+                gather[...] = xi
+                xi = g2d
+            if strassen:
+                strassen_matmul(w2d, xi, stats=stats, out=yi)
+            else:
+                np.matmul(w2d, xi, out=yi)
+                if stats is not None:
+                    stats.record_tiles(oc, ic, oh * ow)
+        if bias4 is not None:
+            np.add(y, bias4, out=y)
+        return y
+
+    return run
 
 
 def conv2d_1x1(
@@ -182,6 +337,7 @@ def conv2d_1x1(
     stats: Optional[GemmStats] = None,
     pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
     out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """1x1 convolution as a GEMM, on Strassen where Eq. 9 pays (Section 3.3.2).
 
@@ -201,29 +357,10 @@ def conv2d_1x1(
     ``weights`` is ``(oc, ic, 1, 1)`` or its ``(oc, ic)`` reshape, which a
     runner binds once as a view of the graph constant.  ``pads`` (top,
     bottom, left, right) zero-pads the input before the stride is applied,
-    as for every other scheme.
+    as for every other scheme; the temporaries of
+    :func:`gemm1x1_workspace` come from ``scratch`` when it is given.
+    :func:`bind_conv2d_1x1` once, then its run step once.
     """
-    if weights.shape[2:] not in ((), (1, 1)) or weights.ndim not in (2, 4):
-        raise ValueError(f"conv2d_1x1 needs a 1x1 kernel, got {weights.shape}")
-    if any(pads):
-        top, bottom, left, right = pads
-        x = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-    if stride != (1, 1):
-        x = x[:, :, :: stride[0], :: stride[1]]
-    n, ic, h, w = x.shape
-    oc = weights.shape[0]
-    w2d = weights.reshape(oc, ic)
-    if out is None:
-        out = np.empty((n, oc, h, w), dtype=np.result_type(x.dtype, weights.dtype))
-    strassen = use_strassen and strassen_recurses(oc, ic, h * w)
-    for xi, yi in zip(x, out):
-        xi, yi = xi.reshape(ic, h * w), yi.reshape(oc, h * w)
-        if strassen:
-            strassen_matmul(w2d, xi, stats=stats, out=yi)
-        else:
-            np.matmul(w2d, xi, out=yi)
-            if stats is not None:
-                stats.record_tiles(oc, ic, h * w)
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1)
-    return out
+    dtype = np.result_type(x.dtype, weights.dtype)
+    return bind_conv2d_1x1(x.shape, weights, bias, stride, use_strassen, pads, dtype,
+                           out, scratch)(x, stats)

@@ -12,15 +12,15 @@ channel run.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .workspace import Spec, carve, pad_into
+from .workspace import Spec, bind_pad, carve
 
 __all__ = [
-    "depthwise_conv2d", "depthwise_conv2d_packed", "depthwise_workspace",
-    "pack_depthwise_weights",
+    "bind_depthwise_conv2d", "depthwise_conv2d", "depthwise_conv2d_packed",
+    "depthwise_workspace", "pack_depthwise_weights",
 ]
 
 
@@ -55,6 +55,59 @@ def depthwise_workspace(
     return [((n, hp, wp, c), dtype), ((n, oh, ow, c), dtype), ((n, oh, ow, c), dtype)]
 
 
+def bind_depthwise_conv2d(
+    x_shape: Tuple[int, ...],
+    packed: np.ndarray,
+    bias: Optional[np.ndarray] = None,
+    stride: Tuple[int, int] = (1, 1),
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dilation: Tuple[int, int] = (1, 1),
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind :func:`depthwise_conv2d_packed` for an ``x_shape`` input:
+    carve its temporaries from ``scratch`` (fresh when ``None``) and build
+    every view of a run — the padded buffer's border and interior, each
+    tap's strided patch paired with its packed weights, and the
+    accumulator's NCHW transpose.  Returns the run step ``run(x)``, which
+    writes into ``out`` (a fresh array per call when ``None``)."""
+    n, c, _, _ = x_shape
+    kh, kw, pw, pc = packed.shape
+    if pc != c:
+        raise ValueError(f"depthwise weights for {pc} channels do not match {c} channels")
+    sh, sw = stride
+    dh, dw = dilation
+    top, _, left, _ = pads
+    xp, acc, prod = carve(
+        scratch, depthwise_workspace(x_shape, (kh, kw), stride, pads, dilation, dtype)
+    )
+    pad = bind_pad(xp, (n,) + tuple(x_shape[2:]) + (c,), (0, top, left, 0))
+    _, oh, ow, _ = acc.shape
+    if pw not in (1, ow):
+        raise ValueError(f"depthwise taps packed for width {pw} do not match width {ow}")
+    taps = [
+        (xp[:, i * dh : i * dh + (oh - 1) * sh + 1 : sh,
+            j * dw : j * dw + (ow - 1) * sw + 1 : sw], packed[i, j])
+        for i in range(kh) for j in range(kw)
+    ]
+    nchw = acc.transpose(0, 3, 1, 2)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        pad(x.transpose(0, 2, 3, 1))
+        acc[...] = 0
+        for patch, tap in taps:
+            np.multiply(patch, tap, out=prod)
+            np.add(acc, prod, out=acc)
+        if bias is not None:
+            np.add(acc, bias, out=acc)
+        y = np.empty((n, c, oh, ow), dtype=dtype) if out is None else out
+        y[...] = nchw
+        return y
+
+    return run
+
+
 def depthwise_conv2d_packed(
     x: np.ndarray,
     packed: np.ndarray,
@@ -76,36 +129,12 @@ def depthwise_conv2d_packed(
     given).  Each output element sees the same float operations in the
     same order as an NCHW tap sweep, so the result is bitwise equal to it.
     The temporaries of :func:`depthwise_workspace` come from ``scratch``
-    when it is given.
+    when it is given.  :func:`bind_depthwise_conv2d` once, then its run
+    step once.
     """
-    n, c, h, w = x.shape
-    kh, kw, pw, pc = packed.shape
-    if pc != c:
-        raise ValueError(f"depthwise weights for {pc} channels do not match {c} channels")
-    sh, sw = stride
-    dh, dw = dilation
-    top, _, left, _ = pads
     dtype = np.result_type(x.dtype, packed.dtype)
-    xp, acc, prod = carve(
-        scratch, depthwise_workspace(x.shape, (kh, kw), stride, pads, dilation, dtype)
-    )
-    pad_into(xp, x.transpose(0, 2, 3, 1), (0, top, left, 0))
-    _, oh, ow, _ = acc.shape
-    if pw not in (1, ow):
-        raise ValueError(f"depthwise taps packed for width {pw} do not match width {ow}")
-    acc[...] = 0
-    for i in range(kh):
-        for j in range(kw):
-            di, dj = i * dh, j * dw
-            patch = xp[:, di : di + (oh - 1) * sh + 1 : sh, dj : dj + (ow - 1) * sw + 1 : sw]
-            np.multiply(patch, packed[i, j], out=prod)
-            acc += prod
-    if bias is not None:
-        acc += bias
-    if out is None:
-        out = np.empty((n, c, oh, ow), dtype=dtype)
-    out[...] = acc.transpose(0, 3, 1, 2)
-    return out
+    return bind_depthwise_conv2d(x.shape, packed, bias, stride, pads, dilation, dtype,
+                                 out, scratch)(x)
 
 
 def depthwise_conv2d(

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .workspace import Spec, carve, pad_into
+from .workspace import Spec, bind_pad, carve
 
-__all__ = ["max_pool2d", "avg_pool2d", "pool_counts", "pool_workspace", "global_avg_pool2d"]
+__all__ = [
+    "bind_max_pool2d", "max_pool2d", "bind_avg_pool2d", "avg_pool2d", "pool_counts",
+    "pool_workspace", "global_avg_pool2d",
+]
 
 
 def pool_workspace(
@@ -32,33 +35,56 @@ def pool_workspace(
     return [((n, c, hp, wp), np.dtype(dtype)), ((n, c, rows, out_hw[1]), np.dtype(dtype))]
 
 
-def _pad_for_pool(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    pads: Tuple[int, int, int, int],
-    out_hw: Tuple[int, int],
-    pad_value: float,
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``x`` padded with ``pad_value`` into :func:`pool_workspace`'s buffer."""
-    (xp,) = carve(scratch, pool_workspace(x.shape, kernel, stride, pads, out_hw, x.dtype)[:1])
-    return pad_into(xp, x, (0, 0, pads[0], pads[2]), pad_value)
-
-
 def _pool_windows(
-    x: np.ndarray,
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    pads: Tuple[int, int, int, int],
-    out_hw: Tuple[int, int],
-    pad_value: float,
-    scratch: Optional[np.ndarray] = None,
+    xp: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], out_hw: Tuple[int, int],
 ) -> np.ndarray:
-    """Extract (N, C, oh, ow, kh, kw) pooling windows, padding with ``pad_value``."""
-    xp = _pad_for_pool(x, kernel, stride, pads, out_hw, pad_value, scratch)
+    """The (N, C, oh, ow, kh, kw) pooling windows of a padded input."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=(2, 3))
     return windows[:, :, :: stride[0], :: stride[1]][:, :, : out_hw[0], : out_hw[1]]
+
+
+def bind_max_pool2d(
+    x_shape: Tuple[int, ...],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    pads: Tuple[int, int, int, int],
+    out_hw: Tuple[int, int],
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind :func:`max_pool2d` for an ``x_shape`` input: carve the padded
+    input and the row maxima from ``scratch`` (fresh when ``None``) and
+    build the ``kw`` column-strided slices of the padded input and the
+    ``kh`` row-strided slices of the row maxima.  Returns the run step
+    ``run(x)``, which writes into ``out`` (a fresh array per call when
+    ``None``); when every window lies inside the input, a run slices its
+    live input instead of padding it."""
+    dtype = np.dtype(dtype)
+    neg = -np.inf if np.issubdtype(dtype, np.floating) else np.iinfo(dtype).min
+    xp, rows = carve(scratch, pool_workspace(x_shape, kernel, stride, pads, out_hw, dtype))
+    (kh, kw), (sh, sw), (oh, ow) = kernel, stride, out_hw
+    h = rows.shape[2]
+
+    def columns(src: np.ndarray) -> List[np.ndarray]:
+        return [src[:, :, :h, j : j + (ow - 1) * sw + 1 : sw] for j in range(kw)]
+
+    pad = bound = None
+    if xp.shape != tuple(x_shape):  # else every window lies inside x: no copy
+        pad = bind_pad(xp, x_shape, (0, 0, pads[0], pads[2]), neg)
+        bound = columns(xp)
+    row_views = [rows[:, :, i : i + (oh - 1) * sh + 1 : sh] for i in range(kh)]
+
+    def run(x: np.ndarray) -> np.ndarray:
+        if pad is not None:
+            pad(x)
+            _running_max(bound, rows)
+        else:
+            _running_max(columns(x), rows)
+        y = np.empty((x_shape[0], x_shape[1], oh, ow), dtype=dtype) if out is None else out
+        return _running_max(row_views, y)
+
+    return run
 
 
 def max_pool2d(
@@ -80,18 +106,10 @@ def max_pool2d(
     values and the first NaN, so the result is bitwise the earliest
     maximum of each window in row-major order, as a sweep over its
     ``kh * kw`` taps would give.  The padded input and the row maxima
-    come from ``scratch`` when it is given.
+    come from ``scratch`` when it is given.  :func:`bind_max_pool2d`
+    once, then its run step once.
     """
-    neg = -np.inf if np.issubdtype(x.dtype, np.floating) else np.iinfo(x.dtype).min
-    xp, rows = carve(scratch, pool_workspace(x.shape, kernel, stride, pads, out_hw, x.dtype))
-    if xp.shape != x.shape:  # else every window lies inside x: no copy
-        x = pad_into(xp, x, (0, 0, pads[0], pads[2]), neg)
-    (kh, kw), (sh, sw), (oh, ow) = kernel, stride, out_hw
-    h = rows.shape[2]
-    _running_max([x[:, :, :h, j : j + (ow - 1) * sw + 1 : sw] for j in range(kw)], rows)
-    if out is None:
-        out = np.empty((x.shape[0], x.shape[1], oh, ow), dtype=x.dtype)
-    return _running_max([rows[:, :, i : i + (oh - 1) * sh + 1 : sh] for i in range(kh)], out)
+    return bind_max_pool2d(x.shape, kernel, stride, pads, out_hw, x.dtype, out, scratch)(x)
 
 
 def _running_max(views: List[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -119,8 +137,45 @@ def pool_counts(
     The divisor of ``avg_pool2d(count_include_pad=False)``; it depends on
     static shapes only, so a runner computes it once.
     """
-    ones = np.ones((1, 1, *in_hw), dtype=dtype)
-    return _pool_windows(ones, kernel, stride, pads, out_hw, 0.0).sum(axis=(4, 5))
+    x_shape = (1, 1) + tuple(in_hw)
+    (xp,) = carve(None, pool_workspace(x_shape, kernel, stride, pads, out_hw, dtype)[:1])
+    bind_pad(xp, x_shape, (0, 0, pads[0], pads[2]))(np.ones(x_shape, dtype=dtype))
+    return _pool_windows(xp, kernel, stride, out_hw).sum(axis=(4, 5))
+
+
+def bind_avg_pool2d(
+    x_shape: Tuple[int, ...],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    pads: Tuple[int, int, int, int],
+    out_hw: Tuple[int, int],
+    count_include_pad: bool = False,
+    counts: Optional[np.ndarray] = None,
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind :func:`avg_pool2d` for an ``x_shape`` input: carve the padded
+    input from ``scratch`` (fresh when ``None``), build its windows and
+    fix the divisor (``counts`` derived here when not given).  Returns
+    the run step ``run(x)``, which writes into ``out`` (a fresh array per
+    call when ``None``)."""
+    (xp,) = carve(scratch, pool_workspace(x_shape, kernel, stride, pads, out_hw, dtype)[:1])
+    pad = bind_pad(xp, x_shape, (0, 0, pads[0], pads[2]), 0.0)
+    windows = _pool_windows(xp, kernel, stride, out_hw)
+    if count_include_pad:
+        divisor = kernel[0] * kernel[1]
+    elif counts is None:
+        divisor = pool_counts(x_shape[2:], kernel, stride, pads, out_hw, dtype)
+    else:
+        divisor = counts
+
+    def run(x: np.ndarray) -> np.ndarray:
+        pad(x)
+        sums = windows.sum(axis=(4, 5), out=out)
+        return np.divide(sums, divisor, out=sums)
+
+    return run
 
 
 def avg_pool2d(
@@ -141,14 +196,10 @@ def avg_pool2d(
     computed by :func:`pool_counts`, or derived here when not given.  The
     window sums land in ``out`` (fresh when not given) and are divided in
     place; the padded input comes from ``scratch`` when it is given.
+    :func:`bind_avg_pool2d` once, then its run step once.
     """
-    windows = _pool_windows(x, kernel, stride, pads, out_hw, 0.0, scratch)
-    sums = windows.sum(axis=(4, 5), out=out)
-    if count_include_pad:
-        return np.divide(sums, kernel[0] * kernel[1], out=sums)
-    if counts is None:
-        counts = pool_counts(x.shape[2:], kernel, stride, pads, out_hw, x.dtype)
-    return np.divide(sums, counts, out=sums)
+    return bind_avg_pool2d(x.shape, kernel, stride, pads, out_hw, count_include_pad, counts,
+                           x.dtype, out, scratch)(x)
 
 
 def global_avg_pool2d(x: np.ndarray) -> np.ndarray:

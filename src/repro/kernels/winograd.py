@@ -30,15 +30,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .workspace import Spec, carve, pad_into
+from .workspace import Spec, bind_pad, carve
 
 __all__ = [
     "WinogradTransforms",
     "axis_transforms",
+    "bind_winograd_conv2d",
     "generate_transforms",
     "interpolation_points",
     "transform_kernel",
@@ -377,6 +378,82 @@ def winograd_workspace(
     return specs
 
 
+def bind_winograd_conv2d(
+    x_shape: Tuple[int, ...],
+    transformed_kernel: np.ndarray,
+    tr_h: WinogradTransforms,
+    tr_w: WinogradTransforms,
+    bias: Optional[np.ndarray] = None,
+    pads: Tuple[int, int, int, int] = (0, 0, 0, 0),
+    dtype=np.float32,
+    out: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Bind :func:`winograd_conv2d_rect_with_kernel` for an ``x_shape``
+    input: carve the temporaries of :func:`winograd_workspace` from
+    ``scratch`` (fresh when ``None``) and build every view of a run — the
+    padded buffer's border and interior, its strided tile windows, each
+    stage's GEMM operand and output reshapes, and the tile scatter and
+    crop.  Returns the run step ``run(x)``, which writes the
+    ``(N, oc, oh, ow)`` result into ``out`` (a fresh array per call when
+    ``None``)."""
+    nh, th = tr_h.n, tr_h.t
+    nw, tw = tr_w.n, tr_w.t
+    batch, ic, _, _ = x_shape
+    oc = transformed_kernel.shape[3]
+    top, _, left, _ = pads
+    oh, ow, tiles_h, tiles_w = _winograd_geometry(x_shape, tr_h, tr_w, pads)
+    xp, tiles, zbuf, m, *whole = carve(
+        scratch, winograd_workspace(x_shape, oc, tr_h, tr_w, pads, dtype)
+    )
+    count = batch * tiles_h * tiles_w
+    # Explicit conv padding plus bottom/right padding to whole tiles.
+    pad = bind_pad(xp, (batch,) + tuple(x_shape[2:]) + (ic,), (0, top, left, 0))
+    # tiles[b, d, (n, i, j), c] = xp[n, i * nh + b, j * nw + d, c]
+    gather = np.lib.stride_tricks.sliding_window_view(xp, (th, tw), axis=(1, 2))[
+        :, ::nh, ::nw].transpose(4, 5, 0, 1, 2, 3)
+    # X' = B_h^T X B_w; the second GEMM overwrites the gathered tiles.
+    t2, z2 = tiles.reshape(th, -1), zbuf[: tiles.size].reshape(th, -1)
+    z3, t3 = z2.reshape(th, tw, -1), tiles.reshape(th, tw, -1)
+    # Hadamard-as-matmul per tile position (Figure 4).
+    xt, kt = tiles.reshape(th * tw, count, ic), transformed_kernel.reshape(th * tw, ic, oc)
+    # Y = A_h^T M A_w; the second GEMM overwrites M, which it no longer reads.
+    m2, zm2 = m.reshape(th, -1), zbuf[: nh * tw * count * oc].reshape(nh, -1)
+    zm3, y3 = zm2.reshape(nh, tw, -1), m.reshape(-1)[: nh * nw * count * oc].reshape(nh, nw, -1)
+    y = y3.reshape(nh, nw, batch, tiles_h, tiles_w, oc)
+    # Scatter the tiles back to NCHW, casting once, then crop to (oh, ow).
+    scatter = y.transpose(2, 5, 3, 0, 4, 1)
+
+    def tiled(full: np.ndarray) -> np.ndarray:
+        return full.reshape(batch, oc, tiles_h, nh, tiles_w, nw)
+
+    full = whole[0] if whole else out
+    dst = None if full is None else tiled(full)
+    crop = whole[0][:, :, :oh, :ow] if whole else None
+
+    def run(x: np.ndarray) -> np.ndarray:
+        pad(x.transpose(0, 2, 3, 1))
+        tiles[...] = gather
+        np.matmul(tr_h.bt, t2, out=z2)
+        np.matmul(tr_w.bt, z3, out=t3)
+        np.matmul(xt, kt, out=m)
+        np.matmul(tr_h.at, m2, out=zm2)
+        np.matmul(tr_w.at, zm3, out=y3)
+        if bias is not None:
+            np.add(y, bias, out=y)
+        result, target = out, dst
+        if result is None:
+            result = np.empty((batch, oc, oh, ow), dtype=dtype)
+            if target is None:
+                target = tiled(result)
+        target[...] = scatter
+        if crop is not None:
+            result[...] = crop
+        return result
+
+    return run
+
+
 def winograd_conv2d_rect_with_kernel(
     x: np.ndarray,
     transformed_kernel: np.ndarray,
@@ -397,44 +474,10 @@ def winograd_conv2d_rect_with_kernel(
     ``A_h^T M A_w`` as two more GEMMs.  Stride 1, dilation 1.  ``out``
     receives the (N, oc, oh, ow) result; the temporaries of
     :func:`winograd_workspace` come from ``scratch`` when it is given.
+    :func:`bind_winograd_conv2d` once, then its run step once.
     """
-    nh, kh, th = tr_h.n, tr_h.k, tr_h.t
-    nw, kw, tw = tr_w.n, tr_w.k, tr_w.t
-    batch, ic, _, _ = x.shape
-    oc = transformed_kernel.shape[3]
-    top, _, left, _ = pads
-    oh, ow, tiles_h, tiles_w = _winograd_geometry(x.shape, tr_h, tr_w, pads)
-    xp, tiles, zbuf, m, *whole = carve(
-        scratch, winograd_workspace(x.shape, oc, tr_h, tr_w, pads, x.dtype)
-    )
-    # Explicit conv padding plus bottom/right padding to whole tiles.
-    pad_into(xp, x.transpose(0, 2, 3, 1), (0, top, left, 0))
-    # tiles[b, d, (n, i, j), c] = xp[n, i * nh + b, j * nw + d, c]
-    view = np.lib.stride_tricks.sliding_window_view(xp, (th, tw), axis=(1, 2))
-    tiles[...] = view[:, ::nh, ::nw].transpose(4, 5, 0, 1, 2, 3)
-    count = batch * tiles_h * tiles_w
-    # X' = B_h^T X B_w; the second GEMM overwrites the gathered tiles.
-    z = np.matmul(tr_h.bt, tiles.reshape(th, -1), out=zbuf[: tiles.size].reshape(th, -1))
-    xt = np.matmul(tr_w.bt, z.reshape(th, tw, -1), out=tiles.reshape(th, tw, -1))
-    # Hadamard-as-matmul per tile position (Figure 4).
-    np.matmul(xt.reshape(th * tw, count, ic), transformed_kernel.reshape(th * tw, ic, oc),
-              out=m)
-    # Y = A_h^T M A_w; the second GEMM overwrites M, which it no longer reads.
-    z = np.matmul(tr_h.at, m.reshape(th, -1),
-                  out=zbuf[: nh * tw * count * oc].reshape(nh, -1))
-    y = np.matmul(tr_w.at, z.reshape(nh, tw, -1),
-                  out=m.reshape(-1)[: nh * nw * count * oc].reshape(nh, nw, -1))
-    y = y.reshape(nh, nw, batch, tiles_h, tiles_w, oc)
-    if bias is not None:
-        y += bias
-    # Scatter the tiles back to NCHW, casting once, then crop to (oh, ow).
-    if out is None:
-        out = np.empty((batch, oc, oh, ow), dtype=x.dtype)
-    full = whole[0] if whole else out
-    full.reshape(batch, oc, tiles_h, nh, tiles_w, nw)[...] = y.transpose(2, 5, 3, 0, 4, 1)
-    if whole:
-        out[...] = full[:, :, :oh, :ow]
-    return out
+    return bind_winograd_conv2d(x.shape, transformed_kernel, tr_h, tr_w, bias, pads, x.dtype,
+                                out, scratch)(x)
 
 
 def winograd_conv2d_with_kernel(

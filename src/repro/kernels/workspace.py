@@ -6,21 +6,31 @@ Given a ``scratch`` byte buffer it carves them from it back to back;
 given ``None`` it allocates them fresh.  The arithmetic is the same
 either way, so a kernel has one code path whichever its caller picks.
 
+Carving is a bind-time step.  Each scratch-using kernel splits into a
+bind step (``bind_*``), which carves its temporaries and builds every
+view its run reads or writes, and the run step that bind returns, which
+only computes: a run carves and slices nothing, except a view over its
+live input.  A runner is bound once per session generation
+(:meth:`repro.backends.op_runners.OpRunner.bind`); the public kernel
+functions bind on fresh buffers and run once.
+
 A session sizes one scratch buffer at prepare time from static shapes
 (:func:`workspace_bytes` of every runner's specs, maximised) and every
 runner of that session carves from it: operators run one at a time, so
-their temporaries never need to coexist.
+their temporaries never need to coexist, and each run rewrites every
+scratch byte it reads (borders included).
 """
 
 from __future__ import annotations
 
+import math
 import mmap
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ALIGNMENT", "Spec", "align_up", "aligned_empty", "workspace_bytes", "carve", "pad_into",
+    "ALIGNMENT", "Spec", "align_up", "aligned_empty", "workspace_bytes", "carve", "bind_pad",
 ]
 
 #: One temporary: its shape and dtype.
@@ -33,7 +43,7 @@ ALIGNMENT = 64
 
 def _nbytes(spec: Spec) -> int:
     shape, dtype = spec
-    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+    return math.prod(shape) * np.dtype(dtype).itemsize
 
 
 def align_up(n: int) -> int:
@@ -78,20 +88,31 @@ def carve(scratch: Optional[np.ndarray], specs: Sequence[Spec]) -> List[np.ndarr
     return arrays
 
 
-def pad_into(dst: np.ndarray, src: np.ndarray, before: Sequence[int], value=0) -> np.ndarray:
-    """Copy ``src`` into ``dst`` at offset ``before`` and fill the rest of
-    ``dst`` with ``value``.
+def bind_pad(
+    dst: np.ndarray, src_shape: Sequence[int], before: Sequence[int], value=0,
+) -> Callable[[np.ndarray], None]:
+    """The run step that copies a ``src_shape`` array into ``dst`` at
+    offset ``before`` and fills the rest of ``dst`` with ``value``.
 
-    ``dst`` is a reused buffer, so its border is rewritten on every call;
-    the result equals ``np.pad`` of ``src`` to ``dst``'s shape.
+    The border and interior views are built here, once; ``dst`` is a
+    reused buffer, so the step rewrites its border on every call.  The
+    result equals ``np.pad`` of ``src`` to ``dst``'s shape.
     """
+    borders = []
     head = ()
-    for axis, (lo, size) in enumerate(zip(before, src.shape)):
+    for axis, (lo, size) in enumerate(zip(before, src_shape)):
         hi = lo + size
         if lo:
-            dst[head + (slice(0, lo),)] = value
+            borders.append(dst[head + (slice(0, lo),)])
         if hi < dst.shape[axis]:
-            dst[head + (slice(hi, None),)] = value
+            borders.append(dst[head + (slice(hi, None),)])
         head += (slice(None),)
-    dst[tuple(slice(lo, lo + size) for lo, size in zip(before, src.shape))] = src
-    return dst
+    interior = dst[tuple(slice(lo, lo + size) for lo, size in zip(before, src_shape))]
+
+    def pad(src: np.ndarray) -> None:
+        for border in borders:
+            border[...] = value
+        interior[...] = src
+
+    return pad
+
