@@ -26,6 +26,7 @@ from .errors import (
     Backpressure,
     ClusterError,
     Overloaded,
+    ProtocolError,
     StaleSegment,
     WorkerError,
     WorkerLost,
@@ -44,6 +45,7 @@ __all__ = [
     "ClusterError",
     "HashRing",
     "Overloaded",
+    "ProtocolError",
     "RemoteGenResult",
     "ShmSegment",
     "StaleSegment",

@@ -19,6 +19,9 @@ callers react differently to each one:
   than the one the control message named.  This must never happen in a
   correct engine — it is raised (and counted) rather than silently
   serving recycled bytes.
+* :class:`ProtocolError` is a control message its receiver cannot
+  decode (a truncated frame, an unknown tag or message kind).  A worker
+  answers it typed and keeps serving.
 
 All of them extend :class:`~repro.faults.ResilienceError`, so existing
 "typed failure, engine keeps serving" handling catches cluster failures
@@ -37,6 +40,7 @@ __all__ = [
     "WorkerLost",
     "WorkerError",
     "StaleSegment",
+    "ProtocolError",
 ]
 
 
@@ -137,3 +141,7 @@ class StaleSegment(ClusterError):
             f"stale shared-memory read on {name!r}: header generation "
             f"{found} != expected {expected}"
         )
+
+
+class ProtocolError(ClusterError):
+    """A control message that is not one its receiver can decode."""

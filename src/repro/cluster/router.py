@@ -36,9 +36,16 @@ surfaces ``DeadlineExceeded``, never ``WorkerLost``: expiry is checked
 *before* the loss outcome is decided.
 
 **One segment pair per slot.**  The router creates each slot's
-request/response segments once, sized from the graph, and every epoch of
-the slot's worker attaches the same pair.  Only the slot's dispatch
-thread touches it; the generation stamp guards against a late write.
+request/response segments once, sized from the graph, and binds one
+NumPy view per graph input and output on them; every epoch of the
+slot's worker attaches the same pair and binds the same views.  An
+infer RPC copies the feeds into the request views, stamps the
+generation and sends one fixed-layout frame (tag, crash marker,
+generation, request sequence number, deadline); the ``ok`` frame that
+answers it names the generation the outputs in the response views must
+carry.  Nothing on that path is pickled or laid out.  Only the slot's
+dispatch thread touches the pair; the generation stamp guards against a
+late write.
 
 **Worker loss.**  The slot's dispatch thread waits on its worker's pipe
 and process sentinel together, so it sees a death mid-RPC at once
@@ -68,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import queue
 import shutil
 import tempfile
@@ -89,7 +97,8 @@ from ..runtime import Runtime
 from ..sanitize import Sanitizer
 from .errors import Backpressure, Overloaded, WorkerError, WorkerLost
 from .ring import HashRing
-from .shm import ShmSegment, payload_bytes
+from .shm import (INFER, OK, PICKLED, ShmSegment, pack_frame, payload_bytes,
+                  segment_descs, unpack_frame)
 from .supervisor import Supervisor
 
 __all__ = ["Cluster", "ClusterConfig", "RemoteGenResult"]
@@ -167,12 +176,14 @@ class _Pending:
     """One admitted request, from submission to future resolution."""
 
     __slots__ = (
-        "id", "kind", "payload", "session_key", "deadline", "policy",
+        "seq", "id", "kind", "payload", "session_key", "deadline", "policy",
         "future", "slot", "replays", "injected_crash", "timeline", "done",
     )
 
-    def __init__(self, rid, kind, payload, session_key, deadline, policy, timeline):
-        self.id = rid
+    def __init__(self, seq, kind, payload, session_key, deadline, policy, timeline):
+        #: The request's number on the wire; ``id`` is its name everywhere else.
+        self.seq = seq
+        self.id = f"clu-{seq}"
         self.kind = kind
         self.payload = payload
         self.session_key = session_key
@@ -244,14 +255,16 @@ class Cluster:
         try:
             if graph is not None:
                 # The graph fixes every input and output shape, so one
-                # size per role holds every request.
-                descs = {"req": graph.inputs, "resp": graph.outputs}
+                # size and one set of views per role hold every request.
+                descs = segment_descs(graph)
                 for slot, role in itertools.product(range(n), descs):
-                    self._segments[slot][role] = ShmSegment.create(
+                    seg = ShmSegment.create(
                         f"{self._uid}-w{slot}-{role}",
-                        payload_bytes({t: graph.desc(t) for t in descs[role]}),
+                        payload_bytes(descs[role]),
                         sanitizer=self.sanitizer,
                     )
+                    self._segments[slot][role] = seg
+                    seg.bind(descs[role])
             self.supervisor.start()
         except Exception:
             self._cleanup_segments()
@@ -350,10 +363,10 @@ class Cluster:
         deadline = Deadline.from_ms(deadline_ms)
         if deadline is not None:
             deadline.check("cluster.submit")
-        rid = f"clu-{next(self._req_seq)}"
-        timeline = self.requests.start(rid, kind=f"cluster.{kind}",
+        seq = next(self._req_seq)
+        timeline = self.requests.start(f"clu-{seq}", kind=f"cluster.{kind}",
                                        session=session_key or "")
-        item = _Pending(rid, kind, payload, session_key, deadline, policy, timeline)
+        item = _Pending(seq, kind, payload, session_key, deadline, policy, timeline)
         slot = self._admit(item)
         item.slot = slot
         timeline.admitted(worker=slot)
@@ -464,30 +477,37 @@ class Cluster:
                 raise WorkerLost(slot, item.id, item.replays)
 
     def _rpc(self, slot: int, handle, item: _Pending, crash: Optional[str]):
-        """Send one request and wait for its answer (or the worker's death)."""
+        """Send one request and wait for its answer (or the worker's death).
+
+        An infer answer comes back as ``("ok", seq, generation)``; every
+        other answer is the worker's unpickled tuple ``(kind, seq, ...)``.
+        """
         remaining_s = _remaining_s(item)
         deadline_ms = None if remaining_s is None else remaining_s * 1000.0
         if item.kind == "infer":
             gen = next(self._gens[slot])
-            specs = self._segments[slot]["req"].write_tensors(item.payload, gen)
-            msg = {"kind": "infer", "id": item.id, "gen": gen,
-                   "specs": specs, "deadline_ms": deadline_ms,
-                   "crash": crash}
+            self._segments[slot]["req"].write_bound(item.payload, gen)
+            msg = pack_frame(INFER, crash, gen, item.seq, deadline_ms)
         else:
-            msg = {"kind": "generate", "id": item.id,
-                   "prompt": item.payload["prompt"],
-                   "params": item.payload["params"],
-                   "deadline_ms": deadline_ms, "crash": crash}
+            msg = pickle.dumps({"kind": "generate", "id": item.id, "seq": item.seq,
+                                "prompt": item.payload["prompt"],
+                                "params": item.payload["params"],
+                                "deadline_ms": deadline_ms, "crash": crash})
         conn = handle.conn
         try:
-            conn.send(msg)
+            conn.send_bytes(msg)
             while True:
                 # A reply flushed before the worker died leaves the pipe
                 # readable, so the pipe is read first.
                 ready = wait([conn, handle.proc.sentinel], _remaining_s(item))
                 if conn in ready:
-                    reply = conn.recv()
-                    if reply[1] == item.id:
+                    data = conn.recv_bytes()
+                    if data[:1] == PICKLED:
+                        reply = pickle.loads(data)
+                    else:
+                        _, gen, seq, _ = unpack_frame(data, OK)
+                        reply = ("ok", seq, gen)
+                    if reply[1] == item.seq:
                         return reply
                     # A straggler answer to a request this thread
                     # already abandoned on deadline; drop it.
@@ -501,8 +521,7 @@ class Cluster:
 
     def _decode_ok(self, slot: int, item: _Pending, reply):
         if item.kind == "infer":
-            return self._segments[slot]["resp"].read_tensors(
-                reply[2]["specs"], reply[2]["gen"], copy=True)
+            return self._segments[slot]["resp"].read_bound(reply[2], copy=True)
         payload = reply[2]
         if payload["finish_reason"] == "error":
             raise WorkerError("GenerationError",

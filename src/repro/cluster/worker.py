@@ -13,9 +13,16 @@ with the router:
   request/response segment pair per slot sufficient, and the crash
   blast radius exactly one in-flight request.  Every epoch of a slot's
   worker attaches the same pair, which the router created once.
-* **Four message kinds.**  ``infer`` (feeds in the request segment,
-  outputs written to the response segment, both sized by the router
-  from the graph), ``generate``, ``hang`` (a test hook) and ``stop``.
+* **Four message kinds.**  ``infer`` is one fixed-layout frame
+  (:data:`~repro.cluster.shm.FRAME`: crash marker, generation, request
+  sequence number, deadline): the feeds sit in the request segment's
+  views and the outputs go to the response segment's, both bound once
+  at attach from the graph the worker loads, so the request path
+  unpickles and lays out nothing; it answers ``ok`` with a frame of the
+  same kind.  ``generate``, ``hang`` (a test hook) and ``stop`` arrive
+  pickled, and errors and generation results go back pickled; the first
+  byte tells the two kinds apart.  A frame the worker cannot decode
+  gets a typed ``ProtocolError`` answer, and the worker keeps serving.
 * **Fresh process-wide state.**  The worker is forked from a router
   that may carry live fault plans, metrics and tracers; the first thing
   it does is install clean ones.  Workers never self-inject faults —
@@ -28,7 +35,7 @@ with the router:
   the token budget, mutating the KV arena, *then* dies without replying
   — so supervision and replay are exercised against a worker that died
   mid-decode, not one that died conveniently idle.
-* **Deadline re-arming.**  The router serializes a deadline as
+* **Deadline re-arming.**  The router sends a deadline as
   milliseconds-remaining at send time; the worker re-arms a fresh
   :class:`~repro.faults.resilience.Deadline` on receipt, so the budget
   spans the process boundary without requiring synchronized clocks.
@@ -42,15 +49,16 @@ with the router:
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 from typing import Dict, Optional
 
-from ..faults.errors import ResilienceError
 from ..faults.plan import FaultPlan, set_fault_plan
 from ..faults.resilience import Deadline
 from ..obs.metrics import MetricsRegistry, set_metrics
-from .shm import ShmSegment
+from .errors import ProtocolError
+from .shm import INFER, OK, PICKLED, ShmSegment, pack_frame, segment_descs, unpack_frame
 
 __all__ = ["worker_main", "CRASH_EXIT_CODE"]
 
@@ -102,13 +110,73 @@ def _build_engines(cfg: Dict[str, object]):
     return session, gen_engine
 
 
-def _reply_error(conn, request_id: str, exc: BaseException) -> None:
+def _attach(cfg: Dict[str, object], session) -> Dict[str, ShmSegment]:
+    """Attach the slot's segments and bind the graph's tensor views on
+    them, as the router bound its side from the same graph (a cluster
+    without a graph has no segments)."""
+    if session is None:
+        return {}
+    segments: Dict[str, ShmSegment] = {}
+    for role, descs in segment_descs(session.graph).items():
+        segments[role] = ShmSegment.attach(cfg[f"{role}_segment"])
+        segments[role].bind(descs)
+    return segments
+
+
+def _reply_error(conn, seq: int, exc: BaseException) -> None:
     extra: Dict[str, object] = {}
     for attr in ("budget_ms", "elapsed_ms", "where", "site", "kind"):
         value = getattr(exc, attr, None)
         if value is not None:
             extra[attr] = value
-    conn.send(("err", request_id, type(exc).__name__, str(exc), extra))
+    conn.send(("err", seq, type(exc).__name__, str(exc), extra))
+
+
+def _infer(conn, session, segments, generation: int, seq: int, crash: Optional[str],
+           deadline: Optional[Deadline], dwell_ms: float) -> None:
+    """Serve one infer frame: bound request views in, bound response views out."""
+    feeds = segments["req"].read_bound(generation)
+    if dwell_ms > 0:
+        # Simulated device dwell: stands in for the accelerator wait of
+        # an offloaded backend (cf. repro.sim's virtual-clock devices)
+        # so worker occupancy matches an accelerator-backed deployment.
+        time.sleep(dwell_ms / 1000.0)
+    out = session.run(feeds, deadline=deadline)
+    if crash == "mid":
+        os._exit(CRASH_EXIT_CODE)  # computed, never answered
+    segments["resp"].write_bound(out, generation)
+    conn.send_bytes(pack_frame(OK, None, generation, seq, None))
+
+
+def _generate(conn, gen_engine, msg: Dict[str, object], crash: Optional[str],
+              dwell_ms: float) -> None:
+    """Serve one pickled ``generate`` message."""
+    from ..genai import GenRequest, SamplingParams
+
+    request_id = msg["id"]
+    params = SamplingParams(**msg.get("params", {}))
+    if crash == "mid":
+        # Die mid-decode: really prefill and decode half the budget
+        # (mutating this worker's KV arena), then exit without replying.
+        half = max(1, params.max_tokens // 2)
+        partial = SamplingParams(
+            max_tokens=half,
+            temperature=params.temperature,
+            top_k=params.top_k,
+            seed=params.seed,
+            stop_tokens=params.stop_tokens,
+        )
+        gen_engine.generate([GenRequest(request_id, list(msg["prompt"]), partial)])
+        os._exit(CRASH_EXIT_CODE)
+    if dwell_ms > 0:
+        time.sleep(dwell_ms / 1000.0)
+    result = gen_engine.generate(
+        [GenRequest(request_id, list(msg["prompt"]), params)]
+    )[0]
+    conn.send(("ok", msg["seq"], {
+        "tokens": list(result.tokens),
+        "finish_reason": result.finish_reason,
+    }))
 
 
 def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
@@ -122,8 +190,7 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
 
     try:
         session, gen_engine = _build_engines(cfg)
-        req_seg = ShmSegment.attach(cfg["req_segment"]) if cfg.get("req_segment") else None
-        resp_seg = ShmSegment.attach(cfg["resp_segment"]) if cfg.get("resp_segment") else None
+        segments = _attach(cfg, session)
     except Exception as exc:  # startup failure: tell the supervisor why
         try:
             conn.send(("start_failed", slot, type(exc).__name__, str(exc)))
@@ -138,74 +205,37 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
 
     while True:
         try:
-            msg = conn.recv()
+            data = conn.recv_bytes()
         except (EOFError, OSError):
             break  # router went away; exit quietly
-        kind = msg.get("kind")
-        if kind == "stop":
-            break
-        if kind == "hang":
-            # Hang hook: stop heartbeating and stall forever; the
-            # supervisor's hang detector must kill and replace us.
-            beat.stopped.set()
-            while True:
-                time.sleep(3600.0)
-
-        request_id = msg.get("id", "?")
-        crash = msg.get("crash")
-        if crash == "early":
-            os._exit(CRASH_EXIT_CODE)
-        deadline = Deadline.from_ms(msg.get("deadline_ms"))
+        seq = 0  # a frame too broken to name its request
         try:
-            if kind == "infer":
-                feeds = req_seg.read_tensors(msg["specs"], msg["gen"])
-                if dwell_ms > 0:
-                    # Simulated device dwell: stands in for the
-                    # accelerator wait of an offloaded backend (cf.
-                    # repro.sim's virtual-clock devices) so worker
-                    # occupancy matches an accelerator-backed deployment.
-                    time.sleep(dwell_ms / 1000.0)
-                out = session.run(feeds, deadline=deadline)
-                if crash == "mid":
-                    os._exit(CRASH_EXIT_CODE)  # computed, never answered
-                specs = resp_seg.write_tensors(out, msg["gen"])
-                conn.send(("ok", request_id, {"specs": specs, "gen": msg["gen"]}))
-            elif kind == "generate":
-                from ..genai import GenRequest, SamplingParams
-
-                params = SamplingParams(**msg.get("params", {}))
-                if crash == "mid":
-                    # Die mid-decode: really prefill and decode half the
-                    # budget (mutating this worker's KV arena), then exit
-                    # without replying.
-                    half = max(1, params.max_tokens // 2)
-                    partial = SamplingParams(
-                        max_tokens=half,
-                        temperature=params.temperature,
-                        top_k=params.top_k,
-                        seed=params.seed,
-                        stop_tokens=params.stop_tokens,
-                    )
-                    gen_engine.generate(
-                        [GenRequest(request_id, list(msg["prompt"]), partial)]
-                    )
+            if data[:1] != PICKLED:
+                crash, generation, seq, deadline_ms = unpack_frame(data, INFER)
+                if crash == "early":
                     os._exit(CRASH_EXIT_CODE)
-                if dwell_ms > 0:
-                    time.sleep(dwell_ms / 1000.0)
-                result = gen_engine.generate(
-                    [GenRequest(request_id, list(msg["prompt"]), params)]
-                )[0]
-                conn.send(("ok", request_id, {
-                    "tokens": list(result.tokens),
-                    "finish_reason": result.finish_reason,
-                }))
-            else:
-                conn.send(("err", request_id, "ProtocolError",
-                           f"unknown message kind {kind!r}", {}))
-        except ResilienceError as exc:
-            _reply_error(conn, request_id, exc)
+                _infer(conn, session, segments, generation, seq, crash,
+                       Deadline.from_ms(deadline_ms), dwell_ms)
+                continue
+            msg = pickle.loads(data)
+            kind = msg.get("kind")
+            if kind == "stop":
+                break
+            if kind == "hang":
+                # Hang hook: stop heartbeating and stall forever; the
+                # supervisor's hang detector must kill and replace us.
+                beat.stopped.set()
+                while True:
+                    time.sleep(3600.0)
+            seq = msg.get("seq", 0)
+            if kind != "generate":
+                raise ProtocolError(f"unknown message kind {kind!r}")
+            crash = msg.get("crash")
+            if crash == "early":
+                os._exit(CRASH_EXIT_CODE)
+            _generate(conn, gen_engine, msg, crash, dwell_ms)
         except Exception as exc:  # worker survives; request fails typed
-            _reply_error(conn, request_id, exc)
+            _reply_error(conn, seq, exc)
 
     # Graceful exit: close the generation engine (runs KV leak checks)
     # and the mappings; a session needs no teardown.
@@ -214,6 +244,5 @@ def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
             gen_engine.close()
     except Exception:
         pass
-    for seg in (req_seg, resp_seg):
-        if seg is not None:
-            seg.close()
+    for seg in segments.values():
+        seg.close()

@@ -67,7 +67,12 @@ def conv_output_hw(
     dilation: Tuple[int, int] = (1, 1),
     ceil_mode: bool = False,
 ) -> Tuple[int, int]:
-    """Output spatial size of a conv/pool window sweep."""
+    """Output spatial size of a conv/pool window sweep.
+
+    ``ceil_mode`` rounds the window count up but, as ONNX and PyTorch do,
+    drops a last window that would start at or past the end of the input
+    and its leading pad: such a window covers padding only.
+    """
     ih, iw = in_hw
     kh, kw = kernel
     sh, sw = stride
@@ -78,6 +83,10 @@ def conv_output_hw(
     rounder = math.ceil if ceil_mode else math.floor
     oh = rounder((ih + top + bottom - eff_kh) / sh) + 1
     ow = rounder((iw + left + right - eff_kw) / sw) + 1
+    if ceil_mode and (oh - 1) * sh >= ih + top:
+        oh -= 1
+    if ceil_mode and (ow - 1) * sw >= iw + left:
+        ow -= 1
     if oh <= 0 or ow <= 0:
         raise GraphError(
             f"window {kernel} stride {stride} does not fit input {in_hw} with pads {pads}"

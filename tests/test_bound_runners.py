@@ -17,6 +17,7 @@ over random shapes of every family that binds:
 """
 
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -130,9 +131,6 @@ def test_depthwise(batch, c, k, stride, dilation, pads, hw, rectified, seed):
     hw=st.tuples(st.integers(4, 12), st.integers(4, 12)), seed=_seed,
 )
 @settings(max_examples=60, deadline=None)
-# A ceil-mode window that starts past the input divides 0 by a count of 0,
-# bound and unbound alike.
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
 def test_pooling(batch, c, kernel, stride, pads, ceil_mode, average, include_pad, hw, seed):
     b = GraphBuilder("pool", seed=seed)
     x = b.input("x", (batch, c) + hw)
@@ -144,6 +142,40 @@ def test_pooling(batch, c, kernel, stride, pads, ceil_mode, average, include_pad
         b.output(b.max_pool(x, kernel, stride, pad_mode="explicit", pad=pads,
                             ceil_mode=ceil_mode))
     _check_bound(b.finish(), seed=seed)
+
+
+def _torch_pool_size(size, kernel, stride, pad_begin, pad_end):
+    """PyTorch's ``pooling_output_shape_pad_lr`` in ceil mode."""
+    out = (size + pad_begin + pad_end - kernel + stride - 1) // stride + 1
+    if (out - 1) * stride >= size + pad_begin:
+        out -= 1  # the last window would start past the input: dropped
+    return out
+
+
+def test_ceil_mode_pools_drop_a_window_past_the_input():
+    """Every ceil-mode window holds an input row: over k, s <= 3, every
+    pad pair below k and 4-12 rows, the pooled size is PyTorch's and max
+    and average pooling answer finite numbers (a padding-only window
+    would give -inf and 0/0)."""
+    x = _feed((1, 2, 12, 12), seed=3)
+    for kernel, stride, rows in itertools.product(range(1, 4), range(1, 4), range(4, 13)):
+        for top, bottom in itertools.product(range(kernel), repeat=2):
+            pads = (top, bottom, top, bottom)
+            b = GraphBuilder("ceil")
+            src = b.input("x", (1, 2, rows, rows))
+            pools = [b.max_pool(src, kernel, stride, pad_mode="explicit", pad=pads,
+                                ceil_mode=True)]
+            pools += [b.avg_pool(src, kernel, stride, pad_mode="explicit", pad=pads,
+                                 ceil_mode=True, count_include_pad=include)
+                      for include in (False, True)]
+            for y in pools:
+                b.output(y)
+            graph = b.finish()
+            size = _torch_pool_size(rows, kernel, stride, top, bottom)
+            for node in graph.nodes:
+                assert graph.desc(node.outputs[0]).shape == (1, 2, size, size)
+                got = build_runner(node, graph).fn([x[:, :, :rows, :rows]])[0]
+                assert np.isfinite(got).all(), (node.op_type, kernel, stride, pads, rows)
 
 
 @given(

@@ -130,6 +130,63 @@ class TestTransport:
             assert not [entry for entry in os.listdir("/dev/shm")
                         if entry.startswith(cluster._uid)]
 
+    def test_infer_pickles_nothing_and_lays_out_nothing(self, net, feeds, gold,
+                                                        monkeypatch):
+        """The router side of an infer RPC sends and reads one fixed-layout
+        frame over views bound at spawn: the pipe's pickler is never
+        called and no ``TensorSpec`` is built.  The pickler is spied on
+        as ``pickle.dumps``/``loads``, as ``ForkingPickler.dumps``/
+        ``loads`` (what ``Connection.send``/``recv`` call, under the name
+        ``multiprocessing.connection._ForkingPickler``) and under any
+        other module-level name in ``repro``; ``TensorSpec`` through its
+        ``__init__``, which every name it is imported as shares."""
+        import multiprocessing
+        import pickle
+        import sys
+        from collections import Counter
+        from multiprocessing import reduction
+
+        from repro.cluster.shm import TensorSpec
+
+        calls = Counter()
+
+        def spy(label, fn):
+            def counted(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        originals = {pickle.dumps: "pickle.dumps", pickle.loads: "pickle.loads"}
+        with Cluster(net, ClusterConfig(workers=2, metrics=MetricsRegistry())) as cluster:
+            cluster.infer(feeds)  # warm: every worker up and serving
+            forking = reduction.ForkingPickler
+            assert sys.modules["multiprocessing.connection"]._ForkingPickler is forking
+            monkeypatch.setattr(forking, "dumps", classmethod(
+                spy("ForkingPickler.dumps", forking.dumps.__func__)))
+            monkeypatch.setattr(forking, "loads", spy("ForkingPickler.loads", forking.loads))
+            for fn, label in originals.items():
+                monkeypatch.setattr(pickle, fn.__name__, spy(label, fn))
+            for module in [m for name, m in sys.modules.items() if name.startswith("repro")]:
+                for attr, value in list(vars(module).items()):
+                    for fn, label in originals.items():
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, spy(label, fn))
+            monkeypatch.setattr(TensorSpec, "__init__", spy("TensorSpec", TensorSpec.__init__))
+
+            outs = [cluster.infer(feeds) for _ in range(4)]
+            assert dict(calls) == {}
+            # The spies are live: a pipe message and a spec are counted.
+            a, b = multiprocessing.Pipe()
+            a.send({"kind": "probe"})
+            b.recv()
+            TensorSpec("x", (), "<f4", 64, 4)
+            assert calls == {"ForkingPickler.dumps": 1, "ForkingPickler.loads": 1,
+                             "TensorSpec": 1}
+            monkeypatch.undo()
+        for out in outs:
+            for key in gold:
+                np.testing.assert_array_equal(out[key], gold[key])
+
     def test_malformed_feeds_fail_at_submit(self, net, feeds, gold):
         name = net.inputs[0]
         good = feeds[name]
