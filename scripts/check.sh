@@ -57,10 +57,16 @@
 #      verdict that goes Winograd's way only in the router's process, and
 #      require every worker, the respawned one included, to replay the
 #      router's plan (bitwise a local session's answer, zero probes in any
-#      worker); last, an infer RPC must be one fixed-layout frame over
+#      worker); then an infer RPC must be one fixed-layout frame over
 #      tensor views bound at spawn: the router side calls the pipe's
 #      pickler zero times and builds zero TensorSpecs, and still answers
-#      bitwise the gold (tier-1 tests, run here by node id).
+#      bitwise the gold; last, a synchronous infer or generate must run
+#      its RPC on the caller's thread (no per-slot dispatch thread), a
+#      request waiting on a busy slot must expire as DeadlineExceeded
+#      while the one in flight answers bitwise the gold, and close() with
+#      a synchronous and an asynchronous request in flight must resolve
+#      both, use no unlinked segment and leave no executor thread
+#      (tier-1 tests, run here by node id).
 #  10. Quantization contracts (tier-1 tests, run here by node id): the
 #      integer GEMM equals an int64 reference on worst-case operands on
 #      both sides of its float32/float64 switch (K = 1040, 1041);
@@ -143,13 +149,16 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing) =="
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing; a sync RPC runs on the caller's thread, a parked request expires typed, close() resolves work in flight) =="
 python -m pytest -q \
     "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
     "tests/test_cluster_router.py::TestSupervision::test_death_wakes_the_supervisor_without_a_tick" \
     "tests/test_cluster_router.py::TestSupervision::test_hang_is_detected_and_replaced" \
     "tests/test_cluster_router.py::TestSupervision::test_workers_replay_the_routers_near_tie_pick" \
-    "tests/test_cluster_router.py::TestTransport::test_infer_pickles_nothing_and_lays_out_nothing"
+    "tests/test_cluster_router.py::TestTransport::test_infer_pickles_nothing_and_lays_out_nothing" \
+    "tests/test_cluster_router.py::TestTransport::test_sync_rpc_runs_on_the_callers_thread" \
+    "tests/test_cluster_router.py::TestAdmissionControl::test_a_request_parked_on_a_busy_slot_expires_typed" \
+    "tests/test_cluster_router.py::TestLifecycle::test_close_with_work_in_flight"
 
 echo
 echo "== [10/13] quantization contracts (exactness, accuracy, determinism, capacity, merged siblings) =="

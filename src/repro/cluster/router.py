@@ -15,7 +15,7 @@ consistent ring (:mod:`repro.cluster.ring`) — a generation session's KV
 slabs live in exactly one worker's arena, so its requests must keep
 landing there.  Keyless requests go to the least-loaded live worker.
 
-**Admission** (one lock, checked before anything is queued):
+**Admission** (one lock, checked before anything is sent):
 
 * a session-affine request whose sticky worker is at the per-worker
   queue-depth bound is shed with typed :class:`Backpressure` — it
@@ -30,8 +30,8 @@ landing there.  Keyless requests go to the least-loaded live worker.
 :class:`~repro.faults.resilience.Deadline` lives router-side and is
 serialized as *milliseconds remaining* at send; the worker re-arms a
 fresh deadline from that number (no shared clock needed).  A request
-that expires while queued — including while parked on a dead worker
-slot waiting for its replacement, a wait bounded by the deadline —
+that expires while waiting — for its slot's lock, or parked on a dead
+worker slot for its replacement, both waits bounded by the deadline —
 surfaces ``DeadlineExceeded``, never ``WorkerLost``: expiry is checked
 *before* the loss outcome is decided.
 
@@ -43,19 +43,27 @@ infer RPC copies the feeds into the request views, stamps the
 generation and sends one fixed-layout frame (tag, crash marker,
 generation, request sequence number, deadline); the ``ok`` frame that
 answers it names the generation the outputs in the response views must
-carry.  Nothing on that path is pickled or laid out.  Only the slot's
-dispatch thread touches the pair; the generation stamp guards against a
-late write.
+carry.  Nothing on that path is pickled or laid out.  The slot's lock
+owns the pair and the worker's pipe; the generation stamp guards
+against a late write.
 
-**Worker loss.**  The slot's dispatch thread waits on its worker's pipe
-and process sentinel together, so it sees a death mid-RPC at once
-(a reply flushed before the death is still read), reports it to the
-supervisor (idempotent, epoch-guarded), and resolves the in-flight
-request by its per-request ``on_worker_lost`` policy:
+**On the caller's thread.**  There are no dispatch threads: ``infer``
+and ``generate`` admit and serve the request on the calling thread,
+holding the slot's lock from send to the read of the response views
+(requests on one slot go in lock order, not strictly FIFO).
+``submit_infer``/``submit_generate`` run the same serve loop on a
+``cluster-call`` executor thread and return its future.
+
+**Worker loss.**  The serving thread waits on its worker's pipe and
+process sentinel together, so it sees a death mid-RPC at once (a reply
+flushed before the death is still read), reports it to the supervisor
+(idempotent, epoch-guarded) while it still holds the slot's lock, and
+resolves the request by its per-request ``on_worker_lost`` policy:
 
 * ``"replay"`` (default): transparently re-admit on the next live
   worker in the ring's preference order — a full re-prefill, since the
-  dead arena is gone — up to ``REPLAY_BUDGET`` times;
+  dead arena is gone — and serve it there on the same thread, up to
+  ``REPLAY_BUDGET`` times;
 * ``"error"``: fail fast with typed :class:`WorkerLost`.
 
 **Fault accounting.**  The ninth fault site ``worker.crash`` fires
@@ -76,14 +84,13 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import queue
 import shutil
 import tempfile
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -103,8 +110,6 @@ from .supervisor import Supervisor
 
 __all__ = ["Cluster", "ClusterConfig", "RemoteGenResult"]
 
-_STOP = object()
-
 #: Max transparent replays per request under the ``"replay"`` loss policy.
 REPLAY_BUDGET = 2
 
@@ -116,6 +121,11 @@ class _WorkerDied(Exception):
 def _remaining_s(item: "_Pending") -> Optional[float]:
     """Seconds left on ``item``'s deadline (``None``: no deadline)."""
     return None if item.deadline is None else item.deadline.remaining_s()
+
+
+def _lock_timeout(item: "_Pending") -> float:
+    """``item``'s deadline as a ``Lock.acquire`` timeout (-1: no bound)."""
+    return -1 if item.deadline is None else max(0.0, item.deadline.remaining_s())
 
 
 @dataclass
@@ -173,11 +183,11 @@ class RemoteGenResult:
 
 
 class _Pending:
-    """One admitted request, from submission to future resolution."""
+    """One admitted request, from admission to its outcome."""
 
     __slots__ = (
         "seq", "id", "kind", "payload", "session_key", "deadline", "policy",
-        "future", "slot", "replays", "injected_crash", "timeline", "done",
+        "slot", "replays", "injected_crash", "timeline",
     )
 
     def __init__(self, seq, kind, payload, session_key, deadline, policy, timeline):
@@ -189,12 +199,10 @@ class _Pending:
         self.session_key = session_key
         self.deadline = deadline
         self.policy = policy
-        self.future: Future = Future()
         self.slot = -1
         self.replays = 0
         self.injected_crash = False
         self.timeline = timeline
-        self.done = False
 
 
 class Cluster:
@@ -240,18 +248,25 @@ class Cluster:
         self._uid = f"rc{os.getpid():x}-{id(self) & 0xFFFF:x}"
         self._ring = HashRing(range(n))
         self._admission = threading.Lock()
-        self._depths: Dict[int, int] = {s: 0 for s in range(n)}
+        self._depths: List[int] = [0] * n
+        #: Resolved once: admission and finish set them on every request.
+        self._depth_gauges = [self.metrics.gauge(f"cluster.worker.{s}.queue_depth")
+                              for s in range(n)]
+        for gauge in self._depth_gauges:
+            gauge.set(0)  # an idle slot exports 0, as one that has drained does
         #: Each slot's request/response segment pair, for the cluster's
-        #: life: every epoch of the slot's worker attaches the same pair,
-        #: and only the slot's dispatch thread reads or writes it.
+        #: life: every epoch of the slot's worker attaches the same pair.
         self._segments: Dict[int, Dict[str, ShmSegment]] = {s: {} for s in range(n)}
+        #: Held by a request for its whole exchange with the slot's worker.
+        self._slot_locks = [threading.Lock() for _ in range(n)]
         self._gens: Dict[int, "itertools.count"] = {s: itertools.count(1) for s in range(n)}
         self._req_seq = itertools.count(1)
-        self._queues: Dict[int, "queue.Queue"] = {s: queue.Queue() for s in range(n)}
+        #: Serves ``submit_*`` requests, starting threads only as needed.
+        self._executor = ThreadPoolExecutor(n * max(1, self.config.max_queue_depth),
+                                            thread_name_prefix="cluster-call")
         self._closed = False
 
         self.supervisor = Supervisor(self._spawn_cfg, n, metrics=self.metrics)
-        self._threads: List[threading.Thread] = []
         try:
             if graph is not None:
                 # The graph fixes every input and output shape, so one
@@ -270,13 +285,6 @@ class Cluster:
             self._cleanup_segments()
             self._cleanup_model()
             raise
-        for s in range(n):
-            # Thread names become the labelled per-worker lanes in the
-            # Chrome trace export.
-            t = threading.Thread(target=self._slot_loop, args=(s,),
-                                 name=f"cluster-w{s}", daemon=True)
-            t.start()
-            self._threads.append(t)
 
     # -- spawn plumbing ------------------------------------------------------
     def _prepare(self, graph) -> Dict[str, object]:
@@ -315,25 +323,42 @@ class Cluster:
                      session_key: Optional[str] = None,
                      deadline_ms: Optional[float] = None,
                      on_worker_lost: str = "replay") -> Future:
-        """Queue one inference; returns a future of the output dict.
+        """Admit one inference; returns a future of the output dict.
 
         Raises:
             GraphError: a feed is missing or has the wrong shape or dtype
                 (checked here, before admission: nothing is sent).
         """
-        if self._graph is None:
-            raise RuntimeError("this cluster has no model graph; infer "
-                               "requires Cluster(graph, ...)")
-        self._graph.check_feeds(feeds)
-        payload = {name: feeds[name] for name in self._graph.inputs}
-        return self._submit("infer", payload, session_key, deadline_ms,
-                            on_worker_lost)
+        return self._call(self._infer_request(feeds, session_key, deadline_ms,
+                                              on_worker_lost))
 
     def submit_generate(self, prompt, params=None, *,
                         session_key: Optional[str] = None,
                         deadline_ms: Optional[float] = None,
                         on_worker_lost: str = "replay") -> Future:
-        """Queue one generation; returns a future of :class:`RemoteGenResult`."""
+        """Admit one generation; returns a future of :class:`RemoteGenResult`."""
+        return self._call(self._generate_request(prompt, params, session_key,
+                                                 deadline_ms, on_worker_lost))
+
+    def infer(self, feeds, **kw) -> Dict[str, np.ndarray]:
+        """:meth:`submit_infer`, served on the calling thread."""
+        return self._serve(self._infer_request(feeds, **kw))
+
+    def generate(self, prompt, params=None, **kw) -> RemoteGenResult:
+        """:meth:`submit_generate`, served on the calling thread."""
+        return self._serve(self._generate_request(prompt, params, **kw))
+
+    def _infer_request(self, feeds, session_key=None, deadline_ms=None,
+                       on_worker_lost="replay") -> "_Pending":
+        if self._graph is None:
+            raise RuntimeError("this cluster has no model graph; infer "
+                               "requires Cluster(graph, ...)")
+        self._graph.check_feeds(feeds)
+        payload = {name: feeds[name] for name in self._graph.inputs}
+        return self._submit("infer", payload, session_key, deadline_ms, on_worker_lost)
+
+    def _generate_request(self, prompt, params, session_key=None, deadline_ms=None,
+                          on_worker_lost="replay") -> "_Pending":
         if self.config.genai is None:
             raise RuntimeError("this cluster has no genai config; generate "
                                "requires ClusterConfig(genai=...)")
@@ -344,18 +369,10 @@ class Cluster:
         else:  # SamplingParams
             payload_params = asdict(params)
         payload = {"prompt": list(prompt), "params": payload_params}
-        return self._submit("generate", payload, session_key, deadline_ms,
-                            on_worker_lost)
+        return self._submit("generate", payload, session_key, deadline_ms, on_worker_lost)
 
-    def infer(self, feeds, **kw) -> Dict[str, np.ndarray]:
-        """Synchronous :meth:`submit_infer`."""
-        return self.submit_infer(feeds, **kw).result()
-
-    def generate(self, prompt, params=None, **kw) -> RemoteGenResult:
-        """Synchronous :meth:`submit_generate`."""
-        return self.submit_generate(prompt, params, **kw).result()
-
-    def _submit(self, kind, payload, session_key, deadline_ms, policy) -> Future:
+    def _submit(self, kind, payload, session_key, deadline_ms, policy) -> "_Pending":
+        """Admit one request on the caller's thread; sheds typed."""
         if self._closed:
             raise RuntimeError("cluster is closed")
         if policy not in ("replay", "error"):
@@ -367,57 +384,90 @@ class Cluster:
         timeline = self.requests.start(f"clu-{seq}", kind=f"cluster.{kind}",
                                        session=session_key or "")
         item = _Pending(seq, kind, payload, session_key, deadline, policy, timeline)
-        slot = self._admit(item)
-        item.slot = slot
-        timeline.admitted(worker=slot)
+        item.slot = self._admit(item)
+        timeline.admitted(worker=item.slot)
         self.metrics.counter("router.requests").inc()
-        self._queues[slot].put(item)
-        return item.future
+        return item
+
+    def _call(self, item: "_Pending") -> Future:
+        """Serve ``item`` on a ``cluster-call`` thread; returns its future."""
+        try:
+            return self._executor.submit(self._serve, item)
+        except RuntimeError as exc:  # close() shut the executor down meanwhile
+            self._finish(item, exc)
+            raise
+
+    def _place(self, item: _Pending, fallback) -> int:
+        """``item``'s slot among the live ones (``fallback`` if none is):
+        its ring slot if keyed, else the least-loaded, lowest on a tie.
+        Called with the admission lock held."""
+        live = self.supervisor.live_slots()
+        if item.session_key is not None:
+            return self._ring.assign(item.session_key,
+                                     live=live.__contains__ if live else None)
+        return min(live or fallback, key=lambda s: (self._depths[s], s))
 
     def _admit(self, item: _Pending) -> int:
         """Place + bound-check under the admission lock; sheds typed."""
         bound = self.config.max_queue_depth
         with self._admission:
-            live = set(self.supervisor.live_slots())
-            if item.session_key is not None:
-                slot = self._ring.assign(
-                    item.session_key,
-                    live=(lambda s: s in live) if live else None,
-                )
-                if self._depths[slot] >= bound:
-                    self.metrics.counter("router.shed.backpressure").inc()
+            slot = self._place(item, range(self.config.workers))
+            if self._depths[slot] >= bound:
+                if item.session_key is not None:
                     err = Backpressure(slot, self._depths[slot], bound)
-                    self._shed(item, slot, err)
-                    raise err
-            else:
-                pool = sorted(live) if live else list(range(self.config.workers))
-                slot = min(pool, key=lambda s: (self._depths[s], s))
-                if self._depths[slot] >= bound:
-                    total = sum(self._depths.values())
-                    self.metrics.counter("router.shed.overloaded").inc()
-                    err = Overloaded(total, bound * self.config.workers)
-                    self._shed(item, slot, err)
-                    raise err
+                else:
+                    err = Overloaded(sum(self._depths), bound * self.config.workers)
+                self._shed(item, slot, err)
+                raise err
             self._depths[slot] += 1
-            self.metrics.gauge(f"cluster.worker.{slot}.queue_depth").set(
-                self._depths[slot])
+            self._depth_gauges[slot].set(self._depths[slot])
             return slot
 
     def _shed(self, item: _Pending, slot: int, err) -> None:
-        """Timeline + postmortem bookkeeping for a load-shed request."""
-        item.done = True
+        """Count, timeline and postmortem for a load-shed request."""
+        self.metrics.counter(f"router.shed.{type(err).__name__.lower()}").inc()
         item.timeline.finish("shed", error=type(err).__name__, worker=slot)
-        self.requests.dump(type(err).__name__, item.id,
-                           worker=slot, error=str(err))
+        self.requests.dump(type(err).__name__, item.id, worker=slot, error=str(err))
 
-    # -- dispatch ------------------------------------------------------------
-    def _slot_loop(self, slot: int) -> None:
-        q = self._queues[slot]
-        while True:
-            item = q.get()
-            if item is _STOP:
-                return
-            self._dispatch(slot, item)
+    # -- serving -------------------------------------------------------------
+    def _serve(self, item: _Pending):
+        """Serve an admitted request on the calling thread; returns its
+        result or raises its error.
+
+        Each pass holds the slot's lock for the whole exchange with its
+        worker.  A worker that dies holding the request is reported under
+        that lock, so the next request on the slot never talks to the
+        corpse; the loss policy then reroutes (the loop serves the new
+        slot) or raises.
+        """
+        try:
+            while True:
+                slot = item.slot
+                lock = self._slot_locks[slot]
+                while not lock.acquire(timeout=_lock_timeout(item)):
+                    item.deadline.check("cluster.queue")
+                try:
+                    if self._closed:  # the segments may be unlinked already
+                        raise RuntimeError("cluster is closed")
+                    crash = self._maybe_crash(slot, item)
+                    handle = self._wait_live(slot, item)
+                    try:
+                        with self.tracer.span("cluster.rpc", "cluster",
+                                              worker=slot, request=item.id):
+                            reply = self._rpc(slot, handle, item, crash)
+                    except _WorkerDied:
+                        self.supervisor.report_down(slot, handle.epoch, "crash")
+                    else:
+                        result = self._decode(slot, item, reply)
+                        break
+                finally:
+                    lock.release()
+                self._on_lost(slot, item)
+        except BaseException as exc:
+            self._finish(item, exc)
+            raise
+        self._finish(item)
+        return result
 
     def _maybe_crash(self, slot: int, item: _Pending) -> Optional[str]:
         """Evaluate the ``worker.crash`` fault site for this dispatch.
@@ -439,25 +489,6 @@ class Cluster:
             item.injected_crash = True
             return "mid"
         return None
-
-    def _dispatch(self, slot: int, item: _Pending) -> None:
-        try:
-            crash = self._maybe_crash(slot, item)
-            handle = self._wait_live(slot, item)
-            try:
-                with self.tracer.span("cluster.rpc", "cluster",
-                                      worker=slot, request=item.id):
-                    reply = self._rpc(slot, handle, item, crash)
-            except _WorkerDied:
-                self.supervisor.report_down(slot, handle.epoch, "crash")
-                self._on_lost(slot, item)
-                return
-            if reply[0] == "ok":
-                self._finish(item, result=self._decode_ok(slot, item, reply))
-            else:
-                self._finish(item, exc=self._decode_err(slot, reply))
-        except BaseException as exc:
-            self._finish(item, exc=exc)
 
     def _wait_live(self, slot: int, item: _Pending):
         """Block until ``slot`` has a live worker (deadline-checked).
@@ -509,8 +540,8 @@ class Cluster:
                         reply = ("ok", seq, gen)
                     if reply[1] == item.seq:
                         return reply
-                    # A straggler answer to a request this thread
-                    # already abandoned on deadline; drop it.
+                    # A straggler answer to a request abandoned on its
+                    # deadline earlier; drop it.
                     self.metrics.counter("cluster.stale_replies").inc()
                 elif ready:
                     raise _WorkerDied()
@@ -519,7 +550,17 @@ class Cluster:
         except (EOFError, OSError):
             raise _WorkerDied()
 
-    def _decode_ok(self, slot: int, item: _Pending, reply):
+    def _decode(self, slot: int, item: _Pending, reply):
+        """``item``'s result from the worker's ``reply``, or its error raised."""
+        if reply[0] != "ok":
+            etype, message, extra = reply[2], reply[3], reply[4]
+            if etype == "DeadlineExceeded":
+                raise DeadlineExceeded(
+                    float(extra.get("budget_ms", 0.0)),
+                    float(extra.get("elapsed_ms", 0.0)),
+                    str(extra.get("where", "worker")),
+                )
+            raise WorkerError(etype, message, slot)
         if item.kind == "infer":
             return self._segments[slot]["resp"].read_bound(reply[2], copy=True)
         payload = reply[2]
@@ -529,103 +570,59 @@ class Cluster:
         return RemoteGenResult(item.id, list(payload["tokens"]),
                                payload["finish_reason"])
 
-    def _decode_err(self, slot: int, reply) -> BaseException:
-        etype, message, extra = reply[2], reply[3], reply[4]
-        if etype == "DeadlineExceeded":
-            return DeadlineExceeded(
-                float(extra.get("budget_ms", 0.0)),
-                float(extra.get("elapsed_ms", 0.0)),
-                str(extra.get("where", "worker")),
-            )
-        return WorkerError(etype, message, slot)
-
     # -- worker-loss policy --------------------------------------------------
     def _on_lost(self, slot: int, item: _Pending) -> None:
-        """Resolve a request whose worker died holding it."""
+        """Reroute a request whose worker died holding it, or raise
+        ``DeadlineExceeded`` (budget spent) or :class:`WorkerLost`."""
         injected = item.injected_crash
         item.injected_crash = False
-        if item.deadline is not None and item.deadline.expired:
-            # Satellite rule: expiry wins over loss. (An injected crash
-            # resolving this way is impossible in the chaos storm, which
-            # runs its cluster phase deadline-free.)
-            try:
-                item.deadline.check("cluster.worker_lost")
-            except DeadlineExceeded as exc:
-                self._finish(item, exc=exc)
-            return
+        if item.deadline is not None:
+            # Expiry wins over loss. (An injected crash resolving this
+            # way is impossible in the chaos storm, which runs its
+            # cluster phase deadline-free.)
+            item.deadline.check("cluster.worker_lost")
         if item.policy == "replay" and item.replays < REPLAY_BUDGET:
             item.replays += 1
             if injected:
                 get_metrics().counter("fallback.replay").inc()
             self.metrics.counter("cluster.replays").inc()
             item.timeline.event("replay", worker=slot, attempt=item.replays)
-            new_slot = self._reroute(slot, item)
-            self._queues[new_slot].put(item)
+            # Move to the next-preference live worker, bypassing the
+            # admission bound: the request was admitted once, and failing
+            # it now because its failover target is busy would turn one
+            # worker's crash into spurious shed errors.
+            with self._admission:
+                item.slot = self._place(item, (slot,))
+                self._depths[slot] -= 1
+                self._depths[item.slot] += 1
+                self._depth_gauges[slot].set(self._depths[slot])
+                self._depth_gauges[item.slot].set(self._depths[item.slot])
             return
-        err = WorkerLost(slot, item.id, item.replays)
         if injected:
             get_metrics().counter("cluster.worker_lost").inc()
         self.metrics.counter("cluster.lost").inc()
-        self._finish(item, exc=err, dump=True)
+        raise WorkerLost(slot, item.id, item.replays)
 
-    def _reroute(self, slot: int, item: _Pending) -> int:
-        """Move a replayed request to the next-preference live worker.
-
-        Replays bypass the admission bound: the request was already
-        admitted once, and failing it *now* because its failover target
-        is busy would turn one worker's crash into spurious shed errors.
-        """
-        with self._admission:
-            live = set(self.supervisor.live_slots())
-            if item.session_key is not None:
-                new_slot = self._ring.assign(
-                    item.session_key,
-                    live=(lambda s: s in live) if live else None,
-                )
-            else:
-                pool = sorted(live) if live else [slot]
-                new_slot = min(pool, key=lambda s: (self._depths[s], s))
-            self._depths[slot] -= 1
-            self._depths[new_slot] += 1
-            self.metrics.gauge(f"cluster.worker.{slot}.queue_depth").set(
-                self._depths[slot])
-            self.metrics.gauge(f"cluster.worker.{new_slot}.queue_depth").set(
-                self._depths[new_slot])
-            item.slot = new_slot
-            return new_slot
-
-    def _finish(self, item: _Pending, result=None, exc=None, dump=False) -> None:
-        if item.done:
-            return
-        item.done = True
+    def _finish(self, item: _Pending, exc: Optional[BaseException] = None) -> None:
+        """Release ``item``'s admission, close its timeline, dump a loss."""
         with self._admission:
             self._depths[item.slot] -= 1
-            self.metrics.gauge(f"cluster.worker.{item.slot}.queue_depth").set(
-                self._depths[item.slot])
+            self._depth_gauges[item.slot].set(self._depths[item.slot])
         if exc is None:
             item.timeline.finish("ok", worker=item.slot)
-            item.future.set_result(result)
-        else:
-            item.timeline.finish("error", error=type(exc).__name__,
-                                 worker=item.slot)
-            if dump:
-                self.requests.dump(type(exc).__name__, item.id,
-                                   worker=item.slot, error=str(exc))
-            item.future.set_exception(exc)
+            return
+        item.timeline.finish("error", error=type(exc).__name__, worker=item.slot)
+        if isinstance(exc, WorkerLost):
+            self.requests.dump("WorkerLost", item.id, worker=item.slot, error=str(exc))
 
     # -- health & lifecycle --------------------------------------------------
     def health(self) -> Dict[int, Dict[str, object]]:
         """Per-worker liveness/queue/restart snapshot (mirrors the gauges)."""
-        out: Dict[int, Dict[str, object]] = {}
         with self._admission:
-            depths = dict(self._depths)
-        for slot in range(self.config.workers):
-            out[slot] = {
-                "up": self.supervisor.is_up(slot),
-                "queue_depth": depths[slot],
-                "restarts": self.supervisor.restarts(slot),
-            }
-        return out
+            depths = list(self._depths)
+        return {slot: {"up": self.supervisor.is_up(slot), "queue_depth": depths[slot],
+                       "restarts": self.supervisor.restarts(slot)}
+                for slot in range(self.config.workers)}
 
     def _cleanup_segments(self) -> None:
         for segs in self._segments.values():
@@ -638,15 +635,18 @@ class Cluster:
             self._model_dir = None  # sanitize: single-thread (close path)
 
     def close(self) -> None:
-        """Drain, stop workers, unlink segments (idempotent)."""
+        """Stop serving, stop workers, unlink segments (idempotent).
+
+        Requests already talking to a worker finish; one that takes its
+        slot's lock later fails with ``RuntimeError``."""
         if self._closed:
             return
         self._closed = True  # sanitize: monotonic latch, checked not cleared
         self.supervisor.release_waiters()
-        for q in self._queues.values():
-            q.put(_STOP)
-        for t in self._threads:
-            t.join(timeout=30.0)
+        self._executor.shutdown(wait=True)
+        for lock in self._slot_locks:
+            with lock:  # the request holding the slot's pair, if any, is done
+                pass
         self.supervisor.stop()
         self._cleanup_segments()
         self._cleanup_model()

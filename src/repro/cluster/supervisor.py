@@ -250,8 +250,8 @@ class Supervisor:
         for the hang detector).
 
         Returns whether the message was sent.  Like :meth:`stop`, it
-        writes to the worker's pipe from outside the slot's dispatch
-        thread, so call it only on a slot with no request in flight.
+        writes to the worker's pipe without the router's slot lock, so
+        call it only on a slot with no request in flight.
         """
         h = self.handle(slot)
         if h is None:

@@ -22,6 +22,7 @@ from repro.cluster import (
     Backpressure,
     Cluster,
     ClusterConfig,
+    ClusterError,
     Overloaded,
     WorkerLost,
     fork_available,
@@ -31,7 +32,7 @@ from repro.faults import DeadlineExceeded, FaultPlan, FaultRule
 from repro.faults.chaos import default_chaos_graph
 from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
 from repro.ir import GraphBuilder, GraphError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.recorder import FlightRecorder
 from repro.obs.requests import RequestTracker
 
@@ -66,6 +67,18 @@ def gold(net, feeds):
 
     engine = Engine(net, EngineConfig(pool_size=1))
     return engine.infer(feeds)
+
+
+def _threads_named(prefix):
+    return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+
+def _wait_in_flight(cluster, timeout_s=30.0):
+    """Block until some request holds a slot's lock (it is mid-RPC)."""
+    t0 = time.monotonic()
+    while not any(lock.locked() for lock in cluster._slot_locks):
+        assert time.monotonic() - t0 < timeout_s, "no request reached a worker"
+        time.sleep(0.001)
 
 
 def _wait_recovered(cluster, slot, timeout_s=60.0):
@@ -187,6 +200,24 @@ class TestTransport:
             for key in gold:
                 np.testing.assert_array_equal(out[key], gold[key])
 
+    def test_sync_rpc_runs_on_the_callers_thread(self, net, feeds, gold):
+        """A synchronous ``infer`` or ``generate`` is served on the thread
+        that called it: its ``cluster.rpc`` span carries the caller's
+        thread id, and the router starts no per-slot dispatch thread."""
+        tracer = Tracer()
+        with Cluster(net, ClusterConfig(workers=2, trace=tracer,
+                                        metrics=MetricsRegistry())) as cluster:
+            assert _threads_named("cluster-w") == []
+            out = cluster.infer(feeds)
+        with Cluster(config=ClusterConfig(workers=1, genai=dict(GENAI), trace=tracer,
+                                          metrics=MetricsRegistry())) as cluster:
+            assert _threads_named("cluster-w") == []
+            cluster.generate([1, 2, 3], {"max_tokens": 4})
+        rpcs = [span for span in tracer.spans if span.name == "cluster.rpc"]
+        assert [span.tid for span in rpcs] == [threading.get_ident()] * 2
+        for key in gold:
+            np.testing.assert_array_equal(out[key], gold[key])
+
     def test_malformed_feeds_fail_at_submit(self, net, feeds, gold):
         name = net.inputs[0]
         good = feeds[name]
@@ -290,6 +321,25 @@ class TestAdmissionControl:
             for f in inflight:
                 f.result()
         assert reg.value("router.shed.overloaded") == 1
+
+
+    def test_a_request_parked_on_a_busy_slot_expires_typed(self, net, feeds, gold):
+        """A request waiting for a slot whose lock another request holds
+        gives up when its deadline does, as ``DeadlineExceeded``; the
+        request in flight is unaffected."""
+        with Cluster(net, ClusterConfig(workers=2, device_dwell_ms=300.0,
+                                        metrics=MetricsRegistry())) as cluster:
+            first = cluster.submit_infer(feeds, session_key="pinned")
+            _wait_in_flight(cluster)
+            t0 = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                cluster.infer(feeds, session_key="pinned", deadline_ms=50.0)
+            assert time.monotonic() - t0 < 0.2
+            assert not first.done()
+            out = first.result(timeout=30.0)
+            assert [h["queue_depth"] for h in cluster.health().values()] == [0, 0]
+        for key in gold:
+            np.testing.assert_array_equal(out[key], gold[key])
 
 
 class TestSupervision:
@@ -455,6 +505,46 @@ class TestLifecycle:
         cluster.close()  # idempotent
         with pytest.raises(RuntimeError):
             cluster.infer(feeds)
+
+    def test_close_with_work_in_flight(self, net, feeds, gold):
+        """``close()`` while one synchronous request is mid-RPC on another
+        thread and one future is pending: both resolve with a result or a
+        typed error, no segment is used after it is unlinked, and no
+        ``cluster-call`` thread outlives the cluster."""
+        cluster = Cluster(net, ClusterConfig(workers=2, device_dwell_ms=200.0,
+                                             sanitize=True, metrics=MetricsRegistry()))
+        outcomes = {}
+
+        def sync_infer():
+            try:
+                outcomes["sync"] = cluster.infer(feeds, session_key="a")
+            except BaseException as exc:  # judged below
+                outcomes["sync"] = exc
+
+        caller = threading.Thread(target=sync_infer)
+        caller.start()
+        try:
+            _wait_in_flight(cluster)
+            future = cluster.submit_infer(feeds, session_key="b")
+        finally:
+            cluster.close()
+        caller.join(timeout=30.0)
+        assert not caller.is_alive()
+        try:
+            outcomes["async"] = future.result(timeout=30.0)
+        except BaseException as exc:  # judged below
+            outcomes["async"] = exc
+        assert set(outcomes) == {"sync", "async"}
+        for outcome in outcomes.values():
+            if isinstance(outcome, dict):
+                for key in gold:
+                    np.testing.assert_array_equal(outcome[key], gold[key])
+            else:
+                assert isinstance(outcome, (ClusterError, RuntimeError)), outcome
+        assert isinstance(outcomes["sync"], dict)  # it was talking to a worker
+        assert not [f for f in cluster.sanitizer.report().lifecycle
+                    if f.scope == "cluster.shm"]
+        assert _threads_named("cluster-call") == []
 
     def test_health_reports_every_slot(self, net):
         with Cluster(net, ClusterConfig(

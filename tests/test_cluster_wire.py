@@ -175,8 +175,8 @@ class TestWorkerWire:
             handle = cluster.supervisor.wait_handle(0, 30.0)
             pid = handle.pid
             frame = pack_frame(INFER, None, 1, 1, None)
-            # No request is in flight, so the slot's dispatch thread is
-            # not reading this pipe.
+            # No request is in flight, so no thread holds the slot's lock
+            # and reads this pipe.
             for bad in (frame[:-3], b"Z" + frame[1:], pack_frame(OK, None, 1, 1, None)):
                 handle.conn.send_bytes(bad)
                 kind, seq, etype, message, _ = handle.conn.recv()
