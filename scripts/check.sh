@@ -65,8 +65,10 @@
 #      request waiting on a busy slot must expire as DeadlineExceeded
 #      while the one in flight answers bitwise the gold, and close() with
 #      a synchronous and an asynchronous request in flight must resolve
-#      both, use no unlinked segment and leave no executor thread
-#      (tier-1 tests, run here by node id).
+#      both, use no unlinked segment and leave no executor thread;
+#      last, SIGKILL a process holding a 2-worker cluster and require
+#      both workers to exit and its shared-memory segments to be gone
+#      within 5 s (tier-1 tests, run here by node id).
 #  10. Quantization contracts (tier-1 tests, run here by node id): the
 #      integer GEMM equals an int64 reference on worst-case operands on
 #      both sides of its float32/float64 switch (K = 1040, 1041);
@@ -149,7 +151,7 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing; a sync RPC runs on the caller's thread, a parked request expires typed, close() resolves work in flight) =="
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing; a sync RPC runs on the caller's thread, a parked request expires typed, close() resolves work in flight, a dead router's workers exit) =="
 python -m pytest -q \
     "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
     "tests/test_cluster_router.py::TestSupervision::test_death_wakes_the_supervisor_without_a_tick" \
@@ -158,7 +160,8 @@ python -m pytest -q \
     "tests/test_cluster_router.py::TestTransport::test_infer_pickles_nothing_and_lays_out_nothing" \
     "tests/test_cluster_router.py::TestTransport::test_sync_rpc_runs_on_the_callers_thread" \
     "tests/test_cluster_router.py::TestAdmissionControl::test_a_request_parked_on_a_busy_slot_expires_typed" \
-    "tests/test_cluster_router.py::TestLifecycle::test_close_with_work_in_flight"
+    "tests/test_cluster_router.py::TestLifecycle::test_close_with_work_in_flight" \
+    "tests/test_cluster_router.py::TestLifecycle::test_a_dead_routers_workers_exit"
 
 echo
 echo "== [10/13] quantization contracts (exactness, accuracy, determinism, capacity, merged siblings) =="

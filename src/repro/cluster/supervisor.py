@@ -279,11 +279,13 @@ class Supervisor:
             with self._lock:
                 self._epochs[slot] += 1
                 epoch = self._epochs[slot]
+                router_ends = [h.conn for h in self._handles.values()]
             parent_conn, child_conn = self._ctx.Pipe()
             hb = self._ctx.Value("d", time.monotonic())
             proc = self._ctx.Process(
                 target=worker_main,
-                args=(slot, self.spawn_cfg(slot), child_conn, hb),
+                args=(slot, self.spawn_cfg(slot), child_conn, hb,
+                      [parent_conn] + router_ends),
                 name=f"repro-worker-{slot}",
                 daemon=True,
             )

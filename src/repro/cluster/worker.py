@@ -179,8 +179,16 @@ def _generate(conn, gen_engine, msg: Dict[str, object], crash: Optional[str],
     }))
 
 
-def worker_main(slot: int, cfg: Dict[str, object], conn, hb) -> None:
-    """Process target: build engines, report ready, serve until ``stop``."""
+def worker_main(slot: int, cfg: Dict[str, object], conn, hb, router_ends) -> None:
+    """Process target: build engines, report ready, serve until ``stop``.
+
+    ``router_ends`` are the router-side pipe ends the fork inherited (this
+    slot's and every earlier worker's).  They are closed first, so that
+    once the router's process is gone every worker's ``recv`` sees EOF
+    and the worker exits.
+    """
+    for end in router_ends:
+        end.close()
     # Forked children inherit the router's plan/metrics/tracer; replace
     # them so worker-side accounting can never pollute the router's
     # reconciliation equation (faults are counted where they're decided).

@@ -370,9 +370,10 @@ def _each(times: int = 1):
 
 
 def _in_rounds(size: int):
-    """Full rounds of ``size``, each enqueued by one ``submit_many`` call
-    and resolved before the next: an idle dispatcher takes the whole round
-    as one batch, so batch composition (so the cascade) is deterministic."""
+    """Full rounds of ``size``, each served by one ``submit_many`` call,
+    which enqueues the round and runs it on the calling thread: the one
+    free seat takes the whole round as one batch, so batch composition
+    (so the cascade) is deterministic."""
 
     def requests(submit_many, cases):
         for start in range(0, len(cases), size):

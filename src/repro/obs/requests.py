@@ -19,8 +19,9 @@ numbers:
 Design constraints mirror the tracer's:
 
 1. **Disabled must be (almost) free.**  The process-wide default tracker
-   is disabled; ``start()`` on it returns one shared no-op timeline and
-   hot paths guard on ``tracker.enabled``.  The overhead guard in
+   is disabled; ``start()`` on it returns the shared no-op
+   ``NULL_TIMELINE``, which hot paths bind without minting an ID (one
+   ``tracker.enabled`` check) and then stamp unguarded.  The overhead guard in
    ``tests/test_obs_requests.py`` holds the disabled cost to <5% of a
    small-model run loop, same budget as the tracer's.
 2. **Thread-safe.**  ``Engine.infer`` is called from many threads; the
@@ -42,6 +43,7 @@ from typing import Dict, List, Optional
 from .metrics import MetricsRegistry, get_metrics
 
 __all__ = [
+    "NULL_TIMELINE",
     "RequestTimeline",
     "RequestTracker",
     "TimelineEvent",
@@ -108,7 +110,7 @@ class _NullTimeline:
         return None
 
 
-_NULL_TIMELINE = _NullTimeline()
+NULL_TIMELINE = _NullTimeline()
 
 
 class RequestTimeline:
@@ -256,7 +258,7 @@ class RequestTracker:
     def start(self, request_id: str, kind: str = "request", **args):
         """Open a timeline (stamps ``enqueued``); no-op when disabled."""
         if not self.enabled:
-            return _NULL_TIMELINE
+            return NULL_TIMELINE
         timeline = RequestTimeline(self, request_id, kind)
         with self._lock:
             self._live[request_id] = timeline

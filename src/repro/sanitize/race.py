@@ -18,8 +18,9 @@ when (a) they come from different threads, (b) neither happens-before the
 other (FastTrack's epoch test: the later thread's clock has not absorbed
 the earlier access's epoch), and (c) their locksets are disjoint (Eraser's
 test).  Requiring *both* (b) and (c) keeps the false-positive rate near
-zero on lock-free-by-design single-thread ownership (the micro-batcher's
-dispatcher) while still flagging genuinely unordered sharing.
+zero on lock-free-by-design single-owner state (a micro-batcher seat's
+sessions, handed between callers with a message edge) while still
+flagging genuinely unordered sharing.
 
 Per-variable state is a last-write plus a bounded read ring — O(1) per
 access, which is what makes the enabled mode usable inside the chaos

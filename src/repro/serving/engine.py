@@ -6,8 +6,8 @@ the dynamic micro-batcher, consulting the persistent pre-inference cache
 so that every process after the first creates its sessions warm (a
 fraction of the cold ``prepare_wall_ms``).  At request time it checks a
 session out of the pool (isolation: each worker owns its
-clock/executions) or routes single-sample requests through the
-batcher.
+clock/executions) or hands the request to the batcher, which runs it —
+batched with whatever else is pending — on the caller's own thread.
 
 Typical use::
 
@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -33,7 +32,7 @@ from ..faults import DeadlineExceeded, FaultPlan, InjectedFault, mark_isolated
 from ..faults.resilience import Deadline
 from ..ir.graph import Graph
 from ..obs.metrics import MetricsRegistry, get_metrics
-from ..obs.requests import RequestTracker
+from ..obs.requests import NULL_TIMELINE, RequestTracker
 from ..obs.resources import ResourceSampler
 from ..obs.tracer import Tracer
 from ..runtime import Runtime
@@ -60,17 +59,17 @@ class EngineConfig:
     Attributes:
         session: configuration applied to every pooled session.
         pool_size: number of concurrently runnable worker sessions.
-            With ``batching`` it is the number of batch dispatchers,
-            capped at the cores the process may run on; each dispatcher
-            owns its own batch sessions (no pool is built).
+            With ``batching`` it is the number of batcher seats (batches
+            that may run side by side, each on its own sessions), capped
+            at the cores the process may run on; no pool is built.
         use_cache: consult/populate the persistent pre-inference cache.
         cache_dir: cache location override (default: ``$REPRO_CACHE_DIR``
             or ``~/.cache/repro``).
         batching: coalesce requests into micro-batches instead of running
             each on its own pooled session.
         max_batch: micro-batch sample cap.  No request waits for
-            company: a free dispatcher takes what is pending, so
-            batches form only under load.
+            company: a caller that finds a seat free runs what is
+            pending, so batches form only under load.
         trace: a :class:`repro.obs.Tracer` receiving serving spans (cache
             hit/miss, session creation, pool checkout waits, batch
             assembly) and every worker session's pre-inference and
@@ -159,7 +158,7 @@ class Engine:
             self.batcher = MicroBatcher(
                 self._create_session,
                 max_batch=c.max_batch,
-                dispatchers=min(c.pool_size, _usable_cpus()),
+                seats=min(c.pool_size, _usable_cpus()),
                 runtime=self.runtime,
             )
         else:
@@ -246,7 +245,7 @@ class Engine:
         self.metrics.counter("engine.requests").inc()
         deadline = Deadline.from_ms(deadline_ms)
         tracker = self.requests
-        timeline = None
+        timeline = NULL_TIMELINE
         if tracker.enabled:
             timeline = tracker.start(
                 tracker.next_id(),
@@ -260,56 +259,35 @@ class Engine:
             with self.tracer.span("engine.infer", "serving",
                                   batched=self.batcher is not None):
                 if self.batcher is not None:
-                    future = self.batcher.submit(feeds, timeline=timeline)
-                    if deadline is None:
-                        out = future.result()
-                    else:
-                        try:
-                            out = future.result(timeout=deadline.remaining_s())
-                        except (TimeoutError, _FuturesTimeout):
-                            raise DeadlineExceeded(
-                                deadline.budget_ms, deadline.elapsed_ms(),
-                                "batch.wait",
-                            ) from None
+                    out = self.batcher.submit(
+                        feeds, timeline=timeline, deadline=deadline
+                    ).result()
                 else:
                     with self.pool.acquire(deadline=deadline) as session:
-                        if timeline is not None:
-                            timeline.admitted(path="pool")
+                        timeline.admitted(path="pool")
                         out = session.run(feeds, deadline=deadline)
-            if timeline is not None:
-                timeline.finish("ok")
+            timeline.finish("ok")
             return out
         except DeadlineExceeded as exc:
-            if timeline is not None:
-                timeline.event(
-                    "deadline_exceeded", where=exc.where,
-                    budget_ms=exc.budget_ms, elapsed_ms=exc.elapsed_ms,
-                )
-                timeline.finish("deadline")
-                tracker.dump(
-                    "DeadlineExceeded", timeline.request_id, detail=exc.where
-                )
+            timeline.event(
+                "deadline_exceeded", where=exc.where,
+                budget_ms=exc.budget_ms, elapsed_ms=exc.elapsed_ms,
+            )
+            timeline.finish("deadline")
+            tracker.dump("DeadlineExceeded", timeline.request_id, detail=exc.where)
             raise
         except InjectedFault as exc:
             # The fault beat every resilience layer: this one request
             # fails alone, counted exactly once across the layers it
             # crossed (mark_isolated deduplicates via the exception).
             mark_isolated(exc)
-            if timeline is not None:
-                timeline.event(
-                    "fault_isolated",
-                    kind=type(exc).__name__,
-                    site=str(getattr(exc, "site", "")),
-                )
-                timeline.finish("fault")
-                tracker.dump(
-                    type(exc).__name__, timeline.request_id,
-                    detail=str(getattr(exc, "site", "")),
-                )
+            site = str(getattr(exc, "site", ""))
+            timeline.event("fault_isolated", kind=type(exc).__name__, site=site)
+            timeline.finish("fault")
+            tracker.dump(type(exc).__name__, timeline.request_id, detail=site)
             raise
         except Exception:
-            if timeline is not None:
-                timeline.finish("error")
+            timeline.finish("error")
             raise
         finally:
             if self.sampler is not None:
@@ -335,11 +313,13 @@ class Engine:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        """Stop the batcher's dispatchers (pooled sessions need no teardown).
+        """Close the batcher (pooled sessions need no teardown).
 
-        The batcher object — and its :class:`~repro.serving.BatchStats` —
-        stays accessible for post-run reporting; only new submissions are
-        rejected.
+        New batched submissions are rejected; requests already queued
+        finish on their callers' threads, then the batch sessions are
+        dropped.  The batcher object — and its
+        :class:`~repro.serving.BatchStats` — stays accessible for
+        post-run reporting.
         """
         if self.batcher is not None:
             self.batcher.close()

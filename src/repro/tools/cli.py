@@ -324,7 +324,7 @@ def cmd_serve(args) -> int:
             print(f"pool:       {engine.pool.size} sessions, {args.clients} clients")
         else:
             print(f"batcher:    max batch {config.max_batch}, "
-                  f"{engine.batcher.dispatchers} dispatchers, {args.clients} clients")
+                  f"{engine.batcher.seats} seats, {args.clients} clients")
         m = engine.metrics
         hits = int(m.value("engine.cache.hits"))
         misses = int(m.value("engine.cache.misses"))
@@ -598,7 +598,7 @@ COMMANDS = [
     ("serve", "drive concurrent traffic through an engine", cmd_serve, [
         MODEL, REQUESTS, CLIENTS,
         Arg("--pool", type=int, default=2,
-            help="pooled sessions, or batch dispatchers with --batch "
+            help="pooled sessions, or batcher seats with --batch "
                  "(capped at the usable cores)"),
         Arg("--batch", type=int, default=0, metavar="N",
             help="coalesce requests into micro-batches of up to N (0 = off)"),

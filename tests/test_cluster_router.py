@@ -91,6 +91,44 @@ def _wait_recovered(cluster, slot, timeout_s=60.0):
     return False
 
 
+#: Builds a 2-worker cluster, serves one request, reports the worker
+#: pids, the segment prefix and the model dir, then waits to be killed.
+_DOOMED_ROUTER = """
+import json, sys
+import numpy as np
+from repro.cluster import Cluster, ClusterConfig
+from repro.faults.chaos import default_chaos_graph
+from repro.obs import MetricsRegistry
+
+net = default_chaos_graph()
+cluster = Cluster(net, ClusterConfig(workers=2, metrics=MetricsRegistry()))
+cluster.infer({net.inputs[0]: np.zeros(net.desc(net.inputs[0]).shape, np.float32)})
+print(json.dumps({
+    "pids": [h.proc.pid for h in cluster.supervisor._handles.values()],
+    "uid": cluster._uid, "model_dir": cluster._model_dir,
+}), flush=True)
+sys.stdin.read()
+"""
+
+
+def _live(pids):
+    """The pids still running (a zombie nobody reaped has exited)."""
+    live = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                state = f.read().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            continue
+        if state not in ("Z", "X"):
+            live.append(pid)
+    return live
+
+
+def _segments_named(uid):
+    return [n for n in os.listdir("/dev/shm") if uid in n] if uid else []
+
+
 class TestBitIdentity:
     def test_infer_matches_local_engine(self, net, feeds, gold):
         with Cluster(net, ClusterConfig(
@@ -545,6 +583,45 @@ class TestLifecycle:
         assert not [f for f in cluster.sanitizer.report().lifecycle
                     if f.scope == "cluster.shm"]
         assert _threads_named("cluster-call") == []
+
+    def test_a_dead_routers_workers_exit(self):
+        """SIGKILL the process holding a 2-worker cluster: each worker's
+        pipe to the router reaches EOF, so both exit, and the last one
+        out releases the cluster's shared-memory segments."""
+        import shutil
+        import signal
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            os.environ.get("PYTHONPATH")])))
+        router = subprocess.Popen([sys.executable, "-c", _DOOMED_ROUTER],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  env=env)
+        info = {"pids": [], "uid": None, "model_dir": None}
+        try:
+            info = json.loads(router.stdout.readline())
+            assert len(_live(info["pids"])) == 2
+            router.kill()
+            router.wait(timeout=30)
+            stop = time.monotonic() + 5.0
+            while ((_live(info["pids"]) or _segments_named(info["uid"]))
+                   and time.monotonic() < stop):
+                time.sleep(0.05)
+            assert _live(info["pids"]) == []
+            assert _segments_named(info["uid"]) == []
+        finally:
+            router.kill()
+            router.wait(timeout=30)
+            for pid in _live(info["pids"]):
+                os.kill(pid, signal.SIGKILL)
+            for name in _segments_named(info["uid"]):
+                os.unlink(os.path.join("/dev/shm", name))
+            if info["model_dir"]:
+                shutil.rmtree(info["model_dir"], ignore_errors=True)
 
     def test_health_reports_every_slot(self, net):
         with Cluster(net, ClusterConfig(

@@ -464,24 +464,62 @@ class TestBatcherResilience:
         assert get_metrics().value("faults.isolated") == 1
         assert get_metrics().value("retry.attempts") == 2
 
-    def test_base_exception_not_delivered_to_futures(self, monkeypatch):
-        # A KeyboardInterrupt in the dispatcher must not be swallowed
-        # into a future like an op failure: pending requests get a
-        # RuntimeError and the interrupt re-raises in the dispatcher
-        # (whose excepthook we silence for the test).
+    def test_base_exception_not_delivered_to_futures(self):
+        # A KeyboardInterrupt while a caller runs a batch must not be
+        # swallowed into a future like an op failure: it re-raises on the
+        # caller that ran the batch, its batch-mate from another thread
+        # gets a RuntimeError, and the seat goes back, so the next
+        # request is served.
         from repro.serving.batching import MicroBatcher
 
-        monkeypatch.setattr(threading, "excepthook", lambda args: None)
         session = Session(tiny_net())
+        run = session.run
+        started, release = threading.Event(), threading.Event()
+        calls = []
 
-        def interrupted(feeds, deadline=None):
-            raise KeyboardInterrupt
+        def scripted(feeds, deadline=None):
+            calls.append(len(calls))
+            if len(calls) == 1:  # hold the seat while two requests queue
+                started.set()
+                release.wait(timeout=30.0)
+            elif len(calls) == 2:
+                raise KeyboardInterrupt
+            return run(feeds, deadline=deadline)
 
-        session.run = interrupted
-        batcher = MicroBatcher(lambda: session, max_batch=1)
-        future = batcher.submit(tiny_feed())
-        with pytest.raises(RuntimeError, match="interrupted"):
-            future.result(timeout=30.0)
+        session.run = scripted
+        batcher = MicroBatcher(lambda: session, max_batch=2, seats=1)
+        outcomes = []
+
+        def client():
+            try:
+                outcomes.append(batcher.infer(tiny_feed()))
+            except BaseException as exc:
+                outcomes.append(exc)
+
+        first = threading.Thread(target=client)
+        first.start()
+        assert started.wait(timeout=30.0)
+        mates = [threading.Thread(target=client) for _ in range(2)]
+        for t in mates:
+            t.start()
+        deadline = time.monotonic() + 10.0
+        while sum(map(len, list(batcher._pending.values()))) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        release.set()
+        for t in [first] + mates:
+            t.join(timeout=30.0)
+        failed = [o for o in outcomes if isinstance(o, BaseException)]
+        assert sorted(type(e).__name__ for e in failed) == [
+            "KeyboardInterrupt", "RuntimeError"]
+        assert "interrupted" in str(
+            next(e for e in failed if isinstance(e, RuntimeError)))
+        feeds = tiny_feed()
+        gold = Session(tiny_net()).run(feeds)
+        out = batcher.infer(feeds)
+        for key in gold:
+            assert np.array_equal(out[key], gold[key])
+        batcher.close()
 
 
 class TestCacheResilience:

@@ -216,16 +216,17 @@ class TestSanitizedServing:
         assert report.ok, report.describe()
 
     def test_two_dispatchers_are_clean(self):
-        """Two dispatchers share one pending queue but never a batch
-        session: each is its sessions' probe owner, with no lockset, so
-        a session touched from a second thread would be reported."""
+        """Six clients on two seats share one pending queue and pass the
+        seats between them: a seat's holder probes its sessions with no
+        lockset, so only the happens-before edge of each seat handoff
+        keeps a second thread's touch from being reported."""
         from repro.serving import MicroBatcher
 
         g = small_net()
         runtime = Runtime.resolve(sanitize=True, metrics=MetricsRegistry())
         batcher = MicroBatcher(
             lambda: Session(g, runtime=runtime), max_batch=4,
-            dispatchers=2, runtime=runtime,
+            seats=2, runtime=runtime,
         )
         feeds = feed(g)
         gold = Session(g).run(feeds)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ class TestMicroBatching:
             futures = batcher.submit_many([feed(seed=i) for i in range(4)])
             results = [f.result(timeout=30) for f in futures]
         assert batcher.stats.requests == 4
-        assert batcher.stats.batches == 1  # one call, one idle dispatcher
+        assert batcher.stats.batches == 1  # one call, one free seat
         assert batcher.stats.batched_requests == 4
         assert batcher.stats.max_batch_seen == 4
         serial = Session(serving_net())
@@ -497,7 +498,7 @@ class TestMicroBatching:
     def test_closing_an_engine_releases_its_bucket_sessions(self, cache_dir):
         """A batch session holds its activation arena, and an engine sits
         in a reference cycle with its batcher: close must drop every
-        dispatcher's sessions itself, not leave them to the cycle
+        seat's sessions itself, not leave them to the cycle
         collector."""
         import gc
         import weakref
@@ -511,7 +512,7 @@ class TestMicroBatching:
             engine.infer(feed(batch=2))
             sessions = [
                 weakref.ref(s)
-                for d in engine.batcher._dispatchers for s in d.sessions.values()
+                for d in engine.batcher._seats for s in d.sessions.values()
             ]
             assert len(sessions) == 1  # one per signature, resized in place
             assert all(ref() is not None for ref in sessions)
@@ -552,15 +553,23 @@ def _barrier_session(barrier):
 
 class TestDispatchers:
     def test_two_dispatchers_run_two_requests_at_once(self):
-        """Work-conserving dispatch: two requests submitted back to back
-        run side by side on two dispatchers.  Each run waits for the
-        other at a 2-party barrier, so one dispatcher (or one batch of
-        two) would time the barrier out."""
+        """Work-conserving dispatch: two client threads run their requests
+        side by side on two seats.  Each run waits for the other at a
+        2-party barrier, so one seat (or one batch of two) would time the
+        barrier out."""
         barrier = threading.Barrier(2, timeout=5)
+        outs = [None, None]
         with MicroBatcher(lambda: _barrier_session(barrier), max_batch=4,
-                          dispatchers=2) as batcher:
-            futures = [batcher.submit(feed(hw=16, seed=i)) for i in range(2)]
-            outs = [f.result(timeout=30) for f in futures]
+                          seats=2) as batcher:
+            def client(i):
+                outs[i] = batcher.infer(feed(hw=16, seed=i))
+
+            threads = [threading.Thread(target=client, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
         assert not barrier.broken
         assert batcher.stats.batches == 2
         serial = Session(serving_net(16))
@@ -570,13 +579,13 @@ class TestDispatchers:
                 np.testing.assert_array_equal(out[name], want[name])
 
     def test_steady_state_never_resizes(self):
-        """Two closed-loop clients on two dispatchers with a zero window
+        """Two closed-loop clients on two seats with a zero window
         never share a batch, so every batch runs at the graph's native
         batch of one and no pre-inference reruns; a repeated batch size
         resizes once, on its first batch."""
         g = serving_net(16)
         with MicroBatcher(lambda: Session(g), max_batch=4,
-                          dispatchers=2) as batcher:
+                          seats=2) as batcher:
             def client(seed):
                 for i in range(8):
                     batcher.infer(feed(hw=16, seed=seed * 8 + i))
@@ -597,7 +606,7 @@ class TestDispatchers:
 
     def test_dispatchers_are_capped_at_the_usable_cores(self, cache_dir,
                                                         monkeypatch):
-        """A process pinned to one core gets one dispatcher, whatever
+        """A process pinned to one core gets one seat, whatever
         ``pool_size`` asks for."""
         import os
 
@@ -606,23 +615,23 @@ class TestDispatchers:
         with Engine(serving_net(16), EngineConfig(
             pool_size=4, cache_dir=cache_dir, batching=True,
         )) as engine:
-            assert engine.batcher.dispatchers == 1
+            assert engine.batcher.seats == 1
 
     def test_oversized_requests_reuse_one_session(self):
-        """Requests larger than max_batch run alone on the dispatcher's
+        """Requests larger than max_batch run alone on the seat's
         one session for their signature, resized in place, so a stream
         of new sizes never grows the batcher's sessions."""
         g = serving_net(16)
         with MicroBatcher(lambda: Session(g), max_batch=2) as batcher:
             outs = {n: batcher.infer(feed(hw=16, batch=n, seed=n))
                     for n in (3, 4, 5)}
-            assert len(batcher._dispatchers[0].sessions) == 1
+            assert len(batcher._seats[0].sessions) == 1
             assert batcher.stats.resizes == 3
         for n, out in outs.items():
             assert list(out.values())[0].shape == (n, 10)
 
     def test_buckets_dispatch_in_first_arrival_order(self):
-        """One dispatcher, ``max_batch=2``: of ``[A, A, A, B]`` the first
+        """One seat, ``max_batch=2``: of ``[A, A, A, B]`` the first
         two A's run, the leftover A requeues behind B, so no bucket
         starves behind a busy sibling."""
         order = []
@@ -648,7 +657,7 @@ class TestDispatchers:
             assert list(out.values())[0].shape == (1, 10)
 
     def test_bucket_sessions_match_serial_across_resizes(self):
-        """The dispatcher's one session for a signature, resized in place
+        """The seat's one session for a signature, resized in place
         1 -> 4 -> 2, answers bitwise like a serial session at each
         micro-batch size."""
         g = serving_net(16)
@@ -656,7 +665,7 @@ class TestDispatchers:
             out4 = batcher.infer(feed(hw=16, batch=4, seed=3))
             out2 = batcher.infer(feed(hw=16, batch=2, seed=4))
             assert batcher.stats.resizes == 2
-            assert len(batcher._dispatchers[0].sessions) == 1
+            assert len(batcher._seats[0].sessions) == 1
         assert list(out4.values())[0].shape == (4, 10)
         assert list(out2.values())[0].shape == (2, 10)
         serial = Session(serving_net(16))
@@ -696,6 +705,99 @@ class TestDispatchers:
         for out, want in zip(outs, gold):
             for key in want:
                 np.testing.assert_array_equal(out[key], want[key])
+
+
+def _held_session(started, release):
+    """A serving_net session whose first run signals ``started`` and
+    blocks until ``release`` is set."""
+    session = Session(serving_net(16))
+    run = session.run
+
+    def held_run(feeds, deadline=None):
+        if not release.is_set():
+            started.set()
+            release.wait(timeout=30)
+        return run(feeds, deadline=deadline)
+
+    session.run = held_run
+    return session
+
+
+def _wait_pending(batcher, n, timeout_s=10.0):
+    """Wait until ``n`` requests sit in the batcher's buckets."""
+    stop = time.monotonic() + timeout_s
+    while sum(map(len, list(batcher._pending.values()))) < n:
+        assert time.monotonic() < stop, "requests never queued"
+        time.sleep(0.005)
+
+
+class TestCallersThread:
+    def test_batches_run_on_the_callers_thread(self, cache_dir):
+        """Batching starts no thread: a synchronous infer's batch runs
+        on the caller's own thread."""
+        tracer = Tracer()
+        with Engine(serving_net(16), EngineConfig(
+            pool_size=2, cache_dir=cache_dir, batching=True, trace=tracer,
+        )) as engine:
+            assert not [t for t in threading.enumerate()
+                        if t.name.startswith("repro-microbatcher")]
+            engine.infer(feed(hw=16))
+        runs = [s for s in tracer.spans if s.name == "batch.run"]
+        assert [s.tid for s in runs] == [threading.get_ident()]
+
+    def test_waiting_callers_run_as_one_batch(self):
+        """One seat, held by a blocked first run: three more clients
+        queue meanwhile, and once the seat frees they run as one batch
+        of three, each row bitwise the serial session's answer."""
+        started, release = threading.Event(), threading.Event()
+        outs = {}
+        with MicroBatcher(lambda: _held_session(started, release),
+                          max_batch=4, seats=1) as batcher:
+            def client(i):
+                outs[i] = batcher.infer(feed(hw=16, seed=i))
+
+            threads = [threading.Thread(target=client, args=(0,))]
+            threads[0].start()
+            assert started.wait(timeout=30)
+            threads += [threading.Thread(target=client, args=(i,))
+                        for i in (1, 2, 3)]
+            for t in threads[1:]:
+                t.start()
+            _wait_pending(batcher, 3)
+            release.set()
+            for t in threads:
+                t.join(timeout=30)
+        assert batcher.stats.batches == 2
+        assert batcher.stats.max_batch_seen == 3
+        serial = Session(serving_net(16))
+        for i in range(4):
+            want = serial.run(feed(hw=16, seed=i))
+            for name in want:
+                np.testing.assert_array_equal(outs[i][name], want[name])
+
+    def test_a_batched_deadline_is_withdrawn(self, cache_dir, monkeypatch):
+        """A request still queued when its deadline expires leaves its
+        bucket typed (``batch.wait``) and never runs."""
+        from repro.faults import DeadlineExceeded
+
+        started, release = threading.Event(), threading.Event()
+        monkeypatch.setattr(Engine, "_create_session",
+                            lambda self: _held_session(started, release))
+        engine = Engine(serving_net(16), EngineConfig(
+            pool_size=1, cache_dir=cache_dir, batching=True,
+        ))
+        with engine:
+            first = threading.Thread(target=engine.infer, args=(feed(hw=16),))
+            first.start()
+            assert started.wait(timeout=30)
+            t0 = time.monotonic()
+            with pytest.raises(DeadlineExceeded) as info:
+                engine.infer(feed(hw=16, seed=1), deadline_ms=50)
+            assert time.monotonic() - t0 < 0.5
+            assert info.value.where == "batch.wait"
+            release.set()
+            first.join(timeout=30)
+        assert engine.batcher.stats.requests == 1
 
 
 class TestServingCli:
