@@ -64,11 +64,13 @@
 #      its RPC on the caller's thread (no per-slot dispatch thread), a
 #      request waiting on a busy slot must expire as DeadlineExceeded
 #      while the one in flight answers bitwise the gold, and close() with
-#      a synchronous and an asynchronous request in flight must resolve
-#      both, use no unlinked segment and leave no executor thread;
+#      one caller mid-RPC and one parked on another slot must end both
+#      with the gold or a typed error (the mid-RPC one with the gold),
+#      use no unlinked segment and leave no thread behind;
 #      last, SIGKILL a process holding a 2-worker cluster and require
-#      both workers to exit and its shared-memory segments to be gone
-#      within 5 s (tier-1 tests, run here by node id).
+#      both workers to exit, its shared-memory segments to be gone
+#      within 5 s and no repro-cluster-* entry to be left in the temp
+#      directory (tier-1 tests, run here by node id).
 #  10. Quantization contracts (tier-1 tests, run here by node id): the
 #      integer GEMM equals an int64 reference on worst-case operands on
 #      both sides of its float32/float64 switch (K = 1040, 1041);
@@ -151,7 +153,7 @@ python -m repro.tools.cli regress "$REPRO_BENCH_DIR"/BENCH_*.json
 unset REPRO_BENCH_DIR
 
 echo
-echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing; a sync RPC runs on the caller's thread, a parked request expires typed, close() resolves work in flight, a dead router's workers exit) =="
+echo "== [9/13] cluster supervision (kill or hang a worker, stay bit-identical; a death wakes the supervisor; workers replay the router's plan; an infer RPC pickles nothing; a sync RPC runs on the caller's thread, a parked request expires typed, close() ends every caller with gold or a typed error and leaves no thread, a dead router's workers exit and leave no segment or temp dir) =="
 python -m pytest -q \
     "tests/test_cluster_router.py::TestSupervision::test_sigkill_is_recovered_bit_identical" \
     "tests/test_cluster_router.py::TestSupervision::test_death_wakes_the_supervisor_without_a_tick" \

@@ -50,9 +50,13 @@ against a late write.
 **On the caller's thread.**  There are no dispatch threads: ``infer``
 and ``generate`` admit and serve the request on the calling thread,
 holding the slot's lock from send to the read of the response views
-(requests on one slot go in lock order, not strictly FIFO).
-``submit_infer``/``submit_generate`` run the same serve loop on a
-``cluster-call`` executor thread and return its future.
+(requests on one slot go in lock order, not strictly FIFO).  They are
+the only request path: a caller that wants a future wraps them in its
+own executor.
+
+**The model travels in memory.**  The router serializes the graph once
+(:func:`repro.ir.dumps`) into every spawn config, and each worker builds
+its session from those bytes: no model file is written.
 
 **Worker loss.**  The serving thread waits on its worker's pipe and
 process sentinel together, so it sees a death mid-RPC at once (a reply
@@ -84,10 +88,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
-import shutil
-import tempfile
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Union
@@ -97,6 +98,7 @@ import numpy as np
 from ..faults.errors import DeadlineExceeded, FatalFault, TransientFault
 from ..faults.plan import FaultPlan
 from ..faults.resilience import Deadline
+from ..ir import dumps
 from ..obs.metrics import MetricsRegistry, get_metrics
 from ..obs.requests import RequestTracker
 from ..obs.tracer import Tracer
@@ -134,7 +136,8 @@ class ClusterConfig:
 
     Attributes:
         workers: worker process count (ring slots).
-        max_queue_depth: per-worker admission bound (queued + in flight).
+        max_queue_depth: per-worker admission bound (queued + in flight);
+            it sizes nothing: requests are served on their callers' threads.
         device_dwell_ms: per-request simulated accelerator dwell inside
             the worker (models an offloaded backend's device wait; this
             is what makes multi-worker scaling observable on a
@@ -151,7 +154,7 @@ class ClusterConfig:
             is the process-wide registry).
 
     The loss policy and the deadline are per request (``on_worker_lost=``
-    and ``deadline_ms=`` on every submit; the default policy is
+    and ``deadline_ms=`` on every ``infer``/``generate``; the default policy is
     ``"replay"``, and no deadline).  Transport sizing, the replay bound, ring
     balance and supervision timing are not settings: shm segments are
     sized once from the graph's input and output descriptors, replays
@@ -227,22 +230,17 @@ class Cluster:
         self.requests = runtime.requests
 
         self._graph = graph
-        self._model_dir: Optional[str] = None
-        self._model_path: Optional[str] = None
         #: The router's pre-inference products, as JSON: every worker
         #: session replays them, so one process decides every scheme.
         self._plan: Optional[Dict[str, object]] = None
+        #: The graph as ``repro.ir`` bytes.  With fork a worker *could*
+        #: inherit the object, but the serialized round trip is the
+        #: honest path (it is how a spawn-started or remote worker would
+        #: get it) and exercises repro.ir every time.
+        self._model: Optional[bytes] = None
         if graph is not None:
             self._plan = self._prepare(graph)
-            # Workers load the graph from disk: with fork they *could*
-            # inherit it, but the serialized round trip is the honest
-            # path (it is how a spawn-started or remote worker would get
-            # it) and exercises repro.ir every time.
-            from ..ir import save_model
-
-            self._model_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-            self._model_path = os.path.join(self._model_dir, "model.rmnn")
-            save_model(graph, self._model_path)
+            self._model = dumps(graph)
 
         n = self.config.workers
         self._uid = f"rc{os.getpid():x}-{id(self) & 0xFFFF:x}"
@@ -261,9 +259,6 @@ class Cluster:
         self._slot_locks = [threading.Lock() for _ in range(n)]
         self._gens: Dict[int, "itertools.count"] = {s: itertools.count(1) for s in range(n)}
         self._req_seq = itertools.count(1)
-        #: Serves ``submit_*`` requests, starting threads only as needed.
-        self._executor = ThreadPoolExecutor(n * max(1, self.config.max_queue_depth),
-                                            thread_name_prefix="cluster-call")
         self._closed = False
 
         self.supervisor = Supervisor(self._spawn_cfg, n, metrics=self.metrics)
@@ -282,8 +277,8 @@ class Cluster:
                     seg.bind(descs[role])
             self.supervisor.start()
         except Exception:
+            self.supervisor.stop()  # the workers that did start
             self._cleanup_segments()
-            self._cleanup_model()
             raise
 
     # -- spawn plumbing ------------------------------------------------------
@@ -309,7 +304,7 @@ class Cluster:
     def _spawn_cfg(self, slot: int) -> Dict[str, object]:
         """Supervisor callback: the config every epoch of ``slot`` starts from."""
         cfg: Dict[str, object] = {
-            "model_path": self._model_path,
+            "model": self._model,
             "plan": self._plan,
             "genai": self.config.genai,
             "device_dwell_ms": self.config.device_dwell_ms,
@@ -319,46 +314,31 @@ class Cluster:
         return cfg
 
     # -- submission ----------------------------------------------------------
-    def submit_infer(self, feeds: Dict[str, np.ndarray], *,
-                     session_key: Optional[str] = None,
-                     deadline_ms: Optional[float] = None,
-                     on_worker_lost: str = "replay") -> Future:
-        """Admit one inference; returns a future of the output dict.
+    def infer(self, feeds: Dict[str, np.ndarray], *,
+              session_key: Optional[str] = None,
+              deadline_ms: Optional[float] = None,
+              on_worker_lost: str = "replay") -> Dict[str, np.ndarray]:
+        """Admit one inference and serve it on the calling thread;
+        returns the output dict.
 
         Raises:
             GraphError: a feed is missing or has the wrong shape or dtype
                 (checked here, before admission: nothing is sent).
         """
-        return self._call(self._infer_request(feeds, session_key, deadline_ms,
-                                              on_worker_lost))
-
-    def submit_generate(self, prompt, params=None, *,
-                        session_key: Optional[str] = None,
-                        deadline_ms: Optional[float] = None,
-                        on_worker_lost: str = "replay") -> Future:
-        """Admit one generation; returns a future of :class:`RemoteGenResult`."""
-        return self._call(self._generate_request(prompt, params, session_key,
-                                                 deadline_ms, on_worker_lost))
-
-    def infer(self, feeds, **kw) -> Dict[str, np.ndarray]:
-        """:meth:`submit_infer`, served on the calling thread."""
-        return self._serve(self._infer_request(feeds, **kw))
-
-    def generate(self, prompt, params=None, **kw) -> RemoteGenResult:
-        """:meth:`submit_generate`, served on the calling thread."""
-        return self._serve(self._generate_request(prompt, params, **kw))
-
-    def _infer_request(self, feeds, session_key=None, deadline_ms=None,
-                       on_worker_lost="replay") -> "_Pending":
         if self._graph is None:
             raise RuntimeError("this cluster has no model graph; infer "
                                "requires Cluster(graph, ...)")
         self._graph.check_feeds(feeds)
         payload = {name: feeds[name] for name in self._graph.inputs}
-        return self._submit("infer", payload, session_key, deadline_ms, on_worker_lost)
+        return self._serve(self._submit("infer", payload, session_key, deadline_ms,
+                                        on_worker_lost))
 
-    def _generate_request(self, prompt, params, session_key=None, deadline_ms=None,
-                          on_worker_lost="replay") -> "_Pending":
+    def generate(self, prompt, params=None, *,
+                 session_key: Optional[str] = None,
+                 deadline_ms: Optional[float] = None,
+                 on_worker_lost: str = "replay") -> RemoteGenResult:
+        """Admit one generation and serve it on the calling thread;
+        returns its :class:`RemoteGenResult`."""
         if self.config.genai is None:
             raise RuntimeError("this cluster has no genai config; generate "
                                "requires ClusterConfig(genai=...)")
@@ -369,7 +349,8 @@ class Cluster:
         else:  # SamplingParams
             payload_params = asdict(params)
         payload = {"prompt": list(prompt), "params": payload_params}
-        return self._submit("generate", payload, session_key, deadline_ms, on_worker_lost)
+        return self._serve(self._submit("generate", payload, session_key, deadline_ms,
+                                        on_worker_lost))
 
     def _submit(self, kind, payload, session_key, deadline_ms, policy) -> "_Pending":
         """Admit one request on the caller's thread; sheds typed."""
@@ -388,14 +369,6 @@ class Cluster:
         timeline.admitted(worker=item.slot)
         self.metrics.counter("router.requests").inc()
         return item
-
-    def _call(self, item: "_Pending") -> Future:
-        """Serve ``item`` on a ``cluster-call`` thread; returns its future."""
-        try:
-            return self._executor.submit(self._serve, item)
-        except RuntimeError as exc:  # close() shut the executor down meanwhile
-            self._finish(item, exc)
-            raise
 
     def _place(self, item: _Pending, fallback) -> int:
         """``item``'s slot among the live ones (``fallback`` if none is):
@@ -629,11 +602,6 @@ class Cluster:
             for seg in segs.values():
                 seg.unlink()
 
-    def _cleanup_model(self) -> None:
-        if self._model_dir is not None:
-            shutil.rmtree(self._model_dir, ignore_errors=True)
-            self._model_dir = None  # sanitize: single-thread (close path)
-
     def close(self) -> None:
         """Stop serving, stop workers, unlink segments (idempotent).
 
@@ -643,13 +611,11 @@ class Cluster:
             return
         self._closed = True  # sanitize: monotonic latch, checked not cleared
         self.supervisor.release_waiters()
-        self._executor.shutdown(wait=True)
         for lock in self._slot_locks:
             with lock:  # the request holding the slot's pair, if any, is done
                 pass
         self.supervisor.stop()
         self._cleanup_segments()
-        self._cleanup_model()
 
     def __enter__(self) -> "Cluster":
         return self

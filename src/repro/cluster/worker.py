@@ -2,10 +2,10 @@
 
 ``worker_main`` is the ``multiprocessing.Process`` target.  Each worker
 is isolated — its own :class:`~repro.core.Session` (built from the
-router's pre-inference products, so it runs the schemes the router
-decided), arena and, in generation mode, KV allocator — so a worker
-crash loses exactly one shard's state and nothing else.  The contract
-with the router:
+graph bytes and pre-inference products in its spawn config, so it runs
+the schemes the router decided), arena and, in generation mode, KV
+allocator — so a worker crash loses exactly one shard's state and
+nothing else.  The contract with the router:
 
 * **Serial execution.**  The worker handles one request end to end
   before reading the next control message; the router's per-slot queue
@@ -17,7 +17,7 @@ with the router:
   (:data:`~repro.cluster.shm.FRAME`: crash marker, generation, request
   sequence number, deadline): the feeds sit in the request segment's
   views and the outputs go to the response segment's, both bound once
-  at attach from the graph the worker loads, so the request path
+  at attach from the graph the worker deserialized, so the request path
   unpickles and lays out nothing; it answers ``ok`` with a frame of the
   same kind.  ``generate``, ``hang`` (a test hook) and ``stop`` arrive
   pickled, and errors and generation results go back pickled; the first
@@ -88,19 +88,20 @@ class _Heartbeat(threading.Thread):
 def _build_engines(cfg: Dict[str, object]):
     """Construct the worker's session and/or generation engine from cfg.
 
-    The session replays the router's plan (``cfg["plan"]``, the JSON of
+    The session's graph is ``cfg["model"]``, the router's ``repro.ir``
+    bytes; it replays the router's plan (``cfg["plan"]``, the JSON of
     its :class:`~repro.core.SessionArtifacts`) under the default
     :class:`~repro.core.SessionConfig`: it searches, times and plans
-    nothing, and opens no cache.
+    nothing, and opens no cache or file.
     """
     session = None
     gen_engine = None
-    model_path = cfg.get("model_path")
-    if model_path:
+    model = cfg.get("model")
+    if model is not None:
         from ..core.session import Session, SessionArtifacts, SessionConfig
-        from ..ir import load_model
+        from ..ir import loads
 
-        session = Session(load_model(model_path), SessionConfig(),
+        session = Session(loads(model), SessionConfig(),
                           SessionArtifacts.from_json(cfg["plan"]))
     genai_cfg = cfg.get("genai")
     if genai_cfg:

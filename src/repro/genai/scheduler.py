@@ -36,6 +36,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults.errors import ResilienceError
+from ..obs.requests import NULL_TIMELINE
 from ..obs.resources import ResourceSampler
 from ..runtime import Runtime
 from .decode import DecodeRunner
@@ -123,16 +124,16 @@ class ContinuousBatchScheduler:
         self.metrics = runtime.metrics
         self.tracer = runtime.tracer
         self.sanitizer = runtime.sanitizer
-        #: Request-timeline tracker; disabled costs one check per stamp
-        #: site.  Timelines live in ``_timelines`` only for the duration
-        #: of one ``run()`` (the loop is single-threaded).
+        #: Request-timeline tracker.  Timelines live in ``_timelines`` only
+        #: for the duration of one ``run()`` (the loop is single-threaded);
+        #: untracked, every stamp lands on the no-op ``NULL_TIMELINE``.
         self.requests = runtime.requests
         self.sampler = sampler
         self._timelines: Dict[str, object] = {}
 
     def _tl(self, request_id: str):
-        """The request's live timeline, or ``None`` when not tracking."""
-        return self._timelines.get(request_id)
+        """The request's live timeline, or ``NULL_TIMELINE`` when not tracking."""
+        return self._timelines.get(request_id, NULL_TIMELINE)
 
     # -- lifecycle helpers ---------------------------------------------------
     def _fail(self, results: Dict[str, GenResult], request: GenRequest,
@@ -144,13 +145,12 @@ class ContinuousBatchScheduler:
         )
         self.metrics.counter("genai.request_errors").inc()
         timeline = self._tl(request.request_id)
-        if timeline is not None:
-            timeline.event("error", message=message)
-            timeline.finish("error")
-            if trigger is not None:
-                # The "page the on-call" failures (KV OOM, exhausted
-                # preemption, prefill faults) flush the flight recorder.
-                self.requests.dump(trigger, request.request_id, detail=message)
+        timeline.event("error", message=message)
+        timeline.finish("error")
+        if trigger is not None:
+            # The "page the on-call" failures (KV OOM, exhausted
+            # preemption, prefill faults) flush the flight recorder.
+            self.requests.dump(trigger, request.request_id, detail=message)
 
     def _retire(self, results: Dict[str, GenResult], seq: _Sequence) -> None:
         self.allocator.release(seq.slab, evictable=True)
@@ -164,9 +164,8 @@ class ContinuousBatchScheduler:
             "genai.batch_leave", "genai",
             request=seq.request.request_id, reason=seq.done_reason,
         )
-        timeline = self._tl(seq.request.request_id)
-        if timeline is not None:
-            timeline.finish(seq.done_reason or "length", steps=seq.steps)
+        self._tl(seq.request.request_id).finish(seq.done_reason or "length",
+                                               steps=seq.steps)
         results[seq.request.request_id] = GenResult(
             seq.request.request_id, list(seq.request.prompt), seq.tokens,
             seq.done_reason or "length", steps=seq.steps,
@@ -191,7 +190,7 @@ class ContinuousBatchScheduler:
         """
         prompt = list(request.prompt)
         timeline = self._tl(request.request_id)
-        evictions_before = self._evictions() if timeline is not None else 0
+        evictions_before = self._evictions() if timeline.enabled else 0
         slab, plen = None, 0
         if self.prefix_cache is not None:
             slab, plen = self._share_prefix(request, prompt)
@@ -209,15 +208,13 @@ class ContinuousBatchScheduler:
             )
             self.metrics.counter("genai.prefix_hits").inc()
             self.metrics.counter("genai.prefix_hit_tokens").inc(plen)
-        if timeline is not None:
+        if timeline.enabled:
             evicted = self._evictions() - evictions_before
             if evicted:
                 timeline.event("kv_eviction", evictions=int(evicted), at="alloc")
-            if plen:
-                timeline.event(
-                    "prefix_hit", prefix_tokens=plen, prompt_tokens=len(prompt)
-                )
-            timeline.admitted(batch=batch_size, prompt_tokens=len(prompt))
+        if plen:
+            timeline.event("prefix_hit", prefix_tokens=plen, prompt_tokens=len(prompt))
+        timeline.admitted(batch=batch_size, prompt_tokens=len(prompt))
         budget = min(request.params.max_tokens, self.max_seq - len(prompt))
         seq = _Sequence(request, Sampler(request.params), slab, budget)
         try:
@@ -226,8 +223,7 @@ class ContinuousBatchScheduler:
             self.allocator.release(slab)
             raise
         seq.take(seq.sampler.sample(logits))
-        if timeline is not None:
-            timeline.token()  # the prompt's sample is the first token (TTFT)
+        timeline.token()  # the prompt's sample is the first token (TTFT)
         return seq
 
     def _share_prefix(
@@ -360,7 +356,7 @@ class ContinuousBatchScheduler:
             stalled: List[_Sequence] = []
             for seq in list(running):
                 timeline = self._tl(seq.request.request_id)
-                evictions_before = self._evictions() if timeline is not None else 0
+                evictions_before = self._evictions() if timeline.enabled else 0
                 try:
                     seq.slab = self.allocator.grow(seq.slab, seq.slab.length + 1)
                 except KVCacheOOM:
@@ -374,7 +370,7 @@ class ContinuousBatchScheduler:
                         trigger=type(exc).__name__,
                     )
                 else:
-                    if timeline is not None:
+                    if timeline.enabled:
                         evicted = self._evictions() - evictions_before
                         if evicted:
                             timeline.event(
@@ -392,12 +388,9 @@ class ContinuousBatchScheduler:
                 self.metrics.counter("genai.preemptions").inc()
                 rid = victim.request.request_id
                 preempts[rid] = preempts.get(rid, 0) + 1
-                timeline = self._tl(rid)
-                if timeline is not None:
-                    timeline.event(
-                        "preempted", count=preempts[rid],
-                        tokens_done=len(victim.tokens),
-                    )
+                self._tl(rid).event(
+                    "preempted", count=preempts[rid], tokens_done=len(victim.tokens),
+                )
                 if preempts[rid] > MAX_PREEMPTIONS:
                     self._fail(
                         results, victim.request,
@@ -419,10 +412,8 @@ class ContinuousBatchScheduler:
                 for seq, row in zip(active, logits):
                     seq.steps += 1
                     seq.take(seq.sampler.sample(row))
-                    if self._timelines:
-                        timeline = self._tl(seq.request.request_id)
-                        if timeline is not None:
-                            timeline.token()  # inter-arrival gap -> TPOT
+                    if self._timelines:  # inter-arrival gap -> TPOT
+                        self._tl(seq.request.request_id).token()
 
             # 4. Leave at the boundary; seats reopen for step 1.
             for seq in [s for s in running if s.done_reason is not None]:

@@ -122,9 +122,15 @@ class TestAutotune:
         # The cost model's picks, pinned: measurement may demote Winograd.
         base = Session(g, SessionConfig(scheme_overrides=select_graph_schemes(g)))
         tuned = Session(g)
-        t_base = time_callable(lambda: base.run(feed), repeats=5).min_ms
-        t_tuned = time_callable(lambda: tuned.run(feed), repeats=5).min_ms
-        assert t_tuned <= t_base * 1.2  # never meaningfully worse
+        # Alternating (base, tuned) pairs see the same host load, so the
+        # median pair ratio is robust to a burst that one side alone
+        # would absorb.
+        ratios = []
+        for _ in range(9):
+            t_base = time_callable(lambda: base.run(feed), repeats=3).min_ms
+            t_tuned = time_callable(lambda: tuned.run(feed), repeats=3).min_ms
+            ratios.append(t_tuned / t_base)
+        assert np.median(ratios) <= 1.2, ratios  # never meaningfully worse
 
     def test_skips_quantized_convs(self, probes):
         from repro.quant import quantize_graph

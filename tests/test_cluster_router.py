@@ -10,8 +10,10 @@ rule that a deadline expiring around a dead worker is reported as
 ``DeadlineExceeded``, never ``WorkerLost``.
 """
 
+import itertools
 import json
 import os
+import tempfile
 import threading
 import time
 
@@ -73,12 +75,49 @@ def _threads_named(prefix):
     return [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
 
 
-def _wait_in_flight(cluster, timeout_s=30.0):
-    """Block until some request holds a slot's lock (it is mid-RPC)."""
+class _Client(threading.Thread):
+    """One ``cluster.infer`` on a client thread of its own."""
+
+    def __init__(self, cluster, feeds, **kw):
+        super().__init__(name="test-client")
+        self.outcome = None
+        self._call = lambda: cluster.infer(feeds, **kw)
+        self.start()
+
+    def run(self):
+        try:
+            self.outcome = self._call()
+        except BaseException as exc:  # judged by the test
+            self.outcome = exc
+
+    def result(self, timeout=30.0):
+        """The outputs, or the request's error raised."""
+        self.join(timeout)
+        assert not self.is_alive(), "the request never finished"
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+
+def _wait_until(ready, what, timeout_s=30.0):
     t0 = time.monotonic()
-    while not any(lock.locked() for lock in cluster._slot_locks):
-        assert time.monotonic() - t0 < timeout_s, "no request reached a worker"
+    while not ready():
+        assert time.monotonic() - t0 < timeout_s, what
         time.sleep(0.001)
+
+
+def _wait_in_flight(cluster, slot=None):
+    """Block until a request holds ``slot``'s lock (any slot's if
+    ``None``): it is mid-RPC."""
+    locks = cluster._slot_locks if slot is None else [cluster._slot_locks[slot]]
+    _wait_until(lambda: any(lock.locked() for lock in locks),
+                "no request reached a worker")
+
+
+def _wait_admitted(cluster, n):
+    """Block until ``n`` requests hold an admission (queued or in flight)."""
+    _wait_until(lambda: sum(h["queue_depth"] for h in cluster.health().values()) == n,
+                f"{n} requests were never admitted")
 
 
 def _wait_recovered(cluster, slot, timeout_s=60.0):
@@ -92,7 +131,7 @@ def _wait_recovered(cluster, slot, timeout_s=60.0):
 
 
 #: Builds a 2-worker cluster, serves one request, reports the worker
-#: pids, the segment prefix and the model dir, then waits to be killed.
+#: pids and the segment prefix, then waits to be killed.
 _DOOMED_ROUTER = """
 import json, sys
 import numpy as np
@@ -105,7 +144,7 @@ cluster = Cluster(net, ClusterConfig(workers=2, metrics=MetricsRegistry()))
 cluster.infer({net.inputs[0]: np.zeros(net.desc(net.inputs[0]).shape, np.float32)})
 print(json.dumps({
     "pids": [h.proc.pid for h in cluster.supervisor._handles.values()],
-    "uid": cluster._uid, "model_dir": cluster._model_dir,
+    "uid": cluster._uid,
 }), flush=True)
 sys.stdin.read()
 """
@@ -127,6 +166,12 @@ def _live(pids):
 
 def _segments_named(uid):
     return [n for n in os.listdir("/dev/shm") if uid in n] if uid else []
+
+
+def _model_dirs():
+    """The ``repro-cluster-*`` entries in the temp directory."""
+    return {n for n in os.listdir(tempfile.gettempdir())
+            if n.startswith("repro-cluster-")}
 
 
 class TestBitIdentity:
@@ -265,7 +310,7 @@ class TestTransport:
                         {name: good.astype(np.float64)},
                         {}):
                 with pytest.raises(GraphError):
-                    cluster.submit_infer(bad)
+                    cluster.infer(bad)
             assert reg.value("router.requests") == 0
             out = cluster.infer(feeds)
             assert reg.value("router.requests") == 1
@@ -315,13 +360,12 @@ class TestAffinity:
         reg = MetricsRegistry()
         with Cluster(net, ClusterConfig(
                 workers=2, metrics=reg, device_dwell_ms=150.0)) as cluster:
-            f1 = cluster.submit_infer(feeds)
-            f2 = cluster.submit_infer(feeds)
-            time.sleep(0.03)
+            clients = [_Client(cluster, feeds) for _ in range(2)]
+            _wait_admitted(cluster, 2)
             health = cluster.health()
             assert [health[s]["queue_depth"] for s in (0, 1)] == [1, 1]
-            f1.result()
-            f2.result()
+            for client in clients:
+                client.result()
 
 
 class TestAdmissionControl:
@@ -332,7 +376,8 @@ class TestAdmissionControl:
         with Cluster(net, ClusterConfig(
                 workers=2, max_queue_depth=1, device_dwell_ms=200.0,
                 metrics=reg, requests=tracker)) as cluster:
-            first = cluster.submit_infer(feeds, session_key="pinned")
+            first = _Client(cluster, feeds, session_key="pinned")
+            _wait_admitted(cluster, 1)
             with pytest.raises(Backpressure) as exc:
                 cluster.infer(feeds, session_key="pinned")
             assert exc.value.bound == 1
@@ -352,12 +397,13 @@ class TestAdmissionControl:
         with Cluster(net, ClusterConfig(
                 workers=2, max_queue_depth=1, device_dwell_ms=200.0,
                 metrics=reg)) as cluster:
-            inflight = [cluster.submit_infer(feeds) for _ in range(2)]
+            inflight = [_Client(cluster, feeds) for _ in range(2)]
+            _wait_admitted(cluster, 2)
             with pytest.raises(Overloaded) as exc:
                 cluster.infer(feeds)  # keyless, nowhere to go
             assert exc.value.capacity == 2
-            for f in inflight:
-                f.result()
+            for client in inflight:
+                client.result()
         assert reg.value("router.shed.overloaded") == 1
 
 
@@ -367,14 +413,14 @@ class TestAdmissionControl:
         request in flight is unaffected."""
         with Cluster(net, ClusterConfig(workers=2, device_dwell_ms=300.0,
                                         metrics=MetricsRegistry())) as cluster:
-            first = cluster.submit_infer(feeds, session_key="pinned")
+            first = _Client(cluster, feeds, session_key="pinned")
             _wait_in_flight(cluster)
             t0 = time.monotonic()
             with pytest.raises(DeadlineExceeded):
                 cluster.infer(feeds, session_key="pinned", deadline_ms=50.0)
             assert time.monotonic() - t0 < 0.2
-            assert not first.done()
-            out = first.result(timeout=30.0)
+            assert first.is_alive()
+            out = first.result()
             assert [h["queue_depth"] for h in cluster.health().values()] == [0, 0]
         for key in gold:
             np.testing.assert_array_equal(out[key], gold[key])
@@ -545,50 +591,51 @@ class TestLifecycle:
             cluster.infer(feeds)
 
     def test_close_with_work_in_flight(self, net, feeds, gold):
-        """``close()`` while one synchronous request is mid-RPC on another
-        thread and one future is pending: both resolve with a result or a
-        typed error, no segment is used after it is unlinked, and no
-        ``cluster-call`` thread outlives the cluster."""
+        """``close()`` while one caller is mid-RPC and another is parked
+        on another slot, behind a third caller's RPC: every caller ends
+        with a result or a typed error (the ones talking to a worker with
+        the gold), no segment is used after it is unlinked, and no thread
+        the test or the cluster started outlives ``close()``."""
+        threads_before = set(threading.enumerate())
         cluster = Cluster(net, ClusterConfig(workers=2, device_dwell_ms=200.0,
                                              sanitize=True, metrics=MetricsRegistry()))
-        outcomes = {}
-
-        def sync_infer():
-            try:
-                outcomes["sync"] = cluster.infer(feeds, session_key="a")
-            except BaseException as exc:  # judged below
-                outcomes["sync"] = exc
-
-        caller = threading.Thread(target=sync_infer)
-        caller.start()
+        keys = {}  # one session key per slot
+        for n in itertools.count():
+            keys.setdefault(cluster._ring.assign(f"k{n}"), f"k{n}")
+            if len(keys) == 2:
+                break
         try:
-            _wait_in_flight(cluster)
-            future = cluster.submit_infer(feeds, session_key="b")
+            mid_rpc = _Client(cluster, feeds, session_key=keys[0])
+            _wait_in_flight(cluster, 0)
+            busy = _Client(cluster, feeds, session_key=keys[1])
+            _wait_in_flight(cluster, 1)
+            parked = _Client(cluster, feeds, session_key=keys[1])
+            _wait_admitted(cluster, 3)
         finally:
             cluster.close()
-        caller.join(timeout=30.0)
-        assert not caller.is_alive()
-        try:
-            outcomes["async"] = future.result(timeout=30.0)
-        except BaseException as exc:  # judged below
-            outcomes["async"] = exc
-        assert set(outcomes) == {"sync", "async"}
+        outcomes = {}
+        for name, client in (("mid_rpc", mid_rpc), ("busy", busy), ("parked", parked)):
+            try:
+                outcomes[name] = client.result()
+            except BaseException as exc:  # judged below
+                outcomes[name] = exc
+        for name in ("mid_rpc", "busy"):  # they were talking to a worker
+            assert isinstance(outcomes[name], dict), outcomes[name]
         for outcome in outcomes.values():
             if isinstance(outcome, dict):
                 for key in gold:
                     np.testing.assert_array_equal(outcome[key], gold[key])
             else:
                 assert isinstance(outcome, (ClusterError, RuntimeError)), outcome
-        assert isinstance(outcomes["sync"], dict)  # it was talking to a worker
         assert not [f for f in cluster.sanitizer.report().lifecycle
                     if f.scope == "cluster.shm"]
-        assert _threads_named("cluster-call") == []
+        assert set(threading.enumerate()) <= threads_before
 
     def test_a_dead_routers_workers_exit(self):
         """SIGKILL the process holding a 2-worker cluster: each worker's
         pipe to the router reaches EOF, so both exit, and the last one
-        out releases the cluster's shared-memory segments."""
-        import shutil
+        out releases the cluster's shared-memory segments.  The cluster
+        wrote no file, so none is left behind."""
         import signal
         import subprocess
         import sys
@@ -598,10 +645,11 @@ class TestLifecycle:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
             os.path.dirname(os.path.dirname(repro.__file__)),
             os.environ.get("PYTHONPATH")])))
+        dirs_before = _model_dirs()
         router = subprocess.Popen([sys.executable, "-c", _DOOMED_ROUTER],
                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                   env=env)
-        info = {"pids": [], "uid": None, "model_dir": None}
+        info = {"pids": [], "uid": None}
         try:
             info = json.loads(router.stdout.readline())
             assert len(_live(info["pids"])) == 2
@@ -613,6 +661,7 @@ class TestLifecycle:
                 time.sleep(0.05)
             assert _live(info["pids"]) == []
             assert _segments_named(info["uid"]) == []
+            assert _model_dirs() <= dirs_before
         finally:
             router.kill()
             router.wait(timeout=30)
@@ -620,8 +669,39 @@ class TestLifecycle:
                 os.kill(pid, signal.SIGKILL)
             for name in _segments_named(info["uid"]):
                 os.unlink(os.path.join("/dev/shm", name))
-            if info["model_dir"]:
-                shutil.rmtree(info["model_dir"], ignore_errors=True)
+
+    def test_a_worker_that_cannot_start_fails_the_cluster(self, net, monkeypatch):
+        """A worker that cannot load the model bytes in its spawn config
+        reports ``start_failed`` on every attempt; the constructor then
+        raises naming the loader's error and unlinks its segments."""
+        from repro.cluster.supervisor import START_RETRIES
+
+        monkeypatch.setattr("repro.cluster.router.dumps", lambda graph: b"junk")
+        prefix = f"rc{os.getpid():x}-"
+        reg = MetricsRegistry()
+        with pytest.raises(RuntimeError, match="FormatError: not a .rmnn model"):
+            Cluster(net, ClusterConfig(workers=1, metrics=reg))
+        assert reg.value("cluster.start_failed") == START_RETRIES + 1
+        assert [n for n in os.listdir("/dev/shm") if n.startswith(prefix)] == []
+
+    def test_a_failed_start_stops_the_workers_that_started(self, net, monkeypatch):
+        """Slot 0 starts and slot 1 never does: the constructor raises and
+        leaves no worker process running."""
+        import multiprocessing
+
+        spawn_cfg = Cluster._spawn_cfg
+
+        def junk_for_slot_1(cluster, slot):
+            cfg = spawn_cfg(cluster, slot)
+            if slot == 1:
+                cfg["model"] = b"junk"
+            return cfg
+
+        monkeypatch.setattr(Cluster, "_spawn_cfg", junk_for_slot_1)
+        children_before = set(multiprocessing.active_children())
+        with pytest.raises(RuntimeError, match="slot 1 failed to start"):
+            Cluster(net, ClusterConfig(workers=2, metrics=MetricsRegistry()))
+        assert set(multiprocessing.active_children()) <= children_before
 
     def test_health_reports_every_slot(self, net):
         with Cluster(net, ClusterConfig(
