@@ -38,8 +38,10 @@
 #      SLO and resource families must all be present, and a populated
 #      registry must round-trip with its types, sums and quantiles
 #      (tier-1 tests, run here by node id).
-#   7. Request-timeline overhead guard: disabled request tracking must
-#      cost under 5% of a small-model run.
+#   7. Request layer: disabled request tracking must cost under 5% of a
+#      small-model run, and two same-seed chaos storms must dump
+#      byte-identical postmortems from the request tracker's event rings
+#      (tier-1 tests, the second run here by node id).
 #   8. Bench-regression gate: a micro-benchmark writes two consecutive
 #      BENCH records into a scratch trajectory and `cli regress` must
 #      pass it — exercising the stamp, headline extraction and the
@@ -141,8 +143,10 @@ python -m pytest -q \
     "tests/test_obs_requests.py::TestPrometheus::test_export_round_trips_through_the_validating_parser"
 
 echo
-echo "== [7/13] request-timeline overhead guard (<5% disabled) =="
+echo "== [7/13] request layer (disabled tracking <5%; same-seed postmortems byte-identical) =="
 python -m pytest -q tests/test_obs_requests.py -k overhead
+python -m pytest -q \
+    "tests/test_obs_recorder.py::TestChaosFlightRecorder::test_same_seed_storms_dump_byte_identical_postmortems"
 
 echo
 echo "== [8/13] bench-regression gate (two-run trajectory) =="

@@ -10,15 +10,19 @@ fresh ``cli build`` outputs (inception_v3 at 139 px, the smallest input
 at which its 1x7/7x1 convs select rectangular Winograd tiles; and
 mobilenet_v1, whose BatchNorms show the converter's fusion and the
 output names it keeps).  Each case prints ``$ cli ARGV``, its stdout and
-``[exit N]`` (with the last stderr line when N is not 0).  Lines that
+``[exit N]`` (with the last stderr line when N is not 0), then the name
+and sha256 of every file a ``--postmortem-dir`` case wrote.  Lines that
 carry wall-clock numbers or pids read ``<timed>`` after their ``label:``
-(trace-waterfall rows are dropped), and the scratch and source paths read
-``<tmp>`` and ``<src>``, so two runs of one tree diff empty and a diff
-against another tree shows only what changed.
+(trace-waterfall rows are dropped), a ``schemes`` row whose Eq. 2 pick
+is Winograd reads ``<timed>`` before that pick (its measured verdict
+against sliding can be a near tie), and the scratch and source paths
+read ``<tmp>`` and ``<src>``, so two runs of one tree diff empty and a
+diff against another tree shows only what changed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import shlex
@@ -73,6 +77,7 @@ dot sq.rmnn --schemes -o g.dot
 dot chaos.rmnn
 chaos --seed 0 --faults 50 --events
 chaos --seed 0 --faults 50 --events --kv-dtype int8
+chaos --seed 3 --faults 30 --postmortem-dir pm
 sanitize --strict
 regress bench.json --threshold 0.5 --min-history 1
 generate --prompts 4 --max-tokens 8 --trace g.json
@@ -85,16 +90,25 @@ TIMED = re.compile(
     r"|\bQPS\b|\bpid\b|prepare:|throughput|latency|elapsed|seconds",
 )
 LABEL = re.compile(r"\s*[A-Za-z][\w ]*:\s*")
+#: A ``schemes`` row whose Eq. 2 pick is Winograd, kept or overruled by
+#: a measured verdict: ``conv_84  -> sliding   <- Eq. 2 picks winograd n=4``.
+WINOGRAD_ROW = re.compile(
+    r"(\s*\S+\s+-> )(?:winograd (n=\S+)|\S+\s+<- Eq\. 2 picks winograd (n=\S+))"
+)
 
 
 def _mask(line: str, tmp: str, src: str) -> Optional[str]:
     """``line`` with the scratch and source paths and any timing masked.
 
     A timed line keeps only its ``label:`` prefix, since which rows a
-    timing-ordered list shows varies too; ``None`` drops a trace-waterfall
+    timing-ordered list shows varies too, and a Winograd ``schemes`` row
+    keeps its conv and its Eq. 2 pick; ``None`` drops a trace-waterfall
     row, since how many spans clear its cut-off varies.
     """
     line = line.replace(tmp, "<tmp>").replace(src, "<src>")
+    row = WINOGRAD_ROW.fullmatch(line)
+    if row:
+        return f"{row.group(1)}<timed> (Eq. 2: winograd {row.group(2) or row.group(3)})"
     if not TIMED.search(line):
         return line
     if "|" in line:
@@ -118,8 +132,9 @@ def main() -> int:
         bench = repo / "BENCH_test_concurrent_throughput.json"
         Path(tmp, "bench.json").write_bytes(bench.read_bytes())
         for case in CASES.strip().splitlines():
+            argv = shlex.split(case)
             proc = subprocess.run(
-                [sys.executable, "-m", "repro.tools.cli", *shlex.split(case)],
+                [sys.executable, "-m", "repro.tools.cli", *argv],
                 cwd=tmp, env=env, capture_output=True, text=True,
             )
             print(f"$ cli {case}")
@@ -131,6 +146,11 @@ def main() -> int:
             if proc.returncode and proc.stderr.strip():
                 tail = " " + proc.stderr.strip().splitlines()[-1].replace(tmp, "<tmp>")
             print(f"[exit {proc.returncode}]{tail}")
+            if "--postmortem-dir" in argv:
+                out = Path(tmp, argv[argv.index("--postmortem-dir") + 1])
+                for path in sorted(out.glob("*")):
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{out.name}/{path.name} {digest}")
             sys.stdout.flush()
     return 0
 

@@ -24,7 +24,7 @@ landing there.  Keyless requests go to the least-loaded live worker.
   typed :class:`Overloaded`;
 * both are load answers, distinguishable by type from fault answers
   (:class:`WorkerLost`, :class:`WorkerError`), and both emit a
-  flight-recorder postmortem when a recorder is attached.
+  postmortem when the request tracker has a ``postmortem_dir``.
 
 **Deadlines across the boundary.**  A request's
 :class:`~repro.faults.resilience.Deadline` lives router-side and is

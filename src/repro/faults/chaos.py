@@ -69,7 +69,6 @@ from ..genai import GenerationConfig, GenerationEngine, GenRequest, SamplingPara
 from ..ir.graph import Graph, GraphBuilder
 from ..ir.ops import Op
 from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from ..obs.recorder import FlightRecorder
 from ..obs.requests import RequestTracker
 from ..runtime import Runtime
 from ..sanitize import Sanitizer
@@ -530,7 +529,7 @@ def _gold_tokens(engine: GenerationEngine, prompts) -> List[List[int]]:
 
 def _probe_deadline(graph, feeds, tracker: RequestTracker) -> int:
     """Deadline probe: a stalled checkout under a tight budget must trip
-    :class:`DeadlineExceeded` and leave a postmortem in the recorder.
+    :class:`DeadlineExceeded` and leave a postmortem in the tracker's directory.
 
     Delay faults increment ``faults.injected`` but no absorbing counter
     (the request just runs out of budget), so the probe runs under a
@@ -577,10 +576,10 @@ def run_chaos_storm(
     then also requires zero races, lock cycles and lifecycle findings.
 
     ``postmortem_dir`` threads one deterministic
-    :class:`repro.obs.FlightRecorder`-backed request tracker through
-    every storm engine: isolated faults, ``KVCacheOOM`` admission
-    failures and a dedicated deadline probe each dump a postmortem JSON
-    there.  Two same-seed storms dump byte-identical artifacts.
+    :class:`repro.obs.RequestTracker` dumping there through every storm
+    engine: isolated faults, ``KVCacheOOM`` admission failures and a
+    dedicated deadline probe each dump a postmortem JSON.  Two same-seed
+    storms dump byte-identical artifacts.
 
     ``kv_dtype="int8"`` runs the generation and prefix phases (storm and
     golds) over a quantized KV cache with the same bit-identity
@@ -597,11 +596,8 @@ def run_chaos_storm(
     tracker: Optional[RequestTracker] = None
     if postmortem_dir is not None:
         tracker = RequestTracker(
-            metrics=get_metrics(),
-            recorder=FlightRecorder(
-                out_dir=postmortem_dir, deterministic=True,
-                metrics=get_metrics(),
-            ),
+            metrics=get_metrics(), postmortem_dir=postmortem_dir,
+            deterministic=True,
         )
     tmp = tempfile.mkdtemp(prefix="repro-chaos-")
     cluster = None
@@ -683,7 +679,7 @@ def run_chaos_storm(
             # so it runs after the rounds and before the tallies read the
             # storm registry — its delay fault never enters the equation.
             report.deadline_trips = _probe_deadline(graph, feeds, tracker)
-            report.dumps = len(tracker.recorder.dumps)
+            report.dumps = len(tracker.dumps)
 
         if sanitize:
             # report() flushes lock-cycle detection into the counters;

@@ -88,11 +88,10 @@ class GenerationConfig:
     #: whole generation stack land in a single report.
     sanitize: Union[bool, Sanitizer] = False
     #: Request-level observability: a :class:`repro.obs.RequestTracker`
-    #: (attach a :class:`repro.obs.FlightRecorder` to it for postmortem
-    #: dumps), ``True`` for a fresh tracker observing SLO histograms
-    #: (queue wait / TTFT / TPOT / tokens-per-sec) into this engine's
-    #: registry, or ``None`` for the process-wide tracker (disabled by
-    #: default).
+    #: (give it a ``postmortem_dir`` for postmortem dumps), ``True`` for
+    #: a fresh tracker observing SLO histograms (queue wait / TTFT /
+    #: TPOT / tokens-per-sec) into this engine's registry, or ``None``
+    #: for the process-wide tracker (disabled by default).
     requests: Union[bool, RequestTracker, None] = None
 
 
@@ -209,17 +208,22 @@ class GenerationEngine:
         ``req-0``, ``req-1``... sharing ``params``; the numbering runs
         on across calls, so a later call never reuses the id of a
         sequence whose KV slab is still retained) or pre-built
-        :class:`GenRequest` objects for per-request control.
+        :class:`GenRequest` objects for per-request control.  While
+        requests are tracked the ids come from the tracker, so engines
+        sharing one tracker never mint the same id.
         """
         shared = params if params is not None else SamplingParams()
+        tracker = self.requests
         requests: List[GenRequest] = []
         for p in prompts:
             if isinstance(p, GenRequest):
                 requests.append(p)
             else:
-                requests.append(
-                    GenRequest(f"req-{next(self._raw_ids)}", list(p), shared)
+                rid = (
+                    tracker.next_id() if tracker.enabled
+                    else f"req-{next(self._raw_ids)}"
                 )
+                requests.append(GenRequest(rid, list(p), shared))
         with self.tracer.span("genai.generate", "genai", requests=len(requests)):
             return self.scheduler.run(requests)
 

@@ -149,7 +149,7 @@ class ContinuousBatchScheduler:
         timeline.finish("error")
         if trigger is not None:
             # The "page the on-call" failures (KV OOM, exhausted
-            # preemption, prefill faults) flush the flight recorder.
+            # preemption, prefill faults) dump a postmortem.
             self.requests.dump(trigger, request.request_id, detail=message)
 
     def _retire(self, results: Dict[str, GenResult], seq: _Sequence) -> None:

@@ -13,8 +13,8 @@ package provides the pieces:
   views over one of these;
 * :mod:`repro.obs.requests` — request-scoped SLO timelines (queue wait,
   TTFT, TPOT, tokens/sec) minted at the engine front doors and stamped
-  through admission, prefill, decode, preemption and fault recovery;
-* :mod:`repro.obs.recorder` — a bounded flight recorder that dumps
+  through admission, prefill, decode, preemption and fault recovery into
+  one bounded event ring per request, from which the tracker dumps
   deterministic postmortem JSON on ``DeadlineExceeded``, ``KVCacheOOM``,
   isolated faults and sanitizer findings;
 * :mod:`repro.obs.resources` — periodic resource sampling (KV/arena
@@ -47,7 +47,6 @@ from .metrics import (
     set_metrics,
 )
 from .prom import parse_prometheus, to_prometheus
-from .recorder import FlightRecorder
 from .regress import RegressionReport, check_trajectory
 from .requests import (
     RequestTimeline,
@@ -75,7 +74,6 @@ __all__ = [
     "TimelineEvent",
     "get_request_tracker",
     "set_request_tracker",
-    "FlightRecorder",
     "ResourceSampler",
     "to_prometheus",
     "parse_prometheus",

@@ -25,31 +25,65 @@ Design constraints mirror the tracer's:
    ``tests/test_obs_requests.py`` holds the disabled cost to <5% of a
    small-model run loop, same budget as the tracer's.
 2. **Thread-safe.**  ``Engine.infer`` is called from many threads; the
-   tracker's request table and the event sequence counter are locked.
-   A single timeline is only ever stamped by the thread driving that
-   request, so per-timeline state is lock-free.
-3. **Deterministic where it matters.**  Event *sequence numbers* are a
+   tracker's request table, the event sequence counter and the event
+   rings share one lock.  A single timeline is only ever stamped by the
+   thread driving that request, so its milestone fields are lock-free.
+3. **Bounded, one store.**  The tracker keeps each request's last
+   :data:`RING_EVENTS` events in one ring, made on the request's first
+   stamp, for at most :data:`MAX_RINGS` requests (the oldest request's
+   ring is evicted first).  ``RequestTimeline.events`` and the
+   postmortems both read that ring.
+4. **Deterministic where it matters.**  Event *sequence numbers* are a
    tracker-global monotonic counter, and ``to_dict(deterministic=True)``
-   drops wall-clock fields — so two same-seed chaos storms produce
-   byte-identical flight-recorder postmortems.
+   drops wall-clock fields and float-valued args.
+
+**Postmortems.**  With a ``postmortem_dir``, the engine's "page the
+on-call" conditions — ``DeadlineExceeded``, ``KVCacheOOM``, an isolated
+injected fault, a sanitizer finding — call :meth:`RequestTracker.dump`,
+which writes a JSON artifact holding the trigger, the live-request
+table, the triggering request's ring (every ring when no request is
+named), the fault-accounting counters (``faults.injected``, every
+absorbing counter in :data:`repro.faults.ABSORBERS`, ``breaker.opens``),
+a metrics snapshot and any extra context the caller attaches.  With
+``deterministic=True`` the artifact carries no wall-clock value (event
+``t_ms``, float args, gauges and histograms are dropped) and file names
+come from a per-tracker counter, so two same-seed chaos storms dump
+byte-identical postmortems.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 import time
-from typing import Dict, List, Optional
+from collections import OrderedDict, deque
+from typing import Deque, Dict, List, Optional
 
 from .metrics import MetricsRegistry, get_metrics
 
 __all__ = [
+    "MAX_RINGS",
     "NULL_TIMELINE",
+    "POSTMORTEM_SCHEMA",
+    "RING_EVENTS",
     "RequestTimeline",
     "RequestTracker",
     "TimelineEvent",
     "get_request_tracker",
     "set_request_tracker",
 ]
+
+#: Events kept per request: its last ``RING_EVENTS`` stamps.
+RING_EVENTS = 256
+#: Request rings kept at once; the oldest request's ring is evicted first.
+MAX_RINGS = 128
+#: Bumped when the postmortem JSON layout changes shape.
+POSTMORTEM_SCHEMA = 1
+
+
+def _safe_name(text: str) -> str:
+    return "".join(c if (c.isalnum() or c in "-_.") else "_" for c in text)
 
 
 class TimelineEvent:
@@ -114,12 +148,11 @@ NULL_TIMELINE = _NullTimeline()
 
 
 class RequestTimeline:
-    """The per-request record: milestones, events, and derived SLO stats.
+    """The per-request record: milestones and derived SLO stats.
 
     Stamped by exactly one thread (the one driving the request), so the
-    milestone fields need no lock; appending events goes through the
-    owning tracker, which serializes the global sequence counter and the
-    flight-recorder notification.
+    milestone fields need no lock; events go to the owning tracker's ring
+    for this request, which :attr:`events` reads.
     """
 
     __slots__ = (
@@ -134,7 +167,6 @@ class RequestTimeline:
         "finish_reason",
         "e2e_ms",
         "_last_token_s",
-        "events",
     )
 
     def __init__(self, tracker: "RequestTracker", request_id: str, kind: str) -> None:
@@ -149,7 +181,6 @@ class RequestTimeline:
         self.finish_reason: Optional[str] = None
         self.e2e_ms: Optional[float] = None
         self._last_token_s: Optional[float] = None
-        self.events: List[TimelineEvent] = []
 
     def _elapsed_ms(self) -> float:
         return (time.perf_counter() - self._t0) * 1000.0
@@ -201,6 +232,11 @@ class RequestTimeline:
         tracker._retire(self)
 
     # -- reading ------------------------------------------------------------
+    @property
+    def events(self) -> List[TimelineEvent]:
+        """This request's retained events (its tracker ring), oldest first."""
+        return self._tracker.events(self.request_id)
+
     def to_dict(self, deterministic: bool = False) -> Dict[str, object]:
         out: Dict[str, object] = {
             "request": self.request_id,
@@ -217,29 +253,33 @@ class RequestTimeline:
 
 
 class RequestTracker:
-    """Mints request IDs, owns live timelines, forwards to the recorder.
+    """Mints request IDs, owns live timelines and the event rings.
 
     ``RequestTracker()`` is enabled; ``RequestTracker(enabled=False)`` is
     the no-op form used as the process-wide default so un-configured
-    engines pay a single attribute check per request.
+    engines pay a single attribute check per request.  ``postmortem_dir``
+    is where :meth:`dump` writes (no directory: no dumps), and
+    ``deterministic`` strips wall clock from the artifacts.
     """
 
     def __init__(
         self,
         enabled: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        recorder=None,
-        max_events: int = 512,
+        postmortem_dir: Optional[str] = None,
+        deterministic: bool = False,
     ) -> None:
         self.enabled = enabled
         self.metrics = metrics
-        self.recorder = recorder
-        self.max_events = max_events
+        self.postmortem_dir = postmortem_dir
+        self.deterministic = deterministic
         self._lock = threading.Lock()
         self._seq = 0
         self._ids = 0
         self._live: Dict[str, RequestTimeline] = {}
-        self._finished = 0
+        self._rings: "OrderedDict[str, Deque[TimelineEvent]]" = OrderedDict()
+        self._dumps: List[str] = []
+        self._dump_count = 0
 
     def _registry(self) -> MetricsRegistry:
         return self.metrics if self.metrics is not None else get_metrics()
@@ -278,37 +318,106 @@ class RequestTracker:
     def _retire(self, timeline: RequestTimeline) -> None:
         with self._lock:
             self._live.pop(timeline.request_id, None)
-            self._finished += 1
         if timeline.finish_reason not in (None, "ok", "stop", "length"):
             self._registry().counter("slo.failures").inc()
 
     def _stamp(self, timeline: RequestTimeline, name: str, args: Dict) -> None:
+        rid = timeline.request_id
+        t_ms = timeline._elapsed_ms()
         with self._lock:
-            seq = self._seq
+            event = TimelineEvent(self._seq, rid, name, t_ms, args)
             self._seq += 1
-        event = TimelineEvent(
-            seq, timeline.request_id, name, timeline._elapsed_ms(), args
-        )
-        if len(timeline.events) < self.max_events:
-            timeline.events.append(event)
-        if self.recorder is not None:
-            self.recorder.record(event)
+            ring = self._rings.get(rid)
+            if ring is None:
+                if len(self._rings) >= MAX_RINGS:
+                    self._rings.popitem(last=False)
+                ring = self._rings[rid] = deque(maxlen=RING_EVENTS)
+            ring.append(event)
+
+    def events(self, request_id: str) -> List[TimelineEvent]:
+        """Snapshot of one request's retained events, oldest first."""
+        with self._lock:
+            return list(self._rings.get(request_id, ()))
 
     # -- postmortems --------------------------------------------------------
-    def dump(self, trigger: str, request_id: Optional[str] = None, **extra):
-        """Ask the attached flight recorder for a postmortem artifact.
+    @property
+    def dumps(self) -> List[str]:
+        """Paths of every postmortem written so far, in dump order."""
+        with self._lock:
+            return list(self._dumps)
 
-        Returns the artifact path, or ``None`` when disabled or no
-        recorder is attached (the common production-off configuration).
+    def payload(
+        self, trigger: str, request_id: Optional[str] = None, **extra
+    ) -> Dict[str, object]:
+        """Build the postmortem dict (what :meth:`dump` serializes).
+
+        Split out so tests can assert on structure without touching the
+        filesystem.
         """
-        if not self.enabled or self.recorder is None:
+        det = self.deterministic
+        with self._lock:
+            live = sorted(self._live)
+            if request_id is not None:
+                rings = {request_id: list(self._rings.get(request_id, ()))}
+            else:
+                rings = {rid: list(ring) for rid, ring in self._rings.items()}
+        # Imported here: repro.faults imports repro.obs.metrics, so a
+        # module-level import would cycle through repro.obs.
+        from ..faults import ABSORBERS
+
+        snap = self._registry().snapshot()
+        # Both sides of the fault-accounting equation, then the breaker.
+        names = ("faults.injected", *(c for c, _, _ in ABSORBERS), "breaker.opens")
+        fault_state = {
+            name: snap["counters"][name]
+            for name in names
+            if name in snap["counters"]
+        }
+        payload: Dict[str, object] = {
+            "schema": POSTMORTEM_SCHEMA,
+            "trigger": trigger,
+            "request": request_id,
+            "deterministic": det,
+            "live_requests": live,
+            "fault_state": fault_state,
+            "timelines": {
+                rid: [e.to_dict(det) for e in events]
+                for rid, events in sorted(rings.items())
+            },
+        }
+        if det:
+            payload["metrics"] = {"counters": snap["counters"]}
+        else:
+            payload["metrics"] = snap
+        for key in sorted(extra):
+            payload[key] = extra[key]
+        return payload
+
+    def dump(
+        self, trigger: str, request_id: Optional[str] = None, **extra
+    ) -> Optional[str]:
+        """Write a postmortem artifact; returns its path.
+
+        Returns ``None`` when disabled or without a ``postmortem_dir``
+        (the common production-off configuration).
+        """
+        if not self.enabled or self.postmortem_dir is None:
             return None
-        return self.recorder.dump(
-            trigger,
-            request_id=request_id,
-            live_requests=self.live(),
-            **extra,
-        )
+        payload = self.payload(trigger, request_id, **extra)
+        with self._lock:
+            n = self._dump_count
+            self._dump_count += 1
+        tag = _safe_name(request_id) if request_id else "all"
+        name = f"postmortem-{n:03d}-{tag}-{_safe_name(trigger)}.json"
+        os.makedirs(self.postmortem_dir, exist_ok=True)
+        path = os.path.join(self.postmortem_dir, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with self._lock:
+            self._dumps.append(path)
+        self._registry().counter("recorder.dumps").inc()
+        return path
 
 
 #: Process-wide default: a disabled tracker, so un-configured engines pay

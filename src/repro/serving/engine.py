@@ -87,9 +87,9 @@ class EngineConfig:
             default disabled).  Transient cache-IO and pool-checkout
             faults are retried 3 times before escalating.
         requests: request-level observability.  A
-            :class:`repro.obs.RequestTracker` (used as-is — attach a
-            :class:`repro.obs.FlightRecorder` to it for postmortem
-            dumps), ``True`` for a fresh tracker observing SLO
+            :class:`repro.obs.RequestTracker` (used as-is — give it a
+            ``postmortem_dir`` for postmortem dumps), ``True`` for a
+            fresh tracker observing SLO
             histograms into this engine's registry, or ``None`` for the
             process-wide tracker (disabled by default, so the per-
             request cost is one attribute check).

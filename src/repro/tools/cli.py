@@ -630,8 +630,8 @@ COMMANDS = [
         SANITIZE(help="storm with the race/lock-order/lifecycle sanitizer live; "
                       "any finding fails the storm"),
         Arg("--postmortem-dir", default=None, metavar="DIR",
-            help="attach a deterministic flight recorder: isolated faults, KV "
-                 "OOMs and the deadline probe dump replayable postmortem JSON "
+            help="track requests deterministically: isolated faults, KV OOMs "
+                 "and the deadline probe dump replayable postmortem JSON "
                  "into DIR"),
         Arg("--kv-dtype", default="float32", choices=("float32", "int8"),
             help="KV-cache storage dtype for the generation/prefix phases "

@@ -35,7 +35,6 @@ from repro.faults.chaos import default_chaos_graph
 from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
 from repro.ir import GraphBuilder, GraphError
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.recorder import FlightRecorder
 from repro.obs.requests import RequestTracker
 
 pytestmark = [
@@ -341,15 +340,14 @@ class TestTransport:
 class TestAffinity:
     def test_session_key_is_sticky(self, net, feeds, tmp_path):
         reg = MetricsRegistry()
-        recorder = FlightRecorder(out_dir=str(tmp_path), metrics=reg)
-        tracker = RequestTracker(metrics=reg, recorder=recorder)
+        tracker = RequestTracker(metrics=reg, postmortem_dir=str(tmp_path))
         with Cluster(net, ClusterConfig(
                 workers=2, metrics=reg, requests=tracker)) as cluster:
             for _ in range(5):
                 cluster.infer(feeds, session_key="sticky-session")
         workers = set()
         for rid in (f"clu-{n}" for n in range(1, 6)):
-            admitted = [e for e in recorder.events(rid) if e.name == "admitted"]
+            admitted = [e for e in tracker.events(rid) if e.name == "admitted"]
             assert admitted, f"no admitted event for {rid}"
             workers.add(admitted[0].args["worker"])
         assert len(workers) == 1  # every request went to the same slot
@@ -371,8 +369,7 @@ class TestAffinity:
 class TestAdmissionControl:
     def test_backpressure_typed_with_postmortem(self, net, feeds, tmp_path):
         reg = MetricsRegistry()
-        recorder = FlightRecorder(out_dir=str(tmp_path), metrics=reg)
-        tracker = RequestTracker(metrics=reg, recorder=recorder)
+        tracker = RequestTracker(metrics=reg, postmortem_dir=str(tmp_path))
         with Cluster(net, ClusterConfig(
                 workers=2, max_queue_depth=1, device_dwell_ms=200.0,
                 metrics=reg, requests=tracker)) as cluster:
@@ -384,8 +381,8 @@ class TestAdmissionControl:
             assert exc.value.depth >= 1
             first.result()  # the in-flight request is unaffected
         assert reg.value("router.shed.backpressure") == 1
-        # The shed left a flight-recorder postmortem naming the error.
-        dumps = [p for p in recorder.dumps if "Backpressure" in p]
+        # The shed left a postmortem naming the error.
+        dumps = [p for p in tracker.dumps if "Backpressure" in p]
         assert len(dumps) == 1
         with open(dumps[0], encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -511,8 +508,7 @@ class TestWorkerLoss:
     def test_error_policy_surfaces_typed_loss_with_postmortem(
             self, net, feeds, tmp_path):
         reg = MetricsRegistry()
-        recorder = FlightRecorder(out_dir=str(tmp_path), metrics=reg)
-        tracker = RequestTracker(metrics=reg, recorder=recorder)
+        tracker = RequestTracker(metrics=reg, postmortem_dir=str(tmp_path))
         plan = FaultPlan([FaultRule("worker.crash", "transient", times=1)],
                          seed=3)
         with Cluster(net, ClusterConfig(
@@ -527,7 +523,7 @@ class TestWorkerLoss:
             cluster.infer(feeds, session_key="doomed", on_worker_lost="error")
         assert plan.injected == 1
         assert reg.value("cluster.lost") == 1
-        dumps = [p for p in recorder.dumps if "WorkerLost" in p]
+        dumps = [p for p in tracker.dumps if "WorkerLost" in p]
         assert len(dumps) == 1
         with open(dumps[0], encoding="utf-8") as fh:
             payload = json.load(fh)

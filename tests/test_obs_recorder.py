@@ -1,6 +1,6 @@
-"""Flight recorder: ring bounds, postmortem payloads, deterministic
-dumps, and the chaos-storm replay contract (same seed ⇒ byte-identical
-artifacts; fault-free ⇒ zero dumps)."""
+"""Request-tracker postmortems: ring bounds, postmortem payloads,
+deterministic dumps, and the chaos-storm replay contract (same seed ⇒
+byte-identical artifacts; fault-free ⇒ zero dumps)."""
 
 import hashlib
 import json
@@ -9,44 +9,57 @@ import os
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import POSTMORTEM_SCHEMA, FlightRecorder
-from repro.obs.requests import RequestTracker
+from repro.obs.requests import (
+    MAX_RINGS,
+    POSTMORTEM_SCHEMA,
+    RING_EVENTS,
+    RequestTracker,
+)
 
 
-def _tracker(tmp_path, deterministic=True, capacity=256, max_requests=128):
+def _tracker(tmp_path, deterministic=True):
     reg = MetricsRegistry()
-    recorder = FlightRecorder(
-        capacity=capacity, out_dir=str(tmp_path),
-        deterministic=deterministic, metrics=reg, max_requests=max_requests,
+    tracker = RequestTracker(
+        metrics=reg, postmortem_dir=str(tmp_path), deterministic=deterministic,
     )
-    return RequestTracker(metrics=reg, recorder=recorder), recorder, reg
+    return tracker, reg
 
 
 class TestRing:
     def test_per_request_ring_keeps_last_n_events(self, tmp_path):
-        tracker, recorder, _ = _tracker(tmp_path, capacity=4)
+        tracker, _ = _tracker(tmp_path)
         tl = tracker.start("r0")
-        for i in range(10):
+        for i in range(RING_EVENTS + 10):
             tl.event("tick", i=i)
-        kept = recorder.events("r0")
-        assert len(kept) == 4
-        assert [e.args["i"] for e in kept] == [6, 7, 8, 9]
+        kept = tracker.events("r0")
+        assert len(kept) == RING_EVENTS
+        assert [e.args["i"] for e in kept] == list(range(10, RING_EVENTS + 10))
 
     def test_request_table_evicts_fifo(self, tmp_path):
-        tracker, recorder, _ = _tracker(tmp_path, max_requests=2)
-        for rid in ("a", "b", "c"):
+        tracker, _ = _tracker(tmp_path)
+        rids = [f"r{n}" for n in range(MAX_RINGS + 1)]
+        for rid in rids:
             tracker.start(rid).event("tick")
-        assert recorder.events("a") == []  # oldest ring evicted
-        assert recorder.events("b") and recorder.events("c")
+        assert tracker.events(rids[0]) == []  # oldest ring evicted
+        assert tracker.events(rids[1]) and tracker.events(rids[-1])
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+    def test_timeline_past_the_ring_matches_its_postmortem(self, tmp_path):
+        # One store: a long request's timeline and its postmortem show
+        # the same (last RING_EVENTS) events.
+        tracker, _ = _tracker(tmp_path)
+        tl = tracker.start("r0", "generate")
+        for i in range(RING_EVENTS + 44):
+            tl.event("tick", i=i)
+        with open(tracker.dump("probe", "r0"), encoding="utf-8") as fh:
+            dumped = json.load(fh)["timelines"]["r0"]
+        assert tl.to_dict(deterministic=True)["events"] == dumped
+        assert [e.seq for e in tl.events] == [e["seq"] for e in dumped]
+        assert dumped[0]["args"] == {"i": 44}
 
 
 class TestDump:
     def test_payload_structure(self, tmp_path):
-        tracker, recorder, reg = _tracker(tmp_path)
+        tracker, reg = _tracker(tmp_path)
         reg.counter("faults.injected").inc(3)
         reg.counter("retry.attempts").inc(3)
         tl = tracker.start("r0", "infer")
@@ -68,27 +81,27 @@ class TestDump:
 
     def test_fault_state_carries_every_absorbing_counter(self, tmp_path):
         # A WorkerLost postmortem must show the counter that resolved it.
-        _, recorder, reg = _tracker(tmp_path)
+        tracker, reg = _tracker(tmp_path)
         reg.counter("faults.injected").inc(2)
         reg.counter("fallback.replay").inc()
         reg.counter("cluster.worker_lost").inc()
-        state = recorder.payload("WorkerLost", "r0")["fault_state"]
+        state = tracker.payload("WorkerLost", "r0")["fault_state"]
         assert state == {
             "faults.injected": 2, "fallback.replay": 1, "cluster.worker_lost": 1,
         }
 
     def test_dump_filenames_are_deterministic_and_ordered(self, tmp_path):
-        tracker, recorder, _ = _tracker(tmp_path)
+        tracker, _ = _tracker(tmp_path)
         tracker.start("req-7").event("tick")
         p0 = tracker.dump("KVCacheOOM", "req-7")
         p1 = tracker.dump("sanitizer")
         assert os.path.basename(p0) == "postmortem-000-req-7-KVCacheOOM.json"
         assert os.path.basename(p1) == "postmortem-001-all-sanitizer.json"
-        assert recorder.dumps == [p0, p1]
+        assert tracker.dumps == [p0, p1]
 
     def test_deterministic_dumps_are_byte_identical_across_runs(self, tmp_path):
         def run(out_dir):
-            tracker, _, reg = _tracker(out_dir)
+            tracker, reg = _tracker(out_dir)
             reg.counter("faults.injected").inc()
             tl = tracker.start("r0", "generate", prompt_tokens=3)
             tl.admitted(batch=2)
@@ -105,7 +118,7 @@ class TestDump:
         assert ha == hb
 
     def test_non_deterministic_dump_keeps_wall_clock(self, tmp_path):
-        tracker, _, _ = _tracker(tmp_path, deterministic=False)
+        tracker, _ = _tracker(tmp_path, deterministic=False)
         tl = tracker.start("r0")
         tl.event("tick", rate=1.5)
         path = tracker.dump("probe", "r0")
@@ -153,16 +166,8 @@ class TestChaosFlightRecorder:
 
     def test_fault_free_run_dumps_nothing(self, tmp_path):
         from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
-        from repro.obs.recorder import FlightRecorder
-        from repro.obs.requests import RequestTracker
 
-        reg = MetricsRegistry()
-        tracker = RequestTracker(
-            metrics=reg,
-            recorder=FlightRecorder(
-                out_dir=str(tmp_path), deterministic=True, metrics=reg
-            ),
-        )
+        tracker, reg = _tracker(tmp_path)
         engine = GenerationEngine(GenerationConfig(
             vocab=32, max_seq=16, d_model=16, heads=2, layers=1,
             max_batch=2, page_tokens=4, metrics=reg, requests=tracker,
@@ -175,7 +180,7 @@ class TestChaosFlightRecorder:
             engine.close()
         assert all(r.finish_reason != "error" for r in results)
         assert os.listdir(tmp_path) == []
-        assert tracker.recorder.dumps == []
+        assert tracker.dumps == []
 
     def test_cli_chaos_postmortem_dir(self, tmp_path, capsys):
         from repro.tools.cli import main

@@ -10,6 +10,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import parse_prometheus, prom_name, to_prometheus
 from repro.obs.requests import (
     NULL_TIMELINE,
+    RING_EVENTS,
     RequestTracker,
     get_request_tracker,
     set_request_tracker,
@@ -92,11 +93,54 @@ class TestRequestTimeline:
         assert probe_full["args"]["rate"] == 1.5 and "t_ms" in probe_full
 
     def test_event_cap_bounds_timeline_memory(self):
-        tracker = RequestTracker(metrics=MetricsRegistry(), max_events=4)
+        tracker = RequestTracker(metrics=MetricsRegistry())
         tl = tracker.start("r0")
-        for i in range(20):
+        for i in range(RING_EVENTS + 20):
             tl.event("tick", i=i)
-        assert len(tl.events) == 4
+        assert len(tl.events) == RING_EVENTS
+        assert tl.events[-1].args == {"i": RING_EVENTS + 19}  # the last N
+
+    def test_engines_sharing_a_tracker_mint_distinct_ids(self):
+        from repro.genai import GenerationConfig, GenerationEngine, SamplingParams
+        from repro.ir import GraphBuilder
+        from repro.serving import Engine, EngineConfig
+
+        def gen_engine(requests):
+            return GenerationEngine(GenerationConfig(
+                vocab=32, max_seq=16, d_model=16, heads=2, layers=1,
+                max_batch=2, page_tokens=4, metrics=reg, requests=requests,
+            ))
+
+        b = GraphBuilder("tiny", seed=0)
+        x = b.input("data", (1, 3, 8, 8))
+        b.output(b.softmax(b.fc(b.global_avg_pool(b.conv(x, oc=4, kernel=1)), units=4)))
+        reg = MetricsRegistry()
+        tracker = RequestTracker(metrics=reg)
+        with Engine(b.finish(), EngineConfig(
+                use_cache=False, metrics=reg, requests=tracker)) as engine:
+            engine.infer({"data": np.zeros((1, 3, 8, 8), np.float32)})
+        shared = gen_engine(tracker)
+        try:
+            [result] = shared.generate([[1, 2, 3]], SamplingParams(max_tokens=2))
+        finally:
+            shared.close()
+        assert result.request_id == "req-1"  # Engine.infer took req-0
+        assert reg.value("slo.requests") == 2
+        assert tracker.events("req-0")[0].args["kind"] == "infer"
+        assert tracker.events("req-1")[0].args["kind"] == "generate"
+
+        # Untracked, or on a private tracker, raw prompts number from req-0.
+        for requests in (None, True):
+            engine = gen_engine(requests)
+            try:
+                ids = [
+                    r.request_id
+                    for _ in range(2)
+                    for r in engine.generate([[1, 2]], SamplingParams(max_tokens=1))
+                ]
+            finally:
+                engine.close()
+            assert ids == ["req-0", "req-1"]
 
 
 class TestTrackerToggle:
